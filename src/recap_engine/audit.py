@@ -12,17 +12,24 @@ import copy
 from datetime import datetime, timezone
 from typing import Callable
 
-from . import bundle as codec
+from .bundle import body_fields, decode, decode_field, encode, text_fields
 from .diagnostics import Diagnostic, OperationRejected, error, reject
-from .identifiers import parse_identifier
+from .identifiers import KIND_TO_NAMESPACE, parse_identifier
 from .model import (
+    Abstraction,
     AuditEvent,
+    BoundaryContract,
+    ChangelogEntry,
     EVENT_KINDS,
     EVENT_PAYLOAD_SCHEMAS,
+    EvidentialUnit,
+    FlowEvent,
+    Law,
+    LayerDecl,
     ProjectBundle,
     ReTierEvent,
+    Route,
     RouteRevision,
-    Tier,
 )
 
 PAYLOAD_SCHEMAS = EVENT_PAYLOAD_SCHEMAS
@@ -75,23 +82,6 @@ def find_declaration(bundle: ProjectBundle, canonical: str):
     return None
 
 
-_EDITABLE_TEXT_FIELDS = {
-    "text",
-    "definition",
-    "payload",
-    "plausibility",
-    "failure_modes",
-    "consequences_for_inference",
-    "tier_justification",
-    "bias_considerations",
-    "measurement_issues",
-    "notes",
-    "methods_summary",
-    "strengths",
-    "limitations",
-}
-
-
 def _apply_effects(bundle: ProjectBundle, effects: list[dict]) -> None:
     """Apply the recorded effects of a contamination resolution."""
     for effect in effects:
@@ -104,12 +94,11 @@ def _apply_effects(bundle: ProjectBundle, effects: list[dict]) -> None:
         elif op == "edit_text":
             decl = find_declaration(bundle, effect["container"])
             name = effect["field"]
-            if decl is None or name not in _EDITABLE_TEXT_FIELDS or not hasattr(decl, name):
+            if decl is None or name not in text_fields(type(decl)):
                 raise ValueError(f"edit target {effect.get('container')}.{name} not found")
-            decl_field = getattr(decl, name)
-            if decl_field != effect["old"]:
+            if getattr(decl, name) != effect["old"]:
                 raise ValueError("edit target text diverged from the recorded state")
-            setattr(decl, name, effect["new"])
+            setattr(decl, name, decode_field(type(decl), name, effect["new"]))
         elif op == "edit_list_item":
             decl = find_declaration(bundle, effect["container"])
             name = effect["field"]
@@ -157,12 +146,10 @@ def _apply_effects(bundle: ProjectBundle, effects: list[dict]) -> None:
             _remove_declaration(bundle, effect["target"])
         elif op == "add_law":
             layer = _layer_or_raise(bundle, effect["layer"])
-            layer.laws.append(codec.decode_law_dict(effect["record"]))
+            layer.laws.append(_decode_in(layer, Law, effect["record"]))
         elif op == "add_abstraction":
             layer = _layer_or_raise(bundle, effect["layer"])
-            layer.abstractions.append(
-                codec.decode_abstraction_dict(effect["record"], owner=layer.local_name)
-            )
+            layer.abstractions.append(_decode_in(layer, Abstraction, effect["record"]))
         else:
             raise ValueError(f"unknown resolution effect {op!r}")
 
@@ -173,6 +160,11 @@ def _layer_or_raise(bundle: ProjectBundle, canonical: str):
     if layer is None:
         raise ValueError(f"layer {canonical} not found")
     return layer
+
+
+def _decode_in(layer: LayerDecl, cls: type, record: dict):
+    """Decode a law or abstraction declared by ``layer``."""
+    return decode(cls, record, owner=layer.local_name, ns=KIND_TO_NAMESPACE[layer.kind])
 
 
 def _remove_declaration(bundle: ProjectBundle, canonical: str) -> None:
@@ -211,39 +203,35 @@ def _route_or_raise(bundle: ProjectBundle, canonical: str):
 
 def _apply_tier_declared(bundle: ProjectBundle, payload: dict) -> None:
     unit = _unit_or_raise(bundle, payload["unit"])
-    unit.declared_tier = Tier.from_label(payload["tier"])
-    unit.tier_justification = payload["justification"]
+    # A declared tier is never null, as a re-tier's target is not.
+    tier = decode_field(ReTierEvent, "new_tier", payload["tier"])
+    unit.tier_justification = decode_field(
+        EvidentialUnit, "tier_justification", payload["justification"]
+    )
+    unit.declared_tier = tier
 
 
 def _apply_retier(bundle: ProjectBundle, payload: dict) -> None:
     unit = _unit_or_raise(bundle, payload["unit"])
-    record = payload["event"]
-    unit.retier_events.append(
-        ReTierEvent(
-            timestamp=record["timestamp"],
-            source_of_information=record["source_of_information"],
-            justification=record["justification"],
-            implications_for_route=record["implications_for_route"],
-            old_tier=Tier.from_label(record["old_tier"]),
-            new_tier=Tier.from_label(record["new_tier"]),
-        )
-    )
-    unit.declared_tier = Tier.from_label(record["new_tier"])
+    # Decode every part before touching the unit.
+    event = decode(ReTierEvent, payload["event"])
+    changes = {"declared_tier": event.new_tier}
     if payload.get("justification"):
-        unit.tier_justification = payload["justification"]
-    if payload.get("interpretations") is not None:
-        unit.interpretations = [
-            codec.decode_assessment_dict(a) for a in payload["interpretations"]
-        ]
-    if payload.get("explicit_assumptions") is not None:
-        unit.explicit_assumptions = [
-            codec.decode_declared_assumption_dict(a, owner=unit.study_id.owner)
-            for a in payload["explicit_assumptions"]
-        ]
+        changes["tier_justification"] = decode_field(
+            EvidentialUnit, "tier_justification", payload["justification"]
+        )
+    for name in ("interpretations", "explicit_assumptions"):
+        if payload.get(name) is not None:
+            changes[name] = decode_field(
+                EvidentialUnit, name, payload[name], owner=unit.study_id.owner
+            )
+    unit.retier_events.append(event)
+    for name, value in changes.items():
+        setattr(unit, name, value)
 
 
 def _apply_route_declared(bundle: ProjectBundle, payload: dict) -> None:
-    route = codec.decode_route_dict(payload["route"])
+    route = decode(Route, payload["route"])
     if bundle.route_by_id(route.id) is None:
         bundle.routes.append(route)
     if payload["committed"]:
@@ -261,34 +249,16 @@ def _apply_route_frozen(bundle: ProjectBundle, payload: dict) -> None:
 
 def _apply_route_revised(bundle: ProjectBundle, payload: dict) -> None:
     route = _route_or_raise(bundle, payload["route"])
-    body = payload["body"]
-    replacement = codec.decode_route_dict(
-        {
-            **codec.encode_route_dict(route),
-            "construct_ref": body["construct_ref"],
-            "objective": body["objective"],
-            "assumptions": body["assumptions"],
-            "disconfirming_models": body["disconfirming_models"],
-        }
-    )
-    route.construct_ref = replacement.construct_ref
-    route.objective = replacement.objective
-    route.assumptions = replacement.assumptions
-    route.disconfirming_models = replacement.disconfirming_models
-    record = payload["revision"]
-    route.revisions.append(
-        RouteRevision(
-            timestamp=record["timestamp"],
-            justification=record["justification"],
-            downstream_implications=record["downstream_implications"],
-            change_description=record["change_description"],
-        )
-    )
+    body = {name: payload["body"][name] for name in body_fields(Route)}
+    replacement = decode(Route, {**encode(route), **body})
+    revision = decode(RouteRevision, payload["revision"])
+    for name in body:
+        setattr(route, name, getattr(replacement, name))
+    route.revisions.append(revision)
 
 
 def _apply_flow_recorded(bundle: ProjectBundle, payload: dict) -> None:
-    flow = codec.decode_flow_dict(payload["flow"])
-    bundle.flows.append(flow)
+    bundle.flows.append(decode(FlowEvent, payload["flow"]))
 
 
 def _apply_contamination_flagged(bundle: ProjectBundle, payload: dict) -> None:
@@ -302,14 +272,15 @@ def _apply_contamination_resolved(bundle: ProjectBundle, payload: dict) -> None:
 
 def _apply_version_bumped(bundle: ProjectBundle, payload: dict) -> None:
     gp = bundle.grandparent()
-    gp.laws = [codec.decode_law_dict(obj) for obj in payload["laws"]]
-    gp.version = payload["entry"]["to_version"]
+    entry = decode(ChangelogEntry, payload["entry"])
+    gp.laws = decode_field(LayerDecl, "laws", payload["laws"], ns="gp")
+    gp.version = entry.to_version
 
 
 def _apply_unit_split(bundle: ProjectBundle, payload: dict) -> None:
     source = _unit_or_raise(bundle, payload["source"])
+    new_units = decode_field(ProjectBundle, "units", payload["units"])
     source.superseded = True
-    new_units = [codec.decode_unit_dict(obj) for obj in payload["units"]]
     bundle.units.extend(new_units)
     for project in bundle.projects:
         if source.study_id in project.unit_refs:
@@ -322,7 +293,7 @@ def _apply_declaration_added(bundle: ProjectBundle, payload: dict) -> None:
     decl_kind = payload["decl_kind"]
     record = payload["record"]
     if decl_kind == "unit":
-        unit = codec.decode_unit_dict(record)
+        unit = decode(EvidentialUnit, record)
         bundle.units.append(unit)
         project_id = payload.get("project")
         if project_id:
@@ -331,14 +302,13 @@ def _apply_declaration_added(bundle: ProjectBundle, payload: dict) -> None:
                 raise ValueError(f"project {project_id} not found")
             project.unit_refs.append(unit.study_id)
     elif decl_kind == "law":
-        _layer_or_raise(bundle, payload["layer"]).laws.append(codec.decode_law_dict(record))
+        layer = _layer_or_raise(bundle, payload["layer"])
+        layer.laws.append(_decode_in(layer, Law, record))
     elif decl_kind == "abstraction":
         layer = _layer_or_raise(bundle, payload["layer"])
-        layer.abstractions.append(
-            codec.decode_abstraction_dict(record, owner=layer.local_name)
-        )
+        layer.abstractions.append(_decode_in(layer, Abstraction, record))
     elif decl_kind == "contract":
-        bundle.contracts.append(codec.decode_contract_dict(record))
+        bundle.contracts.append(decode(BoundaryContract, record))
     else:
         raise ValueError(f"unsupported declaration kind {decl_kind!r}")
 

@@ -4,71 +4,46 @@ The on-disk form is a single UTF-8 JSON document with fixed top-level keys.
 Parsing either returns a fully-resolved model or a list of located
 diagnostics, never both. Serialization is deterministic and round-trips:
 ``parse(serialize(b)) == b`` for every invariant-satisfying bundle.
+
+Every persisted record is described once, by the :class:`~.model.Spec` in
+its dataclass field metadata. One strict decoder and one encoder walk those
+specs, for the bundle and for every record an event payload carries.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
-from .identifiers import (
-    Identifier,
-    KIND_TO_NAMESPACE,
-    extract_references,
-    is_bare_name,
-    parse_identifier,
-)
+from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references, is_bare_name
+from .identifiers import parse_identifier
+from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER
 from .model import (
-    ABSTRACTION_KINDS,
-    ALIGNMENT_LEVELS,
-    ASSESSMENT_DIMENSIONS,
-    Abstraction,
-    AnalyticMemo,
+    EVENT_PAYLOAD_SCHEMAS,
     Assessment,
     AuditEvent,
-    BoundaryContract,
-    DESIGN_LEVELS,
+    ChangelogEntry,
+    ContaminationEvent,
     DeclaredAssumption,
-    EVENT_KINDS,
-    EVENT_PAYLOAD_SCHEMAS,
-    EVIDENCE_ROLES,
-    EvidenceRoleAssignment,
     EvidentialUnit,
-    FlowEvent,
-    INFO_CLASSES,
-    LAYER_KINDS,
     Law,
     LayerDecl,
-    MEASUREMENT_LEVELS,
     ProjectBundle,
     ProjectDecl,
-    REPORTING_LEVELS,
-    RejectedAlternative,
-    ReTierEvent,
-    ReviewerBlock,
     Route,
-    RouteAssumption,
-    RouteRevision,
-    TOP_LEVEL_KEYS,
+    Spec,
     Tier,
 )
 
 VERSION_RE = re.compile(r"^v(\d+)\.(\d+)$")
 
-#: Narrative unit fields scanned for embedded identifier references.
-_UNIT_TEXT_FIELDS = (
-    "tier_justification",
-    "bias_considerations",
-    "measurement_issues",
-    "notes",
-    "methods_summary",
-    "strengths",
-    "limitations",
-)
+_ABSENT = object()  # a key missing from its JSON object
+_TIERS = {tier.label: tier for tier in Tier}
 
 
 @dataclass
@@ -87,628 +62,374 @@ class ParseResult:
 
 
 # ---------------------------------------------------------------------------
+# The codec: one entry per persisted class, built at import
+# ---------------------------------------------------------------------------
+
+
+def _render(ident: Identifier | None) -> str | None:
+    return None if ident is None else ident.render()
+
+
+def _encoder(spec: Spec) -> Callable | None:
+    """Value encoder for one spec; None when the value is already JSON."""
+    kind = spec.kind
+    if kind == IDENT or kind == LAYER:
+        return _render if spec.nullable else Identifier.render
+    if kind == TIER:
+        return lambda tier: None if tier is None else tier.label
+    if kind == MAP:
+        return dict
+    if kind == RECORD:
+        return CODECS[spec.of].encode
+    if kind == LIST:
+        item = _encoder(spec.of)
+        if item is None:
+            return list
+        return lambda values: list(map(item, values))
+    return None
+
+
+class _Codec:
+    """The specs of one persisted class, in field order."""
+
+    def __init__(self, cls: type):
+        self.cls = cls
+        self.name = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
+        #: (field name, JSON key or key path, spec)
+        self.fields = [(f.name, f.metadata["spec"].key or f.name, f.metadata["spec"])
+                       for f in fields(cls)]
+        self.specs = {name: spec for name, _, spec in self.fields}
+        self.encode = _record_encoder(self.fields)
+        self.text = [(name, key if key.__class__ is str else ".".join(key))
+                     for name, key, spec in self.fields if spec.text]
+        self.text_fields = tuple(name for name, _, s in self.fields if s.text and s.kind == STR)
+        self.body = tuple(name for name, _, spec in self.fields if spec.body)
+        self.layer_refs = [name for name, _, spec in self.fields if spec.kind == LAYER]
+        self.check = _CHECKS.get(cls)
+        self.identity: Callable | None = None
+        named: tuple[str, ...] = ()
+        if cls is LayerDecl:
+            self.identity, named = _layer_identity, ("id", "kind")
+        elif self.fields[0][2].identity:
+            self.identity, named = _identity, (self.fields[0][0],)
+        #: Fields read after the identity, each with the class of a raw
+        #: value that needs no decoding (None for most kinds).
+        self.rest = [(*f, _PLAIN.get(f[2].kind)) for f in self.fields if f[0] not in named]
+
+
+def _record_encoder(specs: list) -> Callable[[Any], dict]:
+    converters = [(name, _encoder(spec)) for name, _, spec in specs if _encoder(spec)]
+
+    def encode_record(record: Any) -> dict:
+        # A record's __dict__ holds exactly its fields, in declaration
+        # order; copying it is the fast way to read them all.
+        out = dict(record.__dict__)
+        for name, enc in converters:
+            out[name] = enc(out[name])
+        return out
+
+    keys = [key for _, key, _ in specs]
+    if all(key.__class__ is str for key in keys):
+        return encode_record
+
+    def encode_nested(record: Any) -> dict:
+        out: dict = {}
+        for key, value in zip(keys, encode_record(record).values()):
+            if key.__class__ is str:
+                out[key] = value
+            else:
+                out.setdefault(key[0], {})[key[1]] = value
+        return out
+
+    return encode_nested
+
+
+_PLAIN = {STR: str, BOOL: bool}
+
+
+CODECS: dict[type, _Codec] = {}
+
+
+def _build(cls: type) -> None:
+    if cls in CODECS:
+        return
+    for f in fields(cls):
+        if "spec" not in f.metadata:
+            raise TypeError(f"{cls.__name__}.{f.name} has no spec")
+        inner = f.metadata["spec"].of if f.metadata["spec"].kind == LIST else f.metadata["spec"]
+        if inner.kind == RECORD:
+            _build(inner.of)
+    CODECS[cls] = _Codec(cls)
+
+
+TOP_LEVEL_KEYS = tuple(f.name for f in fields(ProjectBundle))
+
+
+def text_fields(cls: type) -> tuple[str, ...]:
+    """Names of the string fields scanned for embedded references."""
+    return CODECS[cls].text_fields
+
+
+def body_fields(cls: type) -> tuple[str, ...]:
+    """Names of the fields that make up a frozen route's fingerprint."""
+    return CODECS[cls].body
+
+
+# ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
 
 
 class _Decoder:
-    """Shape-level decoder collecting located diagnostics as it walks."""
+    """Strict spec-driven decoder collecting located diagnostics as it walks.
+
+    A context ``(namespace, layer, owner)`` names the declaring layer and
+    the owner of the enclosing record, where bare names default to.
+    """
 
     def __init__(self) -> None:
         self.diagnostics: list[Diagnostic] = []
         # (identifier, path, expected declaration kinds)
         self.references: list[tuple[Identifier, str, tuple[str, ...]]] = []
 
-    # -- plumbing -----------------------------------------------------------
-
     def fail(self, path: str, message: str, code: str = "E_SYNTAX") -> None:
         self.diagnostics.append(error(code, path, message))
 
-    def warn(self, path: str, message: str, code: str) -> None:
-        self.diagnostics.append(warning(code, path, message))
+    def scan_text(self, text: str, path: str) -> None:
+        if ":" not in text:  # every canonical reference has one
+            return
+        for ref in extract_references(text):
+            self.references.append((ref, path, ("any",)))
 
-    def str_at(self, obj: dict, key: str, path: str, default: str | None = "") -> str:
-        value = obj.get(key, default)
-        if value is None:
-            value = ""
-        if not isinstance(value, str):
-            self.fail(f"{path}.{key}", f"expected string, got {type(value).__name__}")
-            return ""
-        return value
-
-    def bool_at(self, obj: dict, key: str, path: str, default: bool = False) -> bool:
-        value = obj.get(key, default)
-        if not isinstance(value, bool):
-            self.fail(f"{path}.{key}", f"expected boolean, got {type(value).__name__}")
-            return default
-        return value
-
-    def list_at(self, obj: dict, key: str, path: str) -> list:
-        value = obj.get(key, [])
-        if not isinstance(value, list):
-            self.fail(f"{path}.{key}", f"expected list, got {type(value).__name__}")
-            return []
-        return value
-
-    def dict_at(self, obj: dict, key: str, path: str) -> dict:
-        value = obj.get(key, {})
-        if not isinstance(value, dict):
-            self.fail(f"{path}.{key}", f"expected object, got {type(value).__name__}")
+    def container(self, raw: Any, path: str) -> dict:
+        if raw is _ABSENT:
             return {}
-        return value
+        if isinstance(raw, dict):
+            return raw
+        self.fail(path, f"expected object, got {type(raw).__name__}")
+        return {}
 
-    def enum_at(self, obj: dict, key: str, path: str, allowed: tuple, default: str = "") -> str:
-        value = self.str_at(obj, key, path)
-        if value not in allowed:
-            self.fail(f"{path}.{key}", f"{value!r} is not one of {sorted(allowed)}")
-            return default or allowed[0]
-        return value
-
-    # -- identifiers ----------------------------------------------------------
-
-    def ident(
-        self,
-        raw: Any,
-        path: str,
-        *,
-        owner_ns: str | None = None,
-        owner: str = "",
-        expect: tuple[str, ...] = ("any",),
-        register: bool = True,
-    ) -> Identifier | None:
-        """Decode an identifier, defaulting bare names into the declaring
-        layer's namespace when the owner context is known."""
+    def ident(self, spec: Spec, raw: Any, path: str, ctx: tuple) -> Identifier | None:
         if not isinstance(raw, str) or not raw:
             self.fail(path, "expected identifier string")
             return None
         parsed = parse_identifier(raw)
         if parsed is None:
-            if is_bare_name(raw) and owner_ns is not None:
-                parsed = Identifier(owner_ns, owner if owner_ns != "gp" else "", raw)
-            else:
+            if spec.owner is None or not is_bare_name(raw):
                 self.fail(path, f"{raw!r} is not a valid identifier")
                 return None
-        if register:
-            self.references.append((parsed, path, expect))
+            ns, layer, owner = ctx
+            if spec.owner == "child":
+                parsed = Identifier("child", owner, raw)
+            else:
+                parsed = Identifier(ns, layer if ns != "gp" else "", raw)
+        if spec.expect:
+            self.references.append((parsed, path, spec.expect))
         return parsed
 
-    def layer_ref(self, raw: Any, path: str) -> Identifier | str | None:
-        """Layer references may be bare local names; resolution happens once
-        all layers are known. Returns the raw bare string in that case."""
-        if not isinstance(raw, str) or not raw:
-            self.fail(path, "expected layer reference")
+    def value(self, spec: Spec, raw: Any, path: str, ctx: tuple) -> Any:
+        kind = spec.kind
+        if spec.nullable and (raw is None or raw is _ABSENT):
             return None
-        parsed = parse_identifier(raw)
-        if parsed is not None:
-            return parsed
-        if is_bare_name(raw):
-            return raw
-        self.fail(path, f"{raw!r} is not a valid layer reference")
-        return None
-
-    def scan_text(self, text: str, path: str) -> None:
-        for ref in extract_references(text):
-            self.references.append((ref, path, ("any",)))
-
-    # -- records ------------------------------------------------------------
-
-    def decode_layer(self, obj: dict, path: str) -> LayerDecl | None:
-        kind = self.enum_at(obj, "kind", path, LAYER_KINDS)
-        ns = KIND_TO_NAMESPACE.get(kind, "gp")
-        raw_id = obj.get("id")
-        if not isinstance(raw_id, str) or not raw_id:
-            self.fail(f"{path}.id", "layer id missing")
+        if kind == STR or kind == ENUM:
+            value = raw
+            if raw is None or raw is _ABSENT:
+                value = ""
+            elif not isinstance(raw, str):
+                self.fail(path, f"expected {spec.noun or 'string, got ' + type(raw).__name__}")
+                value = ""
+            if kind == STR or value in spec.of:
+                return value
+            self.fail(path, f"{value!r} is not one of {sorted(spec.of)}")
+            return spec.of[0]
+        if kind == BOOL:
+            if raw is _ABSENT:
+                return False
+            if isinstance(raw, bool):
+                return raw
+            self.fail(path, f"expected boolean, got {type(raw).__name__}")
+            return False
+        if kind == INT:
+            if isinstance(raw, int) and not isinstance(raw, bool):
+                return raw
+            self.fail(path, f"expected {spec.noun or 'integer'}")
             return None
-        parsed = parse_identifier(raw_id)
-        if parsed is None:
-            if not is_bare_name(raw_id):
-                self.fail(f"{path}.id", f"{raw_id!r} is not a valid identifier")
+        if kind == TIER:
+            tier = _TIERS.get(raw) if isinstance(raw, str) else None
+            if tier is None:
+                self.fail(path, f"{None if raw is _ABSENT else raw!r} is not a tier")
+            return tier
+        if kind == IDENT:
+            return self.ident(spec, raw, path, ctx)
+        if kind == LAYER:
+            # Bare names stay strings until every layer is known.
+            if not isinstance(raw, str) or not raw:
+                self.fail(path, "expected layer reference")
                 return None
-            parsed = Identifier(ns, "" if ns == "gp" else raw_id, raw_id)
-        if parsed.namespace != ns:
-            self.fail(
-                f"{path}.id",
-                f"layer id namespace {parsed.namespace!r} does not match kind {kind!r}",
-            )
-        version = self.str_at(obj, "version", path)
-        parent_ref = None
-        if obj.get("parent_ref") is not None:
-            parent_ref = self.layer_ref(obj.get("parent_ref"), f"{path}.parent_ref")
-        elif kind != "grandparent":
-            self.fail(f"{path}.parent_ref", f"{kind} layer requires parent_ref")
-        owner_local = parsed.local_name
-        laws = []
-        for i, law_obj in enumerate(self.list_at(obj, "laws", path)):
-            lpath = f"{path}.laws[{i}]"
-            if not isinstance(law_obj, dict):
-                self.fail(lpath, "expected object")
-                continue
-            # Laws are decoded on any layer kind; declaring them below the
-            # grandparent is a contamination finding, not a parse failure.
-            # Ids live in the declaring layer's namespace either way.
-            law_id = self.ident(
-                law_obj.get("id"), f"{lpath}.id", owner_ns=ns, owner=owner_local, register=False
-            )
-            if law_id is None:
-                continue
-            if law_id.namespace != ns or (ns != "gp" and law_id.owner != owner_local):
-                self.fail(f"{lpath}.id", f"{law_id.render()} is not owned by this layer")
-                continue
-            text = self.str_at(law_obj, "text", lpath)
-            self.scan_text(text, f"{lpath}.text")
-            laws.append(
-                Law(
-                    id=law_id,
-                    text=text,
-                    immutable_core=self.bool_at(law_obj, "immutable_core", lpath),
-                    quarantined=self.bool_at(law_obj, "quarantined", lpath),
-                )
-            )
-        abstractions = []
-        for i, ab_obj in enumerate(self.list_at(obj, "abstractions", path)):
-            apath = f"{path}.abstractions[{i}]"
-            if not isinstance(ab_obj, dict):
-                self.fail(apath, "expected object")
-                continue
-            ab_id = self.ident(
-                ab_obj.get("id"),
-                f"{apath}.id",
-                owner_ns=ns,
-                owner=owner_local,
-                register=False,
-            )
-            if ab_id is None:
-                continue
-            if ab_id.namespace != ns or (ns != "gp" and ab_id.owner != owner_local):
-                self.fail(f"{apath}.id", f"{ab_id.render()} is not owned by this layer")
-                continue
-            definition = self.str_at(ab_obj, "definition", apath)
-            self.scan_text(definition, f"{apath}.definition")
-            correspondence = {}
-            for key, value in self.dict_at(ab_obj, "correspondence", apath).items():
-                if not isinstance(value, str):
-                    self.fail(f"{apath}.correspondence.{key}", "expected string")
-                    continue
-                correspondence[key] = value
-            abstractions.append(
-                Abstraction(
-                    id=ab_id,
-                    kind=self.enum_at(ab_obj, "kind", apath, ABSTRACTION_KINDS),
-                    definition=definition,
-                    correspondence=correspondence,
-                    quarantined=self.bool_at(ab_obj, "quarantined", apath),
-                )
-            )
-        vocabulary = []
-        for i, term in enumerate(self.list_at(obj, "vocabulary", path)):
-            if not isinstance(term, str):
-                self.fail(f"{path}.vocabulary[{i}]", "expected string")
-                continue
-            vocabulary.append(term)
-        return LayerDecl(
-            id=parsed,
-            kind=kind,
-            version=version,
-            parent_ref=parent_ref,  # type: ignore[arg-type]  # resolved later
-            laws=laws,
-            abstractions=abstractions,
-            vocabulary=vocabulary,
-        )
-
-    def decode_assessment(self, obj: Any, path: str) -> Assessment | None:
-        if not isinstance(obj, dict):
+            parsed = parse_identifier(raw)
+            if parsed is not None or is_bare_name(raw):
+                return parsed or raw
+            self.fail(path, f"{raw!r} is not a valid layer reference")
+            return None
+        if kind == LIST:
+            return self.items(spec.of, raw, path, path, ctx)
+        if kind == MAP:
+            out = {}
+            for key, item in self.container(raw, path).items():
+                if isinstance(item, str):
+                    out[key] = item
+                else:
+                    self.fail(f"{path}.{key}", "expected string")
+            return out
+        if kind == JSON:
+            return self.container(raw, path)
+        if not isinstance(raw, dict):
             self.fail(path, "expected object")
             return None
-        return Assessment(
-            construct_alignment=self.enum_at(obj, "construct_alignment", path, ALIGNMENT_LEVELS),
-            measurement=self.enum_at(obj, "measurement", path, MEASUREMENT_LEVELS),
-            design=self.enum_at(obj, "design", path, DESIGN_LEVELS),
-            reporting=self.enum_at(obj, "reporting", path, REPORTING_LEVELS),
-            speculation_required=self.bool_at(obj, "speculation_required", path),
-        )
+        return self.record(CODECS[spec.of], raw, path, ctx)
 
-    def decode_tier(self, raw: Any, path: str) -> Tier | None:
-        if raw is None:
-            return None
-        if not isinstance(raw, str) or raw not in ("core", "supplement", "excluded"):
-            self.fail(path, f"{raw!r} is not a tier")
-            return None
-        return Tier.from_label(raw)
-
-    def decode_unit(self, obj: dict, path: str) -> EvidentialUnit | None:
-        study_id = self.ident(obj.get("study_id"), f"{path}.study_id", register=False)
-        if study_id is None:
-            return None
-        if study_id.namespace != "child":
-            self.fail(f"{path}.study_id", "units live in the child namespace")
-            return None
-        owner = study_id.owner
-        interpretations = []
-        raw_interps = self.list_at(obj, "interpretations", path)
-        if not raw_interps:
-            self.fail(f"{path}.interpretations", "unit requires at least one interpretation")
-        for i, a_obj in enumerate(raw_interps):
-            a = self.decode_assessment(a_obj, f"{path}.interpretations[{i}]")
-            if a is not None:
-                interpretations.append(a)
-        assumptions = []
-        for i, da_obj in enumerate(self.list_at(obj, "explicit_assumptions", path)):
-            dpath = f"{path}.explicit_assumptions[{i}]"
-            if not isinstance(da_obj, dict):
-                self.fail(dpath, "expected object")
-                continue
-            da_id = self.ident(
-                da_obj.get("id"), f"{dpath}.id", owner_ns="child", owner=owner, register=False
-            )
-            if da_id is None:
-                continue
-            covers = []
-            for j, dim in enumerate(self.list_at(da_obj, "covers", dpath)):
-                if dim not in ASSESSMENT_DIMENSIONS:
-                    self.fail(f"{dpath}.covers[{j}]", f"{dim!r} is not an assessment dimension")
+    def items(self, spec: Spec, raw: Any, path: str, prefix: str, ctx: tuple) -> list:
+        if raw is _ABSENT:
+            return []
+        if not isinstance(raw, list):
+            self.fail(path, f"expected list, got {type(raw).__name__}")
+            return []
+        kind = spec.kind
+        out = []
+        for i, item in enumerate(raw):
+            if kind == STR:
+                if not isinstance(item, str):
+                    self.fail(f"{prefix}[{i}]", "expected string")
                     continue
-                covers.append(dim)
-            if not covers:
-                self.fail(f"{dpath}.covers", "assumption must cover at least one dimension")
-            text = self.str_at(da_obj, "text", dpath)
-            self.scan_text(text, f"{dpath}.text")
-            assumptions.append(DeclaredAssumption(id=da_id, text=text, covers=covers))
-        retier_events = []
-        for i, re_obj in enumerate(self.list_at(obj, "retier_events", path)):
-            rpath = f"{path}.retier_events[{i}]"
-            if not isinstance(re_obj, dict):
-                self.fail(rpath, "expected object")
-                continue
-            old_tier = self.decode_tier(re_obj.get("old_tier"), f"{rpath}.old_tier")
-            new_tier = self.decode_tier(re_obj.get("new_tier"), f"{rpath}.new_tier")
-            if old_tier is None or new_tier is None:
-                continue
-            retier_events.append(
-                ReTierEvent(
-                    timestamp=self.str_at(re_obj, "timestamp", rpath),
-                    source_of_information=self.str_at(re_obj, "source_of_information", rpath),
-                    justification=self.str_at(re_obj, "justification", rpath),
-                    implications_for_route=self.str_at(re_obj, "implications_for_route", rpath),
-                    old_tier=old_tier,
-                    new_tier=new_tier,
-                )
-            )
-        measurement_refs = []
-        for i, raw in enumerate(self.list_at(obj, "measurement_refs", path)):
-            ref = self.ident(
-                raw,
-                f"{path}.measurement_refs[{i}]",
-                owner_ns="child",
-                owner=owner,
-                expect=("abstraction", "law"),
-            )
-            if ref is not None:
-                measurement_refs.append(ref)
-        split_from = None
-        if obj.get("split_from") is not None:
-            split_from = self.ident(
-                obj.get("split_from"),
-                f"{path}.split_from",
-                owner_ns="child",
-                owner=owner,
-                expect=("unit",),
-            )
-        unit = EvidentialUnit(
-            study_id=study_id,
-            design_type=self.str_at(obj, "design_type", path),
-            interpretations=interpretations,
-            splittable=self.bool_at(obj, "splittable", path),
-            declared_tier=self.decode_tier(obj.get("declared_tier"), f"{path}.declared_tier"),
-            tier_justification=self.str_at(obj, "tier_justification", path),
-            explicit_assumptions=assumptions,
-            retier_events=retier_events,
-            measurement_refs=measurement_refs,
-            bias_considerations=self.str_at(obj, "bias_considerations", path),
-            measurement_issues=self.str_at(obj, "measurement_issues", path),
-            notes=self.str_at(obj, "notes", path),
-            methods_summary=self.str_at(obj, "methods_summary", path),
-            strengths=self.str_at(obj, "strengths", path),
-            limitations=self.str_at(obj, "limitations", path),
-            split_from=split_from,
-            superseded=self.bool_at(obj, "superseded", path),
-            quarantined=self.bool_at(obj, "quarantined", path),
-        )
-        for name in _UNIT_TEXT_FIELDS:
-            self.scan_text(getattr(unit, name), f"{path}.{name}")
-        return unit
+            elif kind == ENUM:
+                if item not in spec.of:
+                    noun = spec.noun or f"one of {sorted(spec.of)}"
+                    self.fail(f"{prefix}[{i}]", f"{item!r} is not {noun}")
+                    continue
+            elif kind == RECORD:
+                if not isinstance(item, dict):
+                    self.fail(f"{prefix}[{i}]", "expected object")
+                    continue
+                item = self.record(CODECS[spec.of], item, f"{prefix}[{i}]", ctx)
+            else:
+                item = self.ident(spec, item, f"{prefix}[{i}]", ctx)
+            if item is not None:
+                out.append(item)
+        return out
 
-    def decode_route(self, obj: dict, path: str) -> Route | None:
-        route_id = self.ident(obj.get("id"), f"{path}.id", register=False)
-        if route_id is None:
+    def record(self, codec: _Codec, obj: dict, path: str, ctx: tuple) -> Any:
+        values: dict[str, Any] = {}
+        if codec.identity is not None:
+            named = codec.identity(self, codec, obj, path, ctx)
+            if named is None:
+                return None
+            values, ctx = named
+        nested: dict[str, dict] = {}
+        for name, key, spec, plain in codec.rest:
+            if key.__class__ is str:
+                raw = obj.get(key, _ABSENT)
+                if raw.__class__ is plain:  # a well-typed string or boolean
+                    values[name] = raw
+                    continue
+                fpath = f"{path}.{key}"
+            else:
+                head = key[0]
+                if head not in nested:
+                    nested[head] = self.container(obj.get(head, _ABSENT), f"{path}.{head}")
+                raw = nested[head].get(key[1], _ABSENT)
+                fpath = f"{path}.{'.'.join(key)}"
+            values[name] = self.value(spec, raw, fpath, ctx)
+        record = codec.cls(**values)
+        for name, label in codec.text:
+            text = values[name]
+            if text.__class__ is str:
+                self.scan_text(text, f"{path}.{label}")
+            else:
+                for i, item in enumerate(text):
+                    self.scan_text(item, f"{path}.{label}[{i}]")
+        if codec.check is not None:
+            codec.check(self, record, obj, path)
+        return record
+
+
+def _identity(dec: _Decoder, codec: _Codec, obj: dict, path: str, ctx: tuple):
+    """Decode the naming field first; it sets the owner for bare names."""
+    name, key, spec = codec.fields[0]
+    fpath = f"{path}.{key}"
+    ident = dec.value(spec, obj.get(key, _ABSENT), fpath, ctx)
+    if ident is None:
+        return None
+    ns, layer, _ = ctx
+    # Laws are decoded on any layer kind; declaring them below the
+    # grandparent is a contamination finding, not a parse failure. Ids live
+    # in the declaring layer's namespace either way.
+    if spec.owner == "layer" and (ident.namespace != ns or (ns != "gp" and ident.owner != layer)):
+        dec.fail(fpath, f"{ident.render()} is not owned by this layer")
+        return None
+    plural = _CHILD_IDS.get(codec.cls)
+    if plural is not None and ident.namespace != "child":
+        dec.fail(fpath, f"{plural} live in the child namespace")
+        return None
+    if isinstance(ident, Identifier):
+        ctx = (ns, layer, ident.owner)
+    return {name: ident}, ctx
+
+
+def _layer_identity(dec: _Decoder, codec: _Codec, obj: dict, path: str, ctx: tuple):
+    """A layer's kind picks the namespace its bare id and declarations use."""
+    kind = dec.value(codec.specs["kind"], obj.get("kind", _ABSENT), f"{path}.kind", ctx)
+    ns = KIND_TO_NAMESPACE.get(kind, "gp")
+    raw_id = obj.get("id")
+    if not isinstance(raw_id, str) or not raw_id:
+        dec.fail(f"{path}.id", "layer id missing")
+        return None
+    parsed = parse_identifier(raw_id)
+    if parsed is None:
+        if not is_bare_name(raw_id):
+            dec.fail(f"{path}.id", f"{raw_id!r} is not a valid identifier")
             return None
-        if route_id.namespace != "child":
-            self.fail(f"{path}.id", "routes live in the child namespace")
-            return None
-        owner = route_id.owner
-        project_ref = self.ident(
-            obj.get("project_ref"),
-            f"{path}.project_ref",
-            owner_ns="child",
-            owner=owner,
-            expect=("project",),
+        parsed = Identifier(ns, "" if ns == "gp" else raw_id, raw_id)
+    if parsed.namespace != ns:
+        dec.fail(
+            f"{path}.id",
+            f"layer id namespace {parsed.namespace!r} does not match kind {kind!r}",
         )
-        construct_ref = self.ident(
-            obj.get("construct_ref"),
-            f"{path}.construct_ref",
-            owner_ns="child",
-            owner=owner,
-            expect=("law", "abstraction"),
-        )
-        if project_ref is None or construct_ref is None:
-            return None
-        assumptions = []
-        for i, as_obj in enumerate(self.list_at(obj, "assumptions", path)):
-            apath = f"{path}.assumptions[{i}]"
-            if not isinstance(as_obj, dict):
-                self.fail(apath, "expected object")
-                continue
-            as_id = self.ident(
-                as_obj.get("id"), f"{apath}.id", owner_ns="child", owner=owner, register=False
-            )
-            if as_id is None:
-                continue
-            supporting = []
-            for j, raw in enumerate(self.list_at(as_obj, "supporting_units", apath)):
-                ref = self.ident(
-                    raw,
-                    f"{apath}.supporting_units[{j}]",
-                    owner_ns="child",
-                    owner=owner,
-                    expect=("unit",),
-                )
-                if ref is not None:
-                    supporting.append(ref)
-            assumption = RouteAssumption(
-                id=as_id,
-                text=self.str_at(as_obj, "text", apath),
-                plausibility=self.str_at(as_obj, "plausibility", apath),
-                failure_modes=self.str_at(as_obj, "failure_modes", apath),
-                consequences_for_inference=self.str_at(
-                    as_obj, "consequences_for_inference", apath
-                ),
-                supporting_units=supporting,
-                untestable=self.bool_at(as_obj, "untestable", apath),
-            )
-            for name in ("text", "plausibility", "failure_modes", "consequences_for_inference"):
-                self.scan_text(getattr(assumption, name), f"{apath}.{name}")
-            assumptions.append(assumption)
-        disconfirming = []
-        for i, raw in enumerate(self.list_at(obj, "disconfirming_models", path)):
-            if not isinstance(raw, str):
-                self.fail(f"{path}.disconfirming_models[{i}]", "expected string")
-                continue
-            self.scan_text(raw, f"{path}.disconfirming_models[{i}]")
-            disconfirming.append(raw)
-        rejected = []
-        for i, raw in enumerate(self.list_at(obj, "rejected_alternatives", path)):
-            rpath = f"{path}.rejected_alternatives[{i}]"
-            if not isinstance(raw, dict):
-                self.fail(rpath, "expected object")
-                continue
-            sketch = self.str_at(raw, "sketch", rpath)
-            rationale = self.str_at(raw, "rationale", rpath)
-            self.scan_text(sketch, f"{rpath}.sketch")
-            self.scan_text(rationale, f"{rpath}.rationale")
-            rejected.append(RejectedAlternative(sketch=sketch, rationale=rationale))
-        revisions = []
-        for i, raw in enumerate(self.list_at(obj, "revisions", path)):
-            rpath = f"{path}.revisions[{i}]"
-            if not isinstance(raw, dict):
-                self.fail(rpath, "expected object")
-                continue
-            revisions.append(
-                RouteRevision(
-                    timestamp=self.str_at(raw, "timestamp", rpath),
-                    justification=self.str_at(raw, "justification", rpath),
-                    downstream_implications=self.str_at(raw, "downstream_implications", rpath),
-                    change_description=self.str_at(raw, "change_description", rpath),
-                )
-            )
-        frozen_at = obj.get("frozen_at")
-        if frozen_at is not None and not isinstance(frozen_at, str):
-            self.fail(f"{path}.frozen_at", "expected string timestamp")
-            frozen_at = None
-        return Route(
-            id=route_id,
-            project_ref=project_ref,
-            construct_ref=construct_ref,
-            objective=self.str_at(obj, "objective", path),
-            assumptions=assumptions,
-            disconfirming_models=disconfirming,
-            rejected_alternatives=rejected,
-            frozen_at=frozen_at,
-            revisions=revisions,
-            quarantined=self.bool_at(obj, "quarantined", path),
+    return {"id": parsed, "kind": kind}, (ns, parsed.local_name, parsed.owner)
+
+
+def _check_layer(dec: _Decoder, layer: LayerDecl, obj: dict, path: str) -> None:
+    if obj.get("parent_ref") is None and layer.kind != "grandparent":
+        dec.fail(f"{path}.parent_ref", f"{layer.kind} layer requires parent_ref")
+
+
+def _check_unit(dec: _Decoder, unit: EvidentialUnit, obj: dict, path: str) -> None:
+    raw = obj.get("interpretations")
+    if not isinstance(raw, list) or not raw:
+        dec.fail(f"{path}.interpretations", "unit requires at least one interpretation")
+
+
+def _check_assumption(dec: _Decoder, da: DeclaredAssumption, obj: dict, path: str) -> None:
+    if not da.covers:
+        dec.fail(f"{path}.covers", "assumption must cover at least one dimension")
+
+
+def _check_event(dec: _Decoder, event: AuditEvent, obj: dict, path: str) -> None:
+    missing = sorted(EVENT_PAYLOAD_SCHEMAS.get(event.kind, frozenset()) - set(event.payload))
+    if missing:
+        dec.fail(
+            f"{path}.payload",
+            f"{event.kind} payload missing keys: {', '.join(missing)}",
+            code="E_PAYLOAD_SCHEMA",
         )
 
-    def decode_project(self, obj: dict, path: str) -> ProjectDecl | None:
-        project_id = self.ident(obj.get("id"), f"{path}.id", register=False)
-        if project_id is None:
-            return None
-        if project_id.namespace != "child":
-            self.fail(f"{path}.id", "projects live in the child namespace")
-            return None
-        owner = project_id.owner
-        layer_ref = self.layer_ref(obj.get("layer_ref"), f"{path}.layer_ref")
-        committed = None
-        if obj.get("committed_route") is not None:
-            committed = self.ident(
-                obj.get("committed_route"),
-                f"{path}.committed_route",
-                owner_ns="child",
-                owner=owner,
-                expect=("route",),
-            )
-        unit_refs = []
-        for i, raw in enumerate(self.list_at(obj, "unit_refs", path)):
-            ref = self.ident(
-                raw, f"{path}.unit_refs[{i}]", owner_ns="child", owner=owner, expect=("unit",)
-            )
-            if ref is not None:
-                unit_refs.append(ref)
-        assignments = []
-        for i, raw in enumerate(self.list_at(obj, "assignments", path)):
-            apath = f"{path}.assignments[{i}]"
-            if not isinstance(raw, dict):
-                self.fail(apath, "expected object")
-                continue
-            unit_ref = self.ident(
-                raw.get("unit_ref"), f"{apath}.unit_ref", owner_ns="child", owner=owner,
-                expect=("unit",),
-            )
-            route_ref = self.ident(
-                raw.get("route_ref"), f"{apath}.route_ref", owner_ns="child", owner=owner,
-                expect=("route",),
-            )
-            role = self.enum_at(raw, "role", apath, EVIDENCE_ROLES)
-            if unit_ref is None or route_ref is None:
-                continue
-            assignments.append(
-                EvidenceRoleAssignment(unit_ref=unit_ref, route_ref=route_ref, role=role)
-            )
-        return ProjectDecl(
-            id=project_id,
-            layer_ref=layer_ref,  # type: ignore[arg-type]  # resolved later
-            question=self.str_at(obj, "question", path),
-            committed_route=committed,
-            unit_refs=unit_refs,
-            assignments=assignments,
-        )
 
-    def decode_flow(self, obj: dict, path: str) -> FlowEvent | None:
-        flow_id = self.ident(obj.get("id"), f"{path}.id", register=False)
-        if flow_id is None:
-            return None
-        source = self.layer_ref(obj.get("source_layer"), f"{path}.source_layer")
-        dest = self.layer_ref(obj.get("dest_layer"), f"{path}.dest_layer")
-        if source is None or dest is None:
-            return None
-        payload = self.str_at(obj, "payload", path)
-        self.scan_text(payload, f"{path}.payload")
-        contract_ref = None
-        if obj.get("contract_ref") is not None:
-            contract_ref = self.ident(
-                obj.get("contract_ref"), f"{path}.contract_ref", expect=("contract",)
-            )
-        return FlowEvent(
-            id=flow_id,
-            source_layer=source,  # type: ignore[arg-type]  # resolved later
-            dest_layer=dest,  # type: ignore[arg-type]
-            info_class=self.enum_at(obj, "info_class", path, INFO_CLASSES),
-            payload=payload,
-            timestamp=self.str_at(obj, "timestamp", path),
-            contract_ref=contract_ref,
-            quarantined=self.bool_at(obj, "quarantined", path),
-        )
-
-    def decode_contract(self, obj: dict, path: str) -> BoundaryContract | None:
-        contract_id = self.ident(obj.get("id"), f"{path}.id", register=False)
-        if contract_id is None:
-            return None
-        origin = self.layer_ref(obj.get("origin_layer"), f"{path}.origin_layer")
-        destination = self.layer_ref(obj.get("destination_layer"), f"{path}.destination_layer")
-        if origin is None or destination is None:
-            return None
-        return BoundaryContract(
-            id=contract_id,
-            info_type=self.enum_at(obj, "info_type", path, INFO_CLASSES),
-            origin_layer=origin,  # type: ignore[arg-type]
-            destination_layer=destination,  # type: ignore[arg-type]
-            legal_justification=self.str_at(obj, "legal_justification", path),
-            no_reinterpretation_clause=self.bool_at(obj, "no_reinterpretation_clause", path),
-            documentation_ref=self.str_at(obj, "documentation_ref", path),
-        )
-
-    def decode_event(self, obj: dict, path: str) -> AuditEvent | None:
-        sequence = obj.get("sequence")
-        if not isinstance(sequence, int):
-            self.fail(f"{path}.sequence", "expected integer sequence")
-            return None
-        kind = self.enum_at(obj, "kind", path, EVENT_KINDS)
-        payload = self.dict_at(obj, "payload", path)
-        missing = sorted(EVENT_PAYLOAD_SCHEMAS.get(kind, frozenset()) - set(payload))
-        if missing:
-            self.fail(
-                f"{path}.payload",
-                f"{kind} payload missing keys: {', '.join(missing)}",
-                code="E_PAYLOAD_SCHEMA",
-            )
-        affected = []
-        for i, raw in enumerate(self.list_at(obj, "affected", path)):
-            if not isinstance(raw, str):
-                self.fail(f"{path}.affected[{i}]", "expected string")
-                continue
-            affected.append(raw)
-        return AuditEvent(
-            sequence=sequence,
-            timestamp=self.str_at(obj, "timestamp", path),
-            actor=self.str_at(obj, "actor", path),
-            kind=kind,
-            payload=payload,
-            affected=affected,
-        )
-
-    def decode_reviewer_block(self, obj: dict, path: str) -> ReviewerBlock | None:
-        project_ref = self.ident(obj.get("project_ref"), f"{path}.project_ref", expect=("project",))
-        if project_ref is None:
-            return None
-        owner = project_ref.owner
-        findings = []
-        for i, raw in enumerate(self.list_at(obj, "methodological_findings", path)):
-            if not isinstance(raw, str):
-                self.fail(f"{path}.methodological_findings[{i}]", "expected string")
-                continue
-            findings.append(raw)
-        critique = self.dict_at(obj, "anticipated_critique", path)
-        critique_refs = []
-        for i, raw in enumerate(self.list_at(critique, "referenced_decisions", f"{path}.anticipated_critique")):
-            ref = self.ident(
-                raw,
-                f"{path}.anticipated_critique.referenced_decisions[{i}]",
-                owner_ns="child",
-                owner=owner,
-                expect=("unit", "route"),
-            )
-            if ref is not None:
-                critique_refs.append(ref)
-        assumptions_ref = []
-        for i, raw in enumerate(self.list_at(obj, "assumptions_ref", path)):
-            ref = self.ident(
-                raw,
-                f"{path}.assumptions_ref[{i}]",
-                owner_ns="child",
-                owner=owner,
-                expect=("assumption",),
-            )
-            if ref is not None:
-                assumptions_ref.append(ref)
-        return ReviewerBlock(
-            project_ref=project_ref,
-            methodological_findings=findings,
-            conceptual_insight=self.str_at(obj, "conceptual_insight", path),
-            anticipated_critique_text=self.str_at(critique, "text", f"{path}.anticipated_critique"),
-            anticipated_critique_refs=critique_refs,
-            disconfirming_model=self.str_at(obj, "disconfirming_model", path),
-            assumptions_ref=assumptions_ref,
-        )
-
-    def decode_memo(self, obj: dict, path: str) -> AnalyticMemo | None:
-        project_ref = self.ident(obj.get("project_ref"), f"{path}.project_ref", expect=("project",))
-        if project_ref is None:
-            return None
-        sections = {}
-        for key, value in self.dict_at(obj, "sections", path).items():
-            if not isinstance(value, str):
-                self.fail(f"{path}.sections.{key}", "expected string")
-                continue
-            sections[key] = value
-        return AnalyticMemo(project_ref=project_ref, sections=sections)
-
+_CHILD_IDS = {EvidentialUnit: "units", Route: "routes", ProjectDecl: "projects"}
+_CHECKS = {
+    LayerDecl: _check_layer,
+    EvidentialUnit: _check_unit,
+    DeclaredAssumption: _check_assumption,
+    AuditEvent: _check_event,
+}
 
 # ---------------------------------------------------------------------------
 # Resolution
@@ -765,18 +486,11 @@ def _resolve_layer_refs(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
         diags.append(error(code, path, f"layer reference {raw!r} does not resolve"))
         return None
 
-    for i, layer in enumerate(bundle.layers):
-        layer.parent_ref = resolve(layer.parent_ref, f"layers[{i}].parent_ref")
-    for i, project in enumerate(bundle.projects):
-        project.layer_ref = resolve(project.layer_ref, f"projects[{i}].layer_ref")
-    for i, flow in enumerate(bundle.flows):
-        flow.source_layer = resolve(flow.source_layer, f"flows[{i}].source_layer")
-        flow.dest_layer = resolve(flow.dest_layer, f"flows[{i}].dest_layer")
-    for i, contract in enumerate(bundle.contracts):
-        contract.origin_layer = resolve(contract.origin_layer, f"contracts[{i}].origin_layer")
-        contract.destination_layer = resolve(
-            contract.destination_layer, f"contracts[{i}].destination_layer"
-        )
+    for section, _, spec in CODECS[ProjectBundle].fields[1:]:
+        names = CODECS[spec.of.of].layer_refs
+        for i, record in enumerate(getattr(bundle, section) if names else ()):
+            for name in names:
+                setattr(record, name, resolve(getattr(record, name), f"{section}[{i}].{name}"))
 
 
 def _validate_structure(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
@@ -892,36 +606,22 @@ def parse_bundle(text: str) -> ParseResult:
     decoder = _Decoder()
     for key in raw:
         if key not in TOP_LEVEL_KEYS:
-            decoder.warn(key, f"unknown top-level key {key!r}", "W_UNKNOWN_KEY")
+            message = f"unknown top-level key {key!r}"
+            decoder.diagnostics.append(warning("W_UNKNOWN_KEY", key, message))
 
-    recap_version = decoder.str_at(raw, "recap_version", "$", default=None)
+    codec = CODECS[ProjectBundle]
+    ctx = ("child", "", "")
+    recap_version = decoder.value(
+        codec.specs["recap_version"], raw.get("recap_version"), "$.recap_version", ctx
+    )
     if "recap_version" not in raw:
         decoder.fail("recap_version", "recap_version is required")
     elif not VERSION_RE.match(recap_version):
         decoder.fail("recap_version", f"{recap_version!r} is not a v<major>.<minor> version")
 
     bundle = ProjectBundle(recap_version=recap_version or "v0.0")
-
-    sections: list[tuple[str, str, Any]] = [
-        ("layers", "decode_layer", bundle.layers),
-        ("projects", "decode_project", bundle.projects),
-        ("units", "decode_unit", bundle.units),
-        ("routes", "decode_route", bundle.routes),
-        ("flows", "decode_flow", bundle.flows),
-        ("contracts", "decode_contract", bundle.contracts),
-        ("events", "decode_event", bundle.events),
-        ("reviewer_blocks", "decode_reviewer_block", bundle.reviewer_blocks),
-        ("memos", "decode_memo", bundle.memos),
-    ]
-    for key, method, target in sections:
-        for i, obj in enumerate(decoder.list_at(raw, key, "$")):
-            path = f"{key}[{i}]"
-            if not isinstance(obj, dict):
-                decoder.fail(path, "expected object")
-                continue
-            record = getattr(decoder, method)(obj, path)
-            if record is not None:
-                target.append(record)
+    for name, key, spec in codec.fields[1:]:
+        setattr(bundle, name, decoder.items(spec.of, raw.get(key, _ABSENT), f"$.{key}", key, ctx))
 
     diags = list(decoder.diagnostics)
     if not any(d.severity == Severity.ERROR for d in diags):
@@ -943,90 +643,35 @@ def load_bundle(path: str | Path) -> ProjectBundle:
     return result.bundle
 
 
-# ---------------------------------------------------------------------------
-# Encoding
-# ---------------------------------------------------------------------------
+def _strict(spec: Spec, raw: Any, what: str, owner: str, ns: str) -> Any:
+    decoder = _Decoder()
+    value = decoder.value(spec, raw, what, (ns, owner, owner))
+    errors = [d for d in decoder.diagnostics if d.severity == Severity.ERROR]
+    if errors or (value is None and not spec.nullable):
+        detail = "; ".join(f"{d.location}: {d.message}" for d in errors)
+        raise ValueError(f"malformed {what}: {detail}")
+    return value
 
 
-def _encode_ident(ident: Identifier | None) -> str | None:
-    return None if ident is None else ident.render()
+def decode(cls: type, obj: Any, owner: str = "", ns: str = "child") -> Any:
+    """Decode one record outside a bundle (an event payload, a report, a
+    changelog file) as strictly as :func:`parse_bundle` does.
+
+    Bare names default to ``owner`` within the ``ns`` namespace. Raises
+    ValueError naming every malformed field; references are not resolved.
+    """
+    return _strict(Spec(RECORD, cls), obj, CODECS[cls].name, owner, ns)
 
 
-def _encode_law(law: Law) -> dict:
-    return {
-        "id": law.id.render(),
-        "text": law.text,
-        "immutable_core": law.immutable_core,
-        "quarantined": law.quarantined,
-    }
+def decode_field(cls: type, name: str, raw: Any, owner: str = "", ns: str = "child") -> Any:
+    """Decode one field's value by its spec, as :func:`decode` does."""
+    codec = CODECS[cls]
+    return _strict(codec.specs[name], raw, f"{codec.name}.{name}", owner, ns)
 
 
-def _encode_abstraction(ab: Abstraction) -> dict:
-    return {
-        "id": ab.id.render(),
-        "kind": ab.kind,
-        "definition": ab.definition,
-        "correspondence": dict(ab.correspondence),
-        "quarantined": ab.quarantined,
-    }
-
-
-def _encode_layer(layer: LayerDecl) -> dict:
-    return {
-        "id": layer.id.render(),
-        "kind": layer.kind,
-        "version": layer.version,
-        "parent_ref": _encode_ident(layer.parent_ref),
-        "laws": [_encode_law(l) for l in layer.laws],
-        "abstractions": [_encode_abstraction(a) for a in layer.abstractions],
-        "vocabulary": list(layer.vocabulary),
-    }
-
-
-def _encode_assessment(a: Assessment) -> dict:
-    return {
-        "construct_alignment": a.construct_alignment,
-        "measurement": a.measurement,
-        "design": a.design,
-        "reporting": a.reporting,
-        "speculation_required": a.speculation_required,
-    }
-
-
-def _encode_unit(unit: EvidentialUnit) -> dict:
-    return {
-        "study_id": unit.study_id.render(),
-        "design_type": unit.design_type,
-        "interpretations": [_encode_assessment(a) for a in unit.interpretations],
-        "splittable": unit.splittable,
-        "declared_tier": unit.declared_tier.label if unit.declared_tier is not None else None,
-        "tier_justification": unit.tier_justification,
-        "explicit_assumptions": [
-            {"id": da.id.render(), "text": da.text, "covers": list(da.covers)}
-            for da in unit.explicit_assumptions
-        ],
-        "retier_events": [
-            {
-                "timestamp": e.timestamp,
-                "source_of_information": e.source_of_information,
-                "justification": e.justification,
-                "implications_for_route": e.implications_for_route,
-                "old_tier": e.old_tier.label,
-                "new_tier": e.new_tier.label,
-            }
-            for e in unit.retier_events
-        ],
-        "measurement_refs": [r.render() for r in unit.measurement_refs],
-        "bias_considerations": unit.bias_considerations,
-        "measurement_issues": unit.measurement_issues,
-        "notes": unit.notes,
-        "methods_summary": unit.methods_summary,
-        "strengths": unit.strengths,
-        "limitations": unit.limitations,
-        "split_from": _encode_ident(unit.split_from),
-        "superseded": unit.superseded,
-        "quarantined": unit.quarantined,
-    }
+def encode(record: Any) -> dict:
+    """The canonical JSON object of a persisted record."""
+    return CODECS[record.__class__].encode(record)
 
 
 def route_body_dict(route: Route) -> dict:
@@ -1035,228 +680,20 @@ def route_body_dict(route: Route) -> dict:
     Revisions, rejected alternatives, and the freeze stamp itself are
     history, not body.
     """
-    return {
-        "construct_ref": route.construct_ref.render(),
-        "objective": route.objective,
-        "assumptions": [
-            {
-                "id": a.id.render(),
-                "text": a.text,
-                "plausibility": a.plausibility,
-                "failure_modes": a.failure_modes,
-                "consequences_for_inference": a.consequences_for_inference,
-                "supporting_units": [u.render() for u in a.supporting_units],
-                "untestable": a.untestable,
-            }
-            for a in route.assumptions
-        ],
-        "disconfirming_models": list(route.disconfirming_models),
-    }
-
-
-def _encode_route(route: Route) -> dict:
-    body = route_body_dict(route)
-    return {
-        "id": route.id.render(),
-        "project_ref": route.project_ref.render(),
-        "construct_ref": body["construct_ref"],
-        "objective": body["objective"],
-        "assumptions": body["assumptions"],
-        "disconfirming_models": body["disconfirming_models"],
-        "rejected_alternatives": [
-            {"sketch": r.sketch, "rationale": r.rationale} for r in route.rejected_alternatives
-        ],
-        "frozen_at": route.frozen_at,
-        "revisions": [
-            {
-                "timestamp": r.timestamp,
-                "justification": r.justification,
-                "downstream_implications": r.downstream_implications,
-                "change_description": r.change_description,
-            }
-            for r in route.revisions
-        ],
-        "quarantined": route.quarantined,
-    }
-
-
-def _encode_project(project: ProjectDecl) -> dict:
-    return {
-        "id": project.id.render(),
-        "layer_ref": _encode_ident(project.layer_ref),
-        "question": project.question,
-        "committed_route": _encode_ident(project.committed_route),
-        "unit_refs": [r.render() for r in project.unit_refs],
-        "assignments": [
-            {
-                "unit_ref": a.unit_ref.render(),
-                "route_ref": a.route_ref.render(),
-                "role": a.role,
-            }
-            for a in project.assignments
-        ],
-    }
-
-
-def _encode_flow(flow: FlowEvent) -> dict:
-    return {
-        "id": flow.id.render(),
-        "source_layer": _encode_ident(flow.source_layer),
-        "dest_layer": _encode_ident(flow.dest_layer),
-        "info_class": flow.info_class,
-        "payload": flow.payload,
-        "timestamp": flow.timestamp,
-        "contract_ref": _encode_ident(flow.contract_ref),
-        "quarantined": flow.quarantined,
-    }
-
-
-def _encode_contract(contract: BoundaryContract) -> dict:
-    return {
-        "id": contract.id.render(),
-        "info_type": contract.info_type,
-        "origin_layer": _encode_ident(contract.origin_layer),
-        "destination_layer": _encode_ident(contract.destination_layer),
-        "legal_justification": contract.legal_justification,
-        "no_reinterpretation_clause": contract.no_reinterpretation_clause,
-        "documentation_ref": contract.documentation_ref,
-    }
-
-
-def _encode_event(event: AuditEvent) -> dict:
-    return {
-        "sequence": event.sequence,
-        "timestamp": event.timestamp,
-        "actor": event.actor,
-        "kind": event.kind,
-        "payload": event.payload,
-        "affected": list(event.affected),
-    }
-
-
-def _encode_reviewer_block(block: ReviewerBlock) -> dict:
-    return {
-        "project_ref": block.project_ref.render(),
-        "methodological_findings": list(block.methodological_findings),
-        "conceptual_insight": block.conceptual_insight,
-        "anticipated_critique": {
-            "text": block.anticipated_critique_text,
-            "referenced_decisions": [r.render() for r in block.anticipated_critique_refs],
-        },
-        "disconfirming_model": block.disconfirming_model,
-        "assumptions_ref": [r.render() for r in block.assumptions_ref],
-    }
-
-
-def _encode_memo(memo: AnalyticMemo) -> dict:
-    return {"project_ref": memo.project_ref.render(), "sections": dict(memo.sections)}
-
-
-def bundle_to_dict(bundle: ProjectBundle) -> dict:
-    return {
-        "recap_version": bundle.recap_version,
-        "layers": [_encode_layer(l) for l in bundle.layers],
-        "projects": [_encode_project(p) for p in bundle.projects],
-        "units": [_encode_unit(u) for u in bundle.units],
-        "routes": [_encode_route(r) for r in bundle.routes],
-        "flows": [_encode_flow(f) for f in bundle.flows],
-        "contracts": [_encode_contract(c) for c in bundle.contracts],
-        "events": [_encode_event(e) for e in bundle.events],
-        "reviewer_blocks": [_encode_reviewer_block(b) for b in bundle.reviewer_blocks],
-        "memos": [_encode_memo(m) for m in bundle.memos],
-    }
+    record = encode(route)
+    return {name: record[name] for name in body_fields(Route)}
 
 
 def serialize_bundle(bundle: ProjectBundle) -> str:
     """Deterministic canonical rendering of an invariant-satisfying bundle."""
-    return json.dumps(bundle_to_dict(bundle), indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(encode(bundle), indent=2, ensure_ascii=False) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Record-level decode helpers (event payloads, structured artifacts)
-# ---------------------------------------------------------------------------
+for _cls in (ProjectBundle, ChangelogEntry, ContaminationEvent):
+    _build(_cls)
 
-
-def _decode_with(method: str, obj: dict, what: str):
-    decoder = _Decoder()
-    record = getattr(decoder, method)(obj, what)
-    errors = [d for d in decoder.diagnostics if d.severity == Severity.ERROR]
-    if record is None or errors:
-        raise ValueError(f"malformed {what}: " + "; ".join(d.message for d in errors))
-    return record
-
-
-def decode_route_dict(obj: dict) -> Route:
-    return _decode_with("decode_route", obj, "route")
-
-
-def decode_unit_dict(obj: dict) -> EvidentialUnit:
-    return _decode_with("decode_unit", obj, "unit")
-
-
-def decode_flow_dict(obj: dict) -> FlowEvent:
-    return _decode_with("decode_flow", obj, "flow")
-
-
-def decode_contract_dict(obj: dict) -> BoundaryContract:
-    return _decode_with("decode_contract", obj, "contract")
-
-
-def decode_assessment_dict(obj: dict) -> Assessment:
-    return _decode_with("decode_assessment", obj, "assessment")
-
-
-def decode_declared_assumption_dict(obj: dict, owner: str) -> DeclaredAssumption:
-    decoder = _Decoder()
-    da_id = decoder.ident(
-        obj.get("id"), "assumption.id", owner_ns="child", owner=owner, register=False
-    )
-    covers = [d for d in obj.get("covers", []) if d in ASSESSMENT_DIMENSIONS]
-    if da_id is None or not covers:
-        raise ValueError("malformed declared assumption record")
-    return DeclaredAssumption(id=da_id, text=str(obj.get("text", "")), covers=covers)
-
-
-def decode_law_dict(obj: dict) -> Law:
-    decoder = _Decoder()
-    law_id = decoder.ident(obj.get("id"), "law.id", owner_ns="gp", register=False)
-    if law_id is None:
-        raise ValueError("malformed law record")
-    return Law(
-        id=law_id,
-        text=str(obj.get("text", "")),
-        immutable_core=bool(obj.get("immutable_core", False)),
-        quarantined=bool(obj.get("quarantined", False)),
-    )
-
-
-def decode_abstraction_dict(obj: dict, owner: str = "") -> Abstraction:
-    decoder = _Decoder()
-    ab_id = decoder.ident(
-        obj.get("id"), "abstraction.id", owner_ns="parent", owner=owner, register=False
-    )
-    if ab_id is None:
-        raise ValueError("malformed abstraction record")
-    return Abstraction(
-        id=ab_id,
-        kind=str(obj.get("kind", "construct")),
-        definition=str(obj.get("definition", "")),
-        correspondence=dict(obj.get("correspondence", {}) or {}),
-        quarantined=bool(obj.get("quarantined", False)),
-    )
-
-
-def encode_route_dict(route: Route) -> dict:
-    return _encode_route(route)
-
-
-def encode_unit_dict(unit: EvidentialUnit) -> dict:
-    return _encode_unit(unit)
-
-
-def encode_law_dict(law: Law) -> dict:
-    return _encode_law(law)
-
-
-def encode_abstraction_dict(ab: Abstraction) -> dict:
-    return _encode_abstraction(ab)
+decode_route_dict = partial(decode, Route)
+decode_law_dict = partial(decode, Law, ns="gp")
+decode_unit_dict = partial(decode, EvidentialUnit)
+decode_assessment_dict = partial(decode, Assessment)
+decode_declared_assumption_dict = partial(decode, DeclaredAssumption)

@@ -13,10 +13,10 @@ import os
 import sys
 from pathlib import Path
 
-from .bundle import parse_bundle, serialize_bundle
+from .bundle import decode, decode_field, encode, parse_bundle, serialize_bundle
 from .diagnostics import Diagnostic, OperationRejected, Severity, explain_code
 from .layers import bump_version
-from .model import ChangelogEntry, ProjectBundle, ProjectDecl
+from .model import ChangelogEntry, LayerDecl, ProjectBundle, ProjectDecl
 from .reporting import (
     build_study_log,
     build_tier_table,
@@ -192,9 +192,7 @@ def _cmd_scan(args) -> int:
         return EXIT_USAGE
     events = scan_bundle(bundle)
     if args.format == "structured":
-        from .contamination import _event_record
-
-        print(json.dumps({"events": [_event_record(e) for e in events]}, indent=2))
+        print(json.dumps({"events": [encode(e) for e in events]}, indent=2))
         return EXIT_VIOLATIONS if events else EXIT_OK
     for event in events:
         via = f" via {event.site.token}" if event.site.token else ""
@@ -243,25 +241,14 @@ def _cmd_version(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read changelog: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    entry = ChangelogEntry(
-        from_version=raw.get("from_version", ""),
-        to_version=raw.get("to_version", ""),
-        motivating_insight=raw.get("motivating_insight", ""),
-        boundary_affected=raw.get("boundary_affected", ""),
-        generalizability_reasoning=raw.get("generalizability_reasoning", ""),
-        timestamp=raw.get("timestamp", ""),
-    )
-    from .bundle import decode_law_dict, encode_law_dict
-
     gp = bundle.grandparent()
-    if raw.get("new_laws") is not None:
-        try:
-            new_laws = [decode_law_dict(obj) for obj in raw["new_laws"]]
-        except ValueError as exc:
-            print(f"bad law record in changelog: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        new_laws = [decode_law_dict(encode_law_dict(law)) for law in gp.laws]
+    try:
+        entry = decode(ChangelogEntry, raw)
+        laws = raw.get("new_laws")
+        new_laws = list(gp.laws) if laws is None else decode_field(LayerDecl, "laws", laws, ns="gp")
+    except ValueError as exc:
+        print(f"bad changelog: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         with _BundleLock(args.bundle):
             bump_version(bundle, entry, new_laws, actor=args.actor)

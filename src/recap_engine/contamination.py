@@ -13,16 +13,21 @@ import re
 from dataclasses import dataclass
 
 from .audit import commit, find_declaration, now_utc
+from .bundle import decode, encode, text_fields
 from .diagnostics import Diagnostic, OperationRejected, error, reject
-from .identifiers import Identifier, extract_references
+from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references
 from .model import (
+    Abstraction,
     BoundaryContract,
     ContaminationEvent,
     ContaminationSite,
+    EvidentialUnit,
     FlowEvent,
     InsightProposal,
+    Law,
     LayerDecl,
     ProjectBundle,
+    RouteAssumption,
     Tier,
 )
 from .tiering import effective_tier
@@ -153,8 +158,9 @@ def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[D
         )
     texts = [proposal.statement]
     for addition in proposal.proposed_additions:
-        texts.append(str(addition.get("text", "")))
-        texts.append(str(addition.get("definition", "")))
+        texts.extend(
+            t for t in (addition.get("text"), addition.get("definition")) if isinstance(t, str)
+        )
     referenced = list(proposal.referenced_terms)
     for text in texts:
         referenced.extend(extract_references(text))
@@ -188,7 +194,7 @@ def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[D
     existing.update(ab.id.local_name for ab in target.abstractions)
     for addition in proposal.proposed_additions:
         kind = addition.get("kind")
-        local = str(addition.get("id", ""))
+        local = addition.get("id")
         if kind not in ("law", "abstraction"):
             diags.append(
                 error("E_REWRITE_ATTEMPT", where, "additions must be laws or abstractions")
@@ -198,7 +204,7 @@ def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[D
             diags.append(error("E_REWRITE_ATTEMPT", where, "laws live at the grandparent"))
         if kind == "abstraction" and target.kind != "parent":
             diags.append(error("E_REWRITE_ATTEMPT", where, "abstractions live at a parent"))
-        if local in existing:
+        if isinstance(local, str) and local in existing:
             diags.append(
                 error(
                     "E_REWRITE_ATTEMPT",
@@ -207,7 +213,24 @@ def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[D
                     "by appending, never by editing",
                 )
             )
+        cls, record = _addition_record(addition)
+        try:
+            decode(cls, record, owner=target.local_name, ns=KIND_TO_NAMESPACE[target.kind])
+        except ValueError as exc:
+            diags.append(error("E_SYNTAX", where, str(exc)))
     return diags
+
+
+def _addition_record(addition: dict) -> tuple[type, dict]:
+    """The law or abstraction record an accepted insight appends."""
+    if addition["kind"] == "law":
+        text = addition.get("text", "")
+        return Law, {"id": addition.get("id"), "text": text, "immutable_core": False}
+    return Abstraction, {
+        "id": addition.get("id"),
+        "kind": addition.get("abstraction_kind", "construct"),
+        "definition": addition.get("definition", addition.get("text", "")),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +482,7 @@ class _Scanner:
             if owner is None:
                 continue
             container = unit.study_id.render()
-            for name in (
-                "tier_justification",
-                "bias_considerations",
-                "measurement_issues",
-                "notes",
-                "methods_summary",
-                "strengths",
-                "limitations",
-            ):
+            for name in text_fields(EvidentialUnit):
                 self._scan_text_refs(
                     owner, container, name, getattr(unit, name), f"units[{ui}].{name}"
                 )
@@ -499,7 +514,7 @@ class _Scanner:
                 continue
             for j, assumption in enumerate(route.assumptions):
                 base = f"routes[{ri}].assumptions[{j}]"
-                for name in ("text", "plausibility", "failure_modes", "consequences_for_inference"):
+                for name in text_fields(RouteAssumption):
                     self._scan_text_refs(
                         owner,
                         assumption.id.render(),
@@ -721,8 +736,6 @@ def record_flow(
 ) -> ProjectBundle:
     """Record a flow event. Recording is factual: illegal movements are
     recorded too, then flagged by the scan."""
-    from .bundle import _encode_flow  # shared canonical encoding
-
     diags: list[Diagnostic] = []
     if bundle.layer_by_id(flow.source_layer) is None:
         diags.append(error("E_UNKNOWN_LAYER", flow.id.render(), "source layer not found"))
@@ -740,33 +753,12 @@ def record_flow(
     commit(
         bundle,
         "flow_recorded",
-        {"flow": _encode_flow(flow)},
+        {"flow": encode(flow)},
         actor=actor,
         timestamp=timestamp or flow.timestamp or now_utc(),
         affected=[flow.id.render()],
     )
     return bundle
-
-
-def _event_record(event: ContaminationEvent) -> dict:
-    return {
-        "id": event.id,
-        "rule_violated": event.rule_violated,
-        "direction": event.direction,
-        "nature": event.nature,
-        "site": {
-            "container": event.site.container,
-            "field": event.site.field,
-            "token": event.site.token,
-        },
-        "location": event.location,
-        "risks_introduced": event.risks_introduced,
-        "decisions_affected": list(event.decisions_affected),
-        "corrective_action": event.corrective_action,
-        "versioned_update": event.versioned_update,
-        "timestamp": event.timestamp,
-        "resolved": event.resolved,
-    }
 
 
 def flag_contamination(
@@ -780,7 +772,7 @@ def flag_contamination(
     commit(
         bundle,
         "contamination_flagged",
-        {"contamination": _event_record(event)},
+        {"contamination": encode(event)},
         actor=actor,
         timestamp=timestamp or now_utc(),
         affected=list(event.decisions_affected),
@@ -894,30 +886,9 @@ def resolve_contamination(
         target = bundle.layer_by_id(proposal.target_layer)
         effects = [{"op": "quarantine", "target": event.site.container}]
         for addition in proposal.proposed_additions:
-            if addition["kind"] == "law":
-                effects.append(
-                    {
-                        "op": "add_law",
-                        "layer": target.id.render(),
-                        "record": {
-                            "id": addition["id"],
-                            "text": addition.get("text", ""),
-                            "immutable_core": False,
-                        },
-                    }
-                )
-            else:
-                effects.append(
-                    {
-                        "op": "add_abstraction",
-                        "layer": target.id.render(),
-                        "record": {
-                            "id": addition["id"],
-                            "kind": addition.get("abstraction_kind", "construct"),
-                            "definition": addition.get("definition", addition.get("text", "")),
-                        },
-                    }
-                )
+            cls, record = _addition_record(addition)
+            op = "add_law" if cls is Law else "add_abstraction"
+            effects.append({"op": op, "layer": target.id.render(), "record": record})
 
     action_label = {
         "quarantine": "quarantined",
@@ -934,7 +905,7 @@ def resolve_contamination(
         commit(
             bundle,
             "contamination_resolved",
-            {"contamination": _event_record(event), "action": action_label, "effects": effects},
+            {"contamination": encode(event), "action": action_label, "effects": effects},
             actor=actor,
             timestamp=stamp,
             affected=list(event.decisions_affected) or [event.site.container],

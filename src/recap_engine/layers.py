@@ -8,15 +8,13 @@ laws can never change at all.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .audit import commit, now_utc
-from .diagnostics import Diagnostic, OperationRejected, error
+from .bundle import VERSION_RE, decode, decode_field, encode, text_fields
+from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, extract_references
 from .model import Abstraction, ChangelogEntry, Law, LayerDecl, ProjectBundle
-
-_VERSION_RE = re.compile(r"^v(\d+)\.(\d+)$")
 
 #: Local names of the four protected laws every grandparent carries.
 CORE_LAW_NAMES = (
@@ -50,7 +48,7 @@ CORE_LAW_SEEDS = {
 
 
 def parse_version(text: str) -> tuple[int, int] | None:
-    m = _VERSION_RE.match(text or "")
+    m = VERSION_RE.match(text or "")
     return (int(m.group(1)), int(m.group(2))) if m else None
 
 
@@ -176,7 +174,7 @@ def _upward_content_in_entry(entry: ChangelogEntry) -> list[Diagnostic]:
     """Changelog narratives may cite grandparent ids only; parent or child
     references are domain content and bar the bump."""
     diags: list[Diagnostic] = []
-    for name in ("motivating_insight", "boundary_affected", "generalizability_reasoning"):
+    for name in text_fields(ChangelogEntry):
         for ref in extract_references(getattr(entry, name)):
             if ref.namespace != "gp":
                 diags.append(
@@ -192,7 +190,7 @@ def _upward_content_in_entry(entry: ChangelogEntry) -> list[Diagnostic]:
 
 def check_changelog_entry(entry: ChangelogEntry, current_version: str) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for name in ("motivating_insight", "boundary_affected", "generalizability_reasoning"):
+    for name in text_fields(ChangelogEntry):
         if not getattr(entry, name).strip():
             diags.append(
                 error("E_CHANGELOG_INCOMPLETE", f"changelog.{name}", f"{name} must be nonempty")
@@ -230,8 +228,6 @@ def bump_version(
 ) -> ProjectBundle:
     """Advance the grandparent to entry.to_version with an append-only law
     set. Rejection is atomic: any diagnostic leaves the bundle untouched."""
-    from .bundle import encode_law_dict
-
     gp = bundle.grandparent()
     diags = check_changelog_entry(entry, gp.version)
     diags.extend(check_law_evolution(gp.laws, new_laws))
@@ -241,15 +237,8 @@ def bump_version(
         bundle,
         "version_bumped",
         {
-            "entry": {
-                "from_version": entry.from_version,
-                "to_version": entry.to_version,
-                "motivating_insight": entry.motivating_insight,
-                "boundary_affected": entry.boundary_affected,
-                "generalizability_reasoning": entry.generalizability_reasoning,
-                "timestamp": entry.timestamp,
-            },
-            "laws": [encode_law_dict(law) for law in new_laws],
+            "entry": encode(entry),
+            "laws": [encode(law) for law in new_laws],
         },
         actor=actor,
         timestamp=timestamp or entry.timestamp or now_utc(),
@@ -262,13 +251,16 @@ def law_history(bundle: ProjectBundle) -> list[tuple[str, list[Law]]]:
     """(version, law set) across all recorded bumps, oldest first.
 
     The pre-history law set cannot be reconstructed from events alone, so the
-    history starts at the first recorded bump.
+    history starts at the first recorded bump. A recorded bump whose payload
+    does not decode is rejected with E_PAYLOAD_SCHEMA.
     """
-    from .bundle import decode_law_dict
-
     history = []
-    for event in bundle.events:
+    for i, event in enumerate(bundle.events):
         if event.kind == "version_bumped":
-            laws = [decode_law_dict(obj) for obj in event.payload.get("laws", [])]
-            history.append((event.payload["entry"]["to_version"], laws))
+            try:
+                entry = decode(ChangelogEntry, event.payload["entry"])
+                laws = decode_field(LayerDecl, "laws", event.payload["laws"], ns="gp")
+            except ValueError as exc:
+                raise reject("E_PAYLOAD_SCHEMA", f"events[{i}].payload", str(exc)) from exc
+            history.append((entry.to_version, laws))
     return history

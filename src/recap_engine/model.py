@@ -9,7 +9,7 @@ audit event.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Any
 
 from .identifiers import Identifier
@@ -112,6 +112,57 @@ class Tier(enum.IntEnum):
 
 
 # ---------------------------------------------------------------------------
+# Record schema
+# ---------------------------------------------------------------------------
+
+# Value kinds of persisted fields.
+STR, BOOL, INT, ENUM, TIER = "str", "bool", "int", "enum", "tier"
+IDENT, LAYER, LIST, MAP, RECORD, JSON = "ident", "layer", "list", "map", "record", "json"
+
+
+@dataclass(frozen=True)
+class Spec:
+    """How one persisted field is decoded, encoded and scanned.
+
+    ``of`` is the allowed values of an ENUM, the item :class:`Spec` of a
+    LIST, or the class of a RECORD. An IDENT lists the declaration kinds it
+    may ``expect`` (none: it declares rather than references), and ``owner``
+    says where a bare name lives: "child" under the enclosing record's owner,
+    "layer" in the declaring layer's namespace. A LAYER is a bare or
+    canonical layer reference, resolved once all layers are known. A
+    ``nullable`` field reads null or a missing key as None.
+    ``identity`` marks the field naming the record; a record without a valid
+    one is dropped before any other field is read. ``key`` is the JSON key
+    path when it is not the field name, and ``noun`` replaces the usual
+    "expected ..." wording of a type error. ``text`` fields are scanned for
+    embedded references and may be edited by resolution effects; ``body``
+    fields make up a route's frozen fingerprint.
+    """
+
+    kind: str
+    of: Any = None
+    nullable: bool = False
+    expect: tuple[str, ...] = ()
+    owner: str | None = None
+    identity: bool = False
+    key: tuple[str, ...] = ()
+    noun: str = ""
+    text: bool = False
+    body: bool = False
+
+
+def spec(kind: str, of: Any = None, *, default: Any = MISSING, factory: Any = MISSING, **opts):
+    """A dataclass field carrying its :class:`Spec`."""
+    metadata = {"spec": Spec(kind, of, **opts)}
+    return field(default=default, default_factory=factory, metadata=metadata)
+
+
+def ref(*expect: str, owner: str | None = "child", **opts) -> Spec:
+    """Spec of an identifier referencing one of the ``expect`` kinds."""
+    return Spec(IDENT, expect=expect, owner=owner, **opts)
+
+
+# ---------------------------------------------------------------------------
 # Layers and laws
 # ---------------------------------------------------------------------------
 
@@ -121,10 +172,10 @@ class Law:
     """A normative grandparent statement. The four protected laws carry
     immutable_core and can never change text across versions."""
 
-    id: Identifier
-    text: str
-    immutable_core: bool = False
-    quarantined: bool = False
+    id: Identifier = spec(IDENT, owner="layer", identity=True)
+    text: str = spec(STR, text=True)
+    immutable_core: bool = spec(BOOL, default=False)
+    quarantined: bool = spec(BOOL, default=False)
 
 
 @dataclass
@@ -133,22 +184,22 @@ class Abstraction:
     design form. correspondence maps measurement-class local names to
     construct local names within the same parent."""
 
-    id: Identifier
-    kind: str
-    definition: str
-    correspondence: dict[str, str] = field(default_factory=dict)
-    quarantined: bool = False
+    id: Identifier = spec(IDENT, owner="layer", identity=True)
+    kind: str = spec(ENUM, ABSTRACTION_KINDS)
+    definition: str = spec(STR, text=True)
+    correspondence: dict[str, str] = spec(MAP, factory=dict)
+    quarantined: bool = spec(BOOL, default=False)
 
 
 @dataclass
 class LayerDecl:
-    id: Identifier
-    kind: str
-    version: str
-    parent_ref: Identifier | None = None
-    laws: list[Law] = field(default_factory=list)
-    abstractions: list[Abstraction] = field(default_factory=list)
-    vocabulary: list[str] = field(default_factory=list)
+    id: Identifier = spec(IDENT, identity=True)
+    kind: str = spec(ENUM, LAYER_KINDS)
+    version: str = spec(STR)
+    parent_ref: Identifier | None = spec(LAYER, nullable=True, default=None)
+    laws: list[Law] = spec(LIST, Spec(RECORD, Law), factory=list)
+    abstractions: list[Abstraction] = spec(LIST, Spec(RECORD, Abstraction), factory=list)
+    vocabulary: list[str] = spec(LIST, Spec(STR), factory=list)
 
     @property
     def local_name(self) -> str:
@@ -159,12 +210,12 @@ class LayerDecl:
 class ChangelogEntry:
     """Formal record justifying a grandparent version increment."""
 
-    from_version: str
-    to_version: str
-    motivating_insight: str
-    boundary_affected: str
-    generalizability_reasoning: str
-    timestamp: str
+    from_version: str = spec(STR)
+    to_version: str = spec(STR)
+    motivating_insight: str = spec(STR, text=True)
+    boundary_affected: str = spec(STR, text=True)
+    generalizability_reasoning: str = spec(STR, text=True)
+    timestamp: str = spec(STR)
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +229,30 @@ class Assessment:
     the speculation flag. All five are always present; ambiguity is an
     ordinal value, never an absent field."""
 
-    construct_alignment: str
-    measurement: str
-    design: str
-    reporting: str
-    speculation_required: bool
+    construct_alignment: str = spec(ENUM, ALIGNMENT_LEVELS)
+    measurement: str = spec(ENUM, MEASUREMENT_LEVELS)
+    design: str = spec(ENUM, DESIGN_LEVELS)
+    reporting: str = spec(ENUM, REPORTING_LEVELS)
+    speculation_required: bool = spec(BOOL)
 
 
 @dataclass
 class DeclaredAssumption:
-    id: Identifier
-    text: str
-    covers: list[str]  # assessment dimension names
+    id: Identifier = spec(IDENT, owner="child", identity=True)
+    text: str = spec(STR, text=True)
+    covers: list[str] = spec(
+        LIST, Spec(ENUM, ASSESSMENT_DIMENSIONS, noun="an assessment dimension")
+    )
 
 
 @dataclass
 class ReTierEvent:
-    timestamp: str
-    source_of_information: str
-    justification: str
-    implications_for_route: str
-    old_tier: Tier
-    new_tier: Tier
+    timestamp: str = spec(STR)
+    source_of_information: str = spec(STR)
+    justification: str = spec(STR)
+    implications_for_route: str = spec(STR)
+    old_tier: Tier = spec(TIER)
+    new_tier: Tier = spec(TIER)
 
 
 @dataclass
@@ -207,24 +260,28 @@ class EvidentialUnit:
     """Smallest tierable entity, with its declared assessments and the
     narrative fields the study log projects."""
 
-    study_id: Identifier
-    design_type: str
-    interpretations: list[Assessment]
-    splittable: bool = False
-    declared_tier: Tier | None = None
-    tier_justification: str = ""
-    explicit_assumptions: list[DeclaredAssumption] = field(default_factory=list)
-    retier_events: list[ReTierEvent] = field(default_factory=list)
-    measurement_refs: list[Identifier] = field(default_factory=list)
-    bias_considerations: str = ""
-    measurement_issues: str = ""
-    notes: str = ""
-    methods_summary: str = ""
-    strengths: str = ""
-    limitations: str = ""
-    split_from: Identifier | None = None
-    superseded: bool = False
-    quarantined: bool = False
+    study_id: Identifier = spec(IDENT, identity=True)
+    design_type: str = spec(STR)
+    interpretations: list[Assessment] = spec(LIST, Spec(RECORD, Assessment))
+    splittable: bool = spec(BOOL, default=False)
+    declared_tier: Tier | None = spec(TIER, nullable=True, default=None)
+    tier_justification: str = spec(STR, default="", text=True)
+    explicit_assumptions: list[DeclaredAssumption] = spec(
+        LIST, Spec(RECORD, DeclaredAssumption), factory=list
+    )
+    retier_events: list[ReTierEvent] = spec(LIST, Spec(RECORD, ReTierEvent), factory=list)
+    measurement_refs: list[Identifier] = spec(LIST, ref("abstraction", "law"), factory=list)
+    bias_considerations: str = spec(STR, default="", text=True)
+    measurement_issues: str = spec(STR, default="", text=True)
+    notes: str = spec(STR, default="", text=True)
+    methods_summary: str = spec(STR, default="", text=True)
+    strengths: str = spec(STR, default="", text=True)
+    limitations: str = spec(STR, default="", text=True)
+    split_from: Identifier | None = spec(
+        IDENT, expect=("unit",), owner="child", nullable=True, default=None
+    )
+    superseded: bool = spec(BOOL, default=False)
+    quarantined: bool = spec(BOOL, default=False)
 
 
 # ---------------------------------------------------------------------------
@@ -234,48 +291,50 @@ class EvidentialUnit:
 
 @dataclass
 class RouteAssumption:
-    id: Identifier
-    text: str
-    plausibility: str
-    failure_modes: str
-    consequences_for_inference: str
-    supporting_units: list[Identifier] = field(default_factory=list)
-    untestable: bool = False
+    id: Identifier = spec(IDENT, owner="child", identity=True)
+    text: str = spec(STR, text=True)
+    plausibility: str = spec(STR, text=True)
+    failure_modes: str = spec(STR, text=True)
+    consequences_for_inference: str = spec(STR, text=True)
+    supporting_units: list[Identifier] = spec(LIST, ref("unit"), factory=list)
+    untestable: bool = spec(BOOL, default=False)
 
 
 @dataclass
 class RouteRevision:
-    timestamp: str
-    justification: str
-    downstream_implications: str
-    change_description: str
+    timestamp: str = spec(STR)
+    justification: str = spec(STR)
+    downstream_implications: str = spec(STR)
+    change_description: str = spec(STR)
 
 
 @dataclass
 class RejectedAlternative:
-    sketch: str
-    rationale: str
+    sketch: str = spec(STR, text=True)
+    rationale: str = spec(STR, text=True)
 
 
 @dataclass
 class Route:
-    id: Identifier
-    project_ref: Identifier
-    construct_ref: Identifier
-    objective: str
-    assumptions: list[RouteAssumption]
-    disconfirming_models: list[str]
-    rejected_alternatives: list[RejectedAlternative] = field(default_factory=list)
-    frozen_at: str | None = None
-    revisions: list[RouteRevision] = field(default_factory=list)
-    quarantined: bool = False
+    id: Identifier = spec(IDENT, identity=True)
+    project_ref: Identifier = spec(IDENT, expect=("project",), owner="child")
+    construct_ref: Identifier = spec(IDENT, expect=("law", "abstraction"), owner="child", body=True)
+    objective: str = spec(STR, body=True)
+    assumptions: list[RouteAssumption] = spec(LIST, Spec(RECORD, RouteAssumption), body=True)
+    disconfirming_models: list[str] = spec(LIST, Spec(STR), text=True, body=True)
+    rejected_alternatives: list[RejectedAlternative] = spec(
+        LIST, Spec(RECORD, RejectedAlternative), factory=list
+    )
+    frozen_at: str | None = spec(STR, nullable=True, noun="string timestamp", default=None)
+    revisions: list[RouteRevision] = spec(LIST, Spec(RECORD, RouteRevision), factory=list)
+    quarantined: bool = spec(BOOL, default=False)
 
 
 @dataclass
 class EvidenceRoleAssignment:
-    unit_ref: Identifier
-    route_ref: Identifier
-    role: str
+    unit_ref: Identifier = spec(IDENT, expect=("unit",), owner="child")
+    route_ref: Identifier = spec(IDENT, expect=("route",), owner="child")
+    role: str = spec(ENUM, EVIDENCE_ROLES)
 
 
 @dataclass
@@ -283,12 +342,16 @@ class ProjectDecl:
     """A child-layer project: its question, its single committed route, its
     evidence universe, and the role each unit plays."""
 
-    id: Identifier
-    layer_ref: Identifier
-    question: str = ""
-    committed_route: Identifier | None = None
-    unit_refs: list[Identifier] = field(default_factory=list)
-    assignments: list[EvidenceRoleAssignment] = field(default_factory=list)
+    id: Identifier = spec(IDENT, identity=True)
+    layer_ref: Identifier = spec(LAYER)
+    question: str = spec(STR, default="")
+    committed_route: Identifier | None = spec(
+        IDENT, expect=("route",), owner="child", nullable=True, default=None
+    )
+    unit_refs: list[Identifier] = spec(LIST, ref("unit"), factory=list)
+    assignments: list[EvidenceRoleAssignment] = spec(
+        LIST, Spec(RECORD, EvidenceRoleAssignment), factory=list
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +363,16 @@ class ProjectDecl:
 class FlowEvent:
     """One recorded cross-layer information movement."""
 
-    id: Identifier
-    source_layer: Identifier
-    dest_layer: Identifier
-    info_class: str
-    payload: str
-    timestamp: str
-    contract_ref: Identifier | None = None
-    quarantined: bool = False
+    id: Identifier = spec(IDENT, identity=True)
+    source_layer: Identifier = spec(LAYER)
+    dest_layer: Identifier = spec(LAYER)
+    info_class: str = spec(ENUM, INFO_CLASSES)
+    payload: str = spec(STR, text=True)
+    timestamp: str = spec(STR)
+    contract_ref: Identifier | None = spec(
+        IDENT, expect=("contract",), nullable=True, default=None
+    )
+    quarantined: bool = spec(BOOL, default=False)
 
 
 @dataclass
@@ -315,13 +380,13 @@ class BoundaryContract:
     """Explicit, auditable authorization for a boundary crossing. All five
     elements must be present for the contract to legalize anything."""
 
-    id: Identifier
-    info_type: str
-    origin_layer: Identifier
-    destination_layer: Identifier
-    legal_justification: str
-    no_reinterpretation_clause: bool = False
-    documentation_ref: str = ""
+    id: Identifier = spec(IDENT, identity=True)
+    info_type: str = spec(ENUM, INFO_CLASSES)
+    origin_layer: Identifier = spec(LAYER)
+    destination_layer: Identifier = spec(LAYER)
+    legal_justification: str = spec(STR)
+    no_reinterpretation_clause: bool = spec(BOOL, default=False)
+    documentation_ref: str = spec(STR, default="")
 
 
 @dataclass
@@ -329,25 +394,25 @@ class ContaminationSite:
     """Where a violation was detected: a declaration field, a reference
     token inside it, or a recorded flow."""
 
-    container: str  # canonical id of the offending declaration or flow
-    field: str = ""
-    token: str = ""
+    container: str = spec(STR)  # canonical id of the offending declaration or flow
+    field: str = spec(STR, default="")
+    token: str = spec(STR, default="")
 
 
 @dataclass
 class ContaminationEvent:
-    id: str
-    rule_violated: str
-    direction: str
-    nature: str
-    site: ContaminationSite
-    location: str = ""
-    risks_introduced: str = ""
-    decisions_affected: list[str] = field(default_factory=list)
-    corrective_action: str | None = None
-    versioned_update: str | None = None
-    timestamp: str = ""
-    resolved: bool = False
+    id: str = spec(STR)
+    rule_violated: str = spec(ENUM, VIOLATION_RULES)
+    direction: str = spec(ENUM, FLOW_DIRECTIONS)
+    nature: str = spec(ENUM, CONTAMINATION_NATURES)
+    site: ContaminationSite = spec(RECORD, ContaminationSite)
+    location: str = spec(STR, default="")
+    risks_introduced: str = spec(STR, default="")
+    decisions_affected: list[str] = spec(LIST, Spec(STR), factory=list)
+    corrective_action: str | None = spec(ENUM, CORRECTIVE_ACTIONS, nullable=True, default=None)
+    versioned_update: str | None = spec(STR, nullable=True, default=None)
+    timestamp: str = spec(STR, default="")
+    resolved: bool = spec(BOOL, default=False)
 
 
 @dataclass
@@ -390,19 +455,21 @@ class TierTableRow:
 
 @dataclass
 class ReviewerBlock:
-    project_ref: Identifier
-    methodological_findings: list[str]
-    conceptual_insight: str
-    anticipated_critique_text: str
-    anticipated_critique_refs: list[Identifier]
-    disconfirming_model: str
-    assumptions_ref: list[Identifier]
+    project_ref: Identifier = spec(IDENT, expect=("project",), identity=True)
+    methodological_findings: list[str] = spec(LIST, Spec(STR))
+    conceptual_insight: str = spec(STR)
+    anticipated_critique_text: str = spec(STR, key=("anticipated_critique", "text"))
+    anticipated_critique_refs: list[Identifier] = spec(
+        LIST, ref("unit", "route"), key=("anticipated_critique", "referenced_decisions")
+    )
+    disconfirming_model: str = spec(STR)
+    assumptions_ref: list[Identifier] = spec(LIST, ref("assumption"))
 
 
 @dataclass
 class AnalyticMemo:
-    project_ref: Identifier
-    sections: dict[str, str]
+    project_ref: Identifier = spec(IDENT, expect=("project",), identity=True)
+    sections: dict[str, str] = spec(MAP)
 
 
 MEMO_SECTIONS = (
@@ -427,46 +494,32 @@ class ComplianceReport:
 
 @dataclass
 class AuditEvent:
-    sequence: int
-    timestamp: str
-    actor: str
-    kind: str
-    payload: dict[str, Any]
-    affected: list[str] = field(default_factory=list)
+    sequence: int = spec(INT, identity=True, noun="integer sequence")
+    timestamp: str = spec(STR)
+    actor: str = spec(STR)
+    kind: str = spec(ENUM, EVENT_KINDS)
+    payload: dict[str, Any] = spec(JSON)
+    affected: list[str] = spec(LIST, Spec(STR), factory=list)
 
 
 # ---------------------------------------------------------------------------
 # The bundle
 # ---------------------------------------------------------------------------
 
-TOP_LEVEL_KEYS = (
-    "recap_version",
-    "layers",
-    "projects",
-    "units",
-    "routes",
-    "flows",
-    "contracts",
-    "events",
-    "reviewer_blocks",
-    "memos",
-)
-
-
 @dataclass
 class ProjectBundle:
     """Root document: the project's complete epistemic ledger."""
 
-    recap_version: str
-    layers: list[LayerDecl] = field(default_factory=list)
-    projects: list[ProjectDecl] = field(default_factory=list)
-    units: list[EvidentialUnit] = field(default_factory=list)
-    routes: list[Route] = field(default_factory=list)
-    flows: list[FlowEvent] = field(default_factory=list)
-    contracts: list[BoundaryContract] = field(default_factory=list)
-    events: list[AuditEvent] = field(default_factory=list)
-    reviewer_blocks: list[ReviewerBlock] = field(default_factory=list)
-    memos: list[AnalyticMemo] = field(default_factory=list)
+    recap_version: str = spec(STR)
+    layers: list[LayerDecl] = spec(LIST, Spec(RECORD, LayerDecl), factory=list)
+    projects: list[ProjectDecl] = spec(LIST, Spec(RECORD, ProjectDecl), factory=list)
+    units: list[EvidentialUnit] = spec(LIST, Spec(RECORD, EvidentialUnit), factory=list)
+    routes: list[Route] = spec(LIST, Spec(RECORD, Route), factory=list)
+    flows: list[FlowEvent] = spec(LIST, Spec(RECORD, FlowEvent), factory=list)
+    contracts: list[BoundaryContract] = spec(LIST, Spec(RECORD, BoundaryContract), factory=list)
+    events: list[AuditEvent] = spec(LIST, Spec(RECORD, AuditEvent), factory=list)
+    reviewer_blocks: list[ReviewerBlock] = spec(LIST, Spec(RECORD, ReviewerBlock), factory=list)
+    memos: list[AnalyticMemo] = spec(LIST, Spec(RECORD, AnalyticMemo), factory=list)
 
     # -- lookups ------------------------------------------------------------
 

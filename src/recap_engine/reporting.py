@@ -12,6 +12,7 @@ import csv
 import io
 import json
 
+from .bundle import decode, encode
 from .contamination import scan_bundle, validate_contract
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
 from .layers import check_law_evolution, law_history, parse_version, validate_grandparent_laws
@@ -218,9 +219,6 @@ def validate_memo(memo: AnalyticMemo) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Compliance
 # ---------------------------------------------------------------------------
-
-_DIRECTION_RANK = {"upward": 0, "downward": 1, "horizontal": 2}
-
 
 def _finding_sort_key(diag: Diagnostic) -> tuple:
     direction = 3
@@ -441,18 +439,7 @@ def render_report(artifact, fmt: str) -> str:
             raise OperationRejected(
                 [error("E_FORMAT_UNSUPPORTED", "format", "reviewer block is not tabular")]
             )
-        record = {
-            "artifact": "reviewer_block",
-            "project_ref": artifact.project_ref.render(),
-            "methodological_findings": list(artifact.methodological_findings),
-            "conceptual_insight": artifact.conceptual_insight,
-            "anticipated_critique": {
-                "text": artifact.anticipated_critique_text,
-                "referenced_decisions": [r.render() for r in artifact.anticipated_critique_refs],
-            },
-            "disconfirming_model": artifact.disconfirming_model,
-            "assumptions_ref": [r.render() for r in artifact.assumptions_ref],
-        }
+        record = {"artifact": "reviewer_block", **encode(artifact)}
         if fmt == "structured":
             return json.dumps(record, indent=2, ensure_ascii=False)
         lines = [f"# Reviewer Block: {record['project_ref']}", ""]
@@ -499,20 +486,7 @@ def parse_report(text: str):
     if kind == "tier_table":
         return TierTable(TierTableRow(**row) for row in record["rows"])
     if kind == "reviewer_block":
-        from .identifiers import parse_identifier
-
-        return ReviewerBlock(
-            project_ref=parse_identifier(record["project_ref"]),
-            methodological_findings=list(record["methodological_findings"]),
-            conceptual_insight=record["conceptual_insight"],
-            anticipated_critique_text=record["anticipated_critique"]["text"],
-            anticipated_critique_refs=[
-                parse_identifier(r)
-                for r in record["anticipated_critique"]["referenced_decisions"]
-            ],
-            disconfirming_model=record["disconfirming_model"],
-            assumptions_ref=[parse_identifier(r) for r in record["assumptions_ref"]],
-        )
+        return decode(ReviewerBlock, record)
     if kind == "compliance_report":
         findings = [
             Diagnostic(

@@ -12,7 +12,7 @@ import hashlib
 import json
 
 from .audit import commit, now_utc
-from .bundle import encode_route_dict, route_body_dict
+from .bundle import encode, route_body_dict
 from .diagnostics import Diagnostic, OperationRejected, error, reject, warning
 from .identifiers import Identifier
 from .model import (
@@ -98,7 +98,7 @@ def declare_route(
         "route_declared",
         {
             "project": project_id.render(),
-            "route": encode_route_dict(route),
+            "route": encode(route),
             "committed": commit_route,
         },
         actor=actor,
@@ -318,12 +318,7 @@ def revise_route(
         "route_revised",
         {
             "route": route.id.render(),
-            "revision": {
-                "timestamp": revision.timestamp,
-                "justification": revision.justification,
-                "downstream_implications": revision.downstream_implications,
-                "change_description": revision.change_description,
-            },
+            "revision": encode(revision),
             "body": body,
             "body_hash": route_body_hash(candidate),
         },

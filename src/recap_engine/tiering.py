@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .audit import commit, now_utc
-from .bundle import encode_unit_dict
+from .bundle import encode
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier
 from .model import (
@@ -289,17 +289,10 @@ def apply_retier(
         )
     payload: dict = {
         "unit": unit_id.render(),
-        "event": {
-            "timestamp": event.timestamp,
-            "source_of_information": event.source_of_information,
-            "justification": event.justification,
-            "implications_for_route": event.implications_for_route,
-            "old_tier": event.old_tier.label,
-            "new_tier": event.new_tier.label,
-        },
+        "event": encode(event),
         "justification": justification,
     }
-    probe_record = encode_unit_dict(probe)
+    probe_record = encode(probe)
     if new_interpretations is not None:
         payload["interpretations"] = probe_record["interpretations"]
     if new_assumptions is not None:
@@ -350,7 +343,7 @@ def split_unit(
             diags.append(error("E_DUP_ID", name.render(), f"{name.render()} already declared"))
     if diags:
         raise OperationRejected(diags)
-    base = encode_unit_dict(unit)
+    base = encode(unit)
     records = []
     for name, interp in zip(names, base["interpretations"]):
         record = dict(base)

@@ -350,3 +350,27 @@ def test_retier_and_resolution_replay():
     s2 = replayed.unit_by_id(Identifier("child", "C1", "S2"))
     assert s2.declared_tier == Tier.CORE
     assert len(s2.retier_events) == 1
+
+
+def test_replay_rejects_a_retier_payload_the_parser_would_reject(toy):
+    event = AuditEvent(
+        sequence=toy.next_sequence(),
+        timestamp="2026-06-01T00:00:00Z",
+        actor="tester",
+        kind="retier",
+        payload={
+            "unit": "child:C1:S2",
+            "event": {
+                "timestamp": 5,
+                "source_of_information": "s",
+                "justification": "j",
+                "implications_for_route": "i",
+                "old_tier": "supplement",
+                "new_tier": "core",
+            },
+        },
+    )
+    with pytest.raises(OperationRejected) as err:
+        replay(toy, [event])
+    assert err.value.diagnostics[0].code == "E_REPLAY_DIVERGENCE"
+    assert "timestamp" in err.value.diagnostics[0].message

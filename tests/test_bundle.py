@@ -1,11 +1,19 @@
 import json
 import random
 
+import pytest
 from genbundles import parse_dict, random_bundle_dict
 from toy import variant
 
-from recap_engine.bundle import parse_bundle, serialize_bundle
+from recap_engine.bundle import (
+    decode,
+    decode_declared_assumption_dict,
+    decode_law_dict,
+    parse_bundle,
+    serialize_bundle,
+)
 from recap_engine.diagnostics import Severity
+from recap_engine.model import Abstraction
 
 
 def codes(result):
@@ -219,3 +227,40 @@ def test_random_bundles_round_trip():
 
 def test_serialization_is_deterministic(toy):
     assert serialize_bundle(toy) == serialize_bundle(toy)
+
+
+# ---------------------------------------------------------------------------
+# Strict scalars: payload decoders reject what the parser rejects
+# ---------------------------------------------------------------------------
+
+
+def test_law_decoder_rejects_a_string_boolean():
+    with pytest.raises(ValueError, match="immutable_core"):
+        decode_law_dict({"id": "gp:x", "text": "t", "immutable_core": "false"})
+
+
+def test_abstraction_decoder_rejects_unknown_kind_and_non_string_definition():
+    with pytest.raises(ValueError) as err:
+        decode(Abstraction, {"id": "a", "kind": "bogus", "definition": 3}, owner="p", ns="parent")
+    assert "abstraction.kind" in str(err.value)
+    assert "abstraction.definition" in str(err.value)
+
+
+def test_declared_assumption_decoder_rejects_list_text():
+    record = {"id": "A1", "text": ["not", "a", "string"], "covers": ["measurement"]}
+    with pytest.raises(ValueError, match="declared_assumption.text"):
+        decode_declared_assumption_dict(record, "C1")
+
+
+def test_boolean_event_sequence_is_a_syntax_error():
+    def add_event(d):
+        d["events"] = [
+            {"sequence": True, "timestamp": "2026-01-01T00:00:00Z", "actor": "a",
+             "kind": "flow_recorded", "payload": {"flow": {}}, "affected": []},
+        ]
+
+    result = parse_bundle(json.dumps(variant(add_event)))
+    assert result.bundle is None
+    assert [(d.code, d.location) for d in result.diagnostics] == [
+        ("E_SYNTAX", "events[0].sequence")
+    ]

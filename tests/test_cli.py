@@ -332,3 +332,39 @@ def test_module_entry_point_runs_as_subprocess(toy_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "compliant"
+
+
+def _bump_with(tmp_path, capsys, changelog_doc):
+    bundle_path = tmp_path / "toy.bundle"
+    bundle_path.write_text(toy_text())
+    original = bundle_path.read_text()
+    changelog = tmp_path / "change.json"
+    changelog.write_text(json.dumps(changelog_doc))
+    code, _, err = run_cli(
+        "version", str(bundle_path), "bump", "--changelog", str(changelog), capsys=capsys
+    )
+    assert bundle_path.read_text() == original
+    return code, err
+
+
+def test_version_bump_rejects_a_changelog_array(tmp_path, capsys):
+    code, err = _bump_with(tmp_path, capsys, [{"from_version": "v1.0"}])
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_version_bump_rejects_a_non_object_law(tmp_path, capsys):
+    code, err = _bump_with(
+        tmp_path,
+        capsys,
+        {
+            "from_version": "v1.0",
+            "to_version": "v1.1",
+            "motivating_insight": "m",
+            "boundary_affected": "b",
+            "generalizability_reasoning": "g",
+            "new_laws": ["gp:not_a_record"],
+        },
+    )
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "laws[0]" in err

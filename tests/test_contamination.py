@@ -716,3 +716,34 @@ def test_record_flow_and_flag_are_logged(toy):
     flag_contamination(toy, synthetic)
     assert len(toy.events) == event_count + 1
     assert toy.events[-1].kind == "contamination_flagged"
+
+
+def test_extract_insight_rejects_an_unknown_abstraction_kind():
+    def pollute(doc):
+        parent = next(l for l in doc["layers"] if l["id"] == "P")
+        parent["abstractions"][1]["definition"] += " Tuned for child:C1:S2."
+
+    bundle = parse_dict(variant(pollute))
+    before = serialize_bundle(bundle)
+    event = scan_bundle(bundle)[0]
+    event.risks_introduced = "A domain abstraction absorbed one project's reading."
+    proposal = InsightProposal(
+        id="INS-KIND",
+        origin_layer=Identifier("child", "C1", "C1"),
+        target_layer=Identifier("parent", "P", "P"),
+        statement="intermediate readings need a declared stability indicator",
+        proposed_additions=[
+            {
+                "kind": "abstraction",
+                "id": "stability_indicator",
+                "abstraction_kind": "bogus",
+                "definition": "A declared indicator of operationalization stability.",
+            }
+        ],
+    )
+    with pytest.raises(OperationRejected) as err:
+        resolve_contamination(bundle, event, "extract_insight", proposal=proposal)
+    located = [(d.code, d.location) for d in err.value.diagnostics]
+    assert ("E_SYNTAX", "INS-KIND") in located
+    assert not event.resolved
+    assert serialize_bundle(bundle) == before

@@ -11,6 +11,7 @@ from recap_engine.layers import (
     CORE_LAW_NAMES,
     bump_version,
     check_law_evolution,
+    law_history,
     parse_version,
     resolve_constraints,
     seed_core_laws,
@@ -238,3 +239,13 @@ def test_extra_immutable_flag_is_flagged(toy):
     gp = toy.grandparent()
     next(l for l in gp.laws if l.id.local_name == "A").immutable_core = True
     assert "E_CORE_FLAG" in [d.code for d in validate_grandparent_laws(gp)]
+
+
+def test_malformed_recorded_bump_is_a_payload_schema_rejection(toy):
+    bump_version(toy, entry(), toy.grandparent().laws)
+    toy.events[-1].payload["laws"][0]["immutable_core"] = "false"
+    with pytest.raises(OperationRejected) as err:
+        law_history(toy)
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("E_PAYLOAD_SCHEMA", f"events[{len(toy.events) - 1}].payload")
+    ]
