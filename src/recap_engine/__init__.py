@@ -11,6 +11,7 @@ from .diagnostics import Diagnostic, OperationRejected, Severity, explain_code
 from .identifiers import Identifier
 from .model import (
     Assessment,
+    BundleIndex,
     ProjectBundle,
     Route,
     Tier,
@@ -36,6 +37,7 @@ ENGINE_VERSION = __version__
 
 __all__ = [
     "Assessment",
+    "BundleIndex",
     "Diagnostic",
     "ENGINE_VERSION",
     "EvidentialUnit",

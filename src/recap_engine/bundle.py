@@ -600,6 +600,8 @@ def parse_bundle(text: str) -> ParseResult:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         return ParseResult(None, [error("E_SYNTAX", f"line {exc.lineno}", exc.msg)])
+    except RecursionError:
+        return ParseResult(None, [error("E_SYNTAX", "line 1", "document nests too deeply")])
     if not isinstance(raw, dict):
         return ParseResult(None, [error("E_SYNTAX", "line 1", "bundle must be a JSON object")])
 

@@ -339,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except OperationRejected as exc:
         _emit_diagnostics(exc.diagnostics)
         return EXIT_VIOLATIONS
+    except Exception as exc:  # last resort: one line and the usage exit code, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,6 +19,7 @@ from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references
 from .model import (
     Abstraction,
     BoundaryContract,
+    BundleIndex,
     ContaminationEvent,
     ContaminationSite,
     EvidentialUnit,
@@ -79,7 +80,7 @@ def _contract_is_complete(contract: BoundaryContract) -> bool:
 
 
 def _horizontal_verdict(
-    bundle: ProjectBundle,
+    index: BundleIndex,
     source: Identifier,
     dest: Identifier,
     info_class: str,
@@ -99,11 +100,10 @@ def _horizontal_verdict(
             "cited contract does not authorize this transfer",
         )
     near_miss = False
-    for contract in bundle.contracts:
-        if contract.origin_layer == source and contract.destination_layer == dest:
-            if contract.info_type == info_class and _contract_is_complete(contract):
-                return FlowVerdict.ok("authorized by boundary contract")
-            near_miss = True
+    for contract in index.contracts_between.get((source, dest), ()):
+        if contract.info_type == info_class and _contract_is_complete(contract):
+            return FlowVerdict.ok("authorized by boundary contract")
+        near_miss = True
     if near_miss:
         return FlowVerdict.violation(
             "horizontal",
@@ -129,23 +129,21 @@ def _known_terms(bundle: ProjectBundle) -> set[str]:
     return terms
 
 
-def _effective_vocabulary(bundle: ProjectBundle, layer: LayerDecl) -> set[str]:
+def _effective_vocabulary(index: BundleIndex, layer: LayerDecl) -> set[str]:
     """A layer admits its own terms plus everything inherited from above."""
-    terms: set[str] = set()
-    cursor: LayerDecl | None = layer
-    while cursor is not None:
-        terms.update(t.lower() for t in cursor.vocabulary)
-        cursor = bundle.layer_by_id(cursor.parent_ref) if cursor.parent_ref else None
-    return terms
+    return {t.lower() for cursor in (layer, *index.ancestors(layer)) for t in cursor.vocabulary}
 
 
-def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[Diagnostic]:
+def validate_insight(
+    proposal: InsightProposal, bundle: ProjectBundle, *, index: BundleIndex | None = None
+) -> list[Diagnostic]:
     """Insight may move upward only when it is domain-independent,
     expressible in the target layer's vocabulary, and append-only."""
+    index = index or BundleIndex(bundle)
     diags: list[Diagnostic] = []
     where = proposal.id
-    origin = bundle.layer_by_id(proposal.origin_layer)
-    target = bundle.layer_by_id(proposal.target_layer)
+    origin = index.layers.get(proposal.origin_layer)
+    target = index.layers.get(proposal.target_layer)
     if origin is None or target is None:
         return [error("E_UNKNOWN_LAYER", where, "origin or target layer not found")]
     if _RANK[target.kind] != _RANK[origin.kind] + 1:
@@ -177,7 +175,7 @@ def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[D
                 )
             )
     known = _known_terms(bundle)
-    target_vocab = _effective_vocabulary(bundle, target)
+    target_vocab = _effective_vocabulary(index, target)
     for text in texts:
         for token in _WORD_RE.findall(text):
             lowered = token.lower()
@@ -238,7 +236,9 @@ def _addition_record(addition: dict) -> tuple[type, dict]:
 # ---------------------------------------------------------------------------
 
 
-def check_flow(flow: FlowEvent, bundle: ProjectBundle) -> FlowVerdict:
+def check_flow(
+    flow: FlowEvent, bundle: ProjectBundle, *, index: BundleIndex | None = None
+) -> FlowVerdict:
     """Total verdict over the flow-permission matrix.
 
     Downward movement is always legal (constraints flow down, lineage or
@@ -246,8 +246,9 @@ def check_flow(flow: FlowEvent, bundle: ProjectBundle) -> FlowVerdict:
     level. Same-kind movement between distinct layers is lateral and
     contract-gated. Contracts never legalize upward movement.
     """
-    source = bundle.layer_by_id(flow.source_layer)
-    dest = bundle.layer_by_id(flow.dest_layer)
+    index = index or BundleIndex(bundle)
+    source = index.layers.get(flow.source_layer)
+    dest = index.layers.get(flow.dest_layer)
     if source is None or dest is None:
         raise reject("E_UNKNOWN_LAYER", flow.id.render(), "flow endpoints must be layers")
     if source.id == dest.id:
@@ -274,7 +275,7 @@ def check_flow(flow: FlowEvent, bundle: ProjectBundle) -> FlowVerdict:
             target_layer=dest.id,
             statement=flow.payload,
         )
-        failures = validate_insight(proposal, bundle)
+        failures = validate_insight(proposal, bundle, index=index)
         if not failures:
             return FlowVerdict.ok("validated methodological insight")
         rule = (
@@ -285,12 +286,12 @@ def check_flow(flow: FlowEvent, bundle: ProjectBundle) -> FlowVerdict:
         )
     cited = None
     if flow.contract_ref is not None:
-        cited = bundle.contract_by_id(flow.contract_ref)
+        cited = index.contracts.get(flow.contract_ref)
         if cited is None:
             return FlowVerdict.violation(
                 "horizontal", "R4_missing_contract", "cited contract does not exist"
             )
-    return _horizontal_verdict(bundle, source.id, dest.id, flow.info_class, cited)
+    return _horizontal_verdict(index, source.id, dest.id, flow.info_class, cited)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +316,8 @@ def _classify_field(field_name: str) -> str:
 class _Scanner:
     def __init__(self, bundle: ProjectBundle):
         self.bundle = bundle
+        self.index = BundleIndex(bundle)
         self.events: list[ContaminationEvent] = []
-        self._owner_of: dict[str, LayerDecl] = {}
-        for layer in bundle.layers:
-            self._owner_of[layer.local_name] = layer
 
     def flag(
         self,
@@ -328,38 +327,26 @@ class _Scanner:
         site: ContaminationSite,
         location: str,
     ) -> None:
-        event = ContaminationEvent(
-            id="",
-            rule_violated=rule,
-            direction=direction,
-            nature=nature,
-            site=site,
-            location=location,
+        self.events.append(
+            ContaminationEvent(
+                id="",
+                rule_violated=rule,
+                direction=direction,
+                nature=nature,
+                site=site,
+                location=location,
+            )
         )
-        event.decisions_affected = trace_downstream(event, self.bundle)
-        self.events.append(event)
 
     # -- helpers --------------------------------------------------------------
 
-    def _ancestors(self, layer: LayerDecl) -> set[str]:
-        """Local names of the layers above this one."""
-        out: set[str] = set()
-        cursor = layer
-        while cursor is not None and cursor.parent_ref is not None:
-            nxt = self.bundle.layer_by_id(cursor.parent_ref)
-            if nxt is None:
-                break
-            out.add(nxt.local_name)
-            cursor = nxt
-        return out
+    def _owner_of(self, ident: Identifier) -> LayerDecl | None:
+        return self.index.layers_by_name.get(ident.owner)
 
     def _owner_layer(self, ident: Identifier) -> LayerDecl | None:
         if ident.namespace == "gp":
-            try:
-                return self.bundle.grandparent()
-            except LookupError:
-                return None
-        return self._owner_of.get(ident.owner)
+            return self.index.grandparent
+        return self._owner_of(ident)
 
     def _check_child_ref(
         self,
@@ -374,11 +361,11 @@ class _Scanner:
         ref_owner = self._owner_layer(ref)
         if ref_owner is None or ref_owner.local_name == owner.local_name:
             return
-        if ref_owner.local_name in self._ancestors(owner):
+        if any(a.local_name == ref_owner.local_name for a in self.index.ancestors(owner)):
             return
         info_class = _classify_field(field_name)
         verdict = _horizontal_verdict(
-            self.bundle, ref_owner.id, owner.id, info_class, cited=None
+            self.index, ref_owner.id, owner.id, info_class, cited=None
         )
         if verdict.allowed:
             return
@@ -402,11 +389,11 @@ class _Scanner:
                     self.flag("R1_upward_content", "upward", _classify_field(field_name), site, location)
                 elif ref.namespace == "parent" and ref.owner != owner.local_name:
                     info_class = _classify_field(field_name)
-                    ref_owner = self._owner_of.get(ref.owner)
+                    ref_owner = self._owner_of(ref)
                     if ref_owner is None:
                         continue
                     verdict = _horizontal_verdict(
-                        self.bundle, ref_owner.id, owner.id, info_class, cited=None
+                        self.index, ref_owner.id, owner.id, info_class, cited=None
                     )
                     if not verdict.allowed:
                         self.flag(verdict.rule or "R3_horizontal_borrowing", "horizontal", info_class, site, location)
@@ -419,18 +406,6 @@ class _Scanner:
         """Laws below the grandparent and abstractions outside a parent are
         local re-legislation of inherited structure."""
         for li, layer in enumerate(self.bundle.layers):
-            inherited: set[str] = set()
-            if layer.kind == "child":
-                try:
-                    gp = self.bundle.grandparent()
-                    inherited.update(law.id.local_name for law in gp.laws)
-                except LookupError:
-                    pass
-                parent = (
-                    self.bundle.layer_by_id(layer.parent_ref) if layer.parent_ref else None
-                )
-                if parent is not None:
-                    inherited.update(ab.id.local_name for ab in parent.abstractions)
             if layer.kind != "grandparent":
                 for j, law in enumerate(layer.laws):
                     if law.quarantined:
@@ -478,7 +453,7 @@ class _Scanner:
         for ui, unit in enumerate(self.bundle.units):
             if unit.quarantined or unit.superseded:
                 continue
-            owner = self._owner_of.get(unit.study_id.owner)
+            owner = self._owner_of(unit.study_id)
             if owner is None:
                 continue
             container = unit.study_id.render()
@@ -509,7 +484,7 @@ class _Scanner:
         for ri, route in enumerate(self.bundle.routes):
             if route.quarantined:
                 continue
-            owner = self._owner_of.get(route.id.owner)
+            owner = self._owner_of(route.id)
             if owner is None:
                 continue
             for j, assumption in enumerate(route.assumptions):
@@ -550,7 +525,7 @@ class _Scanner:
 
     def scan_projects(self) -> None:
         for pi, project in enumerate(self.bundle.projects):
-            owner = self._owner_of.get(project.id.owner)
+            owner = self._owner_of(project.id)
             if owner is None:
                 continue
             for j, ref in enumerate(project.unit_refs):
@@ -599,7 +574,7 @@ class _Scanner:
         for fi, flow in enumerate(self.bundle.flows):
             if flow.quarantined:
                 continue
-            verdict = check_flow(flow, self.bundle)
+            verdict = check_flow(flow, self.bundle, index=self.index)
             if verdict.allowed:
                 continue
             self.flag(
@@ -619,7 +594,9 @@ def scan_bundle(bundle: ProjectBundle) -> list[ContaminationEvent]:
 
     Pure over the bundle; quarantined and superseded declarations are inert
     and produce nothing. A clean bundle returns an empty list. Upward events
-    come first: they are the most severe class.
+    come first: they are the most severe class. Each event carries its
+    :func:`trace_downstream` result; the reference graph is built once per
+    scan, and only when something was flagged.
     """
     scanner = _Scanner(bundle)
     scanner.scan_layer_declarations()
@@ -633,8 +610,14 @@ def scan_bundle(bundle: ProjectBundle) -> list[ContaminationEvent]:
         key=lambda pair: (_DIRECTION_SEVERITY[pair[1].direction], pair[0]),
     )
     events = [event for _, event in ordered]
+    graph = build_reference_graph(bundle) if events else {}
+    reached: dict[str, list[str]] = {}
     for i, event in enumerate(events):
         event.id = f"CONT-{i + 1:04d}"
+        container = event.site.container
+        if container not in reached:
+            reached[container] = _reach(graph, container)
+        event.decisions_affected = list(reached[container])
     return events
 
 
@@ -709,8 +692,11 @@ def build_reference_graph(bundle: ProjectBundle) -> dict[str, set[str]]:
 def trace_downstream(event: ContaminationEvent, bundle: ProjectBundle) -> list[str]:
     """Transitive closure from the contaminated declaration to the tier
     decisions, route coherence, and report rows that depend on it."""
-    graph = build_reference_graph(bundle)
-    start = event.site.container
+    return _reach(build_reference_graph(bundle), event.site.container)
+
+
+def _reach(graph: dict[str, set[str]], start: str) -> list[str]:
+    """The nodes reachable from ``start``, sorted."""
     seen: set[str] = set()
     frontier = list(graph.get(start, ()))
     while frontier:
@@ -809,7 +795,12 @@ def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[
     m = re.fullmatch(r"disconfirming_models\[(\d+)\]", site.field)
     if m is not None:
         index = int(m.group(1))
-        old = decl.disconfirming_models[index]
+        models = getattr(decl, "disconfirming_models", [])
+        if index >= len(models):
+            raise reject(
+                "E_UNDOCUMENTED", site.container, f"no disconfirming model at {site.field}"
+            )
+        old = models[index]
         return [
             {
                 "op": "edit_list_item",

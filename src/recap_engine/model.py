@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import MISSING, dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from typing import Any
 
 from .identifiers import Identifier
@@ -567,3 +569,99 @@ class ProjectBundle:
 
     def next_sequence(self) -> int:
         return self.events[-1].sequence + 1 if self.events else 1
+
+
+class BundleIndex:
+    """Read-only lookups over one state of a bundle, for one read pass.
+
+    Build one per pass (a scan, a verdict) and drop it before the next
+    write. It is never stored on the bundle, so nothing has to invalidate
+    it. Each map is built on first use; where ids repeat, the first
+    declaration wins, as in the ``ProjectBundle`` lookups.
+    """
+
+    def __init__(self, bundle: ProjectBundle):
+        self.bundle = bundle
+        self._ancestors: dict[Identifier | None, tuple[LayerDecl, ...]] = {}
+        self._assignments: dict[int, tuple[ProjectDecl, dict]] = {}
+
+    @cached_property
+    def layers(self) -> dict[Identifier, LayerDecl]:
+        return _first_by(self.bundle.layers, "id")
+
+    @cached_property
+    def layers_by_name(self) -> dict[str, LayerDecl]:
+        return _first_by(self.bundle.layers, "local_name")
+
+    @cached_property
+    def grandparent(self) -> LayerDecl | None:
+        return next((l for l in self.bundle.layers if l.kind == "grandparent"), None)
+
+    @cached_property
+    def units(self) -> dict[Identifier, EvidentialUnit]:
+        return _first_by(self.bundle.units, "study_id")
+
+    @cached_property
+    def routes(self) -> dict[Identifier, Route]:
+        return _first_by(self.bundle.routes, "id")
+
+    @cached_property
+    def projects(self) -> dict[Identifier, ProjectDecl]:
+        return _first_by(self.bundle.projects, "id")
+
+    @cached_property
+    def contracts(self) -> dict[Identifier, BoundaryContract]:
+        return _first_by(self.bundle.contracts, "id")
+
+    @cached_property
+    def contracts_between(self) -> dict[tuple[Identifier, Identifier], list[BoundaryContract]]:
+        """(origin layer, destination layer) -> contracts, in bundle order."""
+        return _group_by(self.bundle.contracts, "origin_layer", "destination_layer")
+
+    @cached_property
+    def reviewer_blocks(self) -> dict[Identifier, list[ReviewerBlock]]:
+        return _group_by(self.bundle.reviewer_blocks, "project_ref")
+
+    @cached_property
+    def memos(self) -> dict[Identifier, list[AnalyticMemo]]:
+        return _group_by(self.bundle.memos, "project_ref")
+
+    def ancestors(self, layer: LayerDecl) -> tuple[LayerDecl, ...]:
+        """The layers above ``layer``, nearest first."""
+        chain = self._ancestors.get(layer.parent_ref)
+        if chain is None:
+            above = self.layers.get(layer.parent_ref)
+            chain = () if above is None else (above, *self.ancestors(above))
+            self._ancestors[layer.parent_ref] = chain
+        return chain
+
+    def active_units(self, project: ProjectDecl) -> list[EvidentialUnit]:
+        """The project's units that are neither superseded nor quarantined,
+        in ``unit_refs`` order; unresolved refs are skipped."""
+        units = (self.units.get(ref) for ref in project.unit_refs)
+        return [u for u in units if u is not None and not u.superseded and not u.quarantined]
+
+    def assignment(self, project: ProjectDecl, unit_ref: Identifier) -> EvidenceRoleAssignment | None:
+        """The project's first role assignment for ``unit_ref``."""
+        # Keyed by object identity; the entry holds the project so the key
+        # cannot be reused while the index lives.
+        entry = self._assignments.get(id(project))
+        if entry is None:
+            entry = (project, _first_by(project.assignments, "unit_ref"))
+            self._assignments[id(project)] = entry
+        return entry[1].get(unit_ref)
+
+
+def _first_by(records: list, name: str) -> dict:
+    # Filled back to front, so the first record with a key is the one kept.
+    backwards = records[::-1]
+    return dict(zip(map(attrgetter(name), backwards), backwards))
+
+
+def _group_by(records: list, *names: str) -> dict:
+    """Records keyed by one attribute, or by a tuple of several."""
+    key = attrgetter(*names)
+    out: dict = {}
+    for record in records:
+        out.setdefault(key(record), []).append(record)
+    return out

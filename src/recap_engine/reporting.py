@@ -19,6 +19,7 @@ from .layers import check_law_evolution, law_history, parse_version, validate_gr
 from .model import (
     AnalyticMemo,
     BIAS_DIRECTION_TAGS,
+    BundleIndex,
     ComplianceReport,
     EvidentialUnit,
     MEMO_SECTIONS,
@@ -29,7 +30,7 @@ from .model import (
     Tier,
     TierTableRow,
 )
-from .routing import check_freeze_integrity, check_route_coherence, committed_route
+from .routing import check_freeze_integrity, check_route_coherence
 from .tiering import check_retier_chain, check_tier_declaration, effective_tier
 
 STUDY_LOG_FIELDS = (
@@ -59,14 +60,11 @@ class TierTable(list):
     """List of TierTableRow rows; typed so an empty table still renders as one."""
 
 
-def _active_units(bundle: ProjectBundle, project: ProjectDecl) -> list[EvidentialUnit]:
-    units = []
-    for ref in project.unit_refs:
-        unit = bundle.unit_by_id(ref)
-        if unit is not None and not unit.superseded and not unit.quarantined:
-            units.append(unit)
+def _row_units(index: BundleIndex, project: ProjectDecl) -> list[EvidentialUnit]:
     # Rows carry the project-scoped local id, so order by it.
-    return sorted(units, key=lambda u: (u.study_id.local_name, u.study_id.render()))
+    return sorted(
+        index.active_units(project), key=lambda u: (u.study_id.local_name, u.study_id.render())
+    )
 
 
 def _has_direction_tag(text: str) -> bool:
@@ -74,7 +72,9 @@ def _has_direction_tag(text: str) -> bool:
     return any(tag in lowered for tag in BIAS_DIRECTION_TAGS)
 
 
-def build_study_log(bundle: ProjectBundle, project: ProjectDecl) -> "StudyLog":
+def build_study_log(
+    bundle: ProjectBundle, project: ProjectDecl, *, index: BundleIndex | None = None
+) -> "StudyLog":
     """One row per unit, excluded units included; exclusion is not erasure.
 
     Rows are projections of unit declarations; a missing mandatory field
@@ -82,7 +82,7 @@ def build_study_log(bundle: ProjectBundle, project: ProjectDecl) -> "StudyLog":
     """
     diags: list[Diagnostic] = []
     entries = StudyLog()
-    for unit in _active_units(bundle, project):
+    for unit in _row_units(index or BundleIndex(bundle), project):
         where = unit.study_id.render()
         label = unit.study_id.local_name
         tier = effective_tier(unit)
@@ -122,30 +122,33 @@ def build_study_log(bundle: ProjectBundle, project: ProjectDecl) -> "StudyLog":
     return entries
 
 
-def _evidence_type(bundle: ProjectBundle, project: ProjectDecl, unit: EvidentialUnit) -> str:
+def _evidence_type(index: BundleIndex, project: ProjectDecl, unit: EvidentialUnit) -> str:
     """Role in inference: the route objective for primary evidence, the role
     itself for secondary evidence."""
-    for assignment in project.assignments:
-        if assignment.unit_ref == unit.study_id:
-            if assignment.role == "primary_inference":
-                route = bundle.route_by_id(assignment.route_ref)
-                tag = route.objective if route is not None else "primary"
-                return tag.replace("-", " ").capitalize()
-            return assignment.role.replace("_", " ").capitalize()
-    return "Unassigned"
+    assignment = index.assignment(project, unit.study_id)
+    if assignment is None:
+        return "Unassigned"
+    if assignment.role == "primary_inference":
+        route = index.routes.get(assignment.route_ref)
+        tag = route.objective if route is not None else "primary"
+        return tag.replace("-", " ").capitalize()
+    return assignment.role.replace("_", " ").capitalize()
 
 
-def build_tier_table(bundle: ProjectBundle, project: ProjectDecl) -> "TierTable":
+def build_tier_table(
+    bundle: ProjectBundle, project: ProjectDecl, *, index: BundleIndex | None = None
+) -> "TierTable":
     """Rows for core and supplement units only, study-log ordering."""
+    index = index or BundleIndex(bundle)
     rows = TierTable()
-    for unit in _active_units(bundle, project):
+    for unit in _row_units(index, project):
         if effective_tier(unit) not in (Tier.CORE, Tier.SUPPLEMENT):
             continue
         rows.append(
             TierTableRow(
                 study_id=unit.study_id.local_name,
                 methods_summary=unit.methods_summary,
-                evidence_type=_evidence_type(bundle, project, unit),
+                evidence_type=_evidence_type(index, project, unit),
                 strengths=unit.strengths,
                 limitations=unit.limitations,
             )
@@ -158,12 +161,15 @@ def build_tier_table(bundle: ProjectBundle, project: ProjectDecl) -> "TierTable"
 # ---------------------------------------------------------------------------
 
 
-def validate_reviewer_block(block: ReviewerBlock, bundle: ProjectBundle) -> list[Diagnostic]:
+def validate_reviewer_block(
+    block: ReviewerBlock, bundle: ProjectBundle, *, index: BundleIndex | None = None
+) -> list[Diagnostic]:
     """Cardinality and anchoring checks; each missing element gets its own
     code so an empty block reports all six."""
+    index = index or BundleIndex(bundle)
     diags: list[Diagnostic] = []
     where = block.project_ref.render()
-    project = bundle.project_by_id(block.project_ref)
+    project = index.projects.get(block.project_ref)
     if project is None:
         return [error("E_UNRESOLVED_REF", where, "reviewer block names no known project")]
     findings = [f for f in block.methodological_findings if f.strip()]
@@ -177,7 +183,7 @@ def validate_reviewer_block(block: ReviewerBlock, bundle: ProjectBundle) -> list
         diags.append(error("E_RB_CRITIQUE", where, "anticipated critique missing"))
     anchored = []
     for ref in block.anticipated_critique_refs:
-        target = bundle.unit_by_id(ref) or bundle.route_by_id(ref)
+        target = index.units.get(ref) or index.routes.get(ref)
         if target is not None:
             anchored.append(ref)
     if not anchored:
@@ -190,7 +196,7 @@ def validate_reviewer_block(block: ReviewerBlock, bundle: ProjectBundle) -> list
         )
     if not block.disconfirming_model.strip():
         diags.append(error("E_RB_DISCONFIRMING", where, "disconfirming model missing"))
-    route = committed_route(bundle, project)
+    route = index.routes.get(project.committed_route)
     declared = {ref.render() for ref in block.assumptions_ref}
     expected = {a.id.render() for a in route.assumptions} if route is not None else set()
     if not declared or route is None or declared != expected:
@@ -238,6 +244,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
     framework, no matter how precise everything else is.
     """
     findings: list[Diagnostic] = []
+    index = BundleIndex(bundle)
 
     gp = None
     try:
@@ -279,7 +286,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
 
     for project in bundle.projects:
         if project.committed_route is not None:
-            findings.extend(check_route_coherence(bundle, project.id))
+            findings.extend(check_route_coherence(bundle, project.id, index=index))
         else:
             findings.append(
                 error(
@@ -301,7 +308,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
                 warning("W_NO_UNITS", project.id.render(), "project declares no units")
             )
         try:
-            build_study_log(bundle, project)
+            build_study_log(bundle, project, index=index)
         except OperationRejected as exc:
             findings.append(
                 error(
@@ -311,14 +318,14 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
                 )
             )
             findings.extend(exc.diagnostics)
-        blocks = [b for b in bundle.reviewer_blocks if b.project_ref == project.id]
+        blocks = index.reviewer_blocks.get(project.id, [])
         if not blocks:
             findings.append(
                 error("E_NO_REVIEWER_BLOCK", project.id.render(), "reviewer block missing")
             )
         for block in blocks:
-            findings.extend(validate_reviewer_block(block, bundle))
-        memos = [m for m in bundle.memos if m.project_ref == project.id]
+            findings.extend(validate_reviewer_block(block, bundle, index=index))
+        memos = index.memos.get(project.id, [])
         if not memos:
             findings.append(
                 error("E_NO_ANALYTIC_MEMO", project.id.render(), "analytic memo missing")

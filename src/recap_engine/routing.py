@@ -16,7 +16,7 @@ from .bundle import encode, route_body_dict
 from .diagnostics import Diagnostic, OperationRejected, error, reject, warning
 from .identifiers import Identifier
 from .model import (
-    EvidentialUnit,
+    BundleIndex,
     ProjectBundle,
     ProjectDecl,
     Route,
@@ -114,16 +114,9 @@ def committed_route(bundle: ProjectBundle, project: ProjectDecl) -> Route | None
     return bundle.route_by_id(project.committed_route)
 
 
-def _project_units(bundle: ProjectBundle, project: ProjectDecl) -> list[EvidentialUnit]:
-    units = []
-    for ref in project.unit_refs:
-        unit = bundle.unit_by_id(ref)
-        if unit is not None and not unit.superseded and not unit.quarantined:
-            units.append(unit)
-    return units
-
-
-def check_route_coherence(bundle: ProjectBundle, project_id: Identifier) -> list[Diagnostic]:
+def check_route_coherence(
+    bundle: ProjectBundle, project_id: Identifier, *, index: BundleIndex | None = None
+) -> list[Diagnostic]:
     """Coherence between the committed route and the tiered evidence.
 
     Clean iff every core unit serves primary inference on the committed
@@ -131,10 +124,11 @@ def check_route_coherence(bundle: ProjectBundle, project_id: Identifier) -> list
     holds any role, and each assumption is anchored in evidence or marked
     untestable.
     """
-    project = bundle.project_by_id(project_id)
+    index = index or BundleIndex(bundle)
+    project = index.projects.get(project_id)
     if project is None:
         return [error("E_UNRESOLVED_REF", project_id.render(), "project not found")]
-    route = committed_route(bundle, project)
+    route = index.routes.get(project.committed_route)
     if route is None:
         return [error("E_NO_ROUTE", project_id.render(), "project has no committed route")]
     diags: list[Diagnostic] = []
@@ -146,7 +140,7 @@ def check_route_coherence(bundle: ProjectBundle, project_id: Identifier) -> list
             diags.append(
                 error("E_DUP_ASSIGNMENT", key, "unit holds more than one role assignment")
             )
-    for unit in _project_units(bundle, project):
+    for unit in index.active_units(project):
         key = unit.study_id.render()
         matches = assignment_by_unit.get(key, [])
         assignment = matches[0] if matches else None

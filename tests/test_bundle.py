@@ -42,6 +42,12 @@ def test_empty_document_is_syntax_error_at_line_1():
     assert result.diagnostics[0].location == "line 1"
 
 
+def test_deeply_nested_document_is_syntax_error_at_line_1():
+    result = parse_bundle("[" * 200000)
+    assert result.bundle is None
+    assert [(d.code, d.location) for d in result.diagnostics] == [("E_SYNTAX", "line 1")]
+
+
 def test_non_object_document_rejected():
     result = parse_bundle("[1, 2, 3]")
     assert result.bundle is None

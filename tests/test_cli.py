@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
-
+from pathlib import Path
 
 from toy import FREEZE_TS, toy_dict, toy_text, variant
 
+import recap_engine
 from recap_engine.cli import main
 from recap_engine.reporting import parse_report
 
@@ -325,10 +327,15 @@ def test_structured_validate_round_trips(toy_file, capsys):
 
 
 def test_module_entry_point_runs_as_subprocess(toy_file):
+    # The child imports the package from where this process found it, so the
+    # test also runs from a checkout without an installed package.
+    src = str(Path(recap_engine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "recap_engine", "validate", str(toy_file)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "compliant"
@@ -368,3 +375,22 @@ def test_version_bump_rejects_a_non_object_law(tmp_path, capsys):
     )
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "laws[0]" in err
+
+
+def test_validate_deeply_nested_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.bundle"
+    path.write_text("[" * 200000)
+    code, _, err = run_cli("validate", str(path), capsys=capsys)
+    assert code == 2
+    assert err.strip().splitlines() == ["E_SYNTAX line 1 document nests too deeply"]
+
+
+def test_unexpected_failure_prints_one_line_and_exits_two(toy_file, capsys, monkeypatch):
+    def broken(bundle):
+        raise RuntimeError("scanner fault")
+
+    monkeypatch.setattr("recap_engine.cli.scan_bundle", broken)
+    code, out, err = run_cli("scan", str(toy_file), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == ["internal error: RuntimeError: scanner fault"]

@@ -498,63 +498,99 @@ def test_gp_law_site_reaches_every_project():
     assert projects <= set(events[0].decisions_affected)
 
 
+def _oracle_edges(bundle) -> dict[str, set[str]]:
+    """Dependency edges rebuilt from the declarations alone, independent of
+    the engine's graph builder."""
+    edges: dict[str, set[str]] = {}
+
+    def add(a, b):
+        edges.setdefault(a, set()).add(b)
+
+    gp = bundle.grandparent()
+    for project in bundle.projects:
+        for law in gp.laws:
+            add(law.id.render(), project.id.render())
+        child = bundle.layer_by_id(project.layer_ref)
+        parent = bundle.layer_by_id(child.parent_ref) if child else None
+        if parent is not None:
+            for ab in parent.abstractions:
+                add(ab.id.render(), project.id.render())
+        for assignment in project.assignments:
+            add(
+                f"tier:{assignment.unit_ref.render()}",
+                f"coherence:{assignment.route_ref.render()}",
+            )
+    for unit in bundle.units:
+        if unit.superseded or unit.quarantined:
+            continue
+        key = unit.study_id.render()
+        add(key, f"tier:{key}")
+        add(f"tier:{key}", f"studylog:{key}")
+        if unit.declared_tier is not None and unit.declared_tier.label in (
+            "core",
+            "supplement",
+        ):
+            add(f"tier:{key}", f"tiertable:{key}")
+        for ref in unit.measurement_refs:
+            add(ref.render(), key)
+    for route in bundle.routes:
+        add(route.id.render(), f"coherence:{route.id.render()}")
+        for assumption in route.assumptions:
+            add(assumption.id.render(), f"coherence:{route.id.render()}")
+            for ref in assumption.supporting_units:
+                add(ref.render(), assumption.id.render())
+    return edges
+
+
 def test_trace_matches_independent_reachability_oracle():
-    # Oracle: rebuild the dependency edges from the declarations alone and
-    # run a plain BFS, independent of the engine's graph builder.
+    # Oracle: a plain BFS over edges rebuilt from the declarations; every
+    # event of every scan must match it, including bundles with many faults.
     rng = random.Random(123)
-    for _ in range(15):
-        doc = random_bundle_dict(rng)
-        expected_faults = inject_faults(rng, doc, 1)
-        bundle = parse_dict(doc)
-        event = scan_bundle(bundle)[0]
+    many = 0
+    for k in (1, 3, 6):
+        for _ in range(15):
+            doc = random_bundle_dict(rng)
+            expected_faults = inject_faults(rng, doc, k)
+            bundle = parse_dict(doc)
+            events = scan_bundle(bundle)
+            assert events, expected_faults
+            many += len(events) >= 3
+            edges = _oracle_edges(bundle)
+            for event in events:
+                reachable, frontier = set(), list(edges.get(event.site.container, ()))
+                while frontier:
+                    node = frontier.pop()
+                    if node in reachable:
+                        continue
+                    reachable.add(node)
+                    frontier.extend(edges.get(node, ()))
+                assert sorted(reachable) == event.decisions_affected, (event.id, expected_faults)
+                assert trace_downstream(event, bundle) == event.decisions_affected
+            # Events sharing a container still own their lists.
+            assert len({id(e.decisions_affected) for e in events}) == len(events)
+    assert many >= 10
 
-        edges: dict[str, set[str]] = {}
 
-        def add(a, b):
-            edges.setdefault(a, set()).add(b)
+def test_scan_builds_the_reference_graph_once(monkeypatch):
+    import recap_engine.contamination as contamination
 
-        gp = bundle.grandparent()
-        for project in bundle.projects:
-            for law in gp.laws:
-                add(law.id.render(), project.id.render())
-            child = bundle.layer_by_id(project.layer_ref)
-            parent = bundle.layer_by_id(child.parent_ref) if child else None
-            if parent is not None:
-                for ab in parent.abstractions:
-                    add(ab.id.render(), project.id.render())
-            for assignment in project.assignments:
-                add(
-                    f"tier:{assignment.unit_ref.render()}",
-                    f"coherence:{assignment.route_ref.render()}",
-                )
-        for unit in bundle.units:
-            if unit.superseded or unit.quarantined:
-                continue
-            key = unit.study_id.render()
-            add(key, f"tier:{key}")
-            add(f"tier:{key}", f"studylog:{key}")
-            if unit.declared_tier is not None and unit.declared_tier.label in (
-                "core",
-                "supplement",
-            ):
-                add(f"tier:{key}", f"tiertable:{key}")
-            for ref in unit.measurement_refs:
-                add(ref.render(), key)
-        for route in bundle.routes:
-            add(route.id.render(), f"coherence:{route.id.render()}")
-            for assumption in route.assumptions:
-                add(assumption.id.render(), f"coherence:{route.id.render()}")
-                for ref in assumption.supporting_units:
-                    add(ref.render(), assumption.id.render())
+    calls = []
+    original = contamination.build_reference_graph
 
-        reachable, frontier = set(), list(edges.get(event.site.container, ()))
-        while frontier:
-            node = frontier.pop()
-            if node in reachable:
-                continue
-            reachable.add(node)
-            frontier.extend(edges.get(node, ()))
-        assert sorted(reachable) == event.decisions_affected, expected_faults
+    def counting(bundle):
+        calls.append(bundle)
+        return original(bundle)
+
+    monkeypatch.setattr(contamination, "build_reference_graph", counting)
+    rng = random.Random(77)
+    doc = random_bundle_dict(rng, n_parents=2, n_children=6)
+    inject_faults(rng, doc, 12)
+    assert len(scan_bundle(parse_dict(doc))) >= 10
+    assert len(calls) == 1
+
+    calls.clear()
+    assert scan_bundle(parse_dict(random_bundle_dict(random.Random(78)))) == []
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +623,33 @@ def test_reverse_removes_the_reference_and_logs_once():
     _, owner, local = event.site.container.split(":")
     unit = bundle.unit_by_id(Identifier("child", owner, local))
     assert event.site.token not in unit.notes
+
+
+def test_reverse_of_a_missing_disconfirming_model_is_rejected():
+    rng = random.Random(271)
+    doc = random_bundle_dict(rng, n_parents=1, n_children=2)
+    route = doc["routes"][0]
+    owner = route["id"].split(":")[1]
+    sibling = "C2" if owner != "C2" else "C1"
+    assert len(route["disconfirming_models"]) == 1
+    route["disconfirming_models"][0] += f" As in child:{sibling}:PRJ."
+    bundle = parse_dict(doc)
+    [event] = scan_bundle(bundle)
+    assert event.site.field == "disconfirming_models[0]"
+    event.risks_introduced = "A sibling's rival model was borrowed unvetted."
+    event.site.field = "disconfirming_models[9]"
+    before = serialize_bundle(bundle)
+    with pytest.raises(OperationRejected) as err:
+        resolve_contamination(bundle, event, "reverse", timestamp="2026-05-01T00:00:00Z")
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("E_UNDOCUMENTED", event.site.container)
+    ]
+    assert serialize_bundle(bundle) == before
+    assert not event.resolved
+
+    event.site.field = "disconfirming_models[0]"
+    resolve_contamination(bundle, event, "reverse", timestamp="2026-05-01T00:00:00Z")
+    assert scan_bundle(bundle) == []
 
 
 def test_resolution_without_risks_is_undocumented():

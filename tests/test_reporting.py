@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from toy import toy_dict
 
 from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.identifiers import Identifier
-from recap_engine.model import Tier
+from recap_engine.model import BundleIndex, Tier
 from recap_engine.reporting import (
     STUDY_LOG_FIELDS,
     TIER_TABLE_FIELDS,
@@ -321,3 +322,43 @@ def test_reports_never_synthesize_narratives(toy):
         for value in (row.methods_summary, row.strengths, row.limitations):
             if value:
                 assert value in blob
+
+
+# ---------------------------------------------------------------------------
+# Read-pass index
+# ---------------------------------------------------------------------------
+
+
+def test_bundle_index_agrees_with_the_linear_lookups(toy):
+    # An in-memory duplicate of the first unit: the first declaration wins.
+    toy.units.append(copy.deepcopy(toy.units[0]))
+    index = BundleIndex(toy)
+    for unit in toy.units:
+        assert index.units[unit.study_id] is toy.unit_by_id(unit.study_id)
+    for route in toy.routes:
+        assert index.routes[route.id] is toy.route_by_id(route.id)
+    for project in toy.projects:
+        assert index.projects[project.id] is toy.project_by_id(project.id)
+        for assignment in project.assignments:
+            first = next(a for a in project.assignments if a.unit_ref == assignment.unit_ref)
+            assert index.assignment(project, assignment.unit_ref) is first
+    for layer in toy.layers:
+        assert index.layers[layer.id] is toy.layer_by_id(layer.id)
+        assert index.layers_by_name[layer.local_name] is toy.layer_by_name(layer.local_name)
+    child = toy.layer_by_name("C1")
+    assert [a.local_name for a in index.ancestors(child)] == ["P", "G"]
+    assert index.ancestors(toy.grandparent()) == ()
+
+
+def test_shared_index_gives_the_same_reports_and_is_not_kept(toy):
+    index = BundleIndex(toy)
+    for project in toy.projects:
+        assert build_study_log(toy, project, index=index) == build_study_log(toy, project)
+        assert build_tier_table(toy, project, index=index) == build_tier_table(toy, project)
+        for block in toy.reviewer_blocks:
+            assert validate_reviewer_block(block, toy, index=index) == validate_reviewer_block(
+                block, toy
+            )
+    fields = set(vars(toy))
+    compliance_verdict(toy)
+    assert set(vars(toy)) == fields
