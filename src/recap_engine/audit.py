@@ -8,18 +8,16 @@ reproduces live state by construction. Rejected operations touch nothing.
 
 from __future__ import annotations
 
-import copy
 from datetime import datetime, timezone
 from typing import Callable
 
-from .bundle import body_fields, decode, decode_field, encode, text_fields
+from .bundle import body_fields, clone, decode, decode_bump, decode_field, encode, text_fields
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import KIND_TO_NAMESPACE, parse_identifier
 from .model import (
     Abstraction,
     AuditEvent,
     BoundaryContract,
-    ChangelogEntry,
     EVENT_KINDS,
     EVENT_PAYLOAD_SCHEMAS,
     EvidentialUnit,
@@ -30,6 +28,8 @@ from .model import (
     ReTierEvent,
     Route,
     RouteRevision,
+    event_time_key,
+    event_timestamp_error,
 )
 
 PAYLOAD_SCHEMAS = EVENT_PAYLOAD_SCHEMAS
@@ -272,8 +272,7 @@ def _apply_contamination_resolved(bundle: ProjectBundle, payload: dict) -> None:
 
 def _apply_version_bumped(bundle: ProjectBundle, payload: dict) -> None:
     gp = bundle.grandparent()
-    entry = decode(ChangelogEntry, payload["entry"])
-    gp.laws = decode_field(LayerDecl, "laws", payload["laws"], ns="gp")
+    entry, gp.laws = decode_bump(payload)
     gp.version = entry.to_version
 
 
@@ -352,7 +351,12 @@ def validate_event(bundle: ProjectBundle, event: AuditEvent) -> list[Diagnostic]
                 f"sequence {event.sequence}, expected {expected}",
             )
         )
-    if bundle.events and event.timestamp < bundle.events[-1].timestamp:
+    bad_timestamp = event_timestamp_error(event.timestamp)
+    if bad_timestamp:
+        diags.append(error("E_SYNTAX", f"events[{len(bundle.events)}].timestamp", bad_timestamp))
+    elif bundle.events and event_time_key(event.timestamp) < event_time_key(
+        bundle.events[-1].timestamp
+    ):
         diags.append(
             error(
                 "E_SEQUENCE_GAP",
@@ -424,13 +428,14 @@ def commit(
 
 
 def replay(initial: ProjectBundle, events: list[AuditEvent]) -> ProjectBundle:
-    """Rebuild state by applying events to a copy of the initial bundle.
+    """Rebuild state by applying events to a :func:`~.bundle.clone` of the
+    initial bundle.
 
     The first event must continue the initial bundle's log. Raises with
     E_REPLAY_DIVERGENCE when an event cannot be applied cleanly; that is an
     engine bug, not an input error.
     """
-    state = copy.deepcopy(initial)
+    state = clone(initial)
     for event in events:
         if event.sequence != state.next_sequence():
             raise reject(

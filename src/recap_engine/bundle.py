@@ -7,11 +7,14 @@ diagnostics, never both. Serialization is deterministic and round-trips:
 
 Every persisted record is described once, by the :class:`~.model.Spec` in
 its dataclass field metadata. One strict decoder and one encoder walk those
-specs, for the bundle and for every record an event payload carries.
+specs, for the bundle and for every record an event payload carries; so do
+the :func:`clone` that replay starts from and the indented writer behind
+:func:`serialize_bundle` (``writer.py``).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 from dataclasses import dataclass, field, fields
@@ -38,6 +41,8 @@ from .model import (
     Route,
     Spec,
     Tier,
+    event_time_key,
+    event_timestamp_error,
 )
 
 VERSION_RE = re.compile(r"^v(\d+)\.(\d+)$")
@@ -70,7 +75,7 @@ def _render(ident: Identifier | None) -> str | None:
     return None if ident is None else ident.render()
 
 
-def _encoder(spec: Spec) -> Callable | None:
+def value_encoder(spec: Spec) -> Callable | None:
     """Value encoder for one spec; None when the value is already JSON."""
     kind = spec.kind
     if kind == IDENT or kind == LAYER:
@@ -82,7 +87,7 @@ def _encoder(spec: Spec) -> Callable | None:
     if kind == RECORD:
         return CODECS[spec.of].encode
     if kind == LIST:
-        item = _encoder(spec.of)
+        item = value_encoder(spec.of)
         if item is None:
             return list
         return lambda values: list(map(item, values))
@@ -100,6 +105,7 @@ class _Codec:
                        for f in fields(cls)]
         self.specs = {name: spec for name, _, spec in self.fields}
         self.encode = _record_encoder(self.fields)
+        self.clone = _record_cloner(self.fields)
         self.text = [(name, key if key.__class__ is str else ".".join(key))
                      for name, key, spec in self.fields if spec.text]
         self.text_fields = tuple(name for name, _, s in self.fields if s.text and s.kind == STR)
@@ -118,7 +124,7 @@ class _Codec:
 
 
 def _record_encoder(specs: list) -> Callable[[Any], dict]:
-    converters = [(name, _encoder(spec)) for name, _, spec in specs if _encoder(spec)]
+    converters = [(name, value_encoder(spec)) for name, _, spec in specs if value_encoder(spec)]
 
     def encode_record(record: Any) -> dict:
         # A record's __dict__ holds exactly its fields, in declaration
@@ -145,6 +151,37 @@ def _record_encoder(specs: list) -> Callable[[Any], dict]:
 
 
 _PLAIN = {STR: str, BOOL: bool}
+
+
+def _copier(spec: Spec) -> Callable | None:
+    """Copier for one spec's values; None where values are immutable
+    (str, bool, int, Identifier, Tier) and shared."""
+    kind = spec.kind
+    if kind == LIST:
+        item = _copier(spec.of)
+        return list if item is None else lambda values: list(map(item, values))
+    if kind == MAP:
+        return dict
+    if kind == JSON:
+        return copy.deepcopy
+    if kind == RECORD:
+        return CODECS[spec.of].clone
+    return None
+
+
+def _record_cloner(specs: list) -> Callable[[Any], Any]:
+    copiers = [(name, c) for name, _, spec in specs if (c := _copier(spec)) is not None]
+    new = object.__new__
+
+    def clone_record(record: Any) -> Any:
+        values = record.__dict__.copy()
+        for name, copy_value in copiers:
+            values[name] = copy_value(values[name])
+        out = new(record.__class__)
+        out.__dict__ = values
+        return out
+
+    return clone_record
 
 
 CODECS: dict[type, _Codec] = {}
@@ -414,6 +451,12 @@ def _check_assumption(dec: _Decoder, da: DeclaredAssumption, obj: dict, path: st
 
 
 def _check_event(dec: _Decoder, event: AuditEvent, obj: dict, path: str) -> None:
+    # The decoder reported a non-string timestamp already; a missing or
+    # null one decoded to "".
+    raw = obj.get("timestamp")
+    message = event_timestamp_error(event.timestamp)
+    if message and (raw is None or raw.__class__ is str):
+        dec.fail(f"{path}.timestamp", message)
     missing = sorted(EVENT_PAYLOAD_SCHEMAS.get(event.kind, frozenset()) - set(event.payload))
     if missing:
         dec.fail(
@@ -421,6 +464,11 @@ def _check_event(dec: _Decoder, event: AuditEvent, obj: dict, path: str) -> None
             f"{event.kind} payload missing keys: {', '.join(missing)}",
             code="E_PAYLOAD_SCHEMA",
         )
+    elif event.kind == "version_bumped":
+        try:
+            decode_bump(event.payload)
+        except ValueError as exc:
+            dec.fail(f"{path}.payload", str(exc), code="E_PAYLOAD_SCHEMA")
 
 
 _CHILD_IDS = {EvidentialUnit: "units", Route: "routes", ProjectDecl: "projects"}
@@ -561,7 +609,7 @@ def _validate_structure(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
                 )
             )
         last_seq = max(last_seq, event.sequence)
-        key = (event.timestamp, event.sequence)
+        key = (event_time_key(event.timestamp), event.sequence)
         if last_key is not None and key < last_key:
             diags.append(
                 error("E_SYNTAX", f"events[{i}]", "events are not ordered by timestamp")
@@ -671,6 +719,13 @@ def decode_field(cls: type, name: str, raw: Any, owner: str = "", ns: str = "chi
     return _strict(codec.specs[name], raw, f"{codec.name}.{name}", owner, ns)
 
 
+def decode_bump(payload: dict) -> tuple[ChangelogEntry, list[Law]]:
+    """The changelog entry and grandparent law set a ``version_bumped``
+    payload records. Raises ValueError as :func:`decode` does."""
+    entry = decode(ChangelogEntry, payload["entry"])
+    return entry, decode_field(LayerDecl, "laws", payload["laws"], ns="gp")
+
+
 def encode(record: Any) -> dict:
     """The canonical JSON object of a persisted record."""
     return CODECS[record.__class__].encode(record)
@@ -687,8 +742,22 @@ def route_body_dict(route: Route) -> dict:
 
 
 def serialize_bundle(bundle: ProjectBundle) -> str:
-    """Deterministic canonical rendering of an invariant-satisfying bundle."""
-    return json.dumps(encode(bundle), indent=2, ensure_ascii=False) + "\n"
+    """Deterministic canonical rendering of an invariant-satisfying bundle:
+    ``json.dumps(encode(bundle), indent=2, ensure_ascii=False) + "\\n"``."""
+    # Imported on first use, so commands that never write do not load it.
+    from .writer import WRITERS
+
+    return WRITERS[bundle.__class__](bundle, "\n") + "\n"
+
+
+def clone(record: Any) -> Any:
+    """A copy of a persisted record that shares nothing mutable with it.
+
+    It walks the specs: lists, maps and nested records are rebuilt, JSON
+    values deep-copied, and immutable values shared. Unlike
+    ``copy.deepcopy`` it does not keep object sharing inside the record.
+    """
+    return CODECS[record.__class__].clone(record)
 
 
 for _cls in (ProjectBundle, ChangelogEntry, ContaminationEvent):

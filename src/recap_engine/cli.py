@@ -60,10 +60,26 @@ def _load(path: str) -> ProjectBundle | None:
 
 
 def _write_atomic(path: str, bundle: ProjectBundle) -> None:
+    """Replace the bundle file durably: the new bytes reach the disk before
+    the rename, and the rename before this returns. A failed write or
+    rename leaves the old file and no temporary file behind."""
     target = Path(path)
     tmp = target.with_name(f"{target.name}.tmp.{os.getpid()}")
-    tmp.write_text(serialize_bundle(bundle), encoding="utf-8")
-    os.replace(tmp, target)
+    text = serialize_bundle(bundle)
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write(text)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    directory = os.open(target.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 class LockContention(Exception):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .audit import commit, now_utc
-from .bundle import VERSION_RE, decode, decode_field, encode, text_fields
+from .bundle import VERSION_RE, decode_bump, encode, text_fields
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, extract_references
 from .model import Abstraction, ChangelogEntry, Law, LayerDecl, ProjectBundle
@@ -258,8 +258,7 @@ def law_history(bundle: ProjectBundle) -> list[tuple[str, list[Law]]]:
     for i, event in enumerate(bundle.events):
         if event.kind == "version_bumped":
             try:
-                entry = decode(ChangelogEntry, event.payload["entry"])
-                laws = decode_field(LayerDecl, "laws", event.payload["laws"], ns="gp")
+                entry, laws = decode_bump(event.payload)
             except ValueError as exc:
                 raise reject("E_PAYLOAD_SCHEMA", f"events[{i}].payload", str(exc)) from exc
             history.append((entry.to_version, laws))

@@ -9,6 +9,7 @@ audit event.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import MISSING, dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -492,6 +493,26 @@ class ComplianceReport:
 # ---------------------------------------------------------------------------
 # Audit log
 # ---------------------------------------------------------------------------
+
+
+_EVENT_TIMESTAMP_RE = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]+)?Z"
+)
+
+
+def event_timestamp_error(value: Any) -> str | None:
+    """Why ``value`` is not an audit-event timestamp, or None when it has the
+    one accepted form: UTC, ``YYYY-MM-DDTHH:MM:SS[.f]Z``."""
+    if value.__class__ is str and _EVENT_TIMESTAMP_RE.fullmatch(value):
+        return None
+    return f"{value!r} is not a UTC timestamp of the form YYYY-MM-DDTHH:MM:SS[.f]Z"
+
+
+def event_time_key(timestamp: str) -> str:
+    """Sort key of a well-formed event timestamp. Without the ``Z`` and the
+    fraction's trailing zeros, string order is time order, so
+    ``...:00Z`` < ``...:00.5Z`` < ``...:01Z``."""
+    return timestamp[:19] + timestamp[19:-1].rstrip("0").rstrip(".")
 
 
 @dataclass

@@ -1,13 +1,14 @@
 import copy
+import dataclasses
 import random
 
 import pytest
 
-from genbundles import TimeSource, parse_dict, random_bundle_dict
+from genbundles import TimeSource, inject_faults, parse_dict, random_bundle_dict
 from toy import toy_bundle, toy_dict
 
 from recap_engine.audit import append_event, replay
-from recap_engine.bundle import decode_route_dict, serialize_bundle
+from recap_engine.bundle import clone, decode_route_dict, parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
@@ -61,6 +62,26 @@ def test_sequence_gap_rejected(toy):
 def test_timestamp_regression_rejected(toy):
     with pytest.raises(OperationRejected) as err:
         append_event(toy, flow_payload_event(toy, ts="2020-01-01T00:00:00Z"))
+    assert err.value.diagnostics[0].code == "E_SEQUENCE_GAP"
+
+
+def test_event_timestamp_form_enforced(toy):
+    before = serialize_bundle(toy)
+    with pytest.raises(OperationRejected) as err:
+        append_event(toy, flow_payload_event(toy, ts="2026-06-01T00:00:00+00:00"))
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("E_SYNTAX", f"events[{len(toy.events)}].timestamp")
+    ]
+    assert serialize_bundle(toy) == before
+
+
+def test_fractional_timestamps_order_by_time(toy):
+    head = toy.events[-1].timestamp
+    assert head.endswith(":00Z")
+    # "...:00.5Z" sorts before "...:00Z" as a string, but is later.
+    append_event(toy, flow_payload_event(toy, ts=head[:-1] + ".5Z"))
+    with pytest.raises(OperationRejected) as err:
+        append_event(toy, flow_payload_event(toy, ts=head))
     assert err.value.diagnostics[0].code == "E_SEQUENCE_GAP"
 
 
@@ -195,9 +216,16 @@ def random_ops_session(rng: random.Random, clock: TimeSource, n_ops: int = 8):
         doc["projects"][0]["unit_refs"].append(f"child:{owner}:SPL")
     live = parse_dict(doc)
     snapshot = copy.deepcopy(live)
+    accepted, rejected = random_ops(rng, clock, live, n_ops)
+    return snapshot, live, accepted, rejected
+
+
+def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, start: int = 0):
+    """Run a random op mix on ``live``, numbering new ids from ``start``;
+    returns (accepted, rejected)."""
     accepted = rejected = 0
     children = [l.local_name for l in live.layers if l.kind == "child"]
-    for i in range(n_ops):
+    for i in range(start, start + n_ops):
         op = rng.choice(["tier", "commit", "freeze", "flow", "bump", "split"])
         before = serialize_bundle(live)
         try:
@@ -300,7 +328,7 @@ def random_ops_session(rng: random.Random, clock: TimeSource, n_ops: int = 8):
         except OperationRejected:
             rejected += 1
             assert serialize_bundle(live) == before, f"rejected {op} mutated the bundle"
-    return snapshot, live, accepted, rejected
+    return accepted, rejected
 
 
 def test_random_sessions_replay_to_live_state():
@@ -374,3 +402,90 @@ def test_replay_rejects_a_retier_payload_the_parser_would_reject(toy):
         replay(toy, [event])
     assert err.value.diagnostics[0].code == "E_REPLAY_DIVERGENCE"
     assert "timestamp" in err.value.diagnostics[0].message
+
+
+# ---------------------------------------------------------------------------
+# The clone replay starts from
+# ---------------------------------------------------------------------------
+
+
+def _mutable_ids(obj, out: set) -> set:
+    """ids of every list, dict and record reachable from ``obj``."""
+    if isinstance(obj, list):
+        values = obj
+    elif isinstance(obj, dict):
+        values = obj.values()
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, Identifier):
+        values = vars(obj).values()
+    else:
+        return out
+    out.add(id(obj))
+    for value in values:
+        _mutable_ids(value, out)
+    return out
+
+
+def _resolution_session(seed: int):
+    """(initial, live): a faulty bundle and a copy whose findings were
+    resolved live, exercising the resolution effects."""
+    rng = random.Random(seed)
+    doc = random_bundle_dict(rng, n_parents=2, n_children=3)
+    inject_faults(rng, doc, 4)
+    initial, live = parse_dict(doc), parse_dict(doc)
+    for i, event in enumerate(scan_bundle(live)):
+        event.risks_introduced = "An unvetted reference crossed a boundary."
+        action = ("reverse", "quarantine")[i % 2]
+        try:
+            resolve_contamination(live, event, action, timestamp=f"2026-05-01T00:00:{i:02d}Z")
+        except OperationRejected:
+            pass
+    return initial, live
+
+
+def _session_bundles():
+    rng = random.Random(808)
+    clock = TimeSource()
+    for _ in range(12):
+        snapshot, live, _, _ = random_ops_session(rng, clock)
+        yield snapshot, live
+    for seed in range(6):
+        yield _resolution_session(seed)
+
+
+def test_clone_equals_deepcopy_and_shares_nothing_mutable():
+    bundles = [toy_bundle()] + [b for pair in _session_bundles() for b in pair]
+    for bundle in bundles:
+        twin = clone(bundle)
+        assert twin == copy.deepcopy(bundle)
+        assert serialize_bundle(twin) == serialize_bundle(bundle)
+        assert not _mutable_ids(twin, set()) & _mutable_ids(bundle, set())
+
+
+def test_replay_leaves_its_initial_bundle_unchanged():
+    resolved = 0
+    for initial, live in _session_bundles():
+        before = serialize_bundle(initial)
+        events = live.events[len(initial.events):]
+        resolved += sum(e.kind == "contamination_resolved" for e in events)
+        assert serialize_bundle(replay(initial, events)) == serialize_bundle(live)
+        assert serialize_bundle(initial) == before
+    assert resolved > 0
+
+
+def test_replay_from_an_unparsed_mutated_bundle_matches_its_reparsed_form():
+    # ``live`` was mutated in process and never re-parsed, so it may share
+    # objects in ways a parsed bundle does not; no applier may rely on that.
+    rng = random.Random(909)
+    clock = TimeSource()
+    replayed_events = 0
+    for _ in range(20):
+        _, live, _, _ = random_ops_session(rng, clock)
+        reparsed = parse_bundle(serialize_bundle(live)).bundle
+        follow = parse_bundle(serialize_bundle(live)).bundle
+        random_ops(rng, clock, follow, start=100)
+        events = follow.events[len(live.events):]
+        replayed_events += len(events)
+        expected = serialize_bundle(follow)
+        assert serialize_bundle(replay(live, events)) == expected
+        assert serialize_bundle(replay(reparsed, events)) == expected
+    assert replayed_events > 0

@@ -270,3 +270,58 @@ def test_boolean_event_sequence_is_a_syntax_error():
     assert [(d.code, d.location) for d in result.diagnostics] == [
         ("E_SYNTAX", "events[0].sequence")
     ]
+
+
+def _with_events(*events):
+    def add(d):
+        d["events"] = [
+            {"sequence": i + 1, "actor": "a", "kind": "flow_recorded",
+             "payload": {"flow": {}}, "affected": [], **event}
+            for i, event in enumerate(events)
+        ]
+
+    return json.dumps(variant(add))
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    ["2026-01-01T00:00:00+00:00", "2026-01-01 00:00:00Z", "2026-01-01T00:00Z",
+     "2026-01-01T00:00:00z", "2026-01-01T00:00:00.Z", "２０２６-01-01T00:00:00Z", "", None],
+)
+def test_event_timestamp_form_is_checked(stamp):
+    result = parse_bundle(_with_events({"timestamp": stamp}))
+    assert [(d.code, d.location) for d in result.diagnostics] == [
+        ("E_SYNTAX", "events[0].timestamp")
+    ]
+
+
+def test_missing_event_timestamp_is_reported():
+    result = parse_bundle(_with_events({}))
+    assert [(d.code, d.location) for d in result.diagnostics] == [
+        ("E_SYNTAX", "events[0].timestamp")
+    ]
+
+
+def test_event_timestamps_order_by_time_not_by_string():
+    in_order = ["2026-01-01T00:00:00Z", "2026-01-01T00:00:00.25Z", "2026-01-01T00:00:00.5Z",
+                "2026-01-01T00:00:00.50Z", "2026-01-01T00:00:01Z"]
+    result = parse_bundle(_with_events(*({"timestamp": t} for t in in_order)))
+    assert result.bundle is not None, result.diagnostics
+    result = parse_bundle(_with_events(*({"timestamp": t} for t in in_order[2::-1])))
+    assert [(d.code, d.location) for d in result.diagnostics] == [
+        ("E_SYNTAX", "events[1]"), ("E_SYNTAX", "events[2]")
+    ]
+
+
+def test_malformed_bump_payload_is_a_parse_error():
+    entry = {"from_version": "v1.0", "to_version": "v1.1", "motivating_insight": "m",
+             "boundary_affected": "b", "generalizability_reasoning": "g",
+             "timestamp": "2026-01-01T00:00:00Z"}
+    good = {"timestamp": "2026-01-01T00:00:00Z", "kind": "version_bumped",
+            "payload": {"entry": entry, "laws": []}}
+    assert parse_bundle(_with_events(good)).bundle is not None
+    for payload in ({"entry": entry, "laws": [5]}, {"entry": [], "laws": []}):
+        result = parse_bundle(_with_events({**good, "payload": payload}))
+        assert [(d.code, d.location) for d in result.diagnostics] == [
+            ("E_PAYLOAD_SCHEMA", "events[0].payload")
+        ]

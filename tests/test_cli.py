@@ -1,9 +1,11 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from toy import FREEZE_TS, toy_dict, toy_text, variant
 
 import recap_engine
@@ -394,3 +396,67 @@ def test_unexpected_failure_prints_one_line_and_exits_two(toy_file, capsys, monk
     assert code == 2
     assert out == ""
     assert err.strip().splitlines() == ["internal error: RuntimeError: scanner fault"]
+
+
+def test_freeze_syncs_the_file_before_the_rename_and_the_directory_after(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "unfrozen.bundle"
+    path.write_text(json.dumps(toy_dict()))
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    code, _, _ = run_cli("route", str(path), "freeze", "--timestamp", FREEZE_TS, capsys=capsys)
+    assert code == 0
+    assert calls == [("fsync", "file"), ("replace", path.name), ("fsync", "dir")]
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_failed_write_keeps_the_bundle_and_leaves_no_temporary_file(
+    tmp_path, capsys, monkeypatch, failing
+):
+    path = tmp_path / "unfrozen.bundle"
+    original = json.dumps(toy_dict())
+    path.write_text(original)
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, failing, fail)
+    code, out, err = run_cli(
+        "route", str(path), "freeze", "--timestamp", FREEZE_TS, capsys=capsys
+    )
+    assert code == 2
+    assert err.strip().splitlines() == ["internal error: OSError: disk full"]
+    assert path.read_text() == original
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_validate_reports_a_malformed_bump_payload_as_a_parse_error(tmp_path, capsys):
+    def add_bump(d):
+        d["events"] = [{
+            "sequence": 1, "timestamp": "2026-02-01T00:00:00Z", "actor": "a",
+            "kind": "version_bumped", "affected": [],
+            "payload": {"laws": [5], "entry": {
+                "from_version": "v1.0", "to_version": "v1.1", "motivating_insight": "m",
+                "boundary_affected": "b", "generalizability_reasoning": "g",
+                "timestamp": "2026-02-01T00:00:00Z"}},
+        }]
+
+    path = tmp_path / "bump.bundle"
+    path.write_text(json.dumps(variant(add_bump)))
+    code, out, err = run_cli("validate", str(path), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    [line] = err.strip().splitlines()
+    assert line.startswith("E_PAYLOAD_SCHEMA events[0].payload ")
