@@ -14,7 +14,6 @@ the :func:`clone` that replay starts from and the indented writer behind
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 from dataclasses import dataclass, field, fields
@@ -23,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
-from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references, is_bare_name
+from .identifiers import EMBEDDED_REF_RE, KIND_TO_NAMESPACE, Identifier, is_bare_name
 from .identifiers import parse_identifier
 from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER
 from .model import (
@@ -105,22 +104,34 @@ class _Codec:
                        for f in fields(cls)]
         self.specs = {name: spec for name, _, spec in self.fields}
         self.encode = _record_encoder(self.fields)
-        self.clone = _record_cloner(self.fields)
         self.text = [(name, key if key.__class__ is str else ".".join(key))
                      for name, key, spec in self.fields if spec.text]
         self.text_fields = tuple(name for name, _, s in self.fields if s.text and s.kind == STR)
         self.body = tuple(name for name, _, spec in self.fields if spec.body)
         self.layer_refs = [name for name, _, spec in self.fields if spec.kind == LAYER]
         self.check = _CHECKS.get(cls)
+        self.decoders = {name: _field_decoder(spec) for name, _, spec in self.fields}
         self.identity: Callable | None = None
         named: tuple[str, ...] = ()
         if cls is LayerDecl:
             self.identity, named = _layer_identity, ("id", "kind")
         elif self.fields[0][2].identity:
             self.identity, named = _identity, (self.fields[0][0],)
-        #: Fields read after the identity, each with the class of a raw
-        #: value that needs no decoding (None for most kinds).
-        self.rest = [(*f, _PLAIN.get(f[2].kind)) for f in self.fields if f[0] not in named]
+        #: Fields read after the identity: (name, JSON key, label, the
+        #: class of a raw value that needs no decoding or None, field
+        #: decoder). A key path's field reads its head's value.
+        self.rest = []
+        heads: set[str] = set()
+        for name, key, spec in self.fields:
+            if name in named:
+                continue
+            if key.__class__ is str:
+                plain = _PLAIN.get(spec.kind, _NONE if spec.nullable else None)
+                self.rest.append((name, key, key, plain, self.decoders[name]))
+                continue
+            decode = _nested_decoder(key, self.decoders[name], report=key[0] not in heads)
+            heads.add(key[0])
+            self.rest.append((name, key[0], ".".join(key), None, decode))
 
 
 def _record_encoder(specs: list) -> Callable[[Any], dict]:
@@ -150,38 +161,10 @@ def _record_encoder(specs: list) -> Callable[[Any], dict]:
     return encode_nested
 
 
-_PLAIN = {STR: str, BOOL: bool}
-
-
-def _copier(spec: Spec) -> Callable | None:
-    """Copier for one spec's values; None where values are immutable
-    (str, bool, int, Identifier, Tier) and shared."""
-    kind = spec.kind
-    if kind == LIST:
-        item = _copier(spec.of)
-        return list if item is None else lambda values: list(map(item, values))
-    if kind == MAP:
-        return dict
-    if kind == JSON:
-        return copy.deepcopy
-    if kind == RECORD:
-        return CODECS[spec.of].clone
-    return None
-
-
-def _record_cloner(specs: list) -> Callable[[Any], Any]:
-    copiers = [(name, c) for name, _, spec in specs if (c := _copier(spec)) is not None]
-    new = object.__new__
-
-    def clone_record(record: Any) -> Any:
-        values = record.__dict__.copy()
-        for name, copy_value in copiers:
-            values[name] = copy_value(values[name])
-        out = new(record.__class__)
-        out.__dict__ = values
-        return out
-
-    return clone_record
+#: Kind -> the class of a raw value that is its own decoded value; for
+#: other nullable kinds, null is.
+_PLAIN = {STR: str, BOOL: bool, INT: int, JSON: dict}
+_NONE = type(None)
 
 
 CODECS: dict[type, _Codec] = {}
@@ -217,26 +200,47 @@ def body_fields(cls: type) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
+class _IdentMemo(dict):
+    """Raw string -> its :class:`Identifier`, the string itself when it is a
+    bare name, or None; each distinct string is parsed once per parse."""
+
+    def __missing__(self, raw: str) -> Identifier | str | None:
+        parsed = parse_identifier(raw)
+        if parsed is None and is_bare_name(raw):
+            parsed = raw
+        self[raw] = parsed
+        return parsed
+
+
+_ANY = ("any",)
+
+
 class _Decoder:
     """Strict spec-driven decoder collecting located diagnostics as it walks.
 
     A context ``(namespace, layer, owner)`` names the declaring layer and
     the owner of the enclosing record, where bare names default to.
+
+    Each field goes through its codec's field decoder, which decodes a
+    well-typed value inline and hands anything else to :meth:`value`, the
+    one place that reports; a location is rendered only there, or when a
+    reference fails to resolve.
     """
 
     def __init__(self) -> None:
         self.diagnostics: list[Diagnostic] = []
-        # (identifier, path, expected declaration kinds)
-        self.references: list[tuple[Identifier, str, tuple[str, ...]]] = []
+        #: (canonical id, expected kinds, path, label, index); the location
+        #: is rendered only if the reference fails to resolve.
+        self.references: list[tuple] = []
+        self.idents = _IdentMemo()
 
     def fail(self, path: str, message: str, code: str = "E_SYNTAX") -> None:
         self.diagnostics.append(error(code, path, message))
 
-    def scan_text(self, text: str, path: str) -> None:
-        if ":" not in text:  # every canonical reference has one
-            return
-        for ref in extract_references(text):
-            self.references.append((ref, path, ("any",)))
+    def scan_text(self, text: str, path: str, label: str, index: int | None) -> None:
+        # Every token the pattern finds is a canonical id.
+        for token in EMBEDDED_REF_RE.findall(text):
+            self.references.append((token, _ANY, path, label, index))
 
     def container(self, raw: Any, path: str) -> dict:
         if raw is _ABSENT:
@@ -250,9 +254,9 @@ class _Decoder:
         if not isinstance(raw, str) or not raw:
             self.fail(path, "expected identifier string")
             return None
-        parsed = parse_identifier(raw)
-        if parsed is None:
-            if spec.owner is None or not is_bare_name(raw):
+        parsed = self.idents[raw]
+        if parsed.__class__ is not Identifier:
+            if spec.owner is None or parsed is None:
                 self.fail(path, f"{raw!r} is not a valid identifier")
                 return None
             ns, layer, owner = ctx
@@ -261,7 +265,7 @@ class _Decoder:
             else:
                 parsed = Identifier(ns, layer if ns != "gp" else "", raw)
         if spec.expect:
-            self.references.append((parsed, path, spec.expect))
+            self.references.append((parsed.render(), spec.expect, path, None, None))
         return parsed
 
     def value(self, spec: Spec, raw: Any, path: str, ctx: tuple) -> Any:
@@ -303,9 +307,9 @@ class _Decoder:
             if not isinstance(raw, str) or not raw:
                 self.fail(path, "expected layer reference")
                 return None
-            parsed = parse_identifier(raw)
-            if parsed is not None or is_bare_name(raw):
-                return parsed or raw
+            parsed = self.idents[raw]
+            if parsed is not None:
+                return parsed
             self.fail(path, f"{raw!r} is not a valid layer reference")
             return None
         if kind == LIST:
@@ -361,39 +365,134 @@ class _Decoder:
             if named is None:
                 return None
             values, ctx = named
-        nested: dict[str, dict] = {}
-        for name, key, spec, plain in codec.rest:
-            if key.__class__ is str:
-                raw = obj.get(key, _ABSENT)
-                if raw.__class__ is plain:  # a well-typed string or boolean
-                    values[name] = raw
-                    continue
-                fpath = f"{path}.{key}"
+        get = obj.get
+        for name, key, label, plain, decode_value in codec.rest:
+            raw = get(key, _ABSENT)
+            if raw.__class__ is plain:  # decoded already
+                values[name] = raw
             else:
-                head = key[0]
-                if head not in nested:
-                    nested[head] = self.container(obj.get(head, _ABSENT), f"{path}.{head}")
-                raw = nested[head].get(key[1], _ABSENT)
-                fpath = f"{path}.{'.'.join(key)}"
-            values[name] = self.value(spec, raw, fpath, ctx)
-        record = codec.cls(**values)
+                values[name] = decode_value(self, raw, path, label, ctx)
+        # Every field is in ``values``, in declaration order, so this is
+        # what the dataclass __init__ would build.
+        record = _new(codec.cls)
+        record.__dict__ = values
         for name, label in codec.text:
             text = values[name]
             if text.__class__ is str:
-                self.scan_text(text, f"{path}.{label}")
+                if ":" in text:  # every canonical reference has one
+                    self.scan_text(text, path, label, None)
             else:
                 for i, item in enumerate(text):
-                    self.scan_text(item, f"{path}.{label}[{i}]")
+                    if ":" in item:
+                        self.scan_text(item, path, label, i)
         if codec.check is not None:
             codec.check(self, record, obj, path)
         return record
 
 
+_new = object.__new__
+
+
+def _field_decoder(spec: Spec) -> Callable:
+    """Decoder of one field: ``(decoder, raw, path, label, ctx)``, the
+    field's location being ``path.label``. It decodes a well-typed value
+    inline and hands any other value, with its rendered location, to
+    :meth:`_Decoder.value`. A list is decoded inline only when every item
+    is well-typed, so that :meth:`_Decoder.items` reports a bad one in
+    order; bare names, which take their owner from the context, take the
+    general path too."""
+    kind = spec.kind
+    item = spec.of if kind == LIST else spec
+
+    def general(dec, raw, path, label, ctx):
+        return dec.value(spec, raw, f"{path}.{label}", ctx)
+
+    decode = general  # the _PLAIN kinds, and a lone RECORD, which is rare
+    if kind == ENUM or kind == TIER:
+        table = _TIERS if kind == TIER else {member: member for member in spec.of}
+
+        def decode(dec, raw, path, label, ctx):
+            value = table.get(raw) if raw.__class__ is str else None
+            return general(dec, raw, path, label, ctx) if value is None else value
+
+    elif kind == MAP:
+
+        def decode(dec, raw, path, label, ctx):
+            if raw.__class__ is dict and all(map(str.__instancecheck__, raw.values())):
+                return dict(raw)
+            return general(dec, raw, path, label, ctx)
+
+    elif kind == IDENT or kind == LAYER:
+        expect, bare = spec.expect, kind == LAYER  # a layer keeps a bare name for now
+
+        def decode(dec, raw, path, label, ctx):
+            ident = dec.idents[raw] if raw.__class__ is str else None
+            if ident.__class__ is not Identifier and (ident is None or not bare):
+                return general(dec, raw, path, label, ctx)
+            if expect:
+                dec.references.append((raw, expect, path, label, None))
+            return ident
+
+    elif kind == LIST and (item.kind == STR or item.kind == ENUM):
+        check = str.__instancecheck__ if item.kind == STR else item.of.__contains__
+
+        def decode(dec, raw, path, label, ctx):
+            if raw.__class__ is list and all(map(check, raw)):
+                return list(raw)
+            return general(dec, raw, path, label, ctx)
+
+    elif kind == LIST and item.kind == RECORD:
+        codec = CODECS[item.of]
+
+        def decode(dec, raw, path, label, ctx):
+            if raw.__class__ is list:
+                if not raw:
+                    return []
+                if all(obj.__class__ is dict for obj in raw):
+                    out = []
+                    for i, obj in enumerate(raw):
+                        record = dec.record(codec, obj, f"{path}.{label}[{i}]", ctx)
+                        if record is not None:
+                            out.append(record)
+                    return out
+            return general(dec, raw, path, label, ctx)
+
+    elif kind == LIST:  # identifiers
+        expect = item.expect
+
+        def decode(dec, raw, path, label, ctx):
+            if raw.__class__ is list:
+                idents = [dec.idents[value] if value.__class__ is str else None for value in raw]
+                if all(ident.__class__ is Identifier for ident in idents):
+                    if expect:
+                        dec.references += [(v, expect, path, label, i) for i, v in enumerate(raw)]
+                    return idents
+            return general(dec, raw, path, label, ctx)
+
+    return decode
+
+
+def _nested_decoder(key: tuple[str, str], decode: Callable, report: bool) -> Callable:
+    """Field decoder of a key path ``(head, sub)``, given the head's raw
+    value. Only the first field under a head reports a head that is not an
+    object."""
+    head, sub = key
+
+    def decode_nested(dec, raw, path, label, ctx):
+        if raw.__class__ is not dict:
+            if report:
+                raw = dec.container(raw, f"{path}.{head}")
+            elif not isinstance(raw, dict):
+                raw = {}
+        return decode(dec, raw.get(sub, _ABSENT), path, label, ctx)
+
+    return decode_nested
+
+
 def _identity(dec: _Decoder, codec: _Codec, obj: dict, path: str, ctx: tuple):
     """Decode the naming field first; it sets the owner for bare names."""
     name, key, spec = codec.fields[0]
-    fpath = f"{path}.{key}"
-    ident = dec.value(spec, obj.get(key, _ABSENT), fpath, ctx)
+    ident = codec.decoders[name](dec, obj.get(key, _ABSENT), path, key, ctx)
     if ident is None:
         return None
     ns, layer, _ = ctx
@@ -401,28 +500,28 @@ def _identity(dec: _Decoder, codec: _Codec, obj: dict, path: str, ctx: tuple):
     # grandparent is a contamination finding, not a parse failure. Ids live
     # in the declaring layer's namespace either way.
     if spec.owner == "layer" and (ident.namespace != ns or (ns != "gp" and ident.owner != layer)):
-        dec.fail(fpath, f"{ident.render()} is not owned by this layer")
+        dec.fail(f"{path}.{key}", f"{ident.render()} is not owned by this layer")
         return None
     plural = _CHILD_IDS.get(codec.cls)
     if plural is not None and ident.namespace != "child":
-        dec.fail(fpath, f"{plural} live in the child namespace")
+        dec.fail(f"{path}.{key}", f"{plural} live in the child namespace")
         return None
-    if isinstance(ident, Identifier):
+    if ident.__class__ is Identifier:
         ctx = (ns, layer, ident.owner)
     return {name: ident}, ctx
 
 
 def _layer_identity(dec: _Decoder, codec: _Codec, obj: dict, path: str, ctx: tuple):
     """A layer's kind picks the namespace its bare id and declarations use."""
-    kind = dec.value(codec.specs["kind"], obj.get("kind", _ABSENT), f"{path}.kind", ctx)
+    kind = codec.decoders["kind"](dec, obj.get("kind", _ABSENT), path, "kind", ctx)
     ns = KIND_TO_NAMESPACE.get(kind, "gp")
     raw_id = obj.get("id")
     if not isinstance(raw_id, str) or not raw_id:
         dec.fail(f"{path}.id", "layer id missing")
         return None
-    parsed = parse_identifier(raw_id)
-    if parsed is None:
-        if not is_bare_name(raw_id):
+    parsed = dec.idents[raw_id]
+    if parsed.__class__ is not Identifier:
+        if parsed is None:
             dec.fail(f"{path}.id", f"{raw_id!r} is not a valid identifier")
             return None
         parsed = Identifier(ns, "" if ns == "gp" else raw_id, raw_id)
@@ -488,33 +587,33 @@ def _index_declarations(bundle: ProjectBundle, diags: list[Diagnostic]) -> dict[
     """Canonical id -> declaration kind, reporting duplicates."""
     index: dict[str, str] = {}
 
-    def add(ident: Identifier, kind: str, path: str) -> None:
+    def add(ident: Identifier, kind: str, where: str, *at: int) -> None:
         key = ident.render()
         if key in index:
-            diags.append(error("E_DUP_ID", path, f"duplicate declaration of {key}"))
+            diags.append(error("E_DUP_ID", where.format(*at), f"duplicate declaration of {key}"))
             return
         index[key] = kind
 
     for i, layer in enumerate(bundle.layers):
-        add(layer.id, "layer", f"layers[{i}].id")
+        add(layer.id, "layer", "layers[{}].id", i)
         for j, law in enumerate(layer.laws):
-            add(law.id, "law", f"layers[{i}].laws[{j}].id")
+            add(law.id, "law", "layers[{}].laws[{}].id", i, j)
         for j, ab in enumerate(layer.abstractions):
-            add(ab.id, "abstraction", f"layers[{i}].abstractions[{j}].id")
+            add(ab.id, "abstraction", "layers[{}].abstractions[{}].id", i, j)
     for i, project in enumerate(bundle.projects):
-        add(project.id, "project", f"projects[{i}].id")
+        add(project.id, "project", "projects[{}].id", i)
     for i, unit in enumerate(bundle.units):
-        add(unit.study_id, "unit", f"units[{i}].study_id")
+        add(unit.study_id, "unit", "units[{}].study_id", i)
         for j, da in enumerate(unit.explicit_assumptions):
-            add(da.id, "declared_assumption", f"units[{i}].explicit_assumptions[{j}].id")
+            add(da.id, "declared_assumption", "units[{}].explicit_assumptions[{}].id", i, j)
     for i, route in enumerate(bundle.routes):
-        add(route.id, "route", f"routes[{i}].id")
+        add(route.id, "route", "routes[{}].id", i)
         for j, assumption in enumerate(route.assumptions):
-            add(assumption.id, "assumption", f"routes[{i}].assumptions[{j}].id")
+            add(assumption.id, "assumption", "routes[{}].assumptions[{}].id", i, j)
     for i, flow in enumerate(bundle.flows):
-        add(flow.id, "flow", f"flows[{i}].id")
+        add(flow.id, "flow", "flows[{}].id", i)
     for i, contract in enumerate(bundle.contracts):
-        add(contract.id, "contract", f"contracts[{i}].id")
+        add(contract.id, "contract", "contracts[{}].id", i)
     return index
 
 
@@ -524,21 +623,22 @@ def _resolve_layer_refs(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
     for layer in bundle.layers:
         by_name.setdefault(layer.local_name, []).append(layer)
 
-    def resolve(raw, path: str) -> Identifier | None:
-        if raw is None or isinstance(raw, Identifier):
-            return raw
+    def resolve(raw: str, section: str, i: int, name: str) -> Identifier | None:
         candidates = by_name.get(raw, [])
         if len(candidates) == 1:
             return candidates[0].id
-        code = "E_UNRESOLVED_REF"
-        diags.append(error(code, path, f"layer reference {raw!r} does not resolve"))
+        where = f"{section}[{i}].{name}"
+        diags.append(error("E_UNRESOLVED_REF", where, f"layer reference {raw!r} does not resolve"))
         return None
 
     for section, _, spec in CODECS[ProjectBundle].fields[1:]:
         names = CODECS[spec.of.of].layer_refs
         for i, record in enumerate(getattr(bundle, section) if names else ()):
+            values = record.__dict__
             for name in names:
-                setattr(record, name, resolve(getattr(record, name), f"{section}[{i}].{name}"))
+                raw = values[name]
+                if raw is not None and raw.__class__ is not Identifier:
+                    values[name] = resolve(raw, section, i, name)
 
 
 def _validate_structure(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
@@ -552,7 +652,9 @@ def _validate_structure(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
             )
         )
         return
-    gp = grandparents[0]
+    by_id: dict[Identifier, LayerDecl] = {}
+    for layer in bundle.layers:
+        by_id.setdefault(layer.id, layer)
     for i, layer in enumerate(bundle.layers):
         if layer.kind == "grandparent":
             if layer.parent_ref is not None:
@@ -562,7 +664,7 @@ def _validate_structure(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
             continue
         if layer.parent_ref is None:
             continue  # already reported
-        target = bundle.layer_by_id(layer.parent_ref)
+        target = by_id.get(layer.parent_ref)
         if target is None:
             continue  # unresolved, reported by reference pass
         if layer.kind == "parent" and target.kind != "grandparent":
@@ -620,17 +722,19 @@ def _validate_structure(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
 def _resolve_references(
     decoder: _Decoder, index: dict[str, str], diags: list[Diagnostic]
 ) -> None:
-    for ident, path, expect in decoder.references:
-        key = ident.render()
+    for key, expect, path, label, at in decoder.references:
         kind = index.get(key)
+        if kind is not None and (kind in expect or "any" in expect):
+            continue
+        # The location is rendered only here: path, path.label or path.label[at].
+        where = path if label is None else f"{path}.{label}"
+        if at is not None:
+            where = f"{where}[{at}]"
         if kind is None:
-            diags.append(error("E_UNRESOLVED_REF", path, f"unresolved reference {key}"))
-            continue
-        if "any" in expect or kind in expect:
-            continue
-        diags.append(
-            error("E_SYNTAX", path, f"{key} is a {kind}, expected {' or '.join(expect)}")
-        )
+            diags.append(error("E_UNRESOLVED_REF", where, f"unresolved reference {key}"))
+        else:
+            message = f"{key} is a {kind}, expected {' or '.join(expect)}"
+            diags.append(error("E_SYNTAX", where, message))
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +817,14 @@ def decode(cls: type, obj: Any, owner: str = "", ns: str = "child") -> Any:
     return _strict(Spec(RECORD, cls), obj, CODECS[cls].name, owner, ns)
 
 
-def decode_field(cls: type, name: str, raw: Any, owner: str = "", ns: str = "child") -> Any:
-    """Decode one field's value by its spec, as :func:`decode` does."""
+def decode_field(
+    cls: type, name: str, raw: Any, owner: str = "", ns: str = "child", *, at: str = ""
+) -> Any:
+    """Decode one field's value by its spec, as :func:`decode` does. Errors
+    are located under ``at``, by default ``<record>.<field>``; a caller
+    decoding a user's file passes the user's key."""
     codec = CODECS[cls]
-    return _strict(codec.specs[name], raw, f"{codec.name}.{name}", owner, ns)
+    return _strict(codec.specs[name], raw, at or f"{codec.name}.{name}", owner, ns)
 
 
 def decode_bump(payload: dict) -> tuple[ChangelogEntry, list[Law]]:
@@ -757,7 +865,9 @@ def clone(record: Any) -> Any:
     values deep-copied, and immutable values shared. Unlike
     ``copy.deepcopy`` it does not keep object sharing inside the record.
     """
-    return CODECS[record.__class__].clone(record)
+    from .writer import CLONERS  # the write side, loaded on first use
+
+    return CLONERS[record.__class__](record)
 
 
 for _cls in (ProjectBundle, ChangelogEntry, ContaminationEvent):

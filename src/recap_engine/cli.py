@@ -2,12 +2,13 @@
 
 Exit codes: 0 success or compliant, 1 violations found, 2 usage or parse
 error. Reports go to stdout; diagnostics go to stderr. Mutating commands
-write the bundle atomically behind an advisory lock file.
+write the bundle atomically behind an advisory ``flock``.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -87,25 +88,40 @@ class LockContention(Exception):
 
 
 class _BundleLock:
-    """Advisory lock file preventing concurrent mutators on one bundle."""
+    """Advisory ``flock`` on a lock file beside the bundle, preventing
+    concurrent mutators. The kernel releases it when its holder exits, so a
+    killed mutator leaves no lock behind; a leftover lock file blocks
+    nothing."""
 
     def __init__(self, path: str):
         self.lock_path = Path(path + ".lock")
+        self.fd: int | None = None
 
     def __enter__(self):
-        try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise LockContention(str(self.lock_path))
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        return self
+        while True:
+            fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise LockContention(str(self.lock_path))
+            # A holder that released the lock may have removed the file
+            # after this process opened it; lock the file at the path.
+            try:
+                current = os.stat(self.lock_path)
+            except FileNotFoundError:
+                current = None
+            held = os.fstat(fd)
+            if current is not None and os.path.samestat(current, held):
+                self.fd = fd
+                return self
+            os.close(fd)
 
     def __exit__(self, *exc):
-        try:
-            self.lock_path.unlink()
-        except OSError:
-            pass
+        # Removed while still held, so no other process locks this file
+        # after it is gone.
+        self.lock_path.unlink(missing_ok=True)
+        os.close(self.fd)
         return False
 
 
@@ -261,7 +277,10 @@ def _cmd_version(args) -> int:
     try:
         entry = decode(ChangelogEntry, raw)
         laws = raw.get("new_laws")
-        new_laws = list(gp.laws) if laws is None else decode_field(LayerDecl, "laws", laws, ns="gp")
+        if laws is None:
+            new_laws = list(gp.laws)
+        else:
+            new_laws = decode_field(LayerDecl, "laws", laws, ns="gp", at="new_laws")
     except ValueError as exc:
         print(f"bad changelog: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -313,20 +313,46 @@ def _classify_field(field_name: str) -> str:
     return "content"
 
 
+def _text(part) -> str:
+    """A site or location part: a string, an identifier, or a format
+    string with its arguments."""
+    if part.__class__ is str:
+        return part
+    if part.__class__ is tuple:
+        return part[0].format(*part[1:])
+    return part.render()
+
+
 class _Scanner:
+    """The scan's passes over one bundle state.
+
+    A checked reference's site and location are passed in parts (the
+    container and token as identifiers, the location as a format string
+    with its arguments) and rendered by :meth:`flag`, so a reference that
+    is not flagged costs no string.
+    """
+
     def __init__(self, bundle: ProjectBundle):
         self.bundle = bundle
         self.index = BundleIndex(bundle)
         self.events: list[ContaminationEvent] = []
+        self._above: dict[int, frozenset[str]] = {}
 
     def flag(
         self,
         rule: str,
         direction: str,
         nature: str,
-        site: ContaminationSite,
-        location: str,
+        container,
+        location,
+        field="",
+        token: Identifier | None = None,
     ) -> None:
+        site = ContaminationSite(
+            container=_text(container),
+            field=_text(field),
+            token="" if token is None else token.render(),
+        )
         self.events.append(
             ContaminationEvent(
                 id="",
@@ -334,7 +360,7 @@ class _Scanner:
                 direction=direction,
                 nature=nature,
                 site=site,
-                location=location,
+                location=_text(location),
             )
         )
 
@@ -348,20 +374,29 @@ class _Scanner:
             return self.index.grandparent
         return self._owner_of(ident)
 
+    def _ancestor_names(self, layer: LayerDecl) -> frozenset[str]:
+        names = self._above.get(id(layer))
+        if names is None:
+            names = frozenset(a.local_name for a in self.index.ancestors(layer))
+            self._above[id(layer)] = names  # the bundle keeps the layer alive
+        return names
+
     def _check_child_ref(
         self,
         owner: LayerDecl,
         ref: Identifier,
-        site: ContaminationSite,
-        location: str,
+        container,
+        field,
+        location,
         field_name: str,
     ) -> None:
         """A reference from a child-owned declaration: fine when it points at
         the child itself or an ancestor, lateral otherwise."""
         ref_owner = self._owner_layer(ref)
-        if ref_owner is None or ref_owner.local_name == owner.local_name:
+        if ref_owner is None:
             return
-        if any(a.local_name == ref_owner.local_name for a in self.index.ancestors(owner)):
+        name = ref_owner.local_name
+        if name == owner.local_name or name in self._ancestor_names(owner):
             return
         info_class = _classify_field(field_name)
         verdict = _horizontal_verdict(
@@ -369,36 +404,41 @@ class _Scanner:
         )
         if verdict.allowed:
             return
-        self.flag(verdict.rule or "R3_horizontal_borrowing", "horizontal", info_class, site, location)
+        rule = verdict.rule or "R3_horizontal_borrowing"
+        self.flag(rule, "horizontal", info_class, container, location, field, ref)
 
-    def _scan_text_refs(
-        self,
-        owner: LayerDecl,
-        container: str,
-        field_name: str,
-        text: str,
-        location: str,
+    def _scan_texts(self, owner: LayerDecl, record, container, names, location) -> None:
+        """Check the references embedded in ``record``'s text fields
+        ``names``; ``location`` is a format string and its arguments, to
+        which the field name is added."""
+        for name in names:
+            text = getattr(record, name)
+            if ":" in text:  # every canonical reference has one
+                where = (*location, name)
+                for ref in extract_references(text):
+                    self._check_text_ref(owner, ref, container, name, where)
+
+    def _check_text_ref(
+        self, owner: LayerDecl, ref: Identifier, container, name: str, where
     ) -> None:
-        for ref in extract_references(text):
-            site = ContaminationSite(container=container, field=field_name, token=ref.render())
-            if owner.kind == "grandparent":
-                if ref.namespace in ("parent", "child"):
-                    self.flag("R1_upward_content", "upward", _classify_field(field_name), site, location)
-            elif owner.kind == "parent":
-                if ref.namespace == "child":
-                    self.flag("R1_upward_content", "upward", _classify_field(field_name), site, location)
-                elif ref.namespace == "parent" and ref.owner != owner.local_name:
-                    info_class = _classify_field(field_name)
-                    ref_owner = self._owner_of(ref)
-                    if ref_owner is None:
-                        continue
-                    verdict = _horizontal_verdict(
-                        self.index, ref_owner.id, owner.id, info_class, cited=None
-                    )
-                    if not verdict.allowed:
-                        self.flag(verdict.rule or "R3_horizontal_borrowing", "horizontal", info_class, site, location)
-            else:
-                self._check_child_ref(owner, ref, site, location, field_name)
+        if owner.kind == "child":
+            self._check_child_ref(owner, ref, container, name, where, name)
+        elif ref.namespace == "child" or (
+            owner.kind == "grandparent" and ref.namespace == "parent"
+        ):
+            nature = _classify_field(name)
+            self.flag("R1_upward_content", "upward", nature, container, where, name, ref)
+        elif owner.kind == "parent" and ref.namespace == "parent" and ref.owner != owner.local_name:
+            info_class = _classify_field(name)
+            ref_owner = self._owner_of(ref)
+            if ref_owner is None:
+                return
+            verdict = _horizontal_verdict(
+                self.index, ref_owner.id, owner.id, info_class, cited=None
+            )
+            if not verdict.allowed:
+                rule = verdict.rule or "R3_horizontal_borrowing"
+                self.flag(rule, "horizontal", info_class, container, where, name, ref)
 
     # -- passes ---------------------------------------------------------------
 
@@ -414,8 +454,8 @@ class _Scanner:
                         "R2_downward_rewrite",
                         "downward",
                         "structural",
-                        ContaminationSite(container=law.id.render()),
-                        f"layers[{li}].laws[{j}]",
+                        law.id,
+                        ("layers[{}].laws[{}]", li, j),
                     )
             if layer.kind != "parent":
                 for j, ab in enumerate(layer.abstractions):
@@ -425,62 +465,47 @@ class _Scanner:
                         "R2_downward_rewrite",
                         "downward",
                         "structural",
-                        ContaminationSite(container=ab.id.render()),
-                        f"layers[{li}].abstractions[{j}]",
+                        ab.id,
+                        ("layers[{}].abstractions[{}]", li, j),
                     )
 
     def scan_layer_texts(self) -> None:
         for li, layer in enumerate(self.bundle.layers):
             if layer.kind == "grandparent" or layer.kind == "parent":
                 for j, law in enumerate(layer.laws):
-                    if law.quarantined:
-                        continue
-                    self._scan_text_refs(
-                        layer, law.id.render(), "text", law.text, f"layers[{li}].laws[{j}].text"
-                    )
+                    if not law.quarantined:
+                        location = ("layers[{}].laws[{}].{}", li, j)
+                        self._scan_texts(layer, law, law.id, ("text",), location)
                 for j, ab in enumerate(layer.abstractions):
-                    if ab.quarantined:
-                        continue
-                    self._scan_text_refs(
-                        layer,
-                        ab.id.render(),
-                        "definition",
-                        ab.definition,
-                        f"layers[{li}].abstractions[{j}].definition",
-                    )
+                    if not ab.quarantined:
+                        location = ("layers[{}].abstractions[{}].{}", li, j)
+                        self._scan_texts(layer, ab, ab.id, ("definition",), location)
 
     def scan_units(self) -> None:
+        names = text_fields(EvidentialUnit)
         for ui, unit in enumerate(self.bundle.units):
             if unit.quarantined or unit.superseded:
                 continue
             owner = self._owner_of(unit.study_id)
             if owner is None:
                 continue
-            container = unit.study_id.render()
-            for name in text_fields(EvidentialUnit):
-                self._scan_text_refs(
-                    owner, container, name, getattr(unit, name), f"units[{ui}].{name}"
-                )
+            container = unit.study_id
+            self._scan_texts(owner, unit, container, names, ("units[{}].{}", ui))
             for j, da in enumerate(unit.explicit_assumptions):
-                self._scan_text_refs(
-                    owner,
-                    da.id.render(),
-                    "text",
-                    da.text,
-                    f"units[{ui}].explicit_assumptions[{j}].text",
-                )
+                location = ("units[{}].explicit_assumptions[{}].{}", ui, j)
+                self._scan_texts(owner, da, da.id, ("text",), location)
             for j, ref in enumerate(unit.measurement_refs):
                 self._check_child_ref(
                     owner,
                     ref,
-                    ContaminationSite(
-                        container=container, field="measurement_refs", token=ref.render()
-                    ),
-                    f"units[{ui}].measurement_refs[{j}]",
+                    container,
+                    "measurement_refs",
+                    ("units[{}].measurement_refs[{}]", ui, j),
                     "measurement_refs",
                 )
 
     def scan_routes(self) -> None:
+        names = text_fields(RouteAssumption)
         for ri, route in enumerate(self.bundle.routes):
             if route.quarantined:
                 continue
@@ -488,38 +513,27 @@ class _Scanner:
             if owner is None:
                 continue
             for j, assumption in enumerate(route.assumptions):
-                base = f"routes[{ri}].assumptions[{j}]"
-                for name in text_fields(RouteAssumption):
-                    self._scan_text_refs(
-                        owner,
-                        assumption.id.render(),
-                        name,
-                        getattr(assumption, name),
-                        f"{base}.{name}",
-                    )
+                location = ("routes[{}].assumptions[{}].{}", ri, j)
+                self._scan_texts(owner, assumption, assumption.id, names, location)
                 for k, ref in enumerate(assumption.supporting_units):
                     self._check_child_ref(
                         owner,
                         ref,
-                        ContaminationSite(
-                            container=assumption.id.render(),
-                            field="supporting_units",
-                            token=ref.render(),
-                        ),
-                        f"{base}.supporting_units[{k}]",
+                        assumption.id,
+                        "supporting_units",
+                        ("routes[{}].assumptions[{}].supporting_units[{}]", ri, j, k),
                         "supporting_units",
                     )
             for j, model in enumerate(route.disconfirming_models):
+                if ":" not in model:
+                    continue
                 for ref in extract_references(model):
                     self._check_child_ref(
                         owner,
                         ref,
-                        ContaminationSite(
-                            container=route.id.render(),
-                            field=f"disconfirming_models[{j}]",
-                            token=ref.render(),
-                        ),
-                        f"routes[{ri}].disconfirming_models[{j}]",
+                        route.id,
+                        ("disconfirming_models[{}]", j),
+                        ("routes[{}].disconfirming_models[{}]", ri, j),
                         "content",
                     )
 
@@ -528,26 +542,23 @@ class _Scanner:
             owner = self._owner_of(project.id)
             if owner is None:
                 continue
+            container = project.id
             for j, ref in enumerate(project.unit_refs):
                 self._check_child_ref(
                     owner,
                     ref,
-                    ContaminationSite(
-                        container=project.id.render(), field="unit_refs", token=ref.render()
-                    ),
-                    f"projects[{pi}].unit_refs[{j}]",
+                    container,
+                    "unit_refs",
+                    ("projects[{}].unit_refs[{}]", pi, j),
                     "content",
                 )
             if project.committed_route is not None:
                 self._check_child_ref(
                     owner,
                     project.committed_route,
-                    ContaminationSite(
-                        container=project.id.render(),
-                        field="committed_route",
-                        token=project.committed_route.render(),
-                    ),
-                    f"projects[{pi}].committed_route",
+                    container,
+                    "committed_route",
+                    ("projects[{}].committed_route", pi),
                     "content",
                 )
             for j, assignment in enumerate(project.assignments):
@@ -555,12 +566,9 @@ class _Scanner:
                     self._check_child_ref(
                         owner,
                         ref,
-                        ContaminationSite(
-                            container=project.id.render(),
-                            field="assignments",
-                            token=ref.render(),
-                        ),
-                        f"projects[{pi}].assignments[{j}]",
+                        container,
+                        "assignments",
+                        ("projects[{}].assignments[{}]", pi, j),
                         "content",
                     )
 
@@ -581,8 +589,9 @@ class _Scanner:
                 verdict.rule or "R1_upward_content",
                 verdict.direction or "upward",
                 nature_of[flow.info_class],
-                ContaminationSite(container=flow.id.render(), field="payload"),
-                f"flows[{fi}]",
+                flow.id,
+                ("flows[{}]", fi),
+                "payload",
             )
 
 

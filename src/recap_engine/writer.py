@@ -1,6 +1,8 @@
-"""The indented writer behind :func:`~.bundle.serialize_bundle`.
+"""The write side of the record schema: the indented writer behind
+:func:`~.bundle.serialize_bundle` and the copier behind
+:func:`~.bundle.clone`.
 
-It renders exactly what ``json.dumps(encode(record), indent=2,
+The writer renders exactly what ``json.dumps(encode(record), indent=2,
 ensure_ascii=False)`` renders, but straight from the record, walking the
 specs of its class; ``json.dumps`` with an indent would use the pure-Python
 encoder. ``bundle.py`` imports this module on first use, so commands that
@@ -14,13 +16,14 @@ string of the line the value starts on.
 
 from __future__ import annotations
 
+import copy
 import json
 from functools import partial
 from typing import Any, Callable
 
 from .bundle import CODECS, value_encoder
 from .identifiers import Identifier
-from .model import BOOL, ENUM, IDENT, INT, LAYER, LIST, RECORD, STR, TIER, Spec, Tier
+from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER, Spec, Tier
 
 _quote = json.encoder.encode_basestring  # json.dumps' string form with ensure_ascii=False
 _dump = json.JSONEncoder(indent=2, ensure_ascii=False).encode
@@ -40,12 +43,60 @@ _INLINE[ENUM] = _INLINE[STR]
 _INLINE[LAYER] = _INLINE[IDENT]
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (_INF, -_INF):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+_INF = float("inf")
+#: Class -> JSON text of a scalar, and of a dict key of that class.
+_SCALARS = {
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value: Any, nl: str) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` re-indented to
+    ``nl``, for free JSON (event payloads, maps) and encoded records. A
+    value of any class but dict, list, tuple, str, int, float, bool and
+    None, or a dict key of any class but those scalars, goes to json.dumps
+    itself; encoded JSON holds no raw newline, so the re-indent is exact."""
+    cls = value.__class__
+    if cls is str:
+        return _quote(value)
+    if cls is dict:
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        parts = []
+        for key, item in value.items():
+            if key.__class__ is not str:
+                text = _SCALARS.get(key.__class__)
+                if text is None:
+                    return _dump(value).replace("\n", nl)
+                key = text(key)
+            parts.append(_quote(key) + ": " + _json_text(item, inner))
+        return _enclose(parts, "{}", inner, nl)
+    if cls is list or cls is tuple:
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        return _enclose([_json_text(item, inner) for item in value], "[]", inner, nl)
+    text = _SCALARS.get(cls)
+    return _dump(value).replace("\n", nl) if text is None else text(value)
+
+
 def _dumper(enc: Callable | None) -> Callable[[Any, str], str]:
-    """The general path: encode, let json.dumps render, then re-indent.
-    Encoded JSON holds no raw newline, so the re-indent is exact."""
+    """The general path: encode, then render the JSON."""
     if enc is None:
-        return lambda value, nl: _dump(value).replace("\n", nl)
-    return lambda value, nl: _dump(enc(value)).replace("\n", nl)
+        return _json_text
+    return lambda value, nl: _json_text(enc(value), nl)
 
 
 def _enclose(parts: list[str], brackets: str, inner: str, nl: str) -> str:
@@ -123,8 +174,64 @@ def _record_writer(cls: type) -> Callable[[Any, str], str]:
     return write_record
 
 
-#: Persisted class -> its record writer. CODECS lists nested classes before
-#: the classes holding them, so each writer finds its nested ones here.
+# ---------------------------------------------------------------------------
+# Copies
+# ---------------------------------------------------------------------------
+
+
+def _copier(spec: Spec) -> Callable | None:
+    """Copier for one spec's values; None where values are immutable
+    (str, bool, int, Identifier, Tier) and shared."""
+    kind = spec.kind
+    if kind == LIST:
+        item = _copier(spec.of)
+        return list if item is None else lambda values: list(map(item, values))
+    if kind == MAP:
+        return dict
+    if kind == JSON:
+        return _copy_json
+    if kind == RECORD:
+        return CLONERS[spec.of]
+    return None
+
+
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
+def _copy_json(value: Any) -> Any:
+    """``copy.deepcopy`` of free JSON: dicts and lists are rebuilt, JSON
+    scalars shared, and any other value deep-copied."""
+    cls = value.__class__
+    if cls is dict:
+        return {key: _copy_json(item) for key, item in value.items()}
+    if cls is list:
+        return [_copy_json(item) for item in value]
+    if cls in _ATOMS:
+        return value
+    return copy.deepcopy(value)
+
+
+def _record_cloner(cls: type) -> Callable[[Any], Any]:
+    fields = CODECS[cls].fields
+    copiers = [(name, c) for name, _, spec in fields if (c := _copier(spec)) is not None]
+    new = object.__new__
+
+    def clone_record(record: Any) -> Any:
+        values = record.__dict__.copy()
+        for name, copy_value in copiers:
+            values[name] = copy_value(values[name])
+        out = new(record.__class__)
+        out.__dict__ = values
+        return out
+
+    return clone_record
+
+
+#: Persisted class -> its record writer and its record cloner. CODECS lists
+#: nested classes before the classes holding them, so each finds its nested
+#: ones here.
 WRITERS: dict[type, Callable[[Any, str], str]] = {}
+CLONERS: dict[type, Callable[[Any], Any]] = {}
 for _cls in CODECS:
     WRITERS[_cls] = _record_writer(_cls)
+    CLONERS[_cls] = _record_cloner(_cls)

@@ -228,15 +228,53 @@ def test_route_check_and_freeze(tmp_path, capsys):
     assert reparsed.bundle.events[-1].kind == "route_frozen"
 
 
-def test_route_freeze_respects_lock(tmp_path, capsys):
+# Holds an exclusive flock on the file named by argv[1] until killed.
+_LOCK_HOLDER = """
+import fcntl, os, sys, time
+fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("held", flush=True)
+time.sleep(600)
+"""
+
+
+@pytest.fixture
+def lock_holder(tmp_path):
+    """A live process holding the lock of ``tmp_path/locked.bundle``."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _LOCK_HOLDER, str(tmp_path / "locked.bundle.lock")],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline() == "held\n"
+        yield proc
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+def test_route_freeze_respects_lock(tmp_path, capsys, lock_holder):
     path = tmp_path / "locked.bundle"
     path.write_text(json.dumps(toy_dict()))
-    lock = tmp_path / "locked.bundle.lock"
-    lock.write_text("424242")
     code, _, err = run_cli("route", str(path), "freeze", capsys=capsys)
     assert code == 2
     assert "locked" in err
     assert path.read_text() == json.dumps(toy_dict())
+
+
+def test_route_freeze_proceeds_once_the_lock_holder_is_killed(tmp_path, capsys, lock_holder):
+    path = tmp_path / "locked.bundle"
+    path.write_text(json.dumps(toy_dict()))
+    assert run_cli("route", str(path), "freeze", capsys=capsys)[0] == 2
+    lock_holder.kill()
+    lock_holder.wait()
+    assert (tmp_path / "locked.bundle.lock").exists()  # left behind by the killed holder
+    code, out, _ = run_cli("route", str(path), "freeze", "--timestamp", FREEZE_TS, capsys=capsys)
+    assert code == 0 and "frozen child:C1:R2" in out
+    assert path.read_text() != json.dumps(toy_dict())
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_report_formats_and_round_trip(toy_file, capsys):
@@ -341,6 +379,27 @@ def test_module_entry_point_runs_as_subprocess(toy_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "compliant"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["scan"], ["report", "study-log"], ["report", "reviewer-block"]],
+)
+def test_read_only_commands_never_import_the_writer(toy_file, argv):
+    src = str(Path(recap_engine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [argv[0], str(toy_file), *argv[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "recap_engine", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "recap_engine.bundle" in imported
+    assert "recap_engine.writer" not in imported
 
 
 def _bump_with(tmp_path, capsys, changelog_doc):
@@ -460,3 +519,28 @@ def test_validate_reports_a_malformed_bump_payload_as_a_parse_error(tmp_path, ca
     assert out == ""
     [line] = err.strip().splitlines()
     assert line.startswith("E_PAYLOAD_SCHEMA events[0].payload ")
+
+
+@pytest.mark.parametrize(
+    "laws, location",
+    [
+        (["gp:not_a_record"], "new_laws[0]: expected object"),
+        ([{"id": "gp:L9", "text": 5}], "new_laws[0].text: expected string"),
+        ({"id": "gp:L9"}, "new_laws: expected list"),
+    ],
+)
+def test_version_bump_names_the_changelog_key_of_a_bad_law(tmp_path, capsys, laws, location):
+    code, err = _bump_with(
+        tmp_path,
+        capsys,
+        {
+            "from_version": "v1.0",
+            "to_version": "v1.1",
+            "motivating_insight": "m",
+            "boundary_affected": "b",
+            "generalizability_reasoning": "g",
+            "new_laws": laws,
+        },
+    )
+    assert code == 2
+    assert location in err and "layer_decl" not in err

@@ -140,15 +140,27 @@ EXTRA_RECORDS = [
 ]
 
 
-def test_every_toy_record_round_trips_through_the_codec():
+def _all_records():
     records = list(_records(model.ProjectBundle, encode(toy_bundle()), "child", ""))[1:]
-    records += [(cls, record, "child", "") for cls, record in EXTRA_RECORDS]
+    return records + [(cls, record, "child", "") for cls, record in EXTRA_RECORDS]
+
+
+def test_every_toy_record_round_trips_through_the_codec():
+    records = _all_records()
     for cls, record, ns, owner in records:
         assert encode(decode(cls, record, owner=owner, ns=ns)) == record, cls.__name__
     # The bundle document itself is decoded by parse_bundle.
     assert {cls for cls, *_ in records} | {model.ProjectBundle, model.ContaminationSite} == set(
         CODECS
     )
+
+
+def test_decoded_records_share_no_list_or_map_with_their_input():
+    for cls, record, ns, owner in _all_records():
+        decoded = decode(cls, record, owner=owner, ns=ns)
+        for name, key, spec in CODECS[cls].fields:
+            if spec.kind in (model.LIST, model.MAP) and key in record:
+                assert getattr(decoded, name) is not record[key], f"{cls.__name__}.{name}"
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -810,3 +810,61 @@ def test_extract_insight_rejects_an_unknown_abstraction_kind():
     assert ("E_SYNTAX", "INS-KIND") in located
     assert not event.resolved
     assert serialize_bundle(bundle) == before
+
+
+def test_scan_sites_and_locations_at_every_reference_position():
+    """A lateral reference from C1 to C2 in each place the scan checks, at
+    an index other than 0 where there is one: each event names the
+    declaration, field and token, and the location, of its reference."""
+    doc = random_bundle_dict(random.Random(0), n_parents=1, n_children=2)
+    c2 = next(layer for layer in doc["layers"] if layer["id"] == "C2")
+    c2["abstractions"].append(
+        {"id": "child:C2:mz", "kind": "measurement_class", "definition": "Local.",
+         "correspondence": {}, "quarantined": False}
+    )
+    unit = doc["units"][1]
+    assert unit["study_id"] == "child:C1:S2"
+    unit["measurement_refs"] = ["parent:P1:mx", "parent:P1:mx", "child:C2:mz"]
+    unit["limitations"] += " As child:C2:PRJ does."
+    unit["explicit_assumptions"] = [
+        {"id": "child:C1:DA9", "text": "Bounded as in child:C2:PRJ.",
+         "covers": ["construct_alignment", "measurement", "design", "reporting"]}
+    ]
+    route = doc["routes"][0]
+    assert route["id"] == "child:C1:R1"
+    route["assumptions"][0]["supporting_units"] = ["child:C1:S1", "child:C2:S1"]
+    route["assumptions"][0]["failure_modes"] += " See child:C2:R1."
+    route["disconfirming_models"].append("Alternative: child:C2:PRJ.")
+    project = doc["projects"][0]
+    refs, roles = len(project["unit_refs"]), len(project["assignments"])
+    project["unit_refs"].append("child:C2:S1")
+    project["assignments"].append(
+        {"unit_ref": "child:C2:S2", "route_ref": "child:C1:R1", "role": "contextual"}
+    )
+    project["committed_route"] = "child:C2:R1"
+
+    events = [e for e in scan_bundle(parse_dict(doc)) if e.direction == "horizontal"]
+    seen = [
+        (e.rule_violated, e.nature, e.site.container, e.site.field, e.site.token, e.location)
+        for e in events
+    ]
+    r3 = "R3_horizontal_borrowing"
+    assert seen == [
+        (r3, "content", "child:C1:S2", "limitations", "child:C2:PRJ", "units[1].limitations"),
+        (r3, "assumption", "child:C1:DA9", "text", "child:C2:PRJ",
+         "units[1].explicit_assumptions[0].text"),
+        (r3, "measurement", "child:C1:S2", "measurement_refs", "child:C2:mz",
+         "units[1].measurement_refs[2]"),
+        (r3, "assumption", "child:C1:AS1", "failure_modes", "child:C2:R1",
+         "routes[0].assumptions[0].failure_modes"),
+        (r3, "assumption", "child:C1:AS1", "supporting_units", "child:C2:S1",
+         "routes[0].assumptions[0].supporting_units[1]"),
+        (r3, "content", "child:C1:R1", "disconfirming_models[1]", "child:C2:PRJ",
+         "routes[0].disconfirming_models[1]"),
+        (r3, "content", "child:C1:PRJ", "unit_refs", "child:C2:S1",
+         f"projects[0].unit_refs[{refs}]"),
+        (r3, "content", "child:C1:PRJ", "committed_route", "child:C2:R1",
+         "projects[0].committed_route"),
+        (r3, "content", "child:C1:PRJ", "assignments", "child:C2:S2",
+         f"projects[0].assignments[{roles}]"),
+    ]

@@ -63,7 +63,10 @@ def _add_sections(rng: random.Random, doc: dict) -> None:
     doc["memos"].append(
         {
             "project_ref": f"child:{c1}:PRJ",
-            "sections": {"uncertainty": "Concentrated in the proxy.", "boundary_evaluation": "Bounded."},
+            "sections": {
+                "uncertainty": "Concentrated in the proxy.",
+                "boundary_evaluation": "Bounded.",
+            },
         }
     )
     doc["contracts"].append(
@@ -268,8 +271,12 @@ def _mutate(rng: random.Random, doc: dict, op: str | None = None, at: tuple = ()
             else:
                 _get(doc, path[:-1])[path[-1]] = target
         elif op == "text_ref":
-            texts = [p for p, s in fields if s.text and s.kind != LIST]
-            path = pick(texts)
+            path, spec = pick([(p, s) for p, s in fields if s.text])
+            if spec.kind == LIST:
+                items = _get(doc, path)
+                if not items:
+                    return None
+                path = path + (rng.randrange(len(items)),)
             value = _get(doc, path)
             if not isinstance(value, str):
                 return None
@@ -374,7 +381,8 @@ def test_differential_corpus_covers_every_mutation_kind():
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 _JSON = st.recursive(
     _SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=16,
 )
 _TOY = toy_dict()
@@ -396,7 +404,10 @@ def test_parse_bundle_never_raises_on_arbitrary_json(value):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     edits=st.lists(
-        st.tuples(st.integers(0, len(_TOY_PATHS) - 1), _JSON | st.sampled_from(["C1", "gp:X", "child:C1:S1"])),
+        st.tuples(
+            st.integers(0, len(_TOY_PATHS) - 1),
+            _JSON | st.sampled_from(["C1", "gp:X", "child:C1:S1"]),
+        ),
         min_size=1,
         max_size=3,
     )

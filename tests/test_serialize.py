@@ -8,6 +8,7 @@ bundle, including values of a type their spec does not expect.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
@@ -112,3 +113,51 @@ def test_a_list_field_holding_any_value_renders_or_fails_as_the_oracle_does(valu
     bundle = clone(_TOY)
     bundle.routes[0].disconfirming_models = value
     assert _outcome(serialize_bundle, bundle) == _outcome(oracle, bundle)
+
+
+# Free JSON as event payloads carry it: floats (NaN, infinities, negative
+# zero, exponents) nested in lists and dicts, several levels deep, with
+# keys of every scalar class json coerces.
+_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 1e16, 1.5e-7, float("nan"), float("-inf")])
+_NESTED = st.recursive(
+    _FLOATS | _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=2).map(tuple)
+    | st.dictionaries(
+        st.text() | st.integers() | st.booleans() | st.none() | _FLOATS, inner, max_size=4
+    ),
+    max_leaves=40,
+)
+
+
+def _containers(value) -> list:
+    """Every dict, list and tuple inside a JSON value, itself included."""
+    if isinstance(value, dict):
+        return [value] + [c for item in value.values() for c in _containers(item)]
+    if isinstance(value, (list, tuple)):
+        return [value] + [c for item in value for c in _containers(item)]
+    return []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    payload=st.dictionaries(st.text(), _NESTED, max_size=4),
+    sections=st.dictionaries(st.text() | st.integers() | _FLOATS, _NESTED, max_size=3),
+)
+def test_nested_payloads_write_and_clone_as_json_and_deepcopy_do(payload, sections):
+    bundle = clone(_TOY)
+    bundle.events.append(
+        AuditEvent(
+            sequence=1,
+            timestamp="2026-06-01T00:00:00Z",
+            actor="a",
+            kind="flow_recorded",
+            payload=payload,
+        )
+    )
+    bundle.memos.append(AnalyticMemo(project_ref=bundle.projects[0].id, sections=sections))
+    assert _outcome(serialize_bundle, bundle) == _outcome(oracle, bundle)
+    copied = clone(bundle).events[-1].payload
+    assert repr(copied) == repr(copy.deepcopy(payload))
+    shared = {id(c) for c in _containers(payload) if not isinstance(c, tuple)}
+    assert not shared & {id(c) for c in _containers(copied)}
