@@ -250,24 +250,6 @@ class _Decoder:
         self.fail(path, f"expected object, got {type(raw).__name__}")
         return {}
 
-    def ident(self, spec: Spec, raw: Any, path: str, ctx: tuple) -> Identifier | None:
-        if not isinstance(raw, str) or not raw:
-            self.fail(path, "expected identifier string")
-            return None
-        parsed = self.idents[raw]
-        if parsed.__class__ is not Identifier:
-            if spec.owner is None or parsed is None:
-                self.fail(path, f"{raw!r} is not a valid identifier")
-                return None
-            ns, layer, owner = ctx
-            if spec.owner == "child":
-                parsed = Identifier("child", owner, raw)
-            else:
-                parsed = Identifier(ns, layer if ns != "gp" else "", raw)
-        if spec.expect:
-            self.references.append((parsed.render(), spec.expect, path, None, None))
-        return parsed
-
     def value(self, spec: Spec, raw: Any, path: str, ctx: tuple) -> Any:
         kind = spec.kind
         if spec.nullable and (raw is None or raw is _ABSENT):
@@ -301,7 +283,22 @@ class _Decoder:
                 self.fail(path, f"{None if raw is _ABSENT else raw!r} is not a tier")
             return tier
         if kind == IDENT:
-            return self.ident(spec, raw, path, ctx)
+            if not isinstance(raw, str) or not raw:
+                self.fail(path, "expected identifier string")
+                return None
+            parsed = self.idents[raw]
+            if parsed.__class__ is not Identifier:
+                if spec.owner is None or parsed is None:
+                    self.fail(path, f"{raw!r} is not a valid identifier")
+                    return None
+                ns, layer, owner = ctx
+                if spec.owner == "child":
+                    parsed = Identifier("child", owner, raw)
+                else:
+                    parsed = Identifier(ns, layer if ns != "gp" else "", raw)
+            if spec.expect:
+                self.references.append((parsed.render(), spec.expect, path, None, None))
+            return parsed
         if kind == LAYER:
             # Bare names stay strings until every layer is known.
             if not isinstance(raw, str) or not raw:
@@ -353,7 +350,7 @@ class _Decoder:
                     continue
                 item = self.record(CODECS[spec.of], item, f"{prefix}[{i}]", ctx)
             else:
-                item = self.ident(spec, item, f"{prefix}[{i}]", ctx)
+                item = self.value(spec, item, f"{prefix}[{i}]", ctx)
             if item is not None:
                 out.append(item)
         return out

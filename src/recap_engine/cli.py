@@ -8,7 +8,6 @@ write the bundle atomically behind an advisory ``flock``.
 from __future__ import annotations
 
 import argparse
-import fcntl
 import json
 import os
 import sys
@@ -98,6 +97,8 @@ class _BundleLock:
         self.fd: int | None = None
 
     def __enter__(self):
+        import fcntl  # loaded here: commands that never write do not pay for it
+
         while True:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
             try:
