@@ -103,19 +103,19 @@ class _BundleLock:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                # A holder that released the lock may have removed the file
+                # after this process opened it; only the file at the path counts.
+                if os.path.samestat(os.fstat(fd), os.stat(self.lock_path)):
+                    self.fd = fd
+                    return self
+            except FileNotFoundError:
+                pass
             except BlockingIOError:
                 os.close(fd)
-                raise LockContention(str(self.lock_path))
-            # A holder that released the lock may have removed the file
-            # after this process opened it; lock the file at the path.
-            try:
-                current = os.stat(self.lock_path)
-            except FileNotFoundError:
-                current = None
-            held = os.fstat(fd)
-            if current is not None and os.path.samestat(current, held):
-                self.fd = fd
-                return self
+                raise LockContention(str(self.lock_path)) from None
+            except BaseException:
+                os.close(fd)
+                raise
             os.close(fd)
 
     def __exit__(self, *exc):

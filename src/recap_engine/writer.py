@@ -43,15 +43,19 @@ _INLINE[ENUM] = _INLINE[STR]
 _INLINE[LAYER] = _INLINE[IDENT]
 
 
+_INF = float("inf")
+
+
 def _float_text(value: float) -> str:
     if value != value:
         return "NaN"
-    if value in (_INF, -_INF):
-        return "Infinity" if value > 0 else "-Infinity"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
     return float.__repr__(value)
 
 
-_INF = float("inf")
 #: Class -> JSON text of a scalar, and of a dict key of that class.
 _SCALARS = {
     int: int.__repr__,
