@@ -7,70 +7,64 @@ flow, and produces the mandatory audit outputs. It validates human-declared
 assessments; it never produces them.
 """
 
-from .diagnostics import Diagnostic, OperationRejected, Severity, explain_code
-from .identifiers import Identifier
-from .model import (
-    Assessment,
-    BundleIndex,
-    ProjectBundle,
-    Route,
-    Tier,
-    EvidentialUnit,
-)
-from .bundle import parse_bundle, serialize_bundle, load_bundle, ParseResult
-from .tiering import compute_tier, tier_unit, check_tier_declaration
-from .routing import check_route_coherence, declare_route, freeze_route, revise_route
-from .contamination import check_flow, scan_bundle, trace_downstream, validate_insight
-from .layers import resolve_constraints, check_law_evolution, bump_version
-from .reporting import (
-    build_study_log,
-    build_tier_table,
-    compliance_verdict,
-    render_report,
-    validate_reviewer_block,
-)
-from .audit import append_event, replay
+from importlib import import_module
+
+#: Public name -> the module defining it. Names are imported on first use
+#: (PEP 562), so a command loads only the modules it runs.
+_EXPORTS = {
+    "Diagnostic": "diagnostics",
+    "OperationRejected": "diagnostics",
+    "Severity": "diagnostics",
+    "explain_code": "diagnostics",
+    "Identifier": "identifiers",
+    "Assessment": "model",
+    "BundleIndex": "model",
+    "EvidentialUnit": "model",
+    "ProjectBundle": "model",
+    "Route": "model",
+    "Tier": "model",
+    "ParseResult": "bundle",
+    "load_bundle": "bundle",
+    "parse_bundle": "bundle",
+    "serialize_bundle": "bundle",
+    "check_tier_declaration": "tiering",
+    "compute_tier": "tiering",
+    "tier_unit": "tiering",
+    "check_route_coherence": "routing",
+    "declare_route": "routing",
+    "freeze_route": "routing",
+    "revise_route": "routing",
+    "check_flow": "contamination",
+    "scan_bundle": "contamination",
+    "trace_downstream": "contamination",
+    "validate_insight": "contamination",
+    "bump_version": "layers",
+    "check_law_evolution": "layers",
+    "resolve_constraints": "layers",
+    "build_study_log": "reporting",
+    "build_tier_table": "reporting",
+    "compliance_verdict": "reporting",
+    "render_report": "reporting",
+    "validate_reviewer_block": "reporting",
+    "append_event": "audit",
+    "replay": "audit",
+}
 
 __version__ = "0.1.0"
 
 ENGINE_VERSION = __version__
 
-__all__ = [
-    "Assessment",
-    "BundleIndex",
-    "Diagnostic",
-    "ENGINE_VERSION",
-    "EvidentialUnit",
-    "Identifier",
-    "OperationRejected",
-    "ParseResult",
-    "ProjectBundle",
-    "Route",
-    "Severity",
-    "Tier",
-    "append_event",
-    "build_study_log",
-    "build_tier_table",
-    "bump_version",
-    "check_flow",
-    "check_law_evolution",
-    "check_route_coherence",
-    "check_tier_declaration",
-    "compliance_verdict",
-    "compute_tier",
-    "declare_route",
-    "explain_code",
-    "freeze_route",
-    "load_bundle",
-    "parse_bundle",
-    "render_report",
-    "replay",
-    "resolve_constraints",
-    "revise_route",
-    "scan_bundle",
-    "serialize_bundle",
-    "tier_unit",
-    "trace_downstream",
-    "validate_insight",
-    "validate_reviewer_block",
-]
+__all__ = sorted(["ENGINE_VERSION", *_EXPORTS])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

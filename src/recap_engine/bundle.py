@@ -5,9 +5,9 @@ Parsing either returns a fully-resolved model or a list of located
 diagnostics, never both. Serialization is deterministic and round-trips:
 ``parse(serialize(b)) == b`` for every invariant-satisfying bundle.
 
-Every persisted record is described once, by the :class:`~.model.Spec` in
-its dataclass field metadata. One strict decoder and one encoder walk those
-specs, for the bundle and for every record an event payload carries; so do
+Every persisted record is described once, by the :class:`~.model.Spec` of
+each of its fields. One strict decoder and one encoder walk those specs,
+for the bundle and for every record an event payload carries; so do
 the :func:`clone` that replay starts from and the indented writer behind
 :func:`serialize_bundle` (``writer.py``).
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
@@ -43,19 +42,27 @@ from .model import (
     event_time_key,
     event_timestamp_error,
 )
+from .records import field, fields, record
 
 VERSION_RE = re.compile(r"^v(\d+)\.(\d+)$")
+
+#: One escape of a JSON string; group 1 is set when it stands for a lone
+#: surrogate, which UTF-8 cannot encode. A surrogate pair is one match.
+_ESCAPE_RE = re.compile(
+    r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+    r"|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)"
+)
 
 _ABSENT = object()  # a key missing from its JSON object
 _TIERS = {tier.label: tier for tier in Tier}
 
 
-@dataclass
+@record
 class ParseResult:
     """Outcome of a parse: a bundle plus warnings, or error diagnostics."""
 
     bundle: ProjectBundle | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(factory=list)
 
     @property
     def ok(self) -> bool:
@@ -100,8 +107,7 @@ class _Codec:
         self.cls = cls
         self.name = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
         #: (field name, JSON key or key path, spec)
-        self.fields = [(f.name, f.metadata["spec"].key or f.name, f.metadata["spec"])
-                       for f in fields(cls)]
+        self.fields = [(f.name, f.spec.key or f.name, f.spec) for f in fields(cls)]
         self.specs = {name: spec for name, _, spec in self.fields}
         self.encode = _record_encoder(self.fields)
         self.text = [(name, key if key.__class__ is str else ".".join(key))
@@ -174,9 +180,9 @@ def _build(cls: type) -> None:
     if cls in CODECS:
         return
     for f in fields(cls):
-        if "spec" not in f.metadata:
+        if f.spec is None:
             raise TypeError(f"{cls.__name__}.{f.name} has no spec")
-        inner = f.metadata["spec"].of if f.metadata["spec"].kind == LIST else f.metadata["spec"]
+        inner = f.spec.of if f.spec.kind == LIST else f.spec
         if inner.kind == RECORD:
             _build(inner.of)
     CODECS[cls] = _Codec(cls)
@@ -370,7 +376,7 @@ class _Decoder:
             else:
                 values[name] = decode_value(self, raw, path, label, ctx)
         # Every field is in ``values``, in declaration order, so this is
-        # what the dataclass __init__ would build.
+        # what the record __init__ would build.
         record = _new(codec.cls)
         record.__dict__ = values
         for name, label in codec.text:
@@ -751,6 +757,9 @@ def parse_bundle(text: str) -> ParseResult:
         return ParseResult(None, [error("E_SYNTAX", f"line {exc.lineno}", exc.msg)])
     except RecursionError:
         return ParseResult(None, [error("E_SYNTAX", "line 1", "document nests too deeply")])
+    surrogate = lone_surrogate(text)
+    if surrogate is not None:
+        return ParseResult(None, [surrogate])
     if not isinstance(raw, dict):
         return ParseResult(None, [error("E_SYNTAX", "line 1", "bundle must be a JSON object")])
 
@@ -786,6 +795,21 @@ def parse_bundle(text: str) -> ParseResult:
     return ParseResult(bundle, diags)
 
 
+def lone_surrogate(text: str) -> Diagnostic | None:
+    """E_SYNTAX at the first escape in a well-formed JSON text that stands
+    for a lone surrogate (``"\\ud800"``): ``json.loads`` accepts one, but
+    no bundle holding it can be written back as UTF-8. A text without
+    ``\\u`` pays for one search."""
+    if "\\u" not in text:
+        return None
+    for match in _ESCAPE_RE.finditer(text):
+        if match.group(1):
+            line = text.count("\n", 0, match.start()) + 1
+            message = f"\\{match.group(1)} is a lone surrogate, which UTF-8 cannot encode"
+            return error("E_SYNTAX", f"line {line}", message)
+    return None
+
+
 def load_bundle(path: str | Path) -> ProjectBundle:
     """Parse a bundle file, raising :class:`OperationRejected` on errors."""
     result = parse_bundle(Path(path).read_text(encoding="utf-8"))
@@ -794,24 +818,32 @@ def load_bundle(path: str | Path) -> ProjectBundle:
     return result.bundle
 
 
-def _strict(spec: Spec, raw: Any, what: str, owner: str, ns: str) -> Any:
+def _strict(spec: Spec, raw: Any, what: str, at: str, owner: str, ns: str) -> Any:
     decoder = _Decoder()
-    value = decoder.value(spec, raw, what, (ns, owner, owner))
+    # Under at == "" the value is a document: its fields are located by
+    # their keys alone, and the document itself as "$".
+    value = decoder.value(spec, raw, at or "$", (ns, owner, owner))
     errors = [d for d in decoder.diagnostics if d.severity == Severity.ERROR]
     if errors or (value is None and not spec.nullable):
-        detail = "; ".join(f"{d.location}: {d.message}" for d in errors)
+        detail = "; ".join(f"{d.location.removeprefix('$.')}: {d.message}" for d in errors)
         raise ValueError(f"malformed {what}: {detail}")
     return value
 
 
-def decode(cls: type, obj: Any, owner: str = "", ns: str = "child") -> Any:
+def decode(
+    cls: type, obj: Any, owner: str = "", ns: str = "child", *, at: str | None = None
+) -> Any:
     """Decode one record outside a bundle (an event payload, a report, a
     changelog file) as strictly as :func:`parse_bundle` does.
 
     Bare names default to ``owner`` within the ``ns`` namespace. Raises
     ValueError naming every malformed field; references are not resolved.
+    Errors are located under ``at``, by default the record's name; a caller
+    decoding a user's file passes ``at=""``, so that each field is named by
+    its key in the file.
     """
-    return _strict(Spec(RECORD, cls), obj, CODECS[cls].name, owner, ns)
+    name = CODECS[cls].name
+    return _strict(Spec(RECORD, cls), obj, name, name if at is None else at, owner, ns)
 
 
 def decode_field(
@@ -821,7 +853,8 @@ def decode_field(
     are located under ``at``, by default ``<record>.<field>``; a caller
     decoding a user's file passes the user's key."""
     codec = CODECS[cls]
-    return _strict(codec.specs[name], raw, at or f"{codec.name}.{name}", owner, ns)
+    at = at or f"{codec.name}.{name}"
+    return _strict(codec.specs[name], raw, at, at, owner, ns)
 
 
 def decode_bump(payload: dict) -> tuple[ChangelogEntry, list[Law]]:

@@ -3,29 +3,22 @@
 Exit codes: 0 success or compliant, 1 violations found, 2 usage or parse
 error. Reports go to stdout; diagnostics go to stderr. Mutating commands
 write the bundle atomically behind an advisory ``flock``.
+
+Each command imports the engine modules it runs when it runs, so starting
+the CLI loads only those; ``explain`` needs nothing but the diagnostics.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bundle import decode, decode_field, encode, parse_bundle, serialize_bundle
-from .diagnostics import Diagnostic, OperationRejected, Severity, explain_code
-from .layers import bump_version
-from .model import ChangelogEntry, LayerDecl, ProjectBundle, ProjectDecl
-from .reporting import (
-    build_study_log,
-    build_tier_table,
-    compliance_verdict,
-    render_report,
-)
-from .routing import check_route_coherence, freeze_route
-from .contamination import scan_bundle
-from .tiering import check_tier_declaration, tier_unit
+from .diagnostics import Diagnostic, OperationRejected, Severity, error, explain_code
+
+if TYPE_CHECKING:
+    from .model import ProjectBundle, ProjectDecl
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -48,11 +41,31 @@ def _emit_diagnostics(diags: list[Diagnostic]) -> None:
         print(line, file=sys.stderr)
 
 
-def _load(path: str) -> ProjectBundle | None:
+def _read_text(path: str, what: str) -> str | None:
+    """The file's text as text mode reads it (UTF-8, universal newlines), or
+    None once the reason it cannot be read is reported: the OS error, or the
+    line of the first byte that is not UTF-8."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as source:
+            data = source.read()
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        print(f"cannot read {what}: {exc}", file=sys.stderr)
+        return None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = before.count(b"\n") + 1
+        _emit_diagnostics([error("E_SYNTAX", f"line {line}", f"not valid UTF-8: {exc.reason}")])
+        return None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _load(path: str) -> ProjectBundle | None:
+    from .bundle import parse_bundle
+
+    text = _read_text(path, path)
+    if text is None:
         return None
     result = parse_bundle(text)
     _emit_diagnostics(result.diagnostics)
@@ -63,6 +76,10 @@ def _write_atomic(path: str, bundle: ProjectBundle) -> None:
     """Replace the bundle file durably: the new bytes reach the disk before
     the rename, and the rename before this returns. A failed write or
     rename leaves the old file and no temporary file behind."""
+    from pathlib import Path
+
+    from .bundle import serialize_bundle
+
     target = Path(path)
     tmp = target.with_name(f"{target.name}.tmp.{os.getpid()}")
     text = serialize_bundle(bundle)
@@ -93,6 +110,8 @@ class _BundleLock:
     nothing."""
 
     def __init__(self, path: str):
+        from pathlib import Path
+
         self.lock_path = Path(path + ".lock")
         self.fd: int | None = None
 
@@ -148,6 +167,8 @@ def _pick_project(bundle: ProjectBundle, name: str | None) -> ProjectDecl | None
 
 
 def _cmd_validate(args) -> int:
+    from .reporting import compliance_verdict, render_report
+
     bundle = _load(args.bundle)
     if bundle is None:
         return EXIT_USAGE
@@ -161,6 +182,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_tier(args) -> int:
+    from .tiering import check_tier_declaration, tier_unit
+
     bundle = _load(args.bundle)
     if bundle is None:
         return EXIT_USAGE
@@ -193,6 +216,8 @@ def _cmd_tier(args) -> int:
 
 
 def _cmd_route(args) -> int:
+    from .routing import check_route_coherence, freeze_route
+
     bundle = _load(args.bundle)
     if bundle is None:
         return EXIT_USAGE
@@ -220,6 +245,11 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    import json
+
+    from .bundle import encode
+    from .contamination import scan_bundle
+
     bundle = _load(args.bundle)
     if bundle is None:
         return EXIT_USAGE
@@ -238,6 +268,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .reporting import build_study_log, build_tier_table, render_report
+
     bundle = _load(args.bundle)
     if bundle is None:
         return EXIT_USAGE
@@ -266,17 +298,31 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_version(args) -> int:
+    import json
+
+    from .bundle import decode, decode_field, lone_surrogate
+    from .layers import bump_version
+    from .model import ChangelogEntry, LayerDecl
+
     bundle = _load(args.bundle)
     if bundle is None:
         return EXIT_USAGE
+    text = _read_text(args.changelog, "changelog")
+    if text is None:
+        return EXIT_USAGE
     try:
-        raw = json.loads(Path(args.changelog).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"cannot read changelog: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    surrogate = lone_surrogate(text)
+    if surrogate is not None:
+        _emit_diagnostics([surrogate])
         return EXIT_USAGE
     gp = bundle.grandparent()
     try:
-        entry = decode(ChangelogEntry, raw)
+        # The file's own keys locate its errors: to_version, new_laws[0].
+        entry = decode(ChangelogEntry, raw, at="")
         laws = raw.get("new_laws")
         if laws is None:
             new_laws = list(gp.laws)
@@ -310,6 +356,16 @@ def _cmd_explain(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _utf8(text: str) -> str:
+    """An argument stored in the bundle: bytes the OS could not decode reach
+    Python as lone surrogates, which the bundle file could not hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError("not valid UTF-8") from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recap-engine",
@@ -332,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["freeze", "check"])
     p.add_argument("--project")
     p.add_argument("--timestamp")
-    p.add_argument("--actor", default="cli")
+    p.add_argument("--actor", default="cli", type=_utf8)
     p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser("scan", help="contamination scan")
@@ -351,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle")
     p.add_argument("action", choices=["bump"])
     p.add_argument("--changelog", required=True)
-    p.add_argument("--actor", default="cli")
+    p.add_argument("--actor", default="cli", type=_utf8)
     p.set_defaults(func=_cmd_version)
 
     p = sub.add_parser("explain", help="rule text for a diagnostic code")

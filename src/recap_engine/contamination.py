@@ -10,9 +10,7 @@ reading prose.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .audit import commit, find_declaration, now_utc
 from .bundle import decode, encode, text_fields
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references
@@ -31,6 +29,7 @@ from .model import (
     RouteAssumption,
     Tier,
 )
+from .records import record
 from .tiering import effective_tier
 
 _RANK = {"child": 0, "parent": 1, "grandparent": 2}
@@ -38,20 +37,22 @@ _RANK = {"child": 0, "parent": 1, "grandparent": 2}
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FlowVerdict:
     allowed: bool
     direction: str | None = None
     rule: str | None = None
     reason: str = ""
 
+    # Both pass every field positionally, the record __init__'s fast path:
+    # a scan builds a verdict per flow and per reference it checks.
     @staticmethod
     def ok(reason: str = "") -> "FlowVerdict":
-        return FlowVerdict(True, reason=reason)
+        return FlowVerdict(True, None, None, reason)
 
     @staticmethod
     def violation(direction: str, rule: str, reason: str) -> "FlowVerdict":
-        return FlowVerdict(False, direction=direction, rule=rule, reason=reason)
+        return FlowVerdict(False, direction, rule, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +349,16 @@ class _Scanner:
         field="",
         token: Identifier | None = None,
     ) -> None:
+        # Every field is passed positionally, the record __init__'s fast
+        # path: the event's id, rule, direction, nature, site and location,
+        # then its defaults (no risks, decisions, action, update, timestamp;
+        # unresolved).
         site = ContaminationSite(
-            container=_text(container),
-            field=_text(field),
-            token="" if token is None else token.render(),
+            _text(container), _text(field), "" if token is None else token.render()
         )
         self.events.append(
             ContaminationEvent(
-                id="",
-                rule_violated=rule,
-                direction=direction,
-                nature=nature,
-                site=site,
-                location=_text(location),
+                "", rule, direction, nature, site, _text(location), "", [], None, None, "", False
             )
         )
 
@@ -731,6 +729,7 @@ def record_flow(
 ) -> ProjectBundle:
     """Record a flow event. Recording is factual: illegal movements are
     recorded too, then flagged by the scan."""
+    from .audit import commit, now_utc
     diags: list[Diagnostic] = []
     if bundle.layer_by_id(flow.source_layer) is None:
         diags.append(error("E_UNKNOWN_LAYER", flow.id.render(), "source layer not found"))
@@ -764,6 +763,7 @@ def flag_contamination(
     timestamp: str | None = None,
 ) -> ProjectBundle:
     """Persist a detection into the audit log without resolving it."""
+    from .audit import commit, now_utc
     commit(
         bundle,
         "contamination_flagged",
@@ -776,6 +776,7 @@ def flag_contamination(
 
 
 def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[dict]:
+    from .audit import find_declaration
     site = event.site
     decl = find_declaration(bundle, site.container)
     if decl is None:
@@ -850,6 +851,7 @@ def resolve_contamination(
     appends the validated abstraction upward. Resolution demands complete
     documentation and appends exactly one audit event.
     """
+    from .audit import commit, find_declaration, now_utc
     if action not in ("quarantine", "reverse", "extract_insight"):
         raise reject("E_UNDOCUMENTED", event.id, f"unknown corrective action {action!r}")
     diags: list[Diagnostic] = []

@@ -10,7 +10,8 @@ in decision explanations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+
+from .records import record
 
 
 class Severity(enum.IntEnum):
@@ -22,7 +23,7 @@ class Severity(enum.IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     code: str
     location: str

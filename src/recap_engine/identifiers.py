@@ -14,7 +14,8 @@ Rendered forms:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .records import FrozenRecordError
 
 NAMESPACES = ("gp", "parent", "child")
 
@@ -32,13 +33,74 @@ EMBEDDED_REF_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, order=True)
+_set = object.__setattr__
+
+
 class Identifier:
-    """A fully-qualified, case-sensitive name with layer provenance."""
+    """A fully-qualified, case-sensitive name with layer provenance.
+
+    Immutable, hashable and ordered by (namespace, owner, local_name). It is
+    written out rather than made a record because it is the engine's
+    hottest value: every index, memo and reference lookup hashes and
+    compares identifiers, so the hash is computed once, at construction.
+    """
+
+    __slots__ = ("namespace", "owner", "local_name", "_hash")
 
     namespace: str
     owner: str  # local name of the owning layer; "" for the gp namespace
     local_name: str
+
+    def __init__(self, namespace: str, owner: str, local_name: str):
+        _set(self, "namespace", namespace)
+        _set(self, "owner", owner)
+        _set(self, "local_name", local_name)
+        _set(self, "_hash", hash((namespace, owner, local_name)))
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is Identifier:
+            # The local name differs most often, so it is compared first.
+            return (
+                self.local_name == other.local_name
+                and self.owner == other.owner
+                and self.namespace == other.namespace
+            )
+        return NotImplemented
+
+    def _key(self) -> tuple[str, str, str]:
+        return (self.namespace, self.owner, self.local_name)
+
+    def __lt__(self, other):
+        return self._key() < other._key() if other.__class__ is Identifier else NotImplemented
+
+    def __le__(self, other):
+        return self._key() <= other._key() if other.__class__ is Identifier else NotImplemented
+
+    def __gt__(self, other):
+        return self._key() > other._key() if other.__class__ is Identifier else NotImplemented
+
+    def __ge__(self, other):
+        return self._key() >= other._key() if other.__class__ is Identifier else NotImplemented
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so copies and unpickled values recompute
+        # the hash (string hashes differ between processes).
+        return (Identifier, self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Identifier(namespace={self.namespace!r}, owner={self.owner!r}, "
+            f"local_name={self.local_name!r})"
+        )
 
     def render(self) -> str:
         if self.namespace == "gp":

@@ -8,13 +8,11 @@ laws can never change at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .audit import commit, now_utc
 from .bundle import VERSION_RE, decode_bump, encode, text_fields
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, extract_references
 from .model import Abstraction, ChangelogEntry, Law, LayerDecl, ProjectBundle
+from .records import field, record
 
 #: Local names of the four protected laws every grandparent carries.
 CORE_LAW_NAMES = (
@@ -65,15 +63,15 @@ def seed_core_laws() -> list[Law]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class EffectiveConstraintSet:
     """Everything a child layer inherits: all grandparent laws plus the
     owning parent's abstractions and correspondence rules."""
 
     child: Identifier
-    laws: list[Law] = field(default_factory=list)
-    abstractions: list[Abstraction] = field(default_factory=list)
-    correspondences: dict[str, str] = field(default_factory=dict)
+    laws: list[Law] = field(factory=list)
+    abstractions: list[Abstraction] = field(factory=list)
+    correspondences: dict[str, str] = field(factory=dict)
 
     def law_ids(self) -> set[str]:
         return {law.id.render() for law in self.laws}
@@ -228,6 +226,7 @@ def bump_version(
 ) -> ProjectBundle:
     """Advance the grandparent to entry.to_version with an append-only law
     set. Rejection is atomic: any diagnostic leaves the bundle untouched."""
+    from .audit import commit, now_utc
     gp = bundle.grandparent()
     diags = check_changelog_entry(entry, gp.version)
     diags.extend(check_law_evolution(gp.laws, new_laws))

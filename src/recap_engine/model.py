@@ -1,21 +1,21 @@
 """In-memory model of a project bundle.
 
-One dataclass per record kind in the bundle document. The model is plain
-data: invariant checking lives in the parser and the per-subsystem
-validators, and every mutation goes through an operation that appends an
-audit event.
+One record class (``records.py``) per record kind in the bundle document.
+The model is plain data: invariant checking lives in the parser and the
+per-subsystem validators, and every mutation goes through an operation that
+appends an audit event.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import MISSING, dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Any
 
 from .identifiers import Identifier
+from .records import MISSING, field, record
 
 # ---------------------------------------------------------------------------
 # Ordinal scales (worst -> best). Tier conservatism relies on these orders.
@@ -123,7 +123,7 @@ STR, BOOL, INT, ENUM, TIER = "str", "bool", "int", "enum", "tier"
 IDENT, LAYER, LIST, MAP, RECORD, JSON = "ident", "layer", "list", "map", "record", "json"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Spec:
     """How one persisted field is decoded, encoded and scanned.
 
@@ -155,9 +155,8 @@ class Spec:
 
 
 def spec(kind: str, of: Any = None, *, default: Any = MISSING, factory: Any = MISSING, **opts):
-    """A dataclass field carrying its :class:`Spec`."""
-    metadata = {"spec": Spec(kind, of, **opts)}
-    return field(default=default, default_factory=factory, metadata=metadata)
+    """A record field carrying its :class:`Spec`."""
+    return field(default=default, factory=factory, spec=Spec(kind, of, **opts))
 
 
 def ref(*expect: str, owner: str | None = "child", **opts) -> Spec:
@@ -170,7 +169,7 @@ def ref(*expect: str, owner: str | None = "child", **opts) -> Spec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Law:
     """A normative grandparent statement. The four protected laws carry
     immutable_core and can never change text across versions."""
@@ -181,7 +180,7 @@ class Law:
     quarantined: bool = spec(BOOL, default=False)
 
 
-@dataclass
+@record
 class Abstraction:
     """A parent-level domain structure: construct, measurement class, or
     design form. correspondence maps measurement-class local names to
@@ -194,7 +193,7 @@ class Abstraction:
     quarantined: bool = spec(BOOL, default=False)
 
 
-@dataclass
+@record
 class LayerDecl:
     id: Identifier = spec(IDENT, identity=True)
     kind: str = spec(ENUM, LAYER_KINDS)
@@ -209,7 +208,7 @@ class LayerDecl:
         return self.id.local_name
 
 
-@dataclass
+@record
 class ChangelogEntry:
     """Formal record justifying a grandparent version increment."""
 
@@ -226,7 +225,7 @@ class ChangelogEntry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Assessment:
     """One declared reading of a unit on the four ordinal dimensions plus
     the speculation flag. All five are always present; ambiguity is an
@@ -239,7 +238,7 @@ class Assessment:
     speculation_required: bool = spec(BOOL)
 
 
-@dataclass
+@record
 class DeclaredAssumption:
     id: Identifier = spec(IDENT, owner="child", identity=True)
     text: str = spec(STR, text=True)
@@ -248,7 +247,7 @@ class DeclaredAssumption:
     )
 
 
-@dataclass
+@record
 class ReTierEvent:
     timestamp: str = spec(STR)
     source_of_information: str = spec(STR)
@@ -258,7 +257,7 @@ class ReTierEvent:
     new_tier: Tier = spec(TIER)
 
 
-@dataclass
+@record
 class EvidentialUnit:
     """Smallest tierable entity, with its declared assessments and the
     narrative fields the study log projects."""
@@ -292,7 +291,7 @@ class EvidentialUnit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class RouteAssumption:
     id: Identifier = spec(IDENT, owner="child", identity=True)
     text: str = spec(STR, text=True)
@@ -303,7 +302,7 @@ class RouteAssumption:
     untestable: bool = spec(BOOL, default=False)
 
 
-@dataclass
+@record
 class RouteRevision:
     timestamp: str = spec(STR)
     justification: str = spec(STR)
@@ -311,13 +310,13 @@ class RouteRevision:
     change_description: str = spec(STR)
 
 
-@dataclass
+@record
 class RejectedAlternative:
     sketch: str = spec(STR, text=True)
     rationale: str = spec(STR, text=True)
 
 
-@dataclass
+@record
 class Route:
     id: Identifier = spec(IDENT, identity=True)
     project_ref: Identifier = spec(IDENT, expect=("project",), owner="child")
@@ -333,14 +332,14 @@ class Route:
     quarantined: bool = spec(BOOL, default=False)
 
 
-@dataclass
+@record
 class EvidenceRoleAssignment:
     unit_ref: Identifier = spec(IDENT, expect=("unit",), owner="child")
     route_ref: Identifier = spec(IDENT, expect=("route",), owner="child")
     role: str = spec(ENUM, EVIDENCE_ROLES)
 
 
-@dataclass
+@record
 class ProjectDecl:
     """A child-layer project: its question, its single committed route, its
     evidence universe, and the role each unit plays."""
@@ -362,7 +361,7 @@ class ProjectDecl:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class FlowEvent:
     """One recorded cross-layer information movement."""
 
@@ -378,7 +377,7 @@ class FlowEvent:
     quarantined: bool = spec(BOOL, default=False)
 
 
-@dataclass
+@record
 class BoundaryContract:
     """Explicit, auditable authorization for a boundary crossing. All five
     elements must be present for the contract to legalize anything."""
@@ -392,7 +391,7 @@ class BoundaryContract:
     documentation_ref: str = spec(STR, default="")
 
 
-@dataclass
+@record
 class ContaminationSite:
     """Where a violation was detected: a declaration field, a reference
     token inside it, or a recorded flow."""
@@ -402,7 +401,7 @@ class ContaminationSite:
     token: str = spec(STR, default="")
 
 
-@dataclass
+@record
 class ContaminationEvent:
     id: str = spec(STR)
     rule_violated: str = spec(ENUM, VIOLATION_RULES)
@@ -418,7 +417,7 @@ class ContaminationEvent:
     resolved: bool = spec(BOOL, default=False)
 
 
-@dataclass
+@record
 class InsightProposal:
     """The only lawful upward flow: a domain-independent, append-only
     methodological refinement, moving exactly one level up."""
@@ -427,8 +426,8 @@ class InsightProposal:
     origin_layer: Identifier
     target_layer: Identifier
     statement: str
-    referenced_terms: list[Identifier] = field(default_factory=list)
-    proposed_additions: list[dict] = field(default_factory=list)
+    referenced_terms: list[Identifier] = field(factory=list)
+    proposed_additions: list[dict] = field(factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +435,7 @@ class InsightProposal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class StudyLogEntry:
     study_id: str
     design_type: str
@@ -447,7 +446,7 @@ class StudyLogEntry:
     notes: str
 
 
-@dataclass
+@record
 class TierTableRow:
     study_id: str
     methods_summary: str
@@ -456,7 +455,7 @@ class TierTableRow:
     limitations: str
 
 
-@dataclass
+@record
 class ReviewerBlock:
     project_ref: Identifier = spec(IDENT, expect=("project",), identity=True)
     methodological_findings: list[str] = spec(LIST, Spec(STR))
@@ -469,7 +468,7 @@ class ReviewerBlock:
     assumptions_ref: list[Identifier] = spec(LIST, ref("assumption"))
 
 
-@dataclass
+@record
 class AnalyticMemo:
     project_ref: Identifier = spec(IDENT, expect=("project",), identity=True)
     sections: dict[str, str] = spec(MAP)
@@ -484,7 +483,7 @@ MEMO_SECTIONS = (
 )
 
 
-@dataclass
+@record
 class ComplianceReport:
     verdict: str  # "compliant" | "non_compliant"
     findings: list  # list[Diagnostic]
@@ -515,7 +514,7 @@ def event_time_key(timestamp: str) -> str:
     return timestamp[:19] + timestamp[19:-1].rstrip("0").rstrip(".")
 
 
-@dataclass
+@record
 class AuditEvent:
     sequence: int = spec(INT, identity=True, noun="integer sequence")
     timestamp: str = spec(STR)
@@ -529,7 +528,7 @@ class AuditEvent:
 # The bundle
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class ProjectBundle:
     """Root document: the project's complete epistemic ledger."""
 

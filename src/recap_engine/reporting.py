@@ -106,15 +106,16 @@ def build_study_log(
                     f"(one of: {', '.join(BIAS_DIRECTION_TAGS)})",
                 )
             )
+        # Positional, in field order: the record __init__'s fast path.
         entries.append(
             StudyLogEntry(
-                study_id=label,
-                design_type=unit.design_type,
-                tier_assignment=tier.label if tier is not None else "",
-                reasons_for_tiering=unit.tier_justification,
-                bias_considerations=unit.bias_considerations,
-                measurement_definition_issues=unit.measurement_issues,
-                notes=unit.notes,
+                label,
+                unit.design_type,
+                mandatory["tier_assignment"],
+                unit.tier_justification,
+                unit.bias_considerations,
+                unit.measurement_issues,
+                unit.notes,
             )
         )
     if diags:
@@ -145,12 +146,12 @@ def build_tier_table(
         if effective_tier(unit) not in (Tier.CORE, Tier.SUPPLEMENT):
             continue
         rows.append(
-            TierTableRow(
-                study_id=unit.study_id.local_name,
-                methods_summary=unit.methods_summary,
-                evidence_type=_evidence_type(index, project, unit),
-                strengths=unit.strengths,
-                limitations=unit.limitations,
+            TierTableRow(  # positional, in field order
+                unit.study_id.local_name,
+                unit.methods_summary,
+                _evidence_type(index, project, unit),
+                unit.strengths,
+                unit.limitations,
             )
         )
     return rows

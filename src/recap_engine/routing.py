@@ -8,10 +8,8 @@ tiered evidence to the committed route's role structure.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
-from .audit import commit, now_utc
 from .bundle import encode, route_body_dict
 from .diagnostics import Diagnostic, OperationRejected, error, reject, warning
 from .identifiers import Identifier
@@ -30,6 +28,8 @@ SECONDARY_ROLES = ("sensitivity", "boundary", "contextual", "measurement_evaluat
 
 def route_body_hash(route: Route) -> str:
     """Stable fingerprint of the parts a freeze locks."""
+    import hashlib  # loaded here: only freezes and integrity checks need it
+
     body = json.dumps(route_body_dict(route), sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
@@ -76,6 +76,7 @@ def declare_route(
     uncommitted declarations for comparison and belong in the committed
     route's rejected-alternatives record.
     """
+    from .audit import commit, now_utc
     project = bundle.project_by_id(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
@@ -208,6 +209,7 @@ def freeze_route(
     actor: str = "engine",
 ) -> ProjectBundle:
     """Freeze the committed route; coherence failures block freezing."""
+    from .audit import commit, now_utc
     project = bundle.project_by_id(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
@@ -257,6 +259,7 @@ def revise_route(
     The replacement must keep the route invariants and stay coherent with
     the evidence; anything less is a silent revision and is rejected.
     """
+    from .audit import commit, now_utc
     project = bundle.project_by_id(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")

@@ -10,9 +10,6 @@ speculation, so it excludes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .audit import commit, now_utc
 from .bundle import encode
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier
@@ -24,6 +21,7 @@ from .model import (
     ReTierEvent,
     Tier,
 )
+from .records import field, record
 
 
 def _sub_core_dimensions(a: Assessment) -> list[str]:
@@ -73,13 +71,13 @@ def compute_tier(a: Assessment, assumptions: list[DeclaredAssumption]) -> Tier:
     return compute_tier_decision(a, assumptions)[0]
 
 
-@dataclass
+@record
 class TierDecision:
     """A unit-level tier with its explanation."""
 
     tier: Tier
     rule_id: str
-    per_interpretation: list[tuple[Tier, str]] = field(default_factory=list)
+    per_interpretation: list[tuple[Tier, str]] = field(factory=list)
     conservative_merge: bool = False
 
 
@@ -95,7 +93,7 @@ def tier_unit(unit: EvidentialUnit) -> TierDecision:
     ]
     if len(per) == 1:
         tier, rule = per[0]
-        return TierDecision(tier=tier, rule_id=rule, per_interpretation=per)
+        return TierDecision(tier, rule, per, False)
     if unit.splittable:
         raise reject(
             "E_MUST_SPLIT",
@@ -104,12 +102,7 @@ def tier_unit(unit: EvidentialUnit) -> TierDecision:
             "before tiering",
         )
     tier, rule = min(per, key=lambda pair: pair[0])
-    return TierDecision(
-        tier=tier,
-        rule_id=rule,
-        per_interpretation=per,
-        conservative_merge=True,
-    )
+    return TierDecision(tier, rule, per, True)
 
 
 def check_tier_declaration(unit: EvidentialUnit) -> list[Diagnostic]:
@@ -205,6 +198,7 @@ def declare_tier(
 ) -> ProjectBundle:
     """Record a tier declaration. The declaration must agree with the table;
     mismatches are rejected so non-compliance cannot enter through this door."""
+    from .audit import commit, now_utc
     unit = bundle.unit_by_id(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
@@ -245,6 +239,7 @@ def apply_retier(
     declaration still matches the table afterwards; silent modification has
     no code path.
     """
+    from .audit import commit, now_utc
     unit = bundle.unit_by_id(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
@@ -322,6 +317,7 @@ def split_unit(
     declared assumptions, carry a provenance link to the source, and start
     untiered. The source stays in the document, marked superseded.
     """
+    from .audit import commit, now_utc
     unit = bundle.unit_by_id(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")

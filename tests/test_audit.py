@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import random
 
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from genbundles import TimeSource, inject_faults, parse_dict, random_bundle_dict
 from toy import toy_bundle, toy_dict
 
+from recap_engine import records
 from recap_engine.audit import append_event, replay
 from recap_engine.bundle import clone, decode_route_dict, parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected
@@ -415,7 +415,7 @@ def _mutable_ids(obj, out: set) -> set:
         values = obj
     elif isinstance(obj, dict):
         values = obj.values()
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, Identifier):
+    elif records.is_record(obj) and not isinstance(obj, Identifier):
         values = vars(obj).values()
     else:
         return out

@@ -48,6 +48,30 @@ def test_deeply_nested_document_is_syntax_error_at_line_1():
     assert [(d.code, d.location) for d in result.diagnostics] == [("E_SYNTAX", "line 1")]
 
 
+@pytest.mark.parametrize(
+    "escape", ["\\ud800", "\\uDC00", "x\\ud83d\\u0041", "\\ude00\\ud83d"]
+)
+def test_a_lone_surrogate_escape_is_a_syntax_error_at_its_line(toy_doc, escape):
+    toy_doc["units"][0]["notes"] = "placeholder"
+    text = json.dumps(toy_doc, indent=1).replace('"placeholder"', f'"{escape}"')
+    line = text[: text.index(escape)].count("\n") + 1
+    result = parse_bundle(text)
+    assert result.bundle is None
+    [diag] = result.diagnostics
+    assert (diag.code, diag.location) == ("E_SYNTAX", f"line {line}")
+    assert "lone surrogate" in diag.message
+
+
+@pytest.mark.parametrize("escape", ["\\ud83d\\ude00", "\\\\ud800", "\\u00e9"])
+def test_surrogate_pairs_and_other_escapes_still_parse(toy_doc, escape):
+    toy_doc["units"][0]["notes"] = "placeholder"
+    text = json.dumps(toy_doc).replace('"placeholder"', f'"{escape}"')
+    result = parse_bundle(text)
+    assert result.bundle is not None, result.diagnostics
+    assert result.bundle.units[0].notes == json.loads(f'"{escape}"')
+    assert serialize_bundle(result.bundle).encode("utf-8")
+
+
 def test_non_object_document_rejected():
     result = parse_bundle("[1, 2, 3]")
     assert result.bundle is None

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from toy import FREEZE_TS, toy_dict, toy_text, variant
 
 import recap_engine
@@ -381,14 +386,10 @@ def test_module_entry_point_runs_as_subprocess(toy_file):
     assert proc.stdout.strip() == "compliant"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["validate"], ["scan"], ["report", "study-log"], ["report", "reviewer-block"]],
-)
-def test_read_only_commands_never_import_the_writer(toy_file, argv):
+def _imported(argv: list[str]) -> set[str]:
+    """Every module a CLI run in a fresh interpreter imports."""
     src = str(Path(recap_engine.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    argv = [argv[0], str(toy_file), *argv[1:]]
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "recap_engine", *argv],
         capture_output=True,
@@ -396,10 +397,32 @@ def test_read_only_commands_never_import_the_writer(toy_file, argv):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr[-500:]
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["scan"], ["report", "study-log"], ["report", "reviewer-block"], ["tier"]],
+)
+def test_read_only_commands_never_import_the_writer(toy_file, argv):
+    imported = _imported([argv[0], str(toy_file), *argv[1:]])
     assert "recap_engine.bundle" in imported
-    assert "recap_engine.writer" not in imported
+    assert not imported & {"recap_engine.writer", "recap_engine.audit", "dataclasses"}
+    if argv[0] == "scan":
+        assert "recap_engine.reporting" not in imported
+
+
+def test_explain_loads_only_the_diagnostics():
+    imported = _imported(["explain", "E_SYNTAX"])
+    engine = {name for name in imported if name.startswith("recap_engine")}
+    # records is the helper the Diagnostic record is built with.
+    assert engine == {
+        "recap_engine",
+        "recap_engine.cli",
+        "recap_engine.diagnostics",
+        "recap_engine.records",
+    }
 
 
 def _bump_with(tmp_path, capsys, changelog_doc):
@@ -450,7 +473,8 @@ def test_unexpected_failure_prints_one_line_and_exits_two(toy_file, capsys, monk
     def broken(bundle):
         raise RuntimeError("scanner fault")
 
-    monkeypatch.setattr("recap_engine.cli.scan_bundle", broken)
+    # The scan command imports scan_bundle from its module when it runs.
+    monkeypatch.setattr("recap_engine.contamination.scan_bundle", broken)
     code, out, err = run_cli("scan", str(toy_file), capsys=capsys)
     assert code == 2
     assert out == ""
@@ -544,3 +568,167 @@ def test_version_bump_names_the_changelog_key_of_a_bad_law(tmp_path, capsys, law
     )
     assert code == 2
     assert location in err and "layer_decl" not in err
+
+
+# ---------------------------------------------------------------------------
+# Totality at the boundary: undecodable input is a located diagnostic
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["scan"], ["report", "study-log"], ["tier"], ["route", "check"]],
+)
+def test_a_file_that_is_not_utf8_is_a_located_syntax_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.bundle"
+    # Line 3 holds the 0xff byte; \r\n and a lone \r each end one line.
+    path.write_bytes(b'{\r\n"recap_version": "v1.0",\r"x": "\xff"}\n')
+    code, out, err = run_cli(argv[0], str(path), *argv[1:], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["E_SYNTAX line 3 not valid UTF-8: invalid start byte"]
+
+
+def test_a_changelog_that_is_not_utf8_is_a_located_syntax_error(tmp_path, capsys):
+    bundle_path = tmp_path / "toy.bundle"
+    bundle_path.write_text(toy_text())
+    original = bundle_path.read_text()
+    changelog = tmp_path / "change.json"
+    changelog.write_bytes(b'{\n"from_version": "v1.0\xc3"}')
+    code, out, err = run_cli(
+        "version", str(bundle_path), "bump", "--changelog", str(changelog), capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["E_SYNTAX line 2 not valid UTF-8: invalid continuation byte"]
+    assert bundle_path.read_text() == original
+
+
+def test_crlf_files_read_as_text_mode_reads_them(tmp_path, capsys):
+    path = tmp_path / "crlf.bundle"
+    path.write_bytes(toy_text().replace("\n", "\r\n").encode("utf-8"))
+    code, out, _ = run_cli("validate", str(path), capsys=capsys)
+    assert (code, out) == (0, "compliant\n")
+    path.write_bytes(b'{\r\r"recap_version": }')
+    code, _, err = run_cli("validate", str(path), capsys=capsys)
+    assert code == 2
+    assert err.splitlines() == ["E_SYNTAX line 3 Expecting value"]
+
+
+@pytest.mark.parametrize("argv", [["route", "freeze"], ["report", "study-log"], ["validate"]])
+def test_a_lone_surrogate_escape_is_a_syntax_error_not_a_crash(tmp_path, capsys, argv):
+    doc = toy_dict()
+    doc["units"][0]["notes"] = "\ud800 stray half of a pair"
+    path = tmp_path / "surrogate.bundle"
+    text = json.dumps(doc, indent=2)  # ensure_ascii: the surrogate is an escape
+    path.write_text(text)
+    line = text[: text.index("\\ud800")].count("\n") + 1
+    code, out, err = run_cli(argv[0], str(path), *argv[1:], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"E_SYNTAX line {line} \\ud800 is a lone surrogate, which UTF-8 cannot encode"
+    ]
+    assert path.read_text() == text
+
+
+def test_version_bump_names_the_changelog_key_of_a_bad_entry_field(tmp_path, capsys):
+    code, err = _bump_with(
+        tmp_path,
+        capsys,
+        {
+            "from_version": "v1.0",
+            "to_version": 2,
+            "motivating_insight": "m",
+            "boundary_affected": "b",
+            "generalizability_reasoning": "g",
+        },
+    )
+    assert code == 2
+    assert err.splitlines() == [
+        "bad changelog: malformed changelog_entry: to_version: expected string, got int"
+    ]
+
+
+def test_an_actor_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "unfrozen.bundle"
+    path.write_text(json.dumps(toy_dict()))
+    original = path.read_text()
+    # How Python hands over an argv byte that is not UTF-8 (surrogateescape).
+    code, out, err = run_cli(
+        "route", str(path), "freeze", "--timestamp", FREEZE_TS, "--actor", "\udcff", capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert "argument --actor: not valid UTF-8" in err and "internal error" not in err
+    assert path.read_text() == original
+
+
+# ---------------------------------------------------------------------------
+# Totality: any file bytes, any argv
+# ---------------------------------------------------------------------------
+
+_TOY = toy_text().encode("utf-8")
+_CHANGELOG = json.dumps({
+    "from_version": "v1.0", "to_version": "v1.1", "motivating_insight": "m",
+    "boundary_affected": "b", "generalizability_reasoning": "g",
+    "timestamp": "2026-06-01T00:00:00Z",
+}).encode("utf-8")
+
+
+def _damaged(document: bytes):
+    """The document with one span replaced by random bytes, or cut short."""
+    return st.one_of(
+        st.builds(
+            lambda at, cut, junk: document[:at] + junk + document[at + cut:],
+            st.integers(0, len(document)), st.integers(0, 8), st.binary(max_size=8),
+        ),
+        st.integers(0, len(document)).map(lambda at: document[:at]),
+    )
+
+
+_CONTENT = st.one_of(st.just(_TOY), _damaged(_TOY), _damaged(_TOY), st.binary(max_size=64))
+_CHANGELOG_CONTENT = st.one_of(st.just(_CHANGELOG), _damaged(_CHANGELOG), st.binary(max_size=32))
+#: Per command, option lists its parser accepts; BUNDLE, CHANGELOG and
+#: MISSING stand for the files.
+_OPTIONS = {
+    "validate": [[], ["--format", "structured"]],
+    "tier": [[], ["--unit", "S3"], ["--unit", "S9"]],
+    "route": [["check"], ["freeze", "--timestamp", FREEZE_TS], ["freeze"],
+              ["check", "--project", "PRJ"], ["freeze", "--actor", "\udcff"]],
+    "scan": [[], ["--format", "structured"]],
+    "report": [["study-log"], ["tier-table", "--format", "csv"],
+               ["reviewer-block", "--format", "structured"], ["study-log", "--project", "C9"]],
+    "version": [["bump", "--changelog", "CHANGELOG"], ["bump", "--changelog", "MISSING"],
+                ["bump", "--changelog", "BUNDLE"]],
+}
+_WORDS = sorted({w for options in _OPTIONS.values() for o in options for w in o}
+                | set(_OPTIONS) | {"explain", "E_SYNTAX", "-h", "", "BUNDLE", "MISSING"})
+_WELL_FORMED = st.sampled_from(sorted(_OPTIONS)).flatmap(
+    lambda command: st.sampled_from(_OPTIONS[command]).map(
+        lambda options: [command, "BUNDLE", *options]
+    )
+)
+_ARGV = st.one_of(
+    _WELL_FORMED,
+    _WELL_FORMED,
+    st.lists(st.sampled_from(_WORDS) | st.text(max_size=6), max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(content=_CONTENT, changelog=_CHANGELOG_CONTENT, argv=_ARGV)
+def test_cli_exits_0_1_or_2_without_a_traceback_on_any_input(content, changelog, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {
+            "BUNDLE": os.path.join(tmp, "b.bundle"),
+            "CHANGELOG": os.path.join(tmp, "c.json"),
+            "MISSING": os.path.join(tmp, "absent.bundle"),
+        }
+        Path(paths["BUNDLE"]).write_bytes(content)
+        Path(paths["CHANGELOG"]).write_bytes(changelog)
+        args = [paths.get(word, word) for word in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    text = out.getvalue() + err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in text
+    assert not any(line.startswith("internal error") for line in text.splitlines()), text

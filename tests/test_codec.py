@@ -13,13 +13,12 @@ in CHANGES.md) with ``PYTHONPATH=src:tests python tests/test_codec.py``.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 from pathlib import Path
 
 from toy import toy_bundle, toy_dict
 
-from recap_engine import model
+from recap_engine import model, records
 from recap_engine.bundle import CODECS, decode, encode, parse_bundle
 from recap_engine.identifiers import KIND_TO_NAMESPACE
 
@@ -78,7 +77,7 @@ def test_type_swap_diagnostics_match_fixture():
 # Completeness: every persisted field has a spec, and records round-trip
 # ---------------------------------------------------------------------------
 
-#: Model dataclasses that are derived or transient, never persisted.
+#: Model records that are derived or transient, never persisted.
 NOT_PERSISTED = {
     model.Spec,
     model.InsightProposal,
@@ -93,14 +92,14 @@ def test_every_persisted_field_has_a_spec():
         obj
         for obj in vars(model).values()
         if isinstance(obj, type)
-        and dataclasses.is_dataclass(obj)
+        and records.is_record(obj)
         and obj.__module__ == model.__name__
     }
     persisted = classes - NOT_PERSISTED
     assert persisted == set(CODECS)
     for cls in persisted:
-        for f in dataclasses.fields(cls):
-            assert isinstance(f.metadata.get("spec"), model.Spec), f"{cls.__name__}.{f.name}"
+        for f in records.fields(cls):
+            assert isinstance(f.spec, model.Spec), f"{cls.__name__}.{f.name}"
 
 
 def _records(cls, obj, ns, owner):
