@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, explain_code
@@ -46,8 +47,7 @@ def _read_text(path: str, what: str) -> str | None:
     None once the reason it cannot be read is reported: the OS error, or the
     line of the first byte that is not UTF-8."""
     try:
-        with open(path, "rb") as source:
-            data = source.read()
+        data = Path(path).read_bytes()
     except OSError as exc:
         print(f"cannot read {what}: {exc}", file=sys.stderr)
         return None
@@ -76,8 +76,6 @@ def _write_atomic(path: str, bundle: ProjectBundle) -> None:
     """Replace the bundle file durably: the new bytes reach the disk before
     the rename, and the rename before this returns. A failed write or
     rename leaves the old file and no temporary file behind."""
-    from pathlib import Path
-
     from .bundle import serialize_bundle
 
     target = Path(path)
@@ -110,8 +108,6 @@ class _BundleLock:
     nothing."""
 
     def __init__(self, path: str):
-        from pathlib import Path
-
         self.lock_path = Path(path + ".lock")
         self.fd: int | None = None
 

@@ -32,6 +32,9 @@ from .model import (
 from .records import record
 from .tiering import effective_tier
 
+# Write operations import .audit (and with it datetime) when they run, so
+# read-only commands never load it.
+
 _RANK = {"child": 0, "parent": 1, "grandparent": 2}
 
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
@@ -730,6 +733,7 @@ def record_flow(
     """Record a flow event. Recording is factual: illegal movements are
     recorded too, then flagged by the scan."""
     from .audit import commit, now_utc
+
     diags: list[Diagnostic] = []
     if bundle.layer_by_id(flow.source_layer) is None:
         diags.append(error("E_UNKNOWN_LAYER", flow.id.render(), "source layer not found"))
@@ -764,6 +768,7 @@ def flag_contamination(
 ) -> ProjectBundle:
     """Persist a detection into the audit log without resolving it."""
     from .audit import commit, now_utc
+
     commit(
         bundle,
         "contamination_flagged",
@@ -777,6 +782,7 @@ def flag_contamination(
 
 def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[dict]:
     from .audit import find_declaration
+
     site = event.site
     decl = find_declaration(bundle, site.container)
     if decl is None:
@@ -852,6 +858,7 @@ def resolve_contamination(
     documentation and appends exactly one audit event.
     """
     from .audit import commit, find_declaration, now_utc
+
     if action not in ("quarantine", "reverse", "extract_insight"):
         raise reject("E_UNDOCUMENTED", event.id, f"unknown corrective action {action!r}")
     diags: list[Diagnostic] = []

@@ -33,29 +33,30 @@ EMBEDDED_REF_RE = re.compile(
 )
 
 
-_set = object.__setattr__
-
-
 class Identifier:
     """A fully-qualified, case-sensitive name with layer provenance.
 
     Immutable, hashable and ordered by (namespace, owner, local_name). It is
     written out rather than made a record because it is the engine's
     hottest value: every index, memo and reference lookup hashes and
-    compares identifiers, so the hash is computed once, at construction.
+    compares identifiers, so the field tuple and its hash are computed
+    once, at construction.
     """
 
-    __slots__ = ("namespace", "owner", "local_name", "_hash")
+    __slots__ = ("namespace", "owner", "local_name", "_key", "_hash")
 
     namespace: str
     owner: str  # local name of the owning layer; "" for the gp namespace
     local_name: str
 
     def __init__(self, namespace: str, owner: str, local_name: str):
-        _set(self, "namespace", namespace)
-        _set(self, "owner", owner)
-        _set(self, "local_name", local_name)
-        _set(self, "_hash", hash((namespace, owner, local_name)))
+        key = (namespace, owner, local_name)
+        # Through the slots' own setters: __setattr__ refuses every write.
+        _set_namespace(self, namespace)
+        _set_owner(self, owner)
+        _set_local_name(self, local_name)
+        _set_key(self, key)
+        _set_hash(self, hash(key))
 
     def __setattr__(self, name, value):
         raise FrozenRecordError(f"cannot assign to field {name!r}")
@@ -67,34 +68,24 @@ class Identifier:
         return self._hash
 
     def __eq__(self, other):
-        if other.__class__ is Identifier:
-            # The local name differs most often, so it is compared first.
-            return (
-                self.local_name == other.local_name
-                and self.owner == other.owner
-                and self.namespace == other.namespace
-            )
-        return NotImplemented
-
-    def _key(self) -> tuple[str, str, str]:
-        return (self.namespace, self.owner, self.local_name)
+        return self._key == other._key if other.__class__ is Identifier else NotImplemented
 
     def __lt__(self, other):
-        return self._key() < other._key() if other.__class__ is Identifier else NotImplemented
+        return self._key < other._key if other.__class__ is Identifier else NotImplemented
 
     def __le__(self, other):
-        return self._key() <= other._key() if other.__class__ is Identifier else NotImplemented
+        return self._key <= other._key if other.__class__ is Identifier else NotImplemented
 
     def __gt__(self, other):
-        return self._key() > other._key() if other.__class__ is Identifier else NotImplemented
+        return self._key > other._key if other.__class__ is Identifier else NotImplemented
 
     def __ge__(self, other):
-        return self._key() >= other._key() if other.__class__ is Identifier else NotImplemented
+        return self._key >= other._key if other.__class__ is Identifier else NotImplemented
 
     def __reduce__(self):
-        # Rebuilt through __init__, so copies and unpickled values recompute
-        # the hash (string hashes differ between processes).
-        return (Identifier, self._key())
+        # Rebuilt through __init__, so copies and unpickled values compute
+        # their own hash (string hashes differ between processes).
+        return (Identifier, self._key)
 
     def __repr__(self) -> str:
         return (
@@ -109,6 +100,11 @@ class Identifier:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
+
+
+_set_namespace, _set_owner, _set_local_name, _set_key, _set_hash = (
+    Identifier.__dict__[name].__set__ for name in Identifier.__slots__
+)
 
 
 def parse_identifier(text: str) -> Identifier | None:

@@ -14,6 +14,9 @@ from .identifiers import Identifier, extract_references
 from .model import Abstraction, ChangelogEntry, Law, LayerDecl, ProjectBundle
 from .records import field, record
 
+# Write operations import .audit (and with it datetime) when they run, so
+# read-only commands never load it.
+
 #: Local names of the four protected laws every grandparent carries.
 CORE_LAW_NAMES = (
     "anti_reification",
@@ -227,6 +230,7 @@ def bump_version(
     """Advance the grandparent to entry.to_version with an append-only law
     set. Rejection is atomic: any diagnostic leaves the bundle untouched."""
     from .audit import commit, now_utc
+
     gp = bundle.grandparent()
     diags = check_changelog_entry(entry, gp.version)
     diags.extend(check_law_evolution(gp.laws, new_laws))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable
 
-MISSING: Any = type("MISSING", (), {"__repr__": lambda self: "MISSING"})()
+MISSING: Any = object()  # no default
 
 
 class Field:
@@ -31,9 +31,6 @@ class Field:
         self.default = default
         self.factory = factory
         self.spec = spec
-
-    def __repr__(self) -> str:
-        return f"Field(name={self.name!r}, default={self.default!r}, spec={self.spec!r})"
 
 
 def field(*, default: Any = MISSING, factory: Any = MISSING, spec: Any = None) -> Any:

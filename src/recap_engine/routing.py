@@ -23,6 +23,9 @@ from .model import (
 )
 from .tiering import effective_tier
 
+# Write operations import .audit (and with it datetime) when they run, so
+# read-only commands never load it.
+
 SECONDARY_ROLES = ("sensitivity", "boundary", "contextual", "measurement_evaluation")
 
 
@@ -77,6 +80,7 @@ def declare_route(
     route's rejected-alternatives record.
     """
     from .audit import commit, now_utc
+
     project = bundle.project_by_id(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
@@ -210,6 +214,7 @@ def freeze_route(
 ) -> ProjectBundle:
     """Freeze the committed route; coherence failures block freezing."""
     from .audit import commit, now_utc
+
     project = bundle.project_by_id(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
@@ -260,6 +265,7 @@ def revise_route(
     the evidence; anything less is a silent revision and is rejected.
     """
     from .audit import commit, now_utc
+
     project = bundle.project_by_id(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")

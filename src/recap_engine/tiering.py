@@ -23,6 +23,9 @@ from .model import (
 )
 from .records import field, record
 
+# Write operations import .audit (and with it datetime) when they run, so
+# read-only commands never load it.
+
 
 def _sub_core_dimensions(a: Assessment) -> list[str]:
     """Dimensions sitting between core-compatible and excluding values."""
@@ -199,6 +202,7 @@ def declare_tier(
     """Record a tier declaration. The declaration must agree with the table;
     mismatches are rejected so non-compliance cannot enter through this door."""
     from .audit import commit, now_utc
+
     unit = bundle.unit_by_id(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
@@ -240,6 +244,7 @@ def apply_retier(
     no code path.
     """
     from .audit import commit, now_utc
+
     unit = bundle.unit_by_id(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
@@ -318,6 +323,7 @@ def split_unit(
     untiered. The source stays in the document, marked superseded.
     """
     from .audit import commit, now_utc
+
     unit = bundle.unit_by_id(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
