@@ -810,9 +810,24 @@ def lone_surrogate(text: str) -> Diagnostic | None:
     return None
 
 
+def decode_utf8(data: bytes) -> str:
+    """A file's bytes as text mode reads them: UTF-8, with universal
+    newlines. Raises :class:`OperationRejected` with E_SYNTAX at the line of
+    the first byte that is not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = before.count(b"\n") + 1
+        raise OperationRejected(
+            [error("E_SYNTAX", f"line {line}", f"not valid UTF-8: {exc.reason}")]
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def load_bundle(path: str | Path) -> ProjectBundle:
     """Parse a bundle file, raising :class:`OperationRejected` on errors."""
-    result = parse_bundle(Path(path).read_text(encoding="utf-8"))
+    result = parse_bundle(decode_utf8(Path(path).read_bytes()))
     if result.bundle is None:
         raise OperationRejected(result.errors())
     return result.bundle

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .diagnostics import Diagnostic, OperationRejected, Severity, error, explain_code
+from .diagnostics import Diagnostic, OperationRejected, Severity, explain_code
 
 if TYPE_CHECKING:
     from .model import ProjectBundle, ProjectDecl
@@ -43,22 +43,18 @@ def _emit_diagnostics(diags: list[Diagnostic]) -> None:
 
 
 def _read_text(path: str, what: str) -> str | None:
-    """The file's text as text mode reads it (UTF-8, universal newlines), or
-    None once the reason it cannot be read is reported: the OS error, or the
-    line of the first byte that is not UTF-8."""
+    """The file's text as text mode reads it, or None once the reason it
+    cannot be read is reported: the OS error, or the line of the first byte
+    that is not UTF-8."""
+    from .bundle import decode_utf8
+
     try:
-        data = Path(path).read_bytes()
+        return decode_utf8(Path(path).read_bytes())
     except OSError as exc:
         print(f"cannot read {what}: {exc}", file=sys.stderr)
-        return None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        line = before.count(b"\n") + 1
-        _emit_diagnostics([error("E_SYNTAX", f"line {line}", f"not valid UTF-8: {exc.reason}")])
-        return None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    except OperationRejected as exc:
+        _emit_diagnostics(exc.diagnostics)
+    return None
 
 
 def _load(path: str) -> ProjectBundle | None:

@@ -9,10 +9,11 @@ from recap_engine.bundle import (
     decode,
     decode_declared_assumption_dict,
     decode_law_dict,
+    load_bundle,
     parse_bundle,
     serialize_bundle,
 )
-from recap_engine.diagnostics import Severity
+from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.model import Abstraction
 
 
@@ -70,6 +71,16 @@ def test_surrogate_pairs_and_other_escapes_still_parse(toy_doc, escape):
     assert result.bundle is not None, result.diagnostics
     assert result.bundle.units[0].notes == json.loads(f'"{escape}"')
     assert serialize_bundle(result.bundle).encode("utf-8")
+
+
+def test_load_bundle_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.bundle"
+    path.write_bytes(b'{\n"recap_version": "v1.0",\n"x": "caf\xe9"}')
+    with pytest.raises(OperationRejected) as err:
+        load_bundle(path)
+    assert [d.render() for d in err.value.diagnostics] == [
+        "E_SYNTAX line 3 not valid UTF-8: invalid continuation byte"
+    ]
 
 
 def test_non_object_document_rejected():
