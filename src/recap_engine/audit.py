@@ -11,7 +11,8 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from typing import Callable
 
-from .bundle import body_fields, clone, decode, decode_bump, decode_field, encode, text_fields
+from .bundle import body_fields, clone, decode, decode_bump, decode_field, declarations, encode
+from .bundle import text_fields
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import KIND_TO_NAMESPACE, parse_identifier
 from .model import (
@@ -19,7 +20,6 @@ from .model import (
     AuditEvent,
     BoundaryContract,
     EVENT_KINDS,
-    EVENT_PAYLOAD_SCHEMAS,
     EvidentialUnit,
     FlowEvent,
     Law,
@@ -30,9 +30,8 @@ from .model import (
     RouteRevision,
     event_time_key,
     event_timestamp_error,
+    missing_payload_keys,
 )
-
-PAYLOAD_SCHEMAS = EVENT_PAYLOAD_SCHEMAS
 
 
 def now_utc() -> str:
@@ -49,36 +48,9 @@ def find_declaration(bundle: ProjectBundle, canonical: str):
     ident = parse_identifier(canonical)
     if ident is None:
         return None
-    for layer in bundle.layers:
-        if layer.id == ident:
-            return layer
-        for law in layer.laws:
-            if law.id == ident:
-                return law
-        for ab in layer.abstractions:
-            if ab.id == ident:
-                return ab
-    for unit in bundle.units:
-        if unit.study_id == ident:
-            return unit
-        for da in unit.explicit_assumptions:
-            if da.id == ident:
-                return da
-    for route in bundle.routes:
-        if route.id == ident:
-            return route
-        for assumption in route.assumptions:
-            if assumption.id == ident:
-                return assumption
-    for flow in bundle.flows:
-        if flow.id == ident:
-            return flow
-    for contract in bundle.contracts:
-        if contract.id == ident:
-            return contract
-    for project in bundle.projects:
-        if project.id == ident:
-            return project
+    for _, decl_id, holder, name, i, _ in declarations(bundle):
+        if decl_id == ident:
+            return getattr(holder, name)[i]
     return None
 
 
@@ -168,16 +140,15 @@ def _decode_in(layer: LayerDecl, cls: type, record: dict):
 
 
 def _remove_declaration(bundle: ProjectBundle, canonical: str) -> None:
+    """Remove a law or an abstraction, the declarations whose existence
+    alone can be a violation."""
     ident = parse_identifier(canonical)
     if ident is None:
         raise ValueError(f"bad declaration id {canonical}")
-    for layer in bundle.layers:
-        for seq_name in ("laws", "abstractions"):
-            seq = getattr(layer, seq_name)
-            kept = [d for d in seq if d.id != ident]
-            if len(kept) != len(seq):
-                setattr(layer, seq_name, kept)
-                return
+    for _, decl_id, holder, name, _, _ in declarations(bundle):
+        if decl_id == ident and holder.__class__ is LayerDecl:
+            setattr(holder, name, [d for d in getattr(holder, name) if d.id != ident])
+            return
     raise ValueError(f"declaration {canonical} not found")
 
 
@@ -367,19 +338,12 @@ def validate_event(bundle: ProjectBundle, event: AuditEvent) -> list[Diagnostic]
     if event.kind not in EVENT_KINDS:
         diags.append(error("E_PAYLOAD_SCHEMA", "event.kind", f"unknown kind {event.kind!r}"))
         return diags
-    required = PAYLOAD_SCHEMAS[event.kind]
     if not isinstance(event.payload, dict):
         diags.append(error("E_PAYLOAD_SCHEMA", "event.payload", "payload must be an object"))
         return diags
-    missing = sorted(required - set(event.payload))
+    missing = missing_payload_keys(event.kind, event.payload)
     if missing:
-        diags.append(
-            error(
-                "E_PAYLOAD_SCHEMA",
-                "event.payload",
-                f"{event.kind} payload missing keys: {', '.join(missing)}",
-            )
-        )
+        diags.append(error("E_PAYLOAD_SCHEMA", "event.payload", missing))
     return diags
 
 

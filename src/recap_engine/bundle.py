@@ -8,8 +8,9 @@ diagnostics, never both. Serialization is deterministic and round-trips:
 Every persisted record is described once, by the :class:`~.model.Spec` of
 each of its fields. One strict decoder and one encoder walk those specs,
 for the bundle and for every record an event payload carries; so do
-the :func:`clone` that replay starts from and the indented writer behind
-:func:`serialize_bundle` (``writer.py``).
+the :func:`clone` that replay starts from, the indented writer behind
+:func:`serialize_bundle` (``writer.py``) and :func:`declarations`, the
+walk over every declaration by the kind its identity spec ``declares``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ import json
 import re
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
 from .identifiers import EMBEDDED_REF_RE, KIND_TO_NAMESPACE, Identifier, is_bare_name
 from .identifiers import parse_identifier
 from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER
 from .model import (
-    EVENT_PAYLOAD_SCHEMAS,
     Assessment,
     AuditEvent,
     ChangelogEntry,
@@ -41,6 +41,7 @@ from .model import (
     Tier,
     event_time_key,
     event_timestamp_error,
+    missing_payload_keys,
 )
 from .records import field, fields, record
 
@@ -118,6 +119,12 @@ class _Codec:
         self.check = _CHECKS.get(cls)
         self.decoders = {name: _field_decoder(spec) for name, _, spec in self.fields}
         self.identity: Callable | None = None
+        #: The declaration kind the class declares, if any, and its list
+        #: fields that hold declarations at any depth, with their codecs.
+        self.declares = self.fields[0][2].declares
+        lists = [(name, CODECS[spec.of.of]) for name, _, spec in self.fields
+                 if spec.kind == LIST and spec.of.kind == RECORD]
+        self.holds = [(name, item) for name, item in lists if item.declares or item.holds]
         named: tuple[str, ...] = ()
         if cls is LayerDecl:
             self.identity, named = _layer_identity, ("id", "kind")
@@ -559,13 +566,9 @@ def _check_event(dec: _Decoder, event: AuditEvent, obj: dict, path: str) -> None
     message = event_timestamp_error(event.timestamp)
     if message and (raw is None or raw.__class__ is str):
         dec.fail(f"{path}.timestamp", message)
-    missing = sorted(EVENT_PAYLOAD_SCHEMAS.get(event.kind, frozenset()) - set(event.payload))
+    missing = missing_payload_keys(event.kind, event.payload)
     if missing:
-        dec.fail(
-            f"{path}.payload",
-            f"{event.kind} payload missing keys: {', '.join(missing)}",
-            code="E_PAYLOAD_SCHEMA",
-        )
+        dec.fail(f"{path}.payload", missing, code="E_PAYLOAD_SCHEMA")
     elif event.kind == "version_bumped":
         try:
             decode_bump(event.payload)
@@ -586,37 +589,49 @@ _CHECKS = {
 # ---------------------------------------------------------------------------
 
 
+def declarations(record: Any) -> Iterator[tuple]:
+    """Every declaration within a persisted record (a bundle, a layer, ...),
+    in document order, as ``(kind, id, holder, field, index, up)``.
+
+    The declaration is ``getattr(holder, field)[index]`` and ``kind`` is
+    the ``declares`` of its identity spec. ``up`` is where the holder sits
+    under ``record``, for :func:`declaration_location`: None for ``record``
+    itself, else ``(up, field, index)`` of the holder.
+    """
+    return _declarations(record, CODECS[record.__class__], None)
+
+
+def _declarations(holder: Any, codec: _Codec, up: tuple | None) -> Iterator[tuple]:
+    for name, item in codec.holds:
+        kind, key, holds = item.declares, item.fields[0][0], item.holds
+        for i, record in enumerate(holder.__dict__[name]):
+            if kind:
+                yield kind, record.__dict__[key], holder, name, i, up
+            if holds:
+                yield from _declarations(record, item, (up, name, i))
+
+
+def declaration_location(holder: Any, name: str, index: int, up: tuple | None) -> str:
+    """Where a declaration's id is, e.g. ``layers[0].laws[1].id``, from its
+    :func:`declarations` tuple."""
+    key = CODECS[holder.__dict__[name][index].__class__].fields[0][1]
+    where = f"{name}[{index}].{key}"
+    while up is not None:
+        up, name, index = up
+        where = f"{name}[{index}].{where}"
+    return where
+
+
 def _index_declarations(bundle: ProjectBundle, diags: list[Diagnostic]) -> dict[str, str]:
     """Canonical id -> declaration kind, reporting duplicates."""
     index: dict[str, str] = {}
-
-    def add(ident: Identifier, kind: str, where: str, *at: int) -> None:
+    for kind, ident, holder, name, i, up in declarations(bundle):
         key = ident.render()
         if key in index:
-            diags.append(error("E_DUP_ID", where.format(*at), f"duplicate declaration of {key}"))
-            return
-        index[key] = kind
-
-    for i, layer in enumerate(bundle.layers):
-        add(layer.id, "layer", "layers[{}].id", i)
-        for j, law in enumerate(layer.laws):
-            add(law.id, "law", "layers[{}].laws[{}].id", i, j)
-        for j, ab in enumerate(layer.abstractions):
-            add(ab.id, "abstraction", "layers[{}].abstractions[{}].id", i, j)
-    for i, project in enumerate(bundle.projects):
-        add(project.id, "project", "projects[{}].id", i)
-    for i, unit in enumerate(bundle.units):
-        add(unit.study_id, "unit", "units[{}].study_id", i)
-        for j, da in enumerate(unit.explicit_assumptions):
-            add(da.id, "declared_assumption", "units[{}].explicit_assumptions[{}].id", i, j)
-    for i, route in enumerate(bundle.routes):
-        add(route.id, "route", "routes[{}].id", i)
-        for j, assumption in enumerate(route.assumptions):
-            add(assumption.id, "assumption", "routes[{}].assumptions[{}].id", i, j)
-    for i, flow in enumerate(bundle.flows):
-        add(flow.id, "flow", "flows[{}].id", i)
-    for i, contract in enumerate(bundle.contracts):
-        add(contract.id, "contract", "contracts[{}].id", i)
+            where = declaration_location(holder, name, i, up)
+            diags.append(error("E_DUP_ID", where, f"duplicate declaration of {key}"))
+        else:
+            index[key] = kind
     return index
 
 

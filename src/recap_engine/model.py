@@ -95,6 +95,13 @@ EVENT_PAYLOAD_SCHEMAS: dict[str, frozenset] = {
 }
 
 
+def missing_payload_keys(kind: str, payload: dict) -> str | None:
+    """The E_PAYLOAD_SCHEMA message for a payload lacking keys its event
+    kind requires, or None when none is missing."""
+    missing = sorted(EVENT_PAYLOAD_SCHEMAS.get(kind, frozenset()) - set(payload))
+    return f"{kind} payload missing keys: {', '.join(missing)}" if missing else None
+
+
 class Tier(enum.IntEnum):
     """Structural evidence tiers, ordered by inferential privilege.
 
@@ -135,7 +142,9 @@ class Spec:
     canonical layer reference, resolved once all layers are known. A
     ``nullable`` field reads null or a missing key as None.
     ``identity`` marks the field naming the record; a record without a valid
-    one is dropped before any other field is read. ``key`` is the JSON key
+    one is dropped before any other field is read. On the identity field of
+    a declaration, ``declares`` is its declaration kind, the name an
+    ``expect`` uses for it. ``key`` is the JSON key
     path when it is not the field name, and ``noun`` replaces the usual
     "expected ..." wording of a type error. ``text`` fields are scanned for
     embedded references and may be edited by resolution effects; ``body``
@@ -148,6 +157,7 @@ class Spec:
     expect: tuple[str, ...] = ()
     owner: str | None = None
     identity: bool = False
+    declares: str = ""
     key: tuple[str, ...] = ()
     noun: str = ""
     text: bool = False
@@ -174,7 +184,7 @@ class Law:
     """A normative grandparent statement. The four protected laws carry
     immutable_core and can never change text across versions."""
 
-    id: Identifier = spec(IDENT, owner="layer", identity=True)
+    id: Identifier = spec(IDENT, owner="layer", identity=True, declares="law")
     text: str = spec(STR, text=True)
     immutable_core: bool = spec(BOOL, default=False)
     quarantined: bool = spec(BOOL, default=False)
@@ -186,7 +196,7 @@ class Abstraction:
     design form. correspondence maps measurement-class local names to
     construct local names within the same parent."""
 
-    id: Identifier = spec(IDENT, owner="layer", identity=True)
+    id: Identifier = spec(IDENT, owner="layer", identity=True, declares="abstraction")
     kind: str = spec(ENUM, ABSTRACTION_KINDS)
     definition: str = spec(STR, text=True)
     correspondence: dict[str, str] = spec(MAP, factory=dict)
@@ -195,7 +205,7 @@ class Abstraction:
 
 @record
 class LayerDecl:
-    id: Identifier = spec(IDENT, identity=True)
+    id: Identifier = spec(IDENT, identity=True, declares="layer")
     kind: str = spec(ENUM, LAYER_KINDS)
     version: str = spec(STR)
     parent_ref: Identifier | None = spec(LAYER, nullable=True, default=None)
@@ -240,7 +250,7 @@ class Assessment:
 
 @record
 class DeclaredAssumption:
-    id: Identifier = spec(IDENT, owner="child", identity=True)
+    id: Identifier = spec(IDENT, owner="child", identity=True, declares="declared_assumption")
     text: str = spec(STR, text=True)
     covers: list[str] = spec(
         LIST, Spec(ENUM, ASSESSMENT_DIMENSIONS, noun="an assessment dimension")
@@ -262,7 +272,7 @@ class EvidentialUnit:
     """Smallest tierable entity, with its declared assessments and the
     narrative fields the study log projects."""
 
-    study_id: Identifier = spec(IDENT, identity=True)
+    study_id: Identifier = spec(IDENT, identity=True, declares="unit")
     design_type: str = spec(STR)
     interpretations: list[Assessment] = spec(LIST, Spec(RECORD, Assessment))
     splittable: bool = spec(BOOL, default=False)
@@ -293,7 +303,7 @@ class EvidentialUnit:
 
 @record
 class RouteAssumption:
-    id: Identifier = spec(IDENT, owner="child", identity=True)
+    id: Identifier = spec(IDENT, owner="child", identity=True, declares="assumption")
     text: str = spec(STR, text=True)
     plausibility: str = spec(STR, text=True)
     failure_modes: str = spec(STR, text=True)
@@ -318,7 +328,7 @@ class RejectedAlternative:
 
 @record
 class Route:
-    id: Identifier = spec(IDENT, identity=True)
+    id: Identifier = spec(IDENT, identity=True, declares="route")
     project_ref: Identifier = spec(IDENT, expect=("project",), owner="child")
     construct_ref: Identifier = spec(IDENT, expect=("law", "abstraction"), owner="child", body=True)
     objective: str = spec(STR, body=True)
@@ -344,7 +354,7 @@ class ProjectDecl:
     """A child-layer project: its question, its single committed route, its
     evidence universe, and the role each unit plays."""
 
-    id: Identifier = spec(IDENT, identity=True)
+    id: Identifier = spec(IDENT, identity=True, declares="project")
     layer_ref: Identifier = spec(LAYER)
     question: str = spec(STR, default="")
     committed_route: Identifier | None = spec(
@@ -365,7 +375,7 @@ class ProjectDecl:
 class FlowEvent:
     """One recorded cross-layer information movement."""
 
-    id: Identifier = spec(IDENT, identity=True)
+    id: Identifier = spec(IDENT, identity=True, declares="flow")
     source_layer: Identifier = spec(LAYER)
     dest_layer: Identifier = spec(LAYER)
     info_class: str = spec(ENUM, INFO_CLASSES)
@@ -382,7 +392,7 @@ class BoundaryContract:
     """Explicit, auditable authorization for a boundary crossing. All five
     elements must be present for the contract to legalize anything."""
 
-    id: Identifier = spec(IDENT, identity=True)
+    id: Identifier = spec(IDENT, identity=True, declares="contract")
     info_type: str = spec(ENUM, INFO_CLASSES)
     origin_layer: Identifier = spec(LAYER)
     destination_layer: Identifier = spec(LAYER)

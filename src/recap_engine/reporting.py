@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from functools import partial, singledispatch
+from operator import attrgetter
 
 from .bundle import decode, encode
 from .contamination import scan_bundle, validate_contract
@@ -30,6 +32,7 @@ from .model import (
     Tier,
     TierTableRow,
 )
+from .records import fields
 from .routing import check_freeze_integrity, check_route_coherence
 from .tiering import check_retier_chain, check_tier_declaration, effective_tier
 
@@ -363,42 +366,27 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
 # ---------------------------------------------------------------------------
 
 
-def _markdown_table(fields: tuple[str, ...], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(fields) + " |", "| " + " | ".join("---" for _ in fields) + " |"]
+def _markdown_table(headings: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
+    lines = ["| " + " | ".join(headings) + " |", "| " + " | ".join("---" for _ in headings) + " |"]
     for row in rows:
         cells = [cell.replace("|", "\\|").replace("\n", " ") for cell in row]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
-def _csv_table(fields: tuple[str, ...], rows: list[list[str]]) -> str:
+def _csv_table(headings: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\r\n")
-    writer.writerow(fields)
+    writer.writerow(headings)
     writer.writerows(rows)
     return out.getvalue()
 
 
-def _study_log_rows(entries: list[StudyLogEntry]) -> list[list[str]]:
-    return [
-        [
-            e.study_id,
-            e.design_type,
-            e.tier_assignment,
-            e.reasons_for_tiering,
-            e.bias_considerations,
-            e.measurement_definition_issues,
-            e.notes,
-        ]
-        for e in entries
-    ]
-
-
-def _tier_table_rows(rows: list[TierTableRow]) -> list[list[str]]:
-    return [
-        [r.study_id, r.methods_summary, r.evidence_type, r.strengths, r.limitations]
-        for r in rows
-    ]
+#: Each table artifact: its structured name, row record and column headings.
+_TABLES = {
+    StudyLog: ("study_log", StudyLogEntry, STUDY_LOG_FIELDS),
+    TierTable: ("tier_table", TierTableRow, TIER_TABLE_FIELDS),
+}
 
 
 def render_report(artifact, fmt: str) -> str:
@@ -411,88 +399,93 @@ def render_report(artifact, fmt: str) -> str:
         raise OperationRejected(
             [error("E_FORMAT_UNSUPPORTED", "format", f"unknown format {fmt!r}")]
         )
-    if isinstance(artifact, StudyLog) or (
-        isinstance(artifact, list)
-        and not isinstance(artifact, TierTable)
-        and artifact
-        and all(isinstance(e, StudyLogEntry) for e in artifact)
-    ):
-        rows = _study_log_rows(artifact)
-        if fmt == "markdown":
-            return _markdown_table(STUDY_LOG_FIELDS, rows)
-        if fmt == "csv":
-            return _csv_table(STUDY_LOG_FIELDS, rows)
-        return json.dumps(
-            {"artifact": "study_log", "rows": [e.__dict__ for e in artifact]},
-            indent=2,
-            ensure_ascii=False,
-        )
-    if isinstance(artifact, TierTable) or (
-        isinstance(artifact, list)
-        and artifact
-        and all(isinstance(r, TierTableRow) for r in artifact)
-    ):
-        rows = _tier_table_rows(artifact)
-        if fmt == "markdown":
-            return _markdown_table(TIER_TABLE_FIELDS, rows)
-        if fmt == "csv":
-            return _csv_table(TIER_TABLE_FIELDS, rows)
-        return json.dumps(
-            {"artifact": "tier_table", "rows": [r.__dict__ for r in artifact]},
-            indent=2,
-            ensure_ascii=False,
-        )
-    if isinstance(artifact, ReviewerBlock):
-        if fmt == "csv":
-            raise OperationRejected(
-                [error("E_FORMAT_UNSUPPORTED", "format", "reviewer block is not tabular")]
-            )
-        record = {"artifact": "reviewer_block", **encode(artifact)}
-        if fmt == "structured":
-            return json.dumps(record, indent=2, ensure_ascii=False)
-        lines = [f"# Reviewer Block: {record['project_ref']}", ""]
-        lines.append("## Methodological findings")
-        lines.extend(f"- {f}" for f in record["methodological_findings"])
-        lines.append("")
-        lines.append(f"## Conceptual insight\n{record['conceptual_insight']}")
-        lines.append(
-            "\n## Anticipated critique\n"
-            + record["anticipated_critique"]["text"]
-            + "\n(references: "
-            + ", ".join(record["anticipated_critique"]["referenced_decisions"])
-            + ")"
-        )
-        lines.append(f"\n## Disconfirming model\n{record['disconfirming_model']}")
-        lines.append("\n## Route assumptions\n" + ", ".join(record["assumptions_ref"]))
-        return "\n".join(lines) + "\n"
-    if isinstance(artifact, ComplianceReport):
-        if fmt == "csv":
-            raise OperationRejected(
-                [error("E_FORMAT_UNSUPPORTED", "format", "compliance report is not tabular")]
-            )
-        record = {
-            "artifact": "compliance_report",
-            "verdict": artifact.verdict,
-            "findings": [d.to_dict() for d in artifact.findings],
-        }
-        if fmt == "structured":
-            return json.dumps(record, indent=2, ensure_ascii=False)
-        lines = [f"verdict: {artifact.verdict}"]
-        lines.extend(d.render() for d in artifact.findings)
-        return "\n".join(lines) + "\n"
+    return _render(artifact, fmt)
+
+
+def _unrenderable(artifact, fmt: str) -> str:
     raise OperationRejected(
         [error("E_FORMAT_UNSUPPORTED", "artifact", f"cannot render {type(artifact).__name__}")]
     )
+
+
+#: The renderer of an artifact, by its type.
+_render = singledispatch(_unrenderable)
+
+
+def _render_table(table: type, rows: list, fmt: str) -> str:
+    name, row, headings = _TABLES[table]
+    if fmt == "structured":
+        return json.dumps(
+            {"artifact": name, "rows": [r.__dict__ for r in rows]}, indent=2, ensure_ascii=False
+        )
+    cells = list(map(attrgetter(*(f.name for f in fields(row))), rows))
+    return (_markdown_table if fmt == "markdown" else _csv_table)(headings, cells)
+
+
+_render.register(StudyLog, partial(_render_table, StudyLog))
+_render.register(TierTable, partial(_render_table, TierTable))
+
+
+@_render.register(list)
+def _render_list(artifact: list, fmt: str) -> str:
+    """An untyped list renders as the table whose rows it holds, if any."""
+    for table, (_, row, _) in _TABLES.items():
+        if artifact and all(isinstance(r, row) for r in artifact):
+            return _render_table(table, artifact, fmt)
+    return _unrenderable(artifact, fmt)
+
+
+@_render.register(ReviewerBlock)
+def _render_reviewer_block(artifact: ReviewerBlock, fmt: str) -> str:
+    if fmt == "csv":
+        raise OperationRejected(
+            [error("E_FORMAT_UNSUPPORTED", "format", "reviewer block is not tabular")]
+        )
+    record = {"artifact": "reviewer_block", **encode(artifact)}
+    if fmt == "structured":
+        return json.dumps(record, indent=2, ensure_ascii=False)
+    lines = [f"# Reviewer Block: {record['project_ref']}", ""]
+    lines.append("## Methodological findings")
+    lines.extend(f"- {f}" for f in record["methodological_findings"])
+    lines.append("")
+    lines.append(f"## Conceptual insight\n{record['conceptual_insight']}")
+    lines.append(
+        "\n## Anticipated critique\n"
+        + record["anticipated_critique"]["text"]
+        + "\n(references: "
+        + ", ".join(record["anticipated_critique"]["referenced_decisions"])
+        + ")"
+    )
+    lines.append(f"\n## Disconfirming model\n{record['disconfirming_model']}")
+    lines.append("\n## Route assumptions\n" + ", ".join(record["assumptions_ref"]))
+    return "\n".join(lines) + "\n"
+
+
+@_render.register(ComplianceReport)
+def _render_compliance_report(artifact: ComplianceReport, fmt: str) -> str:
+    if fmt == "csv":
+        raise OperationRejected(
+            [error("E_FORMAT_UNSUPPORTED", "format", "compliance report is not tabular")]
+        )
+    record = {
+        "artifact": "compliance_report",
+        "verdict": artifact.verdict,
+        "findings": [d.to_dict() for d in artifact.findings],
+    }
+    if fmt == "structured":
+        return json.dumps(record, indent=2, ensure_ascii=False)
+    lines = [f"verdict: {artifact.verdict}"]
+    lines.extend(d.render() for d in artifact.findings)
+    return "\n".join(lines) + "\n"
 
 
 def parse_report(text: str):
     """Parse a structured render back into its artifact."""
     record = json.loads(text)
     kind = record.get("artifact")
-    if kind == "study_log":
-        return StudyLog(StudyLogEntry(**row) for row in record["rows"])
-    if kind == "tier_table":
-        return TierTable(TierTableRow(**row) for row in record["rows"])
+    for table, (name, row, _) in _TABLES.items():
+        if kind == name:
+            return table(row(**r) for r in record["rows"])
     if kind == "reviewer_block":
         return decode(ReviewerBlock, record)
     if kind == "compliance_report":

@@ -342,12 +342,17 @@ def check_freeze_integrity(bundle: ProjectBundle) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     last_hash: dict[str, str] = {}
     recorded_frozen: set[str] = set()
-    for event in bundle.events:
+    for i, event in enumerate(bundle.events):
+        if event.kind != "route_frozen" and event.kind != "route_revised":
+            continue
+        route = event.payload["route"]
+        if not isinstance(route, str):
+            message = f"{event.kind} payload route: expected string, got {type(route).__name__}"
+            diags.append(error("E_PAYLOAD_SCHEMA", f"events[{i}].payload", message))
+            continue
+        last_hash[route] = event.payload["body_hash"]
         if event.kind == "route_frozen":
-            last_hash[event.payload["route"]] = event.payload["body_hash"]
-            recorded_frozen.add(event.payload["route"])
-        elif event.kind == "route_revised":
-            last_hash[event.payload["route"]] = event.payload["body_hash"]
+            recorded_frozen.add(route)
     for route in bundle.routes:
         if route.frozen_at is None or route.quarantined:
             continue

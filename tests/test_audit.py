@@ -7,8 +7,9 @@ from genbundles import TimeSource, inject_faults, parse_dict, random_bundle_dict
 from toy import toy_bundle, toy_dict
 
 from recap_engine import records
-from recap_engine.audit import append_event, replay
-from recap_engine.bundle import clone, decode_route_dict, parse_bundle, serialize_bundle
+from recap_engine.audit import _apply_effects, append_event, find_declaration, replay
+from recap_engine.bundle import clone, declaration_location, declarations, decode_route_dict
+from recap_engine.bundle import parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
@@ -489,3 +490,87 @@ def test_replay_from_an_unparsed_mutated_bundle_matches_its_reparsed_form():
         assert serialize_bundle(replay(live, events)) == expected
         assert serialize_bundle(replay(reparsed, events)) == expected
     assert replayed_events > 0
+
+
+# ---------------------------------------------------------------------------
+# Declarations: the spec-driven walk and the lookup built on it
+# ---------------------------------------------------------------------------
+
+
+def hand_declarations(bundle):
+    """(kind, id, record, id location) of every declaration, in document
+    order, listed section by section."""
+    for i, layer in enumerate(bundle.layers):
+        yield "layer", layer.id, layer, f"layers[{i}].id"
+        for j, law in enumerate(layer.laws):
+            yield "law", law.id, law, f"layers[{i}].laws[{j}].id"
+        for j, ab in enumerate(layer.abstractions):
+            yield "abstraction", ab.id, ab, f"layers[{i}].abstractions[{j}].id"
+    for i, project in enumerate(bundle.projects):
+        yield "project", project.id, project, f"projects[{i}].id"
+    for i, unit in enumerate(bundle.units):
+        yield "unit", unit.study_id, unit, f"units[{i}].study_id"
+        for j, da in enumerate(unit.explicit_assumptions):
+            where = f"units[{i}].explicit_assumptions[{j}].id"
+            yield "declared_assumption", da.id, da, where
+    for i, route in enumerate(bundle.routes):
+        yield "route", route.id, route, f"routes[{i}].id"
+        for j, assumption in enumerate(route.assumptions):
+            yield "assumption", assumption.id, assumption, f"routes[{i}].assumptions[{j}].id"
+    for i, flow in enumerate(bundle.flows):
+        yield "flow", flow.id, flow, f"flows[{i}].id"
+    for i, contract in enumerate(bundle.contracts):
+        yield "contract", contract.id, contract, f"contracts[{i}].id"
+
+
+def _declaration_bundles():
+    doc = toy_dict()
+    doc["contracts"].append(
+        {"id": "child:C1:K", "info_type": "content", "origin_layer": "child:C2:C2",
+         "destination_layer": "child:C1:C1", "legal_justification": "l",
+         "no_reinterpretation_clause": True, "documentation_ref": "doc"}
+    )
+    yield parse_dict(doc)
+    for seed in (3, 17):
+        yield parse_dict(random_bundle_dict(random.Random(seed), n_parents=2, n_children=3))
+
+
+def test_declarations_walk_every_section_in_document_order():
+    kinds = set()
+    for bundle in _declaration_bundles():
+        walked = [
+            (kind, ident, getattr(holder, name)[i], declaration_location(holder, name, i, up))
+            for kind, ident, holder, name, i, up in declarations(bundle)
+        ]
+        assert walked == list(hand_declarations(bundle))
+        kinds.update(kind for kind, *_ in walked)
+    assert len(kinds) == 10  # every kind is exercised
+
+
+def test_find_declaration_returns_each_declaration_by_its_canonical_id():
+    for bundle in _declaration_bundles():
+        declared = list(hand_declarations(bundle))
+        assert len(declared) > 20
+        for _, ident, record, _ in declared:
+            assert find_declaration(bundle, ident.render()) is record
+
+
+@pytest.mark.parametrize(
+    "canonical", ["child:C1:NOPE", "gp:NOPE", "parent:Q", "", "not an id", "child:", ":::"]
+)
+def test_find_declaration_of_an_unknown_or_malformed_id_is_none(canonical):
+    assert find_declaration(toy_bundle(), canonical) is None
+
+
+def test_remove_declaration_removes_a_law_or_an_abstraction_only():
+    bundle = toy_bundle()
+    grandparent, parent = bundle.layers[0], bundle.layers[1]
+    law, abstraction = grandparent.laws[4], parent.abstractions[2]
+    for decl in (law, abstraction):
+        _apply_effects(bundle, [{"op": "remove_declaration", "target": decl.id.render()}])
+        assert find_declaration(bundle, decl.id.render()) is None
+    assert len(grandparent.laws) == 8 and len(parent.abstractions) == 6
+    for ident in (parent.id, bundle.units[0].study_id, bundle.routes[0].assumptions[0].id):
+        with pytest.raises(ValueError, match="not found"):
+            _apply_effects(bundle, [{"op": "remove_declaration", "target": ident.render()}])
+        assert find_declaration(bundle, ident.render()) is not None

@@ -102,6 +102,16 @@ def test_every_persisted_field_has_a_spec():
             assert isinstance(f.spec, model.Spec), f"{cls.__name__}.{f.name}"
 
 
+def test_every_expected_kind_is_declared_by_exactly_one_record():
+    specs = [spec for codec in CODECS.values() for _, _, spec in codec.fields]
+    declared = [spec.declares for spec in specs if spec.declares]
+    assert all(spec.identity for spec in specs if spec.declares)
+    assert len(declared) == len(set(declared)) == 10
+    items = [spec.of if spec.kind == model.LIST else spec for spec in specs]
+    expected = {kind for spec in items for kind in spec.expect} - {"any"}
+    assert expected and expected <= set(declared)
+
+
 def _records(cls, obj, ns, owner):
     """(class, record dict, namespace, owner) for obj and every nested record."""
     yield cls, obj, ns, owner

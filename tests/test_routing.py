@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from toy import PRJ, toy_dict
+from toy import PRJ, toy_dict, toy_text
 
 from recap_engine.bundle import decode_route_dict, parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected, Severity
@@ -370,3 +370,39 @@ def test_random_command_sequences_preserve_route_laws():
                     frozen_hash = current_hash
                     revision_count = len(route.revisions)
             assert errors_only(check_freeze_integrity(bundle)) == []
+
+
+@pytest.mark.parametrize("kind", ["route_frozen", "route_revised"])
+@pytest.mark.parametrize(
+    "route", [["child:C1:R2"], {"id": "child:C1:R2"}, 7], ids=["list", "object", "int"]
+)
+def test_freeze_record_with_a_non_string_route_is_a_payload_finding(
+    kind, route, tmp_path, capsys
+):
+    from recap_engine.cli import main
+    from recap_engine.reporting import compliance_verdict
+
+    doc = json.loads(toy_text())
+    event = doc["events"][0]  # the toy's freeze of its committed route
+    assert event["kind"] == "route_frozen"
+    event["kind"] = kind
+    event["payload"]["route"] = route
+    if kind == "route_revised":
+        event["payload"].update(revision={}, body={})
+    bundle = parse_bundle(json.dumps(doc)).bundle
+    report = compliance_verdict(bundle)
+    assert report.verdict == "non_compliant"
+    findings = [(d.code, d.location, d.message) for d in report.findings]
+    message = f"{kind} payload route: expected string, got {type(route).__name__}"
+    assert ("E_PAYLOAD_SCHEMA", "events[0].payload", message) in findings
+    # The event is skipped, so the committed route's freeze is unrecorded.
+    assert [d.code for d in check_freeze_integrity(bundle)] == [
+        "E_PAYLOAD_SCHEMA",
+        "W_FREEZE_UNRECORDED",
+    ]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "internal error" not in out + err
+    assert "E_PAYLOAD_SCHEMA" in out + err
