@@ -19,6 +19,7 @@ from .model import (
     Abstraction,
     AuditEvent,
     BoundaryContract,
+    BundleIndex,
     EVENT_KINDS,
     EvidentialUnit,
     FlowEvent,
@@ -52,6 +53,16 @@ def find_declaration(bundle: ProjectBundle, canonical: str):
         if decl_id == ident:
             return getattr(holder, name)[i]
     return None
+
+
+def _lookup(bundle: ProjectBundle, kind: str, canonical: str):
+    """The unit, route, layer or project named by a canonical id, looked up
+    in a fresh :class:`BundleIndex`."""
+    ident = parse_identifier(canonical)
+    found = getattr(BundleIndex(bundle), kind + "s").get(ident) if ident else None
+    if found is None:
+        raise ValueError(f"{kind} {canonical} not found")
+    return found
 
 
 def _apply_effects(bundle: ProjectBundle, effects: list[dict]) -> None:
@@ -117,21 +128,13 @@ def _apply_effects(bundle: ProjectBundle, effects: list[dict]) -> None:
         elif op == "remove_declaration":
             _remove_declaration(bundle, effect["target"])
         elif op == "add_law":
-            layer = _layer_or_raise(bundle, effect["layer"])
+            layer = _lookup(bundle, "layer", effect["layer"])
             layer.laws.append(_decode_in(layer, Law, effect["record"]))
         elif op == "add_abstraction":
-            layer = _layer_or_raise(bundle, effect["layer"])
+            layer = _lookup(bundle, "layer", effect["layer"])
             layer.abstractions.append(_decode_in(layer, Abstraction, effect["record"]))
         else:
             raise ValueError(f"unknown resolution effect {op!r}")
-
-
-def _layer_or_raise(bundle: ProjectBundle, canonical: str):
-    ident = parse_identifier(canonical)
-    layer = bundle.layer_by_id(ident) if ident else None
-    if layer is None:
-        raise ValueError(f"layer {canonical} not found")
-    return layer
 
 
 def _decode_in(layer: LayerDecl, cls: type, record: dict):
@@ -157,23 +160,8 @@ def _remove_declaration(bundle: ProjectBundle, canonical: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _unit_or_raise(bundle: ProjectBundle, canonical: str):
-    unit = find_declaration(bundle, canonical)
-    if unit is None or not hasattr(unit, "study_id"):
-        raise ValueError(f"unit {canonical} not found")
-    return unit
-
-
-def _route_or_raise(bundle: ProjectBundle, canonical: str):
-    ident = parse_identifier(canonical)
-    route = bundle.route_by_id(ident) if ident else None
-    if route is None:
-        raise ValueError(f"route {canonical} not found")
-    return route
-
-
 def _apply_tier_declared(bundle: ProjectBundle, payload: dict) -> None:
-    unit = _unit_or_raise(bundle, payload["unit"])
+    unit = _lookup(bundle, "unit", payload["unit"])
     # A declared tier is never null, as a re-tier's target is not.
     tier = decode_field(ReTierEvent, "new_tier", payload["tier"])
     unit.tier_justification = decode_field(
@@ -183,7 +171,7 @@ def _apply_tier_declared(bundle: ProjectBundle, payload: dict) -> None:
 
 
 def _apply_retier(bundle: ProjectBundle, payload: dict) -> None:
-    unit = _unit_or_raise(bundle, payload["unit"])
+    unit = _lookup(bundle, "unit", payload["unit"])
     # Decode every part before touching the unit.
     event = decode(ReTierEvent, payload["event"])
     changes = {"declared_tier": event.new_tier}
@@ -203,23 +191,19 @@ def _apply_retier(bundle: ProjectBundle, payload: dict) -> None:
 
 def _apply_route_declared(bundle: ProjectBundle, payload: dict) -> None:
     route = decode(Route, payload["route"])
-    if bundle.route_by_id(route.id) is None:
+    if route.id not in BundleIndex(bundle).routes:
         bundle.routes.append(route)
     if payload["committed"]:
-        project_ident = parse_identifier(payload["project"])
-        project = bundle.project_by_id(project_ident) if project_ident else None
-        if project is None:
-            raise ValueError(f"project {payload['project']} not found")
-        project.committed_route = route.id
+        _lookup(bundle, "project", payload["project"]).committed_route = route.id
 
 
 def _apply_route_frozen(bundle: ProjectBundle, payload: dict) -> None:
-    route = _route_or_raise(bundle, payload["route"])
+    route = _lookup(bundle, "route", payload["route"])
     route.frozen_at = payload["frozen_at"]
 
 
 def _apply_route_revised(bundle: ProjectBundle, payload: dict) -> None:
-    route = _route_or_raise(bundle, payload["route"])
+    route = _lookup(bundle, "route", payload["route"])
     body = {name: payload["body"][name] for name in body_fields(Route)}
     replacement = decode(Route, {**encode(route), **body})
     revision = decode(RouteRevision, payload["revision"])
@@ -248,7 +232,7 @@ def _apply_version_bumped(bundle: ProjectBundle, payload: dict) -> None:
 
 
 def _apply_unit_split(bundle: ProjectBundle, payload: dict) -> None:
-    source = _unit_or_raise(bundle, payload["source"])
+    source = _lookup(bundle, "unit", payload["source"])
     new_units = decode_field(ProjectBundle, "units", payload["units"])
     source.superseded = True
     bundle.units.extend(new_units)
@@ -267,15 +251,12 @@ def _apply_declaration_added(bundle: ProjectBundle, payload: dict) -> None:
         bundle.units.append(unit)
         project_id = payload.get("project")
         if project_id:
-            project = bundle.project_by_id(parse_identifier(project_id))
-            if project is None:
-                raise ValueError(f"project {project_id} not found")
-            project.unit_refs.append(unit.study_id)
+            _lookup(bundle, "project", project_id).unit_refs.append(unit.study_id)
     elif decl_kind == "law":
-        layer = _layer_or_raise(bundle, payload["layer"])
+        layer = _lookup(bundle, "layer", payload["layer"])
         layer.laws.append(_decode_in(layer, Law, record))
     elif decl_kind == "abstraction":
-        layer = _layer_or_raise(bundle, payload["layer"])
+        layer = _lookup(bundle, "layer", payload["layer"])
         layer.abstractions.append(_decode_in(layer, Abstraction, record))
     elif decl_kind == "contract":
         bundle.contracts.append(decode(BoundaryContract, record))
@@ -414,7 +395,7 @@ def replay(initial: ProjectBundle, events: list[AuditEvent]) -> ProjectBundle:
             )
         try:
             applier(state, event.payload)
-        except (ValueError, KeyError, LookupError) as exc:
+        except Exception as exc:
             raise reject(
                 "E_REPLAY_DIVERGENCE",
                 f"events[{event.sequence}]",

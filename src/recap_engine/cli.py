@@ -208,7 +208,7 @@ def _cmd_tier(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    from .routing import check_route_coherence, freeze_route
+    from .routing import check_route_coherence, committed_route, freeze_route
 
     bundle = _load(args.bundle)
     if bundle is None:
@@ -231,7 +231,7 @@ def _cmd_route(args) -> int:
     except OperationRejected as exc:
         _emit_diagnostics(exc.diagnostics)
         return EXIT_VIOLATIONS
-    route = bundle.route_by_id(project.committed_route)
+    route = committed_route(bundle, project)
     print(f"frozen {route.id.render()} at {route.frozen_at}")
     return EXIT_OK
 

@@ -734,12 +734,13 @@ def record_flow(
     recorded too, then flagged by the scan."""
     from .audit import commit, now_utc
 
+    index = BundleIndex(bundle)
     diags: list[Diagnostic] = []
-    if bundle.layer_by_id(flow.source_layer) is None:
+    if flow.source_layer not in index.layers:
         diags.append(error("E_UNKNOWN_LAYER", flow.id.render(), "source layer not found"))
-    if bundle.layer_by_id(flow.dest_layer) is None:
+    if flow.dest_layer not in index.layers:
         diags.append(error("E_UNKNOWN_LAYER", flow.id.render(), "destination layer not found"))
-    if flow.contract_ref is not None and bundle.contract_by_id(flow.contract_ref) is None:
+    if flow.contract_ref is not None and flow.contract_ref not in index.contracts:
         diags.append(
             error("E_UNRESOLVED_REF", flow.id.render(), "cited contract not declared")
         )
@@ -789,7 +790,15 @@ def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[
         raise reject("E_UNDOCUMENTED", site.container, "contaminated declaration not found")
     if not site.field:
         # The declaration itself is the violation (unauthorized law or
-        # abstraction): reversal deletes it.
+        # abstraction): reversal deletes it. A unit's measurement_refs and a
+        # route's construct_ref may cite one; while either does, the bundle
+        # written without it would not parse.
+        if decl.__class__ is not Law and decl.__class__ is not Abstraction:
+            raise reject("E_UNDOCUMENTED", site.container, "not a law or an abstraction")
+        if any(decl.id in u.measurement_refs for u in bundle.units) or any(
+            r.construct_ref == decl.id for r in bundle.routes
+        ):
+            raise reject("E_UNDOCUMENTED", site.container, "declaration is still cited")
         return [{"op": "remove_declaration", "target": site.container}]
     if site.field == "payload":
         return [{"op": "remove_flow", "target": site.container}]
@@ -878,26 +887,30 @@ def resolve_contamination(
         raise OperationRejected(diags)
 
     effects: list[dict]
-    if action == "quarantine":
-        if find_declaration(bundle, event.site.container) is None:
-            raise reject("E_UNDOCUMENTED", event.site.container, "declaration not found")
-        effects = [{"op": "quarantine", "target": event.site.container}]
-    elif action == "reverse":
+    if action == "reverse":
         effects = _reversal_effects(bundle, event)
     else:
-        if proposal is None:
-            raise reject("E_INSIGHT_REJECTED", event.id, "extract_insight needs a proposal")
-        failures = validate_insight(proposal, bundle)
-        if failures:
-            raise OperationRejected(
-                [error("E_INSIGHT_REJECTED", event.id, "insight failed validation")] + failures
-            )
-        target = bundle.layer_by_id(proposal.target_layer)
-        effects = [{"op": "quarantine", "target": event.site.container}]
-        for addition in proposal.proposed_additions:
-            cls, record = _addition_record(addition)
-            op = "add_law" if cls is Law else "add_abstraction"
-            effects.append({"op": op, "layer": target.id.render(), "record": record})
+        container = event.site.container
+        effects = [{"op": "quarantine", "target": container}]
+        if action == "extract_insight":
+            if proposal is None:
+                raise reject("E_INSIGHT_REJECTED", event.id, "extract_insight needs a proposal")
+            failures = validate_insight(proposal, bundle)
+            if failures:
+                raise OperationRejected(
+                    [error("E_INSIGHT_REJECTED", event.id, "insight failed validation")]
+                    + failures
+                )
+            layer = proposal.target_layer.render()
+            for addition in proposal.proposed_additions:
+                cls, record = _addition_record(addition)
+                op = "add_law" if cls is Law else "add_abstraction"
+                effects.append({"op": op, "layer": layer, "record": record})
+        decl = find_declaration(bundle, container)
+        if decl is None:
+            raise reject("E_UNDOCUMENTED", container, "declaration not found")
+        if not hasattr(decl, "quarantined"):
+            raise reject("E_UNDOCUMENTED", container, "declaration cannot be quarantined")
 
     action_label = {
         "quarantine": "quarantined",
@@ -906,6 +919,7 @@ def resolve_contamination(
     }[action]
     stamp = timestamp or now_utc()
     sequence = bundle.next_sequence()
+    before = (event.corrective_action, event.versioned_update, event.timestamp, event.resolved)
     event.corrective_action = action_label
     event.versioned_update = f"event:{sequence}"
     event.timestamp = stamp
@@ -919,10 +933,7 @@ def resolve_contamination(
             timestamp=stamp,
             affected=list(event.decisions_affected) or [event.site.container],
         )
-    except OperationRejected:
-        event.corrective_action = None
-        event.versioned_update = None
-        event.timestamp = ""
-        event.resolved = False
+    except Exception:
+        event.corrective_action, event.versioned_update, event.timestamp, event.resolved = before
         raise
     return bundle

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .bundle import VERSION_RE, decode_bump, encode, text_fields
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, extract_references
-from .model import Abstraction, ChangelogEntry, Law, LayerDecl, ProjectBundle
+from .model import Abstraction, BundleIndex, ChangelogEntry, Law, LayerDecl, ProjectBundle
 from .records import field, record
 
 # Write operations import .audit (and with it datetime) when they run, so
@@ -89,7 +89,8 @@ def resolve_constraints(bundle: ProjectBundle, child_id: Identifier) -> Effectiv
     Pure: never mutates the bundle. Quarantined declarations are inert and
     do not resolve.
     """
-    layer = bundle.layer_by_id(child_id)
+    layers = BundleIndex(bundle).layers
+    layer = layers.get(child_id)
     if layer is None:
         raise OperationRejected(
             [error("E_UNKNOWN_LAYER", "layers", f"no layer {child_id.render()}")]
@@ -98,7 +99,7 @@ def resolve_constraints(bundle: ProjectBundle, child_id: Identifier) -> Effectiv
         raise OperationRejected(
             [error("E_NOT_CHILD", "layers", f"{child_id.render()} is a {layer.kind} layer")]
         )
-    parent = bundle.layer_by_id(layer.parent_ref) if layer.parent_ref else None
+    parent = layers.get(layer.parent_ref)
     gp = bundle.grandparent()
     result = EffectiveConstraintSet(child=child_id)
     result.laws = [law for law in gp.laws if not law.quarantined]

@@ -561,53 +561,18 @@ class ProjectBundle:
                 return layer
         raise LookupError("bundle has no grandparent layer")
 
-    def layer_by_id(self, ident: Identifier) -> LayerDecl | None:
-        for layer in self.layers:
-            if layer.id == ident:
-                return layer
-        return None
-
-    def layer_by_name(self, local_name: str) -> LayerDecl | None:
-        for layer in self.layers:
-            if layer.local_name == local_name:
-                return layer
-        return None
-
-    def unit_by_id(self, ident: Identifier) -> EvidentialUnit | None:
-        for unit in self.units:
-            if unit.study_id == ident:
-                return unit
-        return None
-
-    def route_by_id(self, ident: Identifier) -> Route | None:
-        for route in self.routes:
-            if route.id == ident:
-                return route
-        return None
-
-    def project_by_id(self, ident: Identifier) -> ProjectDecl | None:
-        for project in self.projects:
-            if project.id == ident:
-                return project
-        return None
-
-    def contract_by_id(self, ident: Identifier) -> BoundaryContract | None:
-        for contract in self.contracts:
-            if contract.id == ident:
-                return contract
-        return None
-
     def next_sequence(self) -> int:
         return self.events[-1].sequence + 1 if self.events else 1
 
 
 class BundleIndex:
-    """Read-only lookups over one state of a bundle, for one read pass.
+    """Read-only lookups over one state of a bundle: the engine's only
+    lookup by id.
 
-    Build one per pass (a scan, a verdict) and drop it before the next
-    write. It is never stored on the bundle, so nothing has to invalidate
-    it. Each map is built on first use; where ids repeat, the first
-    declaration wins, as in the ``ProjectBundle`` lookups.
+    Build one per read pass (a scan, a verdict) or per operation, before
+    it writes, and drop it after the write. It is never stored on the
+    bundle, so nothing has to invalidate it. Each map is built on first
+    use; where ids repeat, the first declaration wins.
     """
 
     def __init__(self, bundle: ProjectBundle):

@@ -81,11 +81,12 @@ def declare_route(
     """
     from .audit import commit, now_utc
 
-    project = bundle.project_by_id(project_id)
+    index = BundleIndex(bundle)
+    project = index.projects.get(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
     diags = validate_route_shape(route)
-    if bundle.route_by_id(route.id) is not None:
+    if route.id in index.routes:
         diags.append(error("E_DUP_ID", route.id.render(), "route id already declared"))
     if commit_route and project.committed_route is not None:
         diags.append(
@@ -114,9 +115,7 @@ def declare_route(
 
 
 def committed_route(bundle: ProjectBundle, project: ProjectDecl) -> Route | None:
-    if project.committed_route is None:
-        return None
-    return bundle.route_by_id(project.committed_route)
+    return BundleIndex(bundle).routes.get(project.committed_route)
 
 
 def check_route_coherence(
@@ -215,16 +214,19 @@ def freeze_route(
     """Freeze the committed route; coherence failures block freezing."""
     from .audit import commit, now_utc
 
-    project = bundle.project_by_id(project_id)
+    index = BundleIndex(bundle)
+    project = index.projects.get(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
-    route = committed_route(bundle, project)
+    route = index.routes.get(project.committed_route)
     if route is None:
         raise reject("E_NO_ROUTE", project_id.render(), "project has no committed route")
     if route.frozen_at is not None:
         raise reject("E_ALREADY_FROZEN", route.id.render(), f"frozen at {route.frozen_at}")
     coherence = [
-        d for d in check_route_coherence(bundle, project_id) if d.severity.name == "ERROR"
+        d
+        for d in check_route_coherence(bundle, project_id, index=index)
+        if d.severity.name == "ERROR"
     ]
     if coherence:
         raise OperationRejected(
@@ -266,10 +268,11 @@ def revise_route(
     """
     from .audit import commit, now_utc
 
-    project = bundle.project_by_id(project_id)
+    index = BundleIndex(bundle)
+    project = index.projects.get(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
-    route = committed_route(bundle, project)
+    route = index.routes.get(project.committed_route)
     if route is None:
         raise reject("E_NO_ROUTE", project_id.render(), "project has no committed route")
     diags: list[Diagnostic] = []

@@ -15,6 +15,7 @@ from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier
 from .model import (
     Assessment,
+    BundleIndex,
     DeclaredAssumption,
     EvidentialUnit,
     ProjectBundle,
@@ -203,7 +204,7 @@ def declare_tier(
     mismatches are rejected so non-compliance cannot enter through this door."""
     from .audit import commit, now_utc
 
-    unit = bundle.unit_by_id(unit_id)
+    unit = BundleIndex(bundle).units.get(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
     if not justification.strip():
@@ -245,7 +246,7 @@ def apply_retier(
     """
     from .audit import commit, now_utc
 
-    unit = bundle.unit_by_id(unit_id)
+    unit = BundleIndex(bundle).units.get(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
     diags: list[Diagnostic] = []
@@ -324,7 +325,8 @@ def split_unit(
     """
     from .audit import commit, now_utc
 
-    unit = bundle.unit_by_id(unit_id)
+    units = BundleIndex(bundle).units
+    unit = units.get(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
     diags: list[Diagnostic] = []
@@ -341,7 +343,7 @@ def split_unit(
     if len({n.render() for n in names}) != len(names):
         diags.append(error("E_NAME_ARITY", unit_id.render(), "split names must be unique"))
     for name in names:
-        if bundle.unit_by_id(name) is not None:
+        if name in units:
             diags.append(error("E_DUP_ID", name.render(), f"{name.render()} already declared"))
     if diags:
         raise OperationRejected(diags)
@@ -368,4 +370,5 @@ def split_unit(
         timestamp=timestamp or now_utc(),
         affected=[unit_id.render()] + [n.render() for n in names],
     )
-    return [bundle.unit_by_id(name) for name in names]  # type: ignore[misc]
+    units = BundleIndex(bundle).units
+    return [units[name] for name in names]

@@ -359,3 +359,48 @@ def inject_faults(rng: random.Random, doc: dict, k: int) -> list[dict]:
             )
     assert len(expected) == k, f"could not place {k} injections"
     return expected
+
+
+def inject_borrowings(doc: dict) -> bool:
+    """One lateral reference from child C1 to child C2 at each place the scan
+    checks (a unit text, a declared-assumption text, ``measurement_refs``, a
+    route-assumption text, ``supporting_units``, ``disconfirming_models``,
+    ``unit_refs``, ``committed_route`` and ``assignments``), plus the
+    abstraction C2 declares for the measurement reference, a law C1
+    declares and one upward flow. Returns False, leaving ``doc`` unchanged,
+    when C1 or C2 declares no unit."""
+    ours, theirs = (
+        [u for u in doc["units"] if u["study_id"].startswith(f"child:{c}:")] for c in ("C1", "C2")
+    )
+    if not ours or not theirs:
+        return False
+    sibling_unit = theirs[0]["study_id"]
+    c1, c2 = (next(layer for layer in doc["layers"] if layer["id"] == c) for c in ("C1", "C2"))
+    c1["laws"].append({"id": "LB", "text": "A local rule.", "immutable_core": False,
+                       "quarantined": False})
+    c2["abstractions"].append(
+        {"id": "mz", "kind": "measurement_class", "definition": "Local.",
+         "correspondence": {}, "quarantined": False}
+    )
+    unit = ours[0]
+    unit["limitations"] += " As child:C2:PRJ does."
+    unit["explicit_assumptions"].append(
+        {"id": "child:C1:DAB", "text": "Bounded as in child:C2:PRJ.", "covers": ["reporting"]}
+    )
+    unit["measurement_refs"].append("child:C2:mz")
+    route = next(r for r in doc["routes"] if r["id"] == "child:C1:R1")
+    route["assumptions"][0]["failure_modes"] += " See child:C2:R1."
+    route["assumptions"][0]["supporting_units"].append(sibling_unit)
+    route["disconfirming_models"].append("Alternative: child:C2:PRJ.")
+    project = next(p for p in doc["projects"] if p["id"] == "child:C1:PRJ")
+    project["unit_refs"].append(sibling_unit)
+    project["committed_route"] = "child:C2:R1"
+    project["assignments"].append(
+        {"unit_ref": sibling_unit, "route_ref": "child:C1:R1", "role": "contextual"}
+    )
+    doc["flows"].append(
+        {"id": "child:C1:FB", "source_layer": "C1", "dest_layer": "G", "info_class": "content",
+         "payload": "A local finding.", "timestamp": "2026-02-01T00:00:00Z",
+         "contract_ref": None, "quarantined": False}
+    )
+    return True

@@ -24,7 +24,7 @@ from recap_engine.contamination import check_flow, scan_bundle
 from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
-from recap_engine.model import ChangelogEntry, Law, Tier
+from recap_engine.model import BundleIndex, ChangelogEntry, Law, Tier
 from recap_engine.reporting import (
     build_study_log,
     build_tier_table,
@@ -61,7 +61,7 @@ def test_ac01_toy_example_golden(capsys):
         tiers = {}
         rules = {}
         for local in ("S1", "S2", "S3"):
-            unit = bundle.unit_by_id(Identifier("child", "C1", local))
+            unit = BundleIndex(bundle).units.get(Identifier("child", "C1", local))
             decision = tier_unit(unit)
             tiers[local] = decision.tier
             rules[local] = decision.rule_id
@@ -369,7 +369,7 @@ def test_ac09_reporting_partition(capsys):
                 assert table_ids.isdisjoint(excluded)
                 assert len(log) == len(project.unit_refs)
                 for unit_ref in project.unit_refs:
-                    unit = bundle.unit_by_id(unit_ref)
+                    unit = BundleIndex(bundle).units.get(unit_ref)
                     if unit.declared_tier == Tier.EXCLUDED:
                         assert unit.study_id.local_name in log_ids
 

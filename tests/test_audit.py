@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from genbundles import TimeSource, inject_faults, parse_dict, random_bundle_dict
+from genbundles import TimeSource, inject_borrowings, inject_faults, parse_dict, random_bundle_dict
 from toy import toy_bundle, toy_dict
 
 from recap_engine import records
@@ -13,7 +13,7 @@ from recap_engine.bundle import parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
-from recap_engine.model import AuditEvent, ChangelogEntry, FlowEvent, Law, Tier
+from recap_engine.model import AuditEvent, BundleIndex, ChangelogEntry, FlowEvent, Law, Tier
 from recap_engine.contamination import record_flow, resolve_contamination, scan_bundle
 from recap_engine.routing import declare_route, freeze_route
 from recap_engine.tiering import declare_tier, split_unit, tier_unit
@@ -134,7 +134,7 @@ def test_toy_event_sequence_replays_to_live_state():
         u.study_id.local_name: u.declared_tier.label for u in replayed.units
     }
     assert s_tiers == {"S1": "core", "S2": "supplement", "S3": "excluded"}
-    route = replayed.route_by_id(Identifier("child", "C1", "R2"))
+    route = BundleIndex(replayed).routes.get(Identifier("child", "C1", "R2"))
     assert route.frozen_at is not None
 
 
@@ -162,6 +162,31 @@ def test_replay_divergence_reported_for_missing_target(toy):
     assert err.value.diagnostics[0].code == "E_REPLAY_DIVERGENCE"
 
 
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("contamination_resolved", {"contamination": {}, "action": "reversed", "effects": [5]}),
+        ("contamination_resolved", {"contamination": {}, "action": "reversed", "effects": "x"}),
+        ("declaration_quarantined", {"target": 5}),
+    ],
+)
+def test_replay_reports_any_applier_failure_as_divergence(toy, kind, payload):
+    event = AuditEvent(
+        sequence=toy.next_sequence(),
+        timestamp="2026-06-01T00:00:00Z",
+        actor="tester",
+        kind=kind,
+        payload=payload,
+    )
+    before = serialize_bundle(toy)
+    with pytest.raises(OperationRejected) as err:
+        replay(toy, [event])
+    [diag] = err.value.diagnostics
+    assert (diag.code, diag.location) == ("E_REPLAY_DIVERGENCE", f"events[{event.sequence}]")
+    assert diag.message.startswith(f"{kind} failed to apply: ")
+    assert serialize_bundle(toy) == before
+
+
 # ---------------------------------------------------------------------------
 # Random accepted command sequences: live == replay, rejections change nothing
 # ---------------------------------------------------------------------------
@@ -169,12 +194,18 @@ def test_replay_divergence_reported_for_missing_target(toy):
 
 def random_ops_session(rng: random.Random, clock: TimeSource, n_ops: int = 8):
     """Build a bundle, snapshot it, run a random op mix, and return
-    (snapshot, live, accepted_count, rejected_count)."""
+    (snapshot, live, accepted_count, rejected_count). Some bundles start
+    with lateral borrowings, for the resolve op to find; the others start
+    with no route."""
     doc = random_bundle_dict(rng)
-    for project in doc["projects"]:
-        project["committed_route"] = None
-        project["assignments"] = []
-    doc["routes"] = []
+    if rng.random() < 0.5:
+        while not inject_borrowings(doc):
+            doc = random_bundle_dict(rng)
+    else:
+        for project in doc["projects"]:
+            project["committed_route"] = None
+            project["assignments"] = []
+        doc["routes"] = []
     if rng.random() < 0.5 and doc["projects"]:
         owner = doc["projects"][0]["id"].split(":")[1]
         doc["units"].append(
@@ -227,7 +258,9 @@ def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, star
     accepted = rejected = 0
     children = [l.local_name for l in live.layers if l.kind == "child"]
     for i in range(start, start + n_ops):
-        op = rng.choice(["tier", "commit", "freeze", "flow", "bump", "split"])
+        # resolve is listed twice, so that the sessions of
+        # test_random_sessions_replay_to_live_state reach every effect kind
+        op = rng.choice(["tier", "commit", "freeze", "flow", "bump", "split", "resolve", "resolve"])
         before = serialize_bundle(live)
         try:
             if op == "tier":
@@ -248,11 +281,12 @@ def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, star
             elif op == "commit":
                 child = rng.choice(children)
                 project = next(p for p in live.projects if p.id.owner == child)
+                parent = BundleIndex(live).layers_by_name.get(child).parent_ref.local_name
                 route = decode_route_dict(
                     {
                         "id": f"child:{child}:RN{i}",
                         "project_ref": project.id.render(),
-                        "construct_ref": f"parent:{live.layer_by_name(child).parent_ref.local_name}:K1",
+                        "construct_ref": f"parent:{parent}:K1",
                         "objective": "descriptive",
                         "assumptions": [
                             {
@@ -286,7 +320,7 @@ def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, star
                 flow = FlowEvent(
                     id=Identifier("gp", "", f"FL{i}"),
                     source_layer=live.grandparent().id,
-                    dest_layer=live.layer_by_name(rng.choice(children)).id,
+                    dest_layer=BundleIndex(live).layers_by_name.get(rng.choice(children)).id,
                     info_class="content",
                     payload="Constraint refresh.",
                     timestamp=clock.next(),
@@ -325,22 +359,41 @@ def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, star
                     for j in range(len(unit.interpretations))
                 ]
                 split_unit(live, unit.study_id, names, timestamp=clock.next())
+            elif op == "resolve":
+                events = scan_bundle(live)
+                if not events:
+                    continue
+                event = rng.choice(events)
+                if rng.random() < 0.8:  # else left undocumented, so rejected
+                    event.risks_introduced = "An unvetted reference crossed a boundary."
+                unresolved = copy.deepcopy(event)
+                action = rng.choice(["quarantine", "reverse"])
+                resolve_contamination(live, event, action, timestamp=clock.next())
             accepted += 1
         except OperationRejected:
             rejected += 1
             assert serialize_bundle(live) == before, f"rejected {op} mutated the bundle"
+            assert op != "resolve" or event == unresolved, "rejected resolve changed its event"
     return accepted, rejected
 
 
 def test_random_sessions_replay_to_live_state():
     rng = random.Random(2024)
     clock = TimeSource()
-    for _ in range(40):
+    effects = set()
+    for _ in range(120):
         snapshot, live, accepted, _ = random_ops_session(rng, clock)
         new_events = live.events[len(snapshot.events):]
         assert len(new_events) == accepted
         replayed = replay(snapshot, new_events)
         assert serialize_bundle(replayed) == serialize_bundle(live)
+        for event in new_events:
+            if event.kind == "contamination_resolved":
+                effects.update(effect["op"] for effect in event.payload["effects"])
+    assert effects == {
+        "quarantine", "edit_text", "edit_list_item", "remove_ref", "clear_ref",
+        "remove_assignment", "remove_declaration", "remove_flow",
+    }
 
 
 def test_retier_and_resolution_replay():
@@ -376,7 +429,7 @@ def test_retier_and_resolution_replay():
     # the direct assignment repair and law edit are declaration-level changes
     # outside the event log; apply them to the snapshot side as well
     assert replayed.grandparent().laws[4].quarantined
-    s2 = replayed.unit_by_id(Identifier("child", "C1", "S2"))
+    s2 = BundleIndex(replayed).units.get(Identifier("child", "C1", "S2"))
     assert s2.declared_tier == Tier.CORE
     assert len(s2.retier_events) == 1
 

@@ -15,6 +15,7 @@ from toy import FREEZE_TS, toy_dict, toy_text, variant
 
 import recap_engine
 from recap_engine.cli import main
+from recap_engine.model import BundleIndex
 from recap_engine.reporting import parse_report
 
 
@@ -35,7 +36,7 @@ def _frozen_with_edit(field, value):
         from recap_engine.bundle import parse_bundle, serialize_bundle
 
         bundle = parse_bundle(toy_text()).bundle
-        route = bundle.route_by_id(bundle.projects[0].committed_route)
+        route = BundleIndex(bundle).routes.get(bundle.projects[0].committed_route)
         setattr(route, field, value)
         return serialize_bundle(bundle)
 

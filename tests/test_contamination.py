@@ -1,11 +1,13 @@
+import copy
 import random
 
 import pytest
 
-from genbundles import inject_faults, parse_dict, random_bundle_dict
+from genbundles import inject_borrowings, inject_faults, parse_dict, random_bundle_dict
 from toy import toy_dict, variant
 
-from recap_engine.bundle import serialize_bundle
+from recap_engine.audit import replay
+from recap_engine.bundle import clone, parse_bundle, serialize_bundle
 from recap_engine.contamination import (
     check_flow,
     flag_contamination,
@@ -21,6 +23,9 @@ from recap_engine.identifiers import Identifier
 from recap_engine.layers import resolve_constraints
 from recap_engine.model import (
     BoundaryContract,
+    BundleIndex,
+    ContaminationEvent,
+    ContaminationSite,
     FlowEvent,
     InsightProposal,
     ProjectBundle,
@@ -126,7 +131,7 @@ def matrix_bundle() -> ProjectBundle:
 
 
 def layer_id(bundle, local):
-    return bundle.layer_by_name(local).id
+    return BundleIndex(bundle).layers_by_name.get(local).id
 
 
 def make_flow(bundle, src, dst, info, contract_ref=None):
@@ -454,7 +459,7 @@ def test_fault_injection_counts_and_directions():
 def test_unit_site_reaches_its_decision_surface(toy):
     # decouple the route assumptions from S1 so the reachable set is exactly
     # the four decision nodes
-    route = toy.route_by_id(Identifier("child", "C1", "R2"))
+    route = BundleIndex(toy).routes.get(Identifier("child", "C1", "R2"))
     for assumption in route.assumptions:
         assumption.supporting_units = []
         assumption.untestable = True
@@ -510,8 +515,8 @@ def _oracle_edges(bundle) -> dict[str, set[str]]:
     for project in bundle.projects:
         for law in gp.laws:
             add(law.id.render(), project.id.render())
-        child = bundle.layer_by_id(project.layer_ref)
-        parent = bundle.layer_by_id(child.parent_ref) if child else None
+        child = BundleIndex(bundle).layers.get(project.layer_ref)
+        parent = BundleIndex(bundle).layers.get(child.parent_ref) if child else None
         if parent is not None:
             for ab in parent.abstractions:
                 add(ab.id.render(), project.id.render())
@@ -621,7 +626,7 @@ def test_reverse_removes_the_reference_and_logs_once():
     assert bundle.events[-1].kind == "contamination_resolved"
     assert scan_bundle(bundle) == []
     _, owner, local = event.site.container.split(":")
-    unit = bundle.unit_by_id(Identifier("child", owner, local))
+    unit = BundleIndex(bundle).units.get(Identifier("child", owner, local))
     assert event.site.token not in unit.notes
 
 
@@ -650,6 +655,119 @@ def test_reverse_of_a_missing_disconfirming_model_is_rejected():
     event.site.field = "disconfirming_models[0]"
     resolve_contamination(bundle, event, "reverse", timestamp="2026-05-01T00:00:00Z")
     assert scan_bundle(bundle) == []
+
+
+def _borrowing_bundle():
+    doc = random_bundle_dict(random.Random(0), n_parents=1, n_children=2)
+    assert inject_borrowings(doc)
+    return parse_dict(doc)
+
+
+RISKS = "A sibling's declaration was borrowed unvetted."
+
+
+def _attempt(bundle, event, action):
+    """Resolve ``event``; on rejection, check that neither the bundle nor
+    the event changed and return the diagnostics' (code, location)."""
+    before, unresolved = serialize_bundle(bundle), copy.deepcopy(event)
+    try:
+        resolve_contamination(bundle, event, action, timestamp="2026-05-01T00:00:00Z")
+    except OperationRejected as err:
+        assert serialize_bundle(bundle) == before
+        assert event == unresolved
+        return [(d.code, d.location) for d in err.diagnostics]
+    return None
+
+
+@pytest.mark.parametrize(
+    "action, effects, rejected",
+    [
+        (
+            "quarantine",
+            {"quarantine"},
+            # a declared assumption, a route assumption and a project have
+            # no quarantine flag
+            ["child:C1:DAB", "child:C1:AS1", "child:C1:AS1"] + ["child:C1:PRJ"] * 3,
+        ),
+        (
+            "reverse",
+            {"remove_flow", "remove_declaration", "edit_text", "remove_ref",
+             "edit_list_item", "clear_ref", "remove_assignment"},
+            # a unit's measurement_refs still cite the abstraction
+            ["child:C2:mz"],
+        ),
+    ],
+)
+def test_each_scanned_event_resolves_and_replays_or_is_rejected_unchanged(
+    action, effects, rejected
+):
+    initial = _borrowing_bundle()
+    seen, refused = set(), []
+    for i in range(len(scan_bundle(initial))):
+        live = clone(initial)
+        event = scan_bundle(live)[i]
+        event.risks_introduced = RISKS
+        diagnostics = _attempt(live, event, action)
+        if diagnostics is not None:
+            assert diagnostics == [("E_UNDOCUMENTED", event.site.container)]
+            refused.append(event.site.container)
+            continue
+        assert event.resolved
+        [resolution] = live.events[len(initial.events):]
+        assert serialize_bundle(replay(initial, [resolution])) == serialize_bundle(live)
+        assert parse_bundle(serialize_bundle(live)).bundle is not None
+        seen.update(effect["op"] for effect in resolution.payload["effects"])
+    assert seen == effects
+    assert refused == rejected
+
+
+def test_removing_a_declaration_that_is_not_a_law_or_an_abstraction_is_rejected():
+    bundle = _borrowing_bundle()
+    site = ContaminationSite(container="child:C1:S1")
+    event = ContaminationEvent(
+        id="CONT-0001",
+        rule_violated="R2_downward_rewrite",
+        direction="downward",
+        nature="structural",
+        site=site,
+        risks_introduced=RISKS,
+    )
+    assert _attempt(bundle, event, "reverse") == [("E_UNDOCUMENTED", "child:C1:S1")]
+
+
+def test_a_cited_declaration_is_removed_only_once_nothing_cites_it():
+    bundle = _borrowing_bundle()
+
+    def event_at(field, container="child:C2:mz"):
+        event = next(
+            e for e in scan_bundle(bundle) if (e.site.container, e.site.field) == (container, field)
+        )
+        event.risks_introduced = RISKS
+        return event
+
+    assert _attempt(bundle, event_at(""), "reverse") == [("E_UNDOCUMENTED", "child:C2:mz")]
+    assert _attempt(bundle, event_at("measurement_refs", "child:C1:S1"), "reverse") is None
+    assert _attempt(bundle, event_at(""), "reverse") is None
+    assert parse_bundle(serialize_bundle(bundle)).bundle is not None
+
+    doc = random_bundle_dict(random.Random(0), n_parents=1, n_children=2)
+    assert inject_borrowings(doc)
+    doc["units"][0]["measurement_refs"].remove("child:C2:mz")
+    doc["routes"][0]["construct_ref"] = "child:C2:mz"
+    bundle = parse_dict(doc)
+    assert _attempt(bundle, event_at(""), "reverse") == [("E_UNDOCUMENTED", "child:C2:mz")]
+
+
+def test_a_resolution_whose_effect_fails_in_commit_leaves_the_event_as_it_was():
+    bundle = _borrowing_bundle()
+    event = next(e for e in scan_bundle(bundle) if e.site.field == "unit_refs")
+    event.risks_introduced = RISKS
+    event.site.token = "child:C2:GONE"  # not in the list, so the applier fails
+    before, unresolved = serialize_bundle(bundle), copy.deepcopy(event)
+    with pytest.raises(Exception):
+        resolve_contamination(bundle, event, "reverse", timestamp="2026-05-01T00:00:00Z")
+    assert serialize_bundle(bundle) == before
+    assert event == unresolved
 
 
 def test_resolution_without_risks_is_undocumented():
@@ -706,7 +824,7 @@ def test_extract_insight_appends_abstraction_at_parent():
     resolve_contamination(
         bundle, event, "extract_insight", proposal=proposal, timestamp="2026-05-01T00:00:00Z"
     )
-    parent = bundle.layer_by_name("P")
+    parent = BundleIndex(bundle).layers_by_name.get("P")
     assert any(ab.id.local_name == "stability_indicator" for ab in parent.abstractions)
     assert event.resolved and event.corrective_action == "insight_extracted"
     assert scan_bundle(bundle) == []

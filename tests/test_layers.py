@@ -17,7 +17,7 @@ from recap_engine.layers import (
     seed_core_laws,
     validate_grandparent_laws,
 )
-from recap_engine.model import ChangelogEntry, Law
+from recap_engine.model import BundleIndex, ChangelogEntry, Law
 
 
 def law(name, text, core=False):
@@ -107,7 +107,7 @@ def test_randomized_trees_match_path_walk_oracle():
                     walked_abs.setdefault(ab.id.render(), ab)
                 walked_laws.extend(l.id.render() for l in cursor.laws)
                 cursor = (
-                    bundle.layer_by_id(cursor.parent_ref) if cursor.parent_ref else None
+                    BundleIndex(bundle).layers.get(cursor.parent_ref) if cursor.parent_ref else None
                 )
             resolved = resolve_constraints(bundle, layer.id)
             assert resolved.law_ids() == set(walked_laws)

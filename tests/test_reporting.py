@@ -8,7 +8,8 @@ from toy import toy_dict
 
 from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.identifiers import Identifier
-from recap_engine.model import BundleIndex, Tier
+from recap_engine.layers import bump_version
+from recap_engine.model import BundleIndex, ChangelogEntry, Law, Tier
 from recap_engine.reporting import (
     STUDY_LOG_FIELDS,
     TIER_TABLE_FIELDS,
@@ -50,14 +51,14 @@ def test_excluded_unit_appears_in_study_log(toy):
 
 
 def test_missing_mandatory_field_rejects_the_log(toy):
-    toy.unit_by_id(Identifier("child", "C1", "S2")).bias_considerations = ""
+    BundleIndex(toy).units.get(Identifier("child", "C1", "S2")).bias_considerations = ""
     with pytest.raises(OperationRejected) as err:
         build_study_log(toy, toy.projects[0])
     assert "E_MISSING_FIELD" in [d.code for d in err.value.diagnostics]
 
 
 def test_bias_without_direction_tag_rejected(toy):
-    toy.unit_by_id(Identifier("child", "C1", "S1")).bias_considerations = "Some bias exists."
+    BundleIndex(toy).units.get(Identifier("child", "C1", "S1")).bias_considerations = "Some bias exists."
     with pytest.raises(OperationRejected) as err:
         build_study_log(toy, toy.projects[0])
     assert "E_BIAS_DIRECTION" in [d.code for d in err.value.diagnostics]
@@ -194,7 +195,7 @@ def test_missing_study_log_fields_make_it_non_compliant(toy):
 
 
 def test_unresolved_contamination_is_non_compliant(toy):
-    s2 = toy.unit_by_id(Identifier("child", "C1", "S2"))
+    s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
     # a sibling child appears and S2 borrows from it without contract
     toy.layers.append(
         type(toy.layers[-1])(
@@ -220,7 +221,7 @@ def test_uncommitted_project_is_non_compliant(toy):
 
 
 def test_authored_route_without_disconfirming_model_is_flagged(toy):
-    route = toy.route_by_id(Identifier("child", "C1", "R4"))
+    route = BundleIndex(toy).routes.get(Identifier("child", "C1", "R4"))
     route.disconfirming_models = []
     report = compliance_verdict(toy)
     assert report.verdict == "non_compliant"
@@ -245,7 +246,7 @@ def test_upward_findings_sort_before_other_directions(toy):
         parent_ref=Identifier("parent", "P", "P"),
     )
     toy.layers.append(child)
-    toy.unit_by_id(Identifier("child", "C1", "S2")).notes += " Echoes child:C2:C2."
+    BundleIndex(toy).units.get(Identifier("child", "C1", "S2")).notes += " Echoes child:C2:C2."
     report = compliance_verdict(toy)
     rules = [
         d.code
@@ -324,6 +325,42 @@ def test_reports_never_synthesize_narratives(toy):
                 assert value in blob
 
 
+def _two_bumps(toy):
+    """The toy bundle after two recorded bumps, v1.0 -> v1.1 -> v1.2."""
+    for i, stamp in enumerate(("2026-03-01T00:00:00Z", "2026-03-02T00:00:00Z")):
+        gp = toy.grandparent()
+        laws = copy.deepcopy(gp.laws) + [Law(id=Identifier("gp", "", f"LX{i}"), text="Added.")]
+        entry = ChangelogEntry(
+            from_version=gp.version,
+            to_version=f"v1.{i + 1}",
+            motivating_insight="Coverage gap seen across projects.",
+            boundary_affected="Tier discipline boundary.",
+            generalizability_reasoning="Independent of any domain.",
+            timestamp=stamp,
+        )
+        bump_version(toy, entry, laws, timestamp=stamp)
+    return toy
+
+
+def test_recorded_bumps_that_do_not_advance_are_flagged(toy):
+    bundle = _two_bumps(toy)
+    assert compliance_verdict(bundle).verdict == "compliant"
+    bundle.events[-2].payload["entry"]["to_version"] = "v1.3"
+    report = compliance_verdict(bundle)
+    assert report.verdict == "non_compliant"
+    assert [(d.code, d.location) for d in report.findings] == [("E_VERSION_ORDER", "events")]
+    assert report.findings[0].message == "recorded bump v1.3 -> v1.2 does not advance"
+
+
+def test_a_law_rewritten_between_recorded_bumps_is_flagged(toy):
+    bundle = _two_bumps(toy)
+    first = bundle.events[-2].payload["laws"]
+    next(law for law in first if law["id"] == "gp:A")["text"] = "An earlier wording."
+    report = compliance_verdict(bundle)
+    assert report.verdict == "non_compliant"
+    assert [(d.code, d.location) for d in report.findings] == [("E_LAW_REWRITTEN", "gp:A")]
+
+
 # ---------------------------------------------------------------------------
 # Read-pass index
 # ---------------------------------------------------------------------------
@@ -333,19 +370,25 @@ def test_bundle_index_agrees_with_the_linear_lookups(toy):
     # An in-memory duplicate of the first unit: the first declaration wins.
     toy.units.append(copy.deepcopy(toy.units[0]))
     index = BundleIndex(toy)
+
+    def linear(records, name, key):
+        return next(r for r in records if getattr(r, name) == key)
+
     for unit in toy.units:
-        assert index.units[unit.study_id] is toy.unit_by_id(unit.study_id)
+        assert index.units[unit.study_id] is linear(toy.units, "study_id", unit.study_id)
     for route in toy.routes:
-        assert index.routes[route.id] is toy.route_by_id(route.id)
+        assert index.routes[route.id] is linear(toy.routes, "id", route.id)
     for project in toy.projects:
-        assert index.projects[project.id] is toy.project_by_id(project.id)
+        assert index.projects[project.id] is linear(toy.projects, "id", project.id)
         for assignment in project.assignments:
             first = next(a for a in project.assignments if a.unit_ref == assignment.unit_ref)
             assert index.assignment(project, assignment.unit_ref) is first
     for layer in toy.layers:
-        assert index.layers[layer.id] is toy.layer_by_id(layer.id)
-        assert index.layers_by_name[layer.local_name] is toy.layer_by_name(layer.local_name)
-    child = toy.layer_by_name("C1")
+        assert index.layers[layer.id] is linear(toy.layers, "id", layer.id)
+        assert index.layers_by_name[layer.local_name] is linear(
+            toy.layers, "local_name", layer.local_name
+        )
+    child = linear(toy.layers, "local_name", "C1")
     assert [a.local_name for a in index.ancestors(child)] == ["P", "G"]
     assert index.ancestors(toy.grandparent()) == ()
 
@@ -362,3 +405,68 @@ def test_shared_index_gives_the_same_reports_and_is_not_kept(toy):
     fields = set(vars(toy))
     compliance_verdict(toy)
     assert set(vars(toy)) == fields
+
+
+# ---------------------------------------------------------------------------
+# Markdown and structured renders of the non-tabular artifacts
+# ---------------------------------------------------------------------------
+
+
+def test_reviewer_block_markdown(toy):
+    assert render_report(toy.reviewer_blocks[0], "markdown") == (
+        "# Reviewer Block: child:C1:PRJ\n"
+        "\n"
+        "## Methodological findings\n"
+        "- Construct A measured reliably.\n"
+        "- Proxy B introduces potential attenuation.\n"
+        "\n"
+        "## Conceptual insight\n"
+        "Operationalization of B remains unstable.\n"
+        "\n"
+        "## Anticipated critique\n"
+        "Why was a stronger proxy not used?\n"
+        "(references: child:C1:S1)\n"
+        "\n"
+        "## Disconfirming model\n"
+        "C may influence B rather than vice versa.\n"
+        "\n"
+        "## Route assumptions\n"
+        "child:C1:AS1, child:C1:AS2\n"
+    )
+
+
+def _non_compliant(toy):
+    toy.projects[0].committed_route = None
+    report = compliance_verdict(toy)
+    assert report.verdict == "non_compliant"
+    assert ("E_NO_ROUTE", "child:C1:PRJ") in [(d.code, d.location) for d in report.findings]
+    return report
+
+
+def test_compliance_report_markdown_lists_each_finding(toy):
+    report = _non_compliant(toy)
+    lines = render_report(report, "markdown").splitlines()
+    assert lines[0] == "verdict: non_compliant"
+    assert lines[1:] == [d.render() for d in report.findings]
+    assert lines[1].startswith("E_NO_ROUTE child:C1:PRJ ")
+
+
+def test_structured_compliance_report_with_findings_parses_back(toy):
+    report = _non_compliant(toy)
+    again = parse_report(render_report(report, "structured"))
+    assert again == report
+    assert [(d.code, d.location, d.severity) for d in again.findings] == [
+        (d.code, d.location, d.severity) for d in report.findings
+    ]
+
+
+def test_a_plain_list_renders_as_the_table_of_its_rows(toy):
+    log = build_study_log(toy, toy.projects[0])
+    for fmt in ("markdown", "csv", "structured"):
+        assert render_report(list(log), fmt) == render_report(log, fmt)
+    for rows in ([], ["not a row"]):
+        with pytest.raises(OperationRejected) as err:
+            render_report(rows, "markdown")
+        assert [(d.code, d.location) for d in err.value.diagnostics] == [
+            ("E_FORMAT_UNSUPPORTED", "artifact")
+        ]

@@ -9,7 +9,7 @@ from toy import PRJ, toy_dict, toy_text
 from recap_engine.bundle import decode_route_dict, parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.identifiers import Identifier
-from recap_engine.model import RouteRevision
+from recap_engine.model import BundleIndex, RouteRevision
 from recap_engine.routing import (
     check_freeze_integrity,
     check_route_coherence,
@@ -88,7 +88,7 @@ def test_commit_after_exploratory_comparison():
     project = bundle.projects[0]
     assert project.committed_route.render() == "child:C1:R2"
     sketches = " ".join(
-        r.sketch for r in bundle.route_by_id(project.committed_route).rejected_alternatives
+        r.sketch for r in BundleIndex(bundle).routes.get(project.committed_route).rejected_alternatives
     )
     assert "R1" in sketches and "R3" in sketches and "R4" in sketches
     assert len(bundle.routes) == 4

@@ -10,6 +10,7 @@ from recap_engine.diagnostics import OperationRejected
 from recap_engine.identifiers import Identifier
 from recap_engine.model import (
     Assessment,
+    BundleIndex,
     DeclaredAssumption,
     EvidentialUnit,
     ReTierEvent,
@@ -17,6 +18,7 @@ from recap_engine.model import (
 )
 from recap_engine.tiering import (
     apply_retier,
+    check_retier_chain,
     check_tier_declaration,
     compute_tier,
     compute_tier_decision,
@@ -239,12 +241,12 @@ def test_random_multi_interpretation_units_fold_with_min():
 
 
 def test_toy_s1_declaration_is_clean(toy):
-    s1 = toy.unit_by_id(Identifier("child", "C1", "S1"))
+    s1 = BundleIndex(toy).units.get(Identifier("child", "C1", "S1"))
     assert check_tier_declaration(s1) == []
 
 
 def test_mismatched_declaration_reports_both_tiers(toy):
-    s1 = toy.unit_by_id(Identifier("child", "C1", "S1"))
+    s1 = BundleIndex(toy).units.get(Identifier("child", "C1", "S1"))
     s1.declared_tier = Tier.SUPPLEMENT
     diags = check_tier_declaration(s1)
     assert [d.code for d in diags] == ["E_TIER_MISMATCH"]
@@ -252,7 +254,7 @@ def test_mismatched_declaration_reports_both_tiers(toy):
 
 
 def test_missing_justification_reported(toy):
-    s1 = toy.unit_by_id(Identifier("child", "C1", "S1"))
+    s1 = BundleIndex(toy).units.get(Identifier("child", "C1", "S1"))
     s1.tier_justification = ""
     assert "E_NO_JUSTIFICATION" in [d.code for d in check_tier_declaration(s1)]
 
@@ -304,7 +306,7 @@ def test_split_produces_single_interpretation_units(toy):
     events_before = len(toy.events)
     pieces = split_unit(toy, Identifier("child", "C1", "SX"), names)
     assert [tier_unit(p).tier for p in pieces] == [Tier.CORE, Tier.EXCLUDED]
-    source = toy.unit_by_id(Identifier("child", "C1", "SX"))
+    source = BundleIndex(toy).units.get(Identifier("child", "C1", "SX"))
     assert source.superseded
     assert len(toy.events) == events_before + 1
     assert all(p.split_from == source.study_id for p in pieces)
@@ -362,7 +364,7 @@ def test_retier_s2_to_core_with_full_event(toy):
         ],
         justification="Updated measurement detail restores alignment.",
     )
-    s2 = toy.unit_by_id(s2_id)
+    s2 = BundleIndex(toy).units.get(s2_id)
     assert s2.declared_tier == Tier.CORE
     assert len(s2.retier_events) == 1
     assert len(toy.events) == events_before + 1
@@ -399,3 +401,38 @@ def test_retier_requires_matching_assessments(toy):
             _retier_event(Tier.SUPPLEMENT, Tier.CORE),
         )
     assert "E_TIER_MISMATCH" in [d.code for d in err.value.diagnostics]
+
+
+# ---------------------------------------------------------------------------
+# Recorded re-tier history
+# ---------------------------------------------------------------------------
+
+
+def test_retier_chain_flags_order_stale_start_and_blank_fields(toy):
+    s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
+    s2.retier_events = [
+        _retier_event(Tier.SUPPLEMENT, Tier.CORE, timestamp="2026-02-03T00:00:00Z"),
+        _retier_event(Tier.EXCLUDED, Tier.SUPPLEMENT, implications_for_route=" "),
+    ]
+    diags = check_retier_chain(s2)
+    second = "child:C1:S2.retier_events[1]"
+    assert [(d.code, d.location) for d in diags] == [
+        ("E_SILENT_RETIER", second),
+        ("E_STALE_OLD_TIER", second),
+        ("E_SILENT_RETIER", second),
+    ]
+    assert diags[0].message == "re-tier events are not in timestamp order"
+    assert diags[1].message == "event starts at excluded but history was at core"
+    assert diags[2].message == "re-tier event lacks implications_for_route"
+
+
+def test_retier_chain_must_end_at_the_declared_tier(toy):
+    s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
+    s2.retier_events = [_retier_event(Tier.SUPPLEMENT, Tier.CORE)]
+    diags = check_retier_chain(s2)
+    assert [(d.code, d.location) for d in diags] == [("E_SILENT_RETIER", "child:C1:S2")]
+    assert diags[0].message == (
+        "declared tier supplement does not match the last re-tier event (core)"
+    )
+    s2.declared_tier = Tier.CORE
+    assert check_retier_chain(s2) == []
