@@ -146,10 +146,20 @@ def _pick_project(bundle: ProjectBundle, name: str | None) -> ProjectDecl | None
             file=sys.stderr,
         )
         return None
-    for project in bundle.projects:
-        if project.id.render() == name or project.id.local_name == name:
-            return project
-    print(f"no project named {name!r}", file=sys.stderr)
+    return _named(bundle.projects, name, "project", lambda project: project.id)
+
+
+def _named(decls: list, name: str, what: str, ident):
+    """The one declaration ``name`` picks by canonical id or local name;
+    None, once reported, when it picks none or more than one."""
+    found = [d for d in decls if ident(d).render() == name or ident(d).local_name == name]
+    if len(found) == 1:
+        return found[0]
+    if found:
+        ids = ", ".join(ident(d).render() for d in found)
+        print(f"{what} name {name!r} is ambiguous: {ids}", file=sys.stderr)
+    else:
+        print(f"no {what} named {name!r}", file=sys.stderr)
     return None
 
 
@@ -181,14 +191,10 @@ def _cmd_tier(args) -> int:
         return EXIT_USAGE
     units = [u for u in bundle.units if not u.superseded and not u.quarantined]
     if args.unit:
-        units = [
-            u
-            for u in units
-            if u.study_id.render() == args.unit or u.study_id.local_name == args.unit
-        ]
-        if not units:
-            print(f"no unit named {args.unit!r}", file=sys.stderr)
+        unit = _named(units, args.unit, "unit", lambda unit: unit.study_id)
+        if unit is None:
             return EXIT_USAGE
+        units = [unit]
     diags: list[Diagnostic] = []
     for unit in units:
         try:

@@ -11,22 +11,24 @@ from __future__ import annotations
 
 import re
 
-from .bundle import decode, encode, text_fields
+from .bundle import CODECS, decode, encode, text_fields
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references
 from .model import (
+    IDENT,
+    LIST,
+    RECORD,
+    STR,
     Abstraction,
     BoundaryContract,
     BundleIndex,
     ContaminationEvent,
     ContaminationSite,
-    EvidentialUnit,
     FlowEvent,
     InsightProposal,
     Law,
     LayerDecl,
     ProjectBundle,
-    RouteAssumption,
     Tier,
 )
 from .records import record
@@ -317,24 +319,61 @@ def _classify_field(field_name: str) -> str:
     return "content"
 
 
-def _text(part) -> str:
-    """A site or location part: a string, an identifier, or a format
-    string with its arguments."""
-    if part.__class__ is str:
-        return part
-    if part.__class__ is tuple:
-        return part[0].format(*part[1:])
-    return part.render()
+#: The sections the spec-driven walk checks, in scan order; flows are
+#: judged by the flow matrix instead.
+_SECTIONS = ("layers", "units", "routes", "projects")
+#: A record with either flag set is inert: the walk skips it.
+_INERT = ("quarantined", "superseded")
+
+# The steps of a record's scan plan, in the order the walk takes them; each
+# group keeps field order.
+_TEXT, _DECLS, _REFS, _TEXTS, _REF, _ITEMS = range(6)
+_MANY = (_REFS, _TEXTS)
 
 
-class _Scanner:
-    """The scan's passes over one bundle state.
+def _plan(codec) -> tuple:
+    """``(key, inert, steps)`` of one persisted class: its identity field if
+    it declares something (a record without an id has None), the flags
+    that make it inert, and a step ``(step, field, nature, nested plan)``
+    for each text field, each identifier field whose spec has ``expect``
+    and each list of records whose own plan has steps."""
+    steps = []
+    for name, _, spec in codec.fields:
+        many = spec.kind == LIST
+        item = spec.of if many else spec
+        nested = _PLANS[item.of] if many and item.kind == RECORD else None
+        if item.kind == STR and spec.text:
+            step = _TEXTS if many else _TEXT
+        elif item.kind == IDENT and item.expect:
+            step = _REFS if many else _REF
+        elif nested and nested[2]:
+            step = _DECLS if nested[0] else _ITEMS
+        else:
+            continue
+        steps.append((step, name, _classify_field(name), nested))
+    steps.sort(key=lambda step: step[0])
+    inert = tuple(name for name in _INERT if name in codec.specs)
+    return codec.fields[0][0] if codec.declares else None, inert, tuple(steps)
 
-    A checked reference's site and location are passed in parts (the
-    container and token as identifiers, the location as a format string
-    with its arguments) and rendered by :meth:`flag`, so a reference that
-    is not flagged costs no string.
-    """
+
+_PLANS: dict[type, tuple] = {}
+for _cls, _codec in CODECS.items():  # a nested class comes before its holder
+    _PLANS[_cls] = _plan(_codec)
+_ROOT = tuple(step for name in _SECTIONS for step in _PLANS[ProjectBundle][2] if step[1] == name)
+
+
+def _location(where: tuple | None) -> str:
+    """A walk position ``(up, field, index)`` as ``units[1].notes``."""
+    parts = []
+    while where is not None:
+        where, name, index = where
+        parts.append(name if index is None else f"{name}[{index}]")
+    return ".".join(reversed(parts))
+
+
+class _Passes:
+    """The scan's state and the two passes the specs do not drive: laws and
+    abstractions declared where they may not be, and the flow matrix."""
 
     def __init__(self, bundle: ProjectBundle):
         self.bundle = bundle
@@ -342,106 +381,20 @@ class _Scanner:
         self.events: list[ContaminationEvent] = []
         self._above: dict[int, frozenset[str]] = {}
 
-    def flag(
-        self,
-        rule: str,
-        direction: str,
-        nature: str,
-        container,
-        location,
-        field="",
-        token: Identifier | None = None,
-    ) -> None:
+    def flag(self, rule: str, direction: str, nature: str, container: Identifier,
+             location: str, field: str = "", token: Identifier | None = None) -> None:
         # Every field is passed positionally, the record __init__'s fast
         # path: the event's id, rule, direction, nature, site and location,
         # then its defaults (no risks, decisions, action, update, timestamp;
         # unresolved).
         site = ContaminationSite(
-            _text(container), _text(field), "" if token is None else token.render()
+            container.render(), field, "" if token is None else token.render()
         )
         self.events.append(
             ContaminationEvent(
-                "", rule, direction, nature, site, _text(location), "", [], None, None, "", False
+                "", rule, direction, nature, site, location, "", [], None, None, "", False
             )
         )
-
-    # -- helpers --------------------------------------------------------------
-
-    def _owner_of(self, ident: Identifier) -> LayerDecl | None:
-        return self.index.layers_by_name.get(ident.owner)
-
-    def _owner_layer(self, ident: Identifier) -> LayerDecl | None:
-        if ident.namespace == "gp":
-            return self.index.grandparent
-        return self._owner_of(ident)
-
-    def _ancestor_names(self, layer: LayerDecl) -> frozenset[str]:
-        names = self._above.get(id(layer))
-        if names is None:
-            names = frozenset(a.local_name for a in self.index.ancestors(layer))
-            self._above[id(layer)] = names  # the bundle keeps the layer alive
-        return names
-
-    def _check_child_ref(
-        self,
-        owner: LayerDecl,
-        ref: Identifier,
-        container,
-        field,
-        location,
-        field_name: str,
-    ) -> None:
-        """A reference from a child-owned declaration: fine when it points at
-        the child itself or an ancestor, lateral otherwise."""
-        ref_owner = self._owner_layer(ref)
-        if ref_owner is None:
-            return
-        name = ref_owner.local_name
-        if name == owner.local_name or name in self._ancestor_names(owner):
-            return
-        info_class = _classify_field(field_name)
-        verdict = _horizontal_verdict(
-            self.index, ref_owner.id, owner.id, info_class, cited=None
-        )
-        if verdict.allowed:
-            return
-        rule = verdict.rule or "R3_horizontal_borrowing"
-        self.flag(rule, "horizontal", info_class, container, location, field, ref)
-
-    def _scan_texts(self, owner: LayerDecl, record, container, names, location) -> None:
-        """Check the references embedded in ``record``'s text fields
-        ``names``; ``location`` is a format string and its arguments, to
-        which the field name is added."""
-        for name in names:
-            text = getattr(record, name)
-            if ":" in text:  # every canonical reference has one
-                where = (*location, name)
-                for ref in extract_references(text):
-                    self._check_text_ref(owner, ref, container, name, where)
-
-    def _check_text_ref(
-        self, owner: LayerDecl, ref: Identifier, container, name: str, where
-    ) -> None:
-        if owner.kind == "child":
-            self._check_child_ref(owner, ref, container, name, where, name)
-        elif ref.namespace == "child" or (
-            owner.kind == "grandparent" and ref.namespace == "parent"
-        ):
-            nature = _classify_field(name)
-            self.flag("R1_upward_content", "upward", nature, container, where, name, ref)
-        elif owner.kind == "parent" and ref.namespace == "parent" and ref.owner != owner.local_name:
-            info_class = _classify_field(name)
-            ref_owner = self._owner_of(ref)
-            if ref_owner is None:
-                return
-            verdict = _horizontal_verdict(
-                self.index, ref_owner.id, owner.id, info_class, cited=None
-            )
-            if not verdict.allowed:
-                rule = verdict.rule or "R3_horizontal_borrowing"
-                self.flag(rule, "horizontal", info_class, container, where, name, ref)
-
-    # -- passes ---------------------------------------------------------------
 
     def scan_layer_declarations(self) -> None:
         """Laws below the grandparent and abstractions outside a parent are
@@ -451,127 +404,14 @@ class _Scanner:
                 for j, law in enumerate(layer.laws):
                     if law.quarantined:
                         continue
-                    self.flag(
-                        "R2_downward_rewrite",
-                        "downward",
-                        "structural",
-                        law.id,
-                        ("layers[{}].laws[{}]", li, j),
-                    )
+                    where = f"layers[{li}].laws[{j}]"
+                    self.flag("R2_downward_rewrite", "downward", "structural", law.id, where)
             if layer.kind != "parent":
                 for j, ab in enumerate(layer.abstractions):
                     if ab.quarantined:
                         continue
-                    self.flag(
-                        "R2_downward_rewrite",
-                        "downward",
-                        "structural",
-                        ab.id,
-                        ("layers[{}].abstractions[{}]", li, j),
-                    )
-
-    def scan_layer_texts(self) -> None:
-        for li, layer in enumerate(self.bundle.layers):
-            if layer.kind == "grandparent" or layer.kind == "parent":
-                for j, law in enumerate(layer.laws):
-                    if not law.quarantined:
-                        location = ("layers[{}].laws[{}].{}", li, j)
-                        self._scan_texts(layer, law, law.id, ("text",), location)
-                for j, ab in enumerate(layer.abstractions):
-                    if not ab.quarantined:
-                        location = ("layers[{}].abstractions[{}].{}", li, j)
-                        self._scan_texts(layer, ab, ab.id, ("definition",), location)
-
-    def scan_units(self) -> None:
-        names = text_fields(EvidentialUnit)
-        for ui, unit in enumerate(self.bundle.units):
-            if unit.quarantined or unit.superseded:
-                continue
-            owner = self._owner_of(unit.study_id)
-            if owner is None:
-                continue
-            container = unit.study_id
-            self._scan_texts(owner, unit, container, names, ("units[{}].{}", ui))
-            for j, da in enumerate(unit.explicit_assumptions):
-                location = ("units[{}].explicit_assumptions[{}].{}", ui, j)
-                self._scan_texts(owner, da, da.id, ("text",), location)
-            for j, ref in enumerate(unit.measurement_refs):
-                self._check_child_ref(
-                    owner,
-                    ref,
-                    container,
-                    "measurement_refs",
-                    ("units[{}].measurement_refs[{}]", ui, j),
-                    "measurement_refs",
-                )
-
-    def scan_routes(self) -> None:
-        names = text_fields(RouteAssumption)
-        for ri, route in enumerate(self.bundle.routes):
-            if route.quarantined:
-                continue
-            owner = self._owner_of(route.id)
-            if owner is None:
-                continue
-            for j, assumption in enumerate(route.assumptions):
-                location = ("routes[{}].assumptions[{}].{}", ri, j)
-                self._scan_texts(owner, assumption, assumption.id, names, location)
-                for k, ref in enumerate(assumption.supporting_units):
-                    self._check_child_ref(
-                        owner,
-                        ref,
-                        assumption.id,
-                        "supporting_units",
-                        ("routes[{}].assumptions[{}].supporting_units[{}]", ri, j, k),
-                        "supporting_units",
-                    )
-            for j, model in enumerate(route.disconfirming_models):
-                if ":" not in model:
-                    continue
-                for ref in extract_references(model):
-                    self._check_child_ref(
-                        owner,
-                        ref,
-                        route.id,
-                        ("disconfirming_models[{}]", j),
-                        ("routes[{}].disconfirming_models[{}]", ri, j),
-                        "content",
-                    )
-
-    def scan_projects(self) -> None:
-        for pi, project in enumerate(self.bundle.projects):
-            owner = self._owner_of(project.id)
-            if owner is None:
-                continue
-            container = project.id
-            for j, ref in enumerate(project.unit_refs):
-                self._check_child_ref(
-                    owner,
-                    ref,
-                    container,
-                    "unit_refs",
-                    ("projects[{}].unit_refs[{}]", pi, j),
-                    "content",
-                )
-            if project.committed_route is not None:
-                self._check_child_ref(
-                    owner,
-                    project.committed_route,
-                    container,
-                    "committed_route",
-                    ("projects[{}].committed_route", pi),
-                    "content",
-                )
-            for j, assignment in enumerate(project.assignments):
-                for ref in (assignment.unit_ref, assignment.route_ref):
-                    self._check_child_ref(
-                        owner,
-                        ref,
-                        container,
-                        "assignments",
-                        ("projects[{}].assignments[{}]", pi, j),
-                        "content",
-                    )
+                    where = f"layers[{li}].abstractions[{j}]"
+                    self.flag("R2_downward_rewrite", "downward", "structural", ab.id, where)
 
     def scan_flows(self) -> None:
         nature_of = {
@@ -591,12 +431,113 @@ class _Scanner:
                 verdict.direction or "upward",
                 nature_of[flow.info_class],
                 flow.id,
-                ("flows[{}]", fi),
+                f"flows[{fi}]",
                 "payload",
             )
 
 
+class _Scanner(_Passes):
+    """Every reference the record specs name, checked by one walk over
+    :data:`_SECTIONS` that follows each class's plan, against the layer
+    owning the top-level record. A finding is sited at the nearest
+    declaration; inside a record without an id, at that record's list
+    field, and located at the record. Sites and locations are rendered
+    only for a finding, and a text is searched only if it holds a
+    namespace prefix."""
+
+    def _owner_layer(self, ident: Identifier) -> LayerDecl | None:
+        if ident.namespace == "gp":
+            return self.index.grandparent
+        return self.index.layers_by_name.get(ident.owner)
+
+    def _ancestor_names(self, layer: LayerDecl) -> frozenset[str]:
+        names = self._above.get(id(layer))
+        if names is None:
+            names = frozenset(a.local_name for a in self.index.ancestors(layer))
+            self._above[id(layer)] = names  # the bundle keeps the layer alive
+        return names
+
+    def check(self, owner: LayerDecl, ref: Identifier, container, field, nature, where) -> None:
+        """Content cited upward from a layer below is R1; a reference to a
+        layer that is neither ``owner`` nor above it is lateral, legal only
+        under a boundary contract."""
+        if owner.kind != "child" and (
+            ref.namespace == "child" or (owner.kind == "grandparent" and ref.namespace == "parent")
+        ):
+            location = _location(where)
+            self.flag("R1_upward_content", "upward", nature, container, location, field, ref)
+            return
+        ref_owner = self._owner_layer(ref)
+        if ref_owner is None:
+            return
+        name = ref_owner.local_name
+        if name == owner.local_name or name in self._ancestor_names(owner):
+            return
+        verdict = _horizontal_verdict(self.index, ref_owner.id, owner.id, nature, None)
+        if not verdict.allowed:
+            rule = verdict.rule or "R3_horizontal_borrowing"
+            self.flag(rule, "horizontal", nature, container, _location(where), field, ref)
+
+    def walk(self, owner, record, steps, container, where, site=None) -> None:
+        """Check ``record``'s references. ``owner`` is None above the
+        sections, and ``site`` is ``(field, nature, where)`` inside a record
+        without an id."""
+        values = record.__dict__
+        for step, name, nature, nested in steps:
+            value = values[name]
+            if step == _TEXT:
+                if "child:" in value or "parent:" in value or "gp:" in value:
+                    at = site or (name, nature, (where, name, None))
+                    for ref in extract_references(value):
+                        self.check(owner, ref, container, *at)
+            elif step == _REFS:
+                for k, ref in enumerate(value):
+                    self.check(owner, ref, container, *(site or (name, nature, (where, name, k))))
+            elif step == _REF:
+                if value is not None:
+                    at = site or (name, nature, (where, name, None))
+                    self.check(owner, value, container, *at)
+            elif step == _TEXTS:
+                for j, text in enumerate(value):
+                    if "child:" in text or "parent:" in text or "gp:" in text:
+                        at = site or (f"{name}[{j}]", nature, (where, name, j))
+                        for ref in extract_references(text):
+                            self.check(owner, ref, container, *at)
+            else:
+                key, inert, inner = nested
+                for j, item in enumerate(value):
+                    fields = item.__dict__
+                    if inert and any(map(fields.__getitem__, inert)):
+                        continue
+                    at = (where, name, j)
+                    if key is None:
+                        self.walk(owner, item, inner, container, at, site or (name, nature, at))
+                        continue
+                    ident, layer = fields[key], owner
+                    if layer is None:  # a section's record; a layer is its own owner
+                        layer = item if item.__class__ is LayerDecl else self._owner_layer(ident)
+                    if layer is not None:
+                        self.walk(layer, item, inner, ident, at, site)
+
+
 _DIRECTION_SEVERITY = {"upward": 0, "downward": 1, "horizontal": 2}
+
+
+def detect_contamination(bundle: ProjectBundle) -> list[ContaminationEvent]:
+    """The scan's events, numbered, upward first: :func:`scan_bundle`
+    without the downstream trace."""
+    scanner = _Scanner(bundle)
+    scanner.scan_layer_declarations()
+    scanner.walk(None, bundle, _ROOT, None, None)
+    scanner.scan_flows()
+    ordered = sorted(
+        enumerate(scanner.events),
+        key=lambda pair: (_DIRECTION_SEVERITY[pair[1].direction], pair[0]),
+    )
+    events = [event for _, event in ordered]
+    for i, event in enumerate(events):
+        event.id = f"CONT-{i + 1:04d}"
+    return events
 
 
 def scan_bundle(bundle: ProjectBundle) -> list[ContaminationEvent]:
@@ -608,22 +549,10 @@ def scan_bundle(bundle: ProjectBundle) -> list[ContaminationEvent]:
     :func:`trace_downstream` result; the reference graph is built once per
     scan, and only when something was flagged.
     """
-    scanner = _Scanner(bundle)
-    scanner.scan_layer_declarations()
-    scanner.scan_layer_texts()
-    scanner.scan_units()
-    scanner.scan_routes()
-    scanner.scan_projects()
-    scanner.scan_flows()
-    ordered = sorted(
-        enumerate(scanner.events),
-        key=lambda pair: (_DIRECTION_SEVERITY[pair[1].direction], pair[0]),
-    )
-    events = [event for _, event in ordered]
+    events = detect_contamination(bundle)
     graph = build_reference_graph(bundle) if events else {}
     reached: dict[str, list[str]] = {}
-    for i, event in enumerate(events):
-        event.id = f"CONT-{i + 1:04d}"
+    for event in events:
         container = event.site.container
         if container not in reached:
             reached[container] = _reach(graph, container)
@@ -785,69 +714,89 @@ def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[
     from .audit import find_declaration
 
     site = event.site
-    decl = find_declaration(bundle, site.container)
+    container, field, token = site.container, site.field, site.token
+    decl = find_declaration(bundle, container)
     if decl is None:
-        raise reject("E_UNDOCUMENTED", site.container, "contaminated declaration not found")
-    if not site.field:
+        raise reject("E_UNDOCUMENTED", container, "contaminated declaration not found")
+    if not field:
         # The declaration itself is the violation (unauthorized law or
-        # abstraction): reversal deletes it. A unit's measurement_refs and a
-        # route's construct_ref may cite one; while either does, the bundle
-        # written without it would not parse.
+        # abstraction): reversal deletes it, but only once nothing the
+        # parser resolves names it, or the written bundle would not parse.
         if decl.__class__ is not Law and decl.__class__ is not Abstraction:
-            raise reject("E_UNDOCUMENTED", site.container, "not a law or an abstraction")
-        if any(decl.id in u.measurement_refs for u in bundle.units) or any(
-            r.construct_ref == decl.id for r in bundle.routes
-        ):
-            raise reject("E_UNDOCUMENTED", site.container, "declaration is still cited")
-        return [{"op": "remove_declaration", "target": site.container}]
-    if site.field == "payload":
-        return [{"op": "remove_flow", "target": site.container}]
-    if site.field in ("measurement_refs", "supporting_units", "unit_refs"):
-        return [
-            {
-                "op": "remove_ref",
-                "container": site.container,
-                "field": site.field,
-                "target": site.token,
-            }
-        ]
-    if site.field == "committed_route":
-        return [{"op": "clear_ref", "container": site.container, "field": site.field}]
-    if site.field == "assignments":
-        return [
-            {"op": "remove_assignment", "container": site.container, "token": site.token}
-        ]
-    m = re.fullmatch(r"disconfirming_models\[(\d+)\]", site.field)
+            raise reject("E_UNDOCUMENTED", container, "not a law or an abstraction")
+        if _is_cited(bundle, decl):
+            raise reject("E_UNDOCUMENTED", container, "declaration is still cited")
+        return [{"op": "remove_declaration", "target": container}]
+    if field == "payload":
+        return [{"op": "remove_flow", "target": container}]
+    if field in ("measurement_refs", "supporting_units", "unit_refs"):
+        _require(site, any(ref.render() == token for ref in getattr(decl, field, ())))
+        return [{"op": "remove_ref", "container": container, "field": field, "target": token}]
+    if field == "committed_route":
+        ref = getattr(decl, field, None)
+        _require(site, ref is not None and ref.render() == token)
+        return [{"op": "clear_ref", "container": container, "field": field}]
+    if field == "assignments":
+        refs = [ref for a in getattr(decl, field, ()) for ref in (a.unit_ref, a.route_ref)]
+        _require(site, any(ref.render() == token for ref in refs))
+        return [{"op": "remove_assignment", "container": container, "token": token}]
+    m = re.fullmatch(r"disconfirming_models\[(\d+)\]", field)
     if m is not None:
         index = int(m.group(1))
         models = getattr(decl, "disconfirming_models", [])
         if index >= len(models):
-            raise reject(
-                "E_UNDOCUMENTED", site.container, f"no disconfirming model at {site.field}"
-            )
+            raise reject("E_UNDOCUMENTED", container, f"no disconfirming model at {field}")
         old = models[index]
-        return [
-            {
-                "op": "edit_list_item",
-                "container": site.container,
-                "field": "disconfirming_models",
-                "index": index,
-                "old": old,
-                "new": old.replace(site.token, "", 1).strip(),
-            }
-        ]
-    old = getattr(decl, site.field, None)
-    if not isinstance(old, str):
-        raise reject("E_UNDOCUMENTED", site.container, f"cannot reverse field {site.field!r}")
-    return [
-        {
-            "op": "edit_text",
-            "container": site.container,
-            "field": site.field,
-            "old": old,
-            "new": old.replace(site.token, "", 1).strip() if site.token else old,
-        }
-    ]
+        _require(site, token in old)
+        new = old.replace(token, "", 1).strip()
+        return [{"op": "edit_list_item", "container": container, "field": "disconfirming_models",
+                 "index": index, "old": old, "new": new}]
+    if field not in text_fields(decl.__class__):
+        raise reject("E_UNDOCUMENTED", container, f"cannot reverse field {field!r}")
+    old = getattr(decl, field)
+    _require(site, token in old)
+    new = old.replace(token, "", 1).strip()
+    return [{"op": "edit_text", "container": container, "field": field, "old": old, "new": new}]
+
+
+def _require(site: ContaminationSite, present: bool) -> None:
+    """A reversal removes the site's token from its field; without one
+    there, it would change nothing or fail in commit."""
+    if not (present and site.token):
+        message = f"reference {site.token!r} not present at {site.field}"
+        raise reject("E_UNDOCUMENTED", site.container, message)
+
+
+def _is_cited(bundle: ProjectBundle, decl) -> bool:
+    """Whether anything the parser resolves names ``decl``: a reference or
+    a text anywhere in the bundle, or another abstraction's correspondence
+    in its layer."""
+    name = decl.id.local_name
+    for layer in bundle.layers:
+        if any(ab is decl for ab in layer.abstractions) and any(
+            name in ab.correspondence or name in ab.correspondence.values()
+            for ab in layer.abstractions
+            if ab is not decl
+        ):
+            return True
+    return _names(bundle, _PLANS[ProjectBundle][2], decl.id, decl)
+
+
+def _names(record, steps: tuple, ident: Identifier, skip) -> bool:
+    """Whether ``record``, outside the record ``skip``, names ``ident`` in a
+    field of its plan ``steps``, inert records included."""
+    for step, name, _, nested in steps:
+        value = record.__dict__[name]
+        values = value if step in _MANY or nested is not None else [value]
+        if nested is not None:
+            found = any(r is not skip and _names(r, nested[2], ident, skip) for r in values)
+        elif step == _TEXT or step == _TEXTS:
+            found = any(ident in extract_references(text) for text in values)
+        else:
+            found = ident in values
+        if found:
+            return True
+    return False
 
 
 def resolve_contamination(

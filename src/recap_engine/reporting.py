@@ -15,7 +15,7 @@ from functools import partial, singledispatch
 from operator import attrgetter
 
 from .bundle import decode, encode
-from .contamination import scan_bundle, validate_contract
+from .contamination import detect_contamination, validate_contract
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
 from .layers import check_law_evolution, law_history, parse_version, validate_grandparent_laws
 from .model import (
@@ -341,7 +341,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
     for contract in bundle.contracts:
         findings.extend(validate_contract(contract))
 
-    for event in scan_bundle(bundle):
+    for event in detect_contamination(bundle):
         findings.append(
             Diagnostic(
                 code=event.rule_violated,

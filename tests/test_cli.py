@@ -178,6 +178,34 @@ def test_tier_all_units_lists_decisions(toy_file, capsys):
     assert "child:C1:S2  supplement (R_SUPPLEMENT_COVERED)" in out
 
 
+def test_an_ambiguous_local_name_exits_two_and_lists_the_canonical_ids(tmp_path, capsys):
+    import random
+
+    from genbundles import random_bundle_dict
+
+    path = tmp_path / "three.bundle"
+    path.write_text(json.dumps(random_bundle_dict(random.Random(5), n_parents=1, n_children=3)))
+    projects = "child:C1:PRJ, child:C2:PRJ, child:C3:PRJ"
+    for argv, message in [
+        (["route", str(path), "check", "--project", "PRJ"],
+         f"project name 'PRJ' is ambiguous: {projects}"),
+        (["report", str(path), "study-log", "--project", "PRJ"],
+         f"project name 'PRJ' is ambiguous: {projects}"),
+        (["tier", str(path), "--unit", "S1"],
+         "unit name 'S1' is ambiguous: child:C1:S1, child:C2:S1, child:C3:S1"),
+    ]:
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out, err.strip().splitlines()) == (2, "", [message])
+
+    # A canonical id, or a local name that one declaration has, picks it.
+    for argv in (["route", str(path), "check", "--project", "child:C2:PRJ"],
+                 ["report", str(path), "study-log", "--project", "child:C3:PRJ"]):
+        assert run_cli(*argv, capsys=capsys)[0] == 0
+    for unit in ("child:C2:S1", "S3"):
+        code, out, _ = run_cli("tier", str(path), "--unit", unit, capsys=capsys)
+        assert code in (0, 1) and len(out.splitlines()) == 1
+
+
 def test_tier_mismatch_exits_one(tmp_path, capsys):
     path = tmp_path / "mismatch.bundle"
     path.write_text(

@@ -757,17 +757,57 @@ def test_a_cited_declaration_is_removed_only_once_nothing_cites_it():
     bundle = parse_dict(doc)
     assert _attempt(bundle, event_at(""), "reverse") == [("E_UNDOCUMENTED", "child:C2:mz")]
 
+    # A text citation resolves at parse time as well.
+    doc = random_bundle_dict(random.Random(0), n_parents=1, n_children=2)
+    assert inject_borrowings(doc)
+    doc["units"][0]["measurement_refs"].remove("child:C2:mz")
+    doc["units"][0]["notes"] += " Read as child:C2:mz."
+    bundle = parse_dict(doc)
+    assert _attempt(bundle, event_at(""), "reverse") == [("E_UNDOCUMENTED", "child:C2:mz")]
+
+
+@pytest.mark.parametrize("citation", ["correspondence", "flow payload"])
+def test_a_declaration_a_correspondence_or_a_flow_names_is_not_removed(citation):
+    doc = random_bundle_dict(random.Random(0), n_parents=1, n_children=2)
+    assert inject_borrowings(doc)
+    doc["units"][0]["measurement_refs"].remove("child:C2:mz")
+    if citation == "correspondence":
+        c2 = next(layer for layer in doc["layers"] if layer["id"] == "C2")
+        c2["abstractions"].append({"id": "kz", "kind": "construct", "definition": "Local.",
+                                   "correspondence": {"mz": "kz"}})
+    else:
+        doc["flows"][-1]["payload"] += " Read as child:C2:mz."
+    bundle = parse_dict(doc)
+    event = next(e for e in scan_bundle(bundle) if e.site.container == "child:C2:mz")
+    event.risks_introduced = RISKS
+    assert _attempt(bundle, event, "reverse") == [("E_UNDOCUMENTED", "child:C2:mz")]
+
 
 def test_a_resolution_whose_effect_fails_in_commit_leaves_the_event_as_it_was():
     bundle = _borrowing_bundle()
     event = next(e for e in scan_bundle(bundle) if e.site.field == "unit_refs")
     event.risks_introduced = RISKS
-    event.site.token = "child:C2:GONE"  # not in the list, so the applier fails
+    event.site.token = "child:C2:GONE"  # not in the list, so the applier would fail
     before, unresolved = serialize_bundle(bundle), copy.deepcopy(event)
-    with pytest.raises(Exception):
+    with pytest.raises(OperationRejected) as err:
         resolve_contamination(bundle, event, "reverse", timestamp="2026-05-01T00:00:00Z")
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("E_UNDOCUMENTED", "child:C1:PRJ")
+    ]
     assert serialize_bundle(bundle) == before
     assert event == unresolved
+
+
+@pytest.mark.parametrize(
+    "field", ["measurement_refs", "supporting_units", "assignments", "limitations", "text",
+              "failure_modes", "disconfirming_models[1]"]
+)
+def test_reversing_a_token_that_is_not_at_its_site_is_rejected_unchanged(field):
+    bundle = _borrowing_bundle()
+    event = next(e for e in scan_bundle(bundle) if e.site.field == field)
+    event.risks_introduced = RISKS
+    event.site.token = "child:C2:GONE"
+    assert _attempt(bundle, event, "reverse") == [("E_UNDOCUMENTED", event.site.container)]
 
 
 def test_resolution_without_risks_is_undocumented():
@@ -986,3 +1026,203 @@ def test_scan_sites_and_locations_at_every_reference_position():
         (r3, "content", "child:C1:PRJ", "assignments", "child:C2:S2",
          f"projects[0].assignments[{roles}]"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Every field the scan's plan holds
+# ---------------------------------------------------------------------------
+
+
+def _plan_fields(steps, prefix=""):
+    """The dotted path of every text and reference field in a scan plan."""
+    for _, name, _, nested in steps:
+        if nested is None:
+            yield prefix + name
+        else:
+            yield from _plan_fields(nested[2], f"{prefix}{name}.")
+
+
+def _record(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _append(path, name, suffix=" As in child:C2:PRJ."):
+    def edit(doc):
+        _record(doc, path)[name] += suffix
+
+    return edit
+
+
+def _set(path, name, value):
+    def edit(doc):
+        _record(doc, path)[name] = value
+
+    return edit
+
+
+def _add(path, name, item):
+    def edit(doc):
+        _record(doc, path)[name].append(item)
+
+    return edit
+
+
+_C1 = ("layers", 3)
+_UNIT = ("units", 0)  # child:C1:S1
+_ASSUMED = ("units", 0, "explicit_assumptions", 0)  # child:C1:DA1
+_ROUTE = ("routes", 0)  # child:C1:R1
+_STEP = ("routes", 0, "assumptions", 0)  # child:C1:AS1
+_PROJECT = ("projects", 0)  # child:C1:PRJ
+_ROLE = {"unit_ref": "child:C1:S1", "route_ref": "child:C1:R1", "role": "contextual"}
+_SIBLING = "child:C2:PRJ"
+
+#: Plan field -> (edit of a clean two-parent, two-child bundle putting a
+#: sibling's id there; the R3 event's nature, container, field, token and
+#: location).
+FIELD_CASES = {
+    "layers.laws.text": (
+        _add(_C1, "laws", {"id": "LB", "text": f"As in {_SIBLING}.", "immutable_core": False}),
+        ("assumption", "child:C1:LB", "text", _SIBLING, "layers[3].laws[0].text"),
+    ),
+    "layers.abstractions.definition": (
+        _add(_C1, "abstractions",
+             {"id": "mb", "kind": "measurement_class", "definition": f"As in {_SIBLING}."}),
+        ("content", "child:C1:mb", "definition", _SIBLING,
+         "layers[3].abstractions[0].definition"),
+    ),
+    **{
+        f"units.{name}": (
+            _append(_UNIT, name),
+            (nature, "child:C1:S1", name, _SIBLING, f"units[0].{name}"),
+        )
+        for name, nature in [
+            ("tier_justification", "content"), ("bias_considerations", "content"),
+            ("measurement_issues", "measurement"), ("notes", "content"),
+            ("methods_summary", "content"), ("strengths", "content"),
+            ("limitations", "content"),
+        ]
+    },
+    "units.explicit_assumptions.text": (
+        _append(_ASSUMED, "text"),
+        ("assumption", "child:C1:DA1", "text", _SIBLING, "units[0].explicit_assumptions[0].text"),
+    ),
+    "units.measurement_refs": (
+        _set(_UNIT, "measurement_refs", ["parent:P1:mx", "parent:P2:mx"]),
+        ("measurement", "child:C1:S1", "measurement_refs", "parent:P2:mx",
+         "units[0].measurement_refs[1]"),
+    ),
+    "units.split_from": (
+        _set(_UNIT, "split_from", "child:C2:S1"),
+        ("content", "child:C1:S1", "split_from", "child:C2:S1", "units[0].split_from"),
+    ),
+    "routes.assumptions.supporting_units": (
+        _set(_STEP, "supporting_units", ["child:C1:S1", "child:C2:S1"]),
+        ("assumption", "child:C1:AS1", "supporting_units", "child:C2:S1",
+         "routes[0].assumptions[0].supporting_units[1]"),
+    ),
+    **{
+        f"routes.assumptions.{name}": (
+            _append(_STEP, name),
+            ("assumption", "child:C1:AS1", name, _SIBLING, f"routes[0].assumptions[0].{name}"),
+        )
+        for name in ("text", "plausibility", "failure_modes", "consequences_for_inference")
+    },
+    "routes.disconfirming_models": (
+        _add(_ROUTE, "disconfirming_models", f"Alternative: {_SIBLING}."),
+        ("content", "child:C1:R1", "disconfirming_models[1]", _SIBLING,
+         "routes[0].disconfirming_models[1]"),
+    ),
+    "routes.project_ref": (
+        _set(_ROUTE, "project_ref", _SIBLING),
+        ("content", "child:C1:R1", "project_ref", _SIBLING, "routes[0].project_ref"),
+    ),
+    "routes.construct_ref": (
+        _set(_ROUTE, "construct_ref", "parent:P2:K1"),
+        ("content", "child:C1:R1", "construct_ref", "parent:P2:K1", "routes[0].construct_ref"),
+    ),
+    **{
+        f"routes.rejected_alternatives.{name}": (
+            _set(_ROUTE, "rejected_alternatives", [
+                {"sketch": "A panel contrast.", "rationale": "Too coarse.", name: f"As {_SIBLING}."}
+            ]),
+            ("content", "child:C1:R1", "rejected_alternatives", _SIBLING,
+             "routes[0].rejected_alternatives[0]"),
+        )
+        for name in ("sketch", "rationale")
+    },
+    "projects.unit_refs": (
+        _add(_PROJECT, "unit_refs", "child:C2:S1"),
+        ("content", "child:C1:PRJ", "unit_refs", "child:C2:S1", "projects[0].unit_refs[3]"),
+    ),
+    "projects.committed_route": (
+        _set(_PROJECT, "committed_route", "child:C2:R1"),
+        ("content", "child:C1:PRJ", "committed_route", "child:C2:R1",
+         "projects[0].committed_route"),
+    ),
+    **{
+        f"projects.assignments.{name}": (
+            _add(_PROJECT, "assignments", {**_ROLE, name: ref}),
+            ("content", "child:C1:PRJ", "assignments", ref, "projects[0].assignments[1]"),
+        )
+        for name, ref in (("unit_ref", "child:C2:S1"), ("route_ref", "child:C2:R1"))
+    },
+}
+
+#: The fields the hand-written passes this scan replaced did not check.
+NEWLY_CHECKED = (
+    "layers.laws.text",
+    "layers.abstractions.definition",
+    "units.split_from",
+    "routes.project_ref",
+    "routes.construct_ref",
+    "routes.rejected_alternatives.sketch",
+    "routes.rejected_alternatives.rationale",
+)
+
+
+def _field_case_bundle(path):
+    doc = random_bundle_dict(random.Random(0), n_parents=2, n_children=2)
+    assert scan_bundle(parse_dict(doc)) == []
+    FIELD_CASES[path][0](doc)
+    return parse_dict(doc)
+
+
+def _r3(bundle):
+    return [e for e in scan_bundle(bundle) if e.rule_violated == "R3_horizontal_borrowing"]
+
+
+def test_every_field_of_the_scan_plan_has_a_case():
+    from recap_engine.contamination import _ROOT
+
+    assert sorted(_plan_fields(_ROOT)) == sorted(FIELD_CASES)
+
+
+@pytest.mark.parametrize("path", sorted(FIELD_CASES))
+def test_a_sibling_id_in_each_scanned_field_is_one_r3_event(path):
+    [event] = _r3(_field_case_bundle(path))
+    site = event.site
+    assert (event.nature, site.container, site.field, site.token, event.location) == (
+        FIELD_CASES[path][1]
+    )
+    assert event.direction == "horizontal"
+
+
+@pytest.mark.parametrize("path", NEWLY_CHECKED)
+def test_a_newly_checked_finding_quarantines_and_reverses_or_is_refused(path):
+    initial = _field_case_bundle(path)
+    live = clone(initial)
+    [event] = _r3(live)
+    event.risks_introduced = RISKS
+    assert _attempt(live, event, "quarantine") is None
+    assert _r3(live) == []
+    [resolution] = live.events[len(initial.events):]
+    assert serialize_bundle(replay(initial, [resolution])) == serialize_bundle(live)
+
+    live = clone(initial)
+    [event] = _r3(live)
+    event.risks_introduced = RISKS
+    if _attempt(live, event, "reverse") is None:
+        assert _r3(live) == []
+        assert parse_bundle(serialize_bundle(live)).bundle is not None
