@@ -2,36 +2,42 @@
 
 Every accepted mutation appends exactly one event whose payload is rich
 enough to reproduce the mutation. Live operations and :func:`replay` share
-the same appliers, so replaying the log over the initial declarations
-reproduces live state by construction. Rejected operations touch nothing.
+the same appliers, each taking its kind's payload record as
+:func:`~.bundle.decode_payload` decodes it for the parser too, so
+replaying the log over the initial declarations reproduces live state by
+construction. Rejected operations touch nothing.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timezone
-from typing import Callable
+from typing import Any, Callable
 
-from .bundle import body_fields, clone, decode, decode_bump, decode_field, declarations, encode
-from .bundle import text_fields
+from .bundle import clone, decode_payload, declarations, field_effect
 from .diagnostics import Diagnostic, OperationRejected, error, reject
-from .identifiers import KIND_TO_NAMESPACE, parse_identifier
+from .identifiers import Identifier, parse_identifier
 from .model import (
-    Abstraction,
-    AuditEvent,
-    BoundaryContract,
-    BundleIndex,
     EVENT_KINDS,
-    EvidentialUnit,
-    FlowEvent,
+    AuditEvent,
+    BundleIndex,
+    ContaminationFlagged,
+    ContaminationResolved,
+    DeclarationAdded,
+    DeclarationQuarantined,
+    FlowRecorded,
     Law,
     LayerDecl,
     ProjectBundle,
-    ReTierEvent,
-    Route,
-    RouteRevision,
+    ResolutionEffect,
+    Retier,
+    RouteDeclared,
+    RouteFrozen,
+    RouteRevised,
+    TierDeclared,
+    UnitSplit,
+    VersionBumped,
     event_time_key,
     event_timestamp_error,
-    missing_payload_keys,
 )
 
 
@@ -47,231 +53,193 @@ def now_utc() -> str:
 def find_declaration(bundle: ProjectBundle, canonical: str):
     """Locate any id-bearing declaration by its canonical rendered id."""
     ident = parse_identifier(canonical)
-    if ident is None:
-        return None
+    return None if ident is None else _declaration(bundle, ident)
+
+
+def _declaration(bundle: ProjectBundle, ident: Identifier):
     for _, decl_id, holder, name, i, _ in declarations(bundle):
         if decl_id == ident:
             return getattr(holder, name)[i]
     return None
 
 
-def _lookup(bundle: ProjectBundle, kind: str, canonical: str):
-    """The unit, route, layer or project named by a canonical id, looked up
-    in a fresh :class:`BundleIndex`."""
-    ident = parse_identifier(canonical)
-    found = getattr(BundleIndex(bundle), kind + "s").get(ident) if ident else None
+def _lookup(bundle: ProjectBundle, kind: str, ident: Identifier):
+    """The unit, route, layer or project named ``ident``, looked up in a
+    fresh :class:`BundleIndex`."""
+    found = getattr(BundleIndex(bundle), kind + "s").get(ident)
     if found is None:
-        raise ValueError(f"{kind} {canonical} not found")
+        raise ValueError(f"{kind} {ident.render()} not found")
     return found
 
 
-def _apply_effects(bundle: ProjectBundle, effects: list[dict]) -> None:
+def _quarantine(bundle: ProjectBundle, target: Identifier) -> None:
+    decl = _declaration(bundle, target)
+    if decl is None or not hasattr(decl, "quarantined"):
+        raise ValueError(f"quarantine target {target.render()} not found")
+    decl.quarantined = True
+
+
+def _add_to_layer(bundle: ProjectBundle, layer: Identifier, decl) -> None:
+    """Append a law or an abstraction to the layer declaring it."""
+    layer_decl = _lookup(bundle, "layer", layer)
+    (layer_decl.laws if decl.__class__ is Law else layer_decl.abstractions).append(decl)
+
+
+def _apply_effects(bundle: ProjectBundle, effects: list[ResolutionEffect]) -> None:
     """Apply the recorded effects of a contamination resolution."""
     for effect in effects:
-        op = effect.get("op")
+        op = effect.op
         if op == "quarantine":
-            decl = find_declaration(bundle, effect["target"])
-            if decl is None or not hasattr(decl, "quarantined"):
-                raise ValueError(f"quarantine target {effect['target']} not found")
-            decl.quarantined = True
-        elif op == "edit_text":
-            decl = find_declaration(bundle, effect["container"])
-            name = effect["field"]
-            if decl is None or name not in text_fields(type(decl)):
-                raise ValueError(f"edit target {effect.get('container')}.{name} not found")
-            if getattr(decl, name) != effect["old"]:
-                raise ValueError("edit target text diverged from the recorded state")
-            setattr(decl, name, decode_field(type(decl), name, effect["new"]))
-        elif op == "edit_list_item":
-            decl = find_declaration(bundle, effect["container"])
-            name = effect["field"]
-            seq = getattr(decl, name, None) if decl is not None else None
-            index = effect["index"]
-            if not isinstance(seq, list) or index >= len(seq):
-                raise ValueError(f"edit target {effect.get('container')}.{name} not found")
-            if seq[index] != effect["old"]:
-                raise ValueError("edit target text diverged from the recorded state")
-            seq[index] = effect["new"]
-        elif op == "remove_ref":
-            decl = find_declaration(bundle, effect["container"])
-            name = effect["field"]
-            seq = getattr(decl, name, None) if decl is not None else None
-            if not isinstance(seq, list):
-                raise ValueError(f"reference list {effect.get('container')}.{name} not found")
-            kept = [r for r in seq if r.render() != effect["target"]]
-            if len(kept) == len(seq):
-                raise ValueError(f"reference {effect['target']} not present")
-            setattr(decl, name, kept)
-        elif op == "clear_ref":
-            decl = find_declaration(bundle, effect["container"])
-            if decl is None or not hasattr(decl, effect["field"]):
-                raise ValueError(f"reference field {effect.get('container')} not found")
-            setattr(decl, effect["field"], None)
-        elif op == "remove_assignment":
-            decl = find_declaration(bundle, effect["container"])
-            if decl is None or not hasattr(decl, "assignments"):
-                raise ValueError(f"project {effect.get('container')} not found")
-            token = effect["token"]
-            kept = [
-                a
-                for a in decl.assignments
-                if token not in (a.unit_ref.render(), a.route_ref.render())
-            ]
-            if len(kept) == len(decl.assignments):
-                raise ValueError(f"assignment citing {token} not present")
-            decl.assignments = kept
+            _quarantine(bundle, effect.target)
         elif op == "remove_flow":
             before = len(bundle.flows)
-            bundle.flows = [f for f in bundle.flows if f.id.render() != effect["target"]]
+            bundle.flows = [f for f in bundle.flows if f.id != effect.target]
             if len(bundle.flows) == before:
-                raise ValueError(f"flow {effect['target']} not found")
+                raise ValueError(f"flow {effect.target.render()} not found")
         elif op == "remove_declaration":
-            _remove_declaration(bundle, effect["target"])
-        elif op == "add_law":
-            layer = _lookup(bundle, "layer", effect["layer"])
-            layer.laws.append(_decode_in(layer, Law, effect["record"]))
-        elif op == "add_abstraction":
-            layer = _lookup(bundle, "layer", effect["layer"])
-            layer.abstractions.append(_decode_in(layer, Abstraction, effect["record"]))
+            _remove_declaration(bundle, effect.target)
+        elif op == "add_law" or op == "add_abstraction":
+            _add_to_layer(bundle, effect.layer, effect.record)
+        elif op == "remove_assignment":
+            decl = _declaration(bundle, effect.container)
+            if decl is None or not hasattr(decl, "assignments"):
+                raise ValueError(f"project {effect.container.render()} not found")
+            token = effect.token
+            kept = [a for a in decl.assignments if token != a.unit_ref and token != a.route_ref]
+            if len(kept) == len(decl.assignments):
+                raise ValueError(f"assignment citing {token.render()} not present")
+            decl.assignments = kept
         else:
-            raise ValueError(f"unknown resolution effect {op!r}")
+            _edit_field(bundle, effect)
 
 
-def _decode_in(layer: LayerDecl, cls: type, record: dict):
-    """Decode a law or abstraction declared by ``layer``."""
-    return decode(cls, record, owner=layer.local_name, ns=KIND_TO_NAMESPACE[layer.kind])
+def _edit_field(bundle: ProjectBundle, effect: ResolutionEffect) -> None:
+    """Apply an effect on one field, which must be of the kind the effect
+    edits (:func:`~.bundle.field_effect`)."""
+    op, name = effect.op, effect.field
+    decl = _declaration(bundle, effect.container)
+    if decl is None or field_effect(decl.__class__, name) != op:
+        raise ValueError(f"{op} target {effect.container.render()}.{name} not found")
+    value = getattr(decl, name)
+    if op == "clear_ref":
+        setattr(decl, name, None)
+    elif op == "remove_ref":
+        kept = [ref for ref in value if ref != effect.target]
+        if len(kept) == len(value):
+            raise ValueError(f"reference {effect.target.render()} not present")
+        setattr(decl, name, kept)
+    elif op == "edit_text":
+        if value != effect.old:
+            raise ValueError("edit target text diverged from the recorded state")
+        setattr(decl, name, effect.new)
+    else:  # edit_list_item
+        index = effect.index
+        if not 0 <= index < len(value):
+            raise ValueError(f"edit target {effect.container.render()}.{name}[{index}] not found")
+        if value[index] != effect.old:
+            raise ValueError("edit target text diverged from the recorded state")
+        value[index] = effect.new
 
 
-def _remove_declaration(bundle: ProjectBundle, canonical: str) -> None:
+def _remove_declaration(bundle: ProjectBundle, ident: Identifier) -> None:
     """Remove a law or an abstraction, the declarations whose existence
     alone can be a violation."""
-    ident = parse_identifier(canonical)
-    if ident is None:
-        raise ValueError(f"bad declaration id {canonical}")
     for _, decl_id, holder, name, _, _ in declarations(bundle):
         if decl_id == ident and holder.__class__ is LayerDecl:
             setattr(holder, name, [d for d in getattr(holder, name) if d.id != ident])
             return
-    raise ValueError(f"declaration {canonical} not found")
+    raise ValueError(f"declaration {ident.render()} not found")
 
 
 # ---------------------------------------------------------------------------
-# Event appliers
+# Event appliers: each takes its kind's decoded payload record
 # ---------------------------------------------------------------------------
 
 
-def _apply_tier_declared(bundle: ProjectBundle, payload: dict) -> None:
-    unit = _lookup(bundle, "unit", payload["unit"])
-    # A declared tier is never null, as a re-tier's target is not.
-    tier = decode_field(ReTierEvent, "new_tier", payload["tier"])
-    unit.tier_justification = decode_field(
-        EvidentialUnit, "tier_justification", payload["justification"]
-    )
-    unit.declared_tier = tier
+def _apply_tier_declared(bundle: ProjectBundle, declared: TierDeclared) -> None:
+    unit = _lookup(bundle, "unit", declared.unit)
+    unit.tier_justification = declared.justification
+    unit.declared_tier = declared.tier
 
 
-def _apply_retier(bundle: ProjectBundle, payload: dict) -> None:
-    unit = _lookup(bundle, "unit", payload["unit"])
-    # Decode every part before touching the unit.
-    event = decode(ReTierEvent, payload["event"])
-    changes = {"declared_tier": event.new_tier}
-    if payload.get("justification"):
-        changes["tier_justification"] = decode_field(
-            EvidentialUnit, "tier_justification", payload["justification"]
-        )
-    for name in ("interpretations", "explicit_assumptions"):
-        if payload.get(name) is not None:
-            changes[name] = decode_field(
-                EvidentialUnit, name, payload[name], owner=unit.study_id.owner
-            )
-    unit.retier_events.append(event)
-    for name, value in changes.items():
-        setattr(unit, name, value)
+def _apply_retier(bundle: ProjectBundle, retier: Retier) -> None:
+    unit = _lookup(bundle, "unit", retier.unit)
+    unit.retier_events.append(retier.event)
+    unit.declared_tier = retier.event.new_tier
+    if retier.justification:
+        unit.tier_justification = retier.justification
+    if retier.interpretations is not None:
+        unit.interpretations = retier.interpretations
+    if retier.explicit_assumptions is not None:
+        unit.explicit_assumptions = retier.explicit_assumptions
 
 
-def _apply_route_declared(bundle: ProjectBundle, payload: dict) -> None:
-    route = decode(Route, payload["route"])
+def _apply_route_declared(bundle: ProjectBundle, declared: RouteDeclared) -> None:
+    route = declared.route
     if route.id not in BundleIndex(bundle).routes:
         bundle.routes.append(route)
-    if payload["committed"]:
-        _lookup(bundle, "project", payload["project"]).committed_route = route.id
+    if declared.committed:
+        _lookup(bundle, "project", declared.project).committed_route = route.id
 
 
-def _apply_route_frozen(bundle: ProjectBundle, payload: dict) -> None:
-    route = _lookup(bundle, "route", payload["route"])
-    route.frozen_at = payload["frozen_at"]
+def _apply_route_frozen(bundle: ProjectBundle, frozen: RouteFrozen) -> None:
+    _lookup(bundle, "route", frozen.route).frozen_at = frozen.frozen_at
 
 
-def _apply_route_revised(bundle: ProjectBundle, payload: dict) -> None:
-    route = _lookup(bundle, "route", payload["route"])
-    body = {name: payload["body"][name] for name in body_fields(Route)}
-    replacement = decode(Route, {**encode(route), **body})
-    revision = decode(RouteRevision, payload["revision"])
-    for name in body:
-        setattr(route, name, getattr(replacement, name))
-    route.revisions.append(revision)
+def _apply_route_revised(bundle: ProjectBundle, revised: RouteRevised) -> None:
+    route = _lookup(bundle, "route", revised.route)
+    # A record's __dict__ holds exactly its fields: the body's are Route's.
+    route.__dict__.update(revised.body.__dict__)
+    route.revisions.append(revised.revision)
 
 
-def _apply_flow_recorded(bundle: ProjectBundle, payload: dict) -> None:
-    bundle.flows.append(decode(FlowEvent, payload["flow"]))
+def _apply_flow_recorded(bundle: ProjectBundle, recorded: FlowRecorded) -> None:
+    bundle.flows.append(recorded.flow)
 
 
-def _apply_contamination_flagged(bundle: ProjectBundle, payload: dict) -> None:
+def _apply_contamination_flagged(bundle: ProjectBundle, flagged: ContaminationFlagged) -> None:
     # Pure record: detection mutates nothing.
     return None
 
 
-def _apply_contamination_resolved(bundle: ProjectBundle, payload: dict) -> None:
-    _apply_effects(bundle, payload["effects"])
+def _apply_contamination_resolved(bundle: ProjectBundle, resolved: ContaminationResolved) -> None:
+    _apply_effects(bundle, resolved.effects)
 
 
-def _apply_version_bumped(bundle: ProjectBundle, payload: dict) -> None:
+def _apply_version_bumped(bundle: ProjectBundle, bumped: VersionBumped) -> None:
     gp = bundle.grandparent()
-    entry, gp.laws = decode_bump(payload)
-    gp.version = entry.to_version
+    gp.laws = bumped.laws
+    gp.version = bumped.entry.to_version
 
 
-def _apply_unit_split(bundle: ProjectBundle, payload: dict) -> None:
-    source = _lookup(bundle, "unit", payload["source"])
-    new_units = decode_field(ProjectBundle, "units", payload["units"])
+def _apply_unit_split(bundle: ProjectBundle, split: UnitSplit) -> None:
+    source = _lookup(bundle, "unit", split.source)
     source.superseded = True
-    bundle.units.extend(new_units)
+    bundle.units.extend(split.units)
     for project in bundle.projects:
         if source.study_id in project.unit_refs:
             refs = [r for r in project.unit_refs if r != source.study_id]
-            refs.extend(u.study_id for u in new_units)
+            refs.extend(u.study_id for u in split.units)
             project.unit_refs = refs
 
 
-def _apply_declaration_added(bundle: ProjectBundle, payload: dict) -> None:
-    decl_kind = payload["decl_kind"]
-    record = payload["record"]
-    if decl_kind == "unit":
-        unit = decode(EvidentialUnit, record)
-        bundle.units.append(unit)
-        project_id = payload.get("project")
-        if project_id:
-            _lookup(bundle, "project", project_id).unit_refs.append(unit.study_id)
-    elif decl_kind == "law":
-        layer = _lookup(bundle, "layer", payload["layer"])
-        layer.laws.append(_decode_in(layer, Law, record))
-    elif decl_kind == "abstraction":
-        layer = _lookup(bundle, "layer", payload["layer"])
-        layer.abstractions.append(_decode_in(layer, Abstraction, record))
-    elif decl_kind == "contract":
-        bundle.contracts.append(decode(BoundaryContract, record))
+def _apply_declaration_added(bundle: ProjectBundle, added: DeclarationAdded) -> None:
+    decl = added.record
+    if added.decl_kind == "unit":
+        bundle.units.append(decl)
+        if added.project is not None:
+            _lookup(bundle, "project", added.project).unit_refs.append(decl.study_id)
+    elif added.decl_kind == "contract":
+        bundle.contracts.append(decl)
     else:
-        raise ValueError(f"unsupported declaration kind {decl_kind!r}")
+        _add_to_layer(bundle, added.layer, decl)
 
 
-def _apply_declaration_quarantined(bundle: ProjectBundle, payload: dict) -> None:
-    decl = find_declaration(bundle, payload["target"])
-    if decl is None or not hasattr(decl, "quarantined"):
-        raise ValueError(f"quarantine target {payload['target']} not found")
-    decl.quarantined = True
+def _apply_declaration_quarantined(bundle: ProjectBundle, done: DeclarationQuarantined) -> None:
+    _quarantine(bundle, done.target)
 
 
-_APPLIERS: dict[str, Callable[[ProjectBundle, dict], None]] = {
+_APPLIERS: dict[str, Callable[[ProjectBundle, Any], None]] = {
     "tier_declared": _apply_tier_declared,
     "retier": _apply_retier,
     "route_declared": _apply_route_declared,
@@ -293,6 +261,13 @@ _APPLIERS: dict[str, Callable[[ProjectBundle, dict], None]] = {
 
 
 def validate_event(bundle: ProjectBundle, event: AuditEvent) -> list[Diagnostic]:
+    """Why ``event`` cannot be appended to the log, if anything: its
+    sequence, its timestamp, its kind or its payload."""
+    return _check(bundle, event)[0]
+
+
+def _check(bundle: ProjectBundle, event: AuditEvent) -> tuple[list[Diagnostic], Any]:
+    """:func:`validate_event`'s diagnostics, and the decoded payload."""
     diags: list[Diagnostic] = []
     expected = bundle.next_sequence()
     if event.sequence != expected:
@@ -318,14 +293,12 @@ def validate_event(bundle: ProjectBundle, event: AuditEvent) -> list[Diagnostic]
         )
     if event.kind not in EVENT_KINDS:
         diags.append(error("E_PAYLOAD_SCHEMA", "event.kind", f"unknown kind {event.kind!r}"))
-        return diags
-    if not isinstance(event.payload, dict):
-        diags.append(error("E_PAYLOAD_SCHEMA", "event.payload", "payload must be an object"))
-        return diags
-    missing = missing_payload_keys(event.kind, event.payload)
-    if missing:
-        diags.append(error("E_PAYLOAD_SCHEMA", "event.payload", missing))
-    return diags
+        return diags, None
+    try:
+        return diags, decode_payload(event.kind, event.payload)
+    except ValueError as exc:
+        diags.append(error("E_PAYLOAD_SCHEMA", "event.payload", str(exc)))
+        return diags, None
 
 
 def append_event(bundle: ProjectBundle, event: AuditEvent) -> ProjectBundle:
@@ -364,10 +337,10 @@ def commit(
         payload=payload,
         affected=list(affected or []),
     )
-    diags = validate_event(bundle, event)
+    diags, record = _check(bundle, event)
     if diags:
         raise OperationRejected(diags)
-    _APPLIERS[kind](bundle, payload)
+    _APPLIERS[kind](bundle, record)
     bundle.events.append(event)
     return event
 
@@ -394,7 +367,7 @@ def replay(initial: ProjectBundle, events: list[AuditEvent]) -> ProjectBundle:
                 "E_REPLAY_DIVERGENCE", f"events[{event.sequence}]", f"unknown kind {event.kind!r}"
             )
         try:
-            applier(state, event.payload)
+            applier(state, decode_payload(event.kind, event.payload))
         except Exception as exc:
             raise reject(
                 "E_REPLAY_DIVERGENCE",

@@ -26,24 +26,27 @@ from .identifiers import EMBEDDED_REF_RE, KIND_TO_NAMESPACE, Identifier, is_bare
 from .identifiers import parse_identifier
 from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER
 from .model import (
+    ADDED_KINDS,
+    EFFECT_KEYS,
+    EVENT_PAYLOADS,
     Assessment,
     AuditEvent,
-    ChangelogEntry,
-    ContaminationEvent,
+    DeclarationAdded,
     DeclaredAssumption,
     EvidentialUnit,
     Law,
     LayerDecl,
     ProjectBundle,
     ProjectDecl,
+    ResolutionEffect,
     Route,
     Spec,
     Tier,
     event_time_key,
     event_timestamp_error,
-    missing_payload_keys,
+    snake_name,
 )
-from .records import field, fields, record
+from .records import MISSING, field, fields, record
 
 VERSION_RE = re.compile(r"^v(\d+)\.(\d+)$")
 
@@ -106,7 +109,7 @@ class _Codec:
 
     def __init__(self, cls: type):
         self.cls = cls
-        self.name = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
+        self.name = snake_name(cls)
         #: (field name, JSON key or key path, spec)
         self.fields = [(f.name, f.spec.key or f.name, f.spec) for f in fields(cls)]
         self.specs = {name: spec for name, _, spec in self.fields}
@@ -206,6 +209,23 @@ def text_fields(cls: type) -> tuple[str, ...]:
 def body_fields(cls: type) -> tuple[str, ...]:
     """Names of the fields that make up a frozen route's fingerprint."""
     return CODECS[cls].body
+
+
+def field_effect(cls: type, name: str) -> str | None:
+    """The resolution effect that edits field ``name`` of ``cls``, by its
+    spec: ``edit_text`` for a text, ``edit_list_item`` for a list of texts,
+    ``clear_ref`` for a nullable reference and ``remove_ref`` for a list of
+    references; None for any other field."""
+    spec = CODECS[cls].specs.get(name)
+    if spec is None:
+        return None
+    many = spec.kind == LIST
+    item = spec.of if many else spec
+    if item.kind == STR and spec.text:
+        return "edit_list_item" if many else "edit_text"
+    if item.kind == IDENT and item.expect and (many or spec.nullable):
+        return "remove_ref" if many else "clear_ref"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +586,35 @@ def _check_event(dec: _Decoder, event: AuditEvent, obj: dict, path: str) -> None
     message = event_timestamp_error(event.timestamp)
     if message and (raw is None or raw.__class__ is str):
         dec.fail(f"{path}.timestamp", message)
-    missing = missing_payload_keys(event.kind, event.payload)
+    try:
+        decode_payload(event.kind, event.payload)
+    except ValueError as exc:
+        dec.fail(f"{path}.payload", str(exc), code="E_PAYLOAD_SCHEMA")
+
+
+def _check_effect(dec: _Decoder, effect: ResolutionEffect, obj: dict, path: str) -> None:
+    missing = [key for key in EFFECT_KEYS[effect.op] if obj.get(key) is None]
     if missing:
-        dec.fail(f"{path}.payload", missing, code="E_PAYLOAD_SCHEMA")
-    elif event.kind == "version_bumped":
-        try:
-            decode_bump(event.payload)
-        except ValueError as exc:
-            dec.fail(f"{path}.payload", str(exc), code="E_PAYLOAD_SCHEMA")
+        dec.fail(path, f"{effect.op} effect missing keys: {', '.join(missing)}")
+    elif effect.op == "add_law" or effect.op == "add_abstraction":
+        effect.record = _decode_added(dec, effect.op[4:], effect.layer, effect.record, path)
+
+
+def _check_declaration_added(dec: _Decoder, added: DeclarationAdded, obj: dict, path: str) -> None:
+    added.record = _decode_added(dec, added.decl_kind, added.layer, added.record, path)
+
+
+def _decode_added(dec: _Decoder, kind: str, layer: Identifier | None, raw: Any, path: str) -> Any:
+    """The ``record`` a payload adds as a declaration of ``kind``: a law or
+    an abstraction as ``layer`` declares it, a unit or a contract as the
+    bundle does."""
+    ctx = ("child", "", "")
+    if kind == "law" or kind == "abstraction":
+        if layer is None:
+            dec.fail(f"{path}.layer", f"a {kind} is added to a layer")
+            return None
+        ctx = (layer.namespace, layer.local_name, layer.local_name)
+    return dec.value(Spec(RECORD, ADDED_KINDS[kind]), raw, f"{path}.record", ctx)
 
 
 _CHILD_IDS = {EvidentialUnit: "units", Route: "routes", ProjectDecl: "projects"}
@@ -582,6 +623,8 @@ _CHECKS = {
     EvidentialUnit: _check_unit,
     DeclaredAssumption: _check_assumption,
     AuditEvent: _check_event,
+    ResolutionEffect: _check_effect,
+    DeclarationAdded: _check_declaration_added,
 }
 
 # ---------------------------------------------------------------------------
@@ -887,11 +930,21 @@ def decode_field(
     return _strict(codec.specs[name], raw, at, at, owner, ns)
 
 
-def decode_bump(payload: dict) -> tuple[ChangelogEntry, list[Law]]:
-    """The changelog entry and grandparent law set a ``version_bumped``
-    payload records. Raises ValueError as :func:`decode` does."""
-    entry = decode(ChangelogEntry, payload["entry"])
-    return entry, decode_field(LayerDecl, "laws", payload["laws"], ns="gp")
+def decode_payload(kind: str, payload: Any) -> Any:
+    """The record (``model.EVENT_PAYLOADS``) an audit event of ``kind``
+    carries in ``payload``, decoded as :func:`decode` does: the ids in it
+    are history, so none is resolved. Raises ValueError with the
+    E_PAYLOAD_SCHEMA message: the keys the payload lacks, if any, else
+    every malformed value."""
+    if payload.__class__ is not dict:
+        raise ValueError(f"{kind} payload must be an object")
+    missing = sorted(_PAYLOAD_KEYS[kind] - payload.keys())
+    if missing:
+        raise ValueError(f"{kind} payload missing keys: {', '.join(missing)}")
+    # In the grandparent's namespace: a bump's laws are the only
+    # layer-owned ids a payload holds outside an added law or abstraction,
+    # which is decoded in its own layer.
+    return _strict(_PAYLOAD_SPECS[kind], payload, f"{kind} payload", "", "", "gp")
 
 
 def encode(record: Any) -> dict:
@@ -930,8 +983,16 @@ def clone(record: Any) -> Any:
     return CLONERS[record.__class__](record)
 
 
-for _cls in (ProjectBundle, ChangelogEntry, ContaminationEvent):
+for _cls in (ProjectBundle, *EVENT_PAYLOADS.values()):
     _build(_cls)
+
+#: Event kind -> the spec of its payload record, and the keys it requires:
+#: the fields without a default.
+_PAYLOAD_SPECS = {kind: Spec(RECORD, cls) for kind, cls in EVENT_PAYLOADS.items()}
+_PAYLOAD_KEYS = {
+    kind: frozenset(f.name for f in fields(cls) if f.default is MISSING and f.factory is MISSING)
+    for kind, cls in EVENT_PAYLOADS.items()
+}
 
 decode_route_dict = partial(decode, Route)
 decode_law_dict = partial(decode, Law, ns="gp")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .bundle import CODECS, decode, encode, text_fields
+from .bundle import CODECS, decode, encode, field_effect
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references
 from .model import (
@@ -729,13 +729,14 @@ def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[
         return [{"op": "remove_declaration", "target": container}]
     if field == "payload":
         return [{"op": "remove_flow", "target": container}]
-    if field in ("measurement_refs", "supporting_units", "unit_refs"):
-        _require(site, any(ref.render() == token for ref in getattr(decl, field, ())))
-        return [{"op": "remove_ref", "container": container, "field": field, "target": token}]
-    if field == "committed_route":
-        ref = getattr(decl, field, None)
+    op = field_effect(decl.__class__, field)
+    if op == "remove_ref":
+        _require(site, any(ref.render() == token for ref in getattr(decl, field)))
+        return [{"op": op, "container": container, "field": field, "target": token}]
+    if op == "clear_ref":
+        ref = getattr(decl, field)
         _require(site, ref is not None and ref.render() == token)
-        return [{"op": "clear_ref", "container": container, "field": field}]
+        return [{"op": op, "container": container, "field": field}]
     if field == "assignments":
         refs = [ref for a in getattr(decl, field, ()) for ref in (a.unit_ref, a.route_ref)]
         _require(site, any(ref.render() == token for ref in refs))
@@ -751,7 +752,7 @@ def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[
         new = old.replace(token, "", 1).strip()
         return [{"op": "edit_list_item", "container": container, "field": "disconfirming_models",
                  "index": index, "old": old, "new": new}]
-    if field not in text_fields(decl.__class__):
+    if op != "edit_text":
         raise reject("E_UNDOCUMENTED", container, f"cannot reverse field {field!r}")
     old = getattr(decl, field)
     _require(site, token in old)

@@ -363,7 +363,9 @@ CODE_REGISTRY: dict[str, tuple[str, str]] = {
     ),
     "E_PAYLOAD_SCHEMA": (
         "event payload malformed",
-        "Each event kind fixes the payload keys it must carry.",
+        "Each event kind's payload is one record: it must carry the keys the "
+        "record requires, and each value must decode to its field's type. A "
+        "malformed payload stops parsing, as it would stop replay.",
     ),
     "E_REPLAY_DIVERGENCE": (
         "replay diverged from live state",

@@ -8,7 +8,7 @@ laws can never change at all.
 
 from __future__ import annotations
 
-from .bundle import VERSION_RE, decode_bump, encode, text_fields
+from .bundle import VERSION_RE, decode_payload, encode, text_fields
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, extract_references
 from .model import Abstraction, BundleIndex, ChangelogEntry, Law, LayerDecl, ProjectBundle
@@ -262,8 +262,8 @@ def law_history(bundle: ProjectBundle) -> list[tuple[str, list[Law]]]:
     for i, event in enumerate(bundle.events):
         if event.kind == "version_bumped":
             try:
-                entry, laws = decode_bump(event.payload)
+                bump = decode_payload(event.kind, event.payload)
             except ValueError as exc:
                 raise reject("E_PAYLOAD_SCHEMA", f"events[{i}].payload", str(exc)) from exc
-            history.append((entry.to_version, laws))
+            history.append((bump.entry.to_version, bump.laws))
     return history

@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Any
 
 from .identifiers import Identifier
-from .records import MISSING, field, record
+from .records import MISSING, field, fields, record
 
 # ---------------------------------------------------------------------------
 # Ordinal scales (worst -> best). Tier conservatism relies on these orders.
@@ -62,44 +62,6 @@ OBJECTIVE_TAGS = (
 
 #: Directional implication tags a bias statement must contain.
 BIAS_DIRECTION_TAGS = ("attenuates", "inflates", "reverses", "nondirectional")
-
-EVENT_KINDS = (
-    "tier_declared",
-    "retier",
-    "route_declared",
-    "route_frozen",
-    "route_revised",
-    "flow_recorded",
-    "contamination_flagged",
-    "contamination_resolved",
-    "version_bumped",
-    "unit_split",
-    "declaration_added",
-    "declaration_quarantined",
-)
-
-#: Required payload keys per audit-event kind.
-EVENT_PAYLOAD_SCHEMAS: dict[str, frozenset] = {
-    "tier_declared": frozenset({"unit", "tier", "justification"}),
-    "retier": frozenset({"unit", "event"}),
-    "route_declared": frozenset({"project", "route", "committed"}),
-    "route_frozen": frozenset({"route", "frozen_at", "body_hash"}),
-    "route_revised": frozenset({"route", "revision", "body", "body_hash"}),
-    "flow_recorded": frozenset({"flow"}),
-    "contamination_flagged": frozenset({"contamination"}),
-    "contamination_resolved": frozenset({"contamination", "action", "effects"}),
-    "version_bumped": frozenset({"entry", "laws"}),
-    "unit_split": frozenset({"source", "units"}),
-    "declaration_added": frozenset({"decl_kind", "record"}),
-    "declaration_quarantined": frozenset({"target"}),
-}
-
-
-def missing_payload_keys(kind: str, payload: dict) -> str | None:
-    """The E_PAYLOAD_SCHEMA message for a payload lacking keys its event
-    kind requires, or None when none is missing."""
-    missing = sorted(EVENT_PAYLOAD_SCHEMAS.get(kind, frozenset()) - set(payload))
-    return f"{kind} payload missing keys: {', '.join(missing)}" if missing else None
 
 
 class Tier(enum.IntEnum):
@@ -522,6 +484,180 @@ def event_time_key(timestamp: str) -> str:
     fraction's trailing zeros, string order is time order, so
     ``...:00Z`` < ``...:00.5Z`` < ``...:01Z``."""
     return timestamp[:19] + timestamp[19:-1].rstrip("0").rstrip(".")
+
+
+def snake_name(cls: type) -> str:
+    """A record class's codec name: ``TierDeclared`` -> ``tier_declared``."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
+
+
+# Event payloads. Each audit-event kind's payload is one record, the kind
+# being its codec name; a field without a default is a key the payload
+# must carry, and a key no field names (``engine_version``) is ignored.
+# The ids a payload holds are history: a later event may remove what they
+# name, so they are decoded without ``expect`` and never resolved. An
+# identity field sets the owner that the bare names after it default to.
+
+
+#: The fields a freeze fingerprints, with their specs on Route: what a
+#: route revision replaces.
+RouteBody = record(type("RouteBody", (), {
+    "__annotations__": {f.name: Any for f in fields(Route) if f.spec.body},
+    **{f.name: field(default=f.default, factory=f.factory, spec=f.spec)
+       for f in fields(Route) if f.spec.body},
+}))
+
+#: Resolution effect op -> the keys it must carry.
+EFFECT_KEYS = {
+    "quarantine": ("target",),
+    "edit_text": ("container", "field", "old", "new"),
+    "edit_list_item": ("container", "field", "index", "old", "new"),
+    "remove_ref": ("container", "field", "target"),
+    "clear_ref": ("container", "field"),
+    "remove_assignment": ("container", "token"),
+    "remove_flow": ("target",),
+    "remove_declaration": ("target",),
+    "add_law": ("layer", "record"),
+    "add_abstraction": ("layer", "record"),
+}
+
+
+@record
+class ResolutionEffect:
+    """One recorded change of a contamination resolution. ``op`` names the
+    change and the other fields it uses (:data:`EFFECT_KEYS`); ``record``
+    is the law or abstraction an ``add_*`` appends to ``layer``, decoded
+    in that layer."""
+
+    op: str = spec(ENUM, tuple(EFFECT_KEYS))
+    target: Identifier | None = spec(IDENT, nullable=True, default=None)
+    container: Identifier | None = spec(IDENT, nullable=True, default=None)
+    field: str = spec(STR, default="")
+    index: int | None = spec(INT, nullable=True, default=None)
+    old: str = spec(STR, default="")
+    new: str = spec(STR, default="")
+    token: Identifier | None = spec(IDENT, nullable=True, default=None)
+    layer: Identifier | None = spec(IDENT, nullable=True, default=None)
+    record: Any = spec(JSON, nullable=True, default=None)
+
+
+@record
+class TierDeclared:
+    unit: Identifier = spec(IDENT, identity=True)
+    tier: Tier = spec(TIER)
+    justification: str = spec(STR)
+
+
+@record
+class Retier:
+    """A re-tier. The declared assumptions it replaces, if any, are named
+    under the unit's owner."""
+
+    unit: Identifier = spec(IDENT, identity=True)
+    event: ReTierEvent = spec(RECORD, ReTierEvent)
+    justification: str = spec(STR, default="")
+    interpretations: list[Assessment] | None = spec(
+        LIST, Spec(RECORD, Assessment), nullable=True, default=None
+    )
+    explicit_assumptions: list[DeclaredAssumption] | None = spec(
+        LIST, Spec(RECORD, DeclaredAssumption), nullable=True, default=None
+    )
+
+
+@record
+class RouteDeclared:
+    project: Identifier = spec(IDENT, identity=True)
+    route: Route = spec(RECORD, Route)
+    committed: bool = spec(BOOL)
+
+
+@record
+class RouteFrozen:
+    route: Identifier = spec(IDENT, identity=True)
+    frozen_at: str = spec(STR, noun="string timestamp")
+    body_hash: str = spec(STR)
+
+
+@record
+class RouteRevised:
+    route: Identifier = spec(IDENT, identity=True)
+    revision: RouteRevision = spec(RECORD, RouteRevision)
+    body: RouteBody = spec(RECORD, RouteBody)
+    body_hash: str = spec(STR)
+
+
+@record
+class FlowRecorded:
+    flow: FlowEvent = spec(RECORD, FlowEvent)
+
+
+@record
+class ContaminationFlagged:
+    contamination: ContaminationEvent = spec(RECORD, ContaminationEvent)
+
+
+@record
+class ContaminationResolved:
+    contamination: ContaminationEvent = spec(RECORD, ContaminationEvent)
+    action: str = spec(ENUM, CORRECTIVE_ACTIONS)
+    effects: list[ResolutionEffect] = spec(LIST, Spec(RECORD, ResolutionEffect))
+
+
+@record
+class VersionBumped:
+    """A grandparent version bump; its laws are the grandparent's."""
+
+    entry: ChangelogEntry = spec(RECORD, ChangelogEntry)
+    laws: list[Law] = spec(LIST, Spec(RECORD, Law))
+
+
+@record
+class UnitSplit:
+    source: Identifier = spec(IDENT, identity=True)
+    units: list[EvidentialUnit] = spec(LIST, Spec(RECORD, EvidentialUnit))
+
+
+#: Declaration kind -> the class of the record a payload adds as one.
+ADDED_KINDS = {"unit": EvidentialUnit, "law": Law, "abstraction": Abstraction,
+               "contract": BoundaryContract}
+
+
+@record
+class DeclarationAdded:
+    """A unit (listed by ``project``, if given), a contract, or a law or an
+    abstraction declared by ``layer``; ``record`` is decoded as such."""
+
+    decl_kind: str = spec(ENUM, tuple(ADDED_KINDS))
+    record: Any = spec(JSON)
+    layer: Identifier | None = spec(IDENT, nullable=True, default=None)
+    project: Identifier | None = spec(IDENT, nullable=True, default=None)
+
+
+@record
+class DeclarationQuarantined:
+    target: Identifier = spec(IDENT, identity=True)
+
+
+#: Audit-event kind -> its payload record. An unknown kind decodes as the
+#: first, so the decode-differential fixture pins this order.
+EVENT_PAYLOADS: dict[str, type] = {
+    snake_name(cls): cls
+    for cls in (
+        TierDeclared,
+        Retier,
+        RouteDeclared,
+        RouteFrozen,
+        RouteRevised,
+        FlowRecorded,
+        ContaminationFlagged,
+        ContaminationResolved,
+        VersionBumped,
+        UnitSplit,
+        DeclarationAdded,
+        DeclarationQuarantined,
+    )
+}
+EVENT_KINDS = tuple(EVENT_PAYLOADS)
 
 
 @record

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .bundle import encode, route_body_dict
+from .bundle import decode_payload, encode, route_body_dict
 from .diagnostics import Diagnostic, OperationRejected, error, reject, warning
 from .identifiers import Identifier
 from .model import (
@@ -343,24 +343,24 @@ def check_freeze_integrity(bundle: ProjectBundle) -> list[Diagnostic]:
     recorded fingerprint was edited outside the revision protocol.
     """
     diags: list[Diagnostic] = []
-    last_hash: dict[str, str] = {}
-    recorded_frozen: set[str] = set()
+    last_hash: dict[Identifier, str] = {}
+    recorded_frozen: set[Identifier] = set()
     for i, event in enumerate(bundle.events):
         if event.kind != "route_frozen" and event.kind != "route_revised":
             continue
-        route = event.payload["route"]
-        if not isinstance(route, str):
-            message = f"{event.kind} payload route: expected string, got {type(route).__name__}"
-            diags.append(error("E_PAYLOAD_SCHEMA", f"events[{i}].payload", message))
+        try:
+            record = decode_payload(event.kind, event.payload)
+        except ValueError as exc:
+            diags.append(error("E_PAYLOAD_SCHEMA", f"events[{i}].payload", str(exc)))
             continue
-        last_hash[route] = event.payload["body_hash"]
+        last_hash[record.route] = record.body_hash
         if event.kind == "route_frozen":
-            recorded_frozen.add(route)
+            recorded_frozen.add(record.route)
     for route in bundle.routes:
         if route.frozen_at is None or route.quarantined:
             continue
         key = route.id.render()
-        if key not in recorded_frozen:
+        if route.id not in recorded_frozen:
             diags.append(
                 warning(
                     "W_FREEZE_UNRECORDED",
@@ -370,7 +370,7 @@ def check_freeze_integrity(bundle: ProjectBundle) -> list[Diagnostic]:
                 )
             )
             continue
-        if route_body_hash(route) != last_hash[key]:
+        if route_body_hash(route) != last_hash[route.id]:
             diags.append(
                 error(
                     "E_SILENT_REVISION",

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from recap_engine.diagnostics import OperationRejected
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
 from recap_engine.model import AuditEvent, BundleIndex, ChangelogEntry, FlowEvent, Law, Tier
+from recap_engine.model import ResolutionEffect
 from recap_engine.contamination import record_flow, resolve_contamination, scan_bundle
 from recap_engine.routing import declare_route, freeze_route
 from recap_engine.tiering import declare_tier, split_unit, tier_unit
@@ -185,6 +187,38 @@ def test_replay_reports_any_applier_failure_as_divergence(toy, kind, payload):
     assert (diag.code, diag.location) == ("E_REPLAY_DIVERGENCE", f"events[{event.sequence}]")
     assert diag.message.startswith(f"{kind} failed to apply: ")
     assert serialize_bundle(toy) == before
+
+
+@pytest.mark.parametrize(
+    "effect",
+    [
+        {"op": "clear_ref", "container": "child:C1:PRJ", "field": "layer_ref"},
+        {"op": "remove_ref", "container": "child:C1:PRJ", "field": "assignments",
+         "target": "child:C1:S1"},
+        {"op": "edit_list_item", "container": "gp:G", "field": "vocabulary", "index": 0,
+         "old": "construct", "new": "concept"},
+    ],
+    ids=["clear_ref", "remove_ref", "edit_list_item"],
+)
+def test_an_effect_on_a_field_of_another_kind_is_a_replay_divergence(effect):
+    # clear_ref takes a nullable reference, remove_ref a list of references
+    # and edit_list_item a list of texts; none of these fields is one.
+    initial = toy_bundle()
+    doc = json.loads(serialize_bundle(initial))
+    contamination = {"id": "CONT-0001", "rule_violated": "R3_horizontal_borrowing",
+                     "direction": "horizontal", "nature": "content",
+                     "site": {"container": effect["container"], "field": effect["field"]}}
+    doc["events"].append({
+        "sequence": 2, "timestamp": "2026-06-01T00:00:00Z", "actor": "tester",
+        "kind": "contamination_resolved", "affected": [],
+        "payload": {"contamination": contamination, "action": "reversed", "effects": [effect]},
+    })
+    bundle = parse_dict(doc)
+    with pytest.raises(OperationRejected) as err:
+        replay(initial, bundle.events[1:])
+    [diag] = err.value.diagnostics
+    assert diag.code == "E_REPLAY_DIVERGENCE"
+    assert diag.message.endswith(f"{effect['container']}.{effect['field']} not found")
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +654,10 @@ def test_remove_declaration_removes_a_law_or_an_abstraction_only():
     grandparent, parent = bundle.layers[0], bundle.layers[1]
     law, abstraction = grandparent.laws[4], parent.abstractions[2]
     for decl in (law, abstraction):
-        _apply_effects(bundle, [{"op": "remove_declaration", "target": decl.id.render()}])
+        _apply_effects(bundle, [ResolutionEffect("remove_declaration", target=decl.id)])
         assert find_declaration(bundle, decl.id.render()) is None
     assert len(grandparent.laws) == 8 and len(parent.abstractions) == 6
     for ident in (parent.id, bundle.units[0].study_id, bundle.routes[0].assumptions[0].id):
         with pytest.raises(ValueError, match="not found"):
-            _apply_effects(bundle, [{"op": "remove_declaration", "target": ident.render()}])
+            _apply_effects(bundle, [ResolutionEffect("remove_declaration", target=ident)])
         assert find_declaration(bundle, ident.render()) is not None

@@ -182,13 +182,20 @@ def test_assessment_values_validated():
     assert "E_SYNTAX" in codes(result)
 
 
+#: A well-formed flow_recorded payload, for events whose payload is not
+#: under test.
+_FLOW = {"flow": {"id": "gp:FX", "source_layer": "gp:G", "dest_layer": "parent:P:P",
+                  "info_class": "content", "payload": "note",
+                  "timestamp": "2026-01-01T00:00:00Z"}}
+
+
 def test_event_sequence_must_increase():
     def corrupt(d):
         d["events"] = [
             {"sequence": 1, "timestamp": "2026-01-01T00:00:00Z", "actor": "a",
-             "kind": "flow_recorded", "payload": {"flow": {}}, "affected": []},
+             "kind": "flow_recorded", "payload": _FLOW, "affected": []},
             {"sequence": 1, "timestamp": "2026-01-01T00:00:01Z", "actor": "a",
-             "kind": "flow_recorded", "payload": {"flow": {}}, "affected": []},
+             "kind": "flow_recorded", "payload": _FLOW, "affected": []},
         ]
 
     result = parse_bundle(json.dumps(variant(corrupt)))
@@ -297,7 +304,7 @@ def test_boolean_event_sequence_is_a_syntax_error():
     def add_event(d):
         d["events"] = [
             {"sequence": True, "timestamp": "2026-01-01T00:00:00Z", "actor": "a",
-             "kind": "flow_recorded", "payload": {"flow": {}}, "affected": []},
+             "kind": "flow_recorded", "payload": _FLOW, "affected": []},
         ]
 
     result = parse_bundle(json.dumps(variant(add_event)))
@@ -311,7 +318,7 @@ def _with_events(*events):
     def add(d):
         d["events"] = [
             {"sequence": i + 1, "actor": "a", "kind": "flow_recorded",
-             "payload": {"flow": {}}, "affected": [], **event}
+             "payload": _FLOW, "affected": [], **event}
             for i, event in enumerate(events)
         ]
 

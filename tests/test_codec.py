@@ -158,10 +158,12 @@ def test_every_toy_record_round_trips_through_the_codec():
     records = _all_records()
     for cls, record, ns, owner in records:
         assert encode(decode(cls, record, owner=owner, ns=ns)) == record, cls.__name__
-    # The bundle document itself is decoded by parse_bundle.
-    assert {cls for cls, *_ in records} | {model.ProjectBundle, model.ContaminationSite} == set(
-        CODECS
-    )
+    # The bundle document itself is decoded by parse_bundle, and event
+    # payloads by decode_payload.
+    payloads = {*model.EVENT_PAYLOADS.values(), model.ResolutionEffect, model.RouteBody}
+    assert {cls for cls, *_ in records} | {model.ProjectBundle, model.ContaminationSite} | (
+        payloads
+    ) == set(CODECS)
 
 
 def test_decoded_records_share_no_list_or_map_with_their_input():

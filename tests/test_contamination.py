@@ -1226,3 +1226,17 @@ def test_a_newly_checked_finding_quarantines_and_reverses_or_is_refused(path):
     if _attempt(live, event, "reverse") is None:
         assert _r3(live) == []
         assert parse_bundle(serialize_bundle(live)).bundle is not None
+
+
+def test_a_sibling_id_in_split_from_is_reversed_by_clearing_it():
+    initial = _field_case_bundle("units.split_from")
+    live = clone(initial)
+    [event] = _r3(live)
+    event.risks_introduced = RISKS
+    assert _attempt(live, event, "reverse") is None
+    [resolution] = live.events[len(initial.events):]
+    [effect] = resolution.payload["effects"]
+    assert (effect["op"], effect["field"]) == ("clear_ref", "split_from")
+    assert _r3(live) == []
+    assert parse_bundle(serialize_bundle(live)).bundle is not None
+    assert serialize_bundle(replay(initial, [resolution])) == serialize_bundle(live)

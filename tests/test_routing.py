@@ -389,11 +389,19 @@ def test_freeze_record_with_a_non_string_route_is_a_payload_finding(
     event["payload"]["route"] = route
     if kind == "route_revised":
         event["payload"].update(revision={}, body={})
-    bundle = parse_bundle(json.dumps(doc)).bundle
+    result = parse_bundle(json.dumps(doc))
+    assert result.bundle is None
+    assert [(d.code, d.location) for d in result.diagnostics] == [
+        ("E_PAYLOAD_SCHEMA", "events[0].payload")
+    ]
+    # The same record edited into a bundle after parsing it.
+    bundle = parse_bundle(toy_text()).bundle
+    bundle.events[0].kind = kind
+    bundle.events[0].payload = event["payload"]
     report = compliance_verdict(bundle)
     assert report.verdict == "non_compliant"
     findings = [(d.code, d.location, d.message) for d in report.findings]
-    message = f"{kind} payload route: expected string, got {type(route).__name__}"
+    message = f"malformed {kind} payload: route: expected identifier string"
     assert ("E_PAYLOAD_SCHEMA", "events[0].payload", message) in findings
     # The event is skipped, so the committed route's freeze is unrecorded.
     assert [d.code for d in check_freeze_integrity(bundle)] == [
@@ -402,7 +410,7 @@ def test_freeze_record_with_a_non_string_route_is_a_payload_finding(
     ]
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["validate", str(path)]) == 1
+    assert main(["validate", str(path)]) == 2
     out, err = capsys.readouterr()
     assert "internal error" not in out + err
     assert "E_PAYLOAD_SCHEMA" in out + err
