@@ -16,6 +16,7 @@ from typing import Any, Callable
 from .bundle import clone, decode_payload, declarations, field_effect
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, parse_identifier
+from .records import replace
 from .model import (
     EVENT_KINDS,
     AuditEvent,
@@ -46,21 +47,58 @@ def now_utc() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Declaration lookup shared by appliers
+# Lookups and replacements shared by appliers
 # ---------------------------------------------------------------------------
+
+
+class _Refusal(ValueError):
+    """Why an event does not apply to the state it meets: :func:`commit`
+    rejects it with ``code`` at ``where`` (an id or a location), and
+    :func:`replay` reports an E_REPLAY_DIVERGENCE."""
+
+    def __init__(self, where: Identifier | str, message: str, code: str = "E_UNDOCUMENTED"):
+        super().__init__(message)
+        self.code = code
+        self.location = where if where.__class__ is str else where.render()
 
 
 def find_declaration(bundle: ProjectBundle, canonical: str):
     """Locate any id-bearing declaration by its canonical rendered id."""
     ident = parse_identifier(canonical)
-    return None if ident is None else _declaration(bundle, ident)
+    return None if ident is None else _locate(bundle, ident)[0]
 
 
-def _declaration(bundle: ProjectBundle, ident: Identifier):
-    for _, decl_id, holder, name, i, _ in declarations(bundle):
+def _locate(bundle: ProjectBundle, ident: Identifier) -> tuple[Any, list]:
+    """The first declaration named ``ident`` and its path from the bundle
+    (:func:`_path`), or (None, [])."""
+    for _, decl_id, holder, name, i, up in declarations(bundle):
         if decl_id == ident:
-            return getattr(holder, name)[i]
-    return None
+            return holder.__dict__[name][i], _path((up, name, i))
+    return None, []
+
+
+def _path(up: tuple | None) -> list[tuple[str, int]]:
+    """The (field, index) steps from the bundle down to the record that a
+    :func:`~.bundle.declarations` ``up`` chain names."""
+    path = []
+    while up is not None:
+        up, name, i = up
+        path.append((name, i))
+    return path[::-1]
+
+
+def _put(holder: Any, path: list[tuple[str, int]], new: Any) -> Any:
+    """``holder`` with the record at ``path`` below it replaced by ``new``.
+    A record is replaced, never edited: each record on the path is
+    rebuilt, and the bundle's own list takes the new top-level record."""
+    (name, i), rest = path[0], path[1:]
+    items = holder.__dict__[name]
+    if rest:
+        new = _put(items[i], rest, new)
+    if holder.__class__ is ProjectBundle:
+        items[i] = new
+        return holder
+    return replace(holder, **{name: items[:i] + (new,) + items[i + 1 :]})
 
 
 def _lookup(bundle: ProjectBundle, kind: str, ident: Identifier):
@@ -68,129 +106,156 @@ def _lookup(bundle: ProjectBundle, kind: str, ident: Identifier):
     fresh :class:`BundleIndex`."""
     found = getattr(BundleIndex(bundle), kind + "s").get(ident)
     if found is None:
-        raise ValueError(f"{kind} {ident.render()} not found")
+        raise _Refusal(ident, f"{kind} {ident.render()} not found", "E_UNRESOLVED_REF")
     return found
 
 
+def _swap(items: list, old: Any, new: Any) -> None:
+    """Put ``new`` where the record ``old`` is in one of the bundle's lists."""
+    for i, item in enumerate(items):
+        if item is old:
+            items[i] = new
+            return
+
+
 def _quarantine(bundle: ProjectBundle, target: Identifier) -> None:
-    decl = _declaration(bundle, target)
+    decl, path = _locate(bundle, target)
     if decl is None or not hasattr(decl, "quarantined"):
-        raise ValueError(f"quarantine target {target.render()} not found")
-    decl.quarantined = True
+        raise _Refusal(target, f"quarantine target {target.render()} not found")
+    _put(bundle, path, replace(decl, quarantined=True))
 
 
 def _add_to_layer(bundle: ProjectBundle, layer: Identifier, decl) -> None:
     """Append a law or an abstraction to the layer declaring it."""
     layer_decl = _lookup(bundle, "layer", layer)
-    (layer_decl.laws if decl.__class__ is Law else layer_decl.abstractions).append(decl)
+    name = "laws" if decl.__class__ is Law else "abstractions"
+    added = replace(layer_decl, **{name: getattr(layer_decl, name) + (decl,)})
+    _swap(bundle.layers, layer_decl, added)
 
 
 def _apply_effects(bundle: ProjectBundle, effects: list[ResolutionEffect]) -> None:
-    """Apply the recorded effects of a contamination resolution."""
+    """Apply the recorded effects of a contamination resolution. A refused
+    effect is E_UNDOCUMENTED at the declaration it names."""
     for effect in effects:
         op = effect.op
         if op == "quarantine":
             _quarantine(bundle, effect.target)
         elif op == "remove_flow":
-            before = len(bundle.flows)
-            bundle.flows = [f for f in bundle.flows if f.id != effect.target]
-            if len(bundle.flows) == before:
-                raise ValueError(f"flow {effect.target.render()} not found")
+            kept = [f for f in bundle.flows if f.id != effect.target]
+            if len(kept) == len(bundle.flows):
+                raise _Refusal(effect.target, f"flow {effect.target.render()} not found")
+            bundle.flows[:] = kept
         elif op == "remove_declaration":
             _remove_declaration(bundle, effect.target)
         elif op == "add_law" or op == "add_abstraction":
             _add_to_layer(bundle, effect.layer, effect.record)
         elif op == "remove_assignment":
-            decl = _declaration(bundle, effect.container)
+            container, token = effect.container, effect.token
+            decl, path = _locate(bundle, container)
             if decl is None or not hasattr(decl, "assignments"):
-                raise ValueError(f"project {effect.container.render()} not found")
-            token = effect.token
-            kept = [a for a in decl.assignments if token != a.unit_ref and token != a.route_ref]
+                raise _Refusal(container, f"project {container.render()} not found")
+            kept = tuple(
+                a for a in decl.assignments if token != a.unit_ref and token != a.route_ref
+            )
             if len(kept) == len(decl.assignments):
-                raise ValueError(f"assignment citing {token.render()} not present")
-            decl.assignments = kept
+                message = f"assignment citing {token.render()} not present"
+                raise _Refusal(container, message)
+            _put(bundle, path, replace(decl, assignments=kept))
         else:
             _edit_field(bundle, effect)
+
+
+_DIVERGED = "edit target text diverged from the recorded state"
 
 
 def _edit_field(bundle: ProjectBundle, effect: ResolutionEffect) -> None:
     """Apply an effect on one field, which must be of the kind the effect
     edits (:func:`~.bundle.field_effect`)."""
-    op, name = effect.op, effect.field
-    decl = _declaration(bundle, effect.container)
+    op, name, container = effect.op, effect.field, effect.container
+    decl, path = _locate(bundle, container)
     if decl is None or field_effect(decl.__class__, name) != op:
-        raise ValueError(f"{op} target {effect.container.render()}.{name} not found")
+        raise _Refusal(container, f"{op} target {container.render()}.{name} not found")
     value = getattr(decl, name)
     if op == "clear_ref":
-        setattr(decl, name, None)
+        value = None
     elif op == "remove_ref":
-        kept = [ref for ref in value if ref != effect.target]
+        kept = tuple(ref for ref in value if ref != effect.target)
         if len(kept) == len(value):
-            raise ValueError(f"reference {effect.target.render()} not present")
-        setattr(decl, name, kept)
+            message = f"reference {effect.target.render()} not present"
+            raise _Refusal(container, message)
+        value = kept
     elif op == "edit_text":
         if value != effect.old:
-            raise ValueError("edit target text diverged from the recorded state")
-        setattr(decl, name, effect.new)
+            raise _Refusal(container, _DIVERGED)
+        value = effect.new
     else:  # edit_list_item
         index = effect.index
         if not 0 <= index < len(value):
-            raise ValueError(f"edit target {effect.container.render()}.{name}[{index}] not found")
+            message = f"edit target {container.render()}.{name}[{index}] not found"
+            raise _Refusal(container, message)
         if value[index] != effect.old:
-            raise ValueError("edit target text diverged from the recorded state")
-        value[index] = effect.new
+            raise _Refusal(container, _DIVERGED)
+        value = value[:index] + (effect.new,) + value[index + 1 :]
+    _put(bundle, path, replace(decl, **{name: value}))
 
 
 def _remove_declaration(bundle: ProjectBundle, ident: Identifier) -> None:
     """Remove a law or an abstraction, the declarations whose existence
     alone can be a violation."""
-    for _, decl_id, holder, name, _, _ in declarations(bundle):
+    for _, decl_id, holder, name, _, up in declarations(bundle):
         if decl_id == ident and holder.__class__ is LayerDecl:
-            setattr(holder, name, [d for d in getattr(holder, name) if d.id != ident])
+            kept = tuple(d for d in holder.__dict__[name] if d.id != ident)
+            _put(bundle, _path(up), replace(holder, **{name: kept}))
             return
-    raise ValueError(f"declaration {ident.render()} not found")
+    raise _Refusal(ident, f"declaration {ident.render()} not found")
 
 
 # ---------------------------------------------------------------------------
-# Event appliers: each takes its kind's decoded payload record
+# Event appliers: each takes its kind's decoded payload record, and writes
+# by putting replacement records in the bundle's lists
 # ---------------------------------------------------------------------------
 
 
 def _apply_tier_declared(bundle: ProjectBundle, declared: TierDeclared) -> None:
     unit = _lookup(bundle, "unit", declared.unit)
-    unit.tier_justification = declared.justification
-    unit.declared_tier = declared.tier
+    new = replace(unit, tier_justification=declared.justification, declared_tier=declared.tier)
+    _swap(bundle.units, unit, new)
 
 
 def _apply_retier(bundle: ProjectBundle, retier: Retier) -> None:
     unit = _lookup(bundle, "unit", retier.unit)
-    unit.retier_events.append(retier.event)
-    unit.declared_tier = retier.event.new_tier
+    changes = {
+        "retier_events": unit.retier_events + (retier.event,),
+        "declared_tier": retier.event.new_tier,
+    }
     if retier.justification:
-        unit.tier_justification = retier.justification
+        changes["tier_justification"] = retier.justification
     if retier.interpretations is not None:
-        unit.interpretations = retier.interpretations
+        changes["interpretations"] = retier.interpretations
     if retier.explicit_assumptions is not None:
-        unit.explicit_assumptions = retier.explicit_assumptions
+        changes["explicit_assumptions"] = retier.explicit_assumptions
+    _swap(bundle.units, unit, replace(unit, **changes))
 
 
 def _apply_route_declared(bundle: ProjectBundle, declared: RouteDeclared) -> None:
     route = declared.route
+    project = _lookup(bundle, "project", declared.project) if declared.committed else None
     if route.id not in BundleIndex(bundle).routes:
         bundle.routes.append(route)
-    if declared.committed:
-        _lookup(bundle, "project", declared.project).committed_route = route.id
+    if project is not None:
+        _swap(bundle.projects, project, replace(project, committed_route=route.id))
 
 
 def _apply_route_frozen(bundle: ProjectBundle, frozen: RouteFrozen) -> None:
-    _lookup(bundle, "route", frozen.route).frozen_at = frozen.frozen_at
+    route = _lookup(bundle, "route", frozen.route)
+    _swap(bundle.routes, route, replace(route, frozen_at=frozen.frozen_at))
 
 
 def _apply_route_revised(bundle: ProjectBundle, revised: RouteRevised) -> None:
     route = _lookup(bundle, "route", revised.route)
     # A record's __dict__ holds exactly its fields: the body's are Route's.
-    route.__dict__.update(revised.body.__dict__)
-    route.revisions.append(revised.revision)
+    revisions = route.revisions + (revised.revision,)
+    _swap(bundle.routes, route, replace(route, **revised.body.__dict__, revisions=revisions))
 
 
 def _apply_flow_recorded(bundle: ProjectBundle, recorded: FlowRecorded) -> None:
@@ -207,28 +272,31 @@ def _apply_contamination_resolved(bundle: ProjectBundle, resolved: Contamination
 
 
 def _apply_version_bumped(bundle: ProjectBundle, bumped: VersionBumped) -> None:
-    gp = bundle.grandparent()
-    gp.laws = bumped.laws
-    gp.version = bumped.entry.to_version
+    gp = BundleIndex(bundle).grandparent
+    if gp is None:
+        raise _Refusal("layers", "bundle has no grandparent layer", "E_NO_GRANDPARENT")
+    _swap(bundle.layers, gp, replace(gp, laws=bumped.laws, version=bumped.entry.to_version))
 
 
 def _apply_unit_split(bundle: ProjectBundle, split: UnitSplit) -> None:
     source = _lookup(bundle, "unit", split.source)
-    source.superseded = True
+    _swap(bundle.units, source, replace(source, superseded=True))
     bundle.units.extend(split.units)
-    for project in bundle.projects:
+    parts = tuple(u.study_id for u in split.units)
+    for i, project in enumerate(bundle.projects):
         if source.study_id in project.unit_refs:
-            refs = [r for r in project.unit_refs if r != source.study_id]
-            refs.extend(u.study_id for u in split.units)
-            project.unit_refs = refs
+            refs = tuple(r for r in project.unit_refs if r != source.study_id) + parts
+            bundle.projects[i] = replace(project, unit_refs=refs)
 
 
 def _apply_declaration_added(bundle: ProjectBundle, added: DeclarationAdded) -> None:
     decl = added.record
     if added.decl_kind == "unit":
+        project = None if added.project is None else _lookup(bundle, "project", added.project)
         bundle.units.append(decl)
-        if added.project is not None:
-            _lookup(bundle, "project", added.project).unit_refs.append(decl.study_id)
+        if project is not None:
+            refs = project.unit_refs + (decl.study_id,)
+            _swap(bundle.projects, project, replace(project, unit_refs=refs))
     elif added.decl_kind == "contract":
         bundle.contracts.append(decl)
     else:
@@ -323,7 +391,8 @@ def commit(
     """Apply an operation's effect and append its event, as one step.
 
     The payload must already be complete; appliers consume exactly what
-    replay will later consume.
+    replay will later consume. An event that does not apply to the bundle
+    is rejected, with the bundle left as it was.
     """
     from . import ENGINE_VERSION
 
@@ -340,8 +409,17 @@ def commit(
     diags, record = _check(bundle, event)
     if diags:
         raise OperationRejected(diags)
-    _APPLIERS[kind](bundle, record)
-    bundle.events.append(event)
+    # The applier writes to a clone, whose lists are swapped in only once
+    # every part of the event has applied: a refused event changes nothing.
+    state = clone(bundle)
+    try:
+        _APPLIERS[kind](state, record)
+    except _Refusal as exc:
+        raise reject(exc.code, exc.location, str(exc)) from None
+    state.events.append(event)
+    for name, items in state.__dict__.items():
+        if items.__class__ is list:
+            bundle.__dict__[name][:] = items
     return event
 
 

@@ -8,9 +8,10 @@ diagnostics, never both. Serialization is deterministic and round-trips:
 Every persisted record is described once, by the :class:`~.model.Spec` of
 each of its fields. One strict decoder and one encoder walk those specs,
 for the bundle and for every record an event payload carries; so do
-the :func:`clone` that replay starts from, the indented writer behind
-:func:`serialize_bundle` (``writer.py``) and :func:`declarations`, the
-walk over every declaration by the kind its identity spec ``declares``.
+the indented writer behind :func:`serialize_bundle` (``writer.py``) and
+:func:`declarations`, the walk over every declaration by the kind its
+identity spec ``declares``. The decoder builds each value as its frozen
+record holds it: lists as tuples, maps and free JSON read-only.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .model import (
     event_timestamp_error,
     snake_name,
 )
-from .records import MISSING, field, fields, record
+from .records import MISSING, FrozenDict, FrozenList, field, fields, freeze, record
 
 VERSION_RE = re.compile(r"^v(\d+)\.(\d+)$")
 
@@ -179,8 +180,12 @@ def _record_encoder(specs: list) -> Callable[[Any], dict]:
 
 #: Kind -> the class of a raw value that is its own decoded value; for
 #: other nullable kinds, null is.
-_PLAIN = {STR: str, BOOL: bool, INT: int, JSON: dict}
+_PLAIN = {STR: str, BOOL: bool, INT: int}
 _NONE = type(None)
+#: The classes of a raw JSON array and object: json.loads builds the plain
+#: ones, and a stored event payload holds the frozen ones.
+_ARRAYS = frozenset({list, FrozenList})
+_OBJECTS = frozenset({dict, FrozenDict})
 
 
 CODECS: dict[type, _Codec] = {}
@@ -260,12 +265,12 @@ class _Decoder:
     reference fails to resolve.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, idents: _IdentMemo | None = None) -> None:
         self.diagnostics: list[Diagnostic] = []
         #: (canonical id, expected kinds, path, label, index); the location
         #: is rendered only if the reference fails to resolve.
         self.references: list[tuple] = []
-        self.idents = _IdentMemo()
+        self.idents = _IdentMemo() if idents is None else idents
 
     def fail(self, path: str, message: str, code: str = "E_SYNTAX") -> None:
         self.diagnostics.append(error(code, path, message))
@@ -351,20 +356,20 @@ class _Decoder:
                     out[key] = item
                 else:
                     self.fail(f"{path}.{key}", "expected string")
-            return out
+            return FrozenDict(out)
         if kind == JSON:
-            return self.container(raw, path)
+            return freeze(self.container(raw, path))
         if not isinstance(raw, dict):
             self.fail(path, "expected object")
             return None
         return self.record(CODECS[spec.of], raw, path, ctx)
 
-    def items(self, spec: Spec, raw: Any, path: str, prefix: str, ctx: tuple) -> list:
+    def items(self, spec: Spec, raw: Any, path: str, prefix: str, ctx: tuple) -> tuple:
         if raw is _ABSENT:
-            return []
+            return ()
         if not isinstance(raw, list):
             self.fail(path, f"expected list, got {type(raw).__name__}")
-            return []
+            return ()
         kind = spec.kind
         out = []
         for i, item in enumerate(raw):
@@ -386,7 +391,7 @@ class _Decoder:
                 item = self.value(spec, item, f"{prefix}[{i}]", ctx)
             if item is not None:
                 out.append(item)
-        return out
+        return tuple(out)
 
     def record(self, codec: _Codec, obj: dict, path: str, ctx: tuple) -> Any:
         values: dict[str, Any] = {}
@@ -402,10 +407,10 @@ class _Decoder:
                 values[name] = raw
             else:
                 values[name] = decode_value(self, raw, path, label, ctx)
-        # Every field is in ``values``, in declaration order, so this is
-        # what the record __init__ would build.
+        # Every field is in ``values``, in declaration order, each held as
+        # its spec says, so this is what the record __init__ would build.
         record = _new(codec.cls)
-        record.__dict__ = values
+        _set_dict(record, "__dict__", values)
         for name, label in codec.text:
             text = values[name]
             if text.__class__ is str:
@@ -421,6 +426,7 @@ class _Decoder:
 
 
 _new = object.__new__
+_set_dict = object.__setattr__  # a frozen record's own __setattr__ refuses
 
 
 def _field_decoder(spec: Spec) -> Callable:
@@ -448,9 +454,14 @@ def _field_decoder(spec: Spec) -> Callable:
     elif kind == MAP:
 
         def decode(dec, raw, path, label, ctx):
-            if raw.__class__ is dict and all(map(str.__instancecheck__, raw.values())):
-                return dict(raw)
+            if raw.__class__ in _OBJECTS and all(map(str.__instancecheck__, raw.values())):
+                return FrozenDict(raw)
             return general(dec, raw, path, label, ctx)
+
+    elif kind == JSON:
+
+        def decode(dec, raw, path, label, ctx):
+            return freeze(raw) if raw.__class__ is dict else general(dec, raw, path, label, ctx)
 
     elif kind == IDENT or kind == LAYER:
         expect, bare = spec.expect, kind == LAYER  # a layer keeps a bare name for now
@@ -467,32 +478,33 @@ def _field_decoder(spec: Spec) -> Callable:
         check = str.__instancecheck__ if item.kind == STR else item.of.__contains__
 
         def decode(dec, raw, path, label, ctx):
-            if raw.__class__ is list and all(map(check, raw)):
-                return list(raw)
+            if raw.__class__ in _ARRAYS and all(map(check, raw)):
+                return tuple(raw)
             return general(dec, raw, path, label, ctx)
 
     elif kind == LIST and item.kind == RECORD:
         codec = CODECS[item.of]
 
         def decode(dec, raw, path, label, ctx):
-            if raw.__class__ is list:
+            if raw.__class__ in _ARRAYS:
                 if not raw:
-                    return []
-                if all(obj.__class__ is dict for obj in raw):
+                    return ()
+                if all(obj.__class__ in _OBJECTS for obj in raw):
                     out = []
                     for i, obj in enumerate(raw):
                         record = dec.record(codec, obj, f"{path}.{label}[{i}]", ctx)
                         if record is not None:
                             out.append(record)
-                    return out
+                    return tuple(out)
             return general(dec, raw, path, label, ctx)
 
     elif kind == LIST:  # identifiers
         expect = item.expect
 
         def decode(dec, raw, path, label, ctx):
-            if raw.__class__ is list:
-                idents = [dec.idents[value] if value.__class__ is str else None for value in raw]
+            if raw.__class__ in _ARRAYS:
+                memo = dec.idents
+                idents = tuple([memo[value] if value.__class__ is str else None for value in raw])
                 if all(ident.__class__ is Identifier for ident in idents):
                     if expect:
                         dec.references += [(v, expect, path, label, i) for i, v in enumerate(raw)]
@@ -587,7 +599,7 @@ def _check_event(dec: _Decoder, event: AuditEvent, obj: dict, path: str) -> None
     if message and (raw is None or raw.__class__ is str):
         dec.fail(f"{path}.timestamp", message)
     try:
-        decode_payload(event.kind, event.payload)
+        _decode_payload(event.kind, event.payload, dec.idents)
     except ValueError as exc:
         dec.fail(f"{path}.payload", str(exc), code="E_PAYLOAD_SCHEMA")
 
@@ -679,7 +691,9 @@ def _index_declarations(bundle: ProjectBundle, diags: list[Diagnostic]) -> dict[
 
 
 def _resolve_layer_refs(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
-    """Replace bare layer references with canonical layer identifiers."""
+    """Replace bare layer references with canonical layer identifiers. This
+    finishes records the parse is still building, which nothing else has
+    seen, so it writes their values in place."""
     by_name = {}
     for layer in bundle.layers:
         by_name.setdefault(layer.local_name, []).append(layer)
@@ -839,7 +853,8 @@ def parse_bundle(text: str) -> ParseResult:
 
     bundle = ProjectBundle(recap_version=recap_version or "v0.0")
     for name, key, spec in codec.fields[1:]:
-        setattr(bundle, name, decoder.items(spec.of, raw.get(key, _ABSENT), f"$.{key}", key, ctx))
+        items = decoder.items(spec.of, raw.get(key, _ABSENT), f"$.{key}", key, ctx)
+        setattr(bundle, name, list(items))
 
     diags = list(decoder.diagnostics)
     if not any(d.severity == Severity.ERROR for d in diags):
@@ -891,8 +906,10 @@ def load_bundle(path: str | Path) -> ProjectBundle:
     return result.bundle
 
 
-def _strict(spec: Spec, raw: Any, what: str, at: str, owner: str, ns: str) -> Any:
-    decoder = _Decoder()
+def _strict(
+    spec: Spec, raw: Any, what: str, at: str, owner: str, ns: str, idents: _IdentMemo | None = None
+) -> Any:
+    decoder = _Decoder(idents)
     # Under at == "" the value is a document: its fields are located by
     # their keys alone, and the document itself as "$".
     value = decoder.value(spec, raw, at or "$", (ns, owner, owner))
@@ -936,7 +953,13 @@ def decode_payload(kind: str, payload: Any) -> Any:
     are history, so none is resolved. Raises ValueError with the
     E_PAYLOAD_SCHEMA message: the keys the payload lacks, if any, else
     every malformed value."""
-    if payload.__class__ is not dict:
+    return _decode_payload(kind, payload, None)
+
+
+def _decode_payload(kind: str, payload: Any, idents: _IdentMemo | None) -> Any:
+    """:func:`decode_payload`, parsing identifiers through ``idents``: a
+    parse passes its own memo, so an id the bundle holds is parsed once."""
+    if payload.__class__ not in _OBJECTS:
         raise ValueError(f"{kind} payload must be an object")
     missing = sorted(_PAYLOAD_KEYS[kind] - payload.keys())
     if missing:
@@ -944,7 +967,7 @@ def decode_payload(kind: str, payload: Any) -> Any:
     # In the grandparent's namespace: a bump's laws are the only
     # layer-owned ids a payload holds outside an added law or abstraction,
     # which is decoded in its own layer.
-    return _strict(_PAYLOAD_SPECS[kind], payload, f"{kind} payload", "", "", "gp")
+    return _strict(_PAYLOAD_SPECS[kind], payload, f"{kind} payload", "", "", "gp", idents)
 
 
 def encode(record: Any) -> dict:
@@ -964,23 +987,26 @@ def route_body_dict(route: Route) -> dict:
 
 def serialize_bundle(bundle: ProjectBundle) -> str:
     """Deterministic canonical rendering of an invariant-satisfying bundle:
-    ``json.dumps(encode(bundle), indent=2, ensure_ascii=False) + "\\n"``."""
+    ``json.dumps(encode(bundle), indent=2, ensure_ascii=False) + "\\n"``.
+
+    The text of each top-level record the last call rendered is reused
+    (``writer.write_bundle``), so a bundle that a write changed in a few
+    records costs a few renders and one join."""
     # Imported on first use, so commands that never write do not load it.
-    from .writer import WRITERS
+    from .writer import write_bundle
 
-    return WRITERS[bundle.__class__](bundle, "\n") + "\n"
+    return write_bundle(bundle)
 
 
-def clone(record: Any) -> Any:
-    """A copy of a persisted record that shares nothing mutable with it.
-
-    It walks the specs: lists, maps and nested records are rebuilt, JSON
-    values deep-copied, and immutable values shared. Unlike
-    ``copy.deepcopy`` it does not keep object sharing inside the record.
-    """
-    from .writer import CLONERS  # the write side, loaded on first use
-
-    return CLONERS[record.__class__](record)
+def clone(bundle: ProjectBundle) -> ProjectBundle:
+    """A new bundle over copies of ``bundle``'s lists. It shares every
+    record, which cannot change, so a write to either bundle, which
+    replaces records in that bundle's own lists, leaves the other as it
+    was."""
+    copy = _new(ProjectBundle)
+    copy.__dict__ = {name: value.copy() if value.__class__ is list else value
+                     for name, value in bundle.__dict__.items()}
+    return copy
 
 
 for _cls in (ProjectBundle, *EVENT_PAYLOADS.values()):

@@ -336,7 +336,7 @@ def _cmd_version(args) -> int:
     except OperationRejected as exc:
         _emit_diagnostics(exc.diagnostics)
         return EXIT_VIOLATIONS
-    print(f"version {gp.version}")
+    print(f"version {bundle.grandparent().version}")
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import re
 
 from .bundle import CODECS, decode, encode, field_effect
 from .diagnostics import Diagnostic, OperationRejected, error, reject
-from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references
+from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references, parse_identifier
 from .model import (
     IDENT,
     LIST,
@@ -715,6 +715,8 @@ def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[
 
     site = event.site
     container, field, token = site.container, site.field, site.token
+    if field == "payload":
+        return [{"op": "remove_flow", "target": container}]
     decl = find_declaration(bundle, container)
     if decl is None:
         raise reject("E_UNDOCUMENTED", container, "contaminated declaration not found")
@@ -727,19 +729,18 @@ def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[
         if _is_cited(bundle, decl):
             raise reject("E_UNDOCUMENTED", container, "declaration is still cited")
         return [{"op": "remove_declaration", "target": container}]
-    if field == "payload":
-        return [{"op": "remove_flow", "target": container}]
+    # Each effect below removes the site's token. Commit refuses to remove
+    # a reference or an assignment that is not there; a cleared reference
+    # and an edited text are checked here.
+    _require(site, parse_identifier(token) is not None)
     op = field_effect(decl.__class__, field)
     if op == "remove_ref":
-        _require(site, any(ref.render() == token for ref in getattr(decl, field)))
         return [{"op": op, "container": container, "field": field, "target": token}]
     if op == "clear_ref":
         ref = getattr(decl, field)
         _require(site, ref is not None and ref.render() == token)
         return [{"op": op, "container": container, "field": field}]
     if field == "assignments":
-        refs = [ref for a in getattr(decl, field, ()) for ref in (a.unit_ref, a.route_ref)]
-        _require(site, any(ref.render() == token for ref in refs))
         return [{"op": "remove_assignment", "container": container, "token": token}]
     m = re.fullmatch(r"disconfirming_models\[(\d+)\]", field)
     if m is not None:
@@ -762,8 +763,8 @@ def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[
 
 def _require(site: ContaminationSite, present: bool) -> None:
     """A reversal removes the site's token from its field; without one
-    there, it would change nothing or fail in commit."""
-    if not (present and site.token):
+    there, it would change nothing."""
+    if not present:
         message = f"reference {site.token!r} not present at {site.field}"
         raise reject("E_UNDOCUMENTED", site.container, message)
 
@@ -816,7 +817,7 @@ def resolve_contamination(
     appends the validated abstraction upward. Resolution demands complete
     documentation and appends exactly one audit event.
     """
-    from .audit import commit, find_declaration, now_utc
+    from .audit import commit, now_utc
 
     if action not in ("quarantine", "reverse", "extract_insight"):
         raise reject("E_UNDOCUMENTED", event.id, f"unknown corrective action {action!r}")
@@ -835,6 +836,10 @@ def resolve_contamination(
         diags.append(error("E_UNDOCUMENTED", event.id, "violation record incomplete"))
     if diags:
         raise OperationRejected(diags)
+    # Commit refuses an effect on a declaration that is not there, once its
+    # id is well formed.
+    if parse_identifier(event.site.container) is None:
+        raise reject("E_UNDOCUMENTED", event.site.container, "declaration not found")
 
     effects: list[dict]
     if action == "reverse":
@@ -856,11 +861,6 @@ def resolve_contamination(
                 cls, record = _addition_record(addition)
                 op = "add_law" if cls is Law else "add_abstraction"
                 effects.append({"op": op, "layer": layer, "record": record})
-        decl = find_declaration(bundle, container)
-        if decl is None:
-            raise reject("E_UNDOCUMENTED", container, "declaration not found")
-        if not hasattr(decl, "quarantined"):
-            raise reject("E_UNDOCUMENTED", container, "declaration cannot be quarantined")
 
     action_label = {
         "quarantine": "quarantined",

@@ -4,6 +4,10 @@ One record class (``records.py``) per record kind in the bundle document.
 The model is plain data: invariant checking lives in the parser and the
 per-subsystem validators, and every mutation goes through an operation that
 appends an audit event.
+
+Every record below :class:`ProjectBundle` is a frozen value: its lists are
+tuples and its maps and free JSON read-only, so a write replaces records
+(``records.replace``) in the bundle's own lists instead of editing them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from operator import attrgetter
 from typing import Any
 
 from .identifiers import Identifier
-from .records import MISSING, field, fields, record
+from .records import MISSING, field, fields, freeze, freeze_items, record
 
 # ---------------------------------------------------------------------------
 # Ordinal scales (worst -> best). Tier conservatism relies on these orders.
@@ -127,8 +131,12 @@ class Spec:
 
 
 def spec(kind: str, of: Any = None, *, default: Any = MISSING, factory: Any = MISSING, **opts):
-    """A record field carrying its :class:`Spec`."""
-    return field(default=default, factory=factory, spec=Spec(kind, of, **opts))
+    """A record field carrying its :class:`Spec`. A frozen record holds a
+    list field's value as a tuple, and any other value frozen as free JSON
+    (:func:`~.records.freeze`): a string, a number or an identifier as it
+    is, and a value of a type its spec does not expect read-only."""
+    return field(default=default, factory=factory, spec=Spec(kind, of, **opts),
+                 convert=freeze_items if kind == LIST else freeze)
 
 
 def ref(*expect: str, owner: str | None = "child", **opts) -> Spec:
@@ -141,7 +149,7 @@ def ref(*expect: str, owner: str | None = "child", **opts) -> Spec:
 # ---------------------------------------------------------------------------
 
 
-@record
+@record(frozen=True)
 class Law:
     """A normative grandparent statement. The four protected laws carry
     immutable_core and can never change text across versions."""
@@ -152,7 +160,7 @@ class Law:
     quarantined: bool = spec(BOOL, default=False)
 
 
-@record
+@record(frozen=True)
 class Abstraction:
     """A parent-level domain structure: construct, measurement class, or
     design form. correspondence maps measurement-class local names to
@@ -165,15 +173,15 @@ class Abstraction:
     quarantined: bool = spec(BOOL, default=False)
 
 
-@record
+@record(frozen=True)
 class LayerDecl:
     id: Identifier = spec(IDENT, identity=True, declares="layer")
     kind: str = spec(ENUM, LAYER_KINDS)
     version: str = spec(STR)
     parent_ref: Identifier | None = spec(LAYER, nullable=True, default=None)
-    laws: list[Law] = spec(LIST, Spec(RECORD, Law), factory=list)
-    abstractions: list[Abstraction] = spec(LIST, Spec(RECORD, Abstraction), factory=list)
-    vocabulary: list[str] = spec(LIST, Spec(STR), factory=list)
+    laws: tuple[Law, ...] = spec(LIST, Spec(RECORD, Law), default=())
+    abstractions: tuple[Abstraction, ...] = spec(LIST, Spec(RECORD, Abstraction), default=())
+    vocabulary: tuple[str, ...] = spec(LIST, Spec(STR), default=())
 
     @property
     def local_name(self) -> str:
@@ -197,7 +205,7 @@ class ChangelogEntry:
 # ---------------------------------------------------------------------------
 
 
-@record
+@record(frozen=True)
 class Assessment:
     """One declared reading of a unit on the four ordinal dimensions plus
     the speculation flag. All five are always present; ambiguity is an
@@ -210,16 +218,16 @@ class Assessment:
     speculation_required: bool = spec(BOOL)
 
 
-@record
+@record(frozen=True)
 class DeclaredAssumption:
     id: Identifier = spec(IDENT, owner="child", identity=True, declares="declared_assumption")
     text: str = spec(STR, text=True)
-    covers: list[str] = spec(
+    covers: tuple[str, ...] = spec(
         LIST, Spec(ENUM, ASSESSMENT_DIMENSIONS, noun="an assessment dimension")
     )
 
 
-@record
+@record(frozen=True)
 class ReTierEvent:
     timestamp: str = spec(STR)
     source_of_information: str = spec(STR)
@@ -229,22 +237,22 @@ class ReTierEvent:
     new_tier: Tier = spec(TIER)
 
 
-@record
+@record(frozen=True)
 class EvidentialUnit:
     """Smallest tierable entity, with its declared assessments and the
     narrative fields the study log projects."""
 
     study_id: Identifier = spec(IDENT, identity=True, declares="unit")
     design_type: str = spec(STR)
-    interpretations: list[Assessment] = spec(LIST, Spec(RECORD, Assessment))
+    interpretations: tuple[Assessment, ...] = spec(LIST, Spec(RECORD, Assessment))
     splittable: bool = spec(BOOL, default=False)
     declared_tier: Tier | None = spec(TIER, nullable=True, default=None)
     tier_justification: str = spec(STR, default="", text=True)
-    explicit_assumptions: list[DeclaredAssumption] = spec(
-        LIST, Spec(RECORD, DeclaredAssumption), factory=list
+    explicit_assumptions: tuple[DeclaredAssumption, ...] = spec(
+        LIST, Spec(RECORD, DeclaredAssumption), default=()
     )
-    retier_events: list[ReTierEvent] = spec(LIST, Spec(RECORD, ReTierEvent), factory=list)
-    measurement_refs: list[Identifier] = spec(LIST, ref("abstraction", "law"), factory=list)
+    retier_events: tuple[ReTierEvent, ...] = spec(LIST, Spec(RECORD, ReTierEvent), default=())
+    measurement_refs: tuple[Identifier, ...] = spec(LIST, ref("abstraction", "law"), default=())
     bias_considerations: str = spec(STR, default="", text=True)
     measurement_issues: str = spec(STR, default="", text=True)
     notes: str = spec(STR, default="", text=True)
@@ -263,18 +271,18 @@ class EvidentialUnit:
 # ---------------------------------------------------------------------------
 
 
-@record
+@record(frozen=True)
 class RouteAssumption:
     id: Identifier = spec(IDENT, owner="child", identity=True, declares="assumption")
     text: str = spec(STR, text=True)
     plausibility: str = spec(STR, text=True)
     failure_modes: str = spec(STR, text=True)
     consequences_for_inference: str = spec(STR, text=True)
-    supporting_units: list[Identifier] = spec(LIST, ref("unit"), factory=list)
+    supporting_units: tuple[Identifier, ...] = spec(LIST, ref("unit"), default=())
     untestable: bool = spec(BOOL, default=False)
 
 
-@record
+@record(frozen=True)
 class RouteRevision:
     timestamp: str = spec(STR)
     justification: str = spec(STR)
@@ -282,36 +290,36 @@ class RouteRevision:
     change_description: str = spec(STR)
 
 
-@record
+@record(frozen=True)
 class RejectedAlternative:
     sketch: str = spec(STR, text=True)
     rationale: str = spec(STR, text=True)
 
 
-@record
+@record(frozen=True)
 class Route:
     id: Identifier = spec(IDENT, identity=True, declares="route")
     project_ref: Identifier = spec(IDENT, expect=("project",), owner="child")
     construct_ref: Identifier = spec(IDENT, expect=("law", "abstraction"), owner="child", body=True)
     objective: str = spec(STR, body=True)
-    assumptions: list[RouteAssumption] = spec(LIST, Spec(RECORD, RouteAssumption), body=True)
-    disconfirming_models: list[str] = spec(LIST, Spec(STR), text=True, body=True)
-    rejected_alternatives: list[RejectedAlternative] = spec(
-        LIST, Spec(RECORD, RejectedAlternative), factory=list
+    assumptions: tuple[RouteAssumption, ...] = spec(LIST, Spec(RECORD, RouteAssumption), body=True)
+    disconfirming_models: tuple[str, ...] = spec(LIST, Spec(STR), text=True, body=True)
+    rejected_alternatives: tuple[RejectedAlternative, ...] = spec(
+        LIST, Spec(RECORD, RejectedAlternative), default=()
     )
     frozen_at: str | None = spec(STR, nullable=True, noun="string timestamp", default=None)
-    revisions: list[RouteRevision] = spec(LIST, Spec(RECORD, RouteRevision), factory=list)
+    revisions: tuple[RouteRevision, ...] = spec(LIST, Spec(RECORD, RouteRevision), default=())
     quarantined: bool = spec(BOOL, default=False)
 
 
-@record
+@record(frozen=True)
 class EvidenceRoleAssignment:
     unit_ref: Identifier = spec(IDENT, expect=("unit",), owner="child")
     route_ref: Identifier = spec(IDENT, expect=("route",), owner="child")
     role: str = spec(ENUM, EVIDENCE_ROLES)
 
 
-@record
+@record(frozen=True)
 class ProjectDecl:
     """A child-layer project: its question, its single committed route, its
     evidence universe, and the role each unit plays."""
@@ -322,9 +330,9 @@ class ProjectDecl:
     committed_route: Identifier | None = spec(
         IDENT, expect=("route",), owner="child", nullable=True, default=None
     )
-    unit_refs: list[Identifier] = spec(LIST, ref("unit"), factory=list)
-    assignments: list[EvidenceRoleAssignment] = spec(
-        LIST, Spec(RECORD, EvidenceRoleAssignment), factory=list
+    unit_refs: tuple[Identifier, ...] = spec(LIST, ref("unit"), default=())
+    assignments: tuple[EvidenceRoleAssignment, ...] = spec(
+        LIST, Spec(RECORD, EvidenceRoleAssignment), default=()
     )
 
 
@@ -333,7 +341,7 @@ class ProjectDecl:
 # ---------------------------------------------------------------------------
 
 
-@record
+@record(frozen=True)
 class FlowEvent:
     """One recorded cross-layer information movement."""
 
@@ -349,7 +357,7 @@ class FlowEvent:
     quarantined: bool = spec(BOOL, default=False)
 
 
-@record
+@record(frozen=True)
 class BoundaryContract:
     """Explicit, auditable authorization for a boundary crossing. All five
     elements must be present for the contract to legalize anything."""
@@ -427,20 +435,20 @@ class TierTableRow:
     limitations: str
 
 
-@record
+@record(frozen=True)
 class ReviewerBlock:
     project_ref: Identifier = spec(IDENT, expect=("project",), identity=True)
-    methodological_findings: list[str] = spec(LIST, Spec(STR))
+    methodological_findings: tuple[str, ...] = spec(LIST, Spec(STR))
     conceptual_insight: str = spec(STR)
     anticipated_critique_text: str = spec(STR, key=("anticipated_critique", "text"))
-    anticipated_critique_refs: list[Identifier] = spec(
+    anticipated_critique_refs: tuple[Identifier, ...] = spec(
         LIST, ref("unit", "route"), key=("anticipated_critique", "referenced_decisions")
     )
     disconfirming_model: str = spec(STR)
-    assumptions_ref: list[Identifier] = spec(LIST, ref("assumption"))
+    assumptions_ref: tuple[Identifier, ...] = spec(LIST, ref("assumption"))
 
 
-@record
+@record(frozen=True)
 class AnalyticMemo:
     project_ref: Identifier = spec(IDENT, expect=("project",), identity=True)
     sections: dict[str, str] = spec(MAP)
@@ -660,14 +668,14 @@ EVENT_PAYLOADS: dict[str, type] = {
 EVENT_KINDS = tuple(EVENT_PAYLOADS)
 
 
-@record
+@record(frozen=True)
 class AuditEvent:
     sequence: int = spec(INT, identity=True, noun="integer sequence")
     timestamp: str = spec(STR)
     actor: str = spec(STR)
     kind: str = spec(ENUM, EVENT_KINDS)
     payload: dict[str, Any] = spec(JSON)
-    affected: list[str] = spec(LIST, Spec(STR), factory=list)
+    affected: tuple[str, ...] = spec(LIST, Spec(STR), default=())
 
 
 # ---------------------------------------------------------------------------

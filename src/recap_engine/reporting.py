@@ -257,7 +257,11 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
         findings.append(error("E_NO_GRANDPARENT", "layers", "no grandparent layer"))
     if gp is not None:
         findings.extend(validate_grandparent_laws(gp))
-        history = law_history(bundle)
+        try:
+            history = law_history(bundle)
+        except OperationRejected as exc:  # a recorded bump that does not decode
+            findings.extend(exc.diagnostics)
+            history = []
         previous_laws = None
         previous_version = None
         for version, laws in history:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .bundle import decode_payload, encode, route_body_dict
+from .bundle import body_fields, clone, decode_payload, encode, route_body_dict
 from .diagnostics import Diagnostic, OperationRejected, error, reject, warning
 from .identifiers import Identifier
 from .model import (
@@ -21,6 +21,7 @@ from .model import (
     RouteRevision,
     Tier,
 )
+from .records import replace
 from .tiering import effective_tier
 
 # Write operations import .audit (and with it datetime) when they run, so
@@ -292,27 +293,12 @@ def revise_route(
     diags.extend(validate_route_shape(new_body))
     if diags:
         raise OperationRejected(diags)
-    # Trial-apply on a scratch copy so coherence is checked against the new
-    # body without touching the live bundle.
-    candidate = Route(
-        id=route.id,
-        project_ref=route.project_ref,
-        construct_ref=new_body.construct_ref,
-        objective=new_body.objective,
-        assumptions=new_body.assumptions,
-        disconfirming_models=list(new_body.disconfirming_models),
-        rejected_alternatives=route.rejected_alternatives,
-        frozen_at=route.frozen_at,
-        revisions=route.revisions,
-    )
-    original = bundle.routes
-    bundle.routes = [candidate if r.id == route.id else r for r in original]
-    try:
-        coherence = [
-            d for d in check_route_coherence(bundle, project_id) if d.severity.name == "ERROR"
-        ]
-    finally:
-        bundle.routes = original
+    # Trial-apply on a clone so coherence is checked against the new body
+    # without touching the live bundle.
+    candidate = replace(route, **{name: getattr(new_body, name) for name in body_fields(Route)})
+    trial = clone(bundle)
+    trial.routes = [candidate if r is route else r for r in trial.routes]
+    coherence = [d for d in check_route_coherence(trial, project_id) if d.severity.name == "ERROR"]
     if coherence:
         raise OperationRejected(
             [error("E_INCOHERENT", route.id.render(), "revised body breaks coherence")]

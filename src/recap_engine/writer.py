@@ -1,6 +1,5 @@
 """The write side of the record schema: the indented writer behind
-:func:`~.bundle.serialize_bundle` and the copier behind
-:func:`~.bundle.clone`.
+:func:`~.bundle.serialize_bundle`.
 
 The writer renders exactly what ``json.dumps(encode(record), indent=2,
 ensure_ascii=False)`` renders, but straight from the record, walking the
@@ -12,18 +11,24 @@ A spec's writer is a pair (inline, write): ``inline`` maps the class of a
 value the spec expects to a function giving its JSON text, and
 ``write(value, nl)`` renders any other value, given the newline-plus-indent
 string of the line the value starts on.
+
+Records below the bundle are frozen values, so a record's text is a
+function of the record alone. :func:`write_bundle` keeps the text of each
+top-level record of the bundle it last wrote and renders only the records
+it has no text for.
 """
 
 from __future__ import annotations
 
-import copy
 import json
+import weakref
 from functools import partial
 from typing import Any, Callable
 
 from .bundle import CODECS, value_encoder
 from .identifiers import Identifier
-from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER, Spec, Tier
+from .model import BOOL, ENUM, IDENT, INT, LAYER, LIST, RECORD, STR, TIER, ProjectBundle, Spec, Tier
+from .records import FrozenDict, FrozenList
 
 _quote = json.encoder.encode_basestring  # json.dumps' string form with ensure_ascii=False
 _dump = json.JSONEncoder(indent=2, ensure_ascii=False).encode
@@ -65,16 +70,21 @@ _SCALARS = {
 }
 
 
+_OBJECTS = frozenset({dict, FrozenDict})
+_ARRAYS = frozenset({list, tuple, FrozenList})
+
+
 def _json_text(value: Any, nl: str) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` re-indented to
     ``nl``, for free JSON (event payloads, maps) and encoded records. A
-    value of any class but dict, list, tuple, str, int, float, bool and
-    None, or a dict key of any class but those scalars, goes to json.dumps
-    itself; encoded JSON holds no raw newline, so the re-indent is exact."""
+    value of any class but dict, list, tuple (or their frozen forms), str,
+    int, float, bool and None, or a dict key of any class but those
+    scalars, goes to json.dumps itself; encoded JSON holds no raw newline,
+    so the re-indent is exact."""
     cls = value.__class__
     if cls is str:
         return _quote(value)
-    if cls is dict:
+    if cls in _OBJECTS:
         if not value:
             return "{}"
         inner = nl + "  "
@@ -87,7 +97,7 @@ def _json_text(value: Any, nl: str) -> str:
                 key = text(key)
             parts.append(_quote(key) + ": " + _json_text(item, inner))
         return _enclose(parts, "{}", inner, nl)
-    if cls is list or cls is tuple:
+    if cls in _ARRAYS:
         if not value:
             return "[]"
         inner = nl + "  "
@@ -125,7 +135,7 @@ def _writer(spec: Spec) -> tuple[dict, Callable[[Any, str], str]]:
     inline, write = _writer(spec.of)
 
     def write_list(values: Any, nl: str) -> str:
-        if values.__class__ is not list:
+        if values.__class__ is not tuple and values.__class__ is not list:
             return dumped(values, nl)
         if not values:
             return "[]"
@@ -178,64 +188,79 @@ def _record_writer(cls: type) -> Callable[[Any, str], str]:
     return write_record
 
 
-# ---------------------------------------------------------------------------
-# Copies
-# ---------------------------------------------------------------------------
-
-
-def _copier(spec: Spec) -> Callable | None:
-    """Copier for one spec's values; None where values are immutable
-    (str, bool, int, Identifier, Tier) and shared."""
-    kind = spec.kind
-    if kind == LIST:
-        item = _copier(spec.of)
-        return list if item is None else lambda values: list(map(item, values))
-    if kind == MAP:
-        return dict
-    if kind == JSON:
-        return _copy_json
-    if kind == RECORD:
-        return CLONERS[spec.of]
-    return None
-
-
-_ATOMS = frozenset({str, int, float, bool, type(None)})
-
-
-def _copy_json(value: Any) -> Any:
-    """``copy.deepcopy`` of free JSON: dicts and lists are rebuilt, JSON
-    scalars shared, and any other value deep-copied."""
-    cls = value.__class__
-    if cls is dict:
-        return {key: _copy_json(item) for key, item in value.items()}
-    if cls is list:
-        return [_copy_json(item) for item in value]
-    if cls in _ATOMS:
-        return value
-    return copy.deepcopy(value)
-
-
-def _record_cloner(cls: type) -> Callable[[Any], Any]:
-    fields = CODECS[cls].fields
-    copiers = [(name, c) for name, _, spec in fields if (c := _copier(spec)) is not None]
-    new = object.__new__
-
-    def clone_record(record: Any) -> Any:
-        values = record.__dict__.copy()
-        for name, copy_value in copiers:
-            values[name] = copy_value(values[name])
-        out = new(record.__class__)
-        out.__dict__ = values
-        return out
-
-    return clone_record
-
-
-#: Persisted class -> its record writer and its record cloner. CODECS lists
-#: nested classes before the classes holding them, so each finds its nested
-#: ones here.
+#: Persisted class -> its record writer. CODECS lists nested classes
+#: before the classes holding them, so each finds its nested ones here.
 WRITERS: dict[type, Callable[[Any, str], str]] = {}
-CLONERS: dict[type, Callable[[Any], Any]] = {}
 for _cls in CODECS:
     WRITERS[_cls] = _record_writer(_cls)
-    CLONERS[_cls] = _record_cloner(_cls)
+
+
+# ---------------------------------------------------------------------------
+# The bundle, from the texts of its top-level records
+# ---------------------------------------------------------------------------
+
+_TOP = "\n  "  # where a top-level key starts
+_ITEM = _TOP + "  "  # where a top-level record starts
+_NEXT = "," + _ITEM  # between two top-level records
+#: For each field of the bundle: the text before its value (the separator,
+#: the newline and the escaped key), the field name, for a list of records
+#: the set of its class and the class's writer (else None), and the
+#: field's (inline, write) pair.
+_LAYOUT = [
+    (("," if i else "") + _TOP + _quote(key) + ": ", name,
+     ({spec.of.of}, WRITERS[spec.of.of]) if spec.kind == LIST and spec.of.kind == RECORD else None,
+     _writer(spec))
+    for i, (name, key, spec) in enumerate(CODECS[ProjectBundle].fields)
+]
+#: id of a top-level record -> (the record, its text), for the records of
+#: the bundle written last. An entry holds its record, so no other object
+#: can take the record's id while the entry lives.
+_texts: dict[int, tuple[Any, str]] = {}
+#: A weak reference to the bundle written last: once that bundle is gone,
+#: so are its texts, and the records only they kept.
+_written: weakref.ref | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _texts
+    if ref is _written:
+        _texts = {}
+
+
+def write_bundle(bundle: Any) -> str:
+    """The bundle's document, as ``WRITERS[ProjectBundle]`` renders it,
+    with its final newline. A top-level record that the previous call
+    rendered is not rendered again; the texts kept afterwards are those of
+    this bundle, until it is dropped. The document is one join of the
+    pieces, so a kept text is copied once."""
+    global _texts, _written
+    values = bundle.__dict__
+    if bundle.__class__ is not ProjectBundle or len(values) != len(_LAYOUT):
+        return WRITERS[ProjectBundle](bundle, "\n") + "\n"
+    old, texts = _texts, {}
+    pieces = ["{"]
+    for lead, name, section, (inline, write) in _LAYOUT:
+        pieces.append(lead)
+        value = values[name]
+        # A list holding anything but the section's records is written
+        # whole, and none of its texts is kept.
+        if section is None or value.__class__ is not list or set(map(type, value)) != section[0]:
+            text = inline.get(value.__class__)
+            pieces.append(text(value) if text else write(value, _TOP))
+            continue
+        write_record = section[1]
+        pieces.append("[" + _ITEM)
+        for record in value:
+            key = id(record)
+            entry = old.get(key)
+            if entry is None:
+                entry = (record, write_record(record, _ITEM))
+            texts[key] = entry
+            pieces.append(entry[1])
+            pieces.append(_NEXT)
+        pieces[-1] = _TOP + "]"
+    pieces.append("\n}\n")
+    _texts = texts
+    if _written is None or _written() is not bundle:
+        _written = weakref.ref(bundle, _forget)
+    return "".join(pieces)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 import random
 
+from recap_engine import records
 from recap_engine.bundle import parse_bundle
 from recap_engine.layers import CORE_LAW_SEEDS
-from recap_engine.model import Tier
+from recap_engine.model import ProjectBundle, Tier
 from recap_engine.tiering import compute_tier_decision
 from recap_engine.bundle import decode_assessment_dict, decode_declared_assumption_dict
 
@@ -230,6 +231,40 @@ def random_bundle_dict(rng: random.Random, *, n_parents: int | None = None,
         "reviewer_blocks": [],
         "memos": [],
     }
+
+
+def edit(bundle: ProjectBundle, old, **changes):
+    """A hand edit of the frozen record ``old``, wherever it sits in
+    ``bundle``: put ``records.replace(old, **changes)`` in its place,
+    rebuilding each record above it, and return the new record."""
+    new = records.replace(old, **changes)
+    for items in vars(bundle).values():
+        for i, item in enumerate(items if items.__class__ is list else ()):
+            found = _put(item, old, new)
+            if found is not None:
+                items[i] = found
+                return new
+    raise LookupError(f"{old!r} is not in the bundle")
+
+
+def edit_payload(bundle: ProjectBundle, i: int, change) -> None:
+    """A hand edit of event ``i``'s payload: ``change`` edits a plain copy
+    of it, which then replaces the event's payload."""
+    payload = json.loads(json.dumps(bundle.events[i].payload))
+    change(payload)
+    bundle.events[i] = records.replace(bundle.events[i], payload=payload)
+
+
+def _put(record, old, new):
+    """``record`` with ``old`` replaced by ``new`` at or below it, or None."""
+    if record is old:
+        return new
+    for name, value in vars(record).items() if records.is_record(record) else ():
+        for j, item in enumerate(value if value.__class__ is tuple else ()):
+            found = _put(item, old, new)
+            if found is not None:
+                return records.replace(record, **{name: value[:j] + (found,) + value[j + 1:]})
+    return None
 
 
 def parse_dict(doc: dict):

@@ -25,6 +25,7 @@ from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
 from recap_engine.model import BundleIndex, ChangelogEntry, Law, Tier
+from recap_engine.records import replace
 from recap_engine.reporting import (
     build_study_log,
     build_tier_table,
@@ -202,12 +203,13 @@ def test_ac05_law_monotonicity(capsys):
                     expect_ok = False
                 elif attack < 0.45:
                     victim = rng.choice(current)
-                    victim.text += " (softened)"
+                    softened = replace(victim, text=victim.text + " (softened)")
+                    current[current.index(victim)] = softened
                     new_laws = current
                     expect_ok = False
                 elif attack < 0.55:
                     victim = next(l for l in current if l.immutable_core)
-                    victim.immutable_core = False
+                    current[current.index(victim)] = replace(victim, immutable_core=False)
                     new_laws = current
                     expect_ok = False
                 else:
@@ -233,6 +235,7 @@ def test_ac05_law_monotonicity(capsys):
                 except OperationRejected:
                     accepted = False
                 assert accepted == expect_ok, (trial, step, attack)
+                gp = bundle.grandparent()
                 current_ids = {law.id.render(): law.text for law in gp.laws}
                 assert set(genesis) <= set(current_ids)
                 for key, text in core_texts.items():

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from genbundles import TimeSource, inject_borrowings, inject_faults, parse_dict, random_bundle_dict
+from genbundles import TimeSource, edit, inject_borrowings, inject_faults, parse_dict
+from genbundles import random_bundle_dict
 from toy import toy_bundle, toy_dict
 
 from recap_engine import records
-from recap_engine.audit import _apply_effects, append_event, find_declaration, replay
+from recap_engine.audit import _apply_effects, append_event, commit, find_declaration, replay
 from recap_engine.bundle import clone, declaration_location, declarations, decode_route_dict
 from recap_engine.bundle import parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected
@@ -89,8 +90,7 @@ def test_fractional_timestamps_order_by_time(toy):
 
 
 def test_payload_schema_enforced(toy):
-    event = flow_payload_event(toy)
-    event.payload = {"wrong": 1}
+    event = records.replace(flow_payload_event(toy), payload={"wrong": 1})
     with pytest.raises(OperationRejected) as err:
         append_event(toy, event)
     assert err.value.diagnostics[0].code == "E_PAYLOAD_SCHEMA"
@@ -119,6 +119,27 @@ def test_events_carry_engine_version(toy):
     from recap_engine import ENGINE_VERSION
 
     assert toy.events[-1].payload["engine_version"] == ENGINE_VERSION
+
+
+def test_a_commit_whose_second_effect_fails_is_rejected_whole(toy):
+    # The first effect applies, the second names no declaration: commit
+    # rejects the event, appends nothing and leaves S1 unquarantined.
+    before, events = serialize_bundle(toy), len(toy.events)
+    contamination = {"id": "CONT-0001", "rule_violated": "R3_horizontal_borrowing",
+                     "direction": "horizontal", "nature": "content",
+                     "site": {"container": "child:C1:S1"}}
+    effects = [{"op": "quarantine", "target": "child:C1:S1"},
+               {"op": "quarantine", "target": "child:C1:NOPE"}]
+    with pytest.raises(OperationRejected) as err:
+        commit(toy, "contamination_resolved",
+               {"contamination": contamination, "action": "quarantined", "effects": effects},
+               actor="tester", timestamp="2026-06-01T00:00:00Z")
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("E_UNDOCUMENTED", "child:C1:NOPE")
+    ]
+    assert len(toy.events) == events
+    assert serialize_bundle(toy) == before
+    assert not find_declaration(toy, "child:C1:S1").quarantined
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +247,11 @@ def test_an_effect_on_a_field_of_another_kind_is_a_replay_divergence(effect):
 # ---------------------------------------------------------------------------
 
 
-def random_ops_session(rng: random.Random, clock: TimeSource, n_ops: int = 8):
+def random_ops_session(rng: random.Random, clock: TimeSource, n_ops: int = 8, step=None):
     """Build a bundle, snapshot it, run a random op mix, and return
     (snapshot, live, accepted_count, rejected_count). Some bundles start
     with lateral borrowings, for the resolve op to find; the others start
-    with no route."""
+    with no route. ``step(snapshot, live)``, if given, runs after each op."""
     doc = random_bundle_dict(rng)
     if rng.random() < 0.5:
         while not inject_borrowings(doc):
@@ -282,13 +303,15 @@ def random_ops_session(rng: random.Random, clock: TimeSource, n_ops: int = 8):
         doc["projects"][0]["unit_refs"].append(f"child:{owner}:SPL")
     live = parse_dict(doc)
     snapshot = copy.deepcopy(live)
-    accepted, rejected = random_ops(rng, clock, live, n_ops)
+    after = None if step is None else lambda: step(snapshot, live)
+    accepted, rejected = random_ops(rng, clock, live, n_ops, step=after)
     return snapshot, live, accepted, rejected
 
 
-def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, start: int = 0):
+def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, start: int = 0,
+               step=None):
     """Run a random op mix on ``live``, numbering new ids from ``start``;
-    returns (accepted, rejected)."""
+    returns (accepted, rejected). ``step()``, if given, runs after each op."""
     accepted = rejected = 0
     children = [l.local_name for l in live.layers if l.kind == "child"]
     for i in range(start, start + n_ops):
@@ -408,6 +431,8 @@ def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, star
             rejected += 1
             assert serialize_bundle(live) == before, f"rejected {op} mutated the bundle"
             assert op != "resolve" or event == unresolved, "rejected resolve changed its event"
+        if step is not None:
+            step()
     return accepted, rejected
 
 
@@ -452,10 +477,10 @@ def test_retier_and_resolution_replay():
         justification="Updated detail restores alignment.",
     )
     # assignment still references the old role; repair for coherence realism
-    live.projects[0].assignments[1].role = "primary_inference"
-    live.projects[0].assignments[1].route_ref = Identifier("child", "C1", "R2")
-    gp = live.grandparent()
-    gp.laws[4].text += " Calibrated against child:C1:S1."
+    edit(live, live.projects[0].assignments[1], role="primary_inference",
+         route_ref=Identifier("child", "C1", "R2"))
+    law = live.grandparent().laws[4]
+    edit(live, law, text=law.text + " Calibrated against child:C1:S1.")
     event = scan_bundle(live)[0]
     event.risks_introduced = "Construct definition absorbed project detail."
     resolve_contamination(live, event, "quarantine", timestamp=clock.next())
@@ -498,7 +523,13 @@ def test_replay_rejects_a_retier_payload_the_parser_would_reject(toy):
 
 
 def _mutable_ids(obj, out: set) -> set:
-    """ids of every list, dict and record reachable from ``obj``."""
+    """ids of every list, dict and record reachable from ``obj``, except
+    frozen records (the hashable ones) and read-only mappings and lists,
+    which cannot change and may be shared."""
+    if isinstance(obj, (records.FrozenDict, records.FrozenList, tuple)) or (
+        records.is_record(obj) and type(obj).__hash__ is not None
+    ):
+        return out
     if isinstance(obj, list):
         values = obj
     elif isinstance(obj, dict):
@@ -656,7 +687,7 @@ def test_remove_declaration_removes_a_law_or_an_abstraction_only():
     for decl in (law, abstraction):
         _apply_effects(bundle, [ResolutionEffect("remove_declaration", target=decl.id)])
         assert find_declaration(bundle, decl.id.render()) is None
-    assert len(grandparent.laws) == 8 and len(parent.abstractions) == 6
+    assert len(bundle.layers[0].laws) == 8 and len(bundle.layers[1].abstractions) == 6
     for ident in (parent.id, bundle.units[0].study_id, bundle.routes[0].assumptions[0].id):
         with pytest.raises(ValueError, match="not found"):
             _apply_effects(bundle, [ResolutionEffect("remove_declaration", target=ident)])

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from genbundles import edit
 from toy import FREEZE_TS, toy_dict, toy_text, variant
 
 import recap_engine
@@ -37,7 +38,7 @@ def _frozen_with_edit(field, value):
 
         bundle = parse_bundle(toy_text()).bundle
         route = BundleIndex(bundle).routes.get(bundle.projects[0].committed_route)
-        setattr(route, field, value)
+        edit(bundle, route, **{field: value})
         return serialize_bundle(bundle)
 
     return build

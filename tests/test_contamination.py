@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from genbundles import inject_borrowings, inject_faults, parse_dict, random_bundle_dict
+from genbundles import edit, inject_borrowings, inject_faults, parse_dict, random_bundle_dict
 from toy import toy_dict, variant
 
-from recap_engine.audit import replay
+from recap_engine.audit import find_declaration, replay
 from recap_engine.bundle import clone, parse_bundle, serialize_bundle
 from recap_engine.contamination import (
     check_flow,
@@ -30,6 +30,7 @@ from recap_engine.model import (
     InsightProposal,
     ProjectBundle,
 )
+from recap_engine.records import replace
 
 INFO_CLASSES = ("content", "measurement", "assumption", "methodological_insight")
 
@@ -204,7 +205,7 @@ def test_mismatched_or_incomplete_contract_is_r4():
     assert (verdict.direction, verdict.rule) == ("horizontal", "R4_missing_contract")
 
     incomplete = make_contract(bundle, "C1", "C2", "assumption")
-    incomplete.no_reinterpretation_clause = False
+    incomplete = replace(incomplete, no_reinterpretation_clause=False)
     bundle.contracts = [incomplete]
     flow = make_flow(bundle, "C1", "C2", "assumption", incomplete.id)
     verdict = check_flow(flow, bundle)
@@ -215,7 +216,7 @@ def test_mismatched_or_incomplete_contract_is_r4():
 def test_unknown_layer_rejected():
     bundle = matrix_bundle()
     flow = make_flow(bundle, "C1", "C2", "content")
-    flow.dest_layer = Identifier("child", "C9", "C9")
+    flow = replace(flow, dest_layer=Identifier("child", "C9", "C9"))
     with pytest.raises(OperationRejected) as err:
         check_flow(flow, bundle)
     assert err.value.diagnostics[0].code == "E_UNKNOWN_LAYER"
@@ -460,9 +461,11 @@ def test_unit_site_reaches_its_decision_surface(toy):
     # decouple the route assumptions from S1 so the reachable set is exactly
     # the four decision nodes
     route = BundleIndex(toy).routes.get(Identifier("child", "C1", "R2"))
-    for assumption in route.assumptions:
-        assumption.supporting_units = []
-        assumption.untestable = True
+    assumptions = tuple(
+        replace(assumption, supporting_units=(), untestable=True)
+        for assumption in route.assumptions
+    )
+    edit(toy, route, assumptions=assumptions)
     from recap_engine.model import ContaminationEvent, ContaminationSite
 
     event = ContaminationEvent(
@@ -823,13 +826,13 @@ def test_resolution_without_risks_is_undocumented():
 def test_quarantine_marks_declaration_inert(toy):
     gp = toy.grandparent()
     law = next(l for l in gp.laws if l.id.local_name == "A")
-    law.text += " Calibrated against child:C1:S1."
+    law = edit(toy, law, text=law.text + " Calibrated against child:C1:S1.")
     events = scan_bundle(toy)
     assert len(events) == 1
     event = events[0]
     event.risks_introduced = "The construct definition absorbed a project detail."
     resolve_contamination(toy, event, "quarantine", timestamp="2026-05-01T00:00:00Z")
-    assert law.quarantined
+    assert find_declaration(toy, law.id.render()).quarantined
     assert scan_bundle(toy) == []
     resolved = resolve_constraints(toy, Identifier("child", "C1", "C1"))
     assert "gp:A" not in resolved.law_ids()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from genbundles import parse_dict, random_bundle_dict
+from genbundles import edit, edit_payload, parse_dict, random_bundle_dict
 
 from recap_engine.bundle import serialize_bundle
 from recap_engine.diagnostics import OperationRejected
@@ -67,7 +67,7 @@ def test_toy_child_inherits_all_law_groups_and_correspondences(toy):
 
 def test_child_under_empty_parent_gets_exactly_the_laws(toy):
     parent = next(l for l in toy.layers if l.kind == "parent")
-    parent.abstractions = []
+    edit(toy, parent, abstractions=())
     resolved = resolve_constraints(toy, Identifier("child", "C1", "C1"))
     assert resolved.abstractions == []
     assert resolved.correspondences == {}
@@ -178,9 +178,9 @@ def test_random_pairs_match_set_comparison_oracle():
 def test_happy_bump_advances_version_and_logs_one_event(toy):
     gp = toy.grandparent()
     events_before = len(toy.events)
-    new_laws = gp.laws + [law("ambiguity_coverage", "Ambiguity must be covered explicitly.")]
+    new_laws = gp.laws + (law("ambiguity_coverage", "Ambiguity must be covered explicitly."),)
     bump_version(toy, entry(), new_laws, timestamp="2026-03-01T00:00:00Z")
-    assert gp.version == "v1.1"
+    assert toy.grandparent().version == "v1.1"
     assert len(toy.events) == events_before + 1
     assert toy.events[-1].kind == "version_bumped"
 
@@ -231,19 +231,20 @@ def test_seeded_grandparent_passes_validation():
 
 def test_missing_protected_law_is_flagged(toy):
     gp = toy.grandparent()
-    gp.laws = [l for l in gp.laws if l.id.local_name != "one_route"]
+    gp = edit(toy, gp, laws=tuple(l for l in gp.laws if l.id.local_name != "one_route"))
     assert "E_CORE_LAW_MISSING" in [d.code for d in validate_grandparent_laws(gp)]
 
 
 def test_extra_immutable_flag_is_flagged(toy):
     gp = toy.grandparent()
-    next(l for l in gp.laws if l.id.local_name == "A").immutable_core = True
+    edit(toy, next(l for l in gp.laws if l.id.local_name == "A"), immutable_core=True)
+    gp = toy.grandparent()
     assert "E_CORE_FLAG" in [d.code for d in validate_grandparent_laws(gp)]
 
 
 def test_malformed_recorded_bump_is_a_payload_schema_rejection(toy):
     bump_version(toy, entry(), toy.grandparent().laws)
-    toy.events[-1].payload["laws"][0]["immutable_core"] = "false"
+    edit_payload(toy, -1, lambda payload: payload["laws"][0].update(immutable_core="false"))
     with pytest.raises(OperationRejected) as err:
         law_history(toy)
     assert [(d.code, d.location) for d in err.value.diagnostics] == [

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from genbundles import TimeSource
+from genbundles import TimeSource, edit
 from test_audit import random_ops_session
 from test_codec import _paths, _swapped
 from toy import toy_bundle, toy_text
@@ -174,7 +174,8 @@ def _toy_log() -> dict:
     gp = live.grandparent()
     bump_version(live, ChangelogEntry("v1.0", "v1.1", "Seen across projects.", "Tier discipline.",
                                       "Domain free.", clock.next()), gp.laws)
-    gp.laws[4].text += " Calibrated against child:C1:S1."
+    law = live.grandparent().laws[4]
+    edit(live, law, text=law.text + " Calibrated against child:C1:S1.")
     event = scan_bundle(live)[0]
     event.risks_introduced = "Project detail absorbed."
     flag_contamination(live, copy.deepcopy(event), timestamp=clock.next())

@@ -19,7 +19,7 @@ from recap_engine import records
 from recap_engine.diagnostics import Diagnostic, Severity
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import EffectiveConstraintSet
-from recap_engine.model import Law, ProjectBundle, Spec
+from recap_engine.model import ChangelogEntry, Law, ProjectBundle, Spec
 from recap_engine.records import field, record
 
 
@@ -104,12 +104,16 @@ def test_factory_values_are_fresh_per_instance():
 
 
 def test_mutable_records_are_unhashable_and_assignable():
-    law = Law(Identifier("gp", "", "L1"), "text")
+    # Records below the bundle are frozen; a changelog entry is not.
+    entry = ChangelogEntry("v1.0", "v1.1", "insight", "boundary", "reasoning", "t")
     with pytest.raises(TypeError):
-        hash(law)
-    law.text = "new text"
-    assert law.text == "new text"
-    assert list(vars(law)) == ["id", "text", "immutable_core", "quarantined"]
+        hash(entry)
+    entry.to_version = "v1.2"
+    assert entry.to_version == "v1.2"
+    assert list(vars(entry)) == [
+        "from_version", "to_version", "motivating_insight", "boundary_affected",
+        "generalizability_reasoning", "timestamp",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -118,6 +122,7 @@ def test_mutable_records_are_unhashable_and_assignable():
         Diagnostic("E_SYNTAX", "line 1", "bad"),
         Spec("str"),
         Identifier("child", "C1", "U1"),
+        Law(Identifier("gp", "", "L1"), "text"),
     ],
 )
 def test_frozen_values_reject_assignment_and_hash_by_value(value):

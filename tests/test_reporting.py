@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from genbundles import parse_dict, random_bundle_dict
+from genbundles import edit, edit_payload, parse_dict, random_bundle_dict
 from toy import toy_dict
 
 from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
-from recap_engine.model import BundleIndex, ChangelogEntry, Law, Tier
+from recap_engine.model import AuditEvent, BundleIndex, ChangelogEntry, Law, Tier
 from recap_engine.reporting import (
     STUDY_LOG_FIELDS,
     TIER_TABLE_FIELDS,
@@ -51,14 +51,15 @@ def test_excluded_unit_appears_in_study_log(toy):
 
 
 def test_missing_mandatory_field_rejects_the_log(toy):
-    BundleIndex(toy).units.get(Identifier("child", "C1", "S2")).bias_considerations = ""
+    edit(toy, BundleIndex(toy).units.get(Identifier("child", "C1", "S2")), bias_considerations="")
     with pytest.raises(OperationRejected) as err:
         build_study_log(toy, toy.projects[0])
     assert "E_MISSING_FIELD" in [d.code for d in err.value.diagnostics]
 
 
 def test_bias_without_direction_tag_rejected(toy):
-    BundleIndex(toy).units.get(Identifier("child", "C1", "S1")).bias_considerations = "Some bias exists."
+    s1 = BundleIndex(toy).units.get(Identifier("child", "C1", "S1"))
+    edit(toy, s1, bias_considerations="Some bias exists.")
     with pytest.raises(OperationRejected) as err:
         build_study_log(toy, toy.projects[0])
     assert "E_BIAS_DIRECTION" in [d.code for d in err.value.diagnostics]
@@ -135,13 +136,16 @@ def test_toy_reviewer_block_validates_cleanly(toy):
 
 
 def test_empty_block_emits_all_six_codes(toy):
-    block = toy.reviewer_blocks[0]
-    block.methodological_findings = []
-    block.conceptual_insight = ""
-    block.anticipated_critique_text = ""
-    block.anticipated_critique_refs = []
-    block.disconfirming_model = ""
-    block.assumptions_ref = []
+    block = edit(
+        toy,
+        toy.reviewer_blocks[0],
+        methodological_findings=(),
+        conceptual_insight="",
+        anticipated_critique_text="",
+        anticipated_critique_refs=(),
+        disconfirming_model="",
+        assumptions_ref=(),
+    )
     codes = {d.code for d in validate_reviewer_block(block, toy)}
     assert codes == {
         "E_RB_FINDINGS",
@@ -154,22 +158,23 @@ def test_empty_block_emits_all_six_codes(toy):
 
 
 def test_unanchored_critique_is_the_only_finding(toy):
-    block = toy.reviewer_blocks[0]
-    block.anticipated_critique_refs = []
+    block = edit(toy, toy.reviewer_blocks[0], anticipated_critique_refs=())
     codes = [d.code for d in validate_reviewer_block(block, toy)]
     assert codes == ["E_RB_CRITIQUE_UNANCHORED"]
 
 
 def test_block_must_mirror_committed_assumptions(toy):
     block = toy.reviewer_blocks[0]
-    block.assumptions_ref = block.assumptions_ref[:1]
+    block = edit(toy, block, assumptions_ref=block.assumptions_ref[:1])
     assert [d.code for d in validate_reviewer_block(block, toy)] == ["E_RB_ASSUMPTIONS"]
 
 
 def test_memo_requires_all_five_sections(toy):
     memo = toy.memos[0]
     assert validate_memo(memo) == []
-    memo.sections.pop("uncertainty")
+    sections = dict(memo.sections)
+    sections.pop("uncertainty")
+    memo = edit(toy, memo, sections=sections)
     assert [d.code for d in validate_memo(memo)] == ["E_MEMO_SECTION"]
 
 
@@ -185,9 +190,8 @@ def test_complete_toy_bundle_is_compliant(toy):
 
 
 def test_missing_study_log_fields_make_it_non_compliant(toy):
-    for unit in toy.units:
-        unit.bias_considerations = ""
-        unit.tier_justification = ""
+    for unit in list(toy.units):
+        edit(toy, unit, bias_considerations="", tier_justification="")
     report = compliance_verdict(toy)
     assert report.verdict == "non_compliant"
     codes = {d.code for d in report.findings}
@@ -205,15 +209,14 @@ def test_unresolved_contamination_is_non_compliant(toy):
             parent_ref=Identifier("parent", "P", "P"),
         )
     )
-    s2.notes += " Matches child:C2:C2 conventions."
+    edit(toy, s2, notes=s2.notes + " Matches child:C2:C2 conventions.")
     report = compliance_verdict(toy)
     assert report.verdict == "non_compliant"
     assert "R3_horizontal_borrowing" in {d.code for d in report.findings}
 
 
 def test_uncommitted_project_is_non_compliant(toy):
-    toy.projects[0].committed_route = None
-    toy.projects[0].assignments = []
+    edit(toy, toy.projects[0], committed_route=None, assignments=())
     toy.reviewer_blocks = []  # mirrors the now-missing route
     report = compliance_verdict(toy)
     assert report.verdict == "non_compliant"
@@ -222,7 +225,7 @@ def test_uncommitted_project_is_non_compliant(toy):
 
 def test_authored_route_without_disconfirming_model_is_flagged(toy):
     route = BundleIndex(toy).routes.get(Identifier("child", "C1", "R4"))
-    route.disconfirming_models = []
+    edit(toy, route, disconfirming_models=())
     report = compliance_verdict(toy)
     assert report.verdict == "non_compliant"
     assert "E_NO_DISCONFIRMING" in {d.code for d in report.findings}
@@ -238,7 +241,8 @@ def test_verdict_monotonicity_under_added_fault(toy):
 
 def test_upward_findings_sort_before_other_directions(toy):
     gp = toy.grandparent()
-    next(l for l in gp.laws if l.id.local_name == "B").text += " via child:C1:S1."
+    law = next(l for l in gp.laws if l.id.local_name == "B")
+    edit(toy, law, text=law.text + " via child:C1:S1.")
     child = type(toy.layers[-1])(
         id=Identifier("child", "C2", "C2"),
         kind="child",
@@ -246,7 +250,8 @@ def test_upward_findings_sort_before_other_directions(toy):
         parent_ref=Identifier("parent", "P", "P"),
     )
     toy.layers.append(child)
-    BundleIndex(toy).units.get(Identifier("child", "C1", "S2")).notes += " Echoes child:C2:C2."
+    s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
+    edit(toy, s2, notes=s2.notes + " Echoes child:C2:C2.")
     report = compliance_verdict(toy)
     rules = [
         d.code
@@ -329,7 +334,7 @@ def _two_bumps(toy):
     """The toy bundle after two recorded bumps, v1.0 -> v1.1 -> v1.2."""
     for i, stamp in enumerate(("2026-03-01T00:00:00Z", "2026-03-02T00:00:00Z")):
         gp = toy.grandparent()
-        laws = copy.deepcopy(gp.laws) + [Law(id=Identifier("gp", "", f"LX{i}"), text="Added.")]
+        laws = copy.deepcopy(gp.laws) + (Law(id=Identifier("gp", "", f"LX{i}"), text="Added."),)
         entry = ChangelogEntry(
             from_version=gp.version,
             to_version=f"v1.{i + 1}",
@@ -345,17 +350,34 @@ def _two_bumps(toy):
 def test_recorded_bumps_that_do_not_advance_are_flagged(toy):
     bundle = _two_bumps(toy)
     assert compliance_verdict(bundle).verdict == "compliant"
-    bundle.events[-2].payload["entry"]["to_version"] = "v1.3"
+    edit_payload(bundle, -2, lambda payload: payload["entry"].update(to_version="v1.3"))
     report = compliance_verdict(bundle)
     assert report.verdict == "non_compliant"
     assert [(d.code, d.location) for d in report.findings] == [("E_VERSION_ORDER", "events")]
     assert report.findings[0].message == "recorded bump v1.3 -> v1.2 does not advance"
 
 
+def test_a_recorded_bump_that_does_not_decode_is_a_finding(toy):
+    # Appended in memory, past the parser: the verdict reports it where the
+    # freeze check reports a bad freeze record, instead of raising.
+    toy.events.append(
+        AuditEvent(sequence=toy.next_sequence(), timestamp="2026-06-01T00:00:00Z",
+                   actor="tester", kind="version_bumped", payload={"entry": 5, "laws": "x"})
+    )
+    report = compliance_verdict(toy)
+    assert report.verdict == "non_compliant"
+    assert [(d.code, d.location) for d in report.findings] == [
+        ("E_PAYLOAD_SCHEMA", f"events[{len(toy.events) - 1}].payload")
+    ]
+
+
 def test_a_law_rewritten_between_recorded_bumps_is_flagged(toy):
     bundle = _two_bumps(toy)
-    first = bundle.events[-2].payload["laws"]
-    next(law for law in first if law["id"] == "gp:A")["text"] = "An earlier wording."
+
+    def rewrite(payload):
+        next(law for law in payload["laws"] if law["id"] == "gp:A")["text"] = "An earlier wording."
+
+    edit_payload(bundle, -2, rewrite)
     report = compliance_verdict(bundle)
     assert report.verdict == "non_compliant"
     assert [(d.code, d.location) for d in report.findings] == [("E_LAW_REWRITTEN", "gp:A")]
@@ -436,7 +458,7 @@ def test_reviewer_block_markdown(toy):
 
 
 def _non_compliant(toy):
-    toy.projects[0].committed_route = None
+    edit(toy, toy.projects[0], committed_route=None)
     report = compliance_verdict(toy)
     assert report.verdict == "non_compliant"
     assert ("E_NO_ROUTE", "child:C1:PRJ") in [(d.code, d.location) for d in report.findings]

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from genbundles import edit
 from toy import PRJ, toy_dict, toy_text
 
 from recap_engine.bundle import decode_route_dict, parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.identifiers import Identifier
 from recap_engine.model import BundleIndex, RouteRevision
+from recap_engine.records import replace
 from recap_engine.routing import (
     check_freeze_integrity,
     check_route_coherence,
@@ -130,46 +132,47 @@ def test_toy_routing_table_is_coherent(toy):
 
 
 def test_supplement_in_primary_role_flagged(toy):
-    toy.projects[0].assignments[1].role = "primary_inference"
-    toy.projects[0].assignments[1].route_ref = Identifier("child", "C1", "R2")
+    edit(toy, toy.projects[0].assignments[1], role="primary_inference",
+         route_ref=Identifier("child", "C1", "R2"))
     codes = [d.code for d in errors_only(check_route_coherence(toy, PRJ))]
     assert "E_SUPPLEMENT_PRIMARY" in codes
 
 
 def test_excluded_unit_with_any_role_flagged(toy):
-    toy.projects[0].assignments.append(
+    project = toy.projects[0]
+    edit(toy, project, assignments=project.assignments + (
         type(toy.projects[0].assignments[0])(
             unit_ref=Identifier("child", "C1", "S3"),
             route_ref=Identifier("child", "C1", "R2"),
             role="contextual",
-        )
-    )
+        ),
+    ))
     codes = [d.code for d in errors_only(check_route_coherence(toy, PRJ))]
     assert "E_EXCLUDED_ASSIGNED" in codes
 
 
 def test_core_unit_off_committed_route_flagged(toy):
-    toy.projects[0].assignments[0].route_ref = Identifier("child", "C1", "R3")
+    edit(toy, toy.projects[0].assignments[0], route_ref=Identifier("child", "C1", "R3"))
     codes = [d.code for d in errors_only(check_route_coherence(toy, PRJ))]
     assert "E_CORE_OFF_ROUTE" in codes
 
 
 def test_unassigned_core_unit_flagged(toy):
-    toy.projects[0].assignments = toy.projects[0].assignments[1:]
+    edit(toy, toy.projects[0], assignments=toy.projects[0].assignments[1:])
     codes = [d.code for d in errors_only(check_route_coherence(toy, PRJ))]
     assert "E_CORE_OFF_ROUTE" in codes
 
 
 def test_unanchored_assumption_flagged(toy):
     route = committed_route(toy, toy.projects[0])
-    route.assumptions[0].supporting_units = []
-    route.assumptions[0].untestable = False
+    edit(toy, route.assumptions[0], supporting_units=(), untestable=False)
     codes = [d.code for d in errors_only(check_route_coherence(toy, PRJ))]
     assert "E_ASSUMPTION_UNANCHORED" in codes
 
 
 def test_duplicate_assignment_flagged(toy):
-    toy.projects[0].assignments.append(copy.deepcopy(toy.projects[0].assignments[0]))
+    project = toy.projects[0]
+    edit(toy, project, assignments=project.assignments + (copy.deepcopy(project.assignments[0]),))
     codes = [d.code for d in errors_only(check_route_coherence(toy, PRJ))]
     assert "E_DUP_ASSIGNMENT" in codes
 
@@ -255,6 +258,7 @@ def test_frozen_route_revision_appends_record(toy):
     route = committed_route(toy, toy.projects[0])
     history = len(route.revisions)
     revise_route(toy, PRJ, revision(), _revised_body(toy))
+    route = committed_route(toy, toy.projects[0])
     assert len(route.revisions) == history + 1
     assert "within the observed range" in route.assumptions[1].text
     assert toy.events[-1].kind == "route_revised"
@@ -268,8 +272,7 @@ def test_revision_with_incomplete_record_rejected(toy):
 
 
 def test_revision_removing_disconfirming_models_rejected(toy):
-    body = _revised_body(toy)
-    body.disconfirming_models = []
+    body = replace(_revised_body(toy), disconfirming_models=())
     with pytest.raises(OperationRejected) as err:
         revise_route(toy, PRJ, revision(), body)
     assert "E_NO_DISCONFIRMING" in [d.code for d in err.value.diagnostics]
@@ -285,7 +288,7 @@ def test_revising_unfrozen_route_rejected():
 
 def test_direct_edit_of_frozen_route_detected(toy):
     route = committed_route(toy, toy.projects[0])
-    route.objective = "predictive"  # silent mutation outside the protocol
+    edit(toy, route, objective="predictive")  # silent mutation outside the protocol
     codes = [d.code for d in errors_only(check_freeze_integrity(toy))]
     assert codes == ["E_SILENT_REVISION"]
 
@@ -396,8 +399,7 @@ def test_freeze_record_with_a_non_string_route_is_a_payload_finding(
     ]
     # The same record edited into a bundle after parsing it.
     bundle = parse_bundle(toy_text()).bundle
-    bundle.events[0].kind = kind
-    bundle.events[0].payload = event["payload"]
+    bundle.events[0] = replace(bundle.events[0], kind=kind, payload=event["payload"])
     report = compliance_verdict(bundle)
     assert report.verdict == "non_compliant"
     findings = [(d.code, d.location, d.message) for d in report.findings]

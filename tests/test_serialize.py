@@ -21,6 +21,7 @@ from toy import toy_bundle
 
 from recap_engine.bundle import clone, encode, serialize_bundle
 from recap_engine.model import AnalyticMemo, AuditEvent
+from recap_engine.records import replace
 
 
 def oracle(bundle) -> str:
@@ -86,15 +87,17 @@ def test_writer_matches_the_oracle_on_arbitrary_values(payload, sections, text, 
     )
     bundle.memos.append(AnalyticMemo(project_ref=bundle.projects[0].id, sections=sections))
     unit, route = bundle.units[0], bundle.routes[0]
-    unit.notes = text
-    unit.limitations = odd  # a value of a type the spec does not expect
-    route.disconfirming_models = (text,)
+    unit = replace(unit, notes=text)
+    unit = replace(unit, limitations=odd)  # a value of a type the spec does not expect
+    route = replace(route, disconfirming_models=(text,))
     if nulls:
-        unit.declared_tier = None
-        unit.split_from = None
-        route.frozen_at = None
-        bundle.layers[1].parent_ref = None
+        unit = replace(unit, declared_tier=None)
+        unit = replace(unit, split_from=None)
+        route = replace(route, frozen_at=None)
+        bundle.layers[1] = replace(bundle.layers[1], parent_ref=None)
+    bundle.units[0], bundle.routes[0] = unit, route
     if extra:  # an attribute that is not a field, which encode() copies too
+        bundle.routes[1] = copy.copy(bundle.routes[1])
         vars(bundle.routes[1])["annotation"] = odd
     assert serialize_bundle(bundle) == oracle(bundle)
 
@@ -111,7 +114,7 @@ def _outcome(write, bundle):
 @given(value=_JSON)
 def test_a_list_field_holding_any_value_renders_or_fails_as_the_oracle_does(value):
     bundle = clone(_TOY)
-    bundle.routes[0].disconfirming_models = value
+    bundle.routes[0] = replace(bundle.routes[0], disconfirming_models=value)
     assert _outcome(serialize_bundle, bundle) == _outcome(oracle, bundle)
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from genbundles import edit
 from toy import assessment
 
 from recap_engine.bundle import serialize_bundle
@@ -247,7 +248,7 @@ def test_toy_s1_declaration_is_clean(toy):
 
 def test_mismatched_declaration_reports_both_tiers(toy):
     s1 = BundleIndex(toy).units.get(Identifier("child", "C1", "S1"))
-    s1.declared_tier = Tier.SUPPLEMENT
+    s1 = edit(toy, s1, declared_tier=Tier.SUPPLEMENT)
     diags = check_tier_declaration(s1)
     assert [d.code for d in diags] == ["E_TIER_MISMATCH"]
     assert "core" in diags[0].message and "supplement" in diags[0].message
@@ -255,7 +256,7 @@ def test_mismatched_declaration_reports_both_tiers(toy):
 
 def test_missing_justification_reported(toy):
     s1 = BundleIndex(toy).units.get(Identifier("child", "C1", "S1"))
-    s1.tier_justification = ""
+    s1 = edit(toy, s1, tier_justification="")
     assert "E_NO_JUSTIFICATION" in [d.code for d in check_tier_declaration(s1)]
 
 
@@ -296,7 +297,7 @@ def _add_splittable(toy, interpretations):
 
     unit = decode_unit_dict(record)
     toy.units.append(unit)
-    toy.projects[0].unit_refs.append(unit.study_id)
+    edit(toy, toy.projects[0], unit_refs=toy.projects[0].unit_refs + (unit.study_id,))
     return unit
 
 
@@ -316,7 +317,7 @@ def test_split_produces_single_interpretation_units(toy):
 
 def test_split_rejections(toy):
     unit = _add_splittable(toy, [assessment(), assessment()])
-    unit.splittable = False
+    unit = edit(toy, unit, splittable=False)
     with pytest.raises(OperationRejected) as err:
         split_unit(toy, unit.study_id, [Identifier("child", "C1", "Za")])
     codes = {d.code for d in err.value.diagnostics}
@@ -410,10 +411,10 @@ def test_retier_requires_matching_assessments(toy):
 
 def test_retier_chain_flags_order_stale_start_and_blank_fields(toy):
     s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
-    s2.retier_events = [
+    s2 = edit(toy, s2, retier_events=(
         _retier_event(Tier.SUPPLEMENT, Tier.CORE, timestamp="2026-02-03T00:00:00Z"),
         _retier_event(Tier.EXCLUDED, Tier.SUPPLEMENT, implications_for_route=" "),
-    ]
+    ))
     diags = check_retier_chain(s2)
     second = "child:C1:S2.retier_events[1]"
     assert [(d.code, d.location) for d in diags] == [
@@ -428,11 +429,11 @@ def test_retier_chain_flags_order_stale_start_and_blank_fields(toy):
 
 def test_retier_chain_must_end_at_the_declared_tier(toy):
     s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
-    s2.retier_events = [_retier_event(Tier.SUPPLEMENT, Tier.CORE)]
+    s2 = edit(toy, s2, retier_events=(_retier_event(Tier.SUPPLEMENT, Tier.CORE),))
     diags = check_retier_chain(s2)
     assert [(d.code, d.location) for d in diags] == [("E_SILENT_RETIER", "child:C1:S2")]
     assert diags[0].message == (
         "declared tier supplement does not match the last re-tier event (core)"
     )
-    s2.declared_tier = Tier.CORE
+    s2 = edit(toy, s2, declared_tier=Tier.CORE)
     assert check_retier_chain(s2) == []
