@@ -13,7 +13,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from typing import Any, Callable
 
-from .bundle import clone, decode_payload, declarations, field_effect
+from .bundle import clone, declared_ids, decode_payload, declarations, field_effect
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, parse_identifier
 from .records import replace
@@ -66,6 +66,22 @@ def find_declaration(bundle: ProjectBundle, canonical: str):
     """Locate any id-bearing declaration by its canonical rendered id."""
     ident = parse_identifier(canonical)
     return None if ident is None else _locate(bundle, ident)[0]
+
+
+def duplicate_ids(bundle: ProjectBundle, added: list) -> list[Diagnostic]:
+    """An E_DUP_ID at each id that the records in ``added``, all of one
+    class, or the records nested in them declare while a declaration of
+    ``bundle`` or an earlier id of ``added`` already uses it: the parser
+    would reject the written bundle."""
+    new = declared_ids(added)
+    taken = set(new).intersection(declared_ids([bundle]))
+    diags = []
+    for ident in new:
+        if ident in taken:
+            where = ident.render()
+            diags.append(error("E_DUP_ID", where, f"{where} already declared"))
+        taken.add(ident)
+    return diags
 
 
 def _locate(bundle: ProjectBundle, ident: Identifier) -> tuple[Any, list]:

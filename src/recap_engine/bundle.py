@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import re
 from functools import partial
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -664,6 +666,23 @@ def _declarations(holder: Any, codec: _Codec, up: tuple | None) -> Iterator[tupl
                 yield kind, record.__dict__[key], holder, name, i, up
             if holds:
                 yield from _declarations(record, item, (up, name, i))
+
+
+def declared_ids(records: list) -> list[Identifier]:
+    """The ids that ``records``, all of one class, and the records nested in
+    them declare: the ids :func:`declarations` yields, without their places
+    and taken a level at a time, which is several times quicker."""
+    out: list[Identifier] = []
+    if records:
+        _declared_ids(records, CODECS[records[0].__class__], out)
+    return out
+
+
+def _declared_ids(records: list, codec: _Codec, out: list[Identifier]) -> None:
+    if codec.declares:
+        out.extend(map(attrgetter(codec.fields[0][0]), records))
+    for name, item in codec.holds:
+        _declared_ids(list(chain.from_iterable(map(attrgetter(name), records))), item, out)
 
 
 def declaration_location(holder: Any, name: str, index: int, up: tuple | None) -> str:

@@ -93,8 +93,8 @@ def _write_atomic(path: str, bundle: ProjectBundle) -> None:
         os.close(directory)
 
 
-class LockContention(Exception):
-    """Another process holds the bundle's advisory lock."""
+class LockUnavailable(Exception):
+    """The bundle's advisory lock cannot be taken; the message says why."""
 
 
 class _BundleLock:
@@ -111,7 +111,10 @@ class _BundleLock:
         import fcntl  # loaded here: commands that never write do not pay for it
 
         while True:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
+            try:
+                fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
+            except OSError as exc:  # e.g. the bundle's directory is missing
+                raise LockUnavailable(f"cannot lock the bundle: {exc}") from None
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                 # A holder that released the lock may have removed the file
@@ -123,7 +126,8 @@ class _BundleLock:
                 pass
             except BlockingIOError:
                 os.close(fd)
-                raise LockContention(str(self.lock_path)) from None
+                message = f"bundle is locked by another process ({self.lock_path})"
+                raise LockUnavailable(message) from None
             except BaseException:
                 os.close(fd)
                 raise
@@ -213,30 +217,34 @@ def _cmd_tier(args) -> int:
     return EXIT_VIOLATIONS if has_error else EXIT_OK
 
 
+def _load_project(path: str, name: str | None) -> tuple[ProjectBundle | None, ProjectDecl | None]:
+    bundle = _load(path)
+    return bundle, None if bundle is None else _pick_project(bundle, name)
+
+
 def _cmd_route(args) -> int:
     from .routing import check_route_coherence, committed_route, freeze_route
 
-    bundle = _load(args.bundle)
-    if bundle is None:
-        return EXIT_USAGE
-    project = _pick_project(bundle, args.project)
-    if project is None:
-        return EXIT_USAGE
     if args.action == "check":
+        bundle, project = _load_project(args.bundle, args.project)
+        if project is None:
+            return EXIT_USAGE
         diags = check_route_coherence(bundle, project.id)
         _emit_diagnostics(diags)
         has_error = any(d.severity == Severity.ERROR for d in diags)
         print("coherent" if not has_error else "incoherent")
         return EXIT_VIOLATIONS if has_error else EXIT_OK
-    try:
-        with _BundleLock(args.bundle):
-            freeze_route(
-                bundle, project.id, timestamp=args.timestamp, actor=args.actor
-            )
-            _write_atomic(args.bundle, bundle)
-    except OperationRejected as exc:
-        _emit_diagnostics(exc.diagnostics)
-        return EXIT_VIOLATIONS
+    # Read under the lock: a write that lands before it is then not overwritten.
+    with _BundleLock(args.bundle):
+        bundle, project = _load_project(args.bundle, args.project)
+        if project is None:
+            return EXIT_USAGE
+        try:
+            freeze_route(bundle, project.id, timestamp=args.timestamp, actor=args.actor)
+        except OperationRejected as exc:
+            _emit_diagnostics(exc.diagnostics)
+            return EXIT_VIOLATIONS
+        _write_atomic(args.bundle, bundle)
     route = committed_route(bundle, project)
     print(f"frozen {route.id.render()} at {route.frozen_at}")
     return EXIT_OK
@@ -268,10 +276,7 @@ def _cmd_scan(args) -> int:
 def _cmd_report(args) -> int:
     from .reporting import build_study_log, build_tier_table, render_report
 
-    bundle = _load(args.bundle)
-    if bundle is None:
-        return EXIT_USAGE
-    project = _pick_project(bundle, args.project)
+    bundle, project = _load_project(args.bundle, args.project)
     if project is None:
         return EXIT_USAGE
     fmt = {"md": "markdown", "csv": "csv", "structured": "structured"}[args.format]
@@ -302,9 +307,6 @@ def _cmd_version(args) -> int:
     from .layers import bump_version
     from .model import ChangelogEntry, LayerDecl
 
-    bundle = _load(args.bundle)
-    if bundle is None:
-        return EXIT_USAGE
     text = _read_text(args.changelog, "changelog")
     if text is None:
         return EXIT_USAGE
@@ -317,25 +319,29 @@ def _cmd_version(args) -> int:
     if surrogate is not None:
         _emit_diagnostics([surrogate])
         return EXIT_USAGE
-    gp = bundle.grandparent()
     try:
         # The file's own keys locate its errors: to_version, new_laws[0].
         entry = decode(ChangelogEntry, raw, at="")
         laws = raw.get("new_laws")
-        if laws is None:
-            new_laws = list(gp.laws)
-        else:
-            new_laws = decode_field(LayerDecl, "laws", laws, ns="gp", at="new_laws")
+        new_laws = None if laws is None else decode_field(
+            LayerDecl, "laws", laws, ns="gp", at="new_laws"
+        )
     except ValueError as exc:
         print(f"bad changelog: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        with _BundleLock(args.bundle):
+    # Read under the lock: a write that lands before it is then not overwritten.
+    with _BundleLock(args.bundle):
+        bundle = _load(args.bundle)
+        if bundle is None:
+            return EXIT_USAGE
+        if new_laws is None:
+            new_laws = list(bundle.grandparent().laws)
+        try:
             bump_version(bundle, entry, new_laws, actor=args.actor)
-            _write_atomic(args.bundle, bundle)
-    except OperationRejected as exc:
-        _emit_diagnostics(exc.diagnostics)
-        return EXIT_VIOLATIONS
+        except OperationRejected as exc:
+            _emit_diagnostics(exc.diagnostics)
+            return EXIT_VIOLATIONS
+        _write_atomic(args.bundle, bundle)
     print(f"version {bundle.grandparent().version}")
     return EXIT_OK
 
@@ -423,8 +429,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except LockContention as exc:
-        print(f"bundle is locked by another process ({exc})", file=sys.stderr)
+    except LockUnavailable as exc:
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     except OperationRejected as exc:
         _emit_diagnostics(exc.diagnostics)

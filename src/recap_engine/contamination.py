@@ -371,15 +371,27 @@ def _location(where: tuple | None) -> str:
     return ".".join(reversed(parts))
 
 
-class _Passes:
-    """The scan's state and the two passes the specs do not drive: laws and
-    abstractions declared where they may not be, and the flow matrix."""
+#: The layer kind allowed to declare each class; a law or an abstraction
+#: declared elsewhere re-legislates inherited structure locally (R2). The
+#: walk flags one as it enters it, which it does only because both plans
+#: have text steps: a list whose records' plans have none is not walked.
+_DECLARED_BY = {Law: "grandparent", Abstraction: "parent"}
+
+
+class _Scanner:
+    """Every reference the record specs name, checked by one walk over
+    :data:`_SECTIONS` that follows each class's plan, against the layer
+    owning the top-level record, and then the flow matrix. A finding is
+    sited at the nearest declaration; inside a record without an id, at
+    that record's list field, and located at the record. Sites and
+    locations are rendered only for a finding, and a text is searched only
+    if it holds a namespace prefix."""
 
     def __init__(self, bundle: ProjectBundle):
         self.bundle = bundle
         self.index = BundleIndex(bundle)
         self.events: list[ContaminationEvent] = []
-        self._above: dict[int, frozenset[str]] = {}
+        self._scope: dict[int, frozenset[Identifier]] = {}
 
     def flag(self, rule: str, direction: str, nature: str, container: Identifier,
              location: str, field: str = "", token: Identifier | None = None) -> None:
@@ -395,23 +407,6 @@ class _Passes:
                 "", rule, direction, nature, site, location, "", [], None, None, "", False
             )
         )
-
-    def scan_layer_declarations(self) -> None:
-        """Laws below the grandparent and abstractions outside a parent are
-        local re-legislation of inherited structure."""
-        for li, layer in enumerate(self.bundle.layers):
-            if layer.kind != "grandparent":
-                for j, law in enumerate(layer.laws):
-                    if law.quarantined:
-                        continue
-                    where = f"layers[{li}].laws[{j}]"
-                    self.flag("R2_downward_rewrite", "downward", "structural", law.id, where)
-            if layer.kind != "parent":
-                for j, ab in enumerate(layer.abstractions):
-                    if ab.quarantined:
-                        continue
-                    where = f"layers[{li}].abstractions[{j}]"
-                    self.flag("R2_downward_rewrite", "downward", "structural", ab.id, where)
 
     def scan_flows(self) -> None:
         nature_of = {
@@ -435,27 +430,13 @@ class _Passes:
                 "payload",
             )
 
-
-class _Scanner(_Passes):
-    """Every reference the record specs name, checked by one walk over
-    :data:`_SECTIONS` that follows each class's plan, against the layer
-    owning the top-level record. A finding is sited at the nearest
-    declaration; inside a record without an id, at that record's list
-    field, and located at the record. Sites and locations are rendered
-    only for a finding, and a text is searched only if it holds a
-    namespace prefix."""
-
-    def _owner_layer(self, ident: Identifier) -> LayerDecl | None:
-        if ident.namespace == "gp":
-            return self.index.grandparent
-        return self.index.layers_by_name.get(ident.owner)
-
-    def _ancestor_names(self, layer: LayerDecl) -> frozenset[str]:
-        names = self._above.get(id(layer))
-        if names is None:
-            names = frozenset(a.local_name for a in self.index.ancestors(layer))
-            self._above[id(layer)] = names  # the bundle keeps the layer alive
-        return names
+    def _same_or_above(self, layer: LayerDecl) -> frozenset[Identifier]:
+        """The ids of ``layer`` and of the layers above it."""
+        ids = self._scope.get(id(layer))
+        if ids is None:
+            ids = frozenset(a.id for a in (layer, *self.index.ancestors(layer)))
+            self._scope[id(layer)] = ids  # the bundle keeps the layer alive
+        return ids
 
     def check(self, owner: LayerDecl, ref: Identifier, container, field, nature, where) -> None:
         """Content cited upward from a layer below is R1; a reference to a
@@ -467,11 +448,8 @@ class _Scanner(_Passes):
             location = _location(where)
             self.flag("R1_upward_content", "upward", nature, container, location, field, ref)
             return
-        ref_owner = self._owner_layer(ref)
-        if ref_owner is None:
-            return
-        name = ref_owner.local_name
-        if name == owner.local_name or name in self._ancestor_names(owner):
+        ref_owner = self.index.owner(ref)
+        if ref_owner is None or ref_owner.id in self._same_or_above(owner):
             return
         verdict = _horizontal_verdict(self.index, ref_owner.id, owner.id, nature, None)
         if not verdict.allowed:
@@ -515,7 +493,12 @@ class _Scanner(_Passes):
                         continue
                     ident, layer = fields[key], owner
                     if layer is None:  # a section's record; a layer is its own owner
-                        layer = item if item.__class__ is LayerDecl else self._owner_layer(ident)
+                        layer = item if item.__class__ is LayerDecl else self.index.owner(ident)
+                    elif item.__class__ in _DECLARED_BY and (
+                        _DECLARED_BY[item.__class__] != layer.kind
+                    ):
+                        self.flag("R2_downward_rewrite", "downward", "structural", ident,
+                                  _location(at))
                     if layer is not None:
                         self.walk(layer, item, inner, ident, at, site)
 
@@ -527,7 +510,6 @@ def detect_contamination(bundle: ProjectBundle) -> list[ContaminationEvent]:
     """The scan's events, numbered, upward first: :func:`scan_bundle`
     without the downstream trace."""
     scanner = _Scanner(bundle)
-    scanner.scan_layer_declarations()
     scanner.walk(None, bundle, _ROOT, None, None)
     scanner.scan_flows()
     ordered = sorted(
@@ -576,26 +558,19 @@ def build_reference_graph(bundle: ProjectBundle) -> dict[str, set[str]]:
     def edge(src: str, dst: str) -> None:
         graph.setdefault(src, set()).add(dst)
 
-    gp = None
-    for layer in bundle.layers:
-        if layer.kind == "grandparent":
-            gp = layer
-    parent_of_child: dict[str, str] = {}
-    for layer in bundle.layers:
-        if layer.kind == "child" and layer.parent_ref is not None:
-            parent_of_child[layer.local_name] = layer.parent_ref.local_name
+    index = BundleIndex(bundle)
+    gp = index.grandparent
+    laws = [] if gp is None else [law for law in gp.laws if not law.quarantined]
     for project in bundle.projects:
         project_key = project.id.render()
-        if gp is not None:
-            for law in gp.laws:
-                if not law.quarantined:
-                    edge(law.id.render(), project_key)
-        parent_name = parent_of_child.get(project.id.owner)
-        for layer in bundle.layers:
-            if layer.kind == "parent" and layer.local_name == parent_name:
-                for ab in layer.abstractions:
-                    if not ab.quarantined:
-                        edge(ab.id.render(), project_key)
+        for law in laws:
+            edge(law.id.render(), project_key)
+        child = index.owner(project.id)
+        parent = None if child is None else index.layers.get(child.parent_ref)
+        if parent is not None and parent.kind == "parent":
+            for ab in parent.abstractions:
+                if not ab.quarantined:
+                    edge(ab.id.render(), project_key)
     active_units = [
         u for u in bundle.units if not u.quarantined and not u.superseded
     ]
@@ -661,7 +636,7 @@ def record_flow(
 ) -> ProjectBundle:
     """Record a flow event. Recording is factual: illegal movements are
     recorded too, then flagged by the scan."""
-    from .audit import commit, now_utc
+    from .audit import commit, duplicate_ids, now_utc
 
     index = BundleIndex(bundle)
     diags: list[Diagnostic] = []
@@ -673,9 +648,7 @@ def record_flow(
         diags.append(
             error("E_UNRESOLVED_REF", flow.id.render(), "cited contract not declared")
         )
-    for existing in bundle.flows:
-        if existing.id == flow.id:
-            diags.append(error("E_DUP_ID", flow.id.render(), "flow id already recorded"))
+    diags.extend(duplicate_ids(bundle, [flow]))
     if diags:
         raise OperationRejected(diags)
     commit(
@@ -774,13 +747,12 @@ def _is_cited(bundle: ProjectBundle, decl) -> bool:
     a text anywhere in the bundle, or another abstraction's correspondence
     in its layer."""
     name = decl.id.local_name
-    for layer in bundle.layers:
-        if any(ab is decl for ab in layer.abstractions) and any(
-            name in ab.correspondence or name in ab.correspondence.values()
-            for ab in layer.abstractions
-            if ab is not decl
-        ):
-            return True
+    if decl.__class__ is Abstraction and any(
+        name in ab.correspondence or name in ab.correspondence.values()
+        for ab in BundleIndex(bundle).owner(decl.id).abstractions
+        if ab is not decl
+    ):
+        return True
     return _names(bundle, _PLANS[ProjectBundle][2], decl.id, decl)
 
 

@@ -737,6 +737,18 @@ class BundleIndex:
         return next((l for l in self.bundle.layers if l.kind == "grandparent"), None)
 
     @cached_property
+    def _layers_by_scope(self) -> dict[tuple[str, str], LayerDecl]:
+        return _first_by(self.bundle.layers, "id.namespace", "id.local_name")
+
+    def owner(self, ident: Identifier) -> LayerDecl | None:
+        """The layer that declares ``ident``: the grandparent for a ``gp:``
+        id, else the first layer whose id has the namespace of ``ident`` and
+        its owner as local name."""
+        if ident.namespace == "gp":
+            return self.grandparent
+        return self._layers_by_scope.get((ident.namespace, ident.owner))
+
+    @cached_property
     def units(self) -> dict[Identifier, EvidentialUnit]:
         return _first_by(self.bundle.units, "study_id")
 
@@ -791,10 +803,11 @@ class BundleIndex:
         return entry[1].get(unit_ref)
 
 
-def _first_by(records: list, name: str) -> dict:
-    # Filled back to front, so the first record with a key is the one kept.
-    backwards = records[::-1]
-    return dict(zip(map(attrgetter(name), backwards), backwards))
+def _first_by(records: list, *names: str) -> dict:
+    """Records keyed by one attribute, or by a tuple of several; the first
+    record with a key is the one kept."""
+    backwards = records[::-1]  # filled back to front
+    return dict(zip(map(attrgetter(*names), backwards), backwards))
 
 
 def _group_by(records: list, *names: str) -> dict:

@@ -80,15 +80,12 @@ def declare_route(
     uncommitted declarations for comparison and belong in the committed
     route's rejected-alternatives record.
     """
-    from .audit import commit, now_utc
+    from .audit import commit, duplicate_ids, now_utc
 
-    index = BundleIndex(bundle)
-    project = index.projects.get(project_id)
+    project = BundleIndex(bundle).projects.get(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
-    diags = validate_route_shape(route)
-    if route.id in index.routes:
-        diags.append(error("E_DUP_ID", route.id.render(), "route id already declared"))
+    diags = validate_route_shape(route) + duplicate_ids(bundle, [route])
     if commit_route and project.committed_route is not None:
         diags.append(
             error(

@@ -22,7 +22,7 @@ from .model import (
     ReTierEvent,
     Tier,
 )
-from .records import field, record
+from .records import field, record, replace
 
 # Write operations import .audit (and with it datetime) when they run, so
 # read-only commands never load it.
@@ -271,11 +271,9 @@ def apply_retier(
         )
     if diags:
         raise OperationRejected(diags)
-    probe = EvidentialUnit(
-        study_id=unit.study_id,
-        design_type=unit.design_type,
+    probe = replace(
+        unit,
         interpretations=new_interpretations or unit.interpretations,
-        splittable=unit.splittable,
         explicit_assumptions=(
             new_assumptions if new_assumptions is not None else unit.explicit_assumptions
         ),
@@ -321,12 +319,13 @@ def split_unit(
 
     New units inherit the design type, the narrative fields, and the
     declared assumptions, carry a provenance link to the source, and start
-    untiered. The source stays in the document, marked superseded.
+    untiered. Each part's copy of an assumption is named after the part
+    (``<part>_<assumption>``), so no two declarations share an id. The
+    source stays in the document, marked superseded.
     """
-    from .audit import commit, now_utc
+    from .audit import commit, duplicate_ids, now_utc
 
-    units = BundleIndex(bundle).units
-    unit = units.get(unit_id)
+    unit = BundleIndex(bundle).units.get(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
     diags: list[Diagnostic] = []
@@ -342,30 +341,33 @@ def split_unit(
         )
     if len({n.render() for n in names}) != len(names):
         diags.append(error("E_NAME_ARITY", unit_id.render(), "split names must be unique"))
-    for name in names:
-        if name in units:
-            diags.append(error("E_DUP_ID", name.render(), f"{name.render()} already declared"))
-    if diags:
-        raise OperationRejected(diags)
-    base = encode(unit)
-    records = []
-    for name, interp in zip(names, base["interpretations"]):
-        record = dict(base)
-        record.update(
-            study_id=name.render(),
-            interpretations=[interp],
+    parts = [
+        replace(
+            unit,
+            study_id=name,
+            interpretations=(interp,),
             splittable=False,
             declared_tier=None,
             tier_justification="",
-            retier_events=[],
-            split_from=unit_id.render(),
+            explicit_assumptions=tuple(
+                replace(a, id=Identifier(
+                    name.namespace, name.owner, f"{name.local_name}_{a.id.local_name}"
+                ))
+                for a in unit.explicit_assumptions
+            ),
+            retier_events=(),
+            split_from=unit_id,
             superseded=False,
         )
-        records.append(record)
+        for name, interp in zip(names, unit.interpretations)
+    ]
+    diags.extend(duplicate_ids(bundle, parts))
+    if diags:
+        raise OperationRejected(diags)
     commit(
         bundle,
         "unit_split",
-        {"source": unit_id.render(), "units": records},
+        {"source": unit_id.render(), "units": [encode(part) for part in parts]},
         actor=actor,
         timestamp=timestamp or now_utc(),
         affected=[unit_id.render()] + [n.render() for n in names],

@@ -10,7 +10,8 @@ from toy import toy_bundle, toy_dict
 
 from recap_engine import records
 from recap_engine.audit import _apply_effects, append_event, commit, find_declaration, replay
-from recap_engine.bundle import clone, declaration_location, declarations, decode_route_dict
+from recap_engine.bundle import clone, declaration_location, declarations, declared_ids
+from recap_engine.bundle import decode_route_dict
 from recap_engine.bundle import parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected
 from recap_engine.identifiers import Identifier
@@ -286,7 +287,14 @@ def random_ops_session(rng: random.Random, clock: TimeSource, n_ops: int = 8, st
                 "splittable": True,
                 "declared_tier": None,
                 "tier_justification": "",
-                "explicit_assumptions": [],
+                # Copied to each part of a split, under an id of its own.
+                "explicit_assumptions": [
+                    {
+                        "id": f"child:{owner}:SPLA",
+                        "text": "Partial alignment is read under the declared rules.",
+                        "covers": ["construct_alignment"],
+                    }
+                ],
                 "retier_events": [],
                 "measurement_refs": [],
                 "bias_considerations": "mixed → nondirectional",
@@ -427,6 +435,9 @@ def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, star
                 action = rng.choice(["quarantine", "reverse"])
                 resolve_contamination(live, event, action, timestamp=clock.next())
             accepted += 1
+            # An accepted write keeps the bundle parseable.
+            diagnostics = parse_bundle(serialize_bundle(live)).diagnostics
+            assert not diagnostics, f"{op}: {[d.render() for d in diagnostics]}"
         except OperationRejected:
             rejected += 1
             assert serialize_bundle(live) == before, f"rejected {op} mutated the bundle"
@@ -661,6 +672,7 @@ def test_declarations_walk_every_section_in_document_order():
             for kind, ident, holder, name, i, up in declarations(bundle)
         ]
         assert walked == list(hand_declarations(bundle))
+        assert sorted(declared_ids([bundle])) == sorted(ident for _, ident, *_ in walked)
         kinds.update(kind for kind, *_ in walked)
     assert len(kinds) == 10  # every kind is exercised
 

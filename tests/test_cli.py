@@ -312,6 +312,44 @@ def test_route_freeze_proceeds_once_the_lock_holder_is_killed(tmp_path, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+@pytest.mark.parametrize(
+    "command, code",
+    [(["route", "BUNDLE", "freeze", "--timestamp", FREEZE_TS], "E_ALREADY_FROZEN"),
+     (["version", "BUNDLE", "bump", "--changelog", "CHANGELOG"], "E_VERSION_STALE")],
+    ids=["freeze", "bump"],
+)
+def test_a_write_that_lands_before_the_lock_is_taken_is_not_overwritten(
+    tmp_path, capsys, monkeypatch, command, code
+):
+    import recap_engine.cli as cli
+
+    path = tmp_path / "toy.bundle"
+    path.write_text(json.dumps(toy_dict()) if command[0] == "route" else toy_text())
+    changelog = tmp_path / "change.json"
+    changelog.write_text(json.dumps({
+        "from_version": "v1.0", "to_version": "v1.1", "motivating_insight": "m",
+        "boundary_affected": "b", "generalizability_reasoning": "g",
+        "timestamp": "2026-06-01T00:00:00Z",
+    }))
+    argv = [{"BUNDLE": str(path), "CHANGELOG": str(changelog)}.get(w, w) for w in command]
+    enter, first = cli._BundleLock.__enter__, {}
+
+    def competing_write_first(lock):
+        # The same command from another writer commits between this
+        # command's start and its lock.
+        if not first:
+            first["started"] = True
+            first["exit"] = main(argv)
+            first["text"] = path.read_text()
+        return enter(lock)
+
+    monkeypatch.setattr(cli._BundleLock, "__enter__", competing_write_first)
+    exit_code, _, err = run_cli(*argv, capsys=capsys)
+    assert first["exit"] == 0
+    assert exit_code == 1 and code in err
+    assert path.read_text() == first["text"]
+
+
 def test_report_formats_and_round_trip(toy_file, capsys):
     code, out, _ = run_cli("report", str(toy_file), "study-log", capsys=capsys)
     assert code == 0 and out.startswith("| Study_ID |")

@@ -1,10 +1,11 @@
 import copy
+import json
 import random
 
 import pytest
 
 from genbundles import edit, inject_borrowings, inject_faults, parse_dict, random_bundle_dict
-from toy import toy_dict, variant
+from toy import FREEZE_TS, PRJ, toy_dict, variant
 
 from recap_engine.audit import find_declaration, replay
 from recap_engine.bundle import clone, parse_bundle, serialize_bundle
@@ -31,6 +32,8 @@ from recap_engine.model import (
     ProjectBundle,
 )
 from recap_engine.records import replace
+from recap_engine.reporting import compliance_verdict
+from recap_engine.routing import freeze_route
 
 INFO_CLASSES = ("content", "measurement", "assumption", "methodological_insight")
 
@@ -318,6 +321,21 @@ def test_skip_level_insight_rejected(toy):
 
 def test_toy_bundle_scans_clean(toy):
     assert scan_bundle(toy) == []
+
+
+def test_a_parent_named_like_its_child_owns_only_its_own_ids():
+    # The toy with layer P renamed parent:C1:C1: both layers have the local
+    # name C1, so only an id's namespace tells which of them owns it, in
+    # either layer order.
+    doc = json.loads(json.dumps(toy_dict()).replace('"parent:P:', '"parent:C1:'))
+    gp, parent, child = doc["layers"]
+    parent["id"] = child["parent_ref"] = doc["flows"][0]["dest_layer"] = "parent:C1:C1"
+    doc["projects"][0]["layer_ref"] = "child:C1:C1"
+    for layers in ([gp, parent, child], [gp, child, parent]):
+        bundle = parse_dict(dict(doc, layers=layers))
+        freeze_route(bundle, PRJ, timestamp=FREEZE_TS, actor="toy-author")
+        assert scan_bundle(bundle) == []
+        assert compliance_verdict(bundle).verdict == "compliant"
 
 
 def test_child_law_override_is_downward_rewrite():
@@ -912,6 +930,24 @@ def test_flow_violation_reversal_removes_the_flow():
     resolve_contamination(bundle, event, "reverse", timestamp="2026-05-01T00:00:00Z")
     assert all(f.id.render() != "child:C1:FV" for f in bundle.flows)
     assert scan_bundle(bundle) == []
+
+
+def test_a_flow_named_like_a_unit_is_rejected_unchanged(toy):
+    flow = FlowEvent(
+        id=Identifier("child", "C1", "S1"),
+        source_layer=Identifier("gp", "", "G"),
+        dest_layer=Identifier("child", "C1", "C1"),
+        info_class="content",
+        payload="Constraint refresh.",
+        timestamp="2026-05-02T00:00:00Z",
+    )
+    before = serialize_bundle(toy)
+    with pytest.raises(OperationRejected) as err:
+        record_flow(toy, flow)
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("E_DUP_ID", "child:C1:S1")
+    ]
+    assert serialize_bundle(toy) == before
 
 
 def test_record_flow_and_flag_are_logged(toy):

@@ -106,6 +106,21 @@ def test_second_committed_route_rejected():
     assert serialize_bundle(bundle) == before
 
 
+def test_a_route_reusing_a_declared_id_is_rejected_unchanged():
+    # Named like a unit, and with an assumption named like another route's.
+    bundle = fresh_toy_uncommitted()
+    declare_route(bundle, PRJ, decode_route_dict(route_record("R1")), commit_route=False)
+    before = serialize_bundle(bundle)
+    record = route_record("S1")
+    record["assumptions"][0]["id"] = "child:C1:R1_AS1"
+    with pytest.raises(OperationRejected) as err:
+        declare_route(bundle, PRJ, decode_route_dict(record), commit_route=False)
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("E_DUP_ID", "child:C1:S1"), ("E_DUP_ID", "child:C1:R1_AS1")
+    ]
+    assert serialize_bundle(bundle) == before
+
+
 def test_route_without_disconfirming_model_rejected():
     bundle = fresh_toy_uncommitted()
     record = route_record("R1", disconfirming_models=[])

@@ -6,7 +6,7 @@ import pytest
 from genbundles import edit
 from toy import assessment
 
-from recap_engine.bundle import serialize_bundle
+from recap_engine.bundle import parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected
 from recap_engine.identifiers import Identifier
 from recap_engine.model import (
@@ -322,6 +322,44 @@ def test_split_rejections(toy):
         split_unit(toy, unit.study_id, [Identifier("child", "C1", "Za")])
     codes = {d.code for d in err.value.diagnostics}
     assert "E_NOT_SPLITTABLE" in codes and "E_NAME_ARITY" in codes
+
+
+def _splittable_s2(toy):
+    """Toy S2, which declares three assumptions, made splittable with a
+    second interpretation."""
+    s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
+    interpretations = s2.interpretations + (Assessment(**assessment()),)
+    return edit(toy, s2, splittable=True, interpretations=interpretations)
+
+
+def test_split_parts_get_their_own_assumption_ids_and_keep_their_tiers(toy):
+    s2 = _splittable_s2(toy)
+    names = [Identifier("child", "C1", "S2a"), Identifier("child", "C1", "S2b")]
+    parts = split_unit(toy, s2.study_id, names)
+    assert [[a.id.render() for a in p.explicit_assumptions] for p in parts] == [
+        [f"child:C1:{part}_DA{k}" for k in (1, 2, 3)] for part in ("S2a", "S2b")
+    ]
+    assert [[a.covers for a in p.explicit_assumptions] for p in parts] == [
+        [a.covers for a in s2.explicit_assumptions]
+    ] * 2
+    assert [tier_unit(p).tier for p in parts] == [
+        compute_tier_decision(a, s2.explicit_assumptions)[0] for a in s2.interpretations
+    ]
+    assert parse_bundle(serialize_bundle(toy)).diagnostics == []
+
+
+def test_a_split_reusing_a_declared_id_is_rejected_unchanged(toy):
+    # The first part is named like a route, the second like the first
+    # part's copy of assumption DA1.
+    s2 = _splittable_s2(toy)
+    before = serialize_bundle(toy)
+    names = [Identifier("child", "C1", "R1"), Identifier("child", "C1", "R1_DA1")]
+    with pytest.raises(OperationRejected) as err:
+        split_unit(toy, s2.study_id, names)
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("E_DUP_ID", "child:C1:R1"), ("E_DUP_ID", "child:C1:R1_DA1")
+    ]
+    assert serialize_bundle(toy) == before
 
 
 def test_split_then_tier_matches_conservative_merge(toy):
