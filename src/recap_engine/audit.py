@@ -13,7 +13,14 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from typing import Any, Callable
 
-from .bundle import clone, declared_ids, decode_payload, declarations, field_effect
+from .bundle import (
+    clone,
+    declared_ids,
+    declarations,
+    decode_payload,
+    field_effect,
+    reference_errors,
+)
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, parse_identifier
 from .records import replace
@@ -432,6 +439,11 @@ def commit(
         _APPLIERS[kind](state, record)
     except _Refusal as exc:
         raise reject(exc.code, exc.location, str(exc)) from None
+    # A reference the event puts in must resolve, or the bundle written
+    # after it would not parse.
+    diags = reference_errors(bundle, state)
+    if diags:
+        raise OperationRejected(diags)
     state.events.append(event)
     for name, items in state.__dict__.items():
         if items.__class__ is list:

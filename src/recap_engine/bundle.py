@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 import re
 from functools import partial
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, compress, count
+from operator import attrgetter, is_not
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -131,6 +131,9 @@ class _Codec:
         lists = [(name, CODECS[spec.of.of]) for name, _, spec in self.fields
                  if spec.kind == LIST and spec.of.kind == RECORD]
         self.holds = [(name, item) for name, item in lists if item.declares or item.holds]
+        #: The fields that may cite a declaration: texts, references, and
+        #: records holding either.
+        self.cites = tuple(name for name, _, spec in self.fields if _cites(spec))
         named: tuple[str, ...] = ()
         if cls is LayerDecl:
             self.identity, named = _layer_identity, ("id", "kind")
@@ -151,6 +154,12 @@ class _Codec:
             decode = _nested_decoder(key, self.decoders[name], report=key[0] not in heads)
             heads.add(key[0])
             self.rest.append((name, key[0], ".".join(key), None, decode))
+
+
+def _cites(spec: Spec) -> bool:
+    """Whether a field of this spec may hold a reference."""
+    item = spec.of if spec.kind == LIST else spec
+    return spec.text or bool(item.expect) or (item.kind == RECORD and bool(CODECS[item.of].cites))
 
 
 def _record_encoder(specs: list) -> Callable[[Any], dict]:
@@ -415,12 +424,13 @@ class _Decoder:
         _set_dict(record, "__dict__", values)
         for name, label in codec.text:
             text = values[name]
+            # Every canonical reference holds one of the namespace prefixes.
             if text.__class__ is str:
-                if ":" in text:  # every canonical reference has one
+                if "child:" in text or "parent:" in text or "gp:" in text:
                     self.scan_text(text, path, label, None)
             else:
                 for i, item in enumerate(text):
-                    if ":" in item:
+                    if "child:" in item or "parent:" in item or "gp:" in item:
                         self.scan_text(item, path, label, i)
         if codec.check is not None:
             codec.check(self, record, obj, path)
@@ -672,17 +682,18 @@ def declared_ids(records: list) -> list[Identifier]:
     """The ids that ``records``, all of one class, and the records nested in
     them declare: the ids :func:`declarations` yields, without their places
     and taken a level at a time, which is several times quicker."""
-    out: list[Identifier] = []
-    if records:
-        _declared_ids(records, CODECS[records[0].__class__], out)
-    return out
+    if not records:
+        return []
+    levels = _declared(records, CODECS[records[0].__class__])
+    return list(chain.from_iterable(ids for _, ids in levels))
 
 
-def _declared_ids(records: list, codec: _Codec, out: list[Identifier]) -> None:
+def _declared(records: list, codec: _Codec) -> Iterator[tuple[str, list[Identifier]]]:
+    """(declaration kind, ids) for each level of :func:`declared_ids`."""
     if codec.declares:
-        out.extend(map(attrgetter(codec.fields[0][0]), records))
+        yield codec.declares, list(map(attrgetter(codec.fields[0][0]), records))
     for name, item in codec.holds:
-        _declared_ids(list(chain.from_iterable(map(attrgetter(name), records))), item, out)
+        yield from _declared(list(chain.from_iterable(map(attrgetter(name), records))), item)
 
 
 def declaration_location(holder: Any, name: str, index: int, up: tuple | None) -> str:
@@ -831,6 +842,42 @@ def _resolve_references(
             diags.append(error("E_SYNTAX", where, message))
 
 
+def reference_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic]:
+    """What a parse of ``after`` would report at the references that a
+    write put in it: E_UNRESOLVED_REF at one that no declaration of
+    ``after`` names, E_SYNTAX at one naming a declaration of a kind its
+    field does not expect. A write puts in the top-level records that
+    ``after`` holds where ``before`` holds another record or none, less
+    the references that a replaced record cited in the same way."""
+    added, replaced = _Decoder(), _Decoder()
+    for name, key, spec in CODECS[ProjectBundle].fields[1:]:
+        old, new = before.__dict__[name], after.__dict__[name]
+        if old == new:  # equal records cite alike
+            continue
+        codec = CODECS[spec.of.of]
+        changed = compress(count(), map(is_not, new, old))
+        for i in chain(changed, range(len(old), len(new))):
+            if i < len(old):  # a write replaces a record in its place
+                values, previous = new[i].__dict__, old[i].__dict__
+                if all(values[f] is previous[f] for f in codec.cites):
+                    continue
+                replaced.record(codec, encode(old[i]), "", ("child", "", ""))
+            added.record(codec, encode(new[i]), f"{key}[{i}]", ("child", "", ""))
+    # A reference is (canonical id, expected kinds, path, label, index).
+    cited = {ref[:2] for ref in replaced.references}
+    added.references = [ref for ref in added.references if ref[:2] not in cited]
+    if not added.references:
+        return []
+    keys = {added.idents[ref[0]]: ref[0] for ref in added.references}
+    index = {}  # canonical id -> the kind of a declaration of it, for the ids cited
+    for kind, ids in _declared([after], CODECS[ProjectBundle]):
+        for ident in keys.keys() & ids:
+            index.setdefault(keys[ident], kind)
+    diags: list[Diagnostic] = []
+    _resolve_references(added, index, diags)
+    return diags
+
+
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
@@ -890,9 +937,9 @@ def parse_bundle(text: str) -> ParseResult:
 def lone_surrogate(text: str) -> Diagnostic | None:
     """E_SYNTAX at the first escape in a well-formed JSON text that stands
     for a lone surrogate (``"\\ud800"``): ``json.loads`` accepts one, but
-    no bundle holding it can be written back as UTF-8. A text without
-    ``\\u`` pays for one search."""
-    if "\\u" not in text:
+    no bundle holding it can be written back as UTF-8. Only an escape
+    stands for one, so a text without a backslash pays for one search."""
+    if "\\" not in text or "\\u" not in text:
         return None
     for match in _ESCAPE_RE.finditer(text):
         if match.group(1):

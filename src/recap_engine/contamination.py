@@ -31,7 +31,7 @@ from .model import (
     ProjectBundle,
     Tier,
 )
-from .records import record
+from .records import record, replace
 from .tiering import effective_tier
 
 # Write operations import .audit (and with it datetime) when they run, so
@@ -145,7 +145,7 @@ def validate_insight(
 ) -> list[Diagnostic]:
     """Insight may move upward only when it is domain-independent,
     expressible in the target layer's vocabulary, and append-only."""
-    index = index or BundleIndex(bundle)
+    index = index or BundleIndex.of(bundle)
     diags: list[Diagnostic] = []
     where = proposal.id
     origin = index.layers.get(proposal.origin_layer)
@@ -252,7 +252,7 @@ def check_flow(
     level. Same-kind movement between distinct layers is lateral and
     contract-gated. Contracts never legalize upward movement.
     """
-    index = index or BundleIndex(bundle)
+    index = index or BundleIndex.of(bundle)
     source = index.layers.get(flow.source_layer)
     dest = index.layers.get(flow.dest_layer)
     if source is None or dest is None:
@@ -387,9 +387,9 @@ class _Scanner:
     locations are rendered only for a finding, and a text is searched only
     if it holds a namespace prefix."""
 
-    def __init__(self, bundle: ProjectBundle):
-        self.bundle = bundle
-        self.index = BundleIndex(bundle)
+    def __init__(self, index: BundleIndex):
+        self.bundle = index.state
+        self.index = index
         self.events: list[ContaminationEvent] = []
         self._scope: dict[int, frozenset[Identifier]] = {}
 
@@ -435,7 +435,7 @@ class _Scanner:
         ids = self._scope.get(id(layer))
         if ids is None:
             ids = frozenset(a.id for a in (layer, *self.index.ancestors(layer)))
-            self._scope[id(layer)] = ids  # the bundle keeps the layer alive
+            self._scope[id(layer)] = ids  # the index keeps the layer alive
         return ids
 
     def check(self, owner: LayerDecl, ref: Identifier, container, field, nature, where) -> None:
@@ -508,15 +508,28 @@ _DIRECTION_SEVERITY = {"upward": 0, "downward": 1, "horizontal": 2}
 
 def detect_contamination(bundle: ProjectBundle) -> list[ContaminationEvent]:
     """The scan's events, numbered, upward first: :func:`scan_bundle`
-    without the downstream trace."""
-    scanner = _Scanner(bundle)
-    scanner.walk(None, bundle, _ROOT, None, None)
+    without the downstream trace. The scan runs once per bundle state
+    (:meth:`BundleIndex.of`); each call returns its own copies of the
+    events, which the caller may change."""
+    index = BundleIndex.of(bundle)
+    if index.contamination is None:
+        index.contamination = _detect(index)
+    return [
+        replace(event, site=replace(event.site), decisions_affected=list(event.decisions_affected))
+        for event in index.contamination
+    ]
+
+
+def _detect(index: BundleIndex) -> tuple[ContaminationEvent, ...]:
+    """One scanner run over the state ``index`` captured."""
+    scanner = _Scanner(index)
+    scanner.walk(None, index.state, _ROOT, None, None)
     scanner.scan_flows()
     ordered = sorted(
         enumerate(scanner.events),
         key=lambda pair: (_DIRECTION_SEVERITY[pair[1].direction], pair[0]),
     )
-    events = [event for _, event in ordered]
+    events = tuple(event for _, event in ordered)
     for i, event in enumerate(events):
         event.id = f"CONT-{i + 1:04d}"
     return events
@@ -558,7 +571,7 @@ def build_reference_graph(bundle: ProjectBundle) -> dict[str, set[str]]:
     def edge(src: str, dst: str) -> None:
         graph.setdefault(src, set()).add(dst)
 
-    index = BundleIndex(bundle)
+    index = BundleIndex.of(bundle)
     gp = index.grandparent
     laws = [] if gp is None else [law for law in gp.laws if not law.quarantined]
     for project in bundle.projects:

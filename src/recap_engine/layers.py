@@ -89,7 +89,7 @@ def resolve_constraints(bundle: ProjectBundle, child_id: Identifier) -> Effectiv
     Pure: never mutates the bundle. Quarantined declarations are inert and
     do not resolve.
     """
-    layers = BundleIndex(bundle).layers
+    layers = BundleIndex.of(bundle).layers
     layer = layers.get(child_id)
     if layer is None:
         raise OperationRejected(

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import enum
 import re
+import weakref
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Any
 
 from .identifiers import Identifier
@@ -709,36 +710,80 @@ class ProjectBundle:
         return self.events[-1].sequence + 1 if self.events else 1
 
 
+#: The bundle's lists of records, the state an index captures.
+_LISTS = tuple(f.name for f in fields(ProjectBundle) if f.spec.kind == LIST)
+
+
 class BundleIndex:
     """Read-only lookups over one state of a bundle: the engine's only
     lookup by id.
 
-    Build one per read pass (a scan, a verdict) or per operation, before
-    it writes, and drop it after the write. It is never stored on the
-    bundle, so nothing has to invalidate it. Each map is built on first
-    use; where ids repeat, the first declaration wins.
+    The index captures the records each of the bundle's lists holds when
+    it is built, as tuples in :attr:`state`, and builds every map from
+    those; it holds no reference to the bundle itself. Each map is built
+    on first use, and shared by every caller of the index, which only
+    reads it; where ids repeat, the first declaration wins.
+
+    Read passes (a scan, a verdict, a report) take the index through
+    :meth:`of`, which keeps the index it built last and reuses it while
+    the bundle holds the very same records, so they share one index, and
+    one contamination detection (:attr:`contamination`), per state. An
+    operation builds its own before it writes.
     """
 
     def __init__(self, bundle: ProjectBundle):
-        self.bundle = bundle
+        values = bundle.__dict__
+        state = object.__new__(ProjectBundle)
+        state.__dict__ = {**values, **{name: tuple(values[name]) for name in _LISTS}}
+        #: The indexed state: a bundle holding, as tuples, the records the
+        #: indexed bundle's lists held.
+        self.state = state
+        #: The contamination events of this state, in scan order, once
+        #: :func:`~.contamination.detect_contamination` has found them.
+        self.contamination: tuple | None = None
         self._ancestors: dict[Identifier | None, tuple[LayerDecl, ...]] = {}
         self._assignments: dict[int, tuple[ProjectDecl, dict]] = {}
 
+    @classmethod
+    def of(cls, bundle: ProjectBundle) -> "BundleIndex":
+        """The index of ``bundle``'s current state. The index built last
+        is reused when it was built for this very bundle object and each
+        of the bundle's lists still holds the same records, compared by
+        identity (records compare by value); otherwise a new index is
+        built and kept instead."""
+        global _kept
+        if _kept is not None:
+            ref, index = _kept
+            if ref() is bundle and index._holds(bundle):
+                return index
+        index = cls(bundle)
+        _kept = (weakref.ref(bundle, _forget), index)
+        return index
+
+    def _holds(self, bundle: ProjectBundle) -> bool:
+        """Whether each list of ``bundle`` holds the records captured."""
+        values, held = bundle.__dict__, self.state.__dict__
+        for name in _LISTS:
+            items, kept = values[name], held[name]
+            if len(items) != len(kept) or not all(map(is_, items, kept)):
+                return False
+        return True
+
     @cached_property
     def layers(self) -> dict[Identifier, LayerDecl]:
-        return _first_by(self.bundle.layers, "id")
+        return _first_by(self.state.layers, "id")
 
     @cached_property
     def layers_by_name(self) -> dict[str, LayerDecl]:
-        return _first_by(self.bundle.layers, "local_name")
+        return _first_by(self.state.layers, "local_name")
 
     @cached_property
     def grandparent(self) -> LayerDecl | None:
-        return next((l for l in self.bundle.layers if l.kind == "grandparent"), None)
+        return next((l for l in self.state.layers if l.kind == "grandparent"), None)
 
     @cached_property
     def _layers_by_scope(self) -> dict[tuple[str, str], LayerDecl]:
-        return _first_by(self.bundle.layers, "id.namespace", "id.local_name")
+        return _first_by(self.state.layers, "id.namespace", "id.local_name")
 
     def owner(self, ident: Identifier) -> LayerDecl | None:
         """The layer that declares ``ident``: the grandparent for a ``gp:``
@@ -750,32 +795,32 @@ class BundleIndex:
 
     @cached_property
     def units(self) -> dict[Identifier, EvidentialUnit]:
-        return _first_by(self.bundle.units, "study_id")
+        return _first_by(self.state.units, "study_id")
 
     @cached_property
     def routes(self) -> dict[Identifier, Route]:
-        return _first_by(self.bundle.routes, "id")
+        return _first_by(self.state.routes, "id")
 
     @cached_property
     def projects(self) -> dict[Identifier, ProjectDecl]:
-        return _first_by(self.bundle.projects, "id")
+        return _first_by(self.state.projects, "id")
 
     @cached_property
     def contracts(self) -> dict[Identifier, BoundaryContract]:
-        return _first_by(self.bundle.contracts, "id")
+        return _first_by(self.state.contracts, "id")
 
     @cached_property
     def contracts_between(self) -> dict[tuple[Identifier, Identifier], list[BoundaryContract]]:
         """(origin layer, destination layer) -> contracts, in bundle order."""
-        return _group_by(self.bundle.contracts, "origin_layer", "destination_layer")
+        return _group_by(self.state.contracts, "origin_layer", "destination_layer")
 
     @cached_property
     def reviewer_blocks(self) -> dict[Identifier, list[ReviewerBlock]]:
-        return _group_by(self.bundle.reviewer_blocks, "project_ref")
+        return _group_by(self.state.reviewer_blocks, "project_ref")
 
     @cached_property
     def memos(self) -> dict[Identifier, list[AnalyticMemo]]:
-        return _group_by(self.bundle.memos, "project_ref")
+        return _group_by(self.state.memos, "project_ref")
 
     def ancestors(self, layer: LayerDecl) -> tuple[LayerDecl, ...]:
         """The layers above ``layer``, nearest first."""
@@ -801,6 +846,18 @@ class BundleIndex:
             entry = (project, _first_by(project.assignments, "unit_ref"))
             self._assignments[id(project)] = entry
         return entry[1].get(unit_ref)
+
+
+#: (a weak reference to a bundle, the index of its state) for the index
+#: :meth:`BundleIndex.of` built last. When the bundle goes, so does the
+#: entry, and with it the records only the index still held.
+_kept: tuple[weakref.ref, BundleIndex] | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _kept
+    if _kept is not None and _kept[0] is ref:
+        _kept = None
 
 
 def _first_by(records: list, *names: str) -> dict:

@@ -85,7 +85,7 @@ def build_study_log(
     """
     diags: list[Diagnostic] = []
     entries = StudyLog()
-    for unit in _row_units(index or BundleIndex(bundle), project):
+    for unit in _row_units(index or BundleIndex.of(bundle), project):
         where = unit.study_id.render()
         label = unit.study_id.local_name
         tier = effective_tier(unit)
@@ -143,7 +143,7 @@ def build_tier_table(
     bundle: ProjectBundle, project: ProjectDecl, *, index: BundleIndex | None = None
 ) -> "TierTable":
     """Rows for core and supplement units only, study-log ordering."""
-    index = index or BundleIndex(bundle)
+    index = index or BundleIndex.of(bundle)
     rows = TierTable()
     for unit in _row_units(index, project):
         if effective_tier(unit) not in (Tier.CORE, Tier.SUPPLEMENT):
@@ -170,7 +170,7 @@ def validate_reviewer_block(
 ) -> list[Diagnostic]:
     """Cardinality and anchoring checks; each missing element gets its own
     code so an empty block reports all six."""
-    index = index or BundleIndex(bundle)
+    index = index or BundleIndex.of(bundle)
     diags: list[Diagnostic] = []
     where = block.project_ref.render()
     project = index.projects.get(block.project_ref)
@@ -248,7 +248,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
     framework, no matter how precise everything else is.
     """
     findings: list[Diagnostic] = []
-    index = BundleIndex(bundle)
+    index = BundleIndex.of(bundle)
 
     gp = None
     try:

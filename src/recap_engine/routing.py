@@ -113,7 +113,7 @@ def declare_route(
 
 
 def committed_route(bundle: ProjectBundle, project: ProjectDecl) -> Route | None:
-    return BundleIndex(bundle).routes.get(project.committed_route)
+    return BundleIndex.of(bundle).routes.get(project.committed_route)
 
 
 def check_route_coherence(
@@ -126,7 +126,7 @@ def check_route_coherence(
     holds any role, and each assumption is anchored in evidence or marked
     untestable.
     """
-    index = index or BundleIndex(bundle)
+    index = index or BundleIndex.of(bundle)
     project = index.projects.get(project_id)
     if project is None:
         return [error("E_UNRESOLVED_REF", project_id.render(), "project not found")]
