@@ -414,8 +414,9 @@ def commit(
     """Apply an operation's effect and append its event, as one step.
 
     The payload must already be complete; appliers consume exactly what
-    replay will later consume. An event that does not apply to the bundle
-    is rejected, with the bundle left as it was.
+    replay will later consume. An event that does not apply to the bundle,
+    or that puts in a reference the written bundle would not resolve, is
+    rejected, with the bundle left as it was.
     """
     from . import ENGINE_VERSION
 
@@ -439,8 +440,6 @@ def commit(
         _APPLIERS[kind](state, record)
     except _Refusal as exc:
         raise reject(exc.code, exc.location, str(exc)) from None
-    # A reference the event puts in must resolve, or the bundle written
-    # after it would not parse.
     diags = reference_errors(bundle, state)
     if diags:
         raise OperationRejected(diags)
