@@ -13,14 +13,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from typing import Any, Callable
 
-from .bundle import (
-    clone,
-    declared_ids,
-    declarations,
-    decode_payload,
-    field_effect,
-    reference_errors,
-)
+from .bundle import clone, declarations, decode_payload, field_effect, write_errors
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, parse_identifier
 from .records import replace
@@ -73,22 +66,6 @@ def find_declaration(bundle: ProjectBundle, canonical: str):
     """Locate any id-bearing declaration by its canonical rendered id."""
     ident = parse_identifier(canonical)
     return None if ident is None else _locate(bundle, ident)[0]
-
-
-def duplicate_ids(bundle: ProjectBundle, added: list) -> list[Diagnostic]:
-    """An E_DUP_ID at each id that the records in ``added``, all of one
-    class, or the records nested in them declare while a declaration of
-    ``bundle`` or an earlier id of ``added`` already uses it: the parser
-    would reject the written bundle."""
-    new = declared_ids(added)
-    taken = set(new).intersection(declared_ids([bundle]))
-    diags = []
-    for ident in new:
-        if ident in taken:
-            where = ident.render()
-            diags.append(error("E_DUP_ID", where, f"{where} already declared"))
-        taken.add(ident)
-    return diags
 
 
 def _locate(bundle: ProjectBundle, ident: Identifier) -> tuple[Any, list]:
@@ -415,8 +392,11 @@ def commit(
 
     The payload must already be complete; appliers consume exactly what
     replay will later consume. An event that does not apply to the bundle,
-    or that puts in a reference the written bundle would not resolve, is
-    rejected, with the bundle left as it was.
+    or whose written bundle would not parse (:func:`~.bundle.write_errors`:
+    a reference it puts in that does not resolve, an id it declares twice,
+    an id it drops that is still cited), is rejected, with the bundle left
+    as it was. This is the one check that a write leaves a bundle that
+    parses; operations do not repeat it.
     """
     from . import ENGINE_VERSION
 
@@ -440,7 +420,7 @@ def commit(
         _APPLIERS[kind](state, record)
     except _Refusal as exc:
         raise reject(exc.code, exc.location, str(exc)) from None
-    diags = reference_errors(bundle, state)
+    diags = write_errors(bundle, state)
     if diags:
         raise OperationRejected(diags)
     state.events.append(event)

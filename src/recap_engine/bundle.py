@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from functools import partial
 from itertools import chain, compress, count
 from operator import attrgetter, is_not
@@ -26,7 +27,7 @@ from typing import Any, Callable, Iterator
 
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
 from .identifiers import EMBEDDED_REF_RE, KIND_TO_NAMESPACE, Identifier, is_bare_name
-from .identifiers import parse_identifier
+from .identifiers import extract_references, parse_identifier
 from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER
 from .model import (
     ADDED_KINDS,
@@ -131,9 +132,6 @@ class _Codec:
         lists = [(name, CODECS[spec.of.of]) for name, _, spec in self.fields
                  if spec.kind == LIST and spec.of.kind == RECORD]
         self.holds = [(name, item) for name, item in lists if item.declares or item.holds]
-        #: The fields that may cite a declaration: texts, references, and
-        #: records holding either.
-        self.cites = tuple(name for name, _, spec in self.fields if _cites(spec))
         named: tuple[str, ...] = ()
         if cls is LayerDecl:
             self.identity, named = _layer_identity, ("id", "kind")
@@ -154,12 +152,6 @@ class _Codec:
             decode = _nested_decoder(key, self.decoders[name], report=key[0] not in heads)
             heads.add(key[0])
             self.rest.append((name, key[0], ".".join(key), None, decode))
-
-
-def _cites(spec: Spec) -> bool:
-    """Whether a field of this spec may hold a reference."""
-    item = spec.of if spec.kind == LIST else spec
-    return spec.text or bool(item.expect) or (item.kind == RECORD and bool(CODECS[item.of].cites))
 
 
 def _record_encoder(specs: list) -> Callable[[Any], dict]:
@@ -242,6 +234,56 @@ def field_effect(cls: type, name: str) -> str | None:
     if item.kind == IDENT and item.expect and (many or spec.nullable):
         return "remove_ref" if many else "clear_ref"
     return None
+
+
+# The steps of a record's plan, in the order a walk takes them; each group
+# keeps field order.
+TEXT, DECLS, REFS, TEXTS, REF, ITEMS = range(6)
+#: A record with either flag set is inert: the contamination scan skips it.
+_INERT = ("quarantined", "superseded")
+
+
+def _classify_field(field_name: str) -> str:
+    if field_name in ("measurement_refs", "measurement_issues"):
+        return "measurement"
+    if field_name in (
+        "text",
+        "plausibility",
+        "failure_modes",
+        "consequences_for_inference",
+        "supporting_units",
+    ):
+        return "assumption"
+    return "content"
+
+
+def _plan(codec: _Codec) -> tuple:
+    """``(key, inert, steps)`` of one persisted class: its identity field if
+    it declares something (a record without an id has None), the flags
+    that make it inert, and a step ``(step, field, nature, nested plan)``
+    for each text field, each identifier field whose spec has ``expect``
+    and each list of records whose own plan has steps."""
+    steps = []
+    for name, _, spec in codec.fields:
+        many = spec.kind == LIST
+        item = spec.of if many else spec
+        nested = PLANS[item.of] if many and item.kind == RECORD else None
+        if item.kind == STR and spec.text:
+            step = TEXTS if many else TEXT
+        elif item.kind == IDENT and item.expect:
+            step = REFS if many else REF
+        elif nested and nested[2]:
+            step = DECLS if nested[0] else ITEMS
+        else:
+            continue
+        steps.append((step, name, _classify_field(name), nested))
+    steps.sort(key=lambda step: step[0])
+    inert = tuple(name for name in _INERT if name in codec.specs)
+    return codec.fields[0][0] if codec.declares else None, inert, tuple(steps)
+
+
+#: Persisted class -> its :func:`_plan`, built with :data:`CODECS`.
+PLANS: dict[type, tuple] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -721,19 +763,22 @@ def _index_declarations(bundle: ProjectBundle, diags: list[Diagnostic]) -> dict[
 
 
 def _resolve_layer_refs(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
-    """Replace bare layer references with canonical layer identifiers. This
-    finishes records the parse is still building, which nothing else has
-    seen, so it writes their values in place."""
+    """Replace bare layer references with canonical layer identifiers, and
+    check that a canonical one names a declared layer. This finishes
+    records the parse is still building, which nothing else has seen, so
+    it writes their values in place."""
     by_name = {}
     for layer in bundle.layers:
         by_name.setdefault(layer.local_name, []).append(layer)
+    declared = {layer.id for layer in bundle.layers}
 
-    def resolve(raw: str, section: str, i: int, name: str) -> Identifier | None:
-        candidates = by_name.get(raw, [])
+    def resolve(raw: Identifier | str, section: str, i: int, name: str) -> Identifier | None:
+        candidates = by_name.get(raw, ()) if raw.__class__ is str else ()
         if len(candidates) == 1:
             return candidates[0].id
         where = f"{section}[{i}].{name}"
-        diags.append(error("E_UNRESOLVED_REF", where, f"layer reference {raw!r} does not resolve"))
+        shown = raw if raw.__class__ is str else raw.render()
+        diags.append(error("E_UNRESOLVED_REF", where, f"layer reference {shown!r} does not resolve"))
         return None
 
     for section, _, spec in CODECS[ProjectBundle].fields[1:]:
@@ -742,7 +787,7 @@ def _resolve_layer_refs(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
             values = record.__dict__
             for name in names:
                 raw = values[name]
-                if raw is not None and raw.__class__ is not Identifier:
+                if raw is not None and raw not in declared:
                     values[name] = resolve(raw, section, i, name)
 
 
@@ -842,40 +887,104 @@ def _resolve_references(
             diags.append(error("E_SYNTAX", where, message))
 
 
-def reference_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic]:
-    """What a parse of ``after`` would report at the references that a
-    write put in it: E_UNRESOLVED_REF at one that no declaration of
-    ``after`` names, E_SYNTAX at one naming a declaration of a kind its
-    field does not expect. A write puts in the top-level records that
-    ``after`` holds where ``before`` holds another record or none, less
-    the references that a replaced record cited in the same way."""
+def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic]:
+    """What a parse of ``after`` would reject that a write put in it. A
+    write puts in the top-level records ``after`` holds where ``before``
+    holds another record or none, which it replaces. It is blamed for a
+    reference it puts in, less those a replaced record cited alike, that
+    does not resolve in ``after``, with the parse's own diagnostic; for
+    E_DUP_ID at an id it declares (those of the records it puts in less,
+    as a multiset, those of the records they replace) that ``before`` or
+    an earlier one of them declares; and for E_UNDOCUMENTED at an id it
+    stops declaring that ``after`` still cites (:func:`_citations`). A
+    whole bundle is walked only to resolve a reference the write puts in
+    or an id it declares or drops."""
     added, replaced = _Decoder(), _Decoder()
+    new_ids: list[Identifier] = []
+    old_ids: list[Identifier] = []
     for name, key, spec in CODECS[ProjectBundle].fields[1:]:
         old, new = before.__dict__[name], after.__dict__[name]
-        if old == new:  # equal records cite alike
+        if old == new:  # equal records cite and declare alike
             continue
         codec = CODECS[spec.of.of]
-        changed = compress(count(), map(is_not, new, old))
+        changed = list(compress(count(), map(is_not, new, old)))
+        new_ids += declared_ids([new[i] for i in changed] + new[len(old):])
+        old_ids += declared_ids([old[i] for i in changed] + old[len(new):])
         for i in chain(changed, range(len(old), len(new))):
             if i < len(old):  # a write replaces a record in its place
                 values, previous = new[i].__dict__, old[i].__dict__
-                if all(values[f] is previous[f] for f in codec.cites):
+                if all(values[step[1]] is previous[step[1]] for step in PLANS[codec.cls][2]):
                     continue
                 replaced.record(codec, encode(old[i]), "", ("child", "", ""))
             added.record(codec, encode(new[i]), f"{key}[{i}]", ("child", "", ""))
+        for record in old[len(new):]:  # a write removes the records at the end
+            replaced.record(codec, encode(record), "", ("child", "", ""))
+    diags: list[Diagnostic] = []
     # A reference is (canonical id, expected kinds, path, label, index).
     cited = {ref[:2] for ref in replaced.references}
     added.references = [ref for ref in added.references if ref[:2] not in cited]
-    if not added.references:
-        return []
-    keys = {added.idents[ref[0]]: ref[0] for ref in added.references}
-    index = {}  # canonical id -> the kind of a declaration of it, for the ids cited
-    for kind, ids in _declared([after], CODECS[ProjectBundle]):
-        for ident in keys.keys() & ids:
-            index.setdefault(keys[ident], kind)
-    diags: list[Diagnostic] = []
-    _resolve_references(added, index, diags)
+    if added.references:
+        keys = {added.idents[ref[0]]: ref[0] for ref in added.references}
+        index = {}  # canonical id -> the kind of a declaration of it, for the ids cited
+        for kind, ids in _declared([after], CODECS[ProjectBundle]):
+            for ident in keys.keys() & ids:
+                index.setdefault(keys[ident], kind)
+        _resolve_references(added, index, diags)
+    if new_ids == old_ids:
+        return diags
+    spare, taken = Counter(old_ids), None  # the ids the replaced records declared
+    for ident in new_ids:
+        if spare[ident]:
+            spare[ident] -= 1
+            continue
+        if taken is None:
+            taken = set(declared_ids([before]))
+        if ident in taken:
+            where = ident.render()
+            diags.append(error("E_DUP_ID", where, f"{where} already declared"))
+        taken.add(ident)
+    dropped = list(+spare)
+    if dropped:
+        declared = (ids for _, ids in _declared([after], CODECS[ProjectBundle]))
+        gone = set(dropped).difference(*declared)
+        still = _citations(after, gone) if gone else gone
+        for ident in dropped:
+            if ident in still:
+                diags.append(error("E_UNDOCUMENTED", ident.render(), "declaration is still cited"))
     return diags
+
+
+def _citations(bundle: ProjectBundle, idents: set[Identifier]) -> set[Identifier]:
+    """The ids among ``idents`` that ``bundle`` cites where a parse resolves
+    them: in a reference or a text of any record (:data:`PLANS`), inert
+    ones included, or in a correspondence of an abstraction of the layer
+    that owns the id."""
+    found: set[Identifier] = set()
+    rendered = [ident.render() for ident in idents]
+
+    def walk(record: Any, steps: tuple) -> None:
+        values = record.__dict__
+        for step, name, _, nested in steps:
+            value = values[name]
+            if nested is not None:
+                for item in value:
+                    walk(item, nested[2])
+            elif step == REF:
+                if value in idents:
+                    found.add(value)
+            elif step == REFS:
+                found.update(idents.intersection(value))
+            else:
+                for text in (value,) if step == TEXT else value:
+                    if any(r in text for r in rendered):
+                        found.update(idents.intersection(extract_references(text)))
+
+    walk(bundle, PLANS[ProjectBundle][2])
+    for layer in bundle.layers:
+        named = {n for ab in layer.abstractions for pair in ab.correspondence.items() for n in pair}
+        scope = (layer.id.namespace, "" if layer.kind == "grandparent" else layer.id.local_name)
+        found.update(i for i in idents if (i.namespace, i.owner) == scope and i.local_name in named)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -1077,6 +1186,8 @@ def clone(bundle: ProjectBundle) -> ProjectBundle:
 
 for _cls in (ProjectBundle, *EVENT_PAYLOADS.values()):
     _build(_cls)
+for _cls, _codec in CODECS.items():  # a nested class comes before its holder
+    PLANS[_cls] = _plan(_codec)
 
 #: Event kind -> the spec of its payload record, and the keys it requires:
 #: the fields without a default.

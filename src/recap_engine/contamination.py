@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import re
 
-from .bundle import CODECS, decode, encode, field_effect
+from .bundle import PLANS, REF, REFS, TEXT, TEXTS, decode, encode, field_effect
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references, parse_identifier
 from .model import (
-    IDENT,
-    LIST,
-    RECORD,
-    STR,
     Abstraction,
     BoundaryContract,
     BundleIndex,
@@ -305,61 +301,10 @@ def check_flow(
 # ---------------------------------------------------------------------------
 
 
-def _classify_field(field_name: str) -> str:
-    if field_name in ("measurement_refs", "measurement_issues"):
-        return "measurement"
-    if field_name in (
-        "text",
-        "plausibility",
-        "failure_modes",
-        "consequences_for_inference",
-        "supporting_units",
-    ):
-        return "assumption"
-    return "content"
-
-
 #: The sections the spec-driven walk checks, in scan order; flows are
 #: judged by the flow matrix instead.
 _SECTIONS = ("layers", "units", "routes", "projects")
-#: A record with either flag set is inert: the walk skips it.
-_INERT = ("quarantined", "superseded")
-
-# The steps of a record's scan plan, in the order the walk takes them; each
-# group keeps field order.
-_TEXT, _DECLS, _REFS, _TEXTS, _REF, _ITEMS = range(6)
-_MANY = (_REFS, _TEXTS)
-
-
-def _plan(codec) -> tuple:
-    """``(key, inert, steps)`` of one persisted class: its identity field if
-    it declares something (a record without an id has None), the flags
-    that make it inert, and a step ``(step, field, nature, nested plan)``
-    for each text field, each identifier field whose spec has ``expect``
-    and each list of records whose own plan has steps."""
-    steps = []
-    for name, _, spec in codec.fields:
-        many = spec.kind == LIST
-        item = spec.of if many else spec
-        nested = _PLANS[item.of] if many and item.kind == RECORD else None
-        if item.kind == STR and spec.text:
-            step = _TEXTS if many else _TEXT
-        elif item.kind == IDENT and item.expect:
-            step = _REFS if many else _REF
-        elif nested and nested[2]:
-            step = _DECLS if nested[0] else _ITEMS
-        else:
-            continue
-        steps.append((step, name, _classify_field(name), nested))
-    steps.sort(key=lambda step: step[0])
-    inert = tuple(name for name in _INERT if name in codec.specs)
-    return codec.fields[0][0] if codec.declares else None, inert, tuple(steps)
-
-
-_PLANS: dict[type, tuple] = {}
-for _cls, _codec in CODECS.items():  # a nested class comes before its holder
-    _PLANS[_cls] = _plan(_codec)
-_ROOT = tuple(step for name in _SECTIONS for step in _PLANS[ProjectBundle][2] if step[1] == name)
+_ROOT = tuple(step for name in _SECTIONS for step in PLANS[ProjectBundle][2] if step[1] == name)
 
 
 def _location(where: tuple | None) -> str:
@@ -463,19 +408,19 @@ class _Scanner:
         values = record.__dict__
         for step, name, nature, nested in steps:
             value = values[name]
-            if step == _TEXT:
+            if step == TEXT:
                 if "child:" in value or "parent:" in value or "gp:" in value:
                     at = site or (name, nature, (where, name, None))
                     for ref in extract_references(value):
                         self.check(owner, ref, container, *at)
-            elif step == _REFS:
+            elif step == REFS:
                 for k, ref in enumerate(value):
                     self.check(owner, ref, container, *(site or (name, nature, (where, name, k))))
-            elif step == _REF:
+            elif step == REF:
                 if value is not None:
                     at = site or (name, nature, (where, name, None))
                     self.check(owner, value, container, *at)
-            elif step == _TEXTS:
+            elif step == TEXTS:
                 for j, text in enumerate(value):
                     if "child:" in text or "parent:" in text or "gp:" in text:
                         at = site or (f"{name}[{j}]", nature, (where, name, j))
@@ -649,7 +594,7 @@ def record_flow(
 ) -> ProjectBundle:
     """Record a flow event. Recording is factual: illegal movements are
     recorded too, then flagged by the scan."""
-    from .audit import commit, duplicate_ids, now_utc
+    from .audit import commit, now_utc
 
     index = BundleIndex(bundle)
     diags: list[Diagnostic] = []
@@ -661,7 +606,6 @@ def record_flow(
         diags.append(
             error("E_UNRESOLVED_REF", flow.id.render(), "cited contract not declared")
         )
-    diags.extend(duplicate_ids(bundle, [flow]))
     if diags:
         raise OperationRejected(diags)
     commit(
@@ -708,12 +652,10 @@ def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[
         raise reject("E_UNDOCUMENTED", container, "contaminated declaration not found")
     if not field:
         # The declaration itself is the violation (unauthorized law or
-        # abstraction): reversal deletes it, but only once nothing the
-        # parser resolves names it, or the written bundle would not parse.
+        # abstraction): reversal deletes it, which commit refuses while
+        # anything still cites it.
         if decl.__class__ is not Law and decl.__class__ is not Abstraction:
             raise reject("E_UNDOCUMENTED", container, "not a law or an abstraction")
-        if _is_cited(bundle, decl):
-            raise reject("E_UNDOCUMENTED", container, "declaration is still cited")
         return [{"op": "remove_declaration", "target": container}]
     # Each effect below removes the site's token. Commit refuses to remove
     # a reference or an assignment that is not there; a cleared reference
@@ -753,37 +695,6 @@ def _require(site: ContaminationSite, present: bool) -> None:
     if not present:
         message = f"reference {site.token!r} not present at {site.field}"
         raise reject("E_UNDOCUMENTED", site.container, message)
-
-
-def _is_cited(bundle: ProjectBundle, decl) -> bool:
-    """Whether anything the parser resolves names ``decl``: a reference or
-    a text anywhere in the bundle, or another abstraction's correspondence
-    in its layer."""
-    name = decl.id.local_name
-    if decl.__class__ is Abstraction and any(
-        name in ab.correspondence or name in ab.correspondence.values()
-        for ab in BundleIndex(bundle).owner(decl.id).abstractions
-        if ab is not decl
-    ):
-        return True
-    return _names(bundle, _PLANS[ProjectBundle][2], decl.id, decl)
-
-
-def _names(record, steps: tuple, ident: Identifier, skip) -> bool:
-    """Whether ``record``, outside the record ``skip``, names ``ident`` in a
-    field of its plan ``steps``, inert records included."""
-    for step, name, _, nested in steps:
-        value = record.__dict__[name]
-        values = value if step in _MANY or nested is not None else [value]
-        if nested is not None:
-            found = any(r is not skip and _names(r, nested[2], ident, skip) for r in values)
-        elif step == _TEXT or step == _TEXTS:
-            found = any(ident in extract_references(text) for text in values)
-        else:
-            found = ident in values
-        if found:
-            return True
-    return False
 
 
 def resolve_contamination(

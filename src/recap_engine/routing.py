@@ -80,12 +80,12 @@ def declare_route(
     uncommitted declarations for comparison and belong in the committed
     route's rejected-alternatives record.
     """
-    from .audit import commit, duplicate_ids, now_utc
+    from .audit import commit, now_utc
 
     project = BundleIndex(bundle).projects.get(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
-    diags = validate_route_shape(route) + duplicate_ids(bundle, [route])
+    diags = validate_route_shape(route)
     if commit_route and project.committed_route is not None:
         diags.append(
             error(

@@ -323,7 +323,7 @@ def split_unit(
     (``<part>_<assumption>``), so no two declarations share an id. The
     source stays in the document, marked superseded.
     """
-    from .audit import commit, duplicate_ids, now_utc
+    from .audit import commit, now_utc
 
     unit = BundleIndex(bundle).units.get(unit_id)
     if unit is None:
@@ -361,7 +361,6 @@ def split_unit(
         )
         for name, interp in zip(names, unit.interpretations)
     ]
-    diags.extend(duplicate_ids(bundle, parts))
     if diags:
         raise OperationRejected(diags)
     commit(

@@ -655,7 +655,7 @@ def hand_declarations(bundle):
 def _declaration_bundles():
     doc = toy_dict()
     doc["contracts"].append(
-        {"id": "child:C1:K", "info_type": "content", "origin_layer": "child:C2:C2",
+        {"id": "child:C1:K", "info_type": "content", "origin_layer": "parent:P:P",
          "destination_layer": "child:C1:C1", "legal_justification": "l",
          "no_reinterpretation_clause": True, "documentation_ref": "doc"}
     )
