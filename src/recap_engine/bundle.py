@@ -239,47 +239,30 @@ def field_effect(cls: type, name: str) -> str | None:
 # The steps of a record's plan, in the order a walk takes them; each group
 # keeps field order.
 TEXT, DECLS, REFS, TEXTS, REF, ITEMS = range(6)
-#: A record with either flag set is inert: the contamination scan skips it.
-_INERT = ("quarantined", "superseded")
-
-
-def _classify_field(field_name: str) -> str:
-    if field_name in ("measurement_refs", "measurement_issues"):
-        return "measurement"
-    if field_name in (
-        "text",
-        "plausibility",
-        "failure_modes",
-        "consequences_for_inference",
-        "supporting_units",
-    ):
-        return "assumption"
-    return "content"
 
 
 def _plan(codec: _Codec) -> tuple:
-    """``(key, inert, steps)`` of one persisted class: its identity field if
-    it declares something (a record without an id has None), the flags
-    that make it inert, and a step ``(step, field, nature, nested plan)``
-    for each text field, each identifier field whose spec has ``expect``
-    and each list of records whose own plan has steps."""
+    """``(key, steps)`` of one persisted class: its identity field if it
+    declares something (a record without an id has None), and a step
+    ``(step, field, nested class)`` for each text field, each identifier
+    field whose spec has ``expect`` and each list of records whose own
+    plan has steps; only the last has a nested class, the others None."""
     steps = []
     for name, _, spec in codec.fields:
         many = spec.kind == LIST
         item = spec.of if many else spec
-        nested = PLANS[item.of] if many and item.kind == RECORD else None
+        nested = item.of if many and item.kind == RECORD else None
         if item.kind == STR and spec.text:
             step = TEXTS if many else TEXT
         elif item.kind == IDENT and item.expect:
             step = REFS if many else REF
-        elif nested and nested[2]:
-            step = DECLS if nested[0] else ITEMS
+        elif nested and PLANS[nested][1]:
+            step = DECLS if PLANS[nested][0] else ITEMS
         else:
             continue
-        steps.append((step, name, _classify_field(name), nested))
+        steps.append((step, name, nested))
     steps.sort(key=lambda step: step[0])
-    inert = tuple(name for name in _INERT if name in codec.specs)
-    return codec.fields[0][0] if codec.declares else None, inert, tuple(steps)
+    return codec.fields[0][0] if codec.declares else None, tuple(steps)
 
 
 #: Persisted class -> its :func:`_plan`, built with :data:`CODECS`.
@@ -776,9 +759,7 @@ def _resolve_layer_refs(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
         candidates = by_name.get(raw, ()) if raw.__class__ is str else ()
         if len(candidates) == 1:
             return candidates[0].id
-        where = f"{section}[{i}].{name}"
-        shown = raw if raw.__class__ is str else raw.render()
-        diags.append(error("E_UNRESOLVED_REF", where, f"layer reference {shown!r} does not resolve"))
+        diags.append(_unresolved_layer(raw, f"{section}[{i}].{name}"))
         return None
 
     for section, _, spec in CODECS[ProjectBundle].fields[1:]:
@@ -789,6 +770,11 @@ def _resolve_layer_refs(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
                 raw = values[name]
                 if raw is not None and raw not in declared:
                     values[name] = resolve(raw, section, i, name)
+
+
+def _unresolved_layer(raw: Identifier | str, where: str) -> Diagnostic:
+    shown = raw if raw.__class__ is str else raw.render()
+    return error("E_UNRESOLVED_REF", where, f"layer reference {shown!r} does not resolve")
 
 
 def _validate_structure(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
@@ -890,18 +876,22 @@ def _resolve_references(
 def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic]:
     """What a parse of ``after`` would reject that a write put in it. A
     write puts in the top-level records ``after`` holds where ``before``
-    holds another record or none, which it replaces. It is blamed for a
-    reference it puts in, less those a replaced record cited alike, that
-    does not resolve in ``after``, with the parse's own diagnostic; for
-    E_DUP_ID at an id it declares (those of the records it puts in less,
-    as a multiset, those of the records they replace) that ``before`` or
-    an earlier one of them declares; and for E_UNDOCUMENTED at an id it
-    stops declaring that ``after`` still cites (:func:`_citations`). A
-    whole bundle is walked only to resolve a reference the write puts in
-    or an id it declares or drops."""
+    holds another record or none, which it replaces. It is blamed, with
+    the parse's own diagnostic, for a layer reference in a record it puts
+    in that is not the id of a layer of ``after`` (a payload is history,
+    so a bare name is not resolved) and for a reference it puts in, less
+    those a replaced record cited alike, that does not resolve in
+    ``after``; for E_DUP_ID at an id it declares (those of the records it
+    puts in less, as a multiset, those of the records they replace) that
+    ``before`` or an earlier one of them declares; and for E_UNDOCUMENTED
+    at an id it stops declaring that ``after`` still cites
+    (:func:`_citations`). A whole bundle is walked only to resolve a
+    reference the write puts in or an id it declares or drops."""
     added, replaced = _Decoder(), _Decoder()
     new_ids: list[Identifier] = []
     old_ids: list[Identifier] = []
+    layers = {layer.id for layer in after.layers}
+    diags: list[Diagnostic] = []
     for name, key, spec in CODECS[ProjectBundle].fields[1:]:
         old, new = before.__dict__[name], after.__dict__[name]
         if old == new:  # equal records cite and declare alike
@@ -911,15 +901,20 @@ def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic
         new_ids += declared_ids([new[i] for i in changed] + new[len(old):])
         old_ids += declared_ids([old[i] for i in changed] + old[len(new):])
         for i in chain(changed, range(len(old), len(new))):
+            values = new[i].__dict__
+            missed = [f for f in codec.layer_refs
+                      if values[f] is not None and values[f] not in layers]
+            diags += [_unresolved_layer(values[f], f"{key}[{i}].{f}") for f in missed]
+            if any(values[f].__class__ is str for f in missed):
+                continue  # a record holding a bare name cannot be encoded
             if i < len(old):  # a write replaces a record in its place
-                values, previous = new[i].__dict__, old[i].__dict__
-                if all(values[step[1]] is previous[step[1]] for step in PLANS[codec.cls][2]):
+                previous = old[i].__dict__
+                if all(values[step[1]] is previous[step[1]] for step in PLANS[codec.cls][1]):
                     continue
                 replaced.record(codec, encode(old[i]), "", ("child", "", ""))
             added.record(codec, encode(new[i]), f"{key}[{i}]", ("child", "", ""))
         for record in old[len(new):]:  # a write removes the records at the end
             replaced.record(codec, encode(record), "", ("child", "", ""))
-    diags: list[Diagnostic] = []
     # A reference is (canonical id, expected kinds, path, label, index).
     cited = {ref[:2] for ref in replaced.references}
     added.references = [ref for ref in added.references if ref[:2] not in cited]
@@ -964,11 +959,11 @@ def _citations(bundle: ProjectBundle, idents: set[Identifier]) -> set[Identifier
 
     def walk(record: Any, steps: tuple) -> None:
         values = record.__dict__
-        for step, name, _, nested in steps:
+        for step, name, nested in steps:
             value = values[name]
             if nested is not None:
                 for item in value:
-                    walk(item, nested[2])
+                    walk(item, PLANS[nested][1])
             elif step == REF:
                 if value in idents:
                     found.add(value)
@@ -979,7 +974,7 @@ def _citations(bundle: ProjectBundle, idents: set[Identifier]) -> set[Identifier
                     if any(r in text for r in rendered):
                         found.update(idents.intersection(extract_references(text)))
 
-    walk(bundle, PLANS[ProjectBundle][2])
+    walk(bundle, PLANS[ProjectBundle][1])
     for layer in bundle.layers:
         named = {n for ab in layer.abstractions for pair in ab.correspondence.items() for n in pair}
         scope = (layer.id.namespace, "" if layer.kind == "grandparent" else layer.id.local_name)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .bundle import PLANS, REF, REFS, TEXT, TEXTS, decode, encode, field_effect
+from .bundle import CODECS, PLANS, REF, REFS, TEXT, TEXTS, decode, encode, field_effect
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references, parse_identifier
 from .model import (
@@ -301,10 +301,36 @@ def check_flow(
 # ---------------------------------------------------------------------------
 
 
+def _classify_field(field_name: str) -> str:
+    if field_name in ("measurement_refs", "measurement_issues"):
+        return "measurement"
+    if field_name in (
+        "text",
+        "plausibility",
+        "failure_modes",
+        "consequences_for_inference",
+        "supporting_units",
+    ):
+        return "assumption"
+    return "content"
+
+
 #: The sections the spec-driven walk checks, in scan order; flows are
 #: judged by the flow matrix instead.
 _SECTIONS = ("layers", "units", "routes", "projects")
-_ROOT = tuple(step for name in _SECTIONS for step in PLANS[ProjectBundle][2] if step[1] == name)
+#: A record with either flag set is inert: the walk skips it.
+_INERT = ("quarantined", "superseded")
+
+#: Persisted class -> its scan plan ``(key, inert, steps)``: the record's
+#: :data:`~.bundle.PLANS` entry, the flags that make it inert, and each
+#: step as ``(step, field, nature, nested scan plan)``.
+_PLANS: dict[type, tuple] = {}
+for _cls, (_key, _steps) in PLANS.items():  # a nested class comes before its holder
+    _PLANS[_cls] = _key, tuple(name for name in _INERT if name in CODECS[_cls].specs), tuple(
+        (step, name, _classify_field(name), nested and _PLANS[nested])
+        for step, name, nested in _steps
+    )
+_ROOT = tuple(step for name in _SECTIONS for step in _PLANS[ProjectBundle][2] if step[1] == name)
 
 
 def _location(where: tuple | None) -> str:
@@ -596,18 +622,6 @@ def record_flow(
     recorded too, then flagged by the scan."""
     from .audit import commit, now_utc
 
-    index = BundleIndex(bundle)
-    diags: list[Diagnostic] = []
-    if flow.source_layer not in index.layers:
-        diags.append(error("E_UNKNOWN_LAYER", flow.id.render(), "source layer not found"))
-    if flow.dest_layer not in index.layers:
-        diags.append(error("E_UNKNOWN_LAYER", flow.id.render(), "destination layer not found"))
-    if flow.contract_ref is not None and flow.contract_ref not in index.contracts:
-        diags.append(
-            error("E_UNRESOLVED_REF", flow.id.render(), "cited contract not declared")
-        )
-    if diags:
-        raise OperationRejected(diags)
     commit(
         bundle,
         "flow_recorded",

@@ -130,6 +130,40 @@ def test_removing_an_abstraction_a_correspondence_names_is_rejected_unchanged(to
     ) == [("E_UNDOCUMENTED", "parent:P:A")]
 
 
+CONTRACT = {"id": "child:C1:K", "info_type": "content", "origin_layer": "child:C2:C2",
+            "destination_layer": "child:C1:C1", "legal_justification": "l",
+            "no_reinterpretation_clause": True, "documentation_ref": "doc"}
+
+
+@pytest.mark.parametrize("origin", ["child:C2:C2", "C2", "C1"])
+def test_a_committed_contract_naming_an_undeclared_layer_is_rejected_unchanged(toy, origin):
+    # The toy declares gp:G, parent:P:P and child:C1:C1. A payload is
+    # history, so a bare name is not resolved, even one that would parse.
+    payload = {"decl_kind": "contract", "record": {**CONTRACT, "origin_layer": origin}}
+    assert rejected(
+        toy, lambda: commit(toy, "declaration_added", payload, actor="t", timestamp=STAMP)
+    ) == [("E_UNRESOLVED_REF", "contracts[0].origin_layer")]
+
+
+def test_a_committed_flow_naming_an_undeclared_layer_is_rejected_unchanged(toy):
+    flow = {**encode(toy.flows[0]), "id": "gp:F2", "source_layer": "gp:NOPE"}
+    assert rejected(
+        toy, lambda: commit(toy, "flow_recorded", {"flow": flow}, actor="t", timestamp=STAMP)
+    ) == [("E_UNRESOLVED_REF", "flows[1].source_layer")]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("source_layer", Identifier("gp", "", "NOPE")),
+    ("dest_layer", Identifier("child", "C2", "C2")),
+    ("contract_ref", Identifier("child", "C1", "NOPE")),
+])
+def test_record_flow_leaves_an_unresolved_flow_to_commit(toy, field, value):
+    flow = replace(toy.flows[0], id=Identifier("gp", "", "F2"), **{field: value})
+    assert rejected(toy, lambda: record_flow(toy, flow, timestamp=STAMP)) == [
+        ("E_UNRESOLVED_REF", f"flows[1].{field}")
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Canonical layer references
 # ---------------------------------------------------------------------------

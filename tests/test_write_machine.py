@@ -4,7 +4,8 @@ A hypothesis state machine drives the public operations, and events built
 by hand and sent through ``audit.commit``, over a bundle: laws repeated or
 renamed in a bump, route assumptions renamed in a revision, declarations
 added under taken or fresh ids, flows recorded under taken or fresh ids,
-texts citing declarations, and reversals and quarantines of scanned
+contracts and flows between declared layers, undeclared ones and bare
+names, texts citing declarations, and reversals and quarantines of scanned
 events. After every step:
 
 - an accepted write re-parses with no error;
@@ -152,6 +153,31 @@ class WriteMachine(RuleBasedStateMachine):
         stamp = self.stamp()
         flow = FlowEvent(name, source, dest, "content", "A finding.", stamp)
         self.attempt(lambda: record_flow(self.live, flow, timestamp=stamp))
+
+    @rule(k=picks, kind=st.sampled_from(["contract", "flow"]),
+          ends=st.tuples(*[st.sampled_from(["declared", "undeclared", "bare"])] * 2))
+    def link_layers(self, k, kind, ends):
+        """Commit a contract or a flow whose ends are each a declared layer,
+        a canonical id that no layer declares, or a layer's bare name."""
+        layers = self.live.layers
+        children = [layer for layer in layers if layer.kind == "child"]
+        child = children[k % len(children)]
+        a, b = (
+            {"declared": layer.id.render(), "bare": layer.local_name,
+             "undeclared": f"child:L{self.tick}:L{self.tick}"}[how]
+            for how, layer in zip(ends, (layers[k % len(layers)], layers[k // 7 % len(layers)]))
+        )
+        name, stamp = f"child:{child.local_name}:K{self.tick}", self.stamp()
+        if kind == "contract":
+            record = {"id": name, "info_type": "content", "origin_layer": a,
+                      "destination_layer": b, "legal_justification": "Vetted.",
+                      "no_reinterpretation_clause": True, "documentation_ref": "doc"}
+            kind, payload = "declaration_added", {"decl_kind": "contract", "record": record}
+        else:
+            kind, payload = "flow_recorded", {"flow": {
+                "id": name, "source_layer": a, "dest_layer": b, "info_class": "content",
+                "payload": "A finding.", "timestamp": stamp}}
+        self.attempt(lambda: commit(self.live, kind, payload, actor="machine", timestamp=stamp))
 
     @rule(k=picks)
     def cite(self, k):
