@@ -90,15 +90,16 @@ def _path(up: tuple | None) -> list[tuple[str, int]]:
 def _put(holder: Any, path: list[tuple[str, int]], new: Any) -> Any:
     """``holder`` with the record at ``path`` below it replaced by ``new``.
     A record is replaced, never edited: each record on the path is
-    rebuilt, and the bundle's own list takes the new top-level record."""
+    rebuilt, and the bundle takes a new tuple with the new top-level one."""
     (name, i), rest = path[0], path[1:]
     items = holder.__dict__[name]
     if rest:
         new = _put(items[i], rest, new)
+    items = items[:i] + (new,) + items[i + 1 :]
     if holder.__class__ is ProjectBundle:
-        items[i] = new
+        setattr(holder, name, items)
         return holder
-    return replace(holder, **{name: items[:i] + (new,) + items[i + 1 :]})
+    return replace(holder, **{name: items})
 
 
 def _lookup(bundle: ProjectBundle, kind: str, ident: Identifier):
@@ -110,11 +111,11 @@ def _lookup(bundle: ProjectBundle, kind: str, ident: Identifier):
     return found
 
 
-def _swap(items: list, old: Any, new: Any) -> None:
-    """Put ``new`` where the record ``old`` is in one of the bundle's lists."""
-    for i, item in enumerate(items):
+def _swap(bundle: ProjectBundle, name: str, old: Any, new: Any) -> None:
+    """Put ``new`` where the record ``old`` is in the bundle's list ``name``."""
+    for i, item in enumerate(bundle.__dict__[name]):
         if item is old:
-            items[i] = new
+            _put(bundle, [(name, i)], new)
             return
 
 
@@ -130,7 +131,7 @@ def _add_to_layer(bundle: ProjectBundle, layer: Identifier, decl) -> None:
     layer_decl = _lookup(bundle, "layer", layer)
     name = "laws" if decl.__class__ is Law else "abstractions"
     added = replace(layer_decl, **{name: getattr(layer_decl, name) + (decl,)})
-    _swap(bundle.layers, layer_decl, added)
+    _swap(bundle, "layers", layer_decl, added)
 
 
 def _apply_effects(bundle: ProjectBundle, effects: list[ResolutionEffect]) -> None:
@@ -141,10 +142,10 @@ def _apply_effects(bundle: ProjectBundle, effects: list[ResolutionEffect]) -> No
         if op == "quarantine":
             _quarantine(bundle, effect.target)
         elif op == "remove_flow":
-            kept = [f for f in bundle.flows if f.id != effect.target]
+            kept = tuple(f for f in bundle.flows if f.id != effect.target)
             if len(kept) == len(bundle.flows):
                 raise _Refusal(effect.target, f"flow {effect.target.render()} not found")
-            bundle.flows[:] = kept
+            bundle.flows = kept
         elif op == "remove_declaration":
             _remove_declaration(bundle, effect.target)
         elif op == "add_law" or op == "add_abstraction":
@@ -212,14 +213,14 @@ def _remove_declaration(bundle: ProjectBundle, ident: Identifier) -> None:
 
 # ---------------------------------------------------------------------------
 # Event appliers: each takes its kind's decoded payload record, and writes
-# by putting replacement records in the bundle's lists
+# by giving the bundle new tuples
 # ---------------------------------------------------------------------------
 
 
 def _apply_tier_declared(bundle: ProjectBundle, declared: TierDeclared) -> None:
     unit = _lookup(bundle, "unit", declared.unit)
     new = replace(unit, tier_justification=declared.justification, declared_tier=declared.tier)
-    _swap(bundle.units, unit, new)
+    _swap(bundle, "units", unit, new)
 
 
 def _apply_retier(bundle: ProjectBundle, retier: Retier) -> None:
@@ -234,32 +235,32 @@ def _apply_retier(bundle: ProjectBundle, retier: Retier) -> None:
         changes["interpretations"] = retier.interpretations
     if retier.explicit_assumptions is not None:
         changes["explicit_assumptions"] = retier.explicit_assumptions
-    _swap(bundle.units, unit, replace(unit, **changes))
+    _swap(bundle, "units", unit, replace(unit, **changes))
 
 
 def _apply_route_declared(bundle: ProjectBundle, declared: RouteDeclared) -> None:
     route = declared.route
     project = _lookup(bundle, "project", declared.project) if declared.committed else None
     if route.id not in BundleIndex(bundle).routes:
-        bundle.routes.append(route)
+        bundle.routes += (route,)
     if project is not None:
-        _swap(bundle.projects, project, replace(project, committed_route=route.id))
+        _swap(bundle, "projects", project, replace(project, committed_route=route.id))
 
 
 def _apply_route_frozen(bundle: ProjectBundle, frozen: RouteFrozen) -> None:
     route = _lookup(bundle, "route", frozen.route)
-    _swap(bundle.routes, route, replace(route, frozen_at=frozen.frozen_at))
+    _swap(bundle, "routes", route, replace(route, frozen_at=frozen.frozen_at))
 
 
 def _apply_route_revised(bundle: ProjectBundle, revised: RouteRevised) -> None:
     route = _lookup(bundle, "route", revised.route)
     # A record's __dict__ holds exactly its fields: the body's are Route's.
     revisions = route.revisions + (revised.revision,)
-    _swap(bundle.routes, route, replace(route, **revised.body.__dict__, revisions=revisions))
+    _swap(bundle, "routes", route, replace(route, **revised.body.__dict__, revisions=revisions))
 
 
 def _apply_flow_recorded(bundle: ProjectBundle, recorded: FlowRecorded) -> None:
-    bundle.flows.append(recorded.flow)
+    bundle.flows += (recorded.flow,)
 
 
 def _apply_contamination_flagged(bundle: ProjectBundle, flagged: ContaminationFlagged) -> None:
@@ -275,30 +276,30 @@ def _apply_version_bumped(bundle: ProjectBundle, bumped: VersionBumped) -> None:
     gp = BundleIndex(bundle).grandparent
     if gp is None:
         raise _Refusal("layers", "bundle has no grandparent layer", "E_NO_GRANDPARENT")
-    _swap(bundle.layers, gp, replace(gp, laws=bumped.laws, version=bumped.entry.to_version))
+    _swap(bundle, "layers", gp, replace(gp, laws=bumped.laws, version=bumped.entry.to_version))
 
 
 def _apply_unit_split(bundle: ProjectBundle, split: UnitSplit) -> None:
     source = _lookup(bundle, "unit", split.source)
-    _swap(bundle.units, source, replace(source, superseded=True))
-    bundle.units.extend(split.units)
+    _swap(bundle, "units", source, replace(source, superseded=True))
+    bundle.units += tuple(split.units)
     parts = tuple(u.study_id for u in split.units)
-    for i, project in enumerate(bundle.projects):
+    for project in bundle.projects:
         if source.study_id in project.unit_refs:
             refs = tuple(r for r in project.unit_refs if r != source.study_id) + parts
-            bundle.projects[i] = replace(project, unit_refs=refs)
+            _swap(bundle, "projects", project, replace(project, unit_refs=refs))
 
 
 def _apply_declaration_added(bundle: ProjectBundle, added: DeclarationAdded) -> None:
     decl = added.record
     if added.decl_kind == "unit":
         project = None if added.project is None else _lookup(bundle, "project", added.project)
-        bundle.units.append(decl)
+        bundle.units += (decl,)
         if project is not None:
             refs = project.unit_refs + (decl.study_id,)
-            _swap(bundle.projects, project, replace(project, unit_refs=refs))
+            _swap(bundle, "projects", project, replace(project, unit_refs=refs))
     elif added.decl_kind == "contract":
-        bundle.contracts.append(decl)
+        bundle.contracts += (decl,)
     else:
         _add_to_layer(bundle, added.layer, decl)
 
@@ -375,7 +376,7 @@ def append_event(bundle: ProjectBundle, event: AuditEvent) -> ProjectBundle:
     diags = validate_event(bundle, event)
     if diags:
         raise OperationRejected(diags)
-    bundle.events.append(event)
+    bundle.events += (event,)
     return bundle
 
 
@@ -413,7 +414,7 @@ def commit(
     diags, record = _check(bundle, event)
     if diags:
         raise OperationRejected(diags)
-    # The applier writes to a clone, whose lists are swapped in only once
+    # The applier writes to a clone, whose fields the bundle takes only once
     # every part of the event has applied: a refused event changes nothing.
     state = clone(bundle)
     try:
@@ -423,10 +424,8 @@ def commit(
     diags = write_errors(bundle, state)
     if diags:
         raise OperationRejected(diags)
-    state.events.append(event)
-    for name, items in state.__dict__.items():
-        if items.__class__ is list:
-            bundle.__dict__[name][:] = items
+    state.events += (event,)
+    vars(bundle).update(vars(state))
     return event
 
 
@@ -439,8 +438,8 @@ def replay(initial: ProjectBundle, events: list[AuditEvent]) -> ProjectBundle:
     engine bug, not an input error.
     """
     state = clone(initial)
-    for event in events:
-        if event.sequence != state.next_sequence():
+    for sequence, event in enumerate(events, state.next_sequence()):
+        if event.sequence != sequence:
             raise reject(
                 "E_REPLAY_DIVERGENCE",
                 f"events[{event.sequence}]",
@@ -459,5 +458,6 @@ def replay(initial: ProjectBundle, events: list[AuditEvent]) -> ProjectBundle:
                 f"events[{event.sequence}]",
                 f"{event.kind} failed to apply: {exc}",
             ) from exc
-        state.events.append(event)
+    # Appliers never read the log, so the events are appended in one step.
+    state.events += tuple(events)
     return state

@@ -875,14 +875,14 @@ def _resolve_references(
 
 def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic]:
     """What a parse of ``after`` would reject that a write put in it. A
-    write puts in the top-level records ``after`` holds where ``before``
-    holds another record or none, which it replaces. It is blamed, with
-    the parse's own diagnostic, for a layer reference in a record it puts
-    in that is not the id of a layer of ``after`` (a payload is history,
-    so a bare name is not resolved) and for a reference it puts in, less
-    those a replaced record cited alike, that does not resolve in
-    ``after``; for E_DUP_ID at an id it declares (those of the records it
-    puts in less, as a multiset, those of the records they replace) that
+    write puts in the records each of ``after``'s tuples holds more often
+    than ``before``'s, by identity, and takes out those held less often
+    (:func:`_difference`). It is blamed, with the parse's own diagnostic,
+    for a layer reference in a record it puts in that is not the id of a
+    layer of ``after`` (a payload is history, so a bare name is not
+    resolved) and for a reference it puts in, less those a record it takes
+    out cited alike, that does not resolve in ``after``; for E_DUP_ID at
+    an id it declares, less as a multiset those it stops declaring, that
     ``before`` or an earlier one of them declares; and for E_UNDOCUMENTED
     at an id it stops declaring that ``after`` still cites
     (:func:`_citations`). A whole bundle is walked only to resolve a
@@ -894,27 +894,28 @@ def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic
     diags: list[Diagnostic] = []
     for name, key, spec in CODECS[ProjectBundle].fields[1:]:
         old, new = before.__dict__[name], after.__dict__[name]
-        if old == new:  # equal records cite and declare alike
+        if old is new:
             continue
         codec = CODECS[spec.of.of]
-        changed = list(compress(count(), map(is_not, new, old)))
-        new_ids += declared_ids([new[i] for i in changed] + new[len(old):])
-        old_ids += declared_ids([old[i] for i in changed] + old[len(new):])
-        for i in chain(changed, range(len(old), len(new))):
+        put, out = _difference(old, new)
+        new_ids += declared_ids([new[i] for i in put])
+        old_ids += declared_ids([old[j] for j in out])
+        paired = set(put).intersection(out)  # replaced in place
+        for i in put:
             values = new[i].__dict__
             missed = [f for f in codec.layer_refs
                       if values[f] is not None and values[f] not in layers]
             diags += [_unresolved_layer(values[f], f"{key}[{i}].{f}") for f in missed]
             if any(values[f].__class__ is str for f in missed):
                 continue  # a record holding a bare name cannot be encoded
-            if i < len(old):  # a write replaces a record in its place
+            if i in paired:
                 previous = old[i].__dict__
                 if all(values[step[1]] is previous[step[1]] for step in PLANS[codec.cls][1]):
                     continue
                 replaced.record(codec, encode(old[i]), "", ("child", "", ""))
             added.record(codec, encode(new[i]), f"{key}[{i}]", ("child", "", ""))
-        for record in old[len(new):]:  # a write removes the records at the end
-            replaced.record(codec, encode(record), "", ("child", "", ""))
+        for j in set(out) - paired:
+            replaced.record(codec, encode(old[j]), "", ("child", "", ""))
     # A reference is (canonical id, expected kinds, path, label, index).
     cited = {ref[:2] for ref in replaced.references}
     added.references = [ref for ref in added.references if ref[:2] not in cited]
@@ -947,6 +948,31 @@ def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic
             if ident in still:
                 diags.append(error("E_UNDOCUMENTED", ident.render(), "declaration is still cited"))
     return diags
+
+
+def _difference(old: tuple, new: tuple) -> tuple[list[int], list[int]]:
+    """The positions of the records ``new`` holds more often than ``old``,
+    and of those ``old`` holds more often than ``new``, by identity. The
+    ends the two share are skipped at C speed."""
+    size = min(len(old), len(new))
+    head = next(compress(count(), map(is_not, old, new)), size)
+    tail = next(compress(count(), map(is_not, reversed(old), reversed(new))), size)
+    tail = min(tail, size - head)
+    old, new = old[head : len(old) - tail], new[head : len(new) - tail]
+    return _extra(new, old, head), _extra(old, new, head)
+
+
+def _extra(items: tuple, others: tuple, start: int) -> list[int]:
+    """The positions, counted from ``start``, of the records of ``items``
+    beyond the occurrences ``others`` holds: of a repeated one, the last."""
+    left = Counter(map(id, others))
+    out = []
+    for i, key in enumerate(map(id, items), start):
+        if left[key]:
+            left[key] -= 1
+        else:
+            out.append(i)
+    return out
 
 
 def _citations(bundle: ProjectBundle, idents: set[Identifier]) -> set[Identifier]:
@@ -1024,7 +1050,7 @@ def parse_bundle(text: str) -> ParseResult:
     bundle = ProjectBundle(recap_version=recap_version or "v0.0")
     for name, key, spec in codec.fields[1:]:
         items = decoder.items(spec.of, raw.get(key, _ABSENT), f"$.{key}", key, ctx)
-        setattr(bundle, name, list(items))
+        setattr(bundle, name, items)
 
     diags = list(decoder.diagnostics)
     if not any(d.severity == Severity.ERROR for d in diags):
@@ -1169,13 +1195,11 @@ def serialize_bundle(bundle: ProjectBundle) -> str:
 
 
 def clone(bundle: ProjectBundle) -> ProjectBundle:
-    """A new bundle over copies of ``bundle``'s lists. It shares every
-    record, which cannot change, so a write to either bundle, which
-    replaces records in that bundle's own lists, leaves the other as it
-    was."""
+    """A new bundle holding ``bundle``'s tuples. Tuples and records cannot
+    change, so a write to either bundle, which gives that bundle new
+    tuples, leaves the other as it was."""
     copy = _new(ProjectBundle)
-    copy.__dict__ = {name: value.copy() if value.__class__ is list else value
-                     for name, value in bundle.__dict__.items()}
+    copy.__dict__ = bundle.__dict__.copy()
     return copy
 
 

@@ -136,12 +136,10 @@ def _effective_vocabulary(index: BundleIndex, layer: LayerDecl) -> set[str]:
     return {t.lower() for cursor in (layer, *index.ancestors(layer)) for t in cursor.vocabulary}
 
 
-def validate_insight(
-    proposal: InsightProposal, bundle: ProjectBundle, *, index: BundleIndex | None = None
-) -> list[Diagnostic]:
+def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[Diagnostic]:
     """Insight may move upward only when it is domain-independent,
     expressible in the target layer's vocabulary, and append-only."""
-    index = index or BundleIndex.of(bundle)
+    index = BundleIndex.of(bundle)
     diags: list[Diagnostic] = []
     where = proposal.id
     origin = index.layers.get(proposal.origin_layer)
@@ -238,9 +236,7 @@ def _addition_record(addition: dict) -> tuple[type, dict]:
 # ---------------------------------------------------------------------------
 
 
-def check_flow(
-    flow: FlowEvent, bundle: ProjectBundle, *, index: BundleIndex | None = None
-) -> FlowVerdict:
+def check_flow(flow: FlowEvent, bundle: ProjectBundle) -> FlowVerdict:
     """Total verdict over the flow-permission matrix.
 
     Downward movement is always legal (constraints flow down, lineage or
@@ -248,7 +244,7 @@ def check_flow(
     level. Same-kind movement between distinct layers is lateral and
     contract-gated. Contracts never legalize upward movement.
     """
-    index = index or BundleIndex.of(bundle)
+    index = BundleIndex.of(bundle)
     source = index.layers.get(flow.source_layer)
     dest = index.layers.get(flow.dest_layer)
     if source is None or dest is None:
@@ -277,7 +273,7 @@ def check_flow(
             target_layer=dest.id,
             statement=flow.payload,
         )
-        failures = validate_insight(proposal, bundle, index=index)
+        failures = validate_insight(proposal, bundle)
         if not failures:
             return FlowVerdict.ok("validated methodological insight")
         rule = (
@@ -389,7 +385,7 @@ class _Scanner:
         for fi, flow in enumerate(self.bundle.flows):
             if flow.quarantined:
                 continue
-            verdict = check_flow(flow, self.bundle, index=self.index)
+            verdict = check_flow(flow, self.bundle)
             if verdict.allowed:
                 continue
             self.flag(

@@ -5,9 +5,9 @@ The model is plain data: invariant checking lives in the parser and the
 per-subsystem validators, and every mutation goes through an operation that
 appends an audit event.
 
-Every record below :class:`ProjectBundle` is a frozen value: its lists are
-tuples and its maps and free JSON read-only, so a write replaces records
-(``records.replace``) in the bundle's own lists instead of editing them.
+Records below :class:`ProjectBundle` are frozen values, maps and free JSON
+are read-only, and every list, the bundle's too, is a tuple: a write gives
+the bundle new tuples (``records.replace``) and edits nothing in place.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import enum
 import re
 import weakref
 from functools import cached_property
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import Any
 
 from .identifiers import Identifier
@@ -685,18 +685,25 @@ class AuditEvent:
 
 @record
 class ProjectBundle:
-    """Root document: the project's complete epistemic ledger."""
+    """Root document: the project's complete epistemic ledger. Its lists
+    are tuples, so a state of a bundle is the tuples it holds."""
 
     recap_version: str = spec(STR)
-    layers: list[LayerDecl] = spec(LIST, Spec(RECORD, LayerDecl), factory=list)
-    projects: list[ProjectDecl] = spec(LIST, Spec(RECORD, ProjectDecl), factory=list)
-    units: list[EvidentialUnit] = spec(LIST, Spec(RECORD, EvidentialUnit), factory=list)
-    routes: list[Route] = spec(LIST, Spec(RECORD, Route), factory=list)
-    flows: list[FlowEvent] = spec(LIST, Spec(RECORD, FlowEvent), factory=list)
-    contracts: list[BoundaryContract] = spec(LIST, Spec(RECORD, BoundaryContract), factory=list)
-    events: list[AuditEvent] = spec(LIST, Spec(RECORD, AuditEvent), factory=list)
-    reviewer_blocks: list[ReviewerBlock] = spec(LIST, Spec(RECORD, ReviewerBlock), factory=list)
-    memos: list[AnalyticMemo] = spec(LIST, Spec(RECORD, AnalyticMemo), factory=list)
+    layers: tuple[LayerDecl, ...] = spec(LIST, Spec(RECORD, LayerDecl), default=())
+    projects: tuple[ProjectDecl, ...] = spec(LIST, Spec(RECORD, ProjectDecl), default=())
+    units: tuple[EvidentialUnit, ...] = spec(LIST, Spec(RECORD, EvidentialUnit), default=())
+    routes: tuple[Route, ...] = spec(LIST, Spec(RECORD, Route), default=())
+    flows: tuple[FlowEvent, ...] = spec(LIST, Spec(RECORD, FlowEvent), default=())
+    contracts: tuple[BoundaryContract, ...] = spec(LIST, Spec(RECORD, BoundaryContract), default=())
+    events: tuple[AuditEvent, ...] = spec(LIST, Spec(RECORD, AuditEvent), default=())
+    reviewer_blocks: tuple[ReviewerBlock, ...] = spec(LIST, Spec(RECORD, ReviewerBlock), default=())
+    memos: tuple[AnalyticMemo, ...] = spec(LIST, Spec(RECORD, AnalyticMemo), default=())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        # A list is stored as a tuple, also in a __dict__ set whole (__init__).
+        if name == "__dict__":
+            value = {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
+        object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)
 
     # -- lookups ------------------------------------------------------------
 
@@ -710,7 +717,7 @@ class ProjectBundle:
         return self.events[-1].sequence + 1 if self.events else 1
 
 
-#: The bundle's lists of records, the state an index captures.
+#: The bundle's tuples of records, the state an index captures.
 _LISTS = tuple(f.name for f in fields(ProjectBundle) if f.spec.kind == LIST)
 
 
@@ -718,25 +725,23 @@ class BundleIndex:
     """Read-only lookups over one state of a bundle: the engine's only
     lookup by id.
 
-    The index captures the records each of the bundle's lists holds when
-    it is built, as tuples in :attr:`state`, and builds every map from
-    those; it holds no reference to the bundle itself. Each map is built
-    on first use, and shared by every caller of the index, which only
-    reads it; where ids repeat, the first declaration wins.
+    The index captures the tuples the bundle holds when it is built, in
+    :attr:`state`, and builds every map from those; it holds no reference
+    to the bundle itself. Each map is built on first use, and shared by
+    every caller of the index, which only reads it; where ids repeat, the
+    first declaration wins.
 
     Read passes (a scan, a verdict, a report) take the index through
-    :meth:`of`, which keeps the index it built last and reuses it while
-    the bundle holds the very same records, so they share one index, and
-    one contamination detection (:attr:`contamination`), per state. An
+    :meth:`of`, which keeps the index it built last and reuses it for any
+    bundle holding the very same tuples, so they share one index, and one
+    contamination detection (:attr:`contamination`), per state. An
     operation builds its own before it writes.
     """
 
     def __init__(self, bundle: ProjectBundle):
-        values = bundle.__dict__
         state = object.__new__(ProjectBundle)
-        state.__dict__ = {**values, **{name: tuple(values[name]) for name in _LISTS}}
-        #: The indexed state: a bundle holding, as tuples, the records the
-        #: indexed bundle's lists held.
+        state.__dict__ = bundle.__dict__.copy()
+        #: The indexed state: a bundle holding the indexed bundle's tuples.
         self.state = state
         #: The contamination events of this state, in scan order, once
         #: :func:`~.contamination.detect_contamination` has found them.
@@ -746,28 +751,21 @@ class BundleIndex:
 
     @classmethod
     def of(cls, bundle: ProjectBundle) -> "BundleIndex":
-        """The index of ``bundle``'s current state. The index built last
-        is reused when it was built for this very bundle object and each
-        of the bundle's lists still holds the same records, compared by
-        identity (records compare by value); otherwise a new index is
-        built and kept instead."""
+        """The index of ``bundle``'s current state: the index built last if
+        ``bundle`` holds the tuples it captured (a clone before its first
+        write, or :attr:`state`, does), else a new one, kept instead until
+        the bundle that built it is dropped."""
         global _kept
-        if _kept is not None:
-            ref, index = _kept
-            if ref() is bundle and index._holds(bundle):
-                return index
+        if _kept is not None and _kept[1]._holds(bundle):
+            return _kept[1]
         index = cls(bundle)
         _kept = (weakref.ref(bundle, _forget), index)
         return index
 
     def _holds(self, bundle: ProjectBundle) -> bool:
-        """Whether each list of ``bundle`` holds the records captured."""
+        """Whether ``bundle`` holds the very tuples captured."""
         values, held = bundle.__dict__, self.state.__dict__
-        for name in _LISTS:
-            items, kept = values[name], held[name]
-            if len(items) != len(kept) or not all(map(is_, items, kept)):
-                return False
-        return True
+        return all(values[name] is held[name] for name in _LISTS)
 
     @cached_property
     def layers(self) -> dict[Identifier, LayerDecl]:

@@ -33,7 +33,8 @@ from .model import (
     TierTableRow,
 )
 from .records import fields
-from .routing import check_freeze_integrity, check_route_coherence
+from .routing import check_freeze_integrity, check_route_coherence, duplicate_assignments
+from .routing import validate_route_shape
 from .tiering import check_retier_chain, check_tier_declaration, effective_tier
 
 STUDY_LOG_FIELDS = (
@@ -75,9 +76,7 @@ def _has_direction_tag(text: str) -> bool:
     return any(tag in lowered for tag in BIAS_DIRECTION_TAGS)
 
 
-def build_study_log(
-    bundle: ProjectBundle, project: ProjectDecl, *, index: BundleIndex | None = None
-) -> "StudyLog":
+def build_study_log(bundle: ProjectBundle, project: ProjectDecl) -> "StudyLog":
     """One row per unit, excluded units included; exclusion is not erasure.
 
     Rows are projections of unit declarations; a missing mandatory field
@@ -85,7 +84,7 @@ def build_study_log(
     """
     diags: list[Diagnostic] = []
     entries = StudyLog()
-    for unit in _row_units(index or BundleIndex.of(bundle), project):
+    for unit in _row_units(BundleIndex.of(bundle), project):
         where = unit.study_id.render()
         label = unit.study_id.local_name
         tier = effective_tier(unit)
@@ -139,11 +138,9 @@ def _evidence_type(index: BundleIndex, project: ProjectDecl, unit: EvidentialUni
     return assignment.role.replace("_", " ").capitalize()
 
 
-def build_tier_table(
-    bundle: ProjectBundle, project: ProjectDecl, *, index: BundleIndex | None = None
-) -> "TierTable":
+def build_tier_table(bundle: ProjectBundle, project: ProjectDecl) -> "TierTable":
     """Rows for core and supplement units only, study-log ordering."""
-    index = index or BundleIndex.of(bundle)
+    index = BundleIndex.of(bundle)
     rows = TierTable()
     for unit in _row_units(index, project):
         if effective_tier(unit) not in (Tier.CORE, Tier.SUPPLEMENT):
@@ -165,12 +162,10 @@ def build_tier_table(
 # ---------------------------------------------------------------------------
 
 
-def validate_reviewer_block(
-    block: ReviewerBlock, bundle: ProjectBundle, *, index: BundleIndex | None = None
-) -> list[Diagnostic]:
+def validate_reviewer_block(block: ReviewerBlock, bundle: ProjectBundle) -> list[Diagnostic]:
     """Cardinality and anchoring checks; each missing element gets its own
     code so an empty block reports all six."""
-    index = index or BundleIndex.of(bundle)
+    index = BundleIndex.of(bundle)
     diags: list[Diagnostic] = []
     where = block.project_ref.render()
     project = index.projects.get(block.project_ref)
@@ -286,15 +281,13 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
         findings.extend(check_tier_declaration(unit))
         findings.extend(check_retier_chain(unit))
 
-    from .routing import validate_route_shape
-
     for route in bundle.routes:
         if not route.quarantined:
             findings.extend(validate_route_shape(route))
 
     for project in bundle.projects:
         if project.committed_route is not None:
-            findings.extend(check_route_coherence(bundle, project.id, index=index))
+            findings.extend(check_route_coherence(bundle, project.id))
         else:
             findings.append(
                 error(
@@ -303,20 +296,13 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
                     "project has not committed to an inferential route",
                 )
             )
-            seen: set[str] = set()
-            for assignment in project.assignments:
-                key = assignment.unit_ref.render()
-                if key in seen:
-                    findings.append(
-                        error("E_DUP_ASSIGNMENT", key, "unit holds more than one role assignment")
-                    )
-                seen.add(key)
+            findings.extend(duplicate_assignments(project))
         if not project.unit_refs:
             findings.append(
                 warning("W_NO_UNITS", project.id.render(), "project declares no units")
             )
         try:
-            build_study_log(bundle, project, index=index)
+            build_study_log(bundle, project)
         except OperationRejected as exc:
             findings.append(
                 error(
@@ -332,7 +318,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
                 error("E_NO_REVIEWER_BLOCK", project.id.render(), "reviewer block missing")
             )
         for block in blocks:
-            findings.extend(validate_reviewer_block(block, bundle, index=index))
+            findings.extend(validate_reviewer_block(block, bundle))
         memos = index.memos.get(project.id, [])
         if not memos:
             findings.append(

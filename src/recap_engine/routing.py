@@ -9,6 +9,7 @@ tiered evidence to the committed route's role structure.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .bundle import body_fields, clone, decode_payload, encode, route_body_dict
 from .diagnostics import Diagnostic, OperationRejected, error, reject, warning
@@ -116,9 +117,7 @@ def committed_route(bundle: ProjectBundle, project: ProjectDecl) -> Route | None
     return BundleIndex.of(bundle).routes.get(project.committed_route)
 
 
-def check_route_coherence(
-    bundle: ProjectBundle, project_id: Identifier, *, index: BundleIndex | None = None
-) -> list[Diagnostic]:
+def check_route_coherence(bundle: ProjectBundle, project_id: Identifier) -> list[Diagnostic]:
     """Coherence between the committed route and the tiered evidence.
 
     Clean iff every core unit serves primary inference on the committed
@@ -126,26 +125,17 @@ def check_route_coherence(
     holds any role, and each assumption is anchored in evidence or marked
     untestable.
     """
-    index = index or BundleIndex.of(bundle)
+    index = BundleIndex.of(bundle)
     project = index.projects.get(project_id)
     if project is None:
         return [error("E_UNRESOLVED_REF", project_id.render(), "project not found")]
     route = index.routes.get(project.committed_route)
     if route is None:
         return [error("E_NO_ROUTE", project_id.render(), "project has no committed route")]
-    diags: list[Diagnostic] = []
-    assignment_by_unit: dict[str, list] = {}
-    for assignment in project.assignments:
-        assignment_by_unit.setdefault(assignment.unit_ref.render(), []).append(assignment)
-    for key, matches in assignment_by_unit.items():
-        if len(matches) > 1:
-            diags.append(
-                error("E_DUP_ASSIGNMENT", key, "unit holds more than one role assignment")
-            )
+    diags = duplicate_assignments(project)
     for unit in index.active_units(project):
         key = unit.study_id.render()
-        matches = assignment_by_unit.get(key, [])
-        assignment = matches[0] if matches else None
+        assignment = index.assignment(project, unit.study_id)
         tier = effective_tier(unit)
         if tier is None:
             diags.append(error("E_TIER_UNDECLARED", key, "unit has no declared tier"))
@@ -202,6 +192,13 @@ def check_route_coherence(
     return diags
 
 
+def duplicate_assignments(project: ProjectDecl) -> list[Diagnostic]:
+    """E_DUP_ASSIGNMENT once for each unit the project assigns more than one role."""
+    counts = Counter(a.unit_ref for a in project.assignments)
+    message = "unit holds more than one role assignment"
+    return [error("E_DUP_ASSIGNMENT", ref.render(), message) for ref, n in counts.items() if n > 1]
+
+
 def freeze_route(
     bundle: ProjectBundle,
     project_id: Identifier,
@@ -212,7 +209,7 @@ def freeze_route(
     """Freeze the committed route; coherence failures block freezing."""
     from .audit import commit, now_utc
 
-    index = BundleIndex(bundle)
+    index = BundleIndex.of(bundle)
     project = index.projects.get(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
@@ -221,11 +218,7 @@ def freeze_route(
         raise reject("E_NO_ROUTE", project_id.render(), "project has no committed route")
     if route.frozen_at is not None:
         raise reject("E_ALREADY_FROZEN", route.id.render(), f"frozen at {route.frozen_at}")
-    coherence = [
-        d
-        for d in check_route_coherence(bundle, project_id, index=index)
-        if d.severity.name == "ERROR"
-    ]
+    coherence = [d for d in check_route_coherence(bundle, project_id) if d.severity.name == "ERROR"]
     if coherence:
         raise OperationRejected(
             [
@@ -294,7 +287,7 @@ def revise_route(
     # without touching the live bundle.
     candidate = replace(route, **{name: getattr(new_body, name) for name in body_fields(Route)})
     trial = clone(bundle)
-    trial.routes = [candidate if r is route else r for r in trial.routes]
+    trial.routes = tuple(candidate if r is route else r for r in trial.routes)
     coherence = [d for d in check_route_coherence(trial, project_id) if d.severity.name == "ERROR"]
     if coherence:
         raise OperationRejected(

@@ -242,9 +242,9 @@ def write_bundle(bundle: Any) -> str:
     for lead, name, section, (inline, write) in _LAYOUT:
         pieces.append(lead)
         value = values[name]
-        # A list holding anything but the section's records is written
+        # A section holding anything but a tuple of its records is written
         # whole, and none of its texts is kept.
-        if section is None or value.__class__ is not list or set(map(type, value)) != section[0]:
+        if section is None or value.__class__ is not tuple or set(map(type, value)) != section[0]:
             text = inline.get(value.__class__)
             pieces.append(text(value) if text else write(value, _TOP))
             continue

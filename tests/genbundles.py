@@ -238,11 +238,11 @@ def edit(bundle: ProjectBundle, old, **changes):
     ``bundle``: put ``records.replace(old, **changes)`` in its place,
     rebuilding each record above it, and return the new record."""
     new = records.replace(old, **changes)
-    for items in vars(bundle).values():
-        for i, item in enumerate(items if items.__class__ is list else ()):
+    for name, items in vars(bundle).items():
+        for i, item in enumerate(items if items.__class__ is tuple else ()):
             found = _put(item, old, new)
             if found is not None:
-                items[i] = found
+                setattr(bundle, name, items[:i] + (found,) + items[i + 1:])
                 return new
     raise LookupError(f"{old!r} is not in the bundle")
 
@@ -252,7 +252,9 @@ def edit_payload(bundle: ProjectBundle, i: int, change) -> None:
     of it, which then replaces the event's payload."""
     payload = json.loads(json.dumps(bundle.events[i].payload))
     change(payload)
-    bundle.events[i] = records.replace(bundle.events[i], payload=payload)
+    events = list(bundle.events)
+    events[i] = records.replace(events[i], payload=payload)
+    bundle.events = events
 
 
 def _put(record, old, new):

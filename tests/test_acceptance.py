@@ -145,7 +145,7 @@ def test_ac03_flow_matrix_oracle(capsys):
                 bundle = matrix_bundle()
                 ref = None
                 if has_contract:
-                    bundle.contracts.append(make_contract(bundle, src, dst, info))
+                    bundle.contracts += (make_contract(bundle, src, dst, info),)
                     ref = bundle.contracts[0].id
                 verdict = check_flow(make_flow(bundle, src, dst, info, ref), bundle)
                 got = (

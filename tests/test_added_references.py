@@ -61,7 +61,7 @@ def copied_route(toy, local: str, **changes):
 def test_declare_route_rejects_an_undeclared_construct_as_a_reparse_would(toy):
     route = copied_route(toy, "R9", construct_ref=GHOST)
     written = clone(toy)
-    written.routes.append(route)
+    written.routes += (route,)
     expected = [("E_UNRESOLVED_REF", f"routes[{len(toy.routes)}].construct_ref")]
     assert parse_errors(written) == expected
     assert rejected(toy, lambda: declare_route(toy, PRJ, route, commit_route=False)) == expected

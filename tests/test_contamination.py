@@ -175,7 +175,7 @@ def test_flow_matrix_matches_truth_table_exhaustively():
             bundle = matrix_bundle()
             contract_ref = None
             if has_contract:
-                bundle.contracts.append(make_contract(bundle, src, dst, info))
+                bundle.contracts += (make_contract(bundle, src, dst, info),)
                 contract_ref = bundle.contracts[0].id
             flow = make_flow(bundle, src, dst, info, contract_ref)
             verdict = check_flow(flow, bundle)
@@ -193,7 +193,7 @@ def test_upward_content_never_legalized_by_contract():
     for src, dst in (("C1", "P1"), ("P1", "G"), ("C1", "G")):
         for info in ("content", "measurement", "assumption"):
             bundle = matrix_bundle()
-            bundle.contracts.append(make_contract(bundle, src, dst, info))
+            bundle.contracts += (make_contract(bundle, src, dst, info),)
             flow = make_flow(bundle, src, dst, info, bundle.contracts[0].id)
             verdict = check_flow(flow, bundle)
             assert not verdict.allowed and verdict.direction == "upward"
@@ -202,7 +202,7 @@ def test_upward_content_never_legalized_by_contract():
 def test_mismatched_or_incomplete_contract_is_r4():
     bundle = matrix_bundle()
     contract = make_contract(bundle, "C1", "C2", "measurement")
-    bundle.contracts.append(contract)
+    bundle.contracts += (contract,)
     flow = make_flow(bundle, "C1", "C2", "assumption", contract.id)
     verdict = check_flow(flow, bundle)
     assert (verdict.direction, verdict.rule) == ("horizontal", "R4_missing_contract")

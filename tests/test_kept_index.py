@@ -67,13 +67,13 @@ def _step(bundle, kind: str, n: int, i: int):
         declare_tier(bundle, unit.study_id, tier_unit(unit).tier, f"Re-read {n}.",
                      timestamp=f"2026-06-01T00:{i:02d}:00Z")
     elif kind == "slice":
-        bundle.flows[:] = bundle.flows[::-1]
+        bundle.flows = bundle.flows[::-1]
     elif kind == "item":
-        k = n % len(bundle.units)
-        bundle.units[k] = replace(bundle.units[k], notes=f"note {n}")
+        k, units = n % len(bundle.units), bundle.units
+        bundle.units = units[:k] + (replace(units[k], notes=f"note {n}"),) + units[k + 1:]
     elif kind == "equal_copy":
-        k = n % len(bundle.layers)
-        bundle.layers[k] = replace(bundle.layers[k])
+        k, layers = n % len(bundle.layers), bundle.layers
+        bundle.layers = layers[:k] + (replace(layers[k]),) + layers[k + 1:]
     elif kind == "replace_list":
         bundle.routes = list(bundle.routes[1:])
     elif kind == "same_records":
@@ -131,7 +131,7 @@ def test_an_equal_valued_copy_of_a_record_gives_a_new_index():
     kept = BundleIndex.of(bundle)
     copy = replace(bundle.units[0])
     assert copy == bundle.units[0]
-    bundle.units[0] = copy
+    bundle.units = (copy,) + bundle.units[1:]
     fresh = BundleIndex.of(bundle)
     assert fresh is not kept
     assert fresh.units[copy.study_id] is copy

@@ -19,7 +19,7 @@ from recap_engine import records
 from recap_engine.diagnostics import Diagnostic, Severity
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import EffectiveConstraintSet
-from recap_engine.model import ChangelogEntry, Law, ProjectBundle, Spec
+from recap_engine.model import ChangelogEntry, InsightProposal, Law, Spec
 from recap_engine.records import field, record
 
 
@@ -96,7 +96,10 @@ def test_factory_values_are_fresh_per_instance():
     one, two = cls("a"), cls("a")
     one.tags.append("x")
     assert two.tags == []
-    assert ProjectBundle("v1.0").layers is not ProjectBundle("v1.0").layers
+    gp = Identifier("gp", "", "G")
+    assert InsightProposal("i", gp, gp, "s").referenced_terms is not InsightProposal(
+        "i", gp, gp, "s"
+    ).referenced_terms
     sets = EffectiveConstraintSet(Identifier("child", "C1", "C1")), EffectiveConstraintSet(
         Identifier("child", "C1", "C1")
     )

@@ -201,13 +201,13 @@ def test_missing_study_log_fields_make_it_non_compliant(toy):
 def test_unresolved_contamination_is_non_compliant(toy):
     s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
     # a sibling child appears and S2 borrows from it without contract
-    toy.layers.append(
+    toy.layers += (
         type(toy.layers[-1])(
             id=Identifier("child", "C2", "C2"),
             kind="child",
             version="v1.0",
             parent_ref=Identifier("parent", "P", "P"),
-        )
+        ),
     )
     edit(toy, s2, notes=s2.notes + " Matches child:C2:C2 conventions.")
     report = compliance_verdict(toy)
@@ -221,6 +221,17 @@ def test_uncommitted_project_is_non_compliant(toy):
     report = compliance_verdict(toy)
     assert report.verdict == "non_compliant"
     assert "E_NO_ROUTE" in {d.code for d in report.findings}
+
+
+@pytest.mark.parametrize("route", [Identifier("child", "C1", "R2"), None])
+def test_a_unit_assigned_three_times_is_one_duplicate_finding(toy, route):
+    # One rule whether or not the project commits to a route.
+    project = toy.projects[0]
+    first = project.assignments[0]
+    edit(toy, project, committed_route=route, assignments=project.assignments + (first, first))
+    report = compliance_verdict(toy)
+    duplicates = [(d.code, d.location) for d in report.findings if d.code == "E_DUP_ASSIGNMENT"]
+    assert duplicates == [("E_DUP_ASSIGNMENT", "child:C1:S1")]
 
 
 def test_authored_route_without_disconfirming_model_is_flagged(toy):
@@ -249,7 +260,7 @@ def test_upward_findings_sort_before_other_directions(toy):
         version="v1.0",
         parent_ref=Identifier("parent", "P", "P"),
     )
-    toy.layers.append(child)
+    toy.layers += (child,)
     s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
     edit(toy, s2, notes=s2.notes + " Echoes child:C2:C2.")
     report = compliance_verdict(toy)
@@ -360,9 +371,9 @@ def test_recorded_bumps_that_do_not_advance_are_flagged(toy):
 def test_a_recorded_bump_that_does_not_decode_is_a_finding(toy):
     # Appended in memory, past the parser: the verdict reports it where the
     # freeze check reports a bad freeze record, instead of raising.
-    toy.events.append(
+    toy.events += (
         AuditEvent(sequence=toy.next_sequence(), timestamp="2026-06-01T00:00:00Z",
-                   actor="tester", kind="version_bumped", payload={"entry": 5, "laws": "x"})
+                   actor="tester", kind="version_bumped", payload={"entry": 5, "laws": "x"}),
     )
     report = compliance_verdict(toy)
     assert report.verdict == "non_compliant"
@@ -390,7 +401,7 @@ def test_a_law_rewritten_between_recorded_bumps_is_flagged(toy):
 
 def test_bundle_index_agrees_with_the_linear_lookups(toy):
     # An in-memory duplicate of the first unit: the first declaration wins.
-    toy.units.append(copy.deepcopy(toy.units[0]))
+    toy.units += (copy.deepcopy(toy.units[0]),)
     index = BundleIndex(toy)
 
     def linear(records, name, key):
@@ -415,15 +426,7 @@ def test_bundle_index_agrees_with_the_linear_lookups(toy):
     assert index.ancestors(toy.grandparent()) == ()
 
 
-def test_shared_index_gives_the_same_reports_and_is_not_kept(toy):
-    index = BundleIndex(toy)
-    for project in toy.projects:
-        assert build_study_log(toy, project, index=index) == build_study_log(toy, project)
-        assert build_tier_table(toy, project, index=index) == build_tier_table(toy, project)
-        for block in toy.reviewer_blocks:
-            assert validate_reviewer_block(block, toy, index=index) == validate_reviewer_block(
-                block, toy
-            )
+def test_the_verdict_keeps_nothing_on_the_bundle(toy):
     fields = set(vars(toy))
     compliance_verdict(toy)
     assert set(vars(toy)) == fields

@@ -414,7 +414,7 @@ def test_freeze_record_with_a_non_string_route_is_a_payload_finding(
     ]
     # The same record edited into a bundle after parsing it.
     bundle = parse_bundle(toy_text()).bundle
-    bundle.events[0] = replace(bundle.events[0], kind=kind, payload=event["payload"])
+    bundle.events = (replace(bundle.events[0], kind=kind, payload=event["payload"]),) + bundle.events[1:]
     report = compliance_verdict(bundle)
     assert report.verdict == "non_compliant"
     findings = [(d.code, d.location, d.message) for d in report.findings]

@@ -75,7 +75,7 @@ _TOY = toy_bundle()
 )
 def test_writer_matches_the_oracle_on_arbitrary_values(payload, sections, text, odd, nulls, extra):
     bundle = clone(_TOY)
-    bundle.events.append(
+    bundle.events += (
         AuditEvent(
             sequence=bundle.next_sequence(),
             timestamp="2026-06-01T00:00:00Z",
@@ -83,9 +83,9 @@ def test_writer_matches_the_oracle_on_arbitrary_values(payload, sections, text, 
             kind="flow_recorded",
             payload=payload,
             affected=[text, ""],
-        )
+        ),
     )
-    bundle.memos.append(AnalyticMemo(project_ref=bundle.projects[0].id, sections=sections))
+    bundle.memos += (AnalyticMemo(project_ref=bundle.projects[0].id, sections=sections),)
     unit, route = bundle.units[0], bundle.routes[0]
     unit = replace(unit, notes=text)
     unit = replace(unit, limitations=odd)  # a value of a type the spec does not expect
@@ -94,11 +94,14 @@ def test_writer_matches_the_oracle_on_arbitrary_values(payload, sections, text, 
         unit = replace(unit, declared_tier=None)
         unit = replace(unit, split_from=None)
         route = replace(route, frozen_at=None)
-        bundle.layers[1] = replace(bundle.layers[1], parent_ref=None)
-    bundle.units[0], bundle.routes[0] = unit, route
+        layers = bundle.layers
+        bundle.layers = layers[:1] + (replace(layers[1], parent_ref=None),) + layers[2:]
+    bundle.units = (unit,) + bundle.units[1:]
+    bundle.routes = (route,) + bundle.routes[1:]
     if extra:  # an attribute that is not a field, which encode() copies too
-        bundle.routes[1] = copy.copy(bundle.routes[1])
-        vars(bundle.routes[1])["annotation"] = odd
+        annotated = copy.copy(bundle.routes[1])
+        vars(annotated)["annotation"] = odd
+        bundle.routes = bundle.routes[:1] + (annotated,) + bundle.routes[2:]
     assert serialize_bundle(bundle) == oracle(bundle)
 
 
@@ -114,7 +117,7 @@ def _outcome(write, bundle):
 @given(value=_JSON)
 def test_a_list_field_holding_any_value_renders_or_fails_as_the_oracle_does(value):
     bundle = clone(_TOY)
-    bundle.routes[0] = replace(bundle.routes[0], disconfirming_models=value)
+    bundle.routes = (replace(bundle.routes[0], disconfirming_models=value),) + bundle.routes[1:]
     assert _outcome(serialize_bundle, bundle) == _outcome(oracle, bundle)
 
 
@@ -149,16 +152,16 @@ def _containers(value) -> list:
 )
 def test_nested_payloads_write_and_clone_as_json_and_deepcopy_do(payload, sections):
     bundle = clone(_TOY)
-    bundle.events.append(
+    bundle.events += (
         AuditEvent(
             sequence=1,
             timestamp="2026-06-01T00:00:00Z",
             actor="a",
             kind="flow_recorded",
             payload=payload,
-        )
+        ),
     )
-    bundle.memos.append(AnalyticMemo(project_ref=bundle.projects[0].id, sections=sections))
+    bundle.memos += (AnalyticMemo(project_ref=bundle.projects[0].id, sections=sections),)
     assert _outcome(serialize_bundle, bundle) == _outcome(oracle, bundle)
     copied = clone(bundle).events[-1].payload
     assert repr(copied) == repr(copy.deepcopy(payload))

@@ -296,7 +296,7 @@ def _add_splittable(toy, interpretations):
     from recap_engine.bundle import decode_unit_dict
 
     unit = decode_unit_dict(record)
-    toy.units.append(unit)
+    toy.units += (unit,)
     edit(toy, toy.projects[0], unit_refs=toy.projects[0].unit_refs + (unit.study_id,))
     return unit
 

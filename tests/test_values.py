@@ -56,9 +56,9 @@ def test_every_record_class_below_the_bundle_is_frozen():
         for f in records.fields(cls):
             with pytest.raises(FrozenRecordError):
                 setattr(probe, f.name, None)
-    # The bundle and its lists stay mutable: writes replace records there.
+    # The bundle's fields stay assignable: a write gives it new tuples.
     bundle = toy_bundle()
-    bundle.units.append(bundle.units[0])
+    bundle.units += (bundle.units[0],)
     bundle.recap_version = "v1.0"
 
 
@@ -136,7 +136,7 @@ def test_records_built_from_lists_and_dicts_hold_tuples_and_read_only_json():
 
 
 def _top_level_ids(bundle) -> set[int]:
-    return {id(r) for name in vars(bundle) if isinstance(getattr(bundle, name), list)
+    return {id(r) for name in vars(bundle) if isinstance(getattr(bundle, name), tuple)
             for r in getattr(bundle, name)}
 
 
@@ -153,12 +153,13 @@ def test_writing_a_second_bundle_keeps_no_text_of_the_first():
 def test_a_record_swapped_in_without_commit_is_written():
     bundle = toy_bundle()
     serialize_bundle(bundle)
-    unit = bundle.units[1]
-    bundle.units[1] = records.replace(unit, notes=unit.notes + " Re-read.")
+    units = bundle.units
+    unit = units[1]
+    bundle.units = units[:1] + (records.replace(unit, notes=unit.notes + " Re-read."),) + units[2:]
     assert " Re-read." in serialize_bundle(bundle)
     assert serialize_bundle(bundle) == oracle(bundle)
-    bundle.units.append(records.replace(unit, study_id=Identifier("child", "C1", "S9")))
-    bundle.contracts[:] = []
+    bundle.units += (records.replace(unit, study_id=Identifier("child", "C1", "S9")),)
+    bundle.contracts = ()
     assert serialize_bundle(bundle) == oracle(bundle)
     assert '"study_id": "child:C1:S9"' in serialize_bundle(bundle)
 
@@ -166,7 +167,7 @@ def test_a_record_swapped_in_without_commit_is_written():
 def test_a_record_repeated_in_a_list_is_written_at_each_place():
     bundle = toy_bundle()
     serialize_bundle(bundle)
-    bundle.units.append(bundle.units[0])
+    bundle.units += (bundle.units[0],)
     assert serialize_bundle(bundle) == oracle(bundle)
 
 
