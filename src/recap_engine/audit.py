@@ -13,12 +13,13 @@ from __future__ import annotations
 from datetime import datetime, timezone
 from typing import Any, Callable
 
-from .bundle import clone, declarations, decode_payload, field_effect, write_errors
+from .bundle import clone, decode_payload, write_errors, wrong_field
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, parse_identifier
 from .records import replace
 from .model import (
     EVENT_KINDS,
+    Abstraction,
     AuditEvent,
     BundleIndex,
     ContaminationFlagged,
@@ -27,7 +28,6 @@ from .model import (
     DeclarationQuarantined,
     FlowRecorded,
     Law,
-    LayerDecl,
     ProjectBundle,
     ResolutionEffect,
     Retier,
@@ -68,26 +68,13 @@ def find_declaration(bundle: ProjectBundle, canonical: str):
     return None if ident is None else _locate(bundle, ident)[0]
 
 
-def _locate(bundle: ProjectBundle, ident: Identifier) -> tuple[Any, list]:
+def _locate(bundle: ProjectBundle, ident: Identifier) -> tuple[Any, tuple]:
     """The first declaration named ``ident`` and its path from the bundle
-    (:func:`_path`), or (None, [])."""
-    for _, decl_id, holder, name, i, up in declarations(bundle):
-        if decl_id == ident:
-            return holder.__dict__[name][i], _path((up, name, i))
-    return None, []
+    (:attr:`BundleIndex.declarations`), or (None, ())."""
+    return BundleIndex.of(bundle).declarations.get(ident, (None, ()))
 
 
-def _path(up: tuple | None) -> list[tuple[str, int]]:
-    """The (field, index) steps from the bundle down to the record that a
-    :func:`~.bundle.declarations` ``up`` chain names."""
-    path = []
-    while up is not None:
-        up, name, i = up
-        path.append((name, i))
-    return path[::-1]
-
-
-def _put(holder: Any, path: list[tuple[str, int]], new: Any) -> Any:
+def _put(holder: Any, path: tuple[tuple[str, int], ...], new: Any) -> Any:
     """``holder`` with the record at ``path`` below it replaced by ``new``.
     A record is replaced, never edited: each record on the path is
     rebuilt, and the bundle takes a new tuple with the new top-level one."""
@@ -103,9 +90,8 @@ def _put(holder: Any, path: list[tuple[str, int]], new: Any) -> Any:
 
 
 def _lookup(bundle: ProjectBundle, kind: str, ident: Identifier):
-    """The unit, route, layer or project named ``ident``, looked up in a
-    fresh :class:`BundleIndex`."""
-    found = getattr(BundleIndex(bundle), kind + "s").get(ident)
+    """The unit, route, layer or project named ``ident``."""
+    found = getattr(BundleIndex.of(bundle), kind + "s").get(ident)
     if found is None:
         raise _Refusal(ident, f"{kind} {ident.render()} not found", "E_UNRESOLVED_REF")
     return found
@@ -115,7 +101,7 @@ def _swap(bundle: ProjectBundle, name: str, old: Any, new: Any) -> None:
     """Put ``new`` where the record ``old`` is in the bundle's list ``name``."""
     for i, item in enumerate(bundle.__dict__[name]):
         if item is old:
-            _put(bundle, [(name, i)], new)
+            _put(bundle, ((name, i),), new)
             return
 
 
@@ -171,11 +157,12 @@ _DIVERGED = "edit target text diverged from the recorded state"
 
 def _edit_field(bundle: ProjectBundle, effect: ResolutionEffect) -> None:
     """Apply an effect on one field, which must be of the kind the effect
-    edits (:func:`~.bundle.field_effect`)."""
+    edits (:func:`~.bundle.wrong_field`)."""
     op, name, container = effect.op, effect.field, effect.container
     decl, path = _locate(bundle, container)
-    if decl is None or field_effect(decl.__class__, name) != op:
-        raise _Refusal(container, f"{op} target {container.render()}.{name} not found")
+    message = wrong_field(decl, effect)
+    if message is not None:
+        raise _Refusal(container, message)
     value = getattr(decl, name)
     if op == "clear_ref":
         value = None
@@ -203,12 +190,13 @@ def _edit_field(bundle: ProjectBundle, effect: ResolutionEffect) -> None:
 def _remove_declaration(bundle: ProjectBundle, ident: Identifier) -> None:
     """Remove a law or an abstraction, the declarations whose existence
     alone can be a violation."""
-    for _, decl_id, holder, name, _, up in declarations(bundle):
-        if decl_id == ident and holder.__class__ is LayerDecl:
-            kept = tuple(d for d in holder.__dict__[name] if d.id != ident)
-            _put(bundle, _path(up), replace(holder, **{name: kept}))
-            return
-    raise _Refusal(ident, f"declaration {ident.render()} not found")
+    decl, path = _locate(bundle, ident)
+    if decl.__class__ is not Law and decl.__class__ is not Abstraction:
+        raise _Refusal(ident, f"declaration {ident.render()} not found")
+    (_, i), (name, _) = path  # the layer, and its laws or abstractions
+    layer = bundle.layers[i]
+    kept = tuple(d for d in layer.__dict__[name] if d.id != ident)
+    _put(bundle, path[:1], replace(layer, **{name: kept}))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +229,7 @@ def _apply_retier(bundle: ProjectBundle, retier: Retier) -> None:
 def _apply_route_declared(bundle: ProjectBundle, declared: RouteDeclared) -> None:
     route = declared.route
     project = _lookup(bundle, "project", declared.project) if declared.committed else None
-    if route.id not in BundleIndex(bundle).routes:
+    if route.id not in BundleIndex.of(bundle).routes:
         bundle.routes += (route,)
     if project is not None:
         _swap(bundle, "projects", project, replace(project, committed_route=route.id))
@@ -273,7 +261,7 @@ def _apply_contamination_resolved(bundle: ProjectBundle, resolved: Contamination
 
 
 def _apply_version_bumped(bundle: ProjectBundle, bumped: VersionBumped) -> None:
-    gp = BundleIndex(bundle).grandparent
+    gp = BundleIndex.of(bundle).grandparent
     if gp is None:
         raise _Refusal("layers", "bundle has no grandparent layer", "E_NO_GRANDPARENT")
     _swap(bundle, "layers", gp, replace(gp, laws=bumped.laws, version=bumped.entry.to_version))

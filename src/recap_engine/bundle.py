@@ -9,7 +9,7 @@ Every persisted record is described once, by the :class:`~.model.Spec` of
 each of its fields. One strict decoder and one encoder walk those specs,
 for the bundle and for every record an event payload carries; so do
 the indented writer behind :func:`serialize_bundle` (``writer.py``) and
-:func:`declarations`, the walk over every declaration by the kind its
+:func:`declaration_map`, the walk over every declaration by the kind its
 identity spec ``declares``. The decoder builds each value as its frozen
 record holds it: lists as tuples, maps and free JSON read-only.
 """
@@ -233,6 +233,15 @@ def field_effect(cls: type, name: str) -> str | None:
         return "edit_list_item" if many else "edit_text"
     if item.kind == IDENT and item.expect and (many or spec.nullable):
         return "remove_ref" if many else "clear_ref"
+    return None
+
+
+def wrong_field(decl: Any, effect: ResolutionEffect) -> str | None:
+    """Why replay refuses a field ``effect`` on ``decl``, its container
+    (None if there is none), or None: the field is not of the kind the op
+    edits (:func:`field_effect`)."""
+    if decl is None or field_effect(decl.__class__, effect.field) != effect.op:
+        return f"{effect.op} target {effect.container.render()}.{effect.field} not found"
     return None
 
 
@@ -681,32 +690,36 @@ _CHECKS = {
 # ---------------------------------------------------------------------------
 
 
-def declarations(record: Any) -> Iterator[tuple]:
-    """Every declaration within a persisted record (a bundle, a layer, ...),
-    in document order, as ``(kind, id, holder, field, index, up)``.
+def declaration_map(bundle: ProjectBundle) -> tuple[dict, list]:
+    """Every declaration in ``bundle``, by one pre-order walk in document
+    order over the list fields that hold declarations (``_Codec.holds``):
+    canonical id -> (its first declaration, its path), and (id, declaration,
+    path) for each later declaration of an id already mapped. A path is the
+    tuple of (field, index) steps from the bundle down to the declaration,
+    e.g. ``(("layers", 0), ("laws", 1))``."""
+    found: dict[Identifier, tuple[Any, tuple]] = {}
+    repeats: list[tuple[Identifier, Any, tuple]] = []
 
-    The declaration is ``getattr(holder, field)[index]`` and ``kind`` is
-    the ``declares`` of its identity spec. ``up`` is where the holder sits
-    under ``record``, for :func:`declaration_location`: None for ``record``
-    itself, else ``(up, field, index)`` of the holder.
-    """
-    return _declarations(record, CODECS[record.__class__], None)
+    def walk(holder: Any, codec: _Codec, up: tuple) -> None:
+        for name, item in codec.holds:
+            key, holds = item.declares and item.fields[0][0], item.holds
+            for i, record in enumerate(holder.__dict__[name]):
+                path = up + ((name, i),)
+                if key:
+                    ident, entry = record.__dict__[key], (record, path)
+                    if found.setdefault(ident, entry) is not entry:
+                        repeats.append((ident, record, path))
+                if holds:
+                    walk(record, item, path)
 
-
-def _declarations(holder: Any, codec: _Codec, up: tuple | None) -> Iterator[tuple]:
-    for name, item in codec.holds:
-        kind, key, holds = item.declares, item.fields[0][0], item.holds
-        for i, record in enumerate(holder.__dict__[name]):
-            if kind:
-                yield kind, record.__dict__[key], holder, name, i, up
-            if holds:
-                yield from _declarations(record, item, (up, name, i))
+    walk(bundle, CODECS[ProjectBundle], ())
+    return found, repeats
 
 
 def declared_ids(records: list) -> list[Identifier]:
     """The ids that ``records``, all of one class, and the records nested in
-    them declare: the ids :func:`declarations` yields, without their places
-    and taken a level at a time, which is several times quicker."""
+    them declare, taken a level at a time without their places: several
+    times quicker than :func:`declaration_map`."""
     if not records:
         return []
     levels = _declared(records, CODECS[records[0].__class__])
@@ -721,28 +734,11 @@ def _declared(records: list, codec: _Codec) -> Iterator[tuple[str, list[Identifi
         yield from _declared(list(chain.from_iterable(map(attrgetter(name), records))), item)
 
 
-def declaration_location(holder: Any, name: str, index: int, up: tuple | None) -> str:
-    """Where a declaration's id is, e.g. ``layers[0].laws[1].id``, from its
-    :func:`declarations` tuple."""
-    key = CODECS[holder.__dict__[name][index].__class__].fields[0][1]
-    where = f"{name}[{index}].{key}"
-    while up is not None:
-        up, name, index = up
-        where = f"{name}[{index}].{where}"
-    return where
-
-
-def _index_declarations(bundle: ProjectBundle, diags: list[Diagnostic]) -> dict[str, str]:
-    """Canonical id -> declaration kind, reporting duplicates."""
-    index: dict[str, str] = {}
-    for kind, ident, holder, name, i, up in declarations(bundle):
-        key = ident.render()
-        if key in index:
-            where = declaration_location(holder, name, i, up)
-            diags.append(error("E_DUP_ID", where, f"duplicate declaration of {key}"))
-        else:
-            index[key] = kind
-    return index
+def declaration_location(decl: Any, path: tuple) -> str:
+    """Where a declaration's id is, e.g. ``layers[0].laws[1].id``, from the
+    declaration and its :func:`declaration_map` path."""
+    steps = "".join(f"{name}[{i}]." for name, i in path)
+    return steps + CODECS[decl.__class__].fields[0][1]
 
 
 def _resolve_layer_refs(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
@@ -1055,7 +1051,17 @@ def parse_bundle(text: str) -> ParseResult:
     diags = list(decoder.diagnostics)
     if not any(d.severity == Severity.ERROR for d in diags):
         _resolve_layer_refs(bundle, diags)
-        index = _index_declarations(bundle, diags)
+        # Canonical id -> declaration kind, from the ids taken a level at a
+        # time; a bundle that repeats an id is walked in document order, to
+        # report each repeat at its place.
+        levels = list(_declared([bundle], codec))
+        index = {ident.render(): kind for kind, ids in levels for ident in ids}
+        if len(index) < sum(len(ids) for _, ids in levels):
+            found, repeats = declaration_map(bundle)
+            diags += [error("E_DUP_ID", declaration_location(decl, path),
+                            f"duplicate declaration of {ident.render()}")
+                      for ident, decl, path in repeats]
+            index = {i.render(): CODECS[d.__class__].declares for i, (d, _) in found.items()}
         _validate_structure(bundle, diags)
         _resolve_references(decoder, index, diags)
 

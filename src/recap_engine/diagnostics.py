@@ -370,7 +370,9 @@ CODE_REGISTRY: dict[str, tuple[str, str]] = {
     "E_REPLAY_DIVERGENCE": (
         "replay diverged from live state",
         "Replaying the event log over the initial declarations must "
-        "reproduce live state exactly; divergence signals an engine bug.",
+        "reproduce live state exactly. The verdict reports a recorded "
+        "resolution effect on a field its op does not edit, which replay "
+        "would refuse; a divergence the engine's own writes cause is a bug.",
     ),
     # reporting
     "E_MISSING_FIELD": (

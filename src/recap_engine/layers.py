@@ -25,40 +25,10 @@ CORE_LAW_NAMES = (
     "grandparent_insulation",
 )
 
-#: Canonical seed text for the protected laws, used when the engine creates
-#: a grandparent itself. Hand-authored bundles may word them differently but
-#: must keep each wording byte-stable across versions.
-CORE_LAW_SEEDS = {
-    "anti_reification": (
-        "Constructs, categories, and variables are analytic instruments, not "
-        "natural kinds; their legitimacy derives from their inferential role."
-    ),
-    "one_route": (
-        "A project commits to exactly one inferential route; comparison is "
-        "exploratory, commitment is singular."
-    ),
-    "construct_measurement_separation": (
-        "Constructs are defined conceptually; measurements approximate them "
-        "and never define them."
-    ),
-    "grandparent_insulation": (
-        "Laws of this layer cannot be modified from below; lower layers may "
-        "only propose abstracted, append-only methodological refinements."
-    ),
-}
-
 
 def parse_version(text: str) -> tuple[int, int] | None:
     m = VERSION_RE.match(text or "")
     return (int(m.group(1)), int(m.group(2))) if m else None
-
-
-def seed_core_laws() -> list[Law]:
-    """The four protected laws, as the engine would seed a new grandparent."""
-    return [
-        Law(id=Identifier("gp", "", name), text=CORE_LAW_SEEDS[name], immutable_core=True)
-        for name in CORE_LAW_NAMES
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +45,6 @@ class EffectiveConstraintSet:
     laws: list[Law] = field(factory=list)
     abstractions: list[Abstraction] = field(factory=list)
     correspondences: dict[str, str] = field(factory=dict)
-
-    def law_ids(self) -> set[str]:
-        return {law.id.render() for law in self.laws}
-
-    def abstraction_ids(self) -> set[str]:
-        return {ab.id.render() for ab in self.abstractions}
 
 
 def resolve_constraints(bundle: ProjectBundle, child_id: Identifier) -> EffectiveConstraintSet:

@@ -731,11 +731,10 @@ class BundleIndex:
     every caller of the index, which only reads it; where ids repeat, the
     first declaration wins.
 
-    Read passes (a scan, a verdict, a report) take the index through
-    :meth:`of`, which keeps the index it built last and reuses it for any
-    bundle holding the very same tuples, so they share one index, and one
-    contamination detection (:attr:`contamination`), per state. An
-    operation builds its own before it writes.
+    Every caller takes the index through :meth:`of`, which keeps the index
+    it built last and reuses it for any bundle holding the very same
+    tuples, so the reads of one state share one index, and one
+    contamination detection (:attr:`contamination`).
     """
 
     def __init__(self, bundle: ProjectBundle):
@@ -772,10 +771,6 @@ class BundleIndex:
         return _first_by(self.state.layers, "id")
 
     @cached_property
-    def layers_by_name(self) -> dict[str, LayerDecl]:
-        return _first_by(self.state.layers, "local_name")
-
-    @cached_property
     def grandparent(self) -> LayerDecl | None:
         return next((l for l in self.state.layers if l.kind == "grandparent"), None)
 
@@ -790,6 +785,15 @@ class BundleIndex:
         if ident.namespace == "gp":
             return self.grandparent
         return self._layers_by_scope.get((ident.namespace, ident.owner))
+
+    @cached_property
+    def declarations(self) -> dict[Identifier, tuple[Any, tuple]]:
+        """Canonical id -> (the first declaration of it in document order,
+        its path: the (field, index) steps from the bundle down to it),
+        for every kind of declaration (:func:`~.bundle.declaration_map`)."""
+        from .bundle import declaration_map
+
+        return declaration_map(self.state)[0]
 
     @cached_property
     def units(self) -> dict[Identifier, EvidentialUnit]:

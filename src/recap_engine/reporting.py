@@ -14,13 +14,14 @@ import json
 from functools import partial, singledispatch
 from operator import attrgetter
 
-from .bundle import decode, encode
+from .bundle import decode, decode_payload, encode, wrong_field
 from .contamination import detect_contamination, validate_contract
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
 from .layers import check_law_evolution, law_history, parse_version, validate_grandparent_laws
 from .model import (
     AnalyticMemo,
     BIAS_DIRECTION_TAGS,
+    EFFECT_KEYS,
     BundleIndex,
     ComplianceReport,
     EvidentialUnit,
@@ -236,6 +237,28 @@ def _finding_sort_key(diag: Diagnostic) -> tuple:
     return (diag.severity, direction, diag.location, diag.code)
 
 
+def _refused_effects(bundle: ProjectBundle, index: BundleIndex) -> list[Diagnostic]:
+    """E_REPLAY_DIVERGENCE at each recorded effect on a field that replay
+    would refuse (:func:`~.bundle.wrong_field`) in the declaration the
+    bundle now has of its container. A container the bundle no longer
+    declares gets no finding, nor does a payload that does not decode."""
+    findings = []
+    for i, event in enumerate(bundle.events):
+        if event.kind != "contamination_resolved":
+            continue
+        try:
+            effects = decode_payload(event.kind, event.payload).effects
+        except ValueError:  # the parser's finding
+            continue
+        for j, effect in enumerate(effects):
+            found = "field" in EFFECT_KEYS[effect.op] and index.declarations.get(effect.container)
+            message = found and wrong_field(found[0], effect)
+            if message:
+                where = f"events[{i}].payload.effects[{j}]"
+                findings.append(error("E_REPLAY_DIVERGENCE", where, message))
+    return findings
+
+
 def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
     """Run every validator and fold the findings into one verdict.
 
@@ -328,6 +351,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
             findings.extend(validate_memo(memo))
 
     findings.extend(check_freeze_integrity(bundle))
+    findings.extend(_refused_effects(bundle, index))
     for contract in bundle.contracts:
         findings.extend(validate_contract(contract))
 

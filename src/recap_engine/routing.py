@@ -83,7 +83,7 @@ def declare_route(
     """
     from .audit import commit, now_utc
 
-    project = BundleIndex(bundle).projects.get(project_id)
+    project = BundleIndex.of(bundle).projects.get(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
     diags = validate_route_shape(route)
@@ -259,7 +259,7 @@ def revise_route(
     """
     from .audit import commit, now_utc
 
-    index = BundleIndex(bundle)
+    index = BundleIndex.of(bundle)
     project = index.projects.get(project_id)
     if project is None:
         raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")

@@ -204,7 +204,7 @@ def declare_tier(
     mismatches are rejected so non-compliance cannot enter through this door."""
     from .audit import commit, now_utc
 
-    unit = BundleIndex(bundle).units.get(unit_id)
+    unit = BundleIndex.of(bundle).units.get(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
     if not justification.strip():
@@ -246,7 +246,7 @@ def apply_retier(
     """
     from .audit import commit, now_utc
 
-    unit = BundleIndex(bundle).units.get(unit_id)
+    unit = BundleIndex.of(bundle).units.get(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
     diags: list[Diagnostic] = []
@@ -325,7 +325,7 @@ def split_unit(
     """
     from .audit import commit, now_utc
 
-    unit = BundleIndex(bundle).units.get(unit_id)
+    unit = BundleIndex.of(bundle).units.get(unit_id)
     if unit is None:
         raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
     diags: list[Diagnostic] = []
@@ -371,5 +371,5 @@ def split_unit(
         timestamp=timestamp or now_utc(),
         affected=[unit_id.render()] + [n.render() for n in names],
     )
-    units = BundleIndex(bundle).units
+    units = BundleIndex.of(bundle).units
     return [units[name] for name in names]

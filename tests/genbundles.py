@@ -7,7 +7,6 @@ import random
 
 from recap_engine import records
 from recap_engine.bundle import parse_bundle
-from recap_engine.layers import CORE_LAW_SEEDS
 from recap_engine.model import ProjectBundle, Tier
 from recap_engine.tiering import compute_tier_decision
 from recap_engine.bundle import decode_assessment_dict, decode_declared_assumption_dict
@@ -30,6 +29,29 @@ MEASUREMENTS = ("failed", "conditional_proxy", "minor_limitation", "adequate")
 DESIGNS = ("incompatible", "limited", "sufficient")
 REPORTINGS = ("opaque", "ambiguous", "transparent")
 SECONDARY = ("sensitivity", "boundary", "contextual", "measurement_evaluation")
+
+
+#: A wording of each of the four protected laws, for the bundles tests
+#: build. A bundle may word them differently but must keep each wording
+#: byte-stable across versions.
+CORE_LAW_SEEDS = {
+    "anti_reification": (
+        "Constructs, categories, and variables are analytic instruments, not "
+        "natural kinds; their legitimacy derives from their inferential role."
+    ),
+    "one_route": (
+        "A project commits to exactly one inferential route; comparison is "
+        "exploratory, commitment is singular."
+    ),
+    "construct_measurement_separation": (
+        "Constructs are defined conceptually; measurements approximate them "
+        "and never define them."
+    ),
+    "grandparent_insulation": (
+        "Laws of this layer cannot be modified from below; lower layers may "
+        "only propose abstracted, append-only methodological refinements."
+    ),
+}
 
 
 class TimeSource:
@@ -267,6 +289,11 @@ def _put(record, old, new):
             if found is not None:
                 return records.replace(record, **{name: value[:j] + (found,) + value[j + 1:]})
     return None
+
+
+def layer_named(bundle: ProjectBundle, local: str):
+    """The first layer of ``bundle`` whose local name is ``local``, or None."""
+    return next((layer for layer in bundle.layers if layer.local_name == local), None)
 
 
 def parse_dict(doc: dict):

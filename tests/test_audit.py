@@ -3,22 +3,25 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genbundles import TimeSource, edit, inject_borrowings, inject_faults, parse_dict
+from genbundles import TimeSource, edit, inject_borrowings, inject_faults, layer_named, parse_dict
 from genbundles import random_bundle_dict
 from toy import toy_bundle, toy_dict
 
 from recap_engine import records
 from recap_engine.audit import _apply_effects, append_event, commit, find_declaration, replay
-from recap_engine.bundle import clone, declaration_location, declarations, declared_ids
+from recap_engine.bundle import clone, declaration_location, declared_ids, field_effect
 from recap_engine.bundle import decode_route_dict
 from recap_engine.bundle import parse_bundle, serialize_bundle
-from recap_engine.diagnostics import OperationRejected
+from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
 from recap_engine.model import AuditEvent, BundleIndex, ChangelogEntry, FlowEvent, Law, Tier
 from recap_engine.model import ResolutionEffect
 from recap_engine.contamination import record_flow, resolve_contamination, scan_bundle
+from recap_engine.reporting import compliance_verdict
 from recap_engine.routing import declare_route, freeze_route
 from recap_engine.tiering import declare_tier, split_unit, tier_unit
 
@@ -241,6 +244,60 @@ def test_an_effect_on_a_field_of_another_kind_is_a_replay_divergence(effect):
     [diag] = err.value.diagnostics
     assert diag.code == "E_REPLAY_DIVERGENCE"
     assert diag.message.endswith(f"{effect['container']}.{effect['field']} not found")
+    # The verdict sees it too, at the effect, with the reason replay gives.
+    report = compliance_verdict(bundle)
+    assert report.verdict == "non_compliant"
+    [finding] = [d for d in report.findings if d.severity == Severity.ERROR]
+    assert (finding.code, finding.location) == ("E_REPLAY_DIVERGENCE", "events[1].payload.effects[0]")
+    assert diag.message == f"contamination_resolved failed to apply: {finding.message}"
+
+
+_FIELD_OPS = ("edit_text", "edit_list_item", "remove_ref", "clear_ref")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), pick=st.integers(0, 2**16), op=st.sampled_from(_FIELD_OPS),
+       matching=st.booleans())
+def test_a_field_effect_the_verdict_accepts_replays_without_a_field_kind_divergence(
+    seed, pick, op, matching
+):
+    # A random session, then one hand-built resolution effect on a field of
+    # a declaration the bundle has: of the kind the op edits, or any field.
+    clock = TimeSource()
+    snapshot, live, _, _ = random_ops_session(random.Random(seed), clock, n_ops=4)
+    declared = BundleIndex.of(live).declarations.items()
+    places = [(ident, decl, f.name) for ident, (decl, _) in declared
+              for f in records.fields(decl.__class__)]
+    if matching:
+        places = [place for place in places
+                  if field_effect(place[1].__class__, place[2]) == op] or places
+    container, decl, name = places[pick % len(places)]
+    value = getattr(decl, name)
+    first = value[0] if isinstance(value, tuple) and value else value
+    effect = {"op": op, "container": container.render(), "field": name, "index": 0,
+              "old": first if isinstance(first, str) else "", "new": "Edited.",
+              "target": first.render() if isinstance(first, Identifier) else "child:C1:S1"}
+    contamination = {"id": "CONT-0001", "rule_violated": "R3_horizontal_borrowing",
+                     "direction": "horizontal", "nature": "content",
+                     "site": {"container": effect["container"], "field": name}}
+    doc = json.loads(serialize_bundle(live))
+    doc["events"].append({
+        "sequence": live.next_sequence(), "timestamp": clock.next(), "actor": "tester",
+        "kind": "contamination_resolved", "affected": [],
+        "payload": {"contamination": contamination, "action": "reversed", "effects": [effect]},
+    })
+    bundle = parse_dict(doc)
+    found = [d for d in compliance_verdict(bundle).findings if d.code == "E_REPLAY_DIVERGENCE"]
+    # The container is declared, so the verdict sees exactly a field of
+    # another kind.
+    assert bool(found) == (field_effect(decl.__class__, name) != op)
+    if found:
+        return
+    try:
+        replay(snapshot, bundle.events[len(snapshot.events):])
+    except OperationRejected as err:
+        [diag] = err.diagnostics
+        assert not diag.message.endswith(f"{effect['container']}.{name} not found")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +403,7 @@ def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, star
             elif op == "commit":
                 child = rng.choice(children)
                 project = next(p for p in live.projects if p.id.owner == child)
-                parent = BundleIndex(live).layers_by_name.get(child).parent_ref.local_name
+                parent = layer_named(live, child).parent_ref.local_name
                 route = decode_route_dict(
                     {
                         "id": f"child:{child}:RN{i}",
@@ -385,7 +442,7 @@ def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, star
                 flow = FlowEvent(
                     id=Identifier("gp", "", f"FL{i}"),
                     source_layer=live.grandparent().id,
-                    dest_layer=BundleIndex(live).layers_by_name.get(rng.choice(children)).id,
+                    dest_layer=layer_named(live, rng.choice(children)).id,
                     info_class="content",
                     payload="Constraint refresh.",
                     timestamp=clock.next(),
@@ -664,16 +721,22 @@ def _declaration_bundles():
         yield parse_dict(random_bundle_dict(random.Random(seed), n_parents=2, n_children=3))
 
 
-def test_declarations_walk_every_section_in_document_order():
+def test_the_declaration_map_holds_every_declaration_at_its_location():
     kinds = set()
     for bundle in _declaration_bundles():
-        walked = [
-            (kind, ident, getattr(holder, name)[i], declaration_location(holder, name, i, up))
-            for kind, ident, holder, name, i, up in declarations(bundle)
-        ]
-        assert walked == list(hand_declarations(bundle))
-        assert sorted(declared_ids([bundle])) == sorted(ident for _, ident, *_ in walked)
-        kinds.update(kind for kind, *_ in walked)
+        mapped = BundleIndex.of(bundle).declarations
+        declared = list(hand_declarations(bundle))
+        for kind, ident, record, where in declared:
+            decl, path = mapped[ident]
+            assert decl is record
+            assert declaration_location(decl, path) == where
+            reached = bundle
+            for name, i in path:
+                reached = getattr(reached, name)[i]
+            assert reached is record
+            kinds.add(kind)
+        assert list(mapped) == [ident for _, ident, _, _ in declared]  # document order
+        assert sorted(declared_ids([bundle])) == sorted(mapped)
     assert len(kinds) == 10  # every kind is exercised
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -106,6 +107,26 @@ def test_duplicate_declaration_rejected():
     result = parse_bundle(json.dumps(doc))
     assert result.bundle is None
     assert "E_DUP_ID" in codes(result)
+
+
+def test_ids_repeated_at_two_depths_are_each_reported_at_the_repeat_in_document_order():
+    # A law and an abstraction repeat their layers' ids, a flow repeats an
+    # abstraction's and a unit repeats a unit's. The routes' construct_ref
+    # to that abstraction still finds one: the first declaration wins.
+    def repeat(doc):
+        doc["layers"][0]["laws"].append({"id": "G", "text": "Repeats the grandparent's id."})
+        doc["layers"][1]["abstractions"].append(
+            {"id": "P", "kind": "construct", "definition": "Repeats the parent's id."})
+        doc["flows"].append(dict(doc["flows"][0], id="parent:P:C"))
+        doc["units"].append(copy.deepcopy(doc["units"][0]))
+
+    result = parse_bundle(json.dumps(variant(repeat)))
+    assert [(d.code, d.location, d.message) for d in result.diagnostics] == [
+        ("E_DUP_ID", "layers[0].laws[9].id", "duplicate declaration of gp:G"),
+        ("E_DUP_ID", "layers[1].abstractions[7].id", "duplicate declaration of parent:P:P"),
+        ("E_DUP_ID", "units[3].study_id", "duplicate declaration of child:C1:S1"),
+        ("E_DUP_ID", "flows[1].id", "duplicate declaration of parent:P:C"),
+    ]
 
 
 def test_zero_grandparents_rejected():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from genbundles import edit, inject_borrowings, inject_faults, parse_dict, random_bundle_dict
+from genbundles import edit, inject_borrowings, inject_faults, layer_named, parse_dict
+from genbundles import random_bundle_dict
 from toy import FREEZE_TS, PRJ, toy_dict, variant
 
 from recap_engine.audit import find_declaration, replay
@@ -135,7 +136,7 @@ def matrix_bundle() -> ProjectBundle:
 
 
 def layer_id(bundle, local):
-    return BundleIndex(bundle).layers_by_name.get(local).id
+    return layer_named(bundle, local).id
 
 
 def make_flow(bundle, src, dst, info, contract_ref=None):
@@ -853,7 +854,7 @@ def test_quarantine_marks_declaration_inert(toy):
     assert find_declaration(toy, law.id.render()).quarantined
     assert scan_bundle(toy) == []
     resolved = resolve_constraints(toy, Identifier("child", "C1", "C1"))
-    assert "gp:A" not in resolved.law_ids()
+    assert "gp:A" not in {law.id.render() for law in resolved.laws}
     for late in scan_bundle(toy):
         assert "gp:A" not in late.decisions_affected
 
@@ -885,7 +886,7 @@ def test_extract_insight_appends_abstraction_at_parent():
     resolve_contamination(
         bundle, event, "extract_insight", proposal=proposal, timestamp="2026-05-01T00:00:00Z"
     )
-    parent = BundleIndex(bundle).layers_by_name.get("P")
+    parent = layer_named(bundle, "P")
     assert any(ab.id.local_name == "stability_indicator" for ab in parent.abstractions)
     assert event.resolved and event.corrective_action == "insight_extracted"
     assert scan_bundle(bundle) == []

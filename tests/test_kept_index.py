@@ -18,13 +18,16 @@ from recap_engine.model import BundleIndex, FlowEvent
 from recap_engine.records import replace
 from recap_engine.tiering import declare_tier, tier_unit
 
-_MAPS = ("layers", "layers_by_name", "grandparent", "units", "routes", "projects",
+_MAPS = ("layers", "declarations", "grandparent", "units", "routes", "projects",
          "contracts", "contracts_between", "reviewer_blocks", "memos")
 
 
 def _ids(value):
     """``value`` with every record replaced by its id(), so that two maps
-    compare equal only if they hold the very same records."""
+    compare equal only if they hold the very same records; a path's field
+    names and indexes are kept as they are."""
+    if isinstance(value, (str, int)):
+        return value
     if isinstance(value, dict):
         return {key: _ids(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

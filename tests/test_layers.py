@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from genbundles import edit, edit_payload, parse_dict, random_bundle_dict
+from genbundles import CORE_LAW_SEEDS, edit, edit_payload, parse_dict, random_bundle_dict
 
 from recap_engine.bundle import serialize_bundle
 from recap_engine.diagnostics import OperationRejected
@@ -14,7 +14,6 @@ from recap_engine.layers import (
     law_history,
     parse_version,
     resolve_constraints,
-    seed_core_laws,
     validate_grandparent_laws,
 )
 from recap_engine.model import BundleIndex, ChangelogEntry, Law
@@ -110,8 +109,8 @@ def test_randomized_trees_match_path_walk_oracle():
                     BundleIndex(bundle).layers.get(cursor.parent_ref) if cursor.parent_ref else None
                 )
             resolved = resolve_constraints(bundle, layer.id)
-            assert resolved.law_ids() == set(walked_laws)
-            assert resolved.abstraction_ids() == set(walked_abs)
+            assert {law.id.render() for law in resolved.laws} == set(walked_laws)
+            assert {ab.id.render() for ab in resolved.abstractions} == set(walked_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +223,7 @@ def test_seeded_grandparent_passes_validation():
 
     gp = LayerDecl(
         id=Identifier("gp", "", "G"), kind="grandparent", version="v1.0",
-        laws=seed_core_laws(),
+        laws=[law(name, CORE_LAW_SEEDS[name], core=True) for name in CORE_LAW_NAMES],
     )
     assert validate_grandparent_laws(gp) == []
 

@@ -418,9 +418,6 @@ def test_bundle_index_agrees_with_the_linear_lookups(toy):
             assert index.assignment(project, assignment.unit_ref) is first
     for layer in toy.layers:
         assert index.layers[layer.id] is linear(toy.layers, "id", layer.id)
-        assert index.layers_by_name[layer.local_name] is linear(
-            toy.layers, "local_name", layer.local_name
-        )
     child = linear(toy.layers, "local_name", "C1")
     assert [a.local_name for a in index.ancestors(child)] == ["P", "G"]
     assert index.ancestors(toy.grandparent()) == ()

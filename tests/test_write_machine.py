@@ -12,7 +12,7 @@ events. After every step:
 - a rejected one raises ``OperationRejected`` and leaves the bytes as they
   were (any other exception fails the test);
 - the live bundle serializes as ``replay`` of its log does;
-- ``compliance_verdict`` returns.
+- ``compliance_verdict`` returns, with no E_REPLAY_DIVERGENCE finding.
 """
 
 import json
@@ -217,7 +217,8 @@ class WriteMachine(RuleBasedStateMachine):
             return
         logged = self.live.events[len(self.initial.events):]
         assert serialize_bundle(replay(self.initial, logged)) == serialize_bundle(self.live)
-        compliance_verdict(self.live)
+        report = compliance_verdict(self.live)
+        assert "E_REPLAY_DIVERGENCE" not in [d.code for d in report.findings]
 
 
 TestWriteMachine = WriteMachine.TestCase

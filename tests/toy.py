@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import copy
 
+from genbundles import CORE_LAW_SEEDS
+
 from recap_engine.bundle import parse_bundle, serialize_bundle
 from recap_engine.identifiers import Identifier
-from recap_engine.layers import CORE_LAW_SEEDS
 from recap_engine.routing import freeze_route
 
 FREEZE_TS = "2026-01-05T09:00:00Z"
