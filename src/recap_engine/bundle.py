@@ -33,7 +33,6 @@ from .model import (
     ADDED_KINDS,
     EFFECT_KEYS,
     EVENT_PAYLOADS,
-    Assessment,
     AuditEvent,
     DeclarationAdded,
     DeclaredAssumption,
@@ -1153,14 +1152,20 @@ def decode_payload(kind: str, payload: Any) -> Any:
     """The record (``model.EVENT_PAYLOADS``) an audit event of ``kind``
     carries in ``payload``, decoded as :func:`decode` does: the ids in it
     are history, so none is resolved. Raises ValueError with the
-    E_PAYLOAD_SCHEMA message: the keys the payload lacks, if any, else
-    every malformed value."""
+    E_PAYLOAD_SCHEMA message: an unknown kind, the keys the payload lacks,
+    if any, else every malformed value.
+
+    This is the one gate on a recorded event: the parse, :func:`~.audit.commit`,
+    :func:`~.audit.replay` and :attr:`~.model.BundleIndex.payloads`, which
+    the verdict's readers of the log share, all decode through it."""
     return _decode_payload(kind, payload, None)
 
 
 def _decode_payload(kind: str, payload: Any, idents: _IdentMemo | None) -> Any:
     """:func:`decode_payload`, parsing identifiers through ``idents``: a
     parse passes its own memo, so an id the bundle holds is parsed once."""
+    if kind not in _PAYLOAD_SPECS:
+        raise ValueError(f"unknown kind {kind!r}")
     if payload.__class__ not in _OBJECTS:
         raise ValueError(f"{kind} payload must be an object")
     missing = sorted(_PAYLOAD_KEYS[kind] - payload.keys())
@@ -1224,6 +1229,3 @@ _PAYLOAD_KEYS = {
 
 decode_route_dict = partial(decode, Route)
 decode_law_dict = partial(decode, Law, ns="gp")
-decode_unit_dict = partial(decode, EvidentialUnit)
-decode_assessment_dict = partial(decode, Assessment)
-decode_declared_assumption_dict = partial(decode, DeclaredAssumption)

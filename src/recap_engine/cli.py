@@ -239,11 +239,7 @@ def _cmd_route(args) -> int:
         bundle, project = _load_project(args.bundle, args.project)
         if project is None:
             return EXIT_USAGE
-        try:
-            freeze_route(bundle, project.id, timestamp=args.timestamp, actor=args.actor)
-        except OperationRejected as exc:
-            _emit_diagnostics(exc.diagnostics)
-            return EXIT_VIOLATIONS
+        freeze_route(bundle, project.id, timestamp=args.timestamp, actor=args.actor)
         _write_atomic(args.bundle, bundle)
     route = committed_route(bundle, project)
     print(f"frozen {route.id.render()} at {route.frozen_at}")
@@ -336,11 +332,7 @@ def _cmd_version(args) -> int:
             return EXIT_USAGE
         if new_laws is None:
             new_laws = list(bundle.grandparent().laws)
-        try:
-            bump_version(bundle, entry, new_laws, actor=args.actor)
-        except OperationRejected as exc:
-            _emit_diagnostics(exc.diagnostics)
-            return EXIT_VIOLATIONS
+        bump_version(bundle, entry, new_laws, actor=args.actor)
         _write_atomic(args.bundle, bundle)
     print(f"version {bundle.grandparent().version}")
     return EXIT_OK

@@ -364,8 +364,10 @@ CODE_REGISTRY: dict[str, tuple[str, str]] = {
     "E_PAYLOAD_SCHEMA": (
         "event payload malformed",
         "Each event kind's payload is one record: it must carry the keys the "
-        "record requires, and each value must decode to its field's type. A "
-        "malformed payload stops parsing, as it would stop replay.",
+        "record requires, and each value must decode to its field's type; an "
+        "unknown kind has no record. A malformed payload stops parsing, as it "
+        "would stop replay, and the verdict reports one for a bundle edited "
+        "in memory.",
     ),
     "E_REPLAY_DIVERGENCE": (
         "replay diverged from live state",

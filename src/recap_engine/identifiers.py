@@ -17,8 +17,6 @@ import re
 
 from .records import FrozenRecordError
 
-NAMESPACES = ("gp", "parent", "child")
-
 #: Maps a layer kind to the namespace its declarations live in.
 KIND_TO_NAMESPACE = {"grandparent": "gp", "parent": "parent", "child": "child"}
 

@@ -8,10 +8,11 @@ laws can never change at all.
 
 from __future__ import annotations
 
-from .bundle import VERSION_RE, decode_payload, encode, text_fields
-from .diagnostics import Diagnostic, OperationRejected, error, reject
+from .bundle import VERSION_RE, encode, text_fields
+from .diagnostics import Diagnostic, OperationRejected, error
 from .identifiers import Identifier, extract_references
 from .model import Abstraction, BundleIndex, ChangelogEntry, Law, LayerDecl, ProjectBundle
+from .model import VersionBumped
 from .records import field, record
 
 # Write operations import .audit (and with it datetime) when they run, so
@@ -220,14 +221,11 @@ def law_history(bundle: ProjectBundle) -> list[tuple[str, list[Law]]]:
 
     The pre-history law set cannot be reconstructed from events alone, so the
     history starts at the first recorded bump. A recorded bump whose payload
-    does not decode is rejected with E_PAYLOAD_SCHEMA.
+    does not decode is not in it: the verdict reports that payload
+    (:attr:`~.model.BundleIndex.payloads`).
     """
-    history = []
-    for i, event in enumerate(bundle.events):
-        if event.kind == "version_bumped":
-            try:
-                bump = decode_payload(event.kind, event.payload)
-            except ValueError as exc:
-                raise reject("E_PAYLOAD_SCHEMA", f"events[{i}].payload", str(exc)) from exc
-            history.append((bump.entry.to_version, bump.laws))
-    return history
+    return [
+        (bump.entry.to_version, bump.laws)
+        for bump in BundleIndex.of(bundle).payloads
+        if bump.__class__ is VersionBumped
+    ]

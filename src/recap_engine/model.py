@@ -54,17 +54,6 @@ VIOLATION_RULES = (
 )
 CORRECTIVE_ACTIONS = ("quarantined", "reversed", "insight_extracted")
 
-#: Seeded objective registry; open, so unknown tags are accepted.
-OBJECTIVE_TAGS = (
-    "comparative",
-    "prognostic",
-    "descriptive",
-    "stability-mapping",
-    "associational",
-    "measurement-evaluation",
-    "predictive",
-)
-
 #: Directional implication tags a bias statement must contain.
 BIAS_DIRECTION_TAGS = ("attenuates", "inflates", "reverses", "nondirectional")
 
@@ -647,7 +636,7 @@ class DeclarationQuarantined:
     target: Identifier = spec(IDENT, identity=True)
 
 
-#: Audit-event kind -> its payload record. An unknown kind decodes as the
+#: Audit-event kind -> its payload record. A parse reads an unknown kind as the
 #: first, so the decode-differential fixture pins this order.
 EVENT_PAYLOADS: dict[str, type] = {
     snake_name(cls): cls
@@ -794,6 +783,22 @@ class BundleIndex:
         from .bundle import declaration_map
 
         return declaration_map(self.state)[0]
+
+    @cached_property
+    def payloads(self) -> tuple[Any, ...]:
+        """For each event of the state, in log order, the record its
+        payload decodes to (:func:`~.bundle.decode_payload`), or the
+        ValueError raised: each reader of the log picks its records by
+        class, and the verdict reports each error once."""
+        from .bundle import decode_payload
+
+        out = []
+        for event in self.state.events:
+            try:
+                out.append(decode_payload(event.kind, event.payload))
+            except ValueError as exc:
+                out.append(exc)
+        return tuple(out)
 
     @cached_property
     def units(self) -> dict[Identifier, EvidentialUnit]:

@@ -14,7 +14,7 @@ import json
 from functools import partial, singledispatch
 from operator import attrgetter
 
-from .bundle import decode, decode_payload, encode, wrong_field
+from .bundle import decode, encode, wrong_field
 from .contamination import detect_contamination, validate_contract
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
 from .layers import check_law_evolution, law_history, parse_version, validate_grandparent_laws
@@ -24,6 +24,7 @@ from .model import (
     EFFECT_KEYS,
     BundleIndex,
     ComplianceReport,
+    ContaminationResolved,
     EvidentialUnit,
     MEMO_SECTIONS,
     ProjectBundle,
@@ -237,20 +238,16 @@ def _finding_sort_key(diag: Diagnostic) -> tuple:
     return (diag.severity, direction, diag.location, diag.code)
 
 
-def _refused_effects(bundle: ProjectBundle, index: BundleIndex) -> list[Diagnostic]:
+def _refused_effects(index: BundleIndex) -> list[Diagnostic]:
     """E_REPLAY_DIVERGENCE at each recorded effect on a field that replay
     would refuse (:func:`~.bundle.wrong_field`) in the declaration the
     bundle now has of its container. A container the bundle no longer
-    declares gets no finding, nor does a payload that does not decode."""
+    declares gets no finding."""
     findings = []
-    for i, event in enumerate(bundle.events):
-        if event.kind != "contamination_resolved":
+    for i, record in enumerate(index.payloads):
+        if record.__class__ is not ContaminationResolved:
             continue
-        try:
-            effects = decode_payload(event.kind, event.payload).effects
-        except ValueError:  # the parser's finding
-            continue
-        for j, effect in enumerate(effects):
+        for j, effect in enumerate(record.effects):
             found = "field" in EFFECT_KEYS[effect.op] and index.declarations.get(effect.container)
             message = found and wrong_field(found[0], effect)
             if message:
@@ -265,8 +262,14 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
     A single error-severity finding means the bundle has exited the
     framework, no matter how precise everything else is.
     """
-    findings: list[Diagnostic] = []
     index = BundleIndex.of(bundle)
+    # Every reader of the log skips a payload that does not decode; it is
+    # reported here, once, as the parse reports it.
+    findings: list[Diagnostic] = [
+        error("E_PAYLOAD_SCHEMA", f"events[{i}].payload", str(decoded))
+        for i, decoded in enumerate(index.payloads)
+        if isinstance(decoded, ValueError)
+    ]
 
     gp = None
     try:
@@ -275,11 +278,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
         findings.append(error("E_NO_GRANDPARENT", "layers", "no grandparent layer"))
     if gp is not None:
         findings.extend(validate_grandparent_laws(gp))
-        try:
-            history = law_history(bundle)
-        except OperationRejected as exc:  # a recorded bump that does not decode
-            findings.extend(exc.diagnostics)
-            history = []
+        history = law_history(bundle)
         previous_laws = None
         previous_version = None
         for version, laws in history:
@@ -351,7 +350,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
             findings.extend(validate_memo(memo))
 
     findings.extend(check_freeze_integrity(bundle))
-    findings.extend(_refused_effects(bundle, index))
+    findings.extend(_refused_effects(index))
     for contract in bundle.contracts:
         findings.extend(validate_contract(contract))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .bundle import body_fields, clone, decode_payload, encode, route_body_dict
+from .bundle import body_fields, clone, encode, route_body_dict
 from .diagnostics import Diagnostic, OperationRejected, error, reject, warning
 from .identifiers import Identifier
 from .model import (
@@ -19,6 +19,8 @@ from .model import (
     ProjectBundle,
     ProjectDecl,
     Route,
+    RouteFrozen,
+    RouteRevised,
     RouteRevision,
     Tier,
 )
@@ -316,22 +318,18 @@ def check_freeze_integrity(bundle: ProjectBundle) -> list[Diagnostic]:
 
     The freeze event records a body fingerprint and every revision records
     the next one; a frozen route whose current body does not match the last
-    recorded fingerprint was edited outside the revision protocol.
+    recorded fingerprint was edited outside the revision protocol. An event
+    whose payload does not decode is not read: the verdict reports it.
     """
     diags: list[Diagnostic] = []
     last_hash: dict[Identifier, str] = {}
     recorded_frozen: set[Identifier] = set()
-    for i, event in enumerate(bundle.events):
-        if event.kind != "route_frozen" and event.kind != "route_revised":
-            continue
-        try:
-            record = decode_payload(event.kind, event.payload)
-        except ValueError as exc:
-            diags.append(error("E_PAYLOAD_SCHEMA", f"events[{i}].payload", str(exc)))
+    for record in BundleIndex.of(bundle).payloads:
+        if record.__class__ is RouteFrozen:
+            recorded_frozen.add(record.route)
+        elif record.__class__ is not RouteRevised:
             continue
         last_hash[record.route] = record.body_hash
-        if event.kind == "route_frozen":
-            recorded_frozen.add(record.route)
     for route in bundle.routes:
         if route.frozen_at is None or route.quarantined:
             continue

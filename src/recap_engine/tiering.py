@@ -21,6 +21,7 @@ from .model import (
     ProjectBundle,
     ReTierEvent,
     Tier,
+    event_time_key,
 )
 from .records import field, record, replace
 
@@ -140,13 +141,15 @@ def effective_tier(unit: EvidentialUnit) -> Tier | None:
 
 def check_retier_chain(unit: EvidentialUnit) -> list[Diagnostic]:
     """Re-tier history must chain: each event starts where the previous one
-    ended, and the last event ends at the current declaration."""
+    ended, and the last event ends at the current declaration. Events are
+    in the audit log's time order (:func:`~.model.event_time_key`)."""
     diags: list[Diagnostic] = []
     where = unit.study_id.render()
     previous: Tier | None = None
     last_stamp = ""
     for i, event in enumerate(unit.retier_events):
-        if event.timestamp < last_stamp:
+        stamp = event_time_key(event.timestamp)
+        if stamp < last_stamp:
             diags.append(
                 error(
                     "E_SILENT_RETIER",
@@ -154,7 +157,7 @@ def check_retier_chain(unit: EvidentialUnit) -> list[Diagnostic]:
                     "re-tier events are not in timestamp order",
                 )
             )
-        last_stamp = event.timestamp
+        last_stamp = stamp
         if previous is not None and event.old_tier != previous:
             diags.append(
                 error(

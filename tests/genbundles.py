@@ -6,10 +6,9 @@ import json
 import random
 
 from recap_engine import records
-from recap_engine.bundle import parse_bundle
-from recap_engine.model import ProjectBundle, Tier
+from recap_engine.bundle import decode, parse_bundle
+from recap_engine.model import Assessment, DeclaredAssumption, ProjectBundle, Tier
 from recap_engine.tiering import compute_tier_decision
-from recap_engine.bundle import decode_assessment_dict, decode_declared_assumption_dict
 
 WORDS = (
     "signal",
@@ -173,8 +172,8 @@ def random_bundle_dict(rng: random.Random, *, n_parents: int | None = None,
                     }
                 ]
             tier, _ = compute_tier_decision(
-                decode_assessment_dict(interp),
-                [decode_declared_assumption_dict(a, child) for a in assumptions],
+                decode(Assessment, interp),
+                [decode(DeclaredAssumption, a, child) for a in assumptions],
             )
             units.append(
                 {

@@ -19,7 +19,7 @@ from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
 from recap_engine.model import AuditEvent, BundleIndex, ChangelogEntry, FlowEvent, Law, Tier
-from recap_engine.model import ResolutionEffect
+from recap_engine.model import InsightProposal, ResolutionEffect
 from recap_engine.contamination import record_flow, resolve_contamination, scan_bundle
 from recap_engine.reporting import compliance_verdict
 from recap_engine.routing import declare_route, freeze_route
@@ -489,8 +489,24 @@ def random_ops(rng: random.Random, clock: TimeSource, live, n_ops: int = 8, star
                 if rng.random() < 0.8:  # else left undocumented, so rejected
                     event.risks_introduced = "An unvetted reference crossed a boundary."
                 unresolved = copy.deepcopy(event)
-                action = rng.choice(["quarantine", "reverse"])
-                resolve_contamination(live, event, action, timestamp=clock.next())
+                action = rng.choice(["quarantine", "reverse", "extract_insight"])
+                proposal = None
+                if action == "extract_insight":  # a fresh abstraction, child to parent
+                    child = layer_named(live, rng.choice(children))
+                    proposal = InsightProposal(
+                        id=f"INS{i}",
+                        origin_layer=child.id,
+                        target_layer=child.parent_ref,
+                        statement="Readings need a declared stability indicator.",
+                        proposed_additions=[{
+                            "kind": "abstraction",
+                            "id": f"KI{i}",
+                            "abstraction_kind": "measurement_class",
+                            "definition": "A declared stability indicator.",
+                        }],
+                    )
+                resolve_contamination(live, event, action, proposal=proposal,
+                                      timestamp=clock.next())
             accepted += 1
             # An accepted write keeps the bundle parseable.
             diagnostics = parse_bundle(serialize_bundle(live)).diagnostics
@@ -519,7 +535,7 @@ def test_random_sessions_replay_to_live_state():
                 effects.update(effect["op"] for effect in event.payload["effects"])
     assert effects == {
         "quarantine", "edit_text", "edit_list_item", "remove_ref", "clear_ref",
-        "remove_assignment", "remove_declaration", "remove_flow",
+        "remove_assignment", "remove_declaration", "remove_flow", "add_abstraction",
     }
 
 

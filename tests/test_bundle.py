@@ -8,14 +8,13 @@ from toy import variant
 
 from recap_engine.bundle import (
     decode,
-    decode_declared_assumption_dict,
     decode_law_dict,
     load_bundle,
     parse_bundle,
     serialize_bundle,
 )
 from recap_engine.diagnostics import OperationRejected, Severity
-from recap_engine.model import Abstraction
+from recap_engine.model import Abstraction, DeclaredAssumption
 
 
 def codes(result):
@@ -318,7 +317,7 @@ def test_abstraction_decoder_rejects_unknown_kind_and_non_string_definition():
 def test_declared_assumption_decoder_rejects_list_text():
     record = {"id": "A1", "text": ["not", "a", "string"], "covers": ["measurement"]}
     with pytest.raises(ValueError, match="declared_assumption.text"):
-        decode_declared_assumption_dict(record, "C1")
+        decode(DeclaredAssumption, record, "C1")
 
 
 def test_boolean_event_sequence_is_a_syntax_error():

@@ -241,11 +241,19 @@ def test_extra_immutable_flag_is_flagged(toy):
     assert "E_CORE_FLAG" in [d.code for d in validate_grandparent_laws(gp)]
 
 
-def test_malformed_recorded_bump_is_a_payload_schema_rejection(toy):
+def test_each_malformed_recorded_bump_is_a_payload_finding_and_history_skips_it(toy):
+    from recap_engine.reporting import compliance_verdict
+
     bump_version(toy, entry(), toy.grandparent().laws)
-    edit_payload(toy, -1, lambda payload: payload["laws"][0].update(immutable_core="false"))
-    with pytest.raises(OperationRejected) as err:
-        law_history(toy)
-    assert [(d.code, d.location) for d in err.value.diagnostics] == [
-        ("E_PAYLOAD_SCHEMA", f"events[{len(toy.events) - 1}].payload")
+    bump_version(toy, entry("v1.1", "v1.2"), toy.grandparent().laws)
+    bump_version(toy, entry("v1.2", "v1.3"), toy.grandparent().laws)
+    first, second = len(toy.events) - 3, len(toy.events) - 2
+    for i in (first, second):
+        edit_payload(toy, i, lambda payload: payload["laws"][0].update(immutable_core="false"))
+    assert [version for version, _ in law_history(toy)] == ["v1.3"]
+    report = compliance_verdict(toy)
+    assert report.verdict == "non_compliant"
+    assert [(d.code, d.location) for d in report.findings if d.code == "E_PAYLOAD_SCHEMA"] == [
+        ("E_PAYLOAD_SCHEMA", f"events[{first}].payload"),
+        ("E_PAYLOAD_SCHEMA", f"events[{second}].payload"),
     ]

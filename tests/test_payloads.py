@@ -19,12 +19,13 @@ from test_audit import random_ops_session
 from test_codec import _paths, _swapped
 from toy import toy_bundle, toy_text
 
-from recap_engine.audit import _APPLIERS
-from recap_engine.bundle import CODECS, decode_payload, decode_route_dict, encode, parse_bundle
-from recap_engine.bundle import serialize_bundle
+from recap_engine.audit import _APPLIERS, replay, validate_event
+from recap_engine.bundle import CODECS, clone, decode_payload, decode_route_dict, encode
+from recap_engine.bundle import parse_bundle, serialize_bundle
 from recap_engine.cli import main
 from recap_engine.contamination import flag_contamination, record_flow, resolve_contamination
 from recap_engine.contamination import scan_bundle
+from recap_engine.diagnostics import OperationRejected
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
 from recap_engine.model import (
@@ -38,6 +39,8 @@ from recap_engine.model import (
     ReTierEvent,
     Tier,
 )
+from recap_engine.records import replace
+from recap_engine.reporting import compliance_verdict
 from recap_engine.routing import declare_route
 from recap_engine.tiering import apply_retier, declare_tier
 
@@ -209,6 +212,7 @@ def _toy_log() -> dict:
 
 
 TOY_LOG = _toy_log()
+TOY_LOG_BUNDLE = parse_bundle(json.dumps(TOY_LOG)).bundle
 #: (event index, path within its payload) of every payload value.
 PAYLOAD_SITES = [
     (i, path) for i, event in enumerate(TOY_LOG["events"]) for path in _paths(event["payload"])
@@ -250,3 +254,39 @@ def test_a_toy_log_with_a_mutated_payload_parses_iff_the_payload_decodes(site, v
         assert [(d.code, d.location) for d in result.diagnostics] == [
             ("E_PAYLOAD_SCHEMA", f"events[{i}].payload")
         ]
+    # The same payload edited into the parsed log in memory: the verdict
+    # reports what the parse reports, and nothing when the payload decodes.
+    live = clone(TOY_LOG_BUNDLE)
+    live.events = tuple(
+        replace(e, payload=event["payload"]) if j == i else e for j, e in enumerate(live.events)
+    )
+    findings = compliance_verdict(live).findings
+    assert [(d.code, d.location, d.message) for d in findings if d.code == "E_PAYLOAD_SCHEMA"] == (
+        [] if decodes else [(d.code, d.location, d.message) for d in result.diagnostics]
+    )
+
+
+@pytest.mark.parametrize("i", range(len(TOY_LOG["events"])))
+def test_an_event_of_an_unknown_kind_is_one_payload_finding(i):
+    live = clone(TOY_LOG_BUNDLE)
+    event = replace(live.events[i], kind="bogus")
+    live.events = live.events[:i] + (event,) + live.events[i + 1 :]
+    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+        decode_payload("bogus", event.payload)
+    report = compliance_verdict(live)
+    assert report.verdict == "non_compliant"
+    assert [(d.code, d.location, d.message) for d in report.findings
+            if d.code == "E_PAYLOAD_SCHEMA"] == [
+        ("E_PAYLOAD_SCHEMA", f"events[{i}].payload", "unknown kind 'bogus'")
+    ]
+    # commit checks and replay applies through the same decode.
+    head = clone(TOY_LOG_BUNDLE)
+    head.events = head.events[:i]
+    assert [(d.code, d.location) for d in validate_event(head, event)] == [
+        ("E_PAYLOAD_SCHEMA", "event.payload")
+    ]
+    with pytest.raises(OperationRejected) as err:
+        replay(head, [event])
+    [diag] = err.value.diagnostics
+    assert diag.code == "E_REPLAY_DIVERGENCE"
+    assert diag.message == "bogus failed to apply: unknown kind 'bogus'"

@@ -6,7 +6,7 @@ import pytest
 from genbundles import edit
 from toy import assessment
 
-from recap_engine.bundle import parse_bundle, serialize_bundle
+from recap_engine.bundle import decode, parse_bundle, serialize_bundle
 from recap_engine.diagnostics import OperationRejected
 from recap_engine.identifiers import Identifier
 from recap_engine.model import (
@@ -293,9 +293,7 @@ def _add_splittable(toy, interpretations):
         "superseded": False,
         "quarantined": False,
     }
-    from recap_engine.bundle import decode_unit_dict
-
-    unit = decode_unit_dict(record)
+    unit = decode(EvidentialUnit, record)
     toy.units += (unit,)
     edit(toy, toy.projects[0], unit_refs=toy.projects[0].unit_refs + (unit.study_id,))
     return unit
@@ -463,6 +461,25 @@ def test_retier_chain_flags_order_stale_start_and_blank_fields(toy):
     assert diags[0].message == "re-tier events are not in timestamp order"
     assert diags[1].message == "event starts at excluded but history was at core"
     assert diags[2].message == "re-tier event lacks implications_for_route"
+
+
+@pytest.mark.parametrize(
+    "stamps, in_order",
+    [
+        (("2026-02-03T00:00:00Z", "2026-02-03T00:00:00.5Z"), True),
+        (("2026-02-03T00:00:00.5Z", "2026-02-03T00:00:00Z"), False),
+    ],
+    ids=["whole-then-fraction", "fraction-then-whole"],
+)
+def test_retier_chain_orders_timestamps_in_time_not_as_text(toy, stamps, in_order):
+    # As text, "...:00.5Z" sorts before "...:00Z"; in time it comes after.
+    s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
+    s2 = edit(toy, s2, declared_tier=Tier.SUPPLEMENT, retier_events=(
+        _retier_event(Tier.SUPPLEMENT, Tier.CORE, timestamp=stamps[0]),
+        _retier_event(Tier.CORE, Tier.SUPPLEMENT, timestamp=stamps[1]),
+    ))
+    expected = [] if in_order else [("E_SILENT_RETIER", "child:C1:S2.retier_events[1]")]
+    assert [(d.code, d.location) for d in check_retier_chain(s2)] == expected
 
 
 def test_retier_chain_must_end_at_the_declared_tier(toy):
