@@ -12,6 +12,11 @@ the indented writer behind :func:`serialize_bundle` (``writer.py``) and
 :func:`declaration_map`, the walk over every declaration by the kind its
 identity spec ``declares``. The decoder builds each value as its frozen
 record holds it: lists as tuples, maps and free JSON read-only.
+
+What a record cites is described once too, by its plan in :data:`PLANS`,
+and one walk, :func:`citations`, reads it. The decoder records no
+references: the parse, the write check (:func:`write_errors`) and its
+search for what still cites a dropped id all read that walk.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
-from .identifiers import EMBEDDED_REF_RE, KIND_TO_NAMESPACE, Identifier, is_bare_name
+from .identifiers import KIND_TO_NAMESPACE, Identifier, is_bare_name
 from .identifiers import extract_references, parse_identifier
 from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER
 from .model import (
@@ -117,9 +122,6 @@ class _Codec:
         self.fields = [(f.name, f.spec.key or f.name, f.spec) for f in fields(cls)]
         self.specs = {name: spec for name, _, spec in self.fields}
         self.encode = _record_encoder(self.fields)
-        self.text = [(name, key if key.__class__ is str else ".".join(key))
-                     for name, key, spec in self.fields if spec.text]
-        self.text_fields = tuple(name for name, _, s in self.fields if s.text and s.kind == STR)
         self.body = tuple(name for name, _, spec in self.fields if spec.body)
         self.layer_refs = [name for name, _, spec in self.fields if spec.kind == LAYER]
         self.check = _CHECKS.get(cls)
@@ -208,31 +210,106 @@ def _build(cls: type) -> None:
 TOP_LEVEL_KEYS = tuple(f.name for f in fields(ProjectBundle))
 
 
-def text_fields(cls: type) -> tuple[str, ...]:
-    """Names of the string fields scanned for embedded references."""
-    return CODECS[cls].text_fields
-
-
 def body_fields(cls: type) -> tuple[str, ...]:
     """Names of the fields that make up a frozen route's fingerprint."""
     return CODECS[cls].body
 
 
+# The kinds of a plan step. Their numbers are the order in which the
+# contamination scan takes a record's steps.
+TEXT, DECLS, REFS, TEXTS, REF, ITEMS = range(6)
+#: The kinds a reference embedded in a text may name: any.
+_ANY = ("any",)
+
+
+def _plan(codec: _Codec) -> tuple:
+    """``(key, steps)`` of one persisted class: its identity field if it
+    declares something, else None, and a step ``(kind, field, JSON label,
+    of)`` for each field that may cite a declaration, in field order, texts
+    last. ``of`` is the kinds a reference field (an identifier whose spec
+    has ``expect``) or a text (:data:`_ANY`) may name, or the nested class
+    of a list of records whose own plan has steps."""
+    steps, texts = [], []
+    for name, key, spec in codec.fields:
+        many = spec.kind == LIST
+        item = spec.of if many else spec
+        nested = item.of if many and item.kind == RECORD else None
+        label = key if key.__class__ is str else ".".join(key)
+        if item.kind == STR and spec.text:
+            texts.append((TEXTS if many else TEXT, name, label, _ANY))
+        elif item.kind == IDENT and item.expect:
+            steps.append((REFS if many else REF, name, label, item.expect))
+        elif nested and PLANS[nested][1]:
+            steps.append((DECLS if PLANS[nested][0] else ITEMS, name, label, nested))
+    return codec.fields[0][0] if codec.declares else None, tuple(steps + texts)
+
+
+#: Persisted class -> its :func:`_plan`, built with :data:`CODECS`: the one
+#: description of which fields cite a declaration.
+PLANS: dict[type, tuple] = {}
+#: Plan step kind -> the resolution effect that edits such a field.
+_EFFECTS = {TEXT: "edit_text", TEXTS: "edit_list_item", REF: "clear_ref", REFS: "remove_ref"}
+
+
+def citations(record: Any, where: tuple | None) -> list[tuple]:
+    """``(id, expected kinds, where, label, index)`` for each reference
+    ``record`` holds, in the order a parse meets them (:data:`PLANS`): each
+    id of a reference field or embedded in a text, with those of a nested
+    list's records in place. ``where`` is the position of the record holding
+    it, and ``reference[2:]`` its own (:func:`render_position`). A position
+    is ``(position above, JSON label, index or None)``; a bundle's is None."""
+    out: list[tuple] = []
+    _cite(record, PLANS[record.__class__][1], where, out)
+    return out
+
+
+def _cite(record: Any, steps: tuple, where: tuple | None, out: list) -> None:
+    values = record.__dict__
+    for step, name, label, of in steps:
+        value = values[name]
+        # Only a text holding a namespace prefix, so a colon, can cite an id.
+        if step == TEXT:
+            if ":" in value and ("child:" in value or "parent:" in value or "gp:" in value):
+                out += [(ref, of, where, label, None) for ref in extract_references(value)]
+        elif step == REF:
+            if value is not None:
+                out.append((value, of, where, label, None))
+        elif step == REFS:
+            out += [(ref, of, where, label, i) for i, ref in enumerate(value)]
+        elif step == TEXTS:
+            for i, text in enumerate(value):
+                if ":" in text and ("child:" in text or "parent:" in text or "gp:" in text):
+                    out += [(ref, of, where, label, i) for ref in extract_references(text)]
+        elif value:
+            inner = PLANS[of][1]
+            for i, item in enumerate(value):
+                _cite(item, inner, (where, label, i), out)
+
+
+def render_position(where: tuple | None) -> str:
+    """A position ``(position above, label, index)`` as text, e.g.
+    ``units[1].notes``; the bundle's, None, is ""."""
+    parts = []
+    while where is not None:
+        where, label, index = where
+        parts.append(label if index is None else f"{label}[{index}]")
+    return ".".join(reversed(parts))
+
+
+def text_fields(cls: type) -> tuple[str, ...]:
+    """Names of the string fields scanned for embedded references."""
+    return tuple(name for step, name, _, _ in PLANS[cls][1] if step == TEXT)
+
+
 def field_effect(cls: type, name: str) -> str | None:
     """The resolution effect that edits field ``name`` of ``cls``, by its
-    spec: ``edit_text`` for a text, ``edit_list_item`` for a list of texts,
-    ``clear_ref`` for a nullable reference and ``remove_ref`` for a list of
-    references; None for any other field."""
-    spec = CODECS[cls].specs.get(name)
-    if spec is None:
+    plan step (:data:`PLANS`): ``edit_text`` for a text, ``edit_list_item``
+    for a list of texts, ``clear_ref`` for a nullable reference and
+    ``remove_ref`` for a list of references; None for any other field."""
+    step = next((kind for kind, f, _, _ in PLANS[cls][1] if f == name), None)
+    if step == REF and not CODECS[cls].specs[name].nullable:
         return None
-    many = spec.kind == LIST
-    item = spec.of if many else spec
-    if item.kind == STR and spec.text:
-        return "edit_list_item" if many else "edit_text"
-    if item.kind == IDENT and item.expect and (many or spec.nullable):
-        return "remove_ref" if many else "clear_ref"
-    return None
+    return _EFFECTS.get(step)
 
 
 def wrong_field(decl: Any, effect: ResolutionEffect) -> str | None:
@@ -242,39 +319,6 @@ def wrong_field(decl: Any, effect: ResolutionEffect) -> str | None:
     if decl is None or field_effect(decl.__class__, effect.field) != effect.op:
         return f"{effect.op} target {effect.container.render()}.{effect.field} not found"
     return None
-
-
-# The steps of a record's plan, in the order a walk takes them; each group
-# keeps field order.
-TEXT, DECLS, REFS, TEXTS, REF, ITEMS = range(6)
-
-
-def _plan(codec: _Codec) -> tuple:
-    """``(key, steps)`` of one persisted class: its identity field if it
-    declares something (a record without an id has None), and a step
-    ``(step, field, nested class)`` for each text field, each identifier
-    field whose spec has ``expect`` and each list of records whose own
-    plan has steps; only the last has a nested class, the others None."""
-    steps = []
-    for name, _, spec in codec.fields:
-        many = spec.kind == LIST
-        item = spec.of if many else spec
-        nested = item.of if many and item.kind == RECORD else None
-        if item.kind == STR and spec.text:
-            step = TEXTS if many else TEXT
-        elif item.kind == IDENT and item.expect:
-            step = REFS if many else REF
-        elif nested and PLANS[nested][1]:
-            step = DECLS if PLANS[nested][0] else ITEMS
-        else:
-            continue
-        steps.append((step, name, nested))
-    steps.sort(key=lambda step: step[0])
-    return codec.fields[0][0] if codec.declares else None, tuple(steps)
-
-
-#: Persisted class -> its :func:`_plan`, built with :data:`CODECS`.
-PLANS: dict[type, tuple] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +338,6 @@ class _IdentMemo(dict):
         return parsed
 
 
-_ANY = ("any",)
-
-
 class _Decoder:
     """Strict spec-driven decoder collecting located diagnostics as it walks.
 
@@ -305,24 +346,17 @@ class _Decoder:
 
     Each field goes through its codec's field decoder, which decodes a
     well-typed value inline and hands anything else to :meth:`value`, the
-    one place that reports; a location is rendered only there, or when a
-    reference fails to resolve.
+    one place that reports; a location is rendered only there. It records
+    no references: a parse resolves those of the records it built
+    (:func:`citations`).
     """
 
     def __init__(self, idents: _IdentMemo | None = None) -> None:
         self.diagnostics: list[Diagnostic] = []
-        #: (canonical id, expected kinds, path, label, index); the location
-        #: is rendered only if the reference fails to resolve.
-        self.references: list[tuple] = []
         self.idents = _IdentMemo() if idents is None else idents
 
     def fail(self, path: str, message: str, code: str = "E_SYNTAX") -> None:
         self.diagnostics.append(error(code, path, message))
-
-    def scan_text(self, text: str, path: str, label: str, index: int | None) -> None:
-        # Every token the pattern finds is a canonical id.
-        for token in EMBEDDED_REF_RE.findall(text):
-            self.references.append((token, _ANY, path, label, index))
 
     def container(self, raw: Any, path: str) -> dict:
         if raw is _ABSENT:
@@ -378,8 +412,6 @@ class _Decoder:
                     parsed = Identifier("child", owner, raw)
                 else:
                     parsed = Identifier(ns, layer if ns != "gp" else "", raw)
-            if spec.expect:
-                self.references.append((parsed.render(), spec.expect, path, None, None))
             return parsed
         if kind == LAYER:
             # Bare names stay strings until every layer is known.
@@ -455,16 +487,6 @@ class _Decoder:
         # its spec says, so this is what the record __init__ would build.
         record = _new(codec.cls)
         _set_dict(record, "__dict__", values)
-        for name, label in codec.text:
-            text = values[name]
-            # Every canonical reference holds one of the namespace prefixes.
-            if text.__class__ is str:
-                if "child:" in text or "parent:" in text or "gp:" in text:
-                    self.scan_text(text, path, label, None)
-            else:
-                for i, item in enumerate(text):
-                    if "child:" in item or "parent:" in item or "gp:" in item:
-                        self.scan_text(item, path, label, i)
         if codec.check is not None:
             codec.check(self, record, obj, path)
         return record
@@ -509,14 +531,12 @@ def _field_decoder(spec: Spec) -> Callable:
             return freeze(raw) if raw.__class__ is dict else general(dec, raw, path, label, ctx)
 
     elif kind == IDENT or kind == LAYER:
-        expect, bare = spec.expect, kind == LAYER  # a layer keeps a bare name for now
+        bare = kind == LAYER  # a layer keeps a bare name for now
 
         def decode(dec, raw, path, label, ctx):
             ident = dec.idents[raw] if raw.__class__ is str else None
             if ident.__class__ is not Identifier and (ident is None or not bare):
                 return general(dec, raw, path, label, ctx)
-            if expect:
-                dec.references.append((raw, expect, path, label, None))
             return ident
 
     elif kind == LIST and (item.kind == STR or item.kind == ENUM):
@@ -544,15 +564,12 @@ def _field_decoder(spec: Spec) -> Callable:
             return general(dec, raw, path, label, ctx)
 
     elif kind == LIST:  # identifiers
-        expect = item.expect
 
         def decode(dec, raw, path, label, ctx):
             if raw.__class__ in _ARRAYS:
                 memo = dec.idents
                 idents = tuple([memo[value] if value.__class__ is str else None for value in raw])
                 if all(ident.__class__ is Identifier for ident in idents):
-                    if expect:
-                        dec.references += [(v, expect, path, label, i) for i, v in enumerate(raw)]
                     return idents
             return general(dec, raw, path, label, ctx)
 
@@ -851,20 +868,20 @@ def _validate_structure(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
 
 
 def _resolve_references(
-    decoder: _Decoder, index: dict[str, str], diags: list[Diagnostic]
+    references: list[tuple], index: dict[Identifier, str], diags: list[Diagnostic]
 ) -> None:
-    for key, expect, path, label, at in decoder.references:
-        kind = index.get(key)
-        if kind is not None and (kind in expect or "any" in expect):
+    """Report each of ``references`` (:func:`citations`) that names no id of
+    ``index`` (id -> declaration kind), or one of a kind it does not expect."""
+    for ident, expect, up, label, at in references:
+        kind = index.get(ident)
+        if kind is not None and (kind in expect or expect is _ANY):
             continue
-        # The location is rendered only here: path, path.label or path.label[at].
-        where = path if label is None else f"{path}.{label}"
-        if at is not None:
-            where = f"{where}[{at}]"
+        # The location and the id are rendered only here.
+        where = render_position((up, label, at))
         if kind is None:
-            diags.append(error("E_UNRESOLVED_REF", where, f"unresolved reference {key}"))
+            diags.append(error("E_UNRESOLVED_REF", where, f"unresolved reference {ident.render()}"))
         else:
-            message = f"{key} is a {kind}, expected {' or '.join(expect)}"
+            message = f"{ident.render()} is a {kind}, expected {' or '.join(expect)}"
             diags.append(error("E_SYNTAX", where, message))
 
 
@@ -875,14 +892,15 @@ def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic
     (:func:`_difference`). It is blamed, with the parse's own diagnostic,
     for a layer reference in a record it puts in that is not the id of a
     layer of ``after`` (a payload is history, so a bare name is not
-    resolved) and for a reference it puts in, less those a record it takes
-    out cited alike, that does not resolve in ``after``; for E_DUP_ID at
-    an id it declares, less as a multiset those it stops declaring, that
-    ``before`` or an earlier one of them declares; and for E_UNDOCUMENTED
-    at an id it stops declaring that ``after`` still cites
-    (:func:`_citations`). A whole bundle is walked only to resolve a
+    resolved) and for a reference it puts in (:func:`citations`), less
+    those a record it takes out cited alike, that does not resolve in
+    ``after``; for E_DUP_ID at an id it declares, less as a multiset those
+    it stops declaring, that ``before`` or an earlier one of them declares;
+    and for E_UNDOCUMENTED at an id it stops declaring that ``after`` still
+    cites (:func:`_citations`). A whole bundle is walked only to resolve a
     reference the write puts in or an id it declares or drops."""
-    added, replaced = _Decoder(), _Decoder()
+    put: list[tuple] = []  # the references of the records put in
+    cited: set[tuple] = set()  # (id, expected kinds) of those taken out
     new_ids: list[Identifier] = []
     old_ids: list[Identifier] = []
     layers = {layer.id for layer in after.layers}
@@ -892,35 +910,30 @@ def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic
         if old is new:
             continue
         codec = CODECS[spec.of.of]
-        put, out = _difference(old, new)
-        new_ids += declared_ids([new[i] for i in put])
-        old_ids += declared_ids([old[j] for j in out])
-        paired = set(put).intersection(out)  # replaced in place
-        for i in put:
+        added, removed = _difference(old, new)
+        new_ids += declared_ids([new[i] for i in added])
+        old_ids += declared_ids([old[j] for j in removed])
+        paired = set(added).intersection(removed)  # replaced in place
+        for i in added:
             values = new[i].__dict__
-            missed = [f for f in codec.layer_refs
+            diags += [_unresolved_layer(values[f], f"{key}[{i}].{f}") for f in codec.layer_refs
                       if values[f] is not None and values[f] not in layers]
-            diags += [_unresolved_layer(values[f], f"{key}[{i}].{f}") for f in missed]
-            if any(values[f].__class__ is str for f in missed):
-                continue  # a record holding a bare name cannot be encoded
             if i in paired:
                 previous = old[i].__dict__
                 if all(values[step[1]] is previous[step[1]] for step in PLANS[codec.cls][1]):
                     continue
-                replaced.record(codec, encode(old[i]), "", ("child", "", ""))
-            added.record(codec, encode(new[i]), f"{key}[{i}]", ("child", "", ""))
-        for j in set(out) - paired:
-            replaced.record(codec, encode(old[j]), "", ("child", "", ""))
-    # A reference is (canonical id, expected kinds, path, label, index).
-    cited = {ref[:2] for ref in replaced.references}
-    added.references = [ref for ref in added.references if ref[:2] not in cited]
-    if added.references:
-        keys = {added.idents[ref[0]]: ref[0] for ref in added.references}
-        index = {}  # canonical id -> the kind of a declaration of it, for the ids cited
+                cited.update(ref[:2] for ref in citations(old[i], None))
+            put += citations(new[i], (None, key, i))
+        for j in set(removed) - paired:
+            cited.update(ref[:2] for ref in citations(old[j], None))
+    put = [ref for ref in put if ref[:2] not in cited]
+    if put:
+        wanted = {ref[0] for ref in put}
+        index = {}  # id -> the kind of a declaration of it, for the ids cited
         for kind, ids in _declared([after], CODECS[ProjectBundle]):
-            for ident in keys.keys() & ids:
-                index.setdefault(keys[ident], kind)
-        _resolve_references(added, index, diags)
+            for ident in wanted.intersection(ids):
+                index.setdefault(ident, kind)
+        _resolve_references(put, index, diags)
     if new_ids == old_ids:
         return diags
     spare, taken = Counter(old_ids), None  # the ids the replaced records declared
@@ -972,30 +985,10 @@ def _extra(items: tuple, others: tuple, start: int) -> list[int]:
 
 def _citations(bundle: ProjectBundle, idents: set[Identifier]) -> set[Identifier]:
     """The ids among ``idents`` that ``bundle`` cites where a parse resolves
-    them: in a reference or a text of any record (:data:`PLANS`), inert
+    them: in a reference or a text of any record (:func:`citations`), inert
     ones included, or in a correspondence of an abstraction of the layer
     that owns the id."""
-    found: set[Identifier] = set()
-    rendered = [ident.render() for ident in idents]
-
-    def walk(record: Any, steps: tuple) -> None:
-        values = record.__dict__
-        for step, name, nested in steps:
-            value = values[name]
-            if nested is not None:
-                for item in value:
-                    walk(item, PLANS[nested][1])
-            elif step == REF:
-                if value in idents:
-                    found.add(value)
-            elif step == REFS:
-                found.update(idents.intersection(value))
-            else:
-                for text in (value,) if step == TEXT else value:
-                    if any(r in text for r in rendered):
-                        found.update(idents.intersection(extract_references(text)))
-
-    walk(bundle, PLANS[ProjectBundle][1])
+    found = {ref[0] for ref in citations(bundle, None) if ref[0] in idents}
     for layer in bundle.layers:
         named = {n for ab in layer.abstractions for pair in ab.correspondence.items() for n in pair}
         scope = (layer.id.namespace, "" if layer.kind == "grandparent" else layer.id.local_name)
@@ -1050,19 +1043,19 @@ def parse_bundle(text: str) -> ParseResult:
     diags = list(decoder.diagnostics)
     if not any(d.severity == Severity.ERROR for d in diags):
         _resolve_layer_refs(bundle, diags)
-        # Canonical id -> declaration kind, from the ids taken a level at a
-        # time; a bundle that repeats an id is walked in document order, to
-        # report each repeat at its place.
+        # Id -> declaration kind, from the ids taken a level at a time; a
+        # bundle that repeats an id is walked in document order, to report
+        # each repeat at its place.
         levels = list(_declared([bundle], codec))
-        index = {ident.render(): kind for kind, ids in levels for ident in ids}
+        index = {ident: kind for kind, ids in levels for ident in ids}
         if len(index) < sum(len(ids) for _, ids in levels):
             found, repeats = declaration_map(bundle)
             diags += [error("E_DUP_ID", declaration_location(decl, path),
                             f"duplicate declaration of {ident.render()}")
                       for ident, decl, path in repeats]
-            index = {i.render(): CODECS[d.__class__].declares for i, (d, _) in found.items()}
+            index = {ident: CODECS[decl.__class__].declares for ident, (decl, _) in found.items()}
         _validate_structure(bundle, diags)
-        _resolve_references(decoder, index, diags)
+        _resolve_references(citations(bundle, None), index, diags)
 
     if any(d.severity == Severity.ERROR for d in diags):
         return ParseResult(None, diags)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 
 from .bundle import CODECS, PLANS, REF, REFS, TEXT, TEXTS, decode, encode, field_effect
+from .bundle import render_position
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references, parse_identifier
 from .model import (
@@ -138,7 +139,10 @@ def _effective_vocabulary(index: BundleIndex, layer: LayerDecl) -> set[str]:
 
 def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[Diagnostic]:
     """Insight may move upward only when it is domain-independent,
-    expressible in the target layer's vocabulary, and append-only."""
+    expressible in the target layer's vocabulary, and append-only: it adds
+    laws at the grandparent or abstractions at a parent. An addition that
+    names an id the target already declares is left to ``commit``, which
+    rejects it as E_DUP_ID."""
     index = BundleIndex.of(bundle)
     diags: list[Diagnostic] = []
     where = proposal.id
@@ -188,11 +192,8 @@ def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[D
                         "layer's vocabulary",
                     )
                 )
-    existing = {law.id.local_name for law in target.laws}
-    existing.update(ab.id.local_name for ab in target.abstractions)
     for addition in proposal.proposed_additions:
         kind = addition.get("kind")
-        local = addition.get("id")
         if kind not in ("law", "abstraction"):
             diags.append(
                 error("E_REWRITE_ATTEMPT", where, "additions must be laws or abstractions")
@@ -202,15 +203,6 @@ def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[D
             diags.append(error("E_REWRITE_ATTEMPT", where, "laws live at the grandparent"))
         if kind == "abstraction" and target.kind != "parent":
             diags.append(error("E_REWRITE_ATTEMPT", where, "abstractions live at a parent"))
-        if isinstance(local, str) and local in existing:
-            diags.append(
-                error(
-                    "E_REWRITE_ATTEMPT",
-                    where,
-                    f"{local!r} already exists at the target; insight refines "
-                    "by appending, never by editing",
-                )
-            )
         cls, record = _addition_record(addition)
         try:
             decode(cls, record, owner=target.local_name, ns=KIND_TO_NAMESPACE[target.kind])
@@ -319,23 +311,16 @@ _INERT = ("quarantined", "superseded")
 
 #: Persisted class -> its scan plan ``(key, inert, steps)``: the record's
 #: :data:`~.bundle.PLANS` entry, the flags that make it inert, and each
-#: step as ``(step, field, nature, nested scan plan)``.
+#: step as ``(step, field, nature, nested scan plan)``, stably sorted by
+#: step kind: texts, lists of declarations, lists of references, lists of
+#: texts, single references, lists of records without an id.
 _PLANS: dict[type, tuple] = {}
 for _cls, (_key, _steps) in PLANS.items():  # a nested class comes before its holder
     _PLANS[_cls] = _key, tuple(name for name in _INERT if name in CODECS[_cls].specs), tuple(
-        (step, name, _classify_field(name), nested and _PLANS[nested])
-        for step, name, nested in _steps
+        (step, name, _classify_field(name), _PLANS.get(of))  # a nested list's plan
+        for step, name, _, of in sorted(_steps, key=lambda step: step[0])
     )
 _ROOT = tuple(step for name in _SECTIONS for step in _PLANS[ProjectBundle][2] if step[1] == name)
-
-
-def _location(where: tuple | None) -> str:
-    """A walk position ``(up, field, index)`` as ``units[1].notes``."""
-    parts = []
-    while where is not None:
-        where, name, index = where
-        parts.append(name if index is None else f"{name}[{index}]")
-    return ".".join(reversed(parts))
 
 
 #: The layer kind allowed to declare each class; a law or an abstraction
@@ -412,7 +397,7 @@ class _Scanner:
         if owner.kind != "child" and (
             ref.namespace == "child" or (owner.kind == "grandparent" and ref.namespace == "parent")
         ):
-            location = _location(where)
+            location = render_position(where)
             self.flag("R1_upward_content", "upward", nature, container, location, field, ref)
             return
         ref_owner = self.index.owner(ref)
@@ -421,7 +406,7 @@ class _Scanner:
         verdict = _horizontal_verdict(self.index, ref_owner.id, owner.id, nature, None)
         if not verdict.allowed:
             rule = verdict.rule or "R3_horizontal_borrowing"
-            self.flag(rule, "horizontal", nature, container, _location(where), field, ref)
+            self.flag(rule, "horizontal", nature, container, render_position(where), field, ref)
 
     def walk(self, owner, record, steps, container, where, site=None) -> None:
         """Check ``record``'s references. ``owner`` is None above the
@@ -465,7 +450,7 @@ class _Scanner:
                         _DECLARED_BY[item.__class__] != layer.kind
                     ):
                         self.flag("R2_downward_rewrite", "downward", "structural", ident,
-                                  _location(at))
+                                  render_position(at))
                     if layer is not None:
                         self.walk(layer, item, inner, ident, at, site)
 

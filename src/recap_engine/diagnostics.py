@@ -335,8 +335,9 @@ CODE_REGISTRY: dict[str, tuple[str, str]] = {
         "at the receiving layer.",
     ),
     "E_REWRITE_ATTEMPT": (
-        "insight edits existing declarations",
-        "Insight refines by appending; it never edits or deletes what exists.",
+        "insight adds something other than new laws or abstractions",
+        "Insight refines by appending laws at the grandparent or abstractions "
+        "at a parent; an addition restating a declared id is E_DUP_ID.",
     ),
     "E_UNDOCUMENTED": (
         "contamination resolution lacks documentation",

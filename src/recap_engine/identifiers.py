@@ -25,9 +25,10 @@ _CANONICAL_RE = re.compile(
     rf"^(?:gp:(?P<gp_name>{_NAME})|(?P<ns>parent|child):(?P<owner>{_NAME}):(?P<name>{_NAME}))$"
 )
 
-#: Finds canonical identifier references embedded in narrative text.
+#: Finds canonical identifier references embedded in narrative text, as
+#: (gp name, namespace, owner, name) with the unused parts empty.
 EMBEDDED_REF_RE = re.compile(
-    rf"\b(gp:{_NAME}|(?:parent|child):{_NAME}:{_NAME})\b"
+    rf"\b(?:gp:({_NAME})|(parent|child):({_NAME}):({_NAME}))\b"
 )
 
 
@@ -120,12 +121,8 @@ def extract_references(text: str) -> list[Identifier]:
 
     Duplicates are preserved; one injected reference is one occurrence.
     """
-    out = []
-    for token in EMBEDDED_REF_RE.findall(text or ""):
-        ident = parse_identifier(token)
-        if ident is not None:
-            out.append(ident)
-    return out
+    return [Identifier("gp", "", gp) if gp else Identifier(ns, owner, name)
+            for gp, ns, owner, name in EMBEDDED_REF_RE.findall(text or "")]
 
 
 def is_bare_name(text: str) -> bool:

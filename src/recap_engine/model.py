@@ -16,7 +16,8 @@ import enum
 import re
 import weakref
 from functools import cached_property
-from operator import attrgetter
+from itertools import compress, count
+from operator import attrgetter, is_not
 from typing import Any
 
 from .identifiers import Identifier
@@ -736,6 +737,9 @@ class BundleIndex:
         self.contamination: tuple | None = None
         self._ancestors: dict[Identifier | None, tuple[LayerDecl, ...]] = {}
         self._assignments: dict[int, tuple[ProjectDecl, dict]] = {}
+        #: (events, their payloads): the last decoded log, this state's or
+        #: one taken over from the index replaced.
+        self._decoded: tuple[tuple, tuple] = ((), ())
 
     @classmethod
     def of(cls, bundle: ProjectBundle) -> "BundleIndex":
@@ -747,6 +751,10 @@ class BundleIndex:
         if _kept is not None and _kept[1]._holds(bundle):
             return _kept[1]
         index = cls(bundle)
+        # Decodes pass along one log only: a dropped bundle's are not kept.
+        decoded = _kept[1]._decoded if _kept is not None else ((), ())
+        if decoded[0] and bundle.events and decoded[0][0] is bundle.events[0]:
+            index._decoded = decoded
         _kept = (weakref.ref(bundle, _forget), index)
         return index
 
@@ -789,16 +797,22 @@ class BundleIndex:
         """For each event of the state, in log order, the record its
         payload decodes to (:func:`~.bundle.decode_payload`), or the
         ValueError raised: each reader of the log picks its records by
-        class, and the verdict reports each error once."""
+        class, and the verdict reports each error once. The decodes of the
+        log this one goes on from are taken over (:meth:`of`), so a check
+        after each write decodes only the events the write appended."""
         from .bundle import decode_payload
 
-        out = []
-        for event in self.state.events:
+        events, done = self._decoded
+        log = self.state.events
+        same = next(compress(count(), map(is_not, events, log)), min(len(events), len(log)))
+        out = list(done[:same])
+        for event in log[same:]:
             try:
                 out.append(decode_payload(event.kind, event.payload))
             except ValueError as exc:
                 out.append(exc)
-        return tuple(out)
+        self._decoded = log, tuple(out)
+        return self._decoded[1]
 
     @cached_property
     def units(self) -> dict[Identifier, EvidentialUnit]:

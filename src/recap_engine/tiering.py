@@ -22,6 +22,7 @@ from .model import (
     ReTierEvent,
     Tier,
     event_time_key,
+    event_timestamp_error,
 )
 from .records import field, record, replace
 
@@ -262,6 +263,10 @@ def apply_retier(
                     f"re-tier event lacks {name}; silent modification is prohibited",
                 )
             )
+    # A blank stamp is reported above; the chain's time order needs the log's form.
+    stamp_error = event.timestamp.strip() and event_timestamp_error(event.timestamp)
+    if stamp_error:
+        diags.append(error("E_SYNTAX", unit_id.render(), stamp_error))
     if event.old_tier != effective_tier(unit):
         current = effective_tier(unit)
         diags.append(

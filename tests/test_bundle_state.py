@@ -72,21 +72,29 @@ def test_a_scan_and_a_verdict_build_one_index(monkeypatch):
     assert len(built) == 1
 
 
-def _encodes(monkeypatch, before, after) -> tuple[list, int]:
-    """The write check's diagnostics, and how many records it encoded."""
-    encoded = []
-    encode = bundle_module.encode
-    monkeypatch.setattr(bundle_module, "encode", lambda r: encoded.append(r) or encode(r))
-    return write_errors(before, after), len(encoded)
+def _walks(monkeypatch, before, after) -> tuple[list, int]:
+    """The write check's diagnostics, and how many top-level records it
+    walked for what they cite (a walk of the whole bundle, which looks for
+    the citations of a dropped id, is not one of them)."""
+    walked = []
+    citations = bundle_module.citations
+
+    def counted(record, path):
+        if record.__class__ is not ProjectBundle:
+            walked.append(record)
+        return citations(record, path)
+
+    monkeypatch.setattr(bundle_module, "citations", counted)
+    return write_errors(before, after), len(walked)
 
 
-def test_removing_a_record_encodes_that_record_alone(monkeypatch):
+def test_removing_a_record_walks_that_record_alone(monkeypatch):
     bundle = toy_bundle()
     bundle.flows += tuple(_flow(n) for n in range(400))
     for removed in (0, len(bundle.flows) // 2, len(bundle.flows) - 1):
         after = clone(bundle)
         after.flows = bundle.flows[:removed] + bundle.flows[removed + 1:]
-        assert _encodes(monkeypatch, bundle, after) == ([], 1)
+        assert _walks(monkeypatch, bundle, after) == ([], 1)
 
 
 def test_a_repeated_record_is_matched_once_per_occurrence(monkeypatch):
@@ -94,6 +102,6 @@ def test_a_repeated_record_is_matched_once_per_occurrence(monkeypatch):
     bundle.flows += (_flow(1),)
     after = clone(bundle)
     after.flows += (bundle.flows[-1],)  # the same record, declared twice
-    diags, encoded = _encodes(monkeypatch, bundle, after)
+    diags, walked = _walks(monkeypatch, bundle, after)
     assert [(d.code, d.location) for d in diags] == [("E_DUP_ID", "child:C1:FX1")]
-    assert encoded == 1
+    assert walked == 1

@@ -284,7 +284,16 @@ def test_parent_identifier_barred_for_grandparent_target(toy):
     assert "E_DOMAIN_TERM" in [d.code for d in validate_insight(proposal, toy)]
 
 
-def test_editing_existing_law_is_rewrite_attempt(toy):
+def test_an_insight_restating_an_existing_law_is_a_duplicate_id():
+    # The proposal passes validation; commit refuses a law the target
+    # already declares, as for any write, and changes nothing.
+    def pollute(doc):
+        parent = next(l for l in doc["layers"] if l["id"] == "P")
+        parent["abstractions"][1]["definition"] += " Tuned for child:C1:S2."
+
+    bundle = parse_dict(variant(pollute))
+    event = scan_bundle(bundle)[0]
+    event.risks_introduced = "A domain abstraction absorbed one project's reading."
     proposal = InsightProposal(
         id="INS-4",
         origin_layer=Identifier("parent", "P", "P"),
@@ -292,7 +301,15 @@ def test_editing_existing_law_is_rewrite_attempt(toy):
         statement="stability of measurement",
         proposed_additions=[{"kind": "law", "id": "one_route", "text": "softened"}],
     )
-    assert "E_REWRITE_ATTEMPT" in [d.code for d in validate_insight(proposal, toy)]
+    assert validate_insight(proposal, bundle) == []
+    before = serialize_bundle(bundle)
+    with pytest.raises(OperationRejected) as err:
+        resolve_contamination(bundle, event, "extract_insight", proposal=proposal)
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("E_DUP_ID", "gp:one_route")
+    ]
+    assert serialize_bundle(bundle) == before
+    assert not event.resolved
 
 
 def test_foreign_vocabulary_rejected(toy):

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from genbundles import TimeSource, edit
 from test_audit import random_ops_session
 from test_codec import _paths, _swapped
+from test_kept_index import _flow
 from toy import toy_bundle, toy_text
 
+from recap_engine import bundle as bundle_module
 from recap_engine.audit import _APPLIERS, replay, validate_event
 from recap_engine.bundle import CODECS, clone, decode_payload, decode_route_dict, encode
 from recap_engine.bundle import parse_bundle, serialize_bundle
@@ -27,7 +29,7 @@ from recap_engine.contamination import flag_contamination, record_flow, resolve_
 from recap_engine.contamination import scan_bundle
 from recap_engine.diagnostics import OperationRejected
 from recap_engine.identifiers import Identifier
-from recap_engine.layers import bump_version
+from recap_engine.layers import bump_version, law_history
 from recap_engine.model import (
     EVENT_KINDS,
     EVENT_PAYLOADS,
@@ -41,7 +43,7 @@ from recap_engine.model import (
 )
 from recap_engine.records import replace
 from recap_engine.reporting import compliance_verdict
-from recap_engine.routing import declare_route
+from recap_engine.routing import check_freeze_integrity, declare_route
 from recap_engine.tiering import apply_retier, declare_tier
 
 # ---------------------------------------------------------------------------
@@ -290,3 +292,25 @@ def test_an_event_of_an_unknown_kind_is_one_payload_finding(i):
     [diag] = err.value.diagnostics
     assert diag.code == "E_REPLAY_DIVERGENCE"
     assert diag.message == "bogus failed to apply: unknown kind 'bogus'"
+
+
+def test_each_payload_decodes_once_over_a_run_of_writes(monkeypatch):
+    # Each write leaves a new state, whose index takes over the decodes of
+    # the log it shares with the state checked before.
+    decoded = []
+    decode = bundle_module.decode_payload
+
+    def counted(kind, payload):
+        decoded.append(payload)
+        return decode(kind, payload)
+
+    monkeypatch.setattr(bundle_module, "decode_payload", counted)
+    bundle = toy_bundle()
+    for n in range(12):
+        record_flow(bundle, _flow(n))
+        check_freeze_integrity(bundle)
+        law_history(bundle)
+        if n % 3 == 0:
+            compliance_verdict(bundle)
+    assert len(decoded) == len(bundle.events)
+    assert {id(payload) for payload in decoded} == {id(e.payload) for e in bundle.events}

@@ -16,6 +16,7 @@ from recap_engine.model import (
     EvidentialUnit,
     ReTierEvent,
     Tier,
+    event_timestamp_error,
 )
 from recap_engine.tiering import (
     apply_retier,
@@ -438,6 +439,27 @@ def test_retier_requires_matching_assessments(toy):
             _retier_event(Tier.SUPPLEMENT, Tier.CORE),
         )
     assert "E_TIER_MISMATCH" in [d.code for d in err.value.diagnostics]
+
+
+def test_retier_with_a_malformed_timestamp_is_rejected_unchanged(toy):
+    # The event's stamp orders the unit's re-tier chain, which compares
+    # stamps of the audit log's form only.
+    before = serialize_bundle(toy)
+    with pytest.raises(OperationRejected) as err:
+        apply_retier(
+            toy,
+            Identifier("child", "C1", "S2"),
+            _retier_event(Tier.SUPPLEMENT, Tier.CORE, timestamp="yesterday"),
+            new_interpretations=[
+                Assessment("aligned", "adequate", "sufficient", "transparent", False)
+            ],
+            justification="Updated measurement detail restores alignment.",
+            timestamp="2026-02-02T00:00:00Z",
+        )
+    assert [(d.code, d.location, d.message) for d in err.value.diagnostics] == [
+        ("E_SYNTAX", "child:C1:S2", event_timestamp_error("yesterday"))
+    ]
+    assert serialize_bundle(toy) == before
 
 
 # ---------------------------------------------------------------------------
