@@ -410,6 +410,7 @@ def commit(
         raise OperationRejected(diags)
     state.events += (event,)
     vars(bundle).update(vars(state))
+    BundleIndex.of(bundle)  # not the clone's index, whose decodes go with the clone
     return event
 
 

@@ -1,0 +1,126 @@
+"""Record decoders generated from the codec's specs, as ``dataclasses`` and
+``attrs`` build ``__init__`` and ``cattrs`` its structuring functions.
+``bundle.py`` imports this module once a class is hot (``bundle._HOT``), so
+a command on a small bundle does not compile it.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable
+
+from . import bundle
+from .bundle import _CHILD_IDS, CODECS, _identity, _layer_identity
+from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, STR, TIER
+from .model import AuditEvent, DeclaredAssumption, EvidentialUnit, LayerDecl, Spec
+
+#: Kind -> what a missing key reads as where that is no fault (else None).
+_MISSING = {BOOL: "False", LIST: "_NO_ITEMS", MAP: "_NO_KEYS", JSON: "_NO_KEYS"}
+#: Owner -> the id of a bare name, as ``bundle._Decoder.value`` builds it.
+_BARE = {
+    "child": "Identifier('child', owner, {0})",
+    "layer": "Identifier(ns, layer if ns != 'gp' else '', {0})",
+    "self": "Identifier(ns, '' if ns == 'gp' else {0}, {0})",  # a layer's own id
+}
+#: Class -> its check (``bundle._CHECKS``) as lines that return _BAD where
+#: it would report, and keep what an event's payload decodes to.
+_GUARDS = {
+    LayerDecl: ["if f_parent_ref is None and f_kind != 'grandparent': return _BAD"],
+    EvidentialUnit: ["if not f_interpretations: return _BAD"],
+    DeclaredAssumption: ["if not f_covers: return _BAD"],
+    AuditEvent: ["if event_timestamp_error(f_timestamp): return _BAD",
+                 "try: dec.payloads.append(_decode_payload(f_kind, f_payload, idents))",
+                 "except ValueError: return _BAD"],
+}
+
+
+def generate(codec: Any) -> Callable:
+    """The decoder of ``codec``'s class: ``(decoder, obj, ctx)`` -> the record
+    ``bundle._Decoder.record`` builds from ``obj``, in straight-line code, or
+    ``bundle._BAD`` where that would report anything, the identity's rules
+    and the class's check (:data:`_GUARDS`) included. It reports nothing and
+    decodes a nested record by that class's decoder, generated if need be."""
+    consts: dict[str, Any] = {}
+    lines = ["ns, layer, owner = ctx", "get = obj.get", "idents = dec.idents"]
+    if codec.identity is _layer_identity:  # its kind picks the namespace of its id
+        lines += [*_read("f_kind", "get", "kind", codec.specs["kind"], consts),
+                  "ns = KIND_TO_NAMESPACE[f_kind]",
+                  *_read("f_id", "get", "id", Spec(IDENT, owner="self"), consts),
+                  "if f_id.namespace != ns: return _BAD",
+                  "layer, owner = f_id.local_name, f_id.owner", "ctx = (ns, layer, owner)"]
+    elif codec.identity is _identity:
+        name, key, spec = codec.fields[0]
+        v = f"f_{name}"
+        lines += _read(v, "get", key, spec, consts)
+        if spec.owner == "layer":
+            lines.append(f"if {v}.namespace != ns or (ns != 'gp' and {v}.owner != layer): return _BAD")
+        if codec.cls in _CHILD_IDS:
+            lines.append(f"if {v}.namespace != 'child': return _BAD")
+        if spec.kind == IDENT:
+            lines += [f"owner = {v}.owner", "ctx = (ns, layer, owner)"]
+    for name, key, _, spec, under in codec.rest:
+        get = "get"
+        if under is not None:  # a key path: its head must be an object
+            if under[1]:
+                lines += [f"h_{key} = get({key!r})", f"if h_{key}.__class__ not in _OBJECTS: return _BAD"]
+            get, key = f"h_{key}.get", under[0]
+        lines += _read(f"f_{name}", get, key, spec, consts)
+    values = ", ".join(f"{name!r}: f_{name}" for name, _, _ in codec.fields)
+    lines += [*_GUARDS.get(codec.cls, ()), "record = _new(Cls)",
+              f"_set_dict(record, '__dict__', {{{values}}})", "return record"]
+    # It reads bundle's names, and its own constants from the closure of make.
+    consts["Cls"] = codec.cls
+    source = "".join([f"def make({', '.join(consts)}):\n", "    def decode(dec, obj, ctx):\n",
+                      *(f"        {line}\n" for line in lines), "    return decode\n"])
+    namespace: dict[str, Any] = {}
+    exec(compile(source, f"<decode {codec.name}>", "exec"), vars(bundle), namespace)
+    return namespace["make"](**consts)
+
+
+def _read(v: str, get: str, key: str, spec: Spec, consts: dict) -> list[str]:
+    """Lines that set ``v`` to the decoded value of field ``key``, read by
+    ``get``, or return _BAD. Null or no key reads as None if nullable, "" if a string."""
+    if spec.kind == STR:
+        empty = "None" if spec.nullable else "''"
+        return [f"{v} = {get}({key!r})", f"if {v}.__class__ is not str:",
+                f"    if {v} is not None: return _BAD", f"    {v} = {empty}"]
+    if spec.nullable:
+        return [f"{v} = {get}({key!r})", f"if {v} is not None:",
+                *("    " + line for line in _body(spec, v, consts))]
+    return [f"{v} = {get}({key!r}, {_MISSING.get(spec.kind, 'None')})", *_body(spec, v, consts)]
+
+
+def _body(spec: Spec, v: str, consts: dict) -> list[str]:
+    """Lines that turn the raw value in ``v`` into its decoded value, as
+    ``bundle._Decoder.value`` would, or return _BAD where it would report."""
+    kind = spec.kind
+    if kind == STR or kind == BOOL or kind == INT:  # named as their classes are
+        return [f"if {v}.__class__ is not {kind}: return _BAD"]
+    if kind == TIER or kind == LAYER:
+        lookup = f"_TIERS.get({v})" if kind == TIER else f"idents[{v}]"
+        return [f"{v} = {lookup} if {v}.__class__ is str else None", f"if {v} is None: return _BAD"]
+    if kind == IDENT:
+        lines = [f"i = idents[{v}] if {v}.__class__ is str else None", "if i.__class__ is not Identifier:"]
+        if spec.owner is None:
+            lines.append("    return _BAD")
+        else:
+            lines += ["    if i is None: return _BAD", f"    i = {_BARE[spec.owner].format(v)}"]
+        return lines + [f"{v} = i"]
+    if kind == MAP:
+        return [f"if {v}.__class__ not in _OBJECTS or not all(map(_IS_STR, {v}.values())): "
+                "return _BAD", f"{v} = FrozenDict({v})"]
+    if kind == JSON:
+        return [f"if {v}.__class__ not in _OBJECTS: return _BAD", f"{v} = freeze({v})"]
+    if kind == LIST:
+        item = _body(spec.of, "x", consts)
+        return [f"if {v}.__class__ not in _ARRAYS: return _BAD", "o = []", f"for x in {v}:",
+                *("    " + line for line in item), "    o.append(x)", f"{v} = tuple(o)"]
+    const = f"c{len(consts)}"
+    if kind == ENUM:
+        consts[const] = spec.of
+        return [f"if {v} not in {const}: return _BAD"]
+    nested = CODECS[spec.of]  # RECORD
+    if nested.fast is None:
+        nested.fast = generate(nested)
+    consts[const] = nested.fast
+    return [f"if {v}.__class__ not in _OBJECTS: return _BAD", f"{v} = {const}(dec, {v}, ctx)",
+            f"if {v} is _BAD: return _BAD"]

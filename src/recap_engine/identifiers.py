@@ -22,7 +22,7 @@ KIND_TO_NAMESPACE = {"grandparent": "gp", "parent": "parent", "child": "child"}
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _CANONICAL_RE = re.compile(
-    rf"^(?:gp:(?P<gp_name>{_NAME})|(?P<ns>parent|child):(?P<owner>{_NAME}):(?P<name>{_NAME}))$"
+    rf"gp:(?P<gp_name>{_NAME})|(?P<ns>parent|child):(?P<owner>{_NAME}):(?P<name>{_NAME})"
 )
 
 #: Finds canonical identifier references embedded in narrative text, as
@@ -108,7 +108,7 @@ _set_namespace, _set_owner, _set_local_name, _set_key, _set_hash = (
 
 def parse_identifier(text: str) -> Identifier | None:
     """Parse a canonical rendered identifier; None if it is not one."""
-    m = _CANONICAL_RE.match(text)
+    m = _CANONICAL_RE.fullmatch(text)  # the whole text: "$" let a final "\n" through
     if not m:
         return None
     if m.group("gp_name"):

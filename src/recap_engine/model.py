@@ -737,8 +737,8 @@ class BundleIndex:
         self.contamination: tuple | None = None
         self._ancestors: dict[Identifier | None, tuple[LayerDecl, ...]] = {}
         self._assignments: dict[int, tuple[ProjectDecl, dict]] = {}
-        #: (events, their payloads): the last decoded log, this state's or
-        #: one taken over from the index replaced.
+        #: (events, their payloads): the last decoded log, this state's as
+        #: the parse decoded it, or one taken over from the index replaced.
         self._decoded: tuple[tuple, tuple] = ((), ())
 
     @classmethod

@@ -80,8 +80,10 @@ def _assessment(rng: random.Random) -> dict:
 
 
 def random_bundle_dict(rng: random.Random, *, n_parents: int | None = None,
-                       n_children: int | None = None) -> dict:
-    """A structurally valid, contamination-free bundle document."""
+                       n_children: int | None = None, n_units: int | None = None) -> dict:
+    """A structurally valid, contamination-free bundle document: one
+    project per child layer, each with ``n_units`` units (0 to 3 by
+    default)."""
     n_parents = n_parents if n_parents is not None else rng.randint(1, 2)
     n_children = n_children if n_children is not None else rng.randint(2, 4)
     gp_laws = [
@@ -158,7 +160,7 @@ def random_bundle_dict(rng: random.Random, *, n_parents: int | None = None,
         unit_refs = []
         assignments = []
         route_id = f"child:{child}:R1"
-        for ui in range(rng.randint(0, 3)):
+        for ui in range(rng.randint(0, 3) if n_units is None else n_units):
             local = f"S{ui + 1}"
             full = f"child:{child}:{local}"
             interp = _assessment(rng)

@@ -101,6 +101,17 @@ def test_unresolved_route_reference_names_the_identifier():
     assert unresolved and any("R9" in d.message for d in unresolved)
 
 
+def test_an_id_with_a_trailing_newline_is_not_a_valid_identifier(toy_doc):
+    # It used to parse as the id without the newline, so writing the bundle
+    # back changed the id without a word.
+    toy_doc["units"][0]["study_id"] += "\n"
+    result = parse_bundle(json.dumps(toy_doc))
+    assert result.bundle is None
+    assert [(d.code, d.location, d.message) for d in result.diagnostics] == [
+        ("E_SYNTAX", "units[0].study_id", "'child:C1:S1\\n' is not a valid identifier")
+    ]
+
+
 def test_duplicate_declaration_rejected():
     doc = variant(lambda d: d["units"].append(dict(d["units"][0])))
     result = parse_bundle(json.dumps(doc))

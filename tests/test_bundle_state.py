@@ -56,8 +56,10 @@ def test_a_clone_shares_the_kept_index_until_its_first_write():
 def test_a_scan_and_a_verdict_build_one_index(monkeypatch):
     # The scanner judges flows on the index's state; were that state not
     # recognised, the verdict would build a second index and detect again.
+    # The flow is put in by hand: a write, like a parse, leaves the index of
+    # the state it made built already.
     bundle = toy_bundle()
-    record_flow(bundle, _flow(1))
+    bundle.flows += (_flow(1),)
     built = []
     init = BundleIndex.__init__
 

@@ -24,7 +24,7 @@ import json
 import random
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from genbundles import inject_faults, random_bundle_dict
@@ -353,7 +353,7 @@ def capture() -> list[dict]:
     return rows
 
 
-def test_decoder_diagnostics_match_the_differential_fixture():
+def test_decoder_diagnostics_match_the_differential_fixture(decoders):
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
     actual = capture()
     assert len(actual) == len(expected) > N_DOCS
@@ -395,13 +395,19 @@ def _parses_or_reports(text: str) -> None:
     assert result.bundle is not None or result.errors()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# The decoders fixture sets the decode path once for all examples.
+_ONCE = [HealthCheck.function_scoped_fixture]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=_ONCE)
 @given(value=_JSON | st.dictionaries(st.sampled_from(list(_TOY)), _JSON, max_size=10))
-def test_parse_bundle_never_raises_on_arbitrary_json(value):
+def test_parse_bundle_never_raises_on_arbitrary_json(decoders, value):
     _parses_or_reports(json.dumps(value))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=_ONCE)
 @given(
     edits=st.lists(
         st.tuples(
@@ -412,7 +418,7 @@ def test_parse_bundle_never_raises_on_arbitrary_json(value):
         max_size=3,
     )
 )
-def test_parse_bundle_never_raises_on_mutated_toy_documents(edits):
+def test_parse_bundle_never_raises_on_mutated_toy_documents(decoders, edits):
     doc = _TOY
     for index, value in edits:
         try:

@@ -27,6 +27,13 @@ def test_parse_rejects_malformed():
     assert parse_identifier("S1") is None
 
 
+def test_a_trailing_newline_makes_no_canonical_id():
+    # "$" also matches before a final "\n"; the whole text must be the id.
+    for text in ("child:C1:S1\n", "gp:A\n", "parent:P:m2\n"):
+        assert parse_identifier(text) is None
+    assert not is_bare_name("S1\n")
+
+
 def test_case_sensitivity():
     assert parse_identifier("gp:A") != parse_identifier("gp:a")
 

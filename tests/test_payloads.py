@@ -14,11 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from genbundles import TimeSource, edit
+from genbundles import TimeSource, edit, parse_dict
 from test_audit import random_ops_session
 from test_codec import _paths, _swapped
 from test_kept_index import _flow
-from toy import toy_bundle, toy_text
+from toy import toy_bundle, toy_text, variant
 
 from recap_engine import bundle as bundle_module
 from recap_engine.audit import _APPLIERS, replay, validate_event
@@ -37,6 +37,7 @@ from recap_engine.model import (
     Assessment,
     ChangelogEntry,
     FlowEvent,
+    InsightProposal,
     ResolutionEffect,
     ReTierEvent,
     Tier,
@@ -314,3 +315,54 @@ def test_each_payload_decodes_once_over_a_run_of_writes(monkeypatch):
             compliance_verdict(bundle)
     assert len(decoded) == len(bundle.events)
     assert {id(payload) for payload in decoded} == {id(e.payload) for e in bundle.events}
+
+
+def test_the_verdict_reads_each_payload_as_the_parse_decoded_it(monkeypatch, decoders):
+    decoded = []
+    decode = bundle_module._decode_payload
+
+    def counted(kind, payload, idents):
+        decoded.append(kind)
+        return decode(kind, payload, idents)
+
+    monkeypatch.setattr(bundle_module, "_decode_payload", counted)
+    bundle = parse_bundle(json.dumps(TOY_LOG)).bundle
+    compliance_verdict(bundle)
+    assert len(decoded) == len(bundle.events) == len(TOY_LOG["events"])
+
+
+def test_a_write_whose_clone_is_looked_up_keeps_the_decoded_log(monkeypatch):
+    # An extracted insight quarantines, then looks the target layer up on
+    # commit's clone, whose index is the one kept until the clone is
+    # dropped. The next state still goes on from the decoded log.
+    def pollute(doc):
+        parent = next(layer for layer in doc["layers"] if layer["id"] == "P")
+        parent["abstractions"][1]["definition"] += " Tuned for child:C1:S2."
+
+    bundle = parse_dict(variant(pollute))
+    for n in range(5):
+        record_flow(bundle, _flow(n))
+        check_freeze_integrity(bundle)
+    event = next(e for e in scan_bundle(bundle) if e.site.container == "parent:P:B")
+    event.risks_introduced = "A domain abstraction absorbed one project's reading."
+    proposal = InsightProposal(
+        id="INS-UP",
+        origin_layer=Identifier("child", "C1", "C1"),
+        target_layer=Identifier("parent", "P", "P"),
+        statement="intermediate readings need a declared stability indicator",
+        proposed_additions=[{"kind": "abstraction", "id": "stability_indicator",
+                             "abstraction_kind": "measurement_class",
+                             "definition": "A declared indicator of stability."}],
+    )
+    decoded = []
+    decode = bundle_module.decode_payload
+
+    def counted(kind, payload):
+        decoded.append(kind)
+        return decode(kind, payload)
+
+    monkeypatch.setattr(bundle_module, "decode_payload", counted)
+    resolve_contamination(bundle, event, "extract_insight", proposal=proposal,
+                          timestamp="2026-07-01T00:00:00Z")
+    check_freeze_integrity(bundle)
+    assert decoded == ["contamination_resolved"]

@@ -32,7 +32,7 @@ def test_toy_bundle_matches_the_oracle():
     assert serialize_bundle(toy_bundle()) == oracle(toy_bundle())
 
 
-def test_faulty_random_bundles_match_the_oracle():
+def test_faulty_random_bundles_match_the_oracle(decoders):
     rng = random.Random(4040)
     for k in range(10):
         for _ in range(3):
