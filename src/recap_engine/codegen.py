@@ -1,17 +1,21 @@
-"""Record decoders generated from the codec's specs, as ``dataclasses`` and
-``attrs`` build ``__init__`` and ``cattrs`` its structuring functions.
-``bundle.py`` imports this module once a class is hot (``bundle._HOT``), so
-a command on a small bundle does not compile it.
+"""Record decoders and writers generated from the codec's specs, as
+``dataclasses`` and ``attrs`` build ``__init__`` and ``cattrs`` its
+structuring functions. ``bundle.py`` imports this module once a class is
+hot for decoding, and ``writer.py`` once one is hot for writing (both at
+``bundle._HOT`` records), so a command on a small bundle does not compile it.
 """
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring as _quote
+from operator import itemgetter
 from typing import Any, Callable
 
 from . import bundle
 from .bundle import _CHILD_IDS, CODECS, _identity, _layer_identity
-from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, STR, TIER
-from .model import AuditEvent, DeclaredAssumption, EvidentialUnit, LayerDecl, Spec
+from .identifiers import Identifier
+from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER
+from .model import AuditEvent, DeclaredAssumption, EvidentialUnit, LayerDecl, Spec, Tier
 
 #: Kind -> what a missing key reads as where that is no fault (else None).
 _MISSING = {BOOL: "False", LIST: "_NO_ITEMS", MAP: "_NO_KEYS", JSON: "_NO_KEYS"}
@@ -124,3 +128,134 @@ def _body(spec: Spec, v: str, consts: dict) -> list[str]:
     consts[const] = nested.fast
     return [f"if {v}.__class__ not in _OBJECTS: return _BAD", f"{v} = {const}(dec, {v}, ctx)",
             f"if {v} is _BAD: return _BAD"]
+
+
+# ---------------------------------------------------------------------------
+# Writers
+# ---------------------------------------------------------------------------
+
+
+def generate_writer(codec: Any) -> Callable[[Any, str], str]:
+    """The writer of ``codec``'s class: ``(record, nl)`` -> the text its
+    general writer (``writer._record_writer``) renders. It fills one ``%``
+    template, built the first time it meets the indent ``nl``, from
+    straight-line field expressions (:func:`_text`), each of which keeps
+    the general writer's rule: a value of a class its spec does not expect
+    goes to that spec's general write. A record of another class, or with
+    extra fields, goes to ``dumped``, as the general writer sends it."""
+    from . import writer  # loaded by now: only the writer generates writers
+
+    consts: dict[str, Any] = {
+        "Cls": codec.cls, "size": len(codec.fields), "dumped": writer._dumper(codec.encode),
+        "q": _quote, "T": writer._TIER_TEXT, "int_text": int.__repr__,
+        "Identifier": Identifier, "Tier": Tier,
+    }
+    # Each key of the object in order: a field, or a key path's head with
+    # every field under it, where the head first appears.
+    entries: dict[str, list] = {}
+    for name, key, spec in codec.fields:
+        head, sub = (key, None) if key.__class__ is str else key
+        entries.setdefault(head, []).append((sub, name, spec))
+    # The template at nl == "\n": JSON keys hold no raw newline, so each
+    # "\n" in it starts a line, and replacing it by nl indents the lot.
+    strings: dict[str, str] = {}  # name -> its expression in nl
+    parts, texts = [], []
+    for key, group in entries.items():
+        if group[0][0] is None:  # a field
+            _, name, spec = group[0]
+            parts.append(f"\n  {_key(key)}: %s")
+            texts.append(_text(spec, f"f_{name}", 1, consts, strings))
+            continue
+        subs = ",".join(f"\n    {_key(sub)}: %s" for sub, _, _ in group)
+        parts.append(f"\n  {_key(key)}: {{{subs}\n  }}")
+        texts += [_text(spec, f"f_{name}", 2, consts, strings) for _, name, spec in group]
+    consts["base"] = "{" + ",".join(parts) + "\n}"
+    names = [name for name, _, _ in codec.fields]
+    if len(names) == 1:  # itemgetter of one key gives the value itself
+        read = f"f_{names[0]} = values[{names[0]!r}]"
+    else:
+        consts["get"] = itemgetter(*names)
+        read = "".join(f"f_{name}, " for name in names) + "= get(values)"
+    order = sorted(strings)
+    built = "".join(strings[n] + ", " for n in order)
+    lines = [
+        "if record.__class__ is not Cls: return dumped(record, nl)",
+        "values = record.__dict__",
+        "if len(values) != size: return dumped(record, nl)",
+        "strings = templates.get(nl)",
+        "if strings is None:",
+        f"    strings = templates[nl] = (base.replace('\\n', nl), {built})",
+        f"t, {''.join(n + ', ' for n in order)}= strings",
+        read,
+        f"return t % ({''.join(text + ', ' for text in texts)})",
+    ]
+    source = "".join([f"def make({', '.join(consts)}):\n", "    templates = {}\n",
+                      "    def write(record, nl):\n", *(f"        {line}\n" for line in lines),
+                      "    return write\n"])
+    namespace: dict[str, Any] = {}
+    exec(compile(source, f"<write {codec.name}>", "exec"), {}, namespace)
+    return namespace["make"](**consts)
+
+
+def _key(key: str) -> str:
+    """A JSON key as its template holds it: escaped, with each % doubled."""
+    return _quote(key).replace("%", "%%")
+
+
+#: Kind -> (the text of a value of the class the spec expects, the test
+#: for that class), for the kinds whose values render inline.
+_INLINE_TEXT = {
+    STR: ("q({0})", "{0}.__class__ is str"),
+    BOOL: ("('true' if {0} else 'false')", "{0}.__class__ is bool"),
+    INT: ("int_text({0})", "{0}.__class__ is int"),
+    TIER: ("T[{0}]", "{0}.__class__ is Tier"),
+    IDENT: ("q({0}.render())", "{0}.__class__ is Identifier"),
+}
+_INLINE_TEXT[ENUM] = _INLINE_TEXT[STR]
+_INLINE_TEXT[LAYER] = _INLINE_TEXT[IDENT]
+
+
+def _text(spec: Spec, v: str, depth: int, consts: dict, strings: dict) -> str:
+    """An expression for the text of the value in ``v``, held by ``spec``
+    on a line at ``depth`` below the record's own: inline where the general
+    writer (``writer._writer``) renders it inline, else by that spec's
+    general write. ``strings`` collects the indent strings it names."""
+    from . import writer
+
+    at = _string(strings, "i", depth)
+    if spec.kind == RECORD:  # its writer checks its class
+        return f"{_const(consts, writer._generated(spec.of))}({v}, {at})"
+    inline, write = writer._writer(spec)
+    general = f"{_const(consts, write)}({v}, {at})"
+    if spec.kind == LIST:  # joined inline; the brackets join round the items
+        x = f"x{depth + 1}"
+        item = _text(spec.of, x, depth + 1, consts, strings)
+        items = f"{_string(strings, 's', depth + 1)}.join([{item} for {x} in {v}])"
+        around = f"{_string(strings, 'o', depth + 1)}, {_string(strings, 'e', depth)}"
+        text = f"({items}.join(({around})) if {v} else '[]')"
+        return f"({text} if {v}.__class__ is tuple or {v}.__class__ is list else {general})"
+    if spec.kind not in _INLINE_TEXT:  # MAP and JSON
+        return general
+    text, test = (part.format(v) for part in _INLINE_TEXT[spec.kind])
+    null = f"'null' if {v} is None else " if type(None) in inline else ""
+    return f"({text} if {test} else {null}{general})"
+
+
+#: Letter -> (prefix, suffix) of an indent string: ``prefix + nl + "  " *
+#: depth + suffix`` goes by the letter and the depth.
+_AROUND = {"i": ("", ""), "s": (",", ""), "o": ("[", ""), "e": ("", "]")}
+
+
+def _string(strings: dict, letter: str, depth: int) -> str:
+    """The name of an indent string (:data:`_AROUND`), collected with its
+    expression in nl."""
+    prefix, suffix = _AROUND[letter]
+    strings[f"{letter}{depth}"] = f"{prefix!r} + nl + {'  ' * depth + suffix!r}"
+    return f"{letter}{depth}"
+
+
+def _const(consts: dict, value: Any) -> str:
+    """The name ``value`` goes by in the generated source."""
+    name = f"w{len(consts)}"
+    consts[name] = value
+    return name

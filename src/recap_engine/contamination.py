@@ -521,7 +521,11 @@ def build_reference_graph(bundle: ProjectBundle) -> dict[str, set[str]]:
     graph: dict[str, set[str]] = {}
 
     def edge(src: str, dst: str) -> None:
-        graph.setdefault(src, set()).add(dst)
+        dsts = graph.get(src)
+        if dsts is None:  # a set only for a source not seen before
+            graph[src] = {dst}
+        else:
+            dsts.add(dst)
 
     index = BundleIndex.of(bundle)
     gp = index.grandparent

@@ -111,9 +111,10 @@ def parse_identifier(text: str) -> Identifier | None:
     m = _CANONICAL_RE.fullmatch(text)  # the whole text: "$" let a final "\n" through
     if not m:
         return None
-    if m.group("gp_name"):
-        return Identifier("gp", "", m.group("gp_name"))
-    return Identifier(m.group("ns"), m.group("owner"), m.group("name"))
+    gp_name, ns, owner, name = m.groups()  # one call reads every part
+    if gp_name:
+        return Identifier("gp", "", gp_name)
+    return Identifier(ns, owner, name)
 
 
 def extract_references(text: str) -> list[Identifier]:

@@ -8,7 +8,6 @@ units that participate in inference.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from functools import partial, singledispatch
@@ -388,6 +387,8 @@ def _markdown_table(headings: tuple[str, ...], rows: list[tuple[str, ...]]) -> s
 
 
 def _csv_table(headings: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
+    import csv  # only --format csv loads it
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\r\n")
     writer.writerow(headings)

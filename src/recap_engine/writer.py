@@ -12,6 +12,12 @@ value the spec expects to a function giving its JSON text, and
 ``write(value, nl)`` renders any other value, given the newline-plus-indent
 string of the line the value starts on.
 
+A record takes one of two paths. The general one (:func:`_record_writer`)
+walks the specs; once it has written ``bundle._HOT`` records of a class,
+the class gets a writer generated from its specs (``codegen.py``), which
+fills one ``%`` template per indent from straight-line field expressions.
+A command on a small bundle compiles none.
+
 Records below the bundle are frozen values, so a record's text is a
 function of the record alone. :func:`write_bundle` keeps the text of each
 top-level record of the bundle it last wrote and renders only the records
@@ -25,7 +31,7 @@ import weakref
 from functools import partial
 from typing import Any, Callable
 
-from .bundle import CODECS, value_encoder
+from .bundle import _HOT, CODECS, value_encoder
 from .identifiers import Identifier
 from .model import BOOL, ENUM, IDENT, INT, LAYER, LIST, RECORD, STR, TIER, ProjectBundle, Spec, Tier
 from .records import FrozenDict, FrozenList
@@ -176,6 +182,12 @@ def _record_writer(cls: type) -> Callable[[Any, str], str]:
     dumped = _dumper(codec.encode)
 
     def write_record(record: Any, nl: str) -> str:
+        fast = _FAST.get(cls)
+        if fast is not None:  # the class got hot after a holder took this writer
+            return fast(record, nl)
+        seen = _seen[cls] = _seen.get(cls, 0) + 1
+        if seen >= _HOT:
+            _generated(cls)
         values = record.__dict__
         # encode() copies __dict__ whole, so a record holding anything but
         # its fields takes the general path.
@@ -188,11 +200,25 @@ def _record_writer(cls: type) -> Callable[[Any, str], str]:
     return write_record
 
 
-#: Persisted class -> its record writer. CODECS lists nested classes
-#: before the classes holding them, so each finds its nested ones here.
+#: Persisted class -> its general record writer. CODECS lists nested
+#: classes before the classes holding them, so each finds its nested ones here.
 WRITERS: dict[type, Callable[[Any, str], str]] = {}
 for _cls in CODECS:
     WRITERS[_cls] = _record_writer(_cls)
+#: Class -> its generated writer, once it is hot; and how many records of
+#: each class the general writer has written.
+_FAST: dict[type, Callable[[Any, str], str]] = {}
+_seen: dict[type, int] = {}
+
+
+def _generated(cls: type) -> Callable[[Any, str], str]:
+    """The generated writer of ``cls``, generated now if need be."""
+    fast = _FAST.get(cls)
+    if fast is None:
+        from .codegen import generate_writer  # loaded only once a class is hot
+
+        fast = _FAST[cls] = generate_writer(CODECS[cls])
+    return fast
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +230,10 @@ _ITEM = _TOP + "  "  # where a top-level record starts
 _NEXT = "," + _ITEM  # between two top-level records
 #: For each field of the bundle: the text before its value (the separator,
 #: the newline and the escaped key), the field name, for a list of records
-#: the set of its class and the class's writer (else None), and the
-#: field's (inline, write) pair.
+#: its class (else None), and the field's (inline, write) pair.
 _LAYOUT = [
     (("," if i else "") + _TOP + _quote(key) + ": ", name,
-     ({spec.of.of}, WRITERS[spec.of.of]) if spec.kind == LIST and spec.of.kind == RECORD else None,
+     spec.of.of if spec.kind == LIST and spec.of.kind == RECORD else None,
      _writer(spec))
     for i, (name, key, spec) in enumerate(CODECS[ProjectBundle].fields)
 ]
@@ -244,11 +269,11 @@ def write_bundle(bundle: Any) -> str:
         value = values[name]
         # A section holding anything but a tuple of its records is written
         # whole, and none of its texts is kept.
-        if section is None or value.__class__ is not tuple or set(map(type, value)) != section[0]:
+        if section is None or value.__class__ is not tuple or set(map(type, value)) != {section}:
             text = inline.get(value.__class__)
             pieces.append(text(value) if text else write(value, _TOP))
             continue
-        write_record = section[1]
+        write_record = _FAST.get(section) or WRITERS[section]
         pieces.append("[" + _ITEM)
         for record in value:
             key = id(record)

@@ -4,7 +4,7 @@ import pytest
 
 from toy import toy_bundle, toy_dict, toy_text
 
-from recap_engine import bundle, codegen
+from recap_engine import bundle, codegen, writer
 
 
 @pytest.fixture
@@ -44,3 +44,28 @@ def decoders(request, monkeypatch):
     and once by the general path alone."""
     set_decoders(monkeypatch, request.param)
     return request.param
+
+
+def set_writers(monkeypatch, mode: str) -> None:
+    """Write each record by its class's generated writer, generated now for
+    every class ("generated"), or every record by the general writer
+    ("general"); ``monkeypatch`` puts the writers back afterwards. Texts
+    kept from an earlier write are dropped, so each record is written on
+    the path chosen."""
+    monkeypatch.setattr(writer, "_HOT", 0 if mode == "generated" else math.inf)
+    monkeypatch.setattr(writer, "_FAST", {})
+    monkeypatch.setattr(writer, "_seen", {})
+    writer._texts = {}
+    if mode == "generated":
+        for cls in bundle.CODECS:
+            writer._generated(cls)
+
+
+@pytest.fixture(scope="module", params=["generated", "general"])
+def writers(request):
+    """Runs a module's tests once with every record written by its
+    generated writer and once by the general writer alone. Module-scoped,
+    so a hypothesis test keeps one path for all its examples."""
+    with pytest.MonkeyPatch.context() as mp:
+        set_writers(mp, request.param)
+        yield request.param

@@ -478,10 +478,22 @@ def _imported(argv: list[str]) -> set[str]:
 def test_read_only_commands_never_import_the_writer(toy_file, argv):
     imported = _imported([argv[0], str(toy_file), *argv[1:]])
     assert "recap_engine.bundle" in imported
-    unwanted = {"recap_engine.writer", "recap_engine.audit", "dataclasses", "inspect", "datetime"}
+    # None of these commands renders CSV, so none loads the csv module.
+    unwanted = {"recap_engine.writer", "recap_engine.audit", "dataclasses", "inspect", "datetime",
+                "csv"}
     assert not imported & unwanted
     if argv[0] == "scan":
         assert "recap_engine.reporting" not in imported
+
+
+def test_a_write_command_on_the_toy_generates_no_writer(tmp_path):
+    # A small bundle keeps every class below bundle._HOT records, so the
+    # write goes through the general writer and never loads the generator.
+    path = tmp_path / "unfrozen.bundle"
+    path.write_text(json.dumps(toy_dict()))
+    imported = _imported(["route", str(path), "freeze", "--timestamp", FREEZE_TS])
+    assert "recap_engine.writer" in imported
+    assert "recap_engine.codegen" not in imported
 
 
 def test_explain_loads_only_the_diagnostics():

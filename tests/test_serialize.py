@@ -3,7 +3,8 @@
 The writer renders records straight from their specs; the oracle is the
 general path it replaced, ``json.dumps(encode(b), indent=2,
 ensure_ascii=False) + "\\n"``. The two must agree byte for byte on every
-bundle, including values of a type their spec does not expect.
+bundle, including values of a type their spec does not expect, on both
+paths: each class's generated writer and the general writer.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import copy
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +21,14 @@ from genbundles import TimeSource, inject_faults, parse_dict, random_bundle_dict
 from test_audit import random_ops_session
 from toy import toy_bundle
 
-from recap_engine.bundle import clone, encode, serialize_bundle
-from recap_engine.model import AnalyticMemo, AuditEvent
+from recap_engine import writer
+from recap_engine.bundle import clone, decode, encode, serialize_bundle
+from recap_engine.identifiers import Identifier
+from recap_engine.model import AnalyticMemo, AuditEvent, ContaminationResolved
 from recap_engine.records import replace
+
+# Every test here runs on the generated writers and on the general writer.
+pytestmark = pytest.mark.usefixtures("writers")
 
 
 def oracle(bundle) -> str:
@@ -111,6 +118,70 @@ def _outcome(write, bundle):
         return write(bundle)
     except (TypeError, ValueError, AttributeError) as exc:
         return type(exc)
+
+
+class _Text(str):
+    """A str subclass, a class no spec expects."""
+
+
+def _holding(record, name, value):
+    """A copy of ``record`` holding ``value`` in field ``name`` as it is,
+    past the conversion a field applies (a list stays a list)."""
+    out = copy.copy(record)
+    vars(out)[name] = value
+    return out
+
+
+# (field, value): a value of a class its spec does not expect.
+_SWAPS = {
+    "int in STR": ("text", 7),
+    "True in INT": ("sequence", True),
+    "1 in BOOL": ("untestable", 1),
+    "list for tuple": ("supporting_units",
+                       [Identifier("child", "C1", "S1"), Identifier("gp", "", "L1")]),
+    "None in ident": ("id", None),
+    "str subclass": ("text", _Text('a "quoted" text')),
+}
+#: Where each field is, on a top-level record and on a nested one. No
+#: record nested in a bundle has an INT field; ResolutionEffect, which a
+#: payload holds, does, and is written below.
+_TOP = {"text": ("units", "notes"), "sequence": ("events", "sequence"),
+        "untestable": ("units", "quarantined"), "supporting_units": ("units", "measurement_refs"),
+        "id": ("units", "study_id")}
+
+
+@pytest.mark.parametrize("swap, nested", [
+    pytest.param(swap, nested, id=f"{'nested' if nested else 'top'}-{swap}")
+    for swap in _SWAPS for nested in (False, True) if not (nested and swap == "True in INT")
+])
+def test_a_value_of_an_unexpected_class_renders_as_the_oracle_does(swap, nested):
+    name, value = _SWAPS[swap]
+    bundle = clone(_TOY)
+    if nested:  # on the first assumption of the first route
+        route = bundle.routes[0]
+        assumptions = (_holding(route.assumptions[0], name, value),) + route.assumptions[1:]
+        bundle.routes = (replace(route, assumptions=assumptions),) + bundle.routes[1:]
+    else:
+        section, name = _TOP[name]
+        records = getattr(bundle, section)
+        setattr(bundle, section, (_holding(records[0], name, value),) + records[1:])
+    written = _outcome(serialize_bundle, bundle)
+    assert written == _outcome(oracle, bundle)
+    # encode() cannot render a required identifier that is None.
+    assert isinstance(written, str) == (swap != "None in ident")
+
+
+def test_true_in_an_int_field_of_a_nested_record_renders_as_json_dumps_does():
+    contamination = {"id": "CONT-0001", "rule_violated": "R3_horizontal_borrowing",
+                     "direction": "horizontal", "nature": "content",
+                     "site": {"container": "child:C1:S1"}}
+    record = decode(ContaminationResolved, {
+        "contamination": contamination, "action": "reversed",
+        "effects": [{"op": "quarantine", "target": "child:C1:S1"}]})
+    record = _holding(record, "effects", (_holding(record.effects[0], "index", True),))
+    text = writer.WRITERS[ContaminationResolved](record, "\n")
+    assert '"index": true' in text
+    assert text == json.dumps(encode(record), indent=2, ensure_ascii=False)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -4,7 +4,8 @@ Every record class a bundle holds is frozen, with its lists as tuples and
 its maps and free JSON read-only, so nothing below the bundle changes in
 place. ``serialize_bundle`` keeps the text of each top-level record it
 last rendered and renders only the records a write replaced; these tests
-check that the reused text is always the text a cold render gives.
+check that the reused text is always the text a cold render gives, with
+records written by their generated writers and by the general writer.
 """
 
 from __future__ import annotations
@@ -140,6 +141,7 @@ def _top_level_ids(bundle) -> set[int]:
             for r in getattr(bundle, name)}
 
 
+@pytest.mark.usefixtures("writers")
 def test_writing_a_second_bundle_keeps_no_text_of_the_first():
     first, second = toy_bundle(), toy_bundle()
     serialize_bundle(first)
@@ -150,6 +152,7 @@ def test_writing_a_second_bundle_keeps_no_text_of_the_first():
     assert not kept & _top_level_ids(first)
 
 
+@pytest.mark.usefixtures("writers")
 def test_a_record_swapped_in_without_commit_is_written():
     bundle = toy_bundle()
     serialize_bundle(bundle)
@@ -164,6 +167,7 @@ def test_a_record_swapped_in_without_commit_is_written():
     assert '"study_id": "child:C1:S9"' in serialize_bundle(bundle)
 
 
+@pytest.mark.usefixtures("writers")
 def test_a_record_repeated_in_a_list_is_written_at_each_place():
     bundle = toy_bundle()
     serialize_bundle(bundle)
@@ -181,6 +185,7 @@ def _check_step(snapshot, live) -> None:
     assert oracle(replayed) == text
 
 
+@pytest.mark.usefixtures("writers")
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_kept_texts_match_a_cold_render_and_replay_after_every_step(seed):
