@@ -23,13 +23,15 @@ parse about 19% faster (Python 3.11, a shared 2-vCPU host).
 What a record cites is described once too, by its plan in :data:`PLANS`,
 and one walk, :func:`citations`, reads it. The decoder records no
 references: the parse, the write check (:func:`write_errors`) and its
-search for what still cites a dropped id all read that walk.
+search for what still cites a dropped id all read that walk, and the
+contamination scan reads the list a parse built.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from functools import partial
 from itertools import chain, compress, count
@@ -224,7 +226,7 @@ def body_fields(cls: type) -> tuple[str, ...]:
 
 
 # The kinds of a plan step. Their numbers are the order in which the
-# contamination scan takes a record's steps.
+# contamination scan numbers the findings of a record's steps.
 TEXT, DECLS, REFS, TEXTS, REF, ITEMS = range(6)
 #: The kinds a reference embedded in a text may name: any.
 _ANY = ("any",)
@@ -945,6 +947,9 @@ def parse_bundle(text: str) -> ParseResult:
         return ParseResult(None, [error("E_SYNTAX", f"line {exc.lineno}", exc.msg)])
     except RecursionError:
         return ParseResult(None, [error("E_SYNTAX", "line 1", "document nests too deeply")])
+    except ValueError:  # an integer literal longer than int() converts
+        message = f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+        return ParseResult(None, [error("E_SYNTAX", "line 1", message)])
     surrogate = lone_surrogate(text)
     if surrogate is not None:
         return ParseResult(None, [surrogate])
@@ -987,12 +992,15 @@ def parse_bundle(text: str) -> ParseResult:
                       for ident, decl, path in repeats]
             index = {ident: CODECS[decl.__class__].declares for ident, (decl, _) in found.items()}
         _validate_structure(bundle, diags)
-        _resolve_references(citations(bundle, None), index, diags)
+        references = citations(bundle, None)
+        _resolve_references(references, index, diags)
 
     if any(d.severity == Severity.ERROR for d in diags):
         return ParseResult(None, diags)
-    # The state's readers of the log take each payload as the parse decoded it.
-    BundleIndex.of(bundle)._decoded = (bundle.events, tuple(decoder.payloads))
+    # The state's readers take the payloads and references as the parse built them.
+    kept = BundleIndex.of(bundle)
+    kept._decoded = (bundle.events, tuple(decoder.payloads))
+    kept.citations = references
     return ParseResult(bundle, diags)
 
 

@@ -10,9 +10,9 @@ reading prose.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
-from .bundle import CODECS, PLANS, REF, REFS, TEXT, TEXTS, decode, encode, field_effect
-from .bundle import render_position
+from .bundle import DECLS, PLANS, TEXTS, decode, encode, field_effect, render_position
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references, parse_identifier
 from .model import (
@@ -47,7 +47,7 @@ class FlowVerdict:
     reason: str = ""
 
     # Both pass every field positionally, the record __init__'s fast path:
-    # a scan builds a verdict per flow and per reference it checks.
+    # a scan builds a verdict per flow and per lateral reference.
     @staticmethod
     def ok(reason: str = "") -> "FlowVerdict":
         return FlowVerdict(True, None, None, reason)
@@ -78,10 +78,6 @@ def validate_contract(contract: BoundaryContract) -> list[Diagnostic]:
     return diags
 
 
-def _contract_is_complete(contract: BoundaryContract) -> bool:
-    return not validate_contract(contract)
-
-
 def _horizontal_verdict(
     index: BundleIndex,
     source: Identifier,
@@ -94,7 +90,7 @@ def _horizontal_verdict(
             cited.origin_layer == source
             and cited.destination_layer == dest
             and cited.info_type == info_class
-            and _contract_is_complete(cited)
+            and not validate_contract(cited)
         ):
             return FlowVerdict.ok("authorized by boundary contract")
         return FlowVerdict.violation(
@@ -104,7 +100,7 @@ def _horizontal_verdict(
         )
     near_miss = False
     for contract in index.contracts_between.get((source, dest), ()):
-        if contract.info_type == info_class and _contract_is_complete(contract):
+        if contract.info_type == info_class and not validate_contract(contract):
             return FlowVerdict.ok("authorized by boundary contract")
         near_miss = True
     if near_miss:
@@ -289,170 +285,154 @@ def check_flow(flow: FlowEvent, bundle: ProjectBundle) -> FlowVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _classify_field(field_name: str) -> str:
-    if field_name in ("measurement_refs", "measurement_issues"):
-        return "measurement"
-    if field_name in (
-        "text",
-        "plausibility",
-        "failure_modes",
-        "consequences_for_inference",
-        "supporting_units",
-    ):
-        return "assumption"
-    return "content"
-
-
-#: The sections the spec-driven walk checks, in scan order; flows are
-#: judged by the flow matrix instead.
+#: The nature of what a reference in a field carries, by the field's name;
+#: any field not named here carries content.
+_NATURES = dict.fromkeys(("measurement_refs", "measurement_issues"), "measurement") | dict.fromkeys(
+    ("text", "plausibility", "failure_modes", "consequences_for_inference", "supporting_units"),
+    "assumption",
+)
+#: The sections whose references the scan checks, in the scan's order;
+#: flows are judged by the flow matrix instead.
 _SECTIONS = ("layers", "units", "routes", "projects")
-#: A record with either flag set is inert: the walk skips it.
-_INERT = ("quarantined", "superseded")
-
-#: Persisted class -> its scan plan ``(key, inert, steps)``: the record's
-#: :data:`~.bundle.PLANS` entry, the flags that make it inert, and each
-#: step as ``(step, field, nature, nested scan plan)``, stably sorted by
-#: step kind: texts, lists of declarations, lists of references, lists of
-#: texts, single references, lists of records without an id.
-_PLANS: dict[type, tuple] = {}
-for _cls, (_key, _steps) in PLANS.items():  # a nested class comes before its holder
-    _PLANS[_cls] = _key, tuple(name for name in _INERT if name in CODECS[_cls].specs), tuple(
-        (step, name, _classify_field(name), _PLANS.get(of))  # a nested list's plan
-        for step, name, _, of in sorted(_steps, key=lambda step: step[0])
-    )
-_ROOT = tuple(step for name in _SECTIONS for step in _PLANS[ProjectBundle][2] if step[1] == name)
-
-
-#: The layer kind allowed to declare each class; a law or an abstraction
-#: declared elsewhere re-legislates inherited structure locally (R2). The
-#: walk flags one as it enters it, which it does only because both plans
-#: have text steps: a list whose records' plans have none is not walked.
-_DECLARED_BY = {Law: "grandparent", Abstraction: "parent"}
+#: Persisted class -> JSON label -> ``(step, field, nature, rank)`` for each
+#: step of its plan (:data:`~.bundle.PLANS`); findings are numbered in the
+#: order of ``rank``, the step's place once a record's steps are sorted by
+#: kind. A bundle's steps are :data:`_SECTIONS`.
+_STEPS = {
+    cls: {
+        label: (step, name, _NATURES.get(name, "content"), rank)
+        for rank, (step, name, label, _) in enumerate(sorted(steps, key=itemgetter(0)))
+    }
+    for cls, (_, steps) in PLANS.items()
+}
+_STEPS[ProjectBundle] = {name: (DECLS, name, "", rank) for rank, name in enumerate(_SECTIONS)}
+#: A layer's lists whose declarations only one layer kind may make; one made
+#: elsewhere re-legislates inherited structure locally (R2).
+_DECLARED_BY = (("laws", "grandparent"), ("abstractions", "parent"))
+_UNSEEN = object()
 
 
 class _Scanner:
-    """Every reference the record specs name, checked by one walk over
-    :data:`_SECTIONS` that follows each class's plan, against the layer
-    owning the top-level record, and then the flow matrix. A finding is
-    sited at the nearest declaration; inside a record without an id, at
-    that record's list field, and located at the record. Sites and
-    locations are rendered only for a finding, and a text is searched only
-    if it holds a namespace prefix."""
+    """Every reference the state cites (:attr:`BundleIndex.citations`) in
+    :data:`_SECTIONS`, checked against the layer owning its top-level
+    record; then the laws and abstractions each layer may not declare, and
+    the flow matrix. A finding is sited at the nearest declaration; inside
+    a record without an id, at that record's list field, and located at the
+    record. What an inert (quarantined or superseded) record holds is not
+    checked. Sites and locations are rendered only for a finding."""
 
     def __init__(self, index: BundleIndex):
-        self.bundle = index.state
         self.index = index
         self.events: list[ContaminationEvent] = []
         self._scope: dict[int, frozenset[Identifier]] = {}
+        #: id() of a position -> :meth:`place`, the bundle's (None) first.
+        #: One position serves all of a record's entries; the list holds it.
+        self._places = {id(None): (index.state, None, None, None, None, ())}
 
-    def flag(self, rule: str, direction: str, nature: str, container: Identifier,
-             location: str, field: str = "", token: Identifier | None = None) -> None:
-        # Every field is passed positionally, the record __init__'s fast
-        # path: the event's id, rule, direction, nature, site and location,
-        # then its defaults (no risks, decisions, action, update, timestamp;
-        # unresolved).
-        site = ContaminationSite(
-            container.render(), field, "" if token is None else token.render()
-        )
-        self.events.append(
-            ContaminationEvent(
-                "", rule, direction, nature, site, location, "", [], None, None, "", False
+    def scan_references(self) -> None:
+        """R1, R3 and R4 for each reference, in the scan's order: by the
+        position of the record citing it, then by its step's rank."""
+        found: list[tuple[tuple, ContaminationEvent]] = []
+        last = place = None
+        for ref, _, where, label, at in self.index.citations:
+            if where is not last:
+                last, place = where, self.place(where)
+            if place is None:
+                continue
+            owner, namespace = place[1], ref.namespace
+            if owner.kind != "child" and (
+                namespace == "child" or (owner.kind == "grandparent" and namespace == "parent")
+            ):
+                rule = "R1_upward_content"
+            else:
+                ref_owner = self.index.owner(ref)
+                if ref_owner is None or ref_owner.id in place[4]:
+                    continue
+                rule = None
+            step, name, nature, rank = _STEPS[place[0].__class__][label]
+            field, nature, location = place[3] or (
+                name if step != TEXTS else f"{name}[{at}]", nature, (where, name, at)
             )
-        )
+            if rule is None:
+                verdict = _horizontal_verdict(self.index, ref_owner.id, owner.id, nature, None)
+                if verdict.allowed:
+                    continue
+                rule = verdict.rule
+            direction = "upward" if rule == "R1_upward_content" else "horizontal"
+            event = _event(rule, direction, nature, place[2], render_position(location), field, ref)
+            found.append((place[5] + (rank,), event))
+        found.sort(key=itemgetter(0))  # stable: one field's references stay in order
+        self.events += [event for _, event in found]
+
+    def place(self, where: tuple | None) -> tuple | None:
+        """``(record, owner, container, site, scope, order)`` of the record
+        at ``where``: its owning layer, nearest declaration's id, ``(field,
+        nature, position)`` of the outermost record without an id holding
+        it, the ids of the owner and the layers above it, and its place in
+        the scan's order. None if the scan skips it: outside the sections,
+        inert or held by an inert record, or owned by no declared layer."""
+        place = self._places.get(id(where), _UNSEEN)
+        if place is _UNSEEN:
+            place = self._places[id(where)] = self._place(*where)
+        return place
+
+    def _place(self, up: tuple | None, label: str, i: int) -> tuple | None:
+        above = self.place(up)
+        step = above and _STEPS[above[0].__class__].get(label)
+        if step is None:
+            return None
+        holder, owner, container, site, scope, order = above
+        _, name, nature, rank = step
+        record = holder.__dict__[name][i]
+        values = record.__dict__
+        if values.get("quarantined") or values.get("superseded"):
+            return None
+        key = PLANS[record.__class__][0]
+        if owner is None:  # a section's record; a layer is its own owner
+            owner = record if record.__class__ is LayerDecl else self.index.owner(values[key])
+            if owner is None:
+                return None
+            scope = self._scope.get(id(owner))
+            if scope is None:  # the index keeps the layer alive
+                scope = frozenset(a.id for a in (owner, *self.index.ancestors(owner)))
+                self._scope[id(owner)] = scope
+        if key is not None:
+            container = values[key]
+        elif site is None:
+            site = name, nature, (up, label, i)
+        return record, owner, container, site, scope, order + (rank, i)
+
+    def scan_layers(self) -> None:
+        """R2 for each live law or abstraction of a layer of the wrong kind."""
+        for i, layer in enumerate(self.index.state.layers):
+            for name, kind in _DECLARED_BY:
+                for j, decl in enumerate(layer.__dict__[name] if layer.kind != kind else ()):
+                    if not decl.quarantined:
+                        location = f"layers[{i}].{name}[{j}]"
+                        self.events.append(
+                            _event("R2_downward_rewrite", "downward", "structural", decl.id, location)
+                        )
 
     def scan_flows(self) -> None:
-        nature_of = {
-            "content": "content",
-            "measurement": "measurement",
-            "assumption": "assumption",
-            "methodological_insight": "content",
-        }
-        for fi, flow in enumerate(self.bundle.flows):
+        for fi, flow in enumerate(self.index.state.flows):
             if flow.quarantined:
                 continue
-            verdict = check_flow(flow, self.bundle)
+            verdict = check_flow(flow, self.index.state)
             if verdict.allowed:
                 continue
-            self.flag(
-                verdict.rule or "R1_upward_content",
-                verdict.direction or "upward",
-                nature_of[flow.info_class],
-                flow.id,
-                f"flows[{fi}]",
-                "payload",
-            )
+            rule, direction = verdict.rule or "R1_upward_content", verdict.direction or "upward"
+            nature = "content" if flow.info_class == "methodological_insight" else flow.info_class
+            self.events.append(_event(rule, direction, nature, flow.id, f"flows[{fi}]", "payload"))
 
-    def _same_or_above(self, layer: LayerDecl) -> frozenset[Identifier]:
-        """The ids of ``layer`` and of the layers above it."""
-        ids = self._scope.get(id(layer))
-        if ids is None:
-            ids = frozenset(a.id for a in (layer, *self.index.ancestors(layer)))
-            self._scope[id(layer)] = ids  # the index keeps the layer alive
-        return ids
 
-    def check(self, owner: LayerDecl, ref: Identifier, container, field, nature, where) -> None:
-        """Content cited upward from a layer below is R1; a reference to a
-        layer that is neither ``owner`` nor above it is lateral, legal only
-        under a boundary contract."""
-        if owner.kind != "child" and (
-            ref.namespace == "child" or (owner.kind == "grandparent" and ref.namespace == "parent")
-        ):
-            location = render_position(where)
-            self.flag("R1_upward_content", "upward", nature, container, location, field, ref)
-            return
-        ref_owner = self.index.owner(ref)
-        if ref_owner is None or ref_owner.id in self._same_or_above(owner):
-            return
-        verdict = _horizontal_verdict(self.index, ref_owner.id, owner.id, nature, None)
-        if not verdict.allowed:
-            rule = verdict.rule or "R3_horizontal_borrowing"
-            self.flag(rule, "horizontal", nature, container, render_position(where), field, ref)
-
-    def walk(self, owner, record, steps, container, where, site=None) -> None:
-        """Check ``record``'s references. ``owner`` is None above the
-        sections, and ``site`` is ``(field, nature, where)`` inside a record
-        without an id."""
-        values = record.__dict__
-        for step, name, nature, nested in steps:
-            value = values[name]
-            if step == TEXT:
-                if "child:" in value or "parent:" in value or "gp:" in value:
-                    at = site or (name, nature, (where, name, None))
-                    for ref in extract_references(value):
-                        self.check(owner, ref, container, *at)
-            elif step == REFS:
-                for k, ref in enumerate(value):
-                    self.check(owner, ref, container, *(site or (name, nature, (where, name, k))))
-            elif step == REF:
-                if value is not None:
-                    at = site or (name, nature, (where, name, None))
-                    self.check(owner, value, container, *at)
-            elif step == TEXTS:
-                for j, text in enumerate(value):
-                    if "child:" in text or "parent:" in text or "gp:" in text:
-                        at = site or (f"{name}[{j}]", nature, (where, name, j))
-                        for ref in extract_references(text):
-                            self.check(owner, ref, container, *at)
-            else:
-                key, inert, inner = nested
-                for j, item in enumerate(value):
-                    fields = item.__dict__
-                    if inert and any(map(fields.__getitem__, inert)):
-                        continue
-                    at = (where, name, j)
-                    if key is None:
-                        self.walk(owner, item, inner, container, at, site or (name, nature, at))
-                        continue
-                    ident, layer = fields[key], owner
-                    if layer is None:  # a section's record; a layer is its own owner
-                        layer = item if item.__class__ is LayerDecl else self.index.owner(ident)
-                    elif item.__class__ in _DECLARED_BY and (
-                        _DECLARED_BY[item.__class__] != layer.kind
-                    ):
-                        self.flag("R2_downward_rewrite", "downward", "structural", ident,
-                                  render_position(at))
-                    if layer is not None:
-                        self.walk(layer, item, inner, ident, at, site)
+def _event(rule: str, direction: str, nature: str, container: Identifier, location: str,
+           field: str = "", token: Identifier | None = None) -> ContaminationEvent:
+    # Every field positionally, the record __init__'s fast path: id, rule, direction, nature,
+    # site, location, then defaults (no risks, decisions, action, update, timestamp; unresolved).
+    site = ContaminationSite(container.render(), field, "" if token is None else token.render())
+    return ContaminationEvent(
+        "", rule, direction, nature, site, location, "", [], None, None, "", False
+    )
 
 
 _DIRECTION_SEVERITY = {"upward": 0, "downward": 1, "horizontal": 2}
@@ -475,13 +455,10 @@ def detect_contamination(bundle: ProjectBundle) -> list[ContaminationEvent]:
 def _detect(index: BundleIndex) -> tuple[ContaminationEvent, ...]:
     """One scanner run over the state ``index`` captured."""
     scanner = _Scanner(index)
-    scanner.walk(None, index.state, _ROOT, None, None)
+    scanner.scan_references()
+    scanner.scan_layers()
     scanner.scan_flows()
-    ordered = sorted(
-        enumerate(scanner.events),
-        key=lambda pair: (_DIRECTION_SEVERITY[pair[1].direction], pair[0]),
-    )
-    events = tuple(event for _, event in ordered)
+    events = tuple(sorted(scanner.events, key=lambda event: _DIRECTION_SEVERITY[event.direction]))
     for i, event in enumerate(events):
         event.id = f"CONT-{i + 1:04d}"
     return events

@@ -723,8 +723,9 @@ class BundleIndex:
 
     Every caller takes the index through :meth:`of`, which keeps the index
     it built last and reuses it for any bundle holding the very same
-    tuples, so the reads of one state share one index, and one
-    contamination detection (:attr:`contamination`).
+    tuples, so the reads of one state share one index, one citation list
+    (:attr:`citations`), one contamination detection (:attr:`contamination`)
+    and one study log per project (:attr:`study_logs`).
     """
 
     def __init__(self, bundle: ProjectBundle):
@@ -735,6 +736,9 @@ class BundleIndex:
         #: The contamination events of this state, in scan order, once
         #: :func:`~.contamination.detect_contamination` has found them.
         self.contamination: tuple | None = None
+        #: id() of a project -> (the project, its study log's rows or the
+        #: OperationRejected raised building it), once reporting has built it.
+        self.study_logs: dict[int, tuple[ProjectDecl, Any]] = {}
         self._ancestors: dict[Identifier | None, tuple[LayerDecl, ...]] = {}
         self._assignments: dict[int, tuple[ProjectDecl, dict]] = {}
         #: (events, their payloads): the last decoded log, this state's as
@@ -791,6 +795,15 @@ class BundleIndex:
         from .bundle import declaration_map
 
         return declaration_map(self.state)[0]
+
+    @cached_property
+    def citations(self) -> list[tuple]:
+        """Every reference the state holds (:func:`~.bundle.citations`), in
+        the order a parse meets them. A parse hands over the list it built
+        for the state it returns; any other state is walked once."""
+        from . import bundle
+
+        return bundle.citations(self.state, None)
 
     @cached_property
     def payloads(self) -> tuple[Any, ...]:

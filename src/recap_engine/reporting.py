@@ -33,7 +33,7 @@ from .model import (
     Tier,
     TierTableRow,
 )
-from .records import fields
+from .records import fields, replace
 from .routing import check_freeze_integrity, check_route_coherence, duplicate_assignments
 from .routing import validate_route_shape
 from .tiering import check_retier_chain, check_tier_declaration, effective_tier
@@ -81,13 +81,25 @@ def build_study_log(bundle: ProjectBundle, project: ProjectDecl) -> "StudyLog":
     """One row per unit, excluded units included; exclusion is not erasure.
 
     Rows are projections of unit declarations; a missing mandatory field
-    rejects the build.
+    rejects the build. Built once per state of the bundle, each call gets
+    its own copies of the rows, or the same diagnostics raised again.
     """
+    built = _study_log(BundleIndex.of(bundle), project)
+    if built.__class__ is OperationRejected:
+        raise OperationRejected(built.diagnostics)
+    return StudyLog(map(replace, built))
+
+
+def _study_log(index: BundleIndex, project: ProjectDecl) -> tuple | OperationRejected:
+    """The rows of ``project``'s study log, or the OperationRejected that
+    building them raises, kept on ``index``."""
+    kept = index.study_logs.get(id(project))
+    if kept is not None:
+        return kept[1]
     diags: list[Diagnostic] = []
-    entries = StudyLog()
-    for unit in _row_units(BundleIndex.of(bundle), project):
+    entries = []
+    for unit in _row_units(index, project):
         where = unit.study_id.render()
-        label = unit.study_id.local_name
         tier = effective_tier(unit)
         mandatory = {
             "design_type": unit.design_type,
@@ -95,11 +107,8 @@ def build_study_log(bundle: ProjectBundle, project: ProjectDecl) -> "StudyLog":
             "reasons_for_tiering": unit.tier_justification,
             "bias_considerations": unit.bias_considerations,
         }
-        for name, value in mandatory.items():
-            if not value.strip():
-                diags.append(
-                    error("E_MISSING_FIELD", where, f"unit lacks declared {name}")
-                )
+        diags += [error("E_MISSING_FIELD", where, f"unit lacks declared {name}")
+                  for name, value in mandatory.items() if not value.strip()]
         if unit.bias_considerations.strip() and not _has_direction_tag(unit.bias_considerations):
             diags.append(
                 error(
@@ -110,20 +119,13 @@ def build_study_log(bundle: ProjectBundle, project: ProjectDecl) -> "StudyLog":
                 )
             )
         # Positional, in field order: the record __init__'s fast path.
-        entries.append(
-            StudyLogEntry(
-                label,
-                unit.design_type,
-                mandatory["tier_assignment"],
-                unit.tier_justification,
-                unit.bias_considerations,
-                unit.measurement_issues,
-                unit.notes,
-            )
-        )
-    if diags:
-        raise OperationRejected(diags)
-    return entries
+        entries.append(StudyLogEntry(
+            unit.study_id.local_name, unit.design_type, mandatory["tier_assignment"],
+            unit.tier_justification, unit.bias_considerations, unit.measurement_issues, unit.notes,
+        ))
+    built = OperationRejected(diags) if diags else tuple(entries)
+    index.study_logs[id(project)] = (project, built)
+    return built
 
 
 def _evidence_type(index: BundleIndex, project: ProjectDecl, unit: EvidentialUnit) -> str:
@@ -270,12 +272,10 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
         if isinstance(decoded, ValueError)
     ]
 
-    gp = None
-    try:
-        gp = bundle.grandparent()
-    except LookupError:
+    gp = index.grandparent
+    if gp is None:
         findings.append(error("E_NO_GRANDPARENT", "layers", "no grandparent layer"))
-    if gp is not None:
+    else:
         findings.extend(validate_grandparent_laws(gp))
         history = law_history(bundle)
         previous_laws = None
@@ -322,9 +322,8 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
             findings.append(
                 warning("W_NO_UNITS", project.id.render(), "project declares no units")
             )
-        try:
-            build_study_log(bundle, project)
-        except OperationRejected as exc:
+        built = _study_log(index, project)
+        if built.__class__ is OperationRejected:
             findings.append(
                 error(
                     "E_NO_STUDY_LOG",
@@ -332,7 +331,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
                     "study log cannot be built from the declared units",
                 )
             )
-            findings.extend(exc.diagnostics)
+            findings.extend(built.diagnostics)
         blocks = index.reviewer_blocks.get(project.id, [])
         if not blocks:
             findings.append(

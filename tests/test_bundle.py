@@ -4,7 +4,7 @@ import random
 
 import pytest
 from genbundles import parse_dict, random_bundle_dict
-from toy import variant
+from toy import over_long_integer_text, variant
 
 from recap_engine.bundle import (
     decode,
@@ -45,6 +45,12 @@ def test_empty_document_is_syntax_error_at_line_1():
 
 def test_deeply_nested_document_is_syntax_error_at_line_1():
     result = parse_bundle("[" * 200000)
+    assert result.bundle is None
+    assert [(d.code, d.location) for d in result.diagnostics] == [("E_SYNTAX", "line 1")]
+
+
+def test_an_over_long_integer_is_one_syntax_error():
+    result = parse_bundle(over_long_integer_text())
     assert result.bundle is None
     assert [(d.code, d.location) for d in result.diagnostics] == [("E_SYNTAX", "line 1")]
 

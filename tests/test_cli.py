@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from genbundles import edit
-from toy import FREEZE_TS, toy_dict, toy_text, variant
+from toy import FREEZE_TS, over_long_integer_text, toy_dict, toy_text, variant
 
 import recap_engine
 from recap_engine.cli import main
@@ -550,6 +550,14 @@ def test_validate_deeply_nested_file_is_a_parse_error(tmp_path, capsys):
     code, _, err = run_cli("validate", str(path), capsys=capsys)
     assert code == 2
     assert err.strip().splitlines() == ["E_SYNTAX line 1 document nests too deeply"]
+
+
+def test_validate_an_over_long_integer_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "long.bundle"
+    path.write_text(over_long_integer_text())
+    code, out, err = run_cli("validate", str(path), capsys=capsys)
+    assert code == 2
+    assert "E_SYNTAX" in err and "internal error" not in out + err
 
 
 def test_unexpected_failure_prints_one_line_and_exits_two(toy_file, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from genbundles import random_bundle_dict
 from toy import FREEZE_TS, PRJ, toy_dict, variant
 
 from recap_engine.audit import find_declaration, replay
-from recap_engine.bundle import clone, parse_bundle, serialize_bundle
+from recap_engine.bundle import PLANS, clone, parse_bundle, serialize_bundle
 from recap_engine.contamination import (
     check_flow,
     flag_contamination,
@@ -1090,13 +1090,14 @@ def test_scan_sites_and_locations_at_every_reference_position():
 # ---------------------------------------------------------------------------
 
 
-def _plan_fields(steps, prefix=""):
-    """The dotted path of every text and reference field in a scan plan."""
-    for _, name, _, nested in steps:
-        if nested is None:
-            yield prefix + name
+def _plan_fields(cls, prefix=""):
+    """The dotted path of every text and reference field in the plan of
+    ``cls`` (``bundle.PLANS``) and of the records it nests."""
+    for _, name, _, of in PLANS[cls][1]:
+        if isinstance(of, type):
+            yield from _plan_fields(of, f"{prefix}{name}.")
         else:
-            yield from _plan_fields(nested[2], f"{prefix}{name}.")
+            yield prefix + name
 
 
 def _record(doc, path):
@@ -1251,9 +1252,10 @@ def _r3(bundle):
 
 
 def test_every_field_of_the_scan_plan_has_a_case():
-    from recap_engine.contamination import _ROOT
+    from recap_engine.contamination import _SECTIONS
 
-    assert sorted(_plan_fields(_ROOT)) == sorted(FIELD_CASES)
+    scanned = [path for path in _plan_fields(ProjectBundle) if path.split(".")[0] in _SECTIONS]
+    assert sorted(scanned) == sorted(FIELD_CASES)
 
 
 @pytest.mark.parametrize("path", sorted(FIELD_CASES))

@@ -1,21 +1,25 @@
-"""The index kept per bundle state (``BundleIndex.of``) and the detection it
-holds: reused only while the bundle holds the very same records, and never
-changed by what a caller does with the results."""
+"""The index kept per bundle state (``BundleIndex.of``) and the citation
+list and detection it holds: reused only while the bundle holds the very
+same records, and never changed by what a caller does with the results."""
 
 import gc
+import random
 import weakref
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbundles import edit
+import recap_engine.bundle as bundle_module
+from genbundles import edit, inject_borrowings, inject_faults, parse_dict, random_bundle_dict
 from toy import toy_bundle
 
-from recap_engine.bundle import clone
-from recap_engine.contamination import _detect, detect_contamination, record_flow
+from recap_engine.bundle import clone, parse_bundle, serialize_bundle
+from recap_engine.contamination import _detect, detect_contamination, record_flow, scan_bundle
 from recap_engine.identifiers import Identifier
 from recap_engine.model import BundleIndex, FlowEvent
 from recap_engine.records import replace
+from recap_engine.reporting import compliance_verdict
 from recap_engine.tiering import declare_tier, tier_unit
 
 _MAPS = ("layers", "declarations", "grandparent", "units", "routes", "projects",
@@ -48,13 +52,13 @@ def maps(index: BundleIndex) -> dict:
     return out
 
 
-def _flow(n: int) -> FlowEvent:
-    # Content moving up from the child to its parent: one R1 finding per
+def _flow(n: int, parent: Identifier = Identifier("parent", "P", "P")) -> FlowEvent:
+    # Content moving up from the child C1 to its parent: one R1 finding per
     # recorded flow.
     return FlowEvent(
         id=Identifier("child", "C1", f"FX{n}"),
         source_layer=Identifier("child", "C1", "C1"),
-        dest_layer=Identifier("parent", "P", "P"),
+        dest_layer=parent,
         info_class="content",
         payload=f"Reading {n} moved up.",
         timestamp=f"2026-06-01T00:{n:02d}:00Z",
@@ -64,7 +68,8 @@ def _flow(n: int) -> FlowEvent:
 def _step(bundle, kind: str, n: int, i: int):
     """Step ``i`` of a session; returns the bundle to go on with."""
     if kind == "commit_flow":
-        record_flow(bundle, _flow(i))
+        parent = BundleIndex.of(bundle).layers[Identifier("child", "C1", "C1")].parent_ref
+        record_flow(bundle, _flow(i, parent))
     elif kind == "commit_tier":
         unit = bundle.units[n % len(bundle.units)]
         declare_tier(bundle, unit.study_id, tier_unit(unit).tier, f"Re-read {n}.",
@@ -101,6 +106,60 @@ def test_the_kept_index_always_indexes_the_current_state(steps):
         assert maps(kept) == maps(BundleIndex(bundle))
         assert detect_contamination(bundle) == list(_detect(BundleIndex(bundle)))
         assert BundleIndex.of(bundle) is kept
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10_000), st.lists(
+    st.tuples(st.sampled_from(_KINDS), st.integers(0, 50)), min_size=1, max_size=5))
+def test_the_parse_s_references_and_a_walk_of_the_state_give_the_same_events(seed, steps):
+    rng = random.Random(seed)
+    doc = random_bundle_dict(rng, n_units=2)
+    inject_faults(rng, doc, rng.choice((0, 1, 3, 6)))
+    if seed % 2:
+        inject_borrowings(doc)
+    bundle = parse_dict(doc)
+    for i, (kind, n) in enumerate(steps):
+        bundle = _step(bundle, kind, n, i)
+        parsed = parse_bundle(serialize_bundle(bundle)).bundle
+        if parsed is not None:  # a dropped route leaves its references unresolved
+            assert detect_contamination(parsed) == list(_detect(BundleIndex(bundle)))
+
+
+def _counted_walks(monkeypatch) -> list:
+    """The records ``bundle.citations`` is asked to walk from now on."""
+    walks = []
+    walk = bundle_module.citations
+
+    def counted(record, where):
+        walks.append(record)
+        return walk(record, where)
+
+    monkeypatch.setattr(bundle_module, "citations", counted)
+    return walks
+
+
+@pytest.mark.parametrize("read", [compliance_verdict, scan_bundle])
+def test_a_parsed_state_is_scanned_from_the_parse_s_references(monkeypatch, read):
+    rng = random.Random(7)
+    doc = random_bundle_dict(rng)
+    inject_faults(rng, doc, 6)
+    bundle = parse_dict(doc)
+    walks = _counted_walks(monkeypatch)
+    read(bundle)
+    assert len(detect_contamination(bundle)) >= 6
+    assert walks == []
+
+
+def test_a_state_built_in_memory_is_walked_once(monkeypatch):
+    bundle = toy_bundle()  # a parse, then a freeze: a state no parse built
+    record_flow(bundle, _flow(1))
+    walks = _counted_walks(monkeypatch)
+    for _ in range(3):
+        assert detect_contamination(bundle)
+        assert scan_bundle(bundle)
+        compliance_verdict(bundle)
+        _detect(BundleIndex.of(bundle))
+    assert len(walks) == 1
 
 
 def test_a_state_is_scanned_once():

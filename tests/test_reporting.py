@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import recap_engine.reporting as reporting_module
 from genbundles import edit, edit_payload, parse_dict, random_bundle_dict
 from toy import toy_dict
 
@@ -63,6 +64,55 @@ def test_bias_without_direction_tag_rejected(toy):
     with pytest.raises(OperationRejected) as err:
         build_study_log(toy, toy.projects[0])
     assert "E_BIAS_DIRECTION" in [d.code for d in err.value.diagnostics]
+
+
+def _counted_builds(monkeypatch) -> list:
+    """The projects whose study log is built from now on, once per build:
+    only a build of a study log or a tier table lists a project's units."""
+    built = []
+    units = reporting_module._row_units
+
+    def counted(index, project):
+        built.append(project.id)
+        return units(index, project)
+
+    monkeypatch.setattr(reporting_module, "_row_units", counted)
+    return built
+
+
+def test_a_study_log_is_built_once_per_state_and_each_caller_gets_a_copy(toy, monkeypatch):
+    built = _counted_builds(monkeypatch)
+    project = toy.projects[0]
+    compliance_verdict(toy)
+    log = build_study_log(toy, project)
+    expected = [dict(vars(entry)) for entry in log]
+    log[0].notes = "changed by a caller"
+    log.pop()
+    assert [vars(entry) for entry in build_study_log(toy, project)] == expected
+    assert built == [p.id for p in toy.projects]
+
+    s1 = BundleIndex(toy).units.get(Identifier("child", "C1", "S1"))
+    edit(toy, s1, notes="A new state.")
+    assert build_study_log(toy, project)[0].notes == "A new state."
+    assert built == [p.id for p in toy.projects] + [project.id]
+
+
+def test_a_study_log_that_cannot_be_built_is_rejected_alike_each_time(toy, monkeypatch):
+    s2 = BundleIndex(toy).units.get(Identifier("child", "C1", "S2"))
+    edit(toy, s2, bias_considerations="")
+    built = _counted_builds(monkeypatch)
+    project = toy.projects[0]
+    rejections = []
+    for _ in range(3):
+        with pytest.raises(OperationRejected) as err:
+            build_study_log(toy, project)
+        rejections.append(err.value.diagnostics)
+    assert rejections[0] == rejections[1] == rejections[2]
+    assert "E_MISSING_FIELD" in [d.code for d in rejections[0]]
+    findings = compliance_verdict(toy).findings
+    assert "E_NO_STUDY_LOG" in [d.code for d in findings]
+    assert all(d in findings for d in rejections[0])
+    assert built == [project.id]
 
 
 def test_zero_unit_project_logs_empty_but_warns():

@@ -426,6 +426,12 @@ def toy_text() -> str:
     return serialize_bundle(toy_bundle())
 
 
+def over_long_integer_text() -> str:
+    """The toy's text with an unknown first key holding a 5,000-digit
+    integer, longer than ``json.loads`` converts (``sys.get_int_max_str_digits``)."""
+    return '{"zz": ' + "1" * 5000 + ", " + toy_text().lstrip()[1:]
+
+
 def variant(mutator) -> dict:
     """A deep-copied toy dict passed through a mutator, for fixtures."""
     data = copy.deepcopy(toy_dict())
