@@ -10,6 +10,7 @@ reading prose.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from operator import itemgetter
 
 from .bundle import DECLS, PLANS, TEXTS, decode, encode, field_effect, render_position
@@ -319,27 +320,40 @@ class _Scanner:
     the flow matrix. A finding is sited at the nearest declaration; inside
     a record without an id, at that record's list field, and located at the
     record. What an inert (quarantined or superseded) record holds is not
-    checked. Sites and locations are rendered only for a finding."""
+    checked. Sites and locations are rendered only for a finding. The
+    state's index keeps the scanner (:attr:`BundleIndex.contamination`)."""
 
     def __init__(self, index: BundleIndex):
         self.index = index
         self.events: list[ContaminationEvent] = []
+        #: :func:`build_reference_graph` once something is traced, and what
+        #: each traced node reaches; the index keeps both with the events.
+        self.graph: dict[str, set[str]] | None = None
+        self._reached: dict[str, list[str]] = {}
         self._scope: dict[int, frozenset[Identifier]] = {}
         #: id() of a position -> :meth:`place`, the bundle's (None) first.
         #: One position serves all of a record's entries; the list holds it.
         self._places = {id(None): (index.state, None, None, None, None, ())}
+        self.scan_references()
+        self.scan_layers()
+        self.scan_flows()
+        self.events = tuple(sorted(self.events, key=lambda e: _DIRECTION_SEVERITY[e.direction]))
+        for i, event in enumerate(self.events):
+            event.id = f"CONT-{i + 1:04d}"
+        self.index = None  # the index keeps the scanner; each cited position is placed
 
     def scan_references(self) -> None:
         """R1, R3 and R4 for each reference, in the scan's order: by the
         position of the record citing it, then by its step's rank."""
         found: list[tuple[tuple, ContaminationEvent]] = []
-        last = place = None
+        last = place = owner = None
         for ref, _, where, label, at in self.index.citations:
             if where is not last:
                 last, place = where, self.place(where)
-            if place is None:
+                owner = place and place[1]
+            if owner is None:
                 continue
-            owner, namespace = place[1], ref.namespace
+            namespace = ref.namespace
             if owner.kind != "child" and (
                 namespace == "child" or (owner.kind == "grandparent" and namespace == "parent")
             ):
@@ -369,8 +383,8 @@ class _Scanner:
         at ``where``: its owning layer, nearest declaration's id, ``(field,
         nature, position)`` of the outermost record without an id holding
         it, the ids of the owner and the layers above it, and its place in
-        the scan's order. None if the scan skips it: outside the sections,
-        inert or held by an inert record, or owned by no declared layer."""
+        the scan's order. None outside the sections, or if inert or held by
+        an inert record; owner and scope are None if no declared layer owns it."""
         place = self._places.get(id(where), _UNSEEN)
         if place is _UNSEEN:
             place = self._places[id(where)] = self._place(*where)
@@ -388,12 +402,10 @@ class _Scanner:
         if values.get("quarantined") or values.get("superseded"):
             return None
         key = PLANS[record.__class__][0]
-        if owner is None:  # a section's record; a layer is its own owner
+        if up is None:  # a section's record; a layer is its own owner
             owner = record if record.__class__ is LayerDecl else self.index.owner(values[key])
-            if owner is None:
-                return None
-            scope = self._scope.get(id(owner))
-            if scope is None:  # the index keeps the layer alive
+            scope = None if owner is None else self._scope.get(id(owner))
+            if scope is None and owner is not None:  # the index keeps the layer alive
                 scope = frozenset(a.id for a in (owner, *self.index.ancestors(owner)))
                 self._scope[id(owner)] = scope
         if key is not None:
@@ -424,6 +436,22 @@ class _Scanner:
             nature = "content" if flow.info_class == "methodological_insight" else flow.info_class
             self.events.append(_event(rule, direction, nature, flow.id, f"flows[{fi}]", "payload"))
 
+    def trace(self, bundle: ProjectBundle, start: str) -> list[str]:
+        """The nodes reachable from ``start``, sorted, in a new list; the
+        first trace builds the graph of ``bundle``, which holds this state."""
+        reached = self._reached.get(start)
+        if reached is None:
+            if self.graph is None:
+                self.graph = build_reference_graph(bundle)
+            seen, frontier = set(), list(self.graph.get(start, ()))
+            while frontier:
+                node = frontier.pop()
+                if node not in seen:
+                    seen.add(node)
+                    frontier.extend(self.graph.get(node, ()))
+            reached = self._reached[start] = sorted(seen)
+        return list(reached)
+
 
 def _event(rule: str, direction: str, nature: str, container: Identifier, location: str,
            field: str = "", token: Identifier | None = None) -> ContaminationEvent:
@@ -443,25 +471,13 @@ def detect_contamination(bundle: ProjectBundle) -> list[ContaminationEvent]:
     without the downstream trace. The scan runs once per bundle state
     (:meth:`BundleIndex.of`); each call returns its own copies of the
     events, which the caller may change."""
-    index = BundleIndex.of(bundle)
-    if index.contamination is None:
-        index.contamination = _detect(index)
-    return [
-        replace(event, site=replace(event.site), decisions_affected=list(event.decisions_affected))
-        for event in index.contamination
-    ]
+    return [replace(event, site=replace(event.site), decisions_affected=[])
+            for event in _detect(BundleIndex.of(bundle))]
 
 
 def _detect(index: BundleIndex) -> tuple[ContaminationEvent, ...]:
-    """One scanner run over the state ``index`` captured."""
-    scanner = _Scanner(index)
-    scanner.scan_references()
-    scanner.scan_layers()
-    scanner.scan_flows()
-    events = tuple(sorted(scanner.events, key=lambda event: _DIRECTION_SEVERITY[event.direction]))
-    for i, event in enumerate(events):
-        event.id = f"CONT-{i + 1:04d}"
-    return events
+    """The events of the scan kept on ``index``, which the caller only reads."""
+    return index.contamination.events
 
 
 def scan_bundle(bundle: ProjectBundle) -> list[ContaminationEvent]:
@@ -471,17 +487,12 @@ def scan_bundle(bundle: ProjectBundle) -> list[ContaminationEvent]:
     and produce nothing. A clean bundle returns an empty list. Upward events
     come first: they are the most severe class. Each event carries its
     :func:`trace_downstream` result; the reference graph is built once per
-    scan, and only when something was flagged.
+    bundle state, and only when something is traced.
     """
-    events = detect_contamination(bundle)
-    graph = build_reference_graph(bundle) if events else {}
-    reached: dict[str, list[str]] = {}
-    for event in events:
-        container = event.site.container
-        if container not in reached:
-            reached[container] = _reach(graph, container)
-        event.decisions_affected = list(reached[container])
-    return events
+    scan = BundleIndex.of(bundle).contamination
+    return [replace(event, site=replace(event.site),
+                    decisions_affected=scan.trace(bundle, event.site.container))
+            for event in scan.events]
 
 
 # ---------------------------------------------------------------------------
@@ -489,83 +500,68 @@ def scan_bundle(bundle: ProjectBundle) -> list[ContaminationEvent]:
 # ---------------------------------------------------------------------------
 
 
+#: The reference fields whose record depends on what they cite (measurements, supporting units).
+_DEPENDENCIES = frozenset(("measurement_refs", "supporting_units"))
+
+
 def build_reference_graph(bundle: ProjectBundle) -> dict[str, set[str]]:
     """Dependency edges: node -> the decisions and rows depending on it.
 
-    Synthetic nodes name derived decisions: ``tier:<unit>``,
-    ``coherence:<route>``, ``studylog:<unit>``, ``tiertable:<unit>``.
+    Each id a :data:`_DEPENDENCIES` field cites has an edge to the
+    declaration holding the field, as the scan placed it. A project depends
+    on the live laws and abstractions its owner's scope may declare
+    (:data:`_DECLARED_BY`); one no declared layer owns, on the grandparent's.
+    The edges into derived decisions are policy: ``tier:<unit>``,
+    ``studylog:<unit>``, ``tiertable:<unit>`` and ``coherence:<route>``.
     """
-    graph: dict[str, set[str]] = {}
-
-    def edge(src: str, dst: str) -> None:
-        dsts = graph.get(src)
-        if dsts is None:  # a set only for a source not seen before
-            graph[src] = {dst}
-        else:
-            dsts.add(dst)
-
+    graph: dict[str, set[str]] = defaultdict(set)
     index = BundleIndex.of(bundle)
-    gp = index.grandparent
-    laws = [] if gp is None else [law for law in gp.laws if not law.quarantined]
-    for project in bundle.projects:
-        project_key = project.id.render()
-        for law in laws:
-            edge(law.id.render(), project_key)
-        child = index.owner(project.id)
-        parent = None if child is None else index.layers.get(child.parent_ref)
-        if parent is not None and parent.kind == "parent":
-            for ab in parent.abstractions:
-                if not ab.quarantined:
-                    edge(ab.id.render(), project_key)
-    active_units = [
-        u for u in bundle.units if not u.quarantined and not u.superseded
-    ]
-    assignments = {}
-    for project in bundle.projects:
+    state, place = index.state, index.contamination.place
+    last = container = None
+    for ref, _, where, label, _ in index.citations:
+        if label in _DEPENDENCIES:
+            if where is not last:
+                last, held = where, place(where)
+                container = held and held[2].render()
+            if container is not None:
+                graph[ref.render()].add(container)
+    declares = {  # id() of a layer -> the live laws and abstractions it may declare
+        id(layer): [decl.id.render() for name, kind in _DECLARED_BY if layer.kind == kind
+                    for decl in layer.__dict__[name] if not decl.quarantined]
+        for layer in state.layers
+    }
+    live = set()
+    for unit in state.units:
+        if not unit.quarantined and not unit.superseded:
+            key = unit.study_id.render()
+            live.add(key)
+            tier = f"tier:{key}"
+            graph[key].add(tier)
+            graph[tier].add(f"studylog:{key}")
+            if effective_tier(unit) in (Tier.CORE, Tier.SUPPLEMENT):
+                graph[tier].add(f"tiertable:{key}")
+    for project in state.projects:
+        owner, key = index.owner(project.id), project.id.render()
+        for layer in (owner, *index.ancestors(owner)) if owner else (index.grandparent,):
+            for decl in declares.get(id(layer), ()):
+                graph[decl].add(key)
         for assignment in project.assignments:
-            assignments[assignment.unit_ref.render()] = assignment
-    for unit in active_units:
-        key = unit.study_id.render()
-        tier_key = f"tier:{key}"
-        edge(key, tier_key)
-        edge(tier_key, f"studylog:{key}")
-        tier = effective_tier(unit)
-        if tier in (Tier.CORE, Tier.SUPPLEMENT):
-            edge(tier_key, f"tiertable:{key}")
-        assignment = assignments.get(key)
-        if assignment is not None:
-            edge(tier_key, f"coherence:{assignment.route_ref.render()}")
-        for ref in unit.measurement_refs:
-            edge(ref.render(), key)
-    for route in bundle.routes:
-        if route.quarantined:
-            continue
-        route_key = route.id.render()
-        edge(route_key, f"coherence:{route_key}")
-        for assumption in route.assumptions:
-            edge(assumption.id.render(), f"coherence:{route_key}")
-            for ref in assumption.supporting_units:
-                edge(ref.render(), assumption.id.render())
+            unit = assignment.unit_ref.render()
+            if unit in live:
+                graph[f"tier:{unit}"].add(f"coherence:{assignment.route_ref.render()}")
+    for route in state.routes:
+        if not route.quarantined:
+            key = route.id.render()
+            graph[key].add(f"coherence:{key}")
+            for assumption in route.assumptions:
+                graph[assumption.id.render()].add(f"coherence:{key}")
     return graph
 
 
 def trace_downstream(event: ContaminationEvent, bundle: ProjectBundle) -> list[str]:
     """Transitive closure from the contaminated declaration to the tier
     decisions, route coherence, and report rows that depend on it."""
-    return _reach(build_reference_graph(bundle), event.site.container)
-
-
-def _reach(graph: dict[str, set[str]], start: str) -> list[str]:
-    """The nodes reachable from ``start``, sorted."""
-    seen: set[str] = set()
-    frontier = list(graph.get(start, ()))
-    while frontier:
-        node = frontier.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        frontier.extend(graph.get(node, ()))
-    return sorted(seen)
+    return BundleIndex.of(bundle).contamination.trace(bundle, event.site.container)
 
 
 # ---------------------------------------------------------------------------

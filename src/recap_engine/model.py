@@ -724,8 +724,8 @@ class BundleIndex:
     Every caller takes the index through :meth:`of`, which keeps the index
     it built last and reuses it for any bundle holding the very same
     tuples, so the reads of one state share one index, one citation list
-    (:attr:`citations`), one contamination detection (:attr:`contamination`)
-    and one study log per project (:attr:`study_logs`).
+    (:attr:`citations`), one contamination scan and reference graph
+    (:attr:`contamination`) and one study log per project (:attr:`study_logs`).
     """
 
     def __init__(self, bundle: ProjectBundle):
@@ -733,9 +733,6 @@ class BundleIndex:
         state.__dict__ = bundle.__dict__.copy()
         #: The indexed state: a bundle holding the indexed bundle's tuples.
         self.state = state
-        #: The contamination events of this state, in scan order, once
-        #: :func:`~.contamination.detect_contamination` has found them.
-        self.contamination: tuple | None = None
         #: id() of a project -> (the project, its study log's rows or the
         #: OperationRejected raised building it), once reporting has built it.
         self.study_logs: dict[int, tuple[ProjectDecl, Any]] = {}
@@ -804,6 +801,13 @@ class BundleIndex:
         from . import bundle
 
         return bundle.citations(self.state, None)
+
+    @cached_property
+    def contamination(self) -> Any:
+        """The contamination scan of this state, run on first use."""
+        from .contamination import _Scanner
+
+        return _Scanner(self)
 
     @cached_property
     def payloads(self) -> tuple[Any, ...]:

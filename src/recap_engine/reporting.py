@@ -14,7 +14,7 @@ from functools import partial, singledispatch
 from operator import attrgetter
 
 from .bundle import decode, encode, wrong_field
-from .contamination import detect_contamination, validate_contract
+from .contamination import _detect, validate_contract
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
 from .layers import check_law_evolution, law_history, parse_version, validate_grandparent_laws
 from .model import (
@@ -352,7 +352,7 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
     for contract in bundle.contracts:
         findings.extend(validate_contract(contract))
 
-    for event in detect_contamination(bundle):
+    for event in _detect(index):  # the kept events, read only
         findings.append(
             Diagnostic(
                 code=event.rule_violated,

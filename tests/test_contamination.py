@@ -586,6 +586,25 @@ def _oracle_edges(bundle) -> dict[str, set[str]]:
     return edges
 
 
+def _oracle_reach(edges: dict[str, set[str]], start: str) -> list[str]:
+    reachable, frontier = set(), list(edges.get(start, ()))
+    while frontier:
+        node = frontier.pop()
+        if node in reachable:
+            continue
+        reachable.add(node)
+        frontier.extend(edges.get(node, ()))
+    return sorted(reachable)
+
+
+def _unit_assigned_in_two_projects(doc):
+    doc["projects"].append(
+        {"id": "child:C1:PRJ2", "layer_ref": "C1", "unit_refs": ["child:C1:S2"],
+         "assignments": [{"unit_ref": "child:C1:S2", "route_ref": "child:C1:R4",
+                          "role": "contextual"}]}
+    )
+
+
 def test_trace_matches_independent_reachability_oracle():
     # Oracle: a plain BFS over edges rebuilt from the declarations; every
     # event of every scan must match it, including bundles with many faults.
@@ -601,18 +620,22 @@ def test_trace_matches_independent_reachability_oracle():
             many += len(events) >= 3
             edges = _oracle_edges(bundle)
             for event in events:
-                reachable, frontier = set(), list(edges.get(event.site.container, ()))
-                while frontier:
-                    node = frontier.pop()
-                    if node in reachable:
-                        continue
-                    reachable.add(node)
-                    frontier.extend(edges.get(node, ()))
-                assert sorted(reachable) == event.decisions_affected, (event.id, expected_faults)
+                reachable = _oracle_reach(edges, event.site.container)
+                assert reachable == event.decisions_affected, (event.id, expected_faults)
                 assert trace_downstream(event, bundle) == event.decisions_affected
             # Events sharing a container still own their lists.
             assert len({id(e.decisions_affected) for e in events}) == len(events)
     assert many >= 10
+    # A unit assigned in two projects reaches the coherence of both routes.
+    bundle = parse_dict(variant(_unit_assigned_in_two_projects))
+    edges = _oracle_edges(bundle)
+    for unit in bundle.units:
+        site = ContaminationSite(container=unit.study_id.render(), field="notes", token="x")
+        event = ContaminationEvent(id="CONT-X", rule_violated="R3_horizontal_borrowing",
+                                   direction="horizontal", nature="content", site=site)
+        assert trace_downstream(event, bundle) == _oracle_reach(edges, site.container)
+    assert {"coherence:child:C1:R3", "coherence:child:C1:R4"} <= set(
+        _oracle_reach(edges, "child:C1:S2"))
 
 
 def test_scan_builds_the_reference_graph_once(monkeypatch):
@@ -635,6 +658,23 @@ def test_scan_builds_the_reference_graph_once(monkeypatch):
     calls.clear()
     assert scan_bundle(parse_dict(random_bundle_dict(random.Random(78)))) == []
     assert calls == []
+
+
+def test_tracing_a_scanned_state_builds_no_further_graph(monkeypatch):
+    import recap_engine.contamination as contamination
+
+    calls = []
+    original = contamination.build_reference_graph
+    monkeypatch.setattr(contamination, "build_reference_graph",
+                        lambda bundle: calls.append(bundle) or original(bundle))
+    rng = random.Random(77)
+    doc = random_bundle_dict(rng, n_parents=2, n_children=6)
+    inject_faults(rng, doc, 12)
+    bundle = parse_dict(doc)
+    events = scan_bundle(bundle)
+    for event in events + scan_bundle(bundle):
+        assert trace_downstream(event, bundle) == event.decisions_affected
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from genbundles import inject_faults, parse_dict, random_bundle_dict
 from test_golden_scan_verdict import _bundles as golden_bundles
 
 from recap_engine.contamination import build_reference_graph
+from recap_engine.model import BundleIndex
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_graph_edges.json"
 
@@ -91,10 +92,14 @@ def test_reference_graph_matches_edge_set_fixture():
         assert actual[name] == digest, name
 
 
-def test_edge_set_fixture_covers_inert_and_orphan_records():
-    names = list(json.loads(FIXTURE.read_text(encoding="utf-8")))
-    assert len(names) == 41 + N_EXTRA
-    assert sum(name.startswith("extra") for name in names) >= 40
+def test_edge_set_corpus_holds_inert_and_orphan_records():
+    extras = [bundle for name, bundle in _bundles() if name.startswith("extra")]
+    assert len(extras) >= 40
+    units = [unit for bundle in extras for unit in bundle.units]
+    assert any(unit.quarantined for unit in units) and any(unit.superseded for unit in units)
+    assert any(route.quarantined for bundle in extras for route in bundle.routes)
+    assert any(BundleIndex(bundle).owner(project.id) is None
+               for bundle in extras for project in bundle.projects)
 
 
 if __name__ == "__main__":
