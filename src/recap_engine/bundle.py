@@ -520,7 +520,8 @@ _set_dict = object.__setattr__  # a frozen record's own __setattr__ refuses
 
 #: A class's decoder is generated at its 256th general decode: compiling costs
 #: 0.1-0.9 ms, uncached, against 1.5 us saved a record. The writer generates a
-#: class's writer at the same count (``writer._HOT``). Only tests set either.
+#: class's writer at its 256th top-level record written on the general path
+#: (``writer._HOT``). Only tests set either.
 _HOT = 256
 #: What a generated decoder (``codegen.py``) returns for a value that is
 #: not well typed; and what it reads a missing list or object as.

@@ -308,7 +308,7 @@ def _cmd_version(args) -> int:
         return EXIT_USAGE
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an over-long integer
         print(f"cannot read changelog: {exc}", file=sys.stderr)
         return EXIT_USAGE
     surrogate = lone_surrogate(text)

@@ -136,18 +136,18 @@ def _body(spec: Spec, v: str, consts: dict) -> list[str]:
 
 
 def generate_writer(codec: Any) -> Callable[[Any, str], str]:
-    """The writer of ``codec``'s class: ``(record, nl)`` -> the text its
-    general writer (``writer._record_writer``) renders. It fills one ``%``
-    template, built the first time it meets the indent ``nl``, from
-    straight-line field expressions (:func:`_text`), each of which keeps
-    the general writer's rule: a value of a class its spec does not expect
-    goes to that spec's general write. A record of another class, or with
-    extra fields, goes to ``dumped``, as the general writer sends it."""
+    """The writer of ``codec``'s class: ``(record, nl)`` -> the text of
+    ``json.dumps(encode(record), indent=2, ensure_ascii=False)`` with each
+    line break replaced by ``nl``. It fills one ``%`` template, built the
+    first time it meets the indent ``nl``, from straight-line field
+    expressions (:func:`_text`). A value of a class its spec does not
+    expect, and a record of another class or with extra fields, is encoded
+    and rendered on the general path (``writer._dumper``)."""
     from . import writer  # loaded by now: only the writer generates writers
 
     consts: dict[str, Any] = {
         "Cls": codec.cls, "size": len(codec.fields), "dumped": writer._dumper(codec.encode),
-        "q": _quote, "T": writer._TIER_TEXT, "int_text": int.__repr__,
+        "q": _quote, "T": _TIER_TEXT, "int_text": int.__repr__,
         "Identifier": Identifier, "Tier": Tier,
     }
     # Each key of the object in order: a field, or a key path's head with
@@ -202,6 +202,8 @@ def _key(key: str) -> str:
     return _quote(key).replace("%", "%%")
 
 
+#: Tier -> its JSON text.
+_TIER_TEXT = {tier: _quote(tier.label) for tier in Tier}
 #: Kind -> (the text of a value of the class the spec expects, the test
 #: for that class), for the kinds whose values render inline.
 _INLINE_TEXT = {
@@ -217,16 +219,16 @@ _INLINE_TEXT[LAYER] = _INLINE_TEXT[IDENT]
 
 def _text(spec: Spec, v: str, depth: int, consts: dict, strings: dict) -> str:
     """An expression for the text of the value in ``v``, held by ``spec``
-    on a line at ``depth`` below the record's own: inline where the general
-    writer (``writer._writer``) renders it inline, else by that spec's
-    general write. ``strings`` collects the indent strings it names."""
+    on a line at ``depth`` below the record's own: inline where the value
+    is of the class the spec expects (a record by its class's generated
+    writer), else encoded and rendered by the general path. ``strings``
+    collects the indent strings it names."""
     from . import writer
 
     at = _string(strings, "i", depth)
     if spec.kind == RECORD:  # its writer checks its class
         return f"{_const(consts, writer._generated(spec.of))}({v}, {at})"
-    inline, write = writer._writer(spec)
-    general = f"{_const(consts, write)}({v}, {at})"
+    general = f"{_const(consts, writer._dumper(bundle.value_encoder(spec)))}({v}, {at})"
     if spec.kind == LIST:  # joined inline; the brackets join round the items
         x = f"x{depth + 1}"
         item = _text(spec.of, x, depth + 1, consts, strings)
@@ -237,7 +239,10 @@ def _text(spec: Spec, v: str, depth: int, consts: dict, strings: dict) -> str:
     if spec.kind not in _INLINE_TEXT:  # MAP and JSON
         return general
     text, test = (part.format(v) for part in _INLINE_TEXT[spec.kind])
-    null = f"'null' if {v} is None else " if type(None) in inline else ""
+    # encode() renders None as null for every kind but a required
+    # identifier, which it cannot render.
+    nullable = spec.nullable or (spec.kind != IDENT and spec.kind != LAYER)
+    null = f"'null' if {v} is None else " if nullable else ""
     return f"({text} if {test} else {null}{general})"
 
 

@@ -30,7 +30,6 @@ from .model import (
     Tier,
 )
 from .records import record, replace
-from .tiering import effective_tier
 
 # Write operations import .audit (and with it datetime) when they run, so
 # read-only commands never load it.
@@ -538,7 +537,7 @@ def build_reference_graph(bundle: ProjectBundle) -> dict[str, set[str]]:
             tier = f"tier:{key}"
             graph[key].add(tier)
             graph[tier].add(f"studylog:{key}")
-            if effective_tier(unit) in (Tier.CORE, Tier.SUPPLEMENT):
+            if unit.declared_tier in (Tier.CORE, Tier.SUPPLEMENT):
                 graph[tier].add(f"tiertable:{key}")
     for project in state.projects:
         owner, key = index.owner(project.id), project.id.render()

@@ -406,7 +406,7 @@ class InsightProposal:
 # ---------------------------------------------------------------------------
 
 
-@record
+@record(frozen=True)
 class StudyLogEntry:
     study_id: str
     design_type: str
@@ -417,7 +417,7 @@ class StudyLogEntry:
     notes: str
 
 
-@record
+@record(frozen=True)
 class TierTableRow:
     study_id: str
     methods_summary: str

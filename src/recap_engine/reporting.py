@@ -33,10 +33,10 @@ from .model import (
     Tier,
     TierTableRow,
 )
-from .records import fields, replace
+from .records import fields
 from .routing import check_freeze_integrity, check_route_coherence, duplicate_assignments
 from .routing import validate_route_shape
-from .tiering import check_retier_chain, check_tier_declaration, effective_tier
+from .tiering import check_retier_chain, check_tier_declaration
 
 STUDY_LOG_FIELDS = (
     "Study_ID",
@@ -82,12 +82,12 @@ def build_study_log(bundle: ProjectBundle, project: ProjectDecl) -> "StudyLog":
 
     Rows are projections of unit declarations; a missing mandatory field
     rejects the build. Built once per state of the bundle, each call gets
-    its own copies of the rows, or the same diagnostics raised again.
+    its own list of the (frozen) rows, or the same diagnostics raised again.
     """
     built = _study_log(BundleIndex.of(bundle), project)
     if built.__class__ is OperationRejected:
         raise OperationRejected(built.diagnostics)
-    return StudyLog(map(replace, built))
+    return StudyLog(built)
 
 
 def _study_log(index: BundleIndex, project: ProjectDecl) -> tuple | OperationRejected:
@@ -100,7 +100,7 @@ def _study_log(index: BundleIndex, project: ProjectDecl) -> tuple | OperationRej
     entries = []
     for unit in _row_units(index, project):
         where = unit.study_id.render()
-        tier = effective_tier(unit)
+        tier = unit.declared_tier
         mandatory = {
             "design_type": unit.design_type,
             "tier_assignment": tier.label if tier is not None else "",
@@ -146,7 +146,7 @@ def build_tier_table(bundle: ProjectBundle, project: ProjectDecl) -> "TierTable"
     index = BundleIndex.of(bundle)
     rows = TierTable()
     for unit in _row_units(index, project):
-        if effective_tier(unit) not in (Tier.CORE, Tier.SUPPLEMENT):
+        if unit.declared_tier not in (Tier.CORE, Tier.SUPPLEMENT):
             continue
         rows.append(
             TierTableRow(  # positional, in field order

@@ -25,7 +25,6 @@ from .model import (
     Tier,
 )
 from .records import replace
-from .tiering import effective_tier
 
 # Write operations import .audit (and with it datetime) when they run, so
 # read-only commands never load it.
@@ -138,7 +137,7 @@ def check_route_coherence(bundle: ProjectBundle, project_id: Identifier) -> list
     for unit in index.active_units(project):
         key = unit.study_id.render()
         assignment = index.assignment(project, unit.study_id)
-        tier = effective_tier(unit)
+        tier = unit.declared_tier
         if tier is None:
             diags.append(error("E_TIER_UNDECLARED", key, "unit has no declared tier"))
             continue

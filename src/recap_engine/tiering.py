@@ -135,11 +135,6 @@ def check_tier_declaration(unit: EvidentialUnit) -> list[Diagnostic]:
     return diags
 
 
-def effective_tier(unit: EvidentialUnit) -> Tier | None:
-    """Current tier: the declaration, which re-tier events keep up to date."""
-    return unit.declared_tier
-
-
 def check_retier_chain(unit: EvidentialUnit) -> list[Diagnostic]:
     """Re-tier history must chain: each event starts where the previous one
     ended, and the last event ends at the current declaration. Events are
@@ -267,8 +262,8 @@ def apply_retier(
     stamp_error = event.timestamp.strip() and event_timestamp_error(event.timestamp)
     if stamp_error:
         diags.append(error("E_SYNTAX", unit_id.render(), stamp_error))
-    if event.old_tier != effective_tier(unit):
-        current = effective_tier(unit)
+    if event.old_tier != unit.declared_tier:
+        current = unit.declared_tier
         diags.append(
             error(
                 "E_STALE_OLD_TIER",

@@ -483,12 +483,12 @@ def test_read_only_commands_never_import_the_writer(toy_file, argv):
                 "csv"}
     assert not imported & unwanted
     if argv[0] == "scan":
-        assert "recap_engine.reporting" not in imported
+        assert not imported & {"recap_engine.reporting", "recap_engine.tiering"}
 
 
 def test_a_write_command_on_the_toy_generates_no_writer(tmp_path):
-    # A small bundle keeps every class below bundle._HOT records, so the
-    # write goes through the general writer and never loads the generator.
+    # A small bundle keeps every class below bundle._HOT top-level records,
+    # so the write encodes each record and never loads the generator.
     path = tmp_path / "unfrozen.bundle"
     path.write_text(json.dumps(toy_dict()))
     imported = _imported(["route", str(path), "freeze", "--timestamp", FREEZE_TS])
@@ -525,6 +525,20 @@ def test_version_bump_rejects_a_changelog_array(tmp_path, capsys):
     code, err = _bump_with(tmp_path, capsys, [{"from_version": "v1.0"}])
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_version_bump_rejects_a_changelog_with_an_over_long_integer(tmp_path, capsys):
+    bundle_path = tmp_path / "toy.bundle"
+    bundle_path.write_text(toy_text())
+    original = bundle_path.read_bytes()
+    changelog = tmp_path / "change.json"
+    changelog.write_text('{"zz": ' + "1" * 5000 + "}")
+    code, out, err = run_cli(
+        "version", str(bundle_path), "bump", "--changelog", str(changelog), capsys=capsys
+    )
+    assert code == 2
+    assert "cannot read changelog" in err and "internal error" not in out + err
+    assert bundle_path.read_bytes() == original
 
 
 def test_version_bump_rejects_a_non_object_law(tmp_path, capsys):

@@ -11,6 +11,7 @@ from recap_engine.diagnostics import OperationRejected, Severity
 from recap_engine.identifiers import Identifier
 from recap_engine.layers import bump_version
 from recap_engine.model import AuditEvent, BundleIndex, ChangelogEntry, Law, Tier
+from recap_engine.records import FrozenRecordError
 from recap_engine.reporting import (
     STUDY_LOG_FIELDS,
     TIER_TABLE_FIELDS,
@@ -86,7 +87,8 @@ def test_a_study_log_is_built_once_per_state_and_each_caller_gets_a_copy(toy, mo
     compliance_verdict(toy)
     log = build_study_log(toy, project)
     expected = [dict(vars(entry)) for entry in log]
-    log[0].notes = "changed by a caller"
+    with pytest.raises(FrozenRecordError):
+        log[0].notes = "changed by a caller"
     log.pop()
     assert [vars(entry) for entry in build_study_log(toy, project)] == expected
     assert built == [p.id for p in toy.projects]

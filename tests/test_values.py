@@ -25,7 +25,7 @@ from recap_engine import records, writer
 from recap_engine.audit import replay
 from recap_engine.bundle import CODECS, encode, parse_bundle, serialize_bundle
 from recap_engine.identifiers import Identifier
-from recap_engine.model import JSON, LIST, MAP, RECORD, ProjectBundle
+from recap_engine.model import JSON, LIST, MAP, RECORD, EvidentialUnit, ProjectBundle
 from recap_engine.records import FrozenDict, FrozenList, FrozenRecordError
 
 
@@ -173,6 +173,25 @@ def test_a_record_repeated_in_a_list_is_written_at_each_place():
     serialize_bundle(bundle)
     bundle.units += (bundle.units[0],)
     assert serialize_bundle(bundle) == oracle(bundle)
+
+
+def test_a_class_gets_its_generated_writer_at_the_threshold(monkeypatch):
+    monkeypatch.setattr(writer, "_HOT", 3)
+    monkeypatch.setattr(writer, "_FAST", {})
+    monkeypatch.setattr(writer, "_seen", {})
+    monkeypatch.setattr(writer, "_texts", {})
+    bundle = toy_bundle()
+    assert len(bundle.units) == 3
+    assert not writer._FAST
+    assert serialize_bundle(bundle) == oracle(bundle)
+    # Each section of three records or more crossed the threshold; its
+    # class's generated writer generated those of the classes nested in it.
+    hot = {records[0].__class__ for records in vars(bundle).values()
+           if isinstance(records, tuple) and len(records) >= 3}
+    assert EvidentialUnit in hot
+    assert set(writer._FAST) == hot | set().union(*map(_classes_below, hot))
+    second = toy_bundle()
+    assert serialize_bundle(second) == oracle(second)
 
 
 def _check_step(snapshot, live) -> None:
