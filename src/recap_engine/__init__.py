@@ -31,14 +31,14 @@ _EXPORTS = {
     "compute_tier": "tiering",
     "tier_unit": "tiering",
     "check_route_coherence": "routing",
-    "declare_route": "routing",
-    "freeze_route": "routing",
-    "revise_route": "routing",
+    "declare_route": "operations",
+    "freeze_route": "operations",
+    "revise_route": "operations",
     "check_flow": "contamination",
     "scan_bundle": "contamination",
     "trace_downstream": "contamination",
-    "validate_insight": "contamination",
-    "bump_version": "layers",
+    "validate_insight": "operations",
+    "bump_version": "operations",
     "check_law_evolution": "layers",
     "resolve_constraints": "layers",
     "build_study_log": "reporting",
@@ -57,13 +57,23 @@ ENGINE_VERSION = __version__
 __all__ = sorted(["ENGINE_VERSION", *_EXPORTS])
 
 
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def forwarder(namespace: dict, exports: dict[str, str]):
+    """A module ``__getattr__`` (PEP 562) for the module whose globals are
+    ``namespace``: each name of ``exports`` is read, on first use, from the
+    package's module it maps to, and kept in ``namespace``."""
+    module = namespace["__name__"]
+
+    def __getattr__(name: str):
+        source = exports.get(name)
+        if source is None:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f".{source}", __name__), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = forwarder(globals(), _EXPORTS)
 
 
 def __dir__() -> list[str]:

@@ -6,14 +6,24 @@ the same appliers, each taking its kind's payload record as
 :func:`~.bundle.decode_payload` decodes it for the parser too, so
 replaying the log over the initial declarations reproduces live state by
 construction. Rejected operations touch nothing.
+
+:func:`commit` runs the one write check, :func:`write_errors`, on a
+:func:`clone` the event applied to. Only writes and replay load this module.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import datetime, timezone
+from itertools import chain, compress, count
+from operator import is_not
 from typing import Any, Callable
 
-from .bundle import clone, decode_payload, write_errors, wrong_field
+# The write check calls bundle.citations through the module, so a
+# replacement there (a test counting walks) sees every call.
+from . import bundle as bundle_module
+from .bundle import CODECS, PLANS, _declared, _resolve_references, _unresolved_layer
+from .bundle import decode_payload, wrong_field
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, parse_identifier
 from .records import replace
@@ -312,6 +322,141 @@ _APPLIERS: dict[str, Callable[[ProjectBundle, Any], None]] = {
 
 
 # ---------------------------------------------------------------------------
+# The write check: what a parse of the written bundle would reject
+# ---------------------------------------------------------------------------
+
+
+def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic]:
+    """What a parse of ``after`` would reject that a write put in it. A
+    write puts in the records each of ``after``'s tuples holds more often
+    than ``before``'s, by identity, and takes out those held less often
+    (:func:`_difference`). It is blamed, with the parse's own diagnostic,
+    for a layer reference in a record it puts in that is not the id of a
+    layer of ``after`` (a payload is history, so a bare name is not
+    resolved) and for a reference it puts in (:func:`~.bundle.citations`), less
+    those a record it takes out cited alike, that does not resolve in
+    ``after``; for E_DUP_ID at an id it declares, less as a multiset those
+    it stops declaring, that ``before`` or an earlier one of them declares;
+    and for E_UNDOCUMENTED at an id it stops declaring that ``after`` still
+    cites (:func:`_citations`). A whole bundle is walked only to resolve a
+    reference the write puts in or an id it declares or drops."""
+    put: list[tuple] = []  # the references of the records put in
+    cited: set[tuple] = set()  # (id, expected kinds) of those taken out
+    new_ids: list[Identifier] = []
+    old_ids: list[Identifier] = []
+    layers = {layer.id for layer in after.layers}
+    diags: list[Diagnostic] = []
+    for name, key, spec in CODECS[ProjectBundle].fields[1:]:
+        old, new = before.__dict__[name], after.__dict__[name]
+        if old is new:
+            continue
+        codec = CODECS[spec.of.of]
+        added, removed = _difference(old, new)
+        new_ids += declared_ids([new[i] for i in added])
+        old_ids += declared_ids([old[j] for j in removed])
+        paired = set(added).intersection(removed)  # replaced in place
+        for i in added:
+            values = new[i].__dict__
+            diags += [_unresolved_layer(values[f], f"{key}[{i}].{f}") for f in codec.layer_refs
+                      if values[f] is not None and values[f] not in layers]
+            if i in paired:
+                previous = old[i].__dict__
+                if all(values[step[1]] is previous[step[1]] for step in PLANS[codec.cls][1]):
+                    continue
+                cited.update(ref[:2] for ref in bundle_module.citations(old[i], None))
+            put += bundle_module.citations(new[i], (None, key, i))
+        for j in set(removed) - paired:
+            cited.update(ref[:2] for ref in bundle_module.citations(old[j], None))
+    put = [ref for ref in put if ref[:2] not in cited]
+    if put:
+        wanted = {ref[0] for ref in put}
+        index = {}  # id -> the kind of a declaration of it, for the ids cited
+        for kind, ids in _declared([after], CODECS[ProjectBundle]):
+            for ident in wanted.intersection(ids):
+                index.setdefault(ident, kind)
+        _resolve_references(put, index, diags)
+    if new_ids == old_ids:
+        return diags
+    spare, taken = Counter(old_ids), None  # the ids the replaced records declared
+    for ident in new_ids:
+        if spare[ident]:
+            spare[ident] -= 1
+            continue
+        if taken is None:
+            taken = set(declared_ids([before]))
+        if ident in taken:
+            where = ident.render()
+            diags.append(error("E_DUP_ID", where, f"{where} already declared"))
+        taken.add(ident)
+    dropped = list(+spare)
+    if dropped:
+        declared = (ids for _, ids in _declared([after], CODECS[ProjectBundle]))
+        gone = set(dropped).difference(*declared)
+        still = _citations(after, gone) if gone else gone
+        for ident in dropped:
+            if ident in still:
+                diags.append(error("E_UNDOCUMENTED", ident.render(), "declaration is still cited"))
+    return diags
+
+
+def _difference(old: tuple, new: tuple) -> tuple[list[int], list[int]]:
+    """The positions of the records ``new`` holds more often than ``old``,
+    and of those ``old`` holds more often than ``new``, by identity. The
+    ends the two share are skipped at C speed."""
+    size = min(len(old), len(new))
+    head = next(compress(count(), map(is_not, old, new)), size)
+    tail = next(compress(count(), map(is_not, reversed(old), reversed(new))), size)
+    tail = min(tail, size - head)
+    old, new = old[head : len(old) - tail], new[head : len(new) - tail]
+    return _extra(new, old, head), _extra(old, new, head)
+
+
+def _extra(items: tuple, others: tuple, start: int) -> list[int]:
+    """The positions, counted from ``start``, of the records of ``items``
+    beyond the occurrences ``others`` holds: of a repeated one, the last."""
+    left = Counter(map(id, others))
+    out = []
+    for i, key in enumerate(map(id, items), start):
+        if left[key]:
+            left[key] -= 1
+        else:
+            out.append(i)
+    return out
+
+
+def _citations(bundle: ProjectBundle, idents: set[Identifier]) -> set[Identifier]:
+    """The ids among ``idents`` that ``bundle`` cites where a parse resolves
+    them: in a reference or a text of any record (:func:`~.bundle.citations`), inert
+    ones included, or in a correspondence of an abstraction of the layer
+    that owns the id."""
+    found = {ref[0] for ref in bundle_module.citations(bundle, None) if ref[0] in idents}
+    for layer in bundle.layers:
+        named = {n for ab in layer.abstractions for pair in ab.correspondence.items() for n in pair}
+        scope = (layer.id.namespace, "" if layer.kind == "grandparent" else layer.id.local_name)
+        found.update(i for i in idents if (i.namespace, i.owner) == scope and i.local_name in named)
+    return found
+
+
+def declared_ids(records: list) -> list[Identifier]:
+    """The ids that ``records``, all of one class, and the records nested in
+    them declare, taken a level at a time without their places: several
+    times quicker than :func:`~.bundle.declaration_map`."""
+    if not records:
+        return []
+    levels = _declared(records, CODECS[records[0].__class__])
+    return list(chain.from_iterable(ids for _, ids in levels))
+
+
+def clone(bundle: ProjectBundle) -> ProjectBundle:
+    """A new bundle holding ``bundle``'s tuples. Tuples and records cannot
+    change, so a write to either bundle, which gives that bundle new
+    tuples, leaves the other as it was."""
+    copy = object.__new__(ProjectBundle)
+    copy.__dict__ = bundle.__dict__.copy()
+    return copy
+
+
+# ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
 
@@ -377,7 +522,7 @@ def commit(
 
     The payload must already be complete; appliers consume exactly what
     replay will later consume. An event that does not apply to the bundle,
-    or whose written bundle would not parse (:func:`~.bundle.write_errors`:
+    or whose written bundle would not parse (:func:`write_errors`:
     a reference it puts in that does not resolve, an id it declares twice,
     an id it drops that is still cited), is rejected, with the bundle left
     as it was. This is the one check that a write leaves a bundle that
@@ -415,7 +560,7 @@ def commit(
 
 
 def replay(initial: ProjectBundle, events: list[AuditEvent]) -> ProjectBundle:
-    """Rebuild state by applying events to a :func:`~.bundle.clone` of the
+    """Rebuild state by applying events to a :func:`clone` of the
     initial bundle.
 
     The first event must continue the initial bundle's log. Raises with

@@ -22,9 +22,11 @@ parse about 19% faster (Python 3.11, a shared 2-vCPU host).
 
 What a record cites is described once too, by its plan in :data:`PLANS`,
 and one walk, :func:`citations`, reads it. The decoder records no
-references: the parse, the write check (:func:`write_errors`) and its
-search for what still cites a dropped id all read that walk, and the
-contamination scan reads the list a parse built.
+references: the parse, the write check (:func:`~.audit.write_errors`)
+and its search for what still cites a dropped id all read that walk, and
+the contamination scan reads the list a parse built. The write check, and
+:func:`~.audit.clone` and :func:`~.audit.declared_ids` that only writes
+use, live in ``audit``; their names here are forwarded to it.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import Counter
 from functools import partial
-from itertools import chain, compress, count
-from operator import attrgetter, is_not
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from . import forwarder
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
 from .identifiers import KIND_TO_NAMESPACE, Identifier, is_bare_name
 from .identifiers import extract_references, parse_identifier
@@ -65,6 +67,10 @@ from .model import (
     snake_name,
 )
 from .records import MISSING, FrozenDict, FrozenList, field, fields, freeze, record
+
+__getattr__ = forwarder(
+    globals(), dict.fromkeys(("write_errors", "declared_ids", "clone"), "audit")
+)
 
 VERSION_RE = re.compile(r"^v(\d+)\.(\d+)$")
 
@@ -667,18 +673,9 @@ def declaration_map(bundle: ProjectBundle) -> tuple[dict, list]:
     return found, repeats
 
 
-def declared_ids(records: list) -> list[Identifier]:
-    """The ids that ``records``, all of one class, and the records nested in
-    them declare, taken a level at a time without their places: several
-    times quicker than :func:`declaration_map`."""
-    if not records:
-        return []
-    levels = _declared(records, CODECS[records[0].__class__])
-    return list(chain.from_iterable(ids for _, ids in levels))
-
-
 def _declared(records: list, codec: _Codec) -> Iterator[tuple[str, list[Identifier]]]:
-    """(declaration kind, ids) for each level of :func:`declared_ids`."""
+    """(declaration kind, ids) for each level of ``records``, all of one
+    class, and the records nested in them (:func:`~.audit.declared_ids`)."""
     if codec.declares:
         yield codec.declares, list(map(attrgetter(codec.fields[0][0]), records))
     for name, item in codec.holds:
@@ -818,117 +815,6 @@ def _resolve_references(
         else:
             message = f"{ident.render()} is a {kind}, expected {' or '.join(expect)}"
             diags.append(error("E_SYNTAX", where, message))
-
-
-def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic]:
-    """What a parse of ``after`` would reject that a write put in it. A
-    write puts in the records each of ``after``'s tuples holds more often
-    than ``before``'s, by identity, and takes out those held less often
-    (:func:`_difference`). It is blamed, with the parse's own diagnostic,
-    for a layer reference in a record it puts in that is not the id of a
-    layer of ``after`` (a payload is history, so a bare name is not
-    resolved) and for a reference it puts in (:func:`citations`), less
-    those a record it takes out cited alike, that does not resolve in
-    ``after``; for E_DUP_ID at an id it declares, less as a multiset those
-    it stops declaring, that ``before`` or an earlier one of them declares;
-    and for E_UNDOCUMENTED at an id it stops declaring that ``after`` still
-    cites (:func:`_citations`). A whole bundle is walked only to resolve a
-    reference the write puts in or an id it declares or drops."""
-    put: list[tuple] = []  # the references of the records put in
-    cited: set[tuple] = set()  # (id, expected kinds) of those taken out
-    new_ids: list[Identifier] = []
-    old_ids: list[Identifier] = []
-    layers = {layer.id for layer in after.layers}
-    diags: list[Diagnostic] = []
-    for name, key, spec in CODECS[ProjectBundle].fields[1:]:
-        old, new = before.__dict__[name], after.__dict__[name]
-        if old is new:
-            continue
-        codec = CODECS[spec.of.of]
-        added, removed = _difference(old, new)
-        new_ids += declared_ids([new[i] for i in added])
-        old_ids += declared_ids([old[j] for j in removed])
-        paired = set(added).intersection(removed)  # replaced in place
-        for i in added:
-            values = new[i].__dict__
-            diags += [_unresolved_layer(values[f], f"{key}[{i}].{f}") for f in codec.layer_refs
-                      if values[f] is not None and values[f] not in layers]
-            if i in paired:
-                previous = old[i].__dict__
-                if all(values[step[1]] is previous[step[1]] for step in PLANS[codec.cls][1]):
-                    continue
-                cited.update(ref[:2] for ref in citations(old[i], None))
-            put += citations(new[i], (None, key, i))
-        for j in set(removed) - paired:
-            cited.update(ref[:2] for ref in citations(old[j], None))
-    put = [ref for ref in put if ref[:2] not in cited]
-    if put:
-        wanted = {ref[0] for ref in put}
-        index = {}  # id -> the kind of a declaration of it, for the ids cited
-        for kind, ids in _declared([after], CODECS[ProjectBundle]):
-            for ident in wanted.intersection(ids):
-                index.setdefault(ident, kind)
-        _resolve_references(put, index, diags)
-    if new_ids == old_ids:
-        return diags
-    spare, taken = Counter(old_ids), None  # the ids the replaced records declared
-    for ident in new_ids:
-        if spare[ident]:
-            spare[ident] -= 1
-            continue
-        if taken is None:
-            taken = set(declared_ids([before]))
-        if ident in taken:
-            where = ident.render()
-            diags.append(error("E_DUP_ID", where, f"{where} already declared"))
-        taken.add(ident)
-    dropped = list(+spare)
-    if dropped:
-        declared = (ids for _, ids in _declared([after], CODECS[ProjectBundle]))
-        gone = set(dropped).difference(*declared)
-        still = _citations(after, gone) if gone else gone
-        for ident in dropped:
-            if ident in still:
-                diags.append(error("E_UNDOCUMENTED", ident.render(), "declaration is still cited"))
-    return diags
-
-
-def _difference(old: tuple, new: tuple) -> tuple[list[int], list[int]]:
-    """The positions of the records ``new`` holds more often than ``old``,
-    and of those ``old`` holds more often than ``new``, by identity. The
-    ends the two share are skipped at C speed."""
-    size = min(len(old), len(new))
-    head = next(compress(count(), map(is_not, old, new)), size)
-    tail = next(compress(count(), map(is_not, reversed(old), reversed(new))), size)
-    tail = min(tail, size - head)
-    old, new = old[head : len(old) - tail], new[head : len(new) - tail]
-    return _extra(new, old, head), _extra(old, new, head)
-
-
-def _extra(items: tuple, others: tuple, start: int) -> list[int]:
-    """The positions, counted from ``start``, of the records of ``items``
-    beyond the occurrences ``others`` holds: of a repeated one, the last."""
-    left = Counter(map(id, others))
-    out = []
-    for i, key in enumerate(map(id, items), start):
-        if left[key]:
-            left[key] -= 1
-        else:
-            out.append(i)
-    return out
-
-
-def _citations(bundle: ProjectBundle, idents: set[Identifier]) -> set[Identifier]:
-    """The ids among ``idents`` that ``bundle`` cites where a parse resolves
-    them: in a reference or a text of any record (:func:`citations`), inert
-    ones included, or in a correspondence of an abstraction of the layer
-    that owns the id."""
-    found = {ref[0] for ref in citations(bundle, None) if ref[0] in idents}
-    for layer in bundle.layers:
-        named = {n for ab in layer.abstractions for pair in ab.correspondence.items() for n in pair}
-        scope = (layer.id.namespace, "" if layer.kind == "grandparent" else layer.id.local_name)
-        found.update(i for i in idents if (i.namespace, i.owner) == scope and i.local_name in named)
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -1139,15 +1025,6 @@ def serialize_bundle(bundle: ProjectBundle) -> str:
     from .writer import write_bundle
 
     return write_bundle(bundle)
-
-
-def clone(bundle: ProjectBundle) -> ProjectBundle:
-    """A new bundle holding ``bundle``'s tuples. Tuples and records cannot
-    change, so a write to either bundle, which gives that bundle new
-    tuples, leaves the other as it was."""
-    copy = _new(ProjectBundle)
-    copy.__dict__ = bundle.__dict__.copy()
-    return copy
 
 
 for _cls in (ProjectBundle, *EVENT_PAYLOADS.values()):

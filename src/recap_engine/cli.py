@@ -223,7 +223,7 @@ def _load_project(path: str, name: str | None) -> tuple[ProjectBundle | None, Pr
 
 
 def _cmd_route(args) -> int:
-    from .routing import check_route_coherence, committed_route, freeze_route
+    from .routing import check_route_coherence, committed_route
 
     if args.action == "check":
         bundle, project = _load_project(args.bundle, args.project)
@@ -234,6 +234,8 @@ def _cmd_route(args) -> int:
         has_error = any(d.severity == Severity.ERROR for d in diags)
         print("coherent" if not has_error else "incoherent")
         return EXIT_VIOLATIONS if has_error else EXIT_OK
+    from .operations import freeze_route
+
     # Read under the lock: a write that lands before it is then not overwritten.
     with _BundleLock(args.bundle):
         bundle, project = _load_project(args.bundle, args.project)
@@ -300,8 +302,8 @@ def _cmd_version(args) -> int:
     import json
 
     from .bundle import decode, decode_field, lone_surrogate
-    from .layers import bump_version
     from .model import ChangelogEntry, LayerDecl
+    from .operations import bump_version
 
     text = _read_text(args.changelog, "changelog")
     if text is None:

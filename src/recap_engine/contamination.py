@@ -1,38 +1,42 @@
-"""Flow permissions, contamination detection, tracing, and correction.
+"""Flow permissions, contamination detection, and tracing.
 
 The layer graph is an information-gated system: constraints flow downward,
 only validated methodological insight flows upward one level at a time, and
 lateral transfers need an explicit boundary contract. An identifier's
 namespace is its provenance, which makes every check here decidable without
 reading prose.
+
+Recording flows, validating insight and correcting contamination are in
+``operations``, which only writes load; it shares :func:`insight_errors`.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
+from itertools import chain
 from operator import itemgetter
 
-from .bundle import DECLS, PLANS, TEXTS, decode, encode, field_effect, render_position
-from .diagnostics import Diagnostic, OperationRejected, error, reject
-from .identifiers import KIND_TO_NAMESPACE, Identifier, extract_references, parse_identifier
+from . import forwarder
+from .bundle import DECLS, PLANS, TEXTS, render_position
+from .diagnostics import Diagnostic, error, reject
+from .identifiers import Identifier, extract_references
 from .model import (
-    Abstraction,
     BoundaryContract,
     BundleIndex,
     ContaminationEvent,
     ContaminationSite,
     FlowEvent,
-    InsightProposal,
-    Law,
     LayerDecl,
     ProjectBundle,
     Tier,
 )
 from .records import record, replace
 
-# Write operations import .audit (and with it datetime) when they run, so
-# read-only commands never load it.
+__getattr__ = forwarder(globals(), dict.fromkeys(
+    ("record_flow", "flag_contamination", "resolve_contamination", "validate_insight"),
+    "operations",
+))
 
 _RANK = {"child": 0, "parent": 1, "grandparent": 2}
 
@@ -121,102 +125,28 @@ def _horizontal_verdict(
 # ---------------------------------------------------------------------------
 
 
-def _known_terms(bundle: ProjectBundle) -> set[str]:
-    terms: set[str] = set()
-    for layer in bundle.layers:
-        terms.update(t.lower() for t in layer.vocabulary)
-    return terms
-
-
-def _effective_vocabulary(index: BundleIndex, layer: LayerDecl) -> set[str]:
-    """A layer admits its own terms plus everything inherited from above."""
-    return {t.lower() for cursor in (layer, *index.ancestors(layer)) for t in cursor.vocabulary}
-
-
-def validate_insight(proposal: InsightProposal, bundle: ProjectBundle) -> list[Diagnostic]:
-    """Insight may move upward only when it is domain-independent,
-    expressible in the target layer's vocabulary, and append-only: it adds
-    laws at the grandparent or abstractions at a parent. An addition that
-    names an id the target already declares is left to ``commit``, which
-    rejects it as E_DUP_ID."""
-    index = BundleIndex.of(bundle)
+def insight_errors(index: BundleIndex, target: LayerDecl, where: str, texts: list[str],
+                   referenced: list[Identifier]) -> list[Diagnostic]:
+    """What bars insight stated in ``texts`` from moving up to ``target``:
+    E_DOMAIN_TERM for each id of ``referenced``, then each id the texts
+    cite, that is domain content relative to the target; then
+    E_FOREIGN_VOCAB for each word of the texts that some layer's
+    vocabulary holds and the target, with what it inherits, does not."""
     diags: list[Diagnostic] = []
-    where = proposal.id
-    origin = index.layers.get(proposal.origin_layer)
-    target = index.layers.get(proposal.target_layer)
-    if origin is None or target is None:
-        return [error("E_UNKNOWN_LAYER", where, "origin or target layer not found")]
-    if _RANK[target.kind] != _RANK[origin.kind] + 1:
-        diags.append(
-            error(
-                "R5_meta_engine_insulation",
-                where,
-                "insight moves exactly one level up; it cannot skip or descend",
-            )
-        )
-    texts = [proposal.statement]
-    for addition in proposal.proposed_additions:
-        texts.extend(
-            t for t in (addition.get("text"), addition.get("definition")) if isinstance(t, str)
-        )
-    referenced = list(proposal.referenced_terms)
-    for text in texts:
-        referenced.extend(extract_references(text))
-    for ref in referenced:
-        if ref.namespace == "child" or (
-            target.kind == "grandparent" and ref.namespace == "parent"
-        ):
-            diags.append(
-                error(
-                    "E_DOMAIN_TERM",
-                    where,
-                    f"{ref.render()} is domain content relative to the "
-                    f"{target.kind} layer",
-                )
-            )
-    known = _known_terms(bundle)
-    target_vocab = _effective_vocabulary(index, target)
+    for ref in chain(referenced, *map(extract_references, texts)):
+        if ref.namespace == "child" or (target.kind == "grandparent" and ref.namespace == "parent"):
+            message = f"{ref.render()} is domain content relative to the {target.kind} layer"
+            diags.append(error("E_DOMAIN_TERM", where, message))
+    known = {t.lower() for layer in index.state.layers for t in layer.vocabulary}
+    target_vocab = {t.lower() for cursor in (target, *index.ancestors(target))
+                    for t in cursor.vocabulary}
     for text in texts:
         for token in _WORD_RE.findall(text):
             lowered = token.lower()
             if lowered in known and lowered not in target_vocab:
-                diags.append(
-                    error(
-                        "E_FOREIGN_VOCAB",
-                        where,
-                        f"term {token!r} is not admitted in the {target.kind} "
-                        "layer's vocabulary",
-                    )
-                )
-    for addition in proposal.proposed_additions:
-        kind = addition.get("kind")
-        if kind not in ("law", "abstraction"):
-            diags.append(
-                error("E_REWRITE_ATTEMPT", where, "additions must be laws or abstractions")
-            )
-            continue
-        if kind == "law" and target.kind != "grandparent":
-            diags.append(error("E_REWRITE_ATTEMPT", where, "laws live at the grandparent"))
-        if kind == "abstraction" and target.kind != "parent":
-            diags.append(error("E_REWRITE_ATTEMPT", where, "abstractions live at a parent"))
-        cls, record = _addition_record(addition)
-        try:
-            decode(cls, record, owner=target.local_name, ns=KIND_TO_NAMESPACE[target.kind])
-        except ValueError as exc:
-            diags.append(error("E_SYNTAX", where, str(exc)))
+                message = f"term {token!r} is not admitted in the {target.kind} layer's vocabulary"
+                diags.append(error("E_FOREIGN_VOCAB", where, message))
     return diags
-
-
-def _addition_record(addition: dict) -> tuple[type, dict]:
-    """The law or abstraction record an accepted insight appends."""
-    if addition["kind"] == "law":
-        text = addition.get("text", "")
-        return Law, {"id": addition.get("id"), "text": text, "immutable_core": False}
-    return Abstraction, {
-        "id": addition.get("id"),
-        "kind": addition.get("abstraction_kind", "construct"),
-        "definition": addition.get("definition", addition.get("text", "")),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +185,7 @@ def check_flow(flow: FlowEvent, bundle: ProjectBundle) -> FlowVerdict:
                 "R5_meta_engine_insulation",
                 "insight reaches the grandparent only through a parent",
             )
-        proposal = InsightProposal(
-            id=flow.id.render(),
-            origin_layer=source.id,
-            target_layer=dest.id,
-            statement=flow.payload,
-        )
-        failures = validate_insight(proposal, bundle)
+        failures = insight_errors(index, dest, flow.id.render(), [flow.payload], [])
         if not failures:
             return FlowVerdict.ok("validated methodological insight")
         rule = (
@@ -561,196 +485,3 @@ def trace_downstream(event: ContaminationEvent, bundle: ProjectBundle) -> list[s
     """Transitive closure from the contaminated declaration to the tier
     decisions, route coherence, and report rows that depend on it."""
     return BundleIndex.of(bundle).contamination.trace(bundle, event.site.container)
-
-
-# ---------------------------------------------------------------------------
-# Recording and resolution
-# ---------------------------------------------------------------------------
-
-
-def record_flow(
-    bundle: ProjectBundle,
-    flow: FlowEvent,
-    *,
-    actor: str = "engine",
-    timestamp: str | None = None,
-) -> ProjectBundle:
-    """Record a flow event. Recording is factual: illegal movements are
-    recorded too, then flagged by the scan."""
-    from .audit import commit, now_utc
-
-    commit(
-        bundle,
-        "flow_recorded",
-        {"flow": encode(flow)},
-        actor=actor,
-        timestamp=timestamp or flow.timestamp or now_utc(),
-        affected=[flow.id.render()],
-    )
-    return bundle
-
-
-def flag_contamination(
-    bundle: ProjectBundle,
-    event: ContaminationEvent,
-    *,
-    actor: str = "engine",
-    timestamp: str | None = None,
-) -> ProjectBundle:
-    """Persist a detection into the audit log without resolving it."""
-    from .audit import commit, now_utc
-
-    commit(
-        bundle,
-        "contamination_flagged",
-        {"contamination": encode(event)},
-        actor=actor,
-        timestamp=timestamp or now_utc(),
-        affected=list(event.decisions_affected),
-    )
-    return bundle
-
-
-def _reversal_effects(bundle: ProjectBundle, event: ContaminationEvent) -> list[dict]:
-    from .audit import find_declaration
-
-    site = event.site
-    container, field, token = site.container, site.field, site.token
-    if field == "payload":
-        return [{"op": "remove_flow", "target": container}]
-    decl = find_declaration(bundle, container)
-    if decl is None:
-        raise reject("E_UNDOCUMENTED", container, "contaminated declaration not found")
-    if not field:
-        # The declaration itself is the violation (unauthorized law or
-        # abstraction): reversal deletes it, which commit refuses while
-        # anything still cites it.
-        if decl.__class__ is not Law and decl.__class__ is not Abstraction:
-            raise reject("E_UNDOCUMENTED", container, "not a law or an abstraction")
-        return [{"op": "remove_declaration", "target": container}]
-    # Each effect below removes the site's token. Commit refuses to remove
-    # a reference or an assignment that is not there; a cleared reference
-    # and an edited text are checked here.
-    _require(site, parse_identifier(token) is not None)
-    op = field_effect(decl.__class__, field)
-    if op == "remove_ref":
-        return [{"op": op, "container": container, "field": field, "target": token}]
-    if op == "clear_ref":
-        ref = getattr(decl, field)
-        _require(site, ref is not None and ref.render() == token)
-        return [{"op": op, "container": container, "field": field}]
-    if field == "assignments":
-        return [{"op": "remove_assignment", "container": container, "token": token}]
-    m = re.fullmatch(r"disconfirming_models\[(\d+)\]", field)
-    if m is not None:
-        index = int(m.group(1))
-        models = getattr(decl, "disconfirming_models", [])
-        if index >= len(models):
-            raise reject("E_UNDOCUMENTED", container, f"no disconfirming model at {field}")
-        old = models[index]
-        _require(site, token in old)
-        new = old.replace(token, "", 1).strip()
-        return [{"op": "edit_list_item", "container": container, "field": "disconfirming_models",
-                 "index": index, "old": old, "new": new}]
-    if op != "edit_text":
-        raise reject("E_UNDOCUMENTED", container, f"cannot reverse field {field!r}")
-    old = getattr(decl, field)
-    _require(site, token in old)
-    new = old.replace(token, "", 1).strip()
-    return [{"op": "edit_text", "container": container, "field": field, "old": old, "new": new}]
-
-
-def _require(site: ContaminationSite, present: bool) -> None:
-    """A reversal removes the site's token from its field; without one
-    there, it would change nothing."""
-    if not present:
-        message = f"reference {site.token!r} not present at {site.field}"
-        raise reject("E_UNDOCUMENTED", site.container, message)
-
-
-def resolve_contamination(
-    bundle: ProjectBundle,
-    event: ContaminationEvent,
-    action: str,
-    *,
-    proposal: InsightProposal | None = None,
-    actor: str = "engine",
-    timestamp: str | None = None,
-) -> ProjectBundle:
-    """Correct a flagged contamination event.
-
-    quarantine isolates the contaminated component in place; reverse deletes
-    the offending reference or declaration; extract_insight quarantines and
-    appends the validated abstraction upward. Resolution demands complete
-    documentation and appends exactly one audit event.
-    """
-    from .audit import commit, now_utc
-
-    if action not in ("quarantine", "reverse", "extract_insight"):
-        raise reject("E_UNDOCUMENTED", event.id, f"unknown corrective action {action!r}")
-    diags: list[Diagnostic] = []
-    if event.resolved:
-        diags.append(error("E_UNDOCUMENTED", event.id, "event is already resolved"))
-    if not event.risks_introduced.strip():
-        diags.append(
-            error(
-                "E_UNDOCUMENTED",
-                event.id,
-                "downstream inferential risks must be documented before resolution",
-            )
-        )
-    if not event.rule_violated or not event.direction or not event.nature:
-        diags.append(error("E_UNDOCUMENTED", event.id, "violation record incomplete"))
-    if diags:
-        raise OperationRejected(diags)
-    # Commit refuses an effect on a declaration that is not there, once its
-    # id is well formed.
-    if parse_identifier(event.site.container) is None:
-        raise reject("E_UNDOCUMENTED", event.site.container, "declaration not found")
-
-    effects: list[dict]
-    if action == "reverse":
-        effects = _reversal_effects(bundle, event)
-    else:
-        container = event.site.container
-        effects = [{"op": "quarantine", "target": container}]
-        if action == "extract_insight":
-            if proposal is None:
-                raise reject("E_INSIGHT_REJECTED", event.id, "extract_insight needs a proposal")
-            failures = validate_insight(proposal, bundle)
-            if failures:
-                raise OperationRejected(
-                    [error("E_INSIGHT_REJECTED", event.id, "insight failed validation")]
-                    + failures
-                )
-            layer = proposal.target_layer.render()
-            for addition in proposal.proposed_additions:
-                cls, record = _addition_record(addition)
-                op = "add_law" if cls is Law else "add_abstraction"
-                effects.append({"op": op, "layer": layer, "record": record})
-
-    action_label = {
-        "quarantine": "quarantined",
-        "reverse": "reversed",
-        "extract_insight": "insight_extracted",
-    }[action]
-    stamp = timestamp or now_utc()
-    sequence = bundle.next_sequence()
-    before = (event.corrective_action, event.versioned_update, event.timestamp, event.resolved)
-    event.corrective_action = action_label
-    event.versioned_update = f"event:{sequence}"
-    event.timestamp = stamp
-    event.resolved = True
-    try:
-        commit(
-            bundle,
-            "contamination_resolved",
-            {"contamination": encode(event), "action": action_label, "effects": effects},
-            actor=actor,
-            timestamp=stamp,
-            affected=list(event.decisions_affected) or [event.site.container],
-        )
-    except Exception:
-        event.corrective_action, event.versioned_update, event.timestamp, event.resolved = before
-        raise
-    return bundle

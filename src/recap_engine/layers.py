@@ -4,19 +4,23 @@ Constraints flow down the grandparent/parent/child tree; the child
 contributes nothing to its own constraint set. Grandparent laws evolve
 append-only through versioned changelog entries, and the four protected
 laws can never change at all.
+
+The version bump and its changelog check are in ``operations``, which only
+writes load.
 """
 
 from __future__ import annotations
 
-from .bundle import VERSION_RE, encode, text_fields
+from . import forwarder
+from .bundle import VERSION_RE
 from .diagnostics import Diagnostic, OperationRejected, error
-from .identifiers import Identifier, extract_references
-from .model import Abstraction, BundleIndex, ChangelogEntry, Law, LayerDecl, ProjectBundle
-from .model import VersionBumped
+from .identifiers import Identifier
+from .model import Abstraction, BundleIndex, Law, LayerDecl, ProjectBundle, VersionBumped
 from .records import field, record
 
-# Write operations import .audit (and with it datetime) when they run, so
-# read-only commands never load it.
+__getattr__ = forwarder(
+    globals(), dict.fromkeys(("bump_version", "check_changelog_entry"), "operations")
+)
 
 #: Local names of the four protected laws every grandparent carries.
 CORE_LAW_NAMES = (
@@ -130,90 +134,6 @@ def validate_grandparent_laws(gp: LayerDecl) -> list[Diagnostic]:
                 )
             )
     return diags
-
-
-# ---------------------------------------------------------------------------
-# Version bumps
-# ---------------------------------------------------------------------------
-
-
-def _upward_content_in_entry(entry: ChangelogEntry) -> list[Diagnostic]:
-    """Changelog narratives may cite grandparent ids only; parent or child
-    references are domain content and bar the bump."""
-    diags: list[Diagnostic] = []
-    for name in text_fields(ChangelogEntry):
-        for ref in extract_references(getattr(entry, name)):
-            if ref.namespace != "gp":
-                diags.append(
-                    error(
-                        "E_UPWARD_CONTENT",
-                        f"changelog.{name}",
-                        f"{ref.render()} is domain content; only methodological "
-                        "reasoning is admissible",
-                    )
-                )
-    return diags
-
-
-def check_changelog_entry(entry: ChangelogEntry, current_version: str) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    for name in text_fields(ChangelogEntry):
-        if not getattr(entry, name).strip():
-            diags.append(
-                error("E_CHANGELOG_INCOMPLETE", f"changelog.{name}", f"{name} must be nonempty")
-            )
-    old = parse_version(entry.from_version)
-    new = parse_version(entry.to_version)
-    if old is None or new is None or new <= old:
-        diags.append(
-            error(
-                "E_VERSION_ORDER",
-                "changelog.to_version",
-                f"{entry.to_version!r} does not advance {entry.from_version!r}",
-            )
-        )
-    if entry.from_version != current_version:
-        diags.append(
-            error(
-                "E_VERSION_STALE",
-                "changelog.from_version",
-                f"bump starts at {entry.from_version!r} but the registry is at "
-                f"{current_version!r}",
-            )
-        )
-    diags.extend(_upward_content_in_entry(entry))
-    return diags
-
-
-def bump_version(
-    bundle: ProjectBundle,
-    entry: ChangelogEntry,
-    new_laws: list[Law],
-    *,
-    actor: str = "engine",
-    timestamp: str | None = None,
-) -> ProjectBundle:
-    """Advance the grandparent to entry.to_version with an append-only law
-    set. Rejection is atomic: any diagnostic leaves the bundle untouched."""
-    from .audit import commit, now_utc
-
-    gp = bundle.grandparent()
-    diags = check_changelog_entry(entry, gp.version)
-    diags.extend(check_law_evolution(gp.laws, new_laws))
-    if diags:
-        raise OperationRejected(diags)
-    commit(
-        bundle,
-        "version_bumped",
-        {
-            "entry": encode(entry),
-            "laws": [encode(law) for law in new_laws],
-        },
-        actor=actor,
-        timestamp=timestamp or entry.timestamp or now_utc(),
-        affected=[gp.id.render()],
-    )
-    return bundle
 
 
 def law_history(bundle: ProjectBundle) -> list[tuple[str, list[Law]]]:

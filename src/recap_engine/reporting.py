@@ -14,9 +14,7 @@ from functools import partial, singledispatch
 from operator import attrgetter
 
 from .bundle import decode, encode, wrong_field
-from .contamination import _detect, validate_contract
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
-from .layers import check_law_evolution, law_history, parse_version, validate_grandparent_laws
 from .model import (
     AnalyticMemo,
     BIAS_DIRECTION_TAGS,
@@ -34,9 +32,6 @@ from .model import (
     TierTableRow,
 )
 from .records import fields
-from .routing import check_freeze_integrity, check_route_coherence, duplicate_assignments
-from .routing import validate_route_shape
-from .tiering import check_retier_chain, check_tier_declaration
 
 STUDY_LOG_FIELDS = (
     "Study_ID",
@@ -263,6 +258,14 @@ def compliance_verdict(bundle: ProjectBundle) -> ComplianceReport:
     A single error-severity finding means the bundle has exited the
     framework, no matter how precise everything else is.
     """
+    # The validators load when the verdict runs, so the reports load none.
+    from .contamination import _detect, validate_contract
+    from .layers import check_law_evolution, law_history, parse_version
+    from .layers import validate_grandparent_laws
+    from .routing import check_freeze_integrity, check_route_coherence
+    from .routing import duplicate_assignments, validate_route_shape
+    from .tiering import check_retier_chain, check_tier_declaration
+
     index = BundleIndex.of(bundle)
     # Every reader of the log skips a payload that does not decode; it is
     # reported here, once, as the parse reports it.

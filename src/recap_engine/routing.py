@@ -4,6 +4,8 @@ A project holds at most one committed route. Freezing locks the route body
 behind a recorded fingerprint; afterwards only a justified revision may
 change it, and each revision re-records the fingerprint. Coherence ties the
 tiered evidence to the committed route's role structure.
+
+The route operations are in ``operations``, which only writes load.
 """
 
 from __future__ import annotations
@@ -11,23 +13,15 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .bundle import body_fields, clone, encode, route_body_dict
-from .diagnostics import Diagnostic, OperationRejected, error, reject, warning
+from . import forwarder
+from .bundle import route_body_dict
+from .diagnostics import Diagnostic, error, warning
 from .identifiers import Identifier
-from .model import (
-    BundleIndex,
-    ProjectBundle,
-    ProjectDecl,
-    Route,
-    RouteFrozen,
-    RouteRevised,
-    RouteRevision,
-    Tier,
-)
-from .records import replace
+from .model import BundleIndex, ProjectBundle, ProjectDecl, Route, RouteFrozen, RouteRevised, Tier
 
-# Write operations import .audit (and with it datetime) when they run, so
-# read-only commands never load it.
+__getattr__ = forwarder(
+    globals(), dict.fromkeys(("declare_route", "freeze_route", "revise_route"), "operations")
+)
 
 SECONDARY_ROLES = ("sensitivity", "boundary", "contextual", "measurement_evaluation")
 
@@ -65,53 +59,6 @@ def validate_route_shape(route: Route) -> list[Diagnostic]:
                     )
                 )
     return diags
-
-
-def declare_route(
-    bundle: ProjectBundle,
-    project_id: Identifier,
-    route: Route,
-    *,
-    commit_route: bool = True,
-    actor: str = "engine",
-    timestamp: str | None = None,
-) -> ProjectBundle:
-    """Declare a route for a project.
-
-    Committed declarations bind the project; exploratory ones are stored as
-    uncommitted declarations for comparison and belong in the committed
-    route's rejected-alternatives record.
-    """
-    from .audit import commit, now_utc
-
-    project = BundleIndex.of(bundle).projects.get(project_id)
-    if project is None:
-        raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
-    diags = validate_route_shape(route)
-    if commit_route and project.committed_route is not None:
-        diags.append(
-            error(
-                "E_SECOND_ROUTE",
-                project_id.render(),
-                f"project already committed to {project.committed_route.render()}; "
-                "a project may compare routes but never operate under more than one",
-            )
-        )
-    if diags:
-        raise OperationRejected(diags)
-    commit(
-        bundle,
-        "route_declared",
-        {
-            "project": project_id.render(),
-            "route": encode(route),
-            "committed": commit_route,
-        },
-        actor=actor,
-        timestamp=timestamp or now_utc(),
-        affected=[project_id.render(), route.id.render()],
-    )
-    return bundle
 
 
 def committed_route(bundle: ProjectBundle, project: ProjectDecl) -> Route | None:
@@ -198,118 +145,6 @@ def duplicate_assignments(project: ProjectDecl) -> list[Diagnostic]:
     counts = Counter(a.unit_ref for a in project.assignments)
     message = "unit holds more than one role assignment"
     return [error("E_DUP_ASSIGNMENT", ref.render(), message) for ref, n in counts.items() if n > 1]
-
-
-def freeze_route(
-    bundle: ProjectBundle,
-    project_id: Identifier,
-    *,
-    timestamp: str | None = None,
-    actor: str = "engine",
-) -> ProjectBundle:
-    """Freeze the committed route; coherence failures block freezing."""
-    from .audit import commit, now_utc
-
-    index = BundleIndex.of(bundle)
-    project = index.projects.get(project_id)
-    if project is None:
-        raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
-    route = index.routes.get(project.committed_route)
-    if route is None:
-        raise reject("E_NO_ROUTE", project_id.render(), "project has no committed route")
-    if route.frozen_at is not None:
-        raise reject("E_ALREADY_FROZEN", route.id.render(), f"frozen at {route.frozen_at}")
-    coherence = [d for d in check_route_coherence(bundle, project_id) if d.severity.name == "ERROR"]
-    if coherence:
-        raise OperationRejected(
-            [
-                error(
-                    "E_INCOHERENT",
-                    route.id.render(),
-                    "coherence failures block freezing: "
-                    + "; ".join(d.code for d in coherence),
-                )
-            ]
-            + coherence
-        )
-    stamp = timestamp or now_utc()
-    commit(
-        bundle,
-        "route_frozen",
-        {"route": route.id.render(), "frozen_at": stamp, "body_hash": route_body_hash(route)},
-        actor=actor,
-        timestamp=stamp,
-        affected=[route.id.render()],
-    )
-    return bundle
-
-
-def revise_route(
-    bundle: ProjectBundle,
-    project_id: Identifier,
-    revision: RouteRevision,
-    new_body: Route,
-    *,
-    actor: str = "engine",
-    timestamp: str | None = None,
-) -> ProjectBundle:
-    """Replace a frozen route's body under a complete revision record.
-
-    The replacement must keep the route invariants and stay coherent with
-    the evidence; anything less is a silent revision and is rejected.
-    """
-    from .audit import commit, now_utc
-
-    index = BundleIndex.of(bundle)
-    project = index.projects.get(project_id)
-    if project is None:
-        raise reject("E_UNRESOLVED_REF", project_id.render(), "project not found")
-    route = index.routes.get(project.committed_route)
-    if route is None:
-        raise reject("E_NO_ROUTE", project_id.render(), "project has no committed route")
-    diags: list[Diagnostic] = []
-    if route.frozen_at is None:
-        diags.append(
-            error("E_ROUTE_NOT_FROZEN", route.id.render(), "revisions apply to frozen routes")
-        )
-    for name in ("timestamp", "justification", "downstream_implications", "change_description"):
-        if not getattr(revision, name).strip():
-            diags.append(
-                error(
-                    "E_SILENT_REVISION",
-                    route.id.render(),
-                    f"revision record lacks {name}; silent revision is prohibited",
-                )
-            )
-    diags.extend(validate_route_shape(new_body))
-    if diags:
-        raise OperationRejected(diags)
-    # Trial-apply on a clone so coherence is checked against the new body
-    # without touching the live bundle.
-    candidate = replace(route, **{name: getattr(new_body, name) for name in body_fields(Route)})
-    trial = clone(bundle)
-    trial.routes = tuple(candidate if r is route else r for r in trial.routes)
-    coherence = [d for d in check_route_coherence(trial, project_id) if d.severity.name == "ERROR"]
-    if coherence:
-        raise OperationRejected(
-            [error("E_INCOHERENT", route.id.render(), "revised body breaks coherence")]
-            + coherence
-        )
-    body = route_body_dict(candidate)
-    commit(
-        bundle,
-        "route_revised",
-        {
-            "route": route.id.render(),
-            "revision": encode(revision),
-            "body": body,
-            "body_hash": route_body_hash(candidate),
-        },
-        actor=actor,
-        timestamp=timestamp or revision.timestamp,
-        affected=[route.id.render()],
-    )
-    return bundle
 
 
 def check_freeze_integrity(bundle: ProjectBundle) -> list[Diagnostic]:

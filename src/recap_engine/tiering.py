@@ -6,28 +6,20 @@ measurement/design failures exclude, a fully clean unit is core, and
 anything in between is supplement exactly when every limited dimension is
 covered by an explicit declared assumption. Uncovered ambiguity is
 speculation, so it excludes.
+
+The tier operations are in ``operations``, which only writes load.
 """
 
 from __future__ import annotations
 
-from .bundle import encode
+from . import forwarder
 from .diagnostics import Diagnostic, OperationRejected, error, reject
-from .identifiers import Identifier
-from .model import (
-    Assessment,
-    BundleIndex,
-    DeclaredAssumption,
-    EvidentialUnit,
-    ProjectBundle,
-    ReTierEvent,
-    Tier,
-    event_time_key,
-    event_timestamp_error,
-)
-from .records import field, record, replace
+from .model import Assessment, DeclaredAssumption, EvidentialUnit, Tier, event_time_key
+from .records import field, record
 
-# Write operations import .audit (and with it datetime) when they run, so
-# read-only commands never load it.
+__getattr__ = forwarder(
+    globals(), dict.fromkeys(("declare_tier", "apply_retier", "split_unit"), "operations")
+)
 
 
 def _sub_core_dimensions(a: Assessment) -> list[str]:
@@ -183,196 +175,3 @@ def check_retier_chain(unit: EvidentialUnit) -> list[Diagnostic]:
             )
         )
     return diags
-
-
-# ---------------------------------------------------------------------------
-# Mutations
-# ---------------------------------------------------------------------------
-
-
-def declare_tier(
-    bundle: ProjectBundle,
-    unit_id: Identifier,
-    tier: Tier,
-    justification: str,
-    *,
-    actor: str = "engine",
-    timestamp: str | None = None,
-) -> ProjectBundle:
-    """Record a tier declaration. The declaration must agree with the table;
-    mismatches are rejected so non-compliance cannot enter through this door."""
-    from .audit import commit, now_utc
-
-    unit = BundleIndex.of(bundle).units.get(unit_id)
-    if unit is None:
-        raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
-    if not justification.strip():
-        raise reject("E_NO_JUSTIFICATION", unit_id.render(), "justification must be nonempty")
-    decision = tier_unit(unit)  # raises E_MUST_SPLIT for splittable ambiguity
-    if decision.tier != tier:
-        raise reject(
-            "E_TIER_MISMATCH",
-            unit_id.render(),
-            f"declared {tier.label} but the table gives {decision.tier.label}",
-        )
-    commit(
-        bundle,
-        "tier_declared",
-        {"unit": unit_id.render(), "tier": tier.label, "justification": justification},
-        actor=actor,
-        timestamp=timestamp or now_utc(),
-        affected=[unit_id.render()],
-    )
-    return bundle
-
-
-def apply_retier(
-    bundle: ProjectBundle,
-    unit_id: Identifier,
-    event: ReTierEvent,
-    *,
-    new_interpretations: list[Assessment] | None = None,
-    new_assumptions: list[DeclaredAssumption] | None = None,
-    justification: str = "",
-    actor: str = "engine",
-    timestamp: str | None = None,
-) -> ProjectBundle:
-    """Re-tier a unit with a complete, timestamped event.
-
-    The declared assessments are updated in the same transaction so the
-    declaration still matches the table afterwards; silent modification has
-    no code path.
-    """
-    from .audit import commit, now_utc
-
-    unit = BundleIndex.of(bundle).units.get(unit_id)
-    if unit is None:
-        raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
-    diags: list[Diagnostic] = []
-    for name in ("timestamp", "source_of_information", "justification", "implications_for_route"):
-        if not getattr(event, name).strip():
-            diags.append(
-                error(
-                    "E_SILENT_RETIER",
-                    unit_id.render(),
-                    f"re-tier event lacks {name}; silent modification is prohibited",
-                )
-            )
-    # A blank stamp is reported above; the chain's time order needs the log's form.
-    stamp_error = event.timestamp.strip() and event_timestamp_error(event.timestamp)
-    if stamp_error:
-        diags.append(error("E_SYNTAX", unit_id.render(), stamp_error))
-    if event.old_tier != unit.declared_tier:
-        current = unit.declared_tier
-        diags.append(
-            error(
-                "E_STALE_OLD_TIER",
-                unit_id.render(),
-                f"event claims old tier {event.old_tier.label} but the unit is "
-                f"{current.label if current else 'undeclared'}",
-            )
-        )
-    if diags:
-        raise OperationRejected(diags)
-    probe = replace(
-        unit,
-        interpretations=new_interpretations or unit.interpretations,
-        explicit_assumptions=(
-            new_assumptions if new_assumptions is not None else unit.explicit_assumptions
-        ),
-    )
-    decision = tier_unit(probe)
-    if decision.tier != event.new_tier:
-        raise reject(
-            "E_TIER_MISMATCH",
-            unit_id.render(),
-            f"re-tier to {event.new_tier.label} but the updated assessments "
-            f"give {decision.tier.label}",
-        )
-    payload: dict = {
-        "unit": unit_id.render(),
-        "event": encode(event),
-        "justification": justification,
-    }
-    probe_record = encode(probe)
-    if new_interpretations is not None:
-        payload["interpretations"] = probe_record["interpretations"]
-    if new_assumptions is not None:
-        payload["explicit_assumptions"] = probe_record["explicit_assumptions"]
-    commit(
-        bundle,
-        "retier",
-        payload,
-        actor=actor,
-        timestamp=timestamp or event.timestamp,
-        affected=[unit_id.render()],
-    )
-    return bundle
-
-
-def split_unit(
-    bundle: ProjectBundle,
-    unit_id: Identifier,
-    names: list[Identifier],
-    *,
-    actor: str = "engine",
-    timestamp: str | None = None,
-) -> list[EvidentialUnit]:
-    """Split a multi-interpretation unit into one unit per interpretation.
-
-    New units inherit the design type, the narrative fields, and the
-    declared assumptions, carry a provenance link to the source, and start
-    untiered. Each part's copy of an assumption is named after the part
-    (``<part>_<assumption>``), so no two declarations share an id. The
-    source stays in the document, marked superseded.
-    """
-    from .audit import commit, now_utc
-
-    unit = BundleIndex.of(bundle).units.get(unit_id)
-    if unit is None:
-        raise reject("E_UNRESOLVED_REF", unit_id.render(), "unit not found")
-    diags: list[Diagnostic] = []
-    if not unit.splittable:
-        diags.append(error("E_NOT_SPLITTABLE", unit_id.render(), "unit is not splittable"))
-    if len(names) != len(unit.interpretations):
-        diags.append(
-            error(
-                "E_NAME_ARITY",
-                unit_id.render(),
-                f"{len(unit.interpretations)} interpretations but {len(names)} names",
-            )
-        )
-    if len({n.render() for n in names}) != len(names):
-        diags.append(error("E_NAME_ARITY", unit_id.render(), "split names must be unique"))
-    parts = [
-        replace(
-            unit,
-            study_id=name,
-            interpretations=(interp,),
-            splittable=False,
-            declared_tier=None,
-            tier_justification="",
-            explicit_assumptions=tuple(
-                replace(a, id=Identifier(
-                    name.namespace, name.owner, f"{name.local_name}_{a.id.local_name}"
-                ))
-                for a in unit.explicit_assumptions
-            ),
-            retier_events=(),
-            split_from=unit_id,
-            superseded=False,
-        )
-        for name, interp in zip(names, unit.interpretations)
-    ]
-    if diags:
-        raise OperationRejected(diags)
-    commit(
-        bundle,
-        "unit_split",
-        {"source": unit_id.render(), "units": [encode(part) for part in parts]},
-        actor=actor,
-        timestamp=timestamp or now_utc(),
-        affected=[unit_id.render()] + [n.render() for n in names],
-    )
-    units = BundleIndex.of(bundle).units
-    return [units[name] for name in names]

@@ -473,17 +473,22 @@ def _imported(argv: list[str]) -> set[str]:
 
 @pytest.mark.parametrize(
     "argv",
-    [["validate"], ["scan"], ["report", "study-log"], ["report", "reviewer-block"], ["tier"]],
+    [["validate"], ["scan"], ["report", "study-log"], ["report", "reviewer-block"], ["tier"],
+     ["route", "check"], ["report", "tier-table"]],
 )
 def test_read_only_commands_never_import_the_writer(toy_file, argv):
     imported = _imported([argv[0], str(toy_file), *argv[1:]])
     assert "recap_engine.bundle" in imported
     # None of these commands renders CSV, so none loads the csv module.
-    unwanted = {"recap_engine.writer", "recap_engine.audit", "dataclasses", "inspect", "datetime",
-                "csv"}
+    unwanted = {"recap_engine.writer", "recap_engine.audit", "recap_engine.operations",
+                "dataclasses", "inspect", "datetime", "csv"}
     assert not imported & unwanted
     if argv[0] == "scan":
         assert not imported & {"recap_engine.reporting", "recap_engine.tiering"}
+    if argv[0] == "report":  # a report runs no validator
+        validators = {"recap_engine.contamination", "recap_engine.layers",
+                      "recap_engine.routing", "recap_engine.tiering"}
+        assert not imported & validators
 
 
 def test_a_write_command_on_the_toy_generates_no_writer(tmp_path):
