@@ -31,6 +31,7 @@ use, live in ``audit``; their names here are forwarded to it.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
@@ -656,21 +657,25 @@ def declaration_map(bundle: ProjectBundle) -> tuple[dict, list]:
     e.g. ``(("layers", 0), ("laws", 1))``."""
     found: dict[Identifier, tuple[Any, tuple]] = {}
     repeats: list[tuple[Identifier, Any, tuple]] = []
-
-    def walk(holder: Any, codec: _Codec, up: tuple) -> None:
-        for name, item in codec.holds:
-            key, holds = item.declares and item.fields[0][0], item.holds
-            for i, record in enumerate(holder.__dict__[name]):
-                path = up + ((name, i),)
-                if key:
-                    ident, entry = record.__dict__[key], (record, path)
-                    if found.setdefault(ident, entry) is not entry:
-                        repeats.append((ident, record, path))
-                if holds:
-                    walk(record, item, path)
-
-    walk(bundle, CODECS[ProjectBundle], ())
+    _walk_declarations(bundle, CODECS[ProjectBundle], (), found, repeats)
     return found, repeats
+
+
+def _walk_declarations(holder: Any, codec: _Codec, up: tuple, found: dict, repeats: list) -> None:
+    """:func:`declaration_map`'s walk below ``holder``. A module-level
+    function, not a closure: a nested function that calls itself is a
+    reference cycle, which would keep each map and its records alive until
+    the cyclic collector runs."""
+    for name, item in codec.holds:
+        key, holds = item.declares and item.fields[0][0], item.holds
+        for i, record in enumerate(holder.__dict__[name]):
+            path = up + ((name, i),)
+            if key:
+                ident, entry = record.__dict__[key], (record, path)
+                if found.setdefault(ident, entry) is not entry:
+                    repeats.append((ident, record, path))
+            if holds:
+                _walk_declarations(record, item, path, found, repeats)
 
 
 def _declared(records: list, codec: _Codec) -> Iterator[tuple[str, list[Identifier]]]:
@@ -827,7 +832,25 @@ def parse_bundle(text: str) -> ParseResult:
 
     Returns a resolved bundle (possibly with warnings) or located error
     diagnostics; every malformed input yields at least one diagnostic.
+
+    The parse builds only acyclic data (a JSON tree, then frozen records),
+    so it runs with the cyclic collector paused and ends with one young
+    collection, made after the JSON tree is freed, over what it kept. A
+    caller that has disabled the collector finds it still disabled and
+    no collection made.
     """
+    if not gc.isenabled():
+        return _parse(text)
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:
+        gc.collect(0)
+        gc.enable()
+
+
+def _parse(text: str) -> ParseResult:
+    """:func:`parse_bundle`'s work; its JSON tree is freed on return."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

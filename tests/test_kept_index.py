@@ -14,6 +14,7 @@ import recap_engine.bundle as bundle_module
 from genbundles import edit, inject_borrowings, inject_faults, parse_dict, random_bundle_dict
 from toy import toy_bundle
 
+from recap_engine.audit import find_declaration
 from recap_engine.bundle import clone, parse_bundle, serialize_bundle
 from recap_engine.contamination import _detect, detect_contamination, record_flow, scan_bundle
 from recap_engine.identifiers import Identifier
@@ -209,3 +210,18 @@ def test_a_dropped_bundle_releases_the_kept_index_and_its_records():
     gc.collect()
     assert bundle_ref() is None
     assert record_ref() is None
+
+
+def test_a_dropped_bundle_is_freed_by_refcount_after_a_declaration_lookup():
+    bundle = toy_bundle()
+    edit(bundle, bundle.units[0], notes="only this bundle holds me")
+    record_ref = weakref.ref(bundle.units[0])
+    gc.collect()
+    gc.disable()
+    try:
+        find_declaration(bundle, bundle.units[0].study_id.render())
+        del bundle
+        freed = record_ref() is None
+    finally:
+        gc.enable()
+    assert freed
