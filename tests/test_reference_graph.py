@@ -3,10 +3,10 @@
 The fixture holds, for the golden scan/verdict corpus (the toy and its 40
 seeded bundles) and 60 more seeded genbundles bundles, a digest of the
 sorted edges ``build_reference_graph`` returns. The extra bundles vary in
-size and fault count; some hold quarantined or superseded declarations and
-records owned by no declared layer. None assigns one unit in two projects:
-there the graph gains the edges of every assignment, which the graph the
-fixture was captured from (one assignment per unit) lacks.
+size and fault count; some hold quarantined or superseded declarations.
+None assigns one unit in two projects: there the graph gains the edges of
+every assignment, which the graph the fixture was captured from (one
+assignment per unit) lacks.
 
 Regenerate the fixture (only when an output change is intended and listed
 in CHANGES.md) with ``PYTHONPATH=src:tests python tests/test_reference_graph.py``.
@@ -14,7 +14,6 @@ in CHANGES.md) with ``PYTHONPATH=src:tests python tests/test_reference_graph.py`
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import random
@@ -24,7 +23,6 @@ from genbundles import inject_faults, parse_dict, random_bundle_dict
 from test_golden_scan_verdict import _bundles as golden_bundles
 
 from recap_engine.contamination import build_reference_graph
-from recap_engine.model import BundleIndex
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_graph_edges.json"
 
@@ -44,22 +42,6 @@ def _make_inert(rng: random.Random, doc: dict) -> None:
     rng.choice([law for law in gp["laws"] if not law["immutable_core"]])["quarantined"] = True
 
 
-def _add_orphans(doc: dict) -> None:
-    """A unit and a project owned by a child layer the bundle does not
-    declare; the parse accepts both."""
-    parent = next(layer for layer in doc["layers"] if layer["kind"] == "parent")
-    unit = copy.deepcopy(doc["units"][0])
-    unit["study_id"] = "child:C99:S1"
-    unit["measurement_refs"] = [f"parent:{parent['id']}:mx"]
-    unit["explicit_assumptions"] = []
-    doc["units"].append(unit)
-    project = copy.deepcopy(doc["projects"][0])
-    project["id"] = "child:C99:PRJ"
-    project["assignments"] = [{"unit_ref": "child:C99:S1", "route_ref": doc["routes"][0]["id"],
-                               "role": "contextual"}]
-    doc["projects"].append(project)
-
-
 def _bundles():
     yield from golden_bundles()
     for seed in range(N_EXTRA):
@@ -69,8 +51,6 @@ def _bundles():
         inject_faults(rng, doc, rng.choice((0, 1, 3, 6)))
         if seed % 3 == 0:
             _make_inert(rng, doc)
-        if seed % 5 == 4:
-            _add_orphans(doc)
         yield f"extra{seed}", parse_dict(doc)
 
 
@@ -92,14 +72,12 @@ def test_reference_graph_matches_edge_set_fixture():
         assert actual[name] == digest, name
 
 
-def test_edge_set_corpus_holds_inert_and_orphan_records():
+def test_edge_set_corpus_holds_inert_records():
     extras = [bundle for name, bundle in _bundles() if name.startswith("extra")]
     assert len(extras) >= 40
     units = [unit for bundle in extras for unit in bundle.units]
     assert any(unit.quarantined for unit in units) and any(unit.superseded for unit in units)
     assert any(route.quarantined for bundle in extras for route in bundle.routes)
-    assert any(BundleIndex(bundle).owner(project.id) is None
-               for bundle in extras for project in bundle.projects)
 
 
 if __name__ == "__main__":
