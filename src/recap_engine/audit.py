@@ -23,7 +23,7 @@ from typing import Any, Callable
 # replacement there (a test counting walks) sees every call.
 from . import bundle as bundle_module
 from .bundle import CODECS, PLANS, _declared, _resolve_references, _unresolved_layer
-from .bundle import decode_payload, wrong_field
+from .bundle import decode_payload, unknown_layer, unowned, wrong_field
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, parse_identifier
 from .records import replace
@@ -48,6 +48,7 @@ from .model import (
     VersionBumped,
     event_time_key,
     event_timestamp_error,
+    layer_scopes,
 )
 
 
@@ -335,14 +336,16 @@ def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic
     layer of ``after`` (a payload is history, so a bare name is not
     resolved) and for a reference it puts in (:func:`~.bundle.citations`), less
     those a record it takes out cited alike, that does not resolve in
-    ``after``; for E_DUP_ID at an id it declares, less as a multiset those
-    it stops declaring, that ``before`` or an earlier one of them declares;
-    and for E_UNDOCUMENTED at an id it stops declaring that ``after`` still
-    cites (:func:`_citations`). A whole bundle is walked only to resolve a
-    reference the write puts in or an id it declares or drops."""
+    ``after``; for E_UNKNOWN_LAYER at an id it declares that names no
+    layer of ``after`` (:func:`~.bundle.unowned`); for E_DUP_ID at an id it
+    declares, less as a multiset those it stops declaring, that ``before``
+    or an earlier one of them declares; and for E_UNDOCUMENTED at an id it
+    stops declaring that ``after`` still cites (:func:`_citations`). A
+    whole bundle is walked only to resolve a reference the write puts in or
+    an id it declares or drops."""
     put: list[tuple] = []  # the references of the records put in
     cited: set[tuple] = set()  # (id, expected kinds) of those taken out
-    new_ids: list[Identifier] = []
+    new_levels: list[tuple] = []  # (declaration kind, ids) of the records put in
     old_ids: list[Identifier] = []
     layers = {layer.id for layer in after.layers}
     diags: list[Diagnostic] = []
@@ -352,7 +355,7 @@ def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic
             continue
         codec = CODECS[spec.of.of]
         added, removed = _difference(old, new)
-        new_ids += declared_ids([new[i] for i in added])
+        new_levels += _declared([new[i] for i in added], codec)
         old_ids += declared_ids([old[j] for j in removed])
         paired = set(added).intersection(removed)  # replaced in place
         for i in added:
@@ -375,8 +378,11 @@ def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic
             for ident in wanted.intersection(ids):
                 index.setdefault(ident, kind)
         _resolve_references(put, index, diags)
+    new_ids = list(chain.from_iterable(ids for _, ids in new_levels))
     if new_ids == old_ids:
         return diags
+    diags += [unknown_layer(ident, ident.render())
+              for ident in unowned(new_levels, layer_scopes(after.layers))]
     spare, taken = Counter(old_ids), None  # the ids the replaced records declared
     for ident in new_ids:
         if spare[ident]:

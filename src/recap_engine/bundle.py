@@ -65,6 +65,7 @@ from .model import (
     Tier,
     event_time_key,
     event_timestamp_error,
+    layer_scopes,
     snake_name,
 )
 from .records import MISSING, FrozenDict, FrozenList, field, fields, freeze, record
@@ -694,6 +695,36 @@ def declaration_location(decl: Any, path: tuple) -> str:
     return steps + CODECS[decl.__class__].fields[0][1]
 
 
+def unowned(levels: list[tuple[str, list[Identifier]]], owners: dict) -> list[Identifier]:
+    """The ids of ``levels`` (``(declaration kind, ids)``, :func:`_declared`)
+    that name no layer of ``owners`` (:func:`~.model.layer_scopes`) by their
+    namespace and owner. A layer is its own owner and is not checked. The
+    parse and the write check (:func:`~.audit.write_errors`) both apply
+    this rule, so every declaration of a state they pass has an owner."""
+    return [ident for kind, ids in levels if kind != "layer"
+            for ident in ids if (ident.namespace, ident.owner) not in owners]
+
+
+def unknown_layer(ident: Identifier, where: str) -> Diagnostic:
+    return error("E_UNKNOWN_LAYER", where, f"no declared layer owns {ident.render()}")
+
+
+def _check_owners(bundle: ProjectBundle, levels: list, diags: list[Diagnostic]) -> None:
+    """E_UNKNOWN_LAYER at each declaration whose id names no declared layer
+    (:func:`unowned`), in document order, and E_SYNTAX at each project's
+    ``layer_ref`` that is not the layer its id names."""
+    owners = layer_scopes(bundle.layers)
+    bad = set(unowned(levels, owners))
+    if bad:
+        diags += [unknown_layer(ident, declaration_location(decl, path))
+                  for ident, (decl, path) in declaration_map(bundle)[0].items() if ident in bad]
+    for i, project in enumerate(bundle.projects):
+        owner = owners.get((project.id.namespace, project.id.owner))
+        if owner is not None and project.layer_ref != owner.id:
+            message = f"{project.id.render()} belongs to layer {owner.id.render()}"
+            diags.append(error("E_SYNTAX", f"projects[{i}].layer_ref", message))
+
+
 def _resolve_layer_refs(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
     """Replace bare layer references with canonical layer identifiers, and
     check that a canonical one names a declared layer. This finishes
@@ -904,6 +935,10 @@ def _parse(text: str) -> ParseResult:
         _validate_structure(bundle, diags)
         references = citations(bundle, None)
         _resolve_references(references, index, diags)
+        # Like the layer references, ownership is judged on a bundle
+        # otherwise known good.
+        if not any(d.severity == Severity.ERROR for d in diags):
+            _check_owners(bundle, levels, diags)
 
     if any(d.severity == Severity.ERROR for d in diags):
         return ParseResult(None, diags)

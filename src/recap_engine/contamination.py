@@ -244,7 +244,11 @@ class _Scanner:
     a record without an id, at that record's list field, and located at the
     record. What an inert (quarantined or superseded) record holds is not
     checked. Sites and locations are rendered only for a finding. The
-    state's index keeps the scanner (:attr:`BundleIndex.contamination`)."""
+    state's index keeps the scanner (:attr:`BundleIndex.contamination`).
+
+    Its input is a state that parses or that a commit wrote, in which every
+    declaration's id names a declared layer (:func:`~.bundle.unowned`), so
+    every top-level record has an owner (:meth:`BundleIndex.owner`)."""
 
     def __init__(self, index: BundleIndex):
         self.index = index
@@ -269,14 +273,13 @@ class _Scanner:
         """R1, R3 and R4 for each reference, in the scan's order: by the
         position of the record citing it, then by its step's rank."""
         found: list[tuple[tuple, ContaminationEvent]] = []
-        last = place = owner = None
+        last = place = None
         for ref, _, where, label, at in self.index.citations:
             if where is not last:
                 last, place = where, self.place(where)
-                owner = place and place[1]
-            if owner is None:
+            if place is None:
                 continue
-            namespace = ref.namespace
+            owner, namespace = place[1], ref.namespace
             if owner.kind != "child" and (
                 namespace == "child" or (owner.kind == "grandparent" and namespace == "parent")
             ):
@@ -307,7 +310,7 @@ class _Scanner:
         nature, position)`` of the outermost record without an id holding
         it, the ids of the owner and the layers above it, and its place in
         the scan's order. None outside the sections, or if inert or held by
-        an inert record; owner and scope are None if no declared layer owns it."""
+        an inert record."""
         place = self._places.get(id(where), _UNSEEN)
         if place is _UNSEEN:
             place = self._places[id(where)] = self._place(*where)
@@ -327,8 +330,8 @@ class _Scanner:
         key = PLANS[record.__class__][0]
         if up is None:  # a section's record; a layer is its own owner
             owner = record if record.__class__ is LayerDecl else self.index.owner(values[key])
-            scope = None if owner is None else self._scope.get(id(owner))
-            if scope is None and owner is not None:  # the index keeps the layer alive
+            scope = self._scope.get(id(owner))
+            if scope is None:  # the index keeps the layer alive
                 scope = frozenset(a.id for a in (owner, *self.index.ancestors(owner)))
                 self._scope[id(owner)] = scope
         if key is not None:
@@ -433,7 +436,7 @@ def build_reference_graph(bundle: ProjectBundle) -> dict[str, set[str]]:
     Each id a :data:`_DEPENDENCIES` field cites has an edge to the
     declaration holding the field, as the scan placed it. A project depends
     on the live laws and abstractions its owner's scope may declare
-    (:data:`_DECLARED_BY`); one no declared layer owns, on the grandparent's.
+    (:data:`_DECLARED_BY`).
     The edges into derived decisions are policy: ``tier:<unit>``,
     ``studylog:<unit>``, ``tiertable:<unit>`` and ``coherence:<route>``.
     """
@@ -465,7 +468,7 @@ def build_reference_graph(bundle: ProjectBundle) -> dict[str, set[str]]:
                 graph[tier].add(f"tiertable:{key}")
     for project in state.projects:
         owner, key = index.owner(project.id), project.id.render()
-        for layer in (owner, *index.ancestors(owner)) if owner else (index.grandparent,):
+        for layer in (owner, *index.ancestors(owner)):
             for decl in declares.get(id(layer), ()):
                 graph[decl].add(key)
         for assignment in project.assignments:

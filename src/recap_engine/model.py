@@ -707,6 +707,18 @@ class ProjectBundle:
         return self.events[-1].sequence + 1 if self.events else 1
 
 
+def layer_scopes(layers: tuple[LayerDecl, ...]) -> dict[tuple[str, str], LayerDecl]:
+    """``(namespace, owner)`` of the ids a layer declares -> the first of
+    ``layers`` declaring such ids: ``("gp", "")`` for the grandparent, and
+    the layer's namespace and local name for any other. An id names a
+    declared layer if its namespace and owner are a key here."""
+    out: dict[tuple[str, str], LayerDecl] = {}
+    for layer in layers:
+        ns = layer.id.namespace
+        out.setdefault((ns, "" if ns == "gp" else layer.id.local_name), layer)
+    return out
+
+
 #: The bundle's tuples of records, the state an index captures.
 _LISTS = tuple(f.name for f in fields(ProjectBundle) if f.spec.kind == LIST)
 
@@ -774,14 +786,14 @@ class BundleIndex:
 
     @cached_property
     def _layers_by_scope(self) -> dict[tuple[str, str], LayerDecl]:
-        return _first_by(self.state.layers, "id.namespace", "id.local_name")
+        return layer_scopes(self.state.layers)
 
     def owner(self, ident: Identifier) -> LayerDecl | None:
-        """The layer that declares ``ident``: the grandparent for a ``gp:``
-        id, else the first layer whose id has the namespace of ``ident`` and
-        its owner as local name."""
-        if ident.namespace == "gp":
-            return self.grandparent
+        """The layer that declares ``ident`` (:func:`layer_scopes`): the
+        grandparent for a ``gp:`` id, else the first layer whose id has the
+        namespace of ``ident`` and its owner as local name. It is never None
+        for a declaration of a state that parses or that a commit wrote:
+        both reject an id that names no declared layer."""
         return self._layers_by_scope.get((ident.namespace, ident.owner))
 
     @cached_property

@@ -5,8 +5,9 @@ by hand and sent through ``audit.commit``, over a bundle: laws repeated or
 renamed in a bump, route assumptions renamed in a revision, declarations
 added under taken or fresh ids, flows recorded under taken or fresh ids,
 contracts and flows between declared layers, undeclared ones and bare
-names, texts citing declarations, and reversals and quarantines of scanned
-events. After every step:
+names, units, routes, contracts and flows under an undeclared layer, texts
+citing declarations, and reversals and quarantines of scanned events.
+After every step:
 
 - an accepted write re-parses with no error;
 - a rejected one raises ``OperationRejected`` and leaves the bytes as they
@@ -42,7 +43,7 @@ from recap_engine.model import (
 )
 from recap_engine.records import replace
 from recap_engine.reporting import compliance_verdict
-from recap_engine.routing import freeze_route, revise_route
+from recap_engine.routing import declare_route, freeze_route, revise_route
 from recap_engine.tiering import declare_tier, tier_unit
 
 
@@ -177,6 +178,40 @@ class WriteMachine(RuleBasedStateMachine):
             kind, payload = "flow_recorded", {"flow": {
                 "id": name, "source_layer": a, "dest_layer": b, "info_class": "content",
                 "payload": "A finding.", "timestamp": stamp}}
+        self.attempt(lambda: commit(self.live, kind, payload, actor="machine", timestamp=stamp))
+
+    @rule(k=picks, kind=st.sampled_from(["unit", "route", "contract", "flow"]))
+    def stray(self, k, kind):
+        """Commit a record whose fresh ids name a child layer the bundle
+        does not declare."""
+        layer = f"L{self.tick}"
+        name, stamp = Identifier("child", layer, f"X{self.tick}"), self.stamp()
+        if kind == "route":
+            project = self.live.projects[k % len(self.live.projects)]
+            route = self.live.routes[k % len(self.live.routes)]
+            assumptions = tuple(replace(a, id=Identifier("child", layer, f"A{i}"))
+                                for i, a in enumerate(route.assumptions))
+            body = replace(route, id=name, project_ref=project.id, assumptions=assumptions,
+                           frozen_at=None, revisions=(), quarantined=False)
+            self.attempt(lambda: declare_route(self.live, project.id, body, commit_route=False,
+                                               timestamp=stamp))
+            return
+        if kind == "unit":
+            unit = self.live.units[k % len(self.live.units)]
+            record = encode(replace(unit, study_id=name, explicit_assumptions=()))
+            kind, payload = "declaration_added", {"decl_kind": "unit", "record": record}
+        elif kind == "contract":
+            contract = {"id": name.render(), "info_type": "content",
+                        "origin_layer": self.live.layers[k % len(self.live.layers)].id.render(),
+                        "destination_layer": self.live.grandparent().id.render(),
+                        "legal_justification": "Vetted.", "no_reinterpretation_clause": True,
+                        "documentation_ref": "doc"}
+            kind, payload = "declaration_added", {"decl_kind": "contract", "record": contract}
+        else:
+            gp = self.live.grandparent().id.render()
+            kind, payload = "flow_recorded", {"flow": {
+                "id": name.render(), "source_layer": gp, "dest_layer": gp,
+                "info_class": "content", "payload": "A finding.", "timestamp": stamp}}
         self.attempt(lambda: commit(self.live, kind, payload, actor="machine", timestamp=stamp))
 
     @rule(k=picks)
