@@ -277,11 +277,33 @@ def citations(record: Any, where: tuple | None) -> list[tuple]:
     it, and ``reference[2:]`` its own (:func:`render_position`). A position
     is ``(position above, JSON label, index or None)``; a bundle's is None."""
     out: list[tuple] = []
-    _cite(record, PLANS[record.__class__][1], where, out)
+    cite = _citer(record.__class__)
+    if cite is None:
+        _cite(record, PLANS[record.__class__][1], where, out)
+    else:
+        cite(record, where, out)
     return out
 
 
+#: Class -> its citation walk generated from its plan (``codegen.py``).
+_CITERS: dict[type, Callable[[Any, Any, list], None]] = {}
+
+
+def _citer(cls: type) -> Callable[[Any, Any, list], None] | None:
+    """The generated citation walk of ``cls`` once its decoder has been
+    generated (:data:`_HOT`), else None: the walk is then :func:`_cite`."""
+    cite = _CITERS.get(cls)
+    if cite is None and CODECS[cls].fast is not None:
+        from .codegen import generate_citer  # loaded by now, with the decoder
+
+        cite = _CITERS[cls] = generate_citer(cls)
+    return cite
+
+
 def _cite(record: Any, steps: tuple, where: tuple | None, out: list) -> None:
+    """The general citation walk: ``record``'s plan ``steps``, read one at
+    a time; a nested list's records go through their class's generated
+    walk if it has one."""
     values = record.__dict__
     for step, name, label, of in steps:
         value = values[name]
@@ -299,9 +321,14 @@ def _cite(record: Any, steps: tuple, where: tuple | None, out: list) -> None:
                 if ":" in text and ("child:" in text or "parent:" in text or "gp:" in text):
                     out += [(ref, of, where, label, i) for ref in extract_references(text)]
         elif value:
-            inner = PLANS[of][1]
-            for i, item in enumerate(value):
-                _cite(item, inner, (where, label, i), out)
+            cite = _citer(of)
+            if cite is None:
+                inner = PLANS[of][1]
+                for i, item in enumerate(value):
+                    _cite(item, inner, (where, label, i), out)
+            else:
+                for i, item in enumerate(value):
+                    cite(item, (where, label, i), out)
 
 
 def render_position(where: tuple | None) -> str:
@@ -578,6 +605,12 @@ def _layer_identity(dec: _Decoder, codec: _Codec, obj: dict, path: str, ctx: tup
             f"{path}.id",
             f"layer id namespace {parsed.namespace!r} does not match kind {kind!r}",
         )
+    elif ns != "gp" and parsed.owner != parsed.local_name:
+        # Its declarations are owned by (namespace, local name): a layer
+        # named under another owner would share that scope with it.
+        name = parsed.local_name
+        message = f"layer id {parsed.render()} does not name its layer {name!r} as owner"
+        dec.fail(f"{path}.id", message)
     return {"id": parsed, "kind": kind}, (ns, parsed.local_name, parsed.owner)
 
 

@@ -2,10 +2,11 @@
 
 Exit codes: 0 success or compliant, 1 violations found, 2 usage or parse
 error. Reports go to stdout; diagnostics go to stderr. Mutating commands
-write the bundle atomically behind an advisory ``flock``.
+(``cli_write``) write the bundle atomically behind an advisory ``flock``.
 
 Each command imports the engine modules it runs when it runs, so starting
-the CLI loads only those; ``explain`` needs nothing but the diagnostics.
+the CLI loads only those; ``explain`` needs nothing but the diagnostics,
+and no read command loads the write commands.
 """
 
 from __future__ import annotations
@@ -68,77 +69,8 @@ def _load(path: str) -> ProjectBundle | None:
     return result.bundle
 
 
-def _write_atomic(path: str, bundle: ProjectBundle) -> None:
-    """Replace the bundle file durably: the new bytes reach the disk before
-    the rename, and the rename before this returns. A failed write or
-    rename leaves the old file and no temporary file behind."""
-    from .bundle import serialize_bundle
-
-    target = Path(path)
-    tmp = target.with_name(f"{target.name}.tmp.{os.getpid()}")
-    text = serialize_bundle(bundle)
-    try:
-        with open(tmp, "w", encoding="utf-8") as out:
-            out.write(text)
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    directory = os.open(target.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
-
-
 class LockUnavailable(Exception):
     """The bundle's advisory lock cannot be taken; the message says why."""
-
-
-class _BundleLock:
-    """Advisory ``flock`` on a lock file beside the bundle, preventing
-    concurrent mutators. The kernel releases it when its holder exits, so a
-    killed mutator leaves no lock behind; a leftover lock file blocks
-    nothing."""
-
-    def __init__(self, path: str):
-        self.lock_path = Path(path + ".lock")
-        self.fd: int | None = None
-
-    def __enter__(self):
-        import fcntl  # loaded here: commands that never write do not pay for it
-
-        while True:
-            try:
-                fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
-            except OSError as exc:  # e.g. the bundle's directory is missing
-                raise LockUnavailable(f"cannot lock the bundle: {exc}") from None
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                # A holder that released the lock may have removed the file
-                # after this process opened it; only the file at the path counts.
-                if os.path.samestat(os.fstat(fd), os.stat(self.lock_path)):
-                    self.fd = fd
-                    return self
-            except FileNotFoundError:
-                pass
-            except BlockingIOError:
-                os.close(fd)
-                message = f"bundle is locked by another process ({self.lock_path})"
-                raise LockUnavailable(message) from None
-            except BaseException:
-                os.close(fd)
-                raise
-            os.close(fd)
-
-    def __exit__(self, *exc):
-        # Removed while still held, so no other process locks this file
-        # after it is gone.
-        self.lock_path.unlink(missing_ok=True)
-        os.close(self.fd)
-        return False
 
 
 def _pick_project(bundle: ProjectBundle, name: str | None) -> ProjectDecl | None:
@@ -223,9 +155,9 @@ def _load_project(path: str, name: str | None) -> tuple[ProjectBundle | None, Pr
 
 
 def _cmd_route(args) -> int:
-    from .routing import check_route_coherence, committed_route
-
     if args.action == "check":
+        from .routing import check_route_coherence
+
         bundle, project = _load_project(args.bundle, args.project)
         if project is None:
             return EXIT_USAGE
@@ -234,18 +166,9 @@ def _cmd_route(args) -> int:
         has_error = any(d.severity == Severity.ERROR for d in diags)
         print("coherent" if not has_error else "incoherent")
         return EXIT_VIOLATIONS if has_error else EXIT_OK
-    from .operations import freeze_route
+    from .cli_write import freeze
 
-    # Read under the lock: a write that lands before it is then not overwritten.
-    with _BundleLock(args.bundle):
-        bundle, project = _load_project(args.bundle, args.project)
-        if project is None:
-            return EXIT_USAGE
-        freeze_route(bundle, project.id, timestamp=args.timestamp, actor=args.actor)
-        _write_atomic(args.bundle, bundle)
-    route = committed_route(bundle, project)
-    print(f"frozen {route.id.render()} at {route.frozen_at}")
-    return EXIT_OK
+    return freeze(args)
 
 
 def _cmd_scan(args) -> int:
@@ -299,45 +222,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_version(args) -> int:
-    import json
+    from .cli_write import bump
 
-    from .bundle import decode, decode_field, lone_surrogate
-    from .model import ChangelogEntry, LayerDecl
-    from .operations import bump_version
-
-    text = _read_text(args.changelog, "changelog")
-    if text is None:
-        return EXIT_USAGE
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an over-long integer
-        print(f"cannot read changelog: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    surrogate = lone_surrogate(text)
-    if surrogate is not None:
-        _emit_diagnostics([surrogate])
-        return EXIT_USAGE
-    try:
-        # The file's own keys locate its errors: to_version, new_laws[0].
-        entry = decode(ChangelogEntry, raw, at="")
-        laws = raw.get("new_laws")
-        new_laws = None if laws is None else decode_field(
-            LayerDecl, "laws", laws, ns="gp", at="new_laws"
-        )
-    except ValueError as exc:
-        print(f"bad changelog: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # Read under the lock: a write that lands before it is then not overwritten.
-    with _BundleLock(args.bundle):
-        bundle = _load(args.bundle)
-        if bundle is None:
-            return EXIT_USAGE
-        if new_laws is None:
-            new_laws = list(bundle.grandparent().laws)
-        bump_version(bundle, entry, new_laws, actor=args.actor)
-        _write_atomic(args.bundle, bundle)
-    print(f"version {bundle.grandparent().version}")
-    return EXIT_OK
+    return bump(args)
 
 
 def _cmd_explain(args) -> int:

@@ -1,8 +1,10 @@
-"""Record decoders and writers generated from the codec's specs, as
-``dataclasses`` and ``attrs`` build ``__init__`` and ``cattrs`` its
-structuring functions. ``bundle.py`` imports this module once a class is
-hot for decoding, and ``writer.py`` once one is hot for writing (both at
-``bundle._HOT`` records), so a command on a small bundle does not compile it.
+"""Record decoders, writers and citation walks generated from the codec's
+specs and plans, as ``dataclasses`` and ``attrs`` build ``__init__`` and
+``cattrs`` its structuring functions. ``bundle.py`` imports this module
+once a class is hot for decoding, and ``writer.py`` once one is hot for
+writing (both at ``bundle._HOT`` records), so a command on a small bundle
+does not compile it. A class's citation walk is generated once its decoder
+has been.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from operator import itemgetter
 from typing import Any, Callable
 
 from . import bundle
-from .bundle import _CHILD_IDS, CODECS, _identity, _layer_identity
-from .identifiers import Identifier
+from .bundle import _CHILD_IDS, CODECS, REF, REFS, TEXT, TEXTS, _identity, _layer_identity
+from .identifiers import Identifier, extract_references
 from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER
 from .model import AuditEvent, DeclaredAssumption, EvidentialUnit, LayerDecl, Spec, Tier
 
@@ -50,6 +52,7 @@ def generate(codec: Any) -> Callable:
                   "ns = KIND_TO_NAMESPACE[f_kind]",
                   *_read("f_id", "get", "id", Spec(IDENT, owner="self"), consts),
                   "if f_id.namespace != ns: return _BAD",
+                  "if ns != 'gp' and f_id.owner != f_id.local_name: return _BAD",
                   "layer, owner = f_id.local_name, f_id.owner", "ctx = (ns, layer, owner)"]
     elif codec.identity is _identity:
         name, key, spec = codec.fields[0]
@@ -264,3 +267,51 @@ def _const(consts: dict, value: Any) -> str:
     name = f"w{len(consts)}"
     consts[name] = value
     return name
+
+
+# ---------------------------------------------------------------------------
+# Citation walks
+# ---------------------------------------------------------------------------
+
+#: Only a text holding a namespace prefix, so a colon, can cite an id.
+_CITES = "':' in {0} and ('child:' in {0} or 'parent:' in {0} or 'gp:' in {0})"
+
+
+def generate_citer(cls: type) -> Callable[[Any, Any, list], None]:
+    """The citation walk of ``cls``: ``(record, where, out)`` appends to
+    ``out`` what ``bundle._cite`` would for ``record`` under its plan
+    (``bundle.PLANS``), in straight-line code, one block a step. A nested
+    list's records go through their class's own walk, generated with it."""
+    consts: dict[str, Any] = {"extract": extract_references}
+    steps = bundle.PLANS[cls][1]
+    lines = []
+    for step, name, label, of in steps:
+        v, at = f"f_{name}", repr(label)
+        expect = _const(consts, of)
+        if step == REF:
+            lines += [f"if {v} is not None: out.append(({v}, {expect}, where, {at}, None))"]
+        elif step == REFS:
+            lines += [f"if {v}: out += [(r, {expect}, where, {at}, i) for i, r in enumerate({v})]"]
+        elif step == TEXT:
+            lines += [f"if {_CITES.format(v)}:",
+                      f"    out += [(r, {expect}, where, {at}, None) for r in extract({v})]"]
+        elif step == TEXTS:
+            lines += [f"for i, t in enumerate({v}):", f"    if {_CITES.format('t')}:",
+                      f"        out += [(r, {expect}, where, {at}, i) for r in extract(t)]"]
+        else:  # DECLS or ITEMS
+            nested = bundle._CITERS.get(of)
+            if nested is None:
+                nested = bundle._CITERS[of] = generate_citer(of)
+            cite = _const(consts, nested)
+            lines += [f"if {v}:", f"    for i, x in enumerate({v}): {cite}(x, (where, {at}, i), out)"]
+    names = [name for _, name, _, _ in steps]
+    if len(names) == 1:  # itemgetter of one key gives the value itself
+        lines.insert(0, f"f_{names[0]} = record.__dict__[{names[0]!r}]")
+    elif names:
+        consts["get"] = itemgetter(*names)
+        lines.insert(0, "".join(f"f_{name}, " for name in names) + "= get(record.__dict__)")
+    source = "".join([f"def make({', '.join(consts)}):\n", "    def cite(record, where, out):\n",
+                      *(f"        {line}\n" for line in lines or ["pass"]), "    return cite\n"])
+    namespace: dict[str, Any] = {}
+    exec(compile(source, f"<cite {CODECS[cls].name}>", "exec"), {}, namespace)
+    return namespace["make"](**consts)

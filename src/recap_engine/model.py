@@ -737,7 +737,8 @@ class BundleIndex:
     it built last and reuses it for any bundle holding the very same
     tuples, so the reads of one state share one index, one citation list
     (:attr:`citations`), one contamination scan and reference graph
-    (:attr:`contamination`) and one study log per project (:attr:`study_logs`).
+    (:attr:`contamination`) and one row order and study log per project
+    (:attr:`study_logs`).
     """
 
     def __init__(self, bundle: ProjectBundle):
@@ -745,9 +746,10 @@ class BundleIndex:
         state.__dict__ = bundle.__dict__.copy()
         #: The indexed state: a bundle holding the indexed bundle's tuples.
         self.state = state
-        #: id() of a project -> (the project, its study log's rows or the
-        #: OperationRejected raised building it), once reporting has built it.
-        self.study_logs: dict[int, tuple[ProjectDecl, Any]] = {}
+        #: id() of a project -> (the project, its active units in row order,
+        #: its study log's rows or the OperationRejected raised building it,
+        #: or None until built), once a report has read it (``reporting``).
+        self.study_logs: dict[int, tuple[ProjectDecl, list, Any]] = {}
         self._ancestors: dict[Identifier | None, tuple[LayerDecl, ...]] = {}
         self._assignments: dict[int, tuple[ProjectDecl, dict]] = {}
         #: (events, their payloads): the last decoded log, this state's as

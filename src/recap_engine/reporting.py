@@ -67,9 +67,22 @@ def _row_units(index: BundleIndex, project: ProjectDecl) -> list[EvidentialUnit]
     )
 
 
+def _kept(index: BundleIndex, project: ProjectDecl) -> tuple:
+    """``project``'s entry in ``index.study_logs``: the project, its active
+    units in row order (:func:`_row_units`, sorted once per state and read
+    by the study log and the tier table alike), and its study log once built."""
+    kept = index.study_logs.get(id(project))
+    if kept is None:
+        kept = index.study_logs[id(project)] = (project, _row_units(index, project), None)
+    return kept
+
+
 def _has_direction_tag(text: str) -> bool:
     lowered = text.lower()
-    return any(tag in lowered for tag in BIAS_DIRECTION_TAGS)
+    for tag in BIAS_DIRECTION_TAGS:
+        if tag in lowered:
+            return True
+    return False
 
 
 def build_study_log(bundle: ProjectBundle, project: ProjectDecl) -> "StudyLog":
@@ -87,39 +100,40 @@ def build_study_log(bundle: ProjectBundle, project: ProjectDecl) -> "StudyLog":
 
 def _study_log(index: BundleIndex, project: ProjectDecl) -> tuple | OperationRejected:
     """The rows of ``project``'s study log, or the OperationRejected that
-    building them raises, kept on ``index``."""
-    kept = index.study_logs.get(id(project))
-    if kept is not None:
-        return kept[1]
+    building them raises, kept on ``index`` (:func:`_kept`)."""
+    _, units, built = _kept(index, project)
+    if built is not None:
+        return built
     diags: list[Diagnostic] = []
     entries = []
-    for unit in _row_units(index, project):
-        where = unit.study_id.render()
+    for unit in units:
         tier = unit.declared_tier
-        mandatory = {
-            "design_type": unit.design_type,
-            "tier_assignment": tier.label if tier is not None else "",
-            "reasons_for_tiering": unit.tier_justification,
-            "bias_considerations": unit.bias_considerations,
-        }
-        diags += [error("E_MISSING_FIELD", where, f"unit lacks declared {name}")
-                  for name, value in mandatory.items() if not value.strip()]
-        if unit.bias_considerations.strip() and not _has_direction_tag(unit.bias_considerations):
+        label = "" if tier is None else tier.label  # a label is never blank
+        design, reasons, bias = unit.design_type, unit.tier_justification, unit.bias_considerations
+        has_bias = bias.strip()
+        # The id is rendered, and the fields listed, only for a finding.
+        if tier is None or not (has_bias and design.strip() and reasons.strip()):
+            where = unit.study_id.render()
+            mandatory = (("design_type", design), ("tier_assignment", label),
+                         ("reasons_for_tiering", reasons), ("bias_considerations", bias))
+            diags += [error("E_MISSING_FIELD", where, f"unit lacks declared {name}")
+                      for name, value in mandatory if not value.strip()]
+        if has_bias and not _has_direction_tag(bias):
             diags.append(
                 error(
                     "E_BIAS_DIRECTION",
-                    where,
+                    unit.study_id.render(),
                     "bias considerations state no directional implication "
                     f"(one of: {', '.join(BIAS_DIRECTION_TAGS)})",
                 )
             )
         # Positional, in field order: the record __init__'s fast path.
         entries.append(StudyLogEntry(
-            unit.study_id.local_name, unit.design_type, mandatory["tier_assignment"],
-            unit.tier_justification, unit.bias_considerations, unit.measurement_issues, unit.notes,
+            unit.study_id.local_name, design, label, reasons, bias, unit.measurement_issues,
+            unit.notes,
         ))
     built = OperationRejected(diags) if diags else tuple(entries)
-    index.study_logs[id(project)] = (project, built)
+    index.study_logs[id(project)] = (project, units, built)
     return built
 
 
@@ -140,7 +154,7 @@ def build_tier_table(bundle: ProjectBundle, project: ProjectDecl) -> "TierTable"
     """Rows for core and supplement units only, study-log ordering."""
     index = BundleIndex.of(bundle)
     rows = TierTable()
-    for unit in _row_units(index, project):
+    for unit in _kept(index, project)[1]:
         if unit.declared_tier not in (Tier.CORE, Tier.SUPPLEMENT):
             continue
         rows.append(

@@ -28,8 +28,10 @@ def set_decoders(monkeypatch, mode: str) -> None:
     """Decode each record by its class's generated decoder, generated now
     for every class that has one ("generated"), or every record by the
     general path ("general"); ``monkeypatch`` puts the decoders back
-    afterwards."""
+    afterwards. A class's citation walk is generated with its decoder, so
+    the walks generated before are dropped too."""
     monkeypatch.setattr(bundle, "_HOT", 0 if mode == "generated" else math.inf)
+    monkeypatch.setattr(bundle, "_CITERS", {})
     for codec in bundle.CODECS.values():
         monkeypatch.setattr(codec, "fast", None)
         monkeypatch.setattr(codec, "seen", 0)
@@ -68,4 +70,29 @@ def writers(request):
     so a hypothesis test keeps one path for all its examples."""
     with pytest.MonkeyPatch.context() as mp:
         set_writers(mp, request.param)
+        yield request.param
+
+
+def set_citers(monkeypatch, mode: str) -> None:
+    """Walk what each record cites by its class's generated citation walk,
+    generated now for every class but the bundle, whose step over its
+    sections stays on the general walk as it does in a parse
+    ("generated"), or by the general walk alone ("general");
+    ``monkeypatch`` puts the walks back afterwards."""
+    monkeypatch.setattr(bundle, "_CITERS", {})
+    if mode == "general":
+        monkeypatch.setattr(bundle, "_citer", lambda cls: None)
+        return
+    for cls in bundle.PLANS:
+        if cls is not bundle.ProjectBundle and cls not in bundle._CITERS:
+            bundle._CITERS[cls] = codegen.generate_citer(cls)
+
+
+@pytest.fixture(scope="module", params=["generated", "general"])
+def citers(request):
+    """Runs a module's tests once with every record's citations walked by
+    its generated walk and once by the general walk alone. Module-scoped,
+    so a hypothesis test keeps one path for all its examples."""
+    with pytest.MonkeyPatch.context() as mp:
+        set_citers(mp, request.param)
         yield request.param

@@ -1,7 +1,12 @@
 """``bundle.citations`` is the one walk over what a record cites: the parse
 resolves it, and the write check blames a write for the references it
 puts in. So an undeclared id put at any place the walk yields is reported
-there, by a parse of the written bundle and by the write check alike."""
+there, by a parse of the written bundle and by the write check alike.
+
+The walk has two paths, the general ``bundle._cite`` and the walks
+generated from the plans (``codegen.generate_citer``); every test here
+runs on both (the ``citers`` fixture), and a differential holds them to
+one list."""
 
 import random
 
@@ -9,9 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbundles import inject_borrowings, parse_dict, random_bundle_dict
+from conftest import set_citers
+from genbundles import TimeSource, inject_borrowings, inject_faults, parse_dict
+from genbundles import random_bundle_dict
+from test_audit import random_ops_session
 from toy import toy_bundle
 
+from recap_engine import codegen
 from recap_engine.bundle import citations, clone, decode, encode, parse_bundle
 from recap_engine.bundle import serialize_bundle, write_errors
 from recap_engine.diagnostics import Severity
@@ -65,7 +74,7 @@ def _check(bundle, ref):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), borrow=st.booleans(), pick=st.integers(0, 10**6))
-def test_an_undeclared_id_at_any_cited_place_is_unresolved_there(seed, borrow, pick):
+def test_an_undeclared_id_at_any_cited_place_is_unresolved_there(citers, seed, borrow, pick):
     doc = random_bundle_dict(random.Random(seed))
     if borrow:
         inject_borrowings(doc)  # texts citing ids, among other places
@@ -78,11 +87,11 @@ TOY = toy_bundle()
 
 
 @pytest.mark.parametrize("ref", citations(TOY, None), ids=lambda ref: f"{_steps(ref[2])}.{ref[3]}")
-def test_an_undeclared_id_at_each_place_the_toy_cites_is_unresolved_there(ref):
+def test_an_undeclared_id_at_each_place_the_toy_cites_is_unresolved_there(citers, ref):
     _check(TOY, ref)
 
 
-def test_the_walk_yields_references_in_field_order_nested_in_place_texts_last():
+def test_the_walk_yields_references_in_field_order_nested_in_place_texts_last(citers):
     doc = random_bundle_dict(random.Random(4))
     assert inject_borrowings(doc)
     bundle = parse_dict(doc)
@@ -101,3 +110,53 @@ def test_the_walk_yields_references_in_field_order_nested_in_place_texts_last():
         "project_ref", "anticipated_critique.referenced_decisions", "assumptions_ref",
         "assumptions_ref",
     ]
+
+
+# ---------------------------------------------------------------------------
+# The two paths give one list
+# ---------------------------------------------------------------------------
+
+
+def _walks(record, where) -> list[list[tuple]]:
+    """What ``record`` cites: by :func:`citations` with the walks generated,
+    by the generated walk of its own class called directly, and by the
+    general walk alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        set_citers(mp, "generated")
+        own: list[tuple] = []
+        codegen.generate_citer(record.__class__)(record, where, own)
+        walks = [citations(record, where), own]
+    with pytest.MonkeyPatch.context() as mp:
+        set_citers(mp, "general")
+        walks.append(citations(record, where))
+    return walks
+
+
+def _assert_one_list(bundle) -> None:
+    generated, own, general = _walks(bundle, None)
+    assert generated == own == general
+    # The same tuples: each expected-kinds tuple is the plan's own object.
+    assert all(a[1] is b[1] is c[1] for a, b, c in zip(generated, own, general))
+    for section in ("layers", "projects", "units", "routes", "reviewer_blocks"):
+        for i, record in enumerate(getattr(bundle, section)):
+            generated, own, general = _walks(record, (None, section, i))
+            assert generated == own == general
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), faults=st.integers(0, 5), borrow=st.booleans())
+def test_the_generated_and_general_walks_agree_on_generated_bundles(seed, faults, borrow):
+    rng = random.Random(seed)
+    doc = random_bundle_dict(rng)
+    if borrow:
+        inject_borrowings(doc)
+    inject_faults(rng, doc, faults)
+    _assert_one_list(parse_dict(doc))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16))
+def test_the_generated_and_general_walks_agree_on_states_a_session_leaves(seed):
+    snapshot, live, _, _ = random_ops_session(random.Random(seed), TimeSource(), n_ops=6)
+    _assert_one_list(snapshot)
+    _assert_one_list(live)

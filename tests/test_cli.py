@@ -321,7 +321,7 @@ def test_route_freeze_proceeds_once_the_lock_holder_is_killed(tmp_path, capsys, 
 def test_a_write_that_lands_before_the_lock_is_taken_is_not_overwritten(
     tmp_path, capsys, monkeypatch, command, code
 ):
-    import recap_engine.cli as cli
+    import recap_engine.cli_write as cli_write
 
     path = tmp_path / "toy.bundle"
     path.write_text(json.dumps(toy_dict()) if command[0] == "route" else toy_text())
@@ -332,7 +332,7 @@ def test_a_write_that_lands_before_the_lock_is_taken_is_not_overwritten(
         "timestamp": "2026-06-01T00:00:00Z",
     }))
     argv = [{"BUNDLE": str(path), "CHANGELOG": str(changelog)}.get(w, w) for w in command]
-    enter, first = cli._BundleLock.__enter__, {}
+    enter, first = cli_write._BundleLock.__enter__, {}
 
     def competing_write_first(lock):
         # The same command from another writer commits between this
@@ -343,7 +343,7 @@ def test_a_write_that_lands_before_the_lock_is_taken_is_not_overwritten(
             first["text"] = path.read_text()
         return enter(lock)
 
-    monkeypatch.setattr(cli._BundleLock, "__enter__", competing_write_first)
+    monkeypatch.setattr(cli_write._BundleLock, "__enter__", competing_write_first)
     exit_code, _, err = run_cli(*argv, capsys=capsys)
     assert first["exit"] == 0
     assert exit_code == 1 and code in err
@@ -481,7 +481,7 @@ def test_read_only_commands_never_import_the_writer(toy_file, argv):
     assert "recap_engine.bundle" in imported
     # None of these commands renders CSV, so none loads the csv module.
     unwanted = {"recap_engine.writer", "recap_engine.audit", "recap_engine.operations",
-                "dataclasses", "inspect", "datetime", "csv"}
+                "recap_engine.cli_write", "dataclasses", "inspect", "datetime", "csv"}
     assert not imported & unwanted
     if argv[0] == "scan":
         assert not imported & {"recap_engine.reporting", "recap_engine.tiering"}
@@ -499,6 +499,17 @@ def test_a_write_command_on_the_toy_generates_no_writer(tmp_path):
     imported = _imported(["route", str(path), "freeze", "--timestamp", FREEZE_TS])
     assert "recap_engine.writer" in imported
     assert "recap_engine.codegen" not in imported
+    # Nor does it generate a citation walk, for the parse or the write check.
+    path.write_text(json.dumps(toy_dict()))
+    code = ("import sys\nfrom recap_engine.bundle import _CITERS\n"
+            "from recap_engine.cli import main\n"
+            f"assert main(['route', {str(path)!r}, 'freeze', '--timestamp', {FREEZE_TS!r}]) == 0\n"
+            "print(sorted(cls.__name__ for cls in _CITERS), 'recap_engine.codegen' in sys.modules)\n")
+    src = str(Path(recap_engine.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout.splitlines()[-1] == "[] False"
 
 
 def test_explain_loads_only_the_diagnostics():

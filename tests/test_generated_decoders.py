@@ -4,7 +4,8 @@ must build the very record the general path builds, and refuse, so that
 the general path reports, wherever that path would report anything. The
 decode-differential and type-swap fixtures run on each path alone; these
 tests compare the two on mutated documents, check that a refused record is
-reported once, and that a small bundle generates nothing."""
+reported once, and that a small bundle generates nothing. A class's
+citation walk is generated once its decoder is."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from genbundles import inject_faults, random_bundle_dict
 from test_decode_differential import _add_sections, _mutate
 from toy import toy_dict
 
+from recap_engine import bundle
 from recap_engine.bundle import parse_bundle, serialize_bundle
 
 
@@ -76,16 +78,17 @@ def test_a_refused_record_is_reported_once(path, value):
 
 def test_a_small_bundle_generates_no_decoder():
     # A read command on a small bundle must not pay for compiling one, nor
-    # for compiling the generator.
+    # a citation walk, nor for compiling the generator.
     code = (
         "import json, random, sys\n"
         "from genbundles import random_bundle_dict\n"
         "from toy import toy_text\n"
-        "from recap_engine.bundle import CODECS, parse_bundle\n"
+        "from recap_engine.bundle import _CITERS, CODECS, parse_bundle\n"
         "assert parse_bundle(toy_text()).ok\n"
         "doc = random_bundle_dict(random.Random(5), n_parents=2, n_children=5, n_units=8)\n"
         "assert parse_bundle(json.dumps(doc)).ok\n"
         "print(sorted(c.name for c in CODECS.values() if c.fast is not None))\n"
+        "print(sorted(cls.__name__ for cls in _CITERS))\n"
         "print('recap_engine.codegen' in sys.modules)\n"
     )
     root = Path(__file__).resolve().parent.parent
@@ -93,4 +96,14 @@ def test_a_small_bundle_generates_no_decoder():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=False)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\nFalse\n"
+    assert done.stdout == "[]\n[]\nFalse\n"
+
+
+def test_a_class_walks_its_citations_generated_once_its_decoder_is(decoders):
+    parsed = parse_bundle(json.dumps(toy_dict()))
+    assert parsed.ok
+    walked = set(bundle._CITERS)
+    if decoders == "general":
+        assert walked == set()
+    else:
+        assert {type(parsed.bundle.units[0]), type(parsed.bundle.layers[0])} <= walked

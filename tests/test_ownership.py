@@ -160,3 +160,30 @@ def test_a_route_declared_under_an_undeclared_layer_is_refused():
     assert found == [("E_UNKNOWN_LAYER", "child:C9:R9")] + [
         ("E_UNKNOWN_LAYER", a.id.render()) for a in assumptions]
     assert bundle.__dict__ == before
+
+
+def _second_c1_layer(doc: dict) -> None:
+    """The toy with a second child layer whose id names owner Z for local
+    name C1, and its project's layer_ref written in full."""
+    doc["layers"].append({"id": "child:Z:C1", "kind": "child", "version": "v1.0",
+                          "parent_ref": "P", "laws": [], "abstractions": []})
+    doc["projects"][0]["layer_ref"] = "child:C1:C1"
+
+
+def test_a_layer_id_under_another_owner_is_one_syntax_error(decoders):
+    doc = variant(_second_c1_layer)
+    where = f"layers[{len(doc['layers']) - 1}].id"
+    assert _diagnostics(doc) == [
+        ("E_SYNTAX", where, "layer id child:Z:C1 does not name its layer 'C1' as owner")
+    ]
+
+
+def test_the_cli_reports_a_layer_id_under_another_owner_as_a_parse_error(tmp_path, capsys):
+    doc = variant(_second_c1_layer)
+    path = tmp_path / "two_c1.bundle"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert f"E_SYNTAX layers[{len(doc['layers']) - 1}].id" in err
+    assert "internal error" not in out + err
