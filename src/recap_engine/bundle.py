@@ -37,7 +37,7 @@ import re
 import sys
 from functools import partial
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -115,7 +115,8 @@ def value_encoder(spec: Spec) -> Callable | None:
     """Value encoder for one spec; None when the value is already JSON."""
     kind = spec.kind
     if kind == IDENT or kind == LAYER:
-        return _render if spec.nullable else Identifier.render
+        # Looked up on the value, so a value of another class fails to render.
+        return _render if spec.nullable else methodcaller("render")
     if kind == TIER:
         return lambda tier: None if tier is None else tier.label
     if kind == MAP:

@@ -14,6 +14,7 @@ Rendered forms:
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .records import FrozenRecordError
 
@@ -24,38 +25,40 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _CANONICAL_RE = re.compile(
     rf"gp:(?P<gp_name>{_NAME})|(?P<ns>parent|child):(?P<owner>{_NAME}):(?P<name>{_NAME})"
 )
+_BARE_RE = re.compile(_NAME)
 
 #: Finds canonical identifier references embedded in narrative text, as
-#: (gp name, namespace, owner, name) with the unused parts empty.
+#: (its text, gp name, namespace, owner, name) with the unused parts empty.
 EMBEDDED_REF_RE = re.compile(
-    rf"\b(?:gp:({_NAME})|(parent|child):({_NAME}):({_NAME}))\b"
+    rf"\b(gp:({_NAME})|(parent|child):({_NAME}):({_NAME}))\b"
 )
 
 
-class Identifier:
+class Identifier(tuple):
     """A fully-qualified, case-sensitive name with layer provenance.
 
-    Immutable, hashable and ordered by (namespace, owner, local_name). It is
-    written out rather than made a record because it is the engine's
-    hottest value: every index, memo and reference lookup hashes and
-    compares identifiers, so the field tuple and its hash are computed
-    once, at construction.
+    An id is the tuple ``(namespace, owner, local_name, text)``, where
+    ``text`` is its canonical rendered form, so it is hashed and built in
+    C and :meth:`render` reads a field. The text is a function of the
+    other three, so two ids are equal, and order, as their
+    ``(namespace, owner, local_name)``. An id is never equal to a plain
+    tuple, does not order against one, and is never JSON-encoded as an
+    array (``writer._json_text`` refuses it as ``json.dumps`` refuses any
+    other object). Frozen: assigning a field raises
+    :class:`~.records.FrozenRecordError`.
     """
 
-    __slots__ = ("namespace", "owner", "local_name", "_key", "_hash")
+    __slots__ = ()
 
-    namespace: str
-    owner: str  # local name of the owning layer; "" for the gp namespace
-    local_name: str
+    namespace = property(itemgetter(0))
+    owner = property(itemgetter(1))  # local name of the owning layer; "" for the gp namespace
+    local_name = property(itemgetter(2))
 
-    def __init__(self, namespace: str, owner: str, local_name: str):
-        key = (namespace, owner, local_name)
-        # Through the slots' own setters: __setattr__ refuses every write.
-        _set_namespace(self, namespace)
-        _set_owner(self, owner)
-        _set_local_name(self, local_name)
-        _set_key(self, key)
-        _set_hash(self, hash(key))
+    def __new__(cls, namespace: str, owner: str, local_name: str):
+        text = f"gp:{local_name}" if namespace == "gp" else f"{namespace}:{owner}:{local_name}"
+        return _new(cls, (namespace, owner, local_name, text))
+
+    __hash__ = tuple.__hash__
 
     def __setattr__(self, name, value):
         raise FrozenRecordError(f"cannot assign to field {name!r}")
@@ -63,47 +66,58 @@ class Identifier:
     def __delattr__(self, name):
         raise FrozenRecordError(f"cannot delete field {name!r}")
 
-    def __hash__(self) -> int:
-        return self._hash
-
+    # Between two ids the tuple's own comparison: its first three fields
+    # decide it, as the text follows from them. A plain tuple is compared
+    # here too, or its reflected comparison would compare the contents.
     def __eq__(self, other):
-        return self._key == other._key if other.__class__ is Identifier else NotImplemented
+        if other.__class__ is Identifier:
+            return _eq(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is Identifier:
+            return _ne(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
 
     def __lt__(self, other):
-        return self._key < other._key if other.__class__ is Identifier else NotImplemented
+        return _lt(self, other) if other.__class__ is Identifier else _unordered("<", other)
 
     def __le__(self, other):
-        return self._key <= other._key if other.__class__ is Identifier else NotImplemented
+        return _le(self, other) if other.__class__ is Identifier else _unordered("<=", other)
 
     def __gt__(self, other):
-        return self._key > other._key if other.__class__ is Identifier else NotImplemented
+        return _gt(self, other) if other.__class__ is Identifier else _unordered(">", other)
 
     def __ge__(self, other):
-        return self._key >= other._key if other.__class__ is Identifier else NotImplemented
+        return _ge(self, other) if other.__class__ is Identifier else _unordered(">=", other)
 
     def __reduce__(self):
-        # Rebuilt through __init__, so copies and unpickled values compute
-        # their own hash (string hashes differ between processes).
-        return (Identifier, self._key)
+        return (Identifier, self[:3])
 
     def __repr__(self) -> str:
         return (
-            f"Identifier(namespace={self.namespace!r}, owner={self.owner!r}, "
-            f"local_name={self.local_name!r})"
+            f"Identifier(namespace={self[0]!r}, owner={self[1]!r}, "
+            f"local_name={self[2]!r})"
         )
 
     def render(self) -> str:
-        if self.namespace == "gp":
-            return f"gp:{self.local_name}"
-        return f"{self.namespace}:{self.owner}:{self.local_name}"
+        return self[3]
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.render()
+    __str__ = render
 
 
-_set_namespace, _set_owner, _set_local_name, _set_key, _set_hash = (
-    Identifier.__dict__[name].__set__ for name in Identifier.__slots__
+_new = tuple.__new__
+_eq, _ne, _lt, _le, _gt, _ge = (
+    tuple.__eq__, tuple.__ne__, tuple.__lt__, tuple.__le__, tuple.__gt__, tuple.__ge__
 )
+
+
+def _unordered(op: str, other):
+    if isinstance(other, tuple):
+        raise TypeError(
+            f"'{op}' not supported between instances of 'Identifier' and {type(other).__name__!r}"
+        )
+    return NotImplemented
 
 
 def parse_identifier(text: str) -> Identifier | None:
@@ -112,9 +126,8 @@ def parse_identifier(text: str) -> Identifier | None:
     if not m:
         return None
     gp_name, ns, owner, name = m.groups()  # one call reads every part
-    if gp_name:
-        return Identifier("gp", "", gp_name)
-    return Identifier(ns, owner, name)
+    # The matched text is the canonical text: built in C, rendered by no one.
+    return _new(Identifier, ("gp", "", gp_name, text) if gp_name else (ns, owner, name, text))
 
 
 def extract_references(text: str) -> list[Identifier]:
@@ -122,10 +135,10 @@ def extract_references(text: str) -> list[Identifier]:
 
     Duplicates are preserved; one injected reference is one occurrence.
     """
-    return [Identifier("gp", "", gp) if gp else Identifier(ns, owner, name)
-            for gp, ns, owner, name in EMBEDDED_REF_RE.findall(text or "")]
+    return [_new(Identifier, ("gp", "", gp, ref) if gp else (ns, owner, name, ref))
+            for ref, gp, ns, owner, name in EMBEDDED_REF_RE.findall(text or "")]
 
 
 def is_bare_name(text: str) -> bool:
     """True when text is a plain local name without any namespace prefix."""
-    return re.fullmatch(_NAME, text) is not None
+    return _BARE_RE.fullmatch(text) is not None

@@ -26,6 +26,7 @@ import weakref
 from typing import Any, Callable
 
 from .bundle import _HOT, CODECS, value_encoder
+from .identifiers import Identifier
 from .model import LIST, RECORD, ProjectBundle
 from .records import FrozenDict, FrozenList
 
@@ -62,8 +63,8 @@ def _json_text(value: Any, nl: str) -> str:
     ``nl``, for free JSON (event payloads, maps) and encoded records. A
     value of any class but dict, list, tuple (or their frozen forms), str,
     int, float, bool and None, or a dict key of any class but those
-    scalars, goes to json.dumps itself; encoded JSON holds no raw newline,
-    so the re-indent is exact."""
+    scalars, goes to json.dumps itself (:func:`_dumped`); encoded JSON
+    holds no raw newline, so the re-indent is exact."""
     cls = value.__class__
     if cls is str:
         return _quote(value)
@@ -76,7 +77,7 @@ def _json_text(value: Any, nl: str) -> str:
             if key.__class__ is not str:
                 text = _SCALARS.get(key.__class__)
                 if text is None:
-                    return _dump(value).replace("\n", nl)
+                    return _dumped(value, nl)
                 key = text(key)
             parts.append(_quote(key) + ": " + _json_text(item, inner))
         return _enclose(parts, "{}", inner, nl)
@@ -86,7 +87,35 @@ def _json_text(value: Any, nl: str) -> str:
         inner = nl + "  "
         return _enclose([_json_text(item, inner) for item in value], "[]", inner, nl)
     text = _SCALARS.get(cls)
-    return _dump(value).replace("\n", nl) if text is None else text(value)
+    return _dumped(value, nl) if text is None else text(value)
+
+
+def _dumped(value: Any, nl: str) -> str:
+    """json.dumps' text of ``value``, re-indented to ``nl``. An
+    :class:`Identifier` is a tuple, which json.dumps would write as an
+    array: one anywhere in ``value`` is refused instead, as json.dumps
+    refuses any other object it does not know."""
+    _refuse_ids(value, set())
+    return _dump(value).replace("\n", nl)
+
+
+def _refuse_ids(value: Any, walking: set) -> None:
+    """Raise json.dumps' TypeError at an Identifier in the values that
+    json.dumps walks; ``walking`` holds the containers being walked, as a
+    cycle is json.dumps' own error to report."""
+    if isinstance(value, Identifier):
+        raise TypeError("Object of type Identifier is not JSON serializable")
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        return
+    if id(value) not in walking:
+        walking.add(id(value))
+        for item in items:
+            _refuse_ids(item, walking)
+        walking.discard(id(value))
 
 
 def _dumper(enc: Callable | None) -> Callable[[Any, str], str]:

@@ -238,3 +238,45 @@ def test_nested_payloads_write_and_clone_as_json_and_deepcopy_do(payload, sectio
     assert repr(copied) == repr(copy.deepcopy(payload))
     shared = {id(c) for c in _containers(payload) if not isinstance(c, tuple)}
     assert not shared & {id(c) for c in _containers(copied)}
+
+
+class _Map(dict):
+    """A dict subclass, which the writer hands to json.dumps whole."""
+
+
+@pytest.mark.parametrize("held", [
+    pytest.param(lambda i: i, id="bare"),
+    pytest.param(lambda i: [1, {"at": (i,)}], id="in-free-json"),
+    pytest.param(lambda i: {_Text("key"): i}, id="under-an-odd-key"),
+    pytest.param(lambda i: _Map(at=[i]), id="in-a-dict-subclass"),
+])
+def test_an_identifier_in_a_payload_is_refused_not_written_as_an_array(held):
+    # An id is a tuple, which json.dumps would write as an array.
+    bundle = clone(_TOY)
+    payload = {"flow": "child:C1:S1", "extra": held(Identifier("child", "C1", "S1"))}
+    bundle.events += (AuditEvent(sequence=bundle.next_sequence(), timestamp="2026-06-01T00:00:00Z",
+                                 actor="a", kind="flow_recorded", payload=payload),)
+    with pytest.raises(TypeError, match="Object of type Identifier is not JSON serializable"):
+        serialize_bundle(bundle)
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_string_in_an_identifier_field_is_refused_as_a_value_of_another_class(nested):
+    bundle = clone(_TOY)
+    if nested:  # the first assumption of the first route
+        route = bundle.routes[0]
+        assumption = _holding(route.assumptions[0], "id", "child:C1:A1")
+        bundle.routes = (replace(route, assumptions=(assumption,) + route.assumptions[1:]),) + bundle.routes[1:]
+    else:
+        bundle.units = (_holding(bundle.units[0], "study_id", "child:C1:S1"),) + bundle.units[1:]
+    assert _outcome(serialize_bundle, bundle) is AttributeError is _outcome(oracle, bundle)
+
+
+def test_a_cycle_in_a_payload_is_still_json_dumps_own_error():
+    bundle = clone(_TOY)
+    cyclic = _Map()
+    cyclic["self"] = [cyclic]
+    bundle.events += (AuditEvent(sequence=bundle.next_sequence(), timestamp="2026-06-01T00:00:00Z",
+                                 actor="a", kind="flow_recorded", payload={"extra": cyclic}),)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        serialize_bundle(bundle)
