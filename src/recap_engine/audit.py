@@ -436,9 +436,8 @@ def _citations(bundle: ProjectBundle, idents: set[Identifier]) -> set[Identifier
     ones included, or in a correspondence of an abstraction of the layer
     that owns the id."""
     found = {ref[0] for ref in bundle_module.citations(bundle, None) if ref[0] in idents}
-    for layer in bundle.layers:
+    for scope, layer in layer_scopes(bundle.layers).items():
         named = {n for ab in layer.abstractions for pair in ab.correspondence.items() for n in pair}
-        scope = (layer.id.namespace, "" if layer.kind == "grandparent" else layer.id.local_name)
         found.update(i for i in idents if (i.namespace, i.owner) == scope and i.local_name in named)
     return found
 

@@ -13,12 +13,15 @@ the indented writer behind :func:`serialize_bundle` (``writer.py``) and
 identity spec ``declares``. The decoder builds each value as its frozen
 record holds it: lists as tuples, maps and free JSON read-only.
 
-A record takes one of two paths. The general one (:meth:`_Decoder.record`)
-reports; once it has decoded :data:`_HOT` records of a class, the class
-gets a decoder generated from its specs (``codegen.py``), which builds a
-well-typed record in straight-line code and leaves any other to the
-general path. On the 448 KB seed-71 ``validate_clean`` input that makes a
-parse about 19% faster (Python 3.11, a shared 2-vCPU host).
+A class decodes, walks and writes its records on one of two paths. A cold
+class takes the general ones: :meth:`_Decoder.record`, which reports,
+:func:`_cite`, and ``writer._json_text`` of its encoding. A class turns hot
+at its :data:`_HOT`-th general decode, or with a hot class that holds it:
+its :class:`_Codec` then gets a decoder generated from its specs
+(``codegen.py``), which builds a well-typed record in straight-line code
+and leaves any other to the general path; its walk and writer are
+generated on first use. On the 448 KB seed-71 ``validate_clean`` input
+that makes a parse about 19% faster (Python 3.11, a shared 2-vCPU host).
 
 What a record cites is described once too, by its plan in :data:`PLANS`,
 and one walk, :func:`citations`, reads it. The decoder records no
@@ -151,9 +154,12 @@ class _Codec:
         lists = [(name, CODECS[spec.of.of]) for name, _, spec in self.fields
                  if spec.kind == LIST and spec.of.kind == RECORD]
         self.holds = [(name, item) for name, item in lists if item.declares or item.holds]
-        #: The generated decoder once the class is hot, the general decodes until
-        #: then, and whether a check that rewrites a field keeps it to that path.
+        #: The generated decoder, walk and writer (``codegen.py``): the class is
+        #: hot once it has the decoder (:data:`_HOT`). The general decodes until
+        #: then, and whether a check that rewrites a field keeps it cold.
         self.fast: Callable | None = None
+        self.cite: Callable[[Any, Any, list], None] | None = None
+        self.write: Callable[[Any, str], str] | None = None
         self.seen = 0
         nested = [s.of if s.kind == LIST else s for _, _, s in self.fields]
         self.general = cls in (ResolutionEffect, DeclarationAdded) or any(
@@ -176,6 +182,20 @@ class _Codec:
                 continue
             self.rest.append((name, key[0], ".".join(key), spec, (key[1], key[0] not in heads)))
             heads.add(key[0])
+
+    def walk(self) -> Callable[[Any, Any, list], None] | None:
+        """A hot class's generated walk, made on first use; None if cold."""
+        if self.cite is None and self.fast is not None:
+            from .codegen import generate_citer  # loaded by now, with the decoder
+            self.cite = generate_citer(self)
+        return self.cite
+
+    def writer(self) -> Callable[[Any, str], str] | None:
+        """A hot class's generated writer, made on first use; None if cold."""
+        if self.write is None and self.fast is not None:
+            from .codegen import generate_writer  # loaded by now, with the decoder
+            self.write = generate_writer(self)
+        return self.write
 
 
 def _record_encoder(specs: list) -> Callable[[Any], dict]:
@@ -278,27 +298,12 @@ def citations(record: Any, where: tuple | None) -> list[tuple]:
     it, and ``reference[2:]`` its own (:func:`render_position`). A position
     is ``(position above, JSON label, index or None)``; a bundle's is None."""
     out: list[tuple] = []
-    cite = _citer(record.__class__)
+    cite = CODECS[record.__class__].walk()
     if cite is None:
         _cite(record, PLANS[record.__class__][1], where, out)
     else:
         cite(record, where, out)
     return out
-
-
-#: Class -> its citation walk generated from its plan (``codegen.py``).
-_CITERS: dict[type, Callable[[Any, Any, list], None]] = {}
-
-
-def _citer(cls: type) -> Callable[[Any, Any, list], None] | None:
-    """The generated citation walk of ``cls`` once its decoder has been
-    generated (:data:`_HOT`), else None: the walk is then :func:`_cite`."""
-    cite = _CITERS.get(cls)
-    if cite is None and CODECS[cls].fast is not None:
-        from .codegen import generate_citer  # loaded by now, with the decoder
-
-        cite = _CITERS[cls] = generate_citer(cls)
-    return cite
 
 
 def _cite(record: Any, steps: tuple, where: tuple | None, out: list) -> None:
@@ -322,7 +327,7 @@ def _cite(record: Any, steps: tuple, where: tuple | None, out: list) -> None:
                 if ":" in text and ("child:" in text or "parent:" in text or "gp:" in text):
                     out += [(ref, of, where, label, i) for ref in extract_references(text)]
         elif value:
-            cite = _citer(of)
+            cite = CODECS[of].walk()
             if cite is None:
                 inner = PLANS[of][1]
                 for i, item in enumerate(value):
@@ -554,10 +559,10 @@ _new = object.__new__
 _set_dict = object.__setattr__  # a frozen record's own __setattr__ refuses
 
 
-#: A class's decoder is generated at its 256th general decode: compiling costs
-#: 0.1-0.9 ms, uncached, against 1.5 us saved a record. The writer generates a
-#: class's writer at its 256th top-level record written on the general path
-#: (``writer._HOT``). Only tests set either.
+#: A class is hot once its decoder is generated: at its 256th general decode,
+#: or with the decoder of a hot class that holds it. Compiling costs 0.1-0.9 ms,
+#: uncached, against 1.5 us saved a record. Its citation walk and writer are
+#: each generated on first use after that. Only tests set this.
 _HOT = 256
 #: What a generated decoder (``codegen.py``) returns for a value that is
 #: not well typed; and what it reads a missing list or object as.

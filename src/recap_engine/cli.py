@@ -43,6 +43,18 @@ def _emit_diagnostics(diags: list[Diagnostic]) -> None:
         print(line, file=sys.stderr)
 
 
+def _out(text: str, end: str = "\n") -> None:
+    """Print to stdout, flushed. Once a reader has closed it, stdout is
+    pointed at os.devnull, so later writes and the interpreter's final
+    flush go nowhere and the command returns its own exit code."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _read_text(path: str, what: str) -> str | None:
     """The file's text as text mode reads it, or None once the reason it
     cannot be read is reported: the OS error, or the line of the first byte
@@ -112,9 +124,9 @@ def _cmd_validate(args) -> int:
         return EXIT_USAGE
     report = compliance_verdict(bundle)
     if args.format == "structured":
-        print(render_report(report, "structured"))
+        _out(render_report(report, "structured"))
     else:
-        print(report.verdict)
+        _out(report.verdict)
         _emit_diagnostics(report.findings)
     return EXIT_OK if report.verdict == "compliant" else EXIT_VIOLATIONS
 
@@ -139,9 +151,9 @@ def _cmd_tier(args) -> int:
             diags.extend(exc.diagnostics)
             continue
         if args.unit:
-            print(f"{decision.tier.label} ({decision.rule_id})")
+            _out(f"{decision.tier.label} ({decision.rule_id})")
         else:
-            print(f"{unit.study_id.render()}  {decision.tier.label} ({decision.rule_id})")
+            _out(f"{unit.study_id.render()}  {decision.tier.label} ({decision.rule_id})")
         if unit.declared_tier is not None:
             diags.extend(check_tier_declaration(unit))
     _emit_diagnostics(diags)
@@ -164,7 +176,7 @@ def _cmd_route(args) -> int:
         diags = check_route_coherence(bundle, project.id)
         _emit_diagnostics(diags)
         has_error = any(d.severity == Severity.ERROR for d in diags)
-        print("coherent" if not has_error else "incoherent")
+        _out("coherent" if not has_error else "incoherent")
         return EXIT_VIOLATIONS if has_error else EXIT_OK
     from .cli_write import freeze
 
@@ -182,15 +194,15 @@ def _cmd_scan(args) -> int:
         return EXIT_USAGE
     events = scan_bundle(bundle)
     if args.format == "structured":
-        print(json.dumps({"events": [encode(e) for e in events]}, indent=2))
+        _out(json.dumps({"events": [encode(e) for e in events]}, indent=2))
         return EXIT_VIOLATIONS if events else EXIT_OK
     for event in events:
         via = f" via {event.site.token}" if event.site.token else ""
-        print(
+        _out(
             f"{event.id} {event.rule_violated} {event.direction} "
             f"at {event.site.container}{via} ({event.location})"
         )
-    print(f"{len(events)} contamination event(s)")
+    _out(f"{len(events)} contamination event(s)")
     return EXIT_VIOLATIONS if events else EXIT_OK
 
 
@@ -212,7 +224,7 @@ def _cmd_report(args) -> int:
                 print("no reviewer block for project", file=sys.stderr)
                 return EXIT_VIOLATIONS
             artifact = blocks[0]
-        print(render_report(artifact, fmt), end="")
+        _out(render_report(artifact, fmt), end="")
     except OperationRejected as exc:
         _emit_diagnostics(exc.diagnostics)
         return EXIT_VIOLATIONS if any(
@@ -232,7 +244,7 @@ def _cmd_explain(args) -> int:
     if text is None:
         print(f"unknown code {args.code!r}", file=sys.stderr)
         return EXIT_USAGE
-    print(text)
+    _out(text)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .bundle import decode, decode_field, lone_surrogate, serialize_bundle
 from .cli import EXIT_OK, EXIT_USAGE, LockUnavailable, _emit_diagnostics, _load
-from .cli import _load_project, _read_text
+from .cli import _load_project, _out, _read_text
 from .model import ChangelogEntry, LayerDecl, ProjectBundle
 from .operations import bump_version, freeze_route
 from .routing import committed_route
@@ -31,7 +31,7 @@ def freeze(args) -> int:
         freeze_route(bundle, project.id, timestamp=args.timestamp, actor=args.actor)
         _write_atomic(args.bundle, bundle)
     route = committed_route(bundle, project)
-    print(f"frozen {route.id.render()} at {route.frozen_at}")
+    _out(f"frozen {route.id.render()} at {route.frozen_at}")
     return EXIT_OK
 
 
@@ -69,7 +69,7 @@ def bump(args) -> int:
             new_laws = list(bundle.grandparent().laws)
         bump_version(bundle, entry, new_laws, actor=args.actor)
         _write_atomic(args.bundle, bundle)
-    print(f"version {bundle.grandparent().version}")
+    _out(f"version {bundle.grandparent().version}")
     return EXIT_OK
 
 

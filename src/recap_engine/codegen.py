@@ -1,10 +1,10 @@
 """Record decoders, writers and citation walks generated from the codec's
 specs and plans, as ``dataclasses`` and ``attrs`` build ``__init__`` and
-``cattrs`` its structuring functions. ``bundle.py`` imports this module
-once a class is hot for decoding, and ``writer.py`` once one is hot for
-writing (both at ``bundle._HOT`` records), so a command on a small bundle
-does not compile it. A class's citation walk is generated once its decoder
-has been.
+``cattrs`` its structuring functions. A class is hot once its decoder is
+generated: at its ``bundle._HOT``-th general decode, or with the decoder of
+a hot class that holds it. Its citation walk and writer are generated on
+their first use after that. All three live on the class's codec, so a
+command on a small bundle does not load this module.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Callable
 
 from . import bundle
 from .bundle import _CHILD_IDS, CODECS, REF, REFS, TEXT, TEXTS, _identity, _layer_identity
-from .identifiers import Identifier, extract_references
+from .identifiers import extract_references
 from .model import BOOL, ENUM, IDENT, INT, JSON, LAYER, LIST, MAP, RECORD, STR, TIER
 from .model import AuditEvent, DeclaredAssumption, EvidentialUnit, LayerDecl, Spec, Tier
 
@@ -74,12 +74,18 @@ def generate(codec: Any) -> Callable:
     values = ", ".join(f"{name!r}: f_{name}" for name, _, _ in codec.fields)
     lines += [*_GUARDS.get(codec.cls, ()), "record = _new(Cls)",
               f"_set_dict(record, '__dict__', {{{values}}})", "return record"]
-    # It reads bundle's names, and its own constants from the closure of make.
     consts["Cls"] = codec.cls
-    source = "".join([f"def make({', '.join(consts)}):\n", "    def decode(dec, obj, ctx):\n",
-                      *(f"        {line}\n" for line in lines), "    return decode\n"])
+    return _compiled("decode", "dec, obj, ctx", lines, consts, codec)
+
+
+def _compiled(name: str, params: str, lines: list[str], consts: dict, codec: Any) -> Callable:
+    """The function ``name(params)`` of body ``lines`` for ``codec``'s
+    class. It reads bundle's names, and its constants from the closure of
+    ``make``, which takes them."""
+    source = "".join([f"def make({', '.join(consts)}):\n", f"    def {name}({params}):\n",
+                      *(f"        {line}\n" for line in lines or ["pass"]), f"    return {name}\n"])
     namespace: dict[str, Any] = {}
-    exec(compile(source, f"<decode {codec.name}>", "exec"), vars(bundle), namespace)
+    exec(compile(source, f"<{name} {codec.name}>", "exec"), vars(bundle), namespace)
     return namespace["make"](**consts)
 
 
@@ -150,8 +156,7 @@ def generate_writer(codec: Any) -> Callable[[Any, str], str]:
 
     consts: dict[str, Any] = {
         "Cls": codec.cls, "size": len(codec.fields), "dumped": writer._dumper(codec.encode),
-        "q": _quote, "T": _TIER_TEXT, "int_text": int.__repr__,
-        "Identifier": Identifier, "Tier": Tier,
+        "q": _quote, "T": _TIER_TEXT, "int_text": int.__repr__, "templates": {},
     }
     # Each key of the object in order: a field, or a key path's head with
     # every field under it, where the head first appears.
@@ -192,12 +197,7 @@ def generate_writer(codec: Any) -> Callable[[Any, str], str]:
         read,
         f"return t % ({''.join(text + ', ' for text in texts)})",
     ]
-    source = "".join([f"def make({', '.join(consts)}):\n", "    templates = {}\n",
-                      "    def write(record, nl):\n", *(f"        {line}\n" for line in lines),
-                      "    return write\n"])
-    namespace: dict[str, Any] = {}
-    exec(compile(source, f"<write {codec.name}>", "exec"), {}, namespace)
-    return namespace["make"](**consts)
+    return _compiled("write", "record, nl", lines, consts, codec)
 
 
 def _key(key: str) -> str:
@@ -230,7 +230,10 @@ def _text(spec: Spec, v: str, depth: int, consts: dict, strings: dict) -> str:
 
     at = _string(strings, "i", depth)
     if spec.kind == RECORD:  # its writer checks its class
-        return f"{_const(consts, writer._generated(spec.of))}({v}, {at})"
+        nested = CODECS[spec.of]
+        if nested.write is None:
+            nested.write = generate_writer(nested)
+        return f"{_const(consts, nested.write)}({v}, {at})"
     general = f"{_const(consts, writer._dumper(bundle.value_encoder(spec)))}({v}, {at})"
     if spec.kind == LIST:  # joined inline; the brackets join round the items
         x = f"x{depth + 1}"
@@ -277,13 +280,14 @@ def _const(consts: dict, value: Any) -> str:
 _CITES = "':' in {0} and ('child:' in {0} or 'parent:' in {0} or 'gp:' in {0})"
 
 
-def generate_citer(cls: type) -> Callable[[Any, Any, list], None]:
-    """The citation walk of ``cls``: ``(record, where, out)`` appends to
-    ``out`` what ``bundle._cite`` would for ``record`` under its plan
-    (``bundle.PLANS``), in straight-line code, one block a step. A nested
-    list's records go through their class's own walk, generated with it."""
+def generate_citer(codec: Any) -> Callable[[Any, Any, list], None]:
+    """The citation walk of ``codec``'s class: ``(record, where, out)``
+    appends to ``out`` what ``bundle._cite`` would for ``record`` under its
+    plan (``bundle.PLANS``), in straight-line code, one block a step. A
+    nested list's records go through their class's own walk, generated if
+    need be."""
     consts: dict[str, Any] = {"extract": extract_references}
-    steps = bundle.PLANS[cls][1]
+    steps = bundle.PLANS[codec.cls][1]
     lines = []
     for step, name, label, of in steps:
         v, at = f"f_{name}", repr(label)
@@ -299,10 +303,10 @@ def generate_citer(cls: type) -> Callable[[Any, Any, list], None]:
             lines += [f"for i, t in enumerate({v}):", f"    if {_CITES.format('t')}:",
                       f"        out += [(r, {expect}, where, {at}, i) for r in extract(t)]"]
         else:  # DECLS or ITEMS
-            nested = bundle._CITERS.get(of)
-            if nested is None:
-                nested = bundle._CITERS[of] = generate_citer(of)
-            cite = _const(consts, nested)
+            nested = CODECS[of]
+            if nested.cite is None:
+                nested.cite = generate_citer(nested)
+            cite = _const(consts, nested.cite)
             lines += [f"if {v}:", f"    for i, x in enumerate({v}): {cite}(x, (where, {at}, i), out)"]
     names = [name for _, name, _, _ in steps]
     if len(names) == 1:  # itemgetter of one key gives the value itself
@@ -310,8 +314,4 @@ def generate_citer(cls: type) -> Callable[[Any, Any, list], None]:
     elif names:
         consts["get"] = itemgetter(*names)
         lines.insert(0, "".join(f"f_{name}, " for name in names) + "= get(record.__dict__)")
-    source = "".join([f"def make({', '.join(consts)}):\n", "    def cite(record, where, out):\n",
-                      *(f"        {line}\n" for line in lines or ["pass"]), "    return cite\n"])
-    namespace: dict[str, Any] = {}
-    exec(compile(source, f"<cite {CODECS[cls].name}>", "exec"), {}, namespace)
-    return namespace["make"](**consts)
+    return _compiled("cite", "record, where, out", lines, consts, codec)

@@ -6,12 +6,12 @@ ensure_ascii=False)`` renders; ``json.dumps`` with an indent would use the
 pure-Python encoder. ``bundle.py`` imports this module on first use, so
 commands that never write a bundle do not load it.
 
-A record takes one of two paths, as in the decoder. The general one
-encodes it and renders the JSON (:func:`_json_text`). Once
-:func:`write_bundle` has written ``bundle._HOT`` top-level records of a
-class, the class gets a writer generated from its specs (``codegen.py``),
-which fills one ``%`` template per indent from straight-line field
-expressions. A command on a small bundle compiles none.
+A record takes its class's path, as in the decoder. A cold class's
+records are encoded and the JSON rendered (:func:`_json_text`). A hot
+class, one whose decoder is generated, gets a writer generated from its
+specs (``codegen.py``) the first time one of its records is written
+(``bundle._Codec.writer``); it fills one ``%`` template per indent from
+straight-line field expressions. A command on a small bundle compiles none.
 
 Records below the bundle are frozen values, so a record's text is a
 function of the record alone. :func:`write_bundle` keeps the text of each
@@ -25,7 +25,7 @@ import json
 import weakref
 from typing import Any, Callable
 
-from .bundle import _HOT, CODECS, value_encoder
+from .bundle import CODECS, value_encoder
 from .identifiers import Identifier
 from .model import LIST, RECORD, ProjectBundle
 from .records import FrozenDict, FrozenList
@@ -133,22 +133,6 @@ def _enclose(parts: list[str], brackets: str, inner: str, nl: str) -> str:
     return ("," + inner).join(parts)
 
 
-#: Class -> its generated writer, once it is hot; and how many top-level
-#: records of each class :func:`write_bundle` has written on the general path.
-_FAST: dict[type, Callable[[Any, str], str]] = {}
-_seen: dict[type, int] = {}
-
-
-def _generated(cls: type) -> Callable[[Any, str], str]:
-    """The generated writer of ``cls``, generated now if need be."""
-    fast = _FAST.get(cls)
-    if fast is None:
-        from .codegen import generate_writer  # loaded only once a class is hot
-
-        fast = _FAST[cls] = generate_writer(CODECS[cls])
-    return fast
-
-
 # ---------------------------------------------------------------------------
 # The bundle, from the texts of its top-level records
 # ---------------------------------------------------------------------------
@@ -200,16 +184,13 @@ def write_bundle(bundle: Any) -> str:
         if section is None or value.__class__ is not tuple or set(map(type, value)) != {section}:
             pieces.append(write(value, _TOP))
             continue
-        fast, encode = _FAST.get(section), CODECS[section].encode
+        codec = CODECS[section]
+        fast, encode = codec.writer(), codec.encode
         pieces.append("[" + _ITEM)
         for record in value:
             key = id(record)
             entry = old.get(key)
             if entry is None:
-                if fast is None:
-                    seen = _seen[section] = _seen.get(section, 0) + 1
-                    if seen >= _HOT:
-                        fast = _generated(section)
                 text = _json_text(encode(record), _ITEM) if fast is None else fast(record, _ITEM)
                 entry = (record, text)
             texts[key] = entry

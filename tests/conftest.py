@@ -24,75 +24,33 @@ def toy_file(tmp_path):
     return path
 
 
-def set_decoders(monkeypatch, mode: str) -> None:
-    """Decode each record by its class's generated decoder, generated now
-    for every class that has one ("generated"), or every record by the
-    general path ("general"); ``monkeypatch`` puts the decoders back
-    afterwards. A class's citation walk is generated with its decoder, so
-    the walks generated before are dropped too."""
-    monkeypatch.setattr(bundle, "_HOT", 0 if mode == "generated" else math.inf)
-    monkeypatch.setattr(bundle, "_CITERS", {})
+def set_paths(monkeypatch, mode: str) -> None:
+    """Put every record class but the bundle into the hot state, with its
+    decoder generated now ("generated"), or every class into the cold
+    state ("general"); ``monkeypatch`` puts each codec back afterwards. A
+    hot class's citation walk and writer are generated on first use; a
+    cold class decodes, walks and writes on the general paths. No class
+    changes state while it is set: ``bundle._HOT`` is out of reach. The
+    bundle stays on the general paths, as in a parse, and so do the
+    classes a check keeps cold. Texts kept from an earlier write are
+    dropped, so each record is written on the path chosen."""
+    monkeypatch.setattr(bundle, "_HOT", math.inf)
     for codec in bundle.CODECS.values():
-        monkeypatch.setattr(codec, "fast", None)
-        monkeypatch.setattr(codec, "seen", 0)
-    for codec in bundle.CODECS.values():
-        if mode == "generated" and not codec.general and codec.fast is None:
-            codec.fast = codegen.generate(codec)
-
-
-@pytest.fixture(params=["generated", "general"])
-def decoders(request, monkeypatch):
-    """Runs a test once with every record decoded by its generated decoder
-    and once by the general path alone."""
-    set_decoders(monkeypatch, request.param)
-    return request.param
-
-
-def set_writers(monkeypatch, mode: str) -> None:
-    """Write each record by its class's generated writer, generated now for
-    every class ("generated"), or every record by the general writer
-    ("general"); ``monkeypatch`` puts the writers back afterwards. Texts
-    kept from an earlier write are dropped, so each record is written on
-    the path chosen."""
-    monkeypatch.setattr(writer, "_HOT", 0 if mode == "generated" else math.inf)
-    monkeypatch.setattr(writer, "_FAST", {})
-    monkeypatch.setattr(writer, "_seen", {})
+        for name, cold in (("fast", None), ("cite", None), ("write", None), ("seen", 0)):
+            monkeypatch.setattr(codec, name, cold)
     writer._texts = {}
     if mode == "generated":
-        for cls in bundle.CODECS:
-            writer._generated(cls)
+        for codec in bundle.CODECS.values():
+            if codec.fast is None and not codec.general and codec.cls is not bundle.ProjectBundle:
+                codec.fast = codegen.generate(codec)
 
 
 @pytest.fixture(scope="module", params=["generated", "general"])
-def writers(request):
-    """Runs a module's tests once with every record written by its
-    generated writer and once by the general writer alone. Module-scoped,
-    so a hypothesis test keeps one path for all its examples."""
+def paths(request):
+    """Runs a test once with every record class hot and once with every
+    one cold (:func:`set_paths`). Module-scoped, so a hypothesis test keeps
+    one path for all its examples; the codecs, not their methods, hold the
+    state, so the module's other tests run on a path the product runs."""
     with pytest.MonkeyPatch.context() as mp:
-        set_writers(mp, request.param)
-        yield request.param
-
-
-def set_citers(monkeypatch, mode: str) -> None:
-    """Walk what each record cites by its class's generated citation walk,
-    generated now for every class but the bundle, whose step over its
-    sections stays on the general walk as it does in a parse
-    ("generated"), or by the general walk alone ("general");
-    ``monkeypatch`` puts the walks back afterwards."""
-    monkeypatch.setattr(bundle, "_CITERS", {})
-    if mode == "general":
-        monkeypatch.setattr(bundle, "_citer", lambda cls: None)
-        return
-    for cls in bundle.PLANS:
-        if cls is not bundle.ProjectBundle and cls not in bundle._CITERS:
-            bundle._CITERS[cls] = codegen.generate_citer(cls)
-
-
-@pytest.fixture(scope="module", params=["generated", "general"])
-def citers(request):
-    """Runs a module's tests once with every record's citations walked by
-    its generated walk and once by the general walk alone. Module-scoped,
-    so a hypothesis test keeps one path for all its examples."""
-    with pytest.MonkeyPatch.context() as mp:
-        set_citers(mp, request.param)
+        set_paths(mp, request.param)
         yield request.param

@@ -5,7 +5,7 @@ there, by a parse of the written bundle and by the write check alike.
 
 The walk has two paths, the general ``bundle._cite`` and the walks
 generated from the plans (``codegen.generate_citer``); every test here
-runs on both (the ``citers`` fixture), and a differential holds them to
+runs on both (the ``paths`` fixture), and a differential holds them to
 one list."""
 
 import random
@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import set_citers
+from conftest import set_paths
 from genbundles import TimeSource, inject_borrowings, inject_faults, parse_dict
 from genbundles import random_bundle_dict
 from test_audit import random_ops_session
 from toy import toy_bundle
 
 from recap_engine import codegen
-from recap_engine.bundle import citations, clone, decode, encode, parse_bundle
+from recap_engine.bundle import CODECS, citations, clone, decode, encode, parse_bundle
 from recap_engine.bundle import serialize_bundle, write_errors
 from recap_engine.diagnostics import Severity
 
@@ -74,7 +74,7 @@ def _check(bundle, ref):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), borrow=st.booleans(), pick=st.integers(0, 10**6))
-def test_an_undeclared_id_at_any_cited_place_is_unresolved_there(citers, seed, borrow, pick):
+def test_an_undeclared_id_at_any_cited_place_is_unresolved_there(paths, seed, borrow, pick):
     doc = random_bundle_dict(random.Random(seed))
     if borrow:
         inject_borrowings(doc)  # texts citing ids, among other places
@@ -87,11 +87,11 @@ TOY = toy_bundle()
 
 
 @pytest.mark.parametrize("ref", citations(TOY, None), ids=lambda ref: f"{_steps(ref[2])}.{ref[3]}")
-def test_an_undeclared_id_at_each_place_the_toy_cites_is_unresolved_there(citers, ref):
+def test_an_undeclared_id_at_each_place_the_toy_cites_is_unresolved_there(paths, ref):
     _check(TOY, ref)
 
 
-def test_the_walk_yields_references_in_field_order_nested_in_place_texts_last(citers):
+def test_the_walk_yields_references_in_field_order_nested_in_place_texts_last(paths):
     doc = random_bundle_dict(random.Random(4))
     assert inject_borrowings(doc)
     bundle = parse_dict(doc)
@@ -122,12 +122,12 @@ def _walks(record, where) -> list[list[tuple]]:
     by the generated walk of its own class called directly, and by the
     general walk alone."""
     with pytest.MonkeyPatch.context() as mp:
-        set_citers(mp, "generated")
+        set_paths(mp, "generated")
         own: list[tuple] = []
-        codegen.generate_citer(record.__class__)(record, where, own)
+        codegen.generate_citer(CODECS[record.__class__])(record, where, own)
         walks = [citations(record, where), own]
     with pytest.MonkeyPatch.context() as mp:
-        set_citers(mp, "general")
+        set_paths(mp, "general")
         walks.append(citations(record, where))
     return walks
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from genbundles import edit
+from genbundles import edit, inject_faults, random_bundle_dict
 from toy import FREEZE_TS, over_long_integer_text, toy_dict, toy_text, variant
 
 import recap_engine
@@ -492,24 +493,60 @@ def test_read_only_commands_never_import_the_writer(toy_file, argv):
 
 
 def test_a_write_command_on_the_toy_generates_no_writer(tmp_path):
-    # A small bundle keeps every class below bundle._HOT top-level records,
-    # so the write encodes each record and never loads the generator.
+    # A small bundle keeps every class below bundle._HOT decodes, so every
+    # class stays cold: the write encodes each record and never loads the
+    # generator.
     path = tmp_path / "unfrozen.bundle"
     path.write_text(json.dumps(toy_dict()))
     imported = _imported(["route", str(path), "freeze", "--timestamp", FREEZE_TS])
     assert "recap_engine.writer" in imported
     assert "recap_engine.codegen" not in imported
-    # Nor does it generate a citation walk, for the parse or the write check.
+    # Nor does any codec get generated code, for the parse, the write check
+    # or the write.
     path.write_text(json.dumps(toy_dict()))
-    code = ("import sys\nfrom recap_engine.bundle import _CITERS\n"
+    code = ("import sys\nfrom recap_engine.bundle import CODECS\n"
             "from recap_engine.cli import main\n"
             f"assert main(['route', {str(path)!r}, 'freeze', '--timestamp', {FREEZE_TS!r}]) == 0\n"
-            "print(sorted(cls.__name__ for cls in _CITERS), 'recap_engine.codegen' in sys.modules)\n")
+            "print(sorted(c.name for c in CODECS.values() if c.fast or c.cite or c.write),\n"
+            "      'recap_engine.codegen' in sys.modules)\n")
     src = str(Path(recap_engine.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=False)
     assert done.returncode == 0, done.stderr[-500:]
     assert done.stdout.splitlines()[-1] == "[] False"
+
+
+def _run_with_stdout_closed(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of a CLI run in a fresh interpreter whose
+    stdout is a pipe closed for reading before the run starts."""
+    src = str(Path(recap_engine.__file__).parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "recap_engine", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=False)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
+def test_a_closed_stdout_keeps_each_commands_exit_code(tmp_path, toy_file):
+    rng = random.Random(5)
+    doc = random_bundle_dict(rng, n_parents=2)
+    inject_faults(rng, doc, 3)
+    faulty = tmp_path / "faulty.bundle"
+    faulty.write_text(json.dumps(doc), encoding="utf-8")
+    for argv, code in [
+        (["validate", str(faulty), "--format", "structured"], 1),
+        (["validate", str(toy_file), "--format", "structured"], 0),
+        (["scan", str(faulty), "--format", "structured"], 1),
+        (["report", str(toy_file), "study-log"], 0),
+    ]:
+        assert main(argv) == code  # what a reader of stdout sees
+        returned, err = _run_with_stdout_closed(argv)
+        assert returned == code, (argv, err)
+        assert "internal error" not in err and "Exception ignored" not in err
 
 
 def test_explain_loads_only_the_diagnostics():

@@ -61,7 +61,7 @@ def sweep() -> list[list]:
     return rows
 
 
-def test_type_swap_diagnostics_match_fixture(decoders):
+def test_type_swap_diagnostics_match_fixture(paths):
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
     actual = sweep()
     assert len(actual) == len(expected) == 2322

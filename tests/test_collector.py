@@ -26,7 +26,7 @@ def _big_contaminated_text() -> str:
     return json.dumps(doc)
 
 
-def test_the_engine_leaves_no_cyclic_garbage(decoders, writers):
+def test_the_engine_leaves_no_cyclic_garbage(paths):
     texts = [toy_text(), _big_contaminated_text()]
     rng, clock = random.Random(11), TimeSource()
     gc.collect()

@@ -353,7 +353,7 @@ def capture() -> list[dict]:
     return rows
 
 
-def test_decoder_diagnostics_match_the_differential_fixture(decoders):
+def test_decoder_diagnostics_match_the_differential_fixture(paths):
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
     actual = capture()
     assert len(actual) == len(expected) > N_DOCS
@@ -395,14 +395,14 @@ def _parses_or_reports(text: str) -> None:
     assert result.bundle is not None or result.errors()
 
 
-# The decoders fixture sets the decode path once for all examples.
+# The paths fixture sets the decode path once for all examples.
 _ONCE = [HealthCheck.function_scoped_fixture]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=_ONCE)
 @given(value=_JSON | st.dictionaries(st.sampled_from(list(_TOY)), _JSON, max_size=10))
-def test_parse_bundle_never_raises_on_arbitrary_json(decoders, value):
+def test_parse_bundle_never_raises_on_arbitrary_json(paths, value):
     _parses_or_reports(json.dumps(value))
 
 
@@ -418,7 +418,7 @@ def test_parse_bundle_never_raises_on_arbitrary_json(decoders, value):
         max_size=3,
     )
 )
-def test_parse_bundle_never_raises_on_mutated_toy_documents(decoders, edits):
+def test_parse_bundle_never_raises_on_mutated_toy_documents(paths, edits):
     doc = _TOY
     for index, value in edits:
         try:

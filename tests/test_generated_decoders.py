@@ -5,7 +5,7 @@ the general path reports, wherever that path would report anything. The
 decode-differential and type-swap fixtures run on each path alone; these
 tests compare the two on mutated documents, check that a refused record is
 reported once, and that a small bundle generates nothing. A class's
-citation walk is generated once its decoder is."""
+citation walk and writer are generated only once its decoder is."""
 
 from __future__ import annotations
 
@@ -19,13 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import set_decoders
-from genbundles import inject_faults, random_bundle_dict
+import test_audit
+from conftest import set_paths
+from genbundles import TimeSource, inject_faults, parse_dict, random_bundle_dict
+from test_audit import random_ops_session
 from test_decode_differential import _add_sections, _mutate
 from toy import toy_dict
 
 from recap_engine import bundle
-from recap_engine.bundle import parse_bundle, serialize_bundle
+from recap_engine.bundle import CODECS, parse_bundle, serialize_bundle
+from recap_engine.reporting import compliance_verdict
 
 
 def _both(text: str) -> dict:
@@ -33,7 +36,7 @@ def _both(text: str) -> dict:
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         for mode in ("general", "generated"):
-            set_decoders(mp, mode)
+            set_paths(mp, mode)
             result = parse_bundle(text)
             diags = [(d.code, d.location, d.message) for d in result.diagnostics]
             out[mode] = diags, result.bundle and serialize_bundle(result.bundle)
@@ -76,34 +79,86 @@ def test_a_refused_record_is_reported_once(path, value):
     assert both["general"] == both["generated"]
 
 
-def test_a_small_bundle_generates_no_decoder():
-    # A read command on a small bundle must not pay for compiling one, nor
-    # a citation walk, nor for compiling the generator.
-    code = (
-        "import json, random, sys\n"
-        "from genbundles import random_bundle_dict\n"
-        "from toy import toy_text\n"
-        "from recap_engine.bundle import _CITERS, CODECS, parse_bundle\n"
-        "assert parse_bundle(toy_text()).ok\n"
-        "doc = random_bundle_dict(random.Random(5), n_parents=2, n_children=5, n_units=8)\n"
-        "assert parse_bundle(json.dumps(doc)).ok\n"
-        "print(sorted(c.name for c in CODECS.values() if c.fast is not None))\n"
-        "print(sorted(cls.__name__ for cls in _CITERS))\n"
-        "print('recap_engine.codegen' in sys.modules)\n"
-    )
+def _generated_in_a_fresh_process(lines: list[str]) -> list[str]:
+    """What ``lines`` print, run in a fresh interpreter, followed by the
+    classes with a generated decoder, walk and writer, one line each, and
+    whether the generator was loaded."""
+    code = "\n".join([
+        "import json, random, sys", "from recap_engine.bundle import CODECS", *lines,
+        *(f"print(sorted(c.name for c in CODECS.values() if c.{name} is not None))"
+          for name in ("fast", "cite", "write")),
+        "print('recap_engine.codegen' in sys.modules)", "",
+    ])
     root = Path(__file__).resolve().parent.parent
     env = {"PYTHONPATH": f"{root / 'src'}:{root / 'tests'}", "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=False)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n[]\nFalse\n"
+    return done.stdout.splitlines()
 
 
-def test_a_class_walks_its_citations_generated_once_its_decoder_is(decoders):
+def test_a_small_bundle_generates_no_decoder():
+    # A read command on a small bundle must not pay for compiling one, nor
+    # a citation walk, nor for compiling the generator.
+    printed = _generated_in_a_fresh_process([
+        "from genbundles import random_bundle_dict",
+        "from toy import toy_text",
+        "from recap_engine.bundle import parse_bundle",
+        "assert parse_bundle(toy_text()).ok",
+        "doc = random_bundle_dict(random.Random(5), n_parents=2, n_children=5, n_units=8)",
+        "assert parse_bundle(json.dumps(doc)).ok",
+    ])
+    assert printed == ["[]", "[]", "[]", "False"]
+
+
+def test_a_read_command_past_the_threshold_generates_decoders_and_walks_but_no_writer(tmp_path):
+    path = tmp_path / "large.bundle"
+    doc = random_bundle_dict(random.Random(5), n_children=4, n_units=75)
+    assert len(doc["units"]) == 300 > bundle._HOT
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    printed = _generated_in_a_fresh_process([
+        "from recap_engine.cli import main",
+        f"print(main(['validate', {str(path)!r}]))",
+    ])
+    code, decoded, walked, written, loaded = printed[-5:]
+    assert code in ("0", "1")
+    assert "evidential_unit" in decoded and "evidential_unit" in walked
+    assert written == "[]" and loaded == "True"
+
+
+def test_a_class_walks_its_citations_generated_once_its_decoder_is(paths):
     parsed = parse_bundle(json.dumps(toy_dict()))
     assert parsed.ok
-    walked = set(bundle._CITERS)
-    if decoders == "general":
+    walked = {codec.cls for codec in CODECS.values() if codec.cite is not None}
+    if paths == "general":
         assert walked == set()
     else:
         assert {type(parsed.bundle.units[0]), type(parsed.bundle.layers[0])} <= walked
+
+
+def _hot_rule_holds() -> None:
+    """A class has a generated walk or writer only once its decoder is."""
+    for codec in CODECS.values():
+        assert codec.fast is not None or (codec.cite is None and codec.write is None), codec.name
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_class_has_a_generated_walk_or_writer_only_once_its_decoder_is(seed):
+    def parse(doc):
+        live = parse_dict(doc)
+        _hot_rule_holds()
+        return live
+
+    def step(snapshot, live):
+        _hot_rule_holds()
+        for run in (compliance_verdict, serialize_bundle):
+            run(live)
+            _hot_rule_holds()
+
+    with pytest.MonkeyPatch.context() as mp:
+        set_paths(mp, "general")
+        mp.setattr(bundle, "_HOT", 3)  # so that classes turn hot in the session
+        mp.setattr(test_audit, "parse_dict", parse)
+        random_ops_session(random.Random(seed), TimeSource(), step=step)
+        assert any(codec.write is not None for codec in CODECS.values())

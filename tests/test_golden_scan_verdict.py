@@ -94,7 +94,7 @@ def capture() -> list[dict]:
     return rows
 
 
-def test_scan_and_verdict_match_golden_fixture(decoders):
+def test_scan_and_verdict_match_golden_fixture(paths):
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
     actual = capture()
     assert len(actual) == len(expected) == N_RANDOM + 1

@@ -170,7 +170,7 @@ def _second_c1_layer(doc: dict) -> None:
     doc["projects"][0]["layer_ref"] = "child:C1:C1"
 
 
-def test_a_layer_id_under_another_owner_is_one_syntax_error(decoders):
+def test_a_layer_id_under_another_owner_is_one_syntax_error(paths):
     doc = variant(_second_c1_layer)
     where = f"layers[{len(doc['layers']) - 1}].id"
     assert _diagnostics(doc) == [

@@ -317,7 +317,7 @@ def test_each_payload_decodes_once_over_a_run_of_writes(monkeypatch):
     assert {id(payload) for payload in decoded} == {id(e.payload) for e in bundle.events}
 
 
-def test_the_verdict_reads_each_payload_as_the_parse_decoded_it(monkeypatch, decoders):
+def test_the_verdict_reads_each_payload_as_the_parse_decoded_it(monkeypatch, paths):
     decoded = []
     decode = bundle_module._decode_payload
 

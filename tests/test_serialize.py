@@ -22,13 +22,13 @@ from test_audit import random_ops_session
 from toy import toy_bundle
 
 from recap_engine import writer
-from recap_engine.bundle import clone, decode, encode, serialize_bundle
+from recap_engine.bundle import CODECS, clone, decode, encode, serialize_bundle
 from recap_engine.identifiers import Identifier
 from recap_engine.model import AnalyticMemo, AuditEvent, ContaminationResolved
 from recap_engine.records import replace
 
-# Every test here runs on the generated writers and on the general writer.
-pytestmark = pytest.mark.usefixtures("writers")
+# Every test here runs with every class hot and with every class cold.
+pytestmark = pytest.mark.usefixtures("paths")
 
 
 def oracle(bundle) -> str:
@@ -39,7 +39,7 @@ def test_toy_bundle_matches_the_oracle():
     assert serialize_bundle(toy_bundle()) == oracle(toy_bundle())
 
 
-def test_faulty_random_bundles_match_the_oracle(decoders):
+def test_faulty_random_bundles_match_the_oracle():
     rng = random.Random(4040)
     for k in range(10):
         for _ in range(3):
@@ -179,7 +179,7 @@ def test_true_in_an_int_field_of_a_nested_record_renders_as_json_dumps_does():
         "contamination": contamination, "action": "reversed",
         "effects": [{"op": "quarantine", "target": "child:C1:S1"}]})
     record = _holding(record, "effects", (_holding(record.effects[0], "index", True),))
-    text = (writer._FAST.get(ContaminationResolved) or writer._dumper(encode))(record, "\n")
+    text = (CODECS[ContaminationResolved].writer() or writer._dumper(encode))(record, "\n")
     assert '"index": true' in text
     assert text == json.dumps(encode(record), indent=2, ensure_ascii=False)
 

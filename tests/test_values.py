@@ -5,7 +5,7 @@ its maps and free JSON read-only, so nothing below the bundle changes in
 place. ``serialize_bundle`` keeps the text of each top-level record it
 last rendered and renders only the records a write replaced; these tests
 check that the reused text is always the text a cold render gives, with
-records written by their generated writers and by the general writer.
+records written with every class hot and with every class cold.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import set_paths
 from genbundles import TimeSource
 from test_audit import _session_bundles, random_ops_session
 from toy import toy_bundle
 
+from recap_engine import bundle as bundle_module
 from recap_engine import records, writer
 from recap_engine.audit import replay
 from recap_engine.bundle import CODECS, encode, parse_bundle, serialize_bundle
@@ -141,7 +143,7 @@ def _top_level_ids(bundle) -> set[int]:
             for r in getattr(bundle, name)}
 
 
-@pytest.mark.usefixtures("writers")
+@pytest.mark.usefixtures("paths")
 def test_writing_a_second_bundle_keeps_no_text_of_the_first():
     first, second = toy_bundle(), toy_bundle()
     serialize_bundle(first)
@@ -152,7 +154,7 @@ def test_writing_a_second_bundle_keeps_no_text_of_the_first():
     assert not kept & _top_level_ids(first)
 
 
-@pytest.mark.usefixtures("writers")
+@pytest.mark.usefixtures("paths")
 def test_a_record_swapped_in_without_commit_is_written():
     bundle = toy_bundle()
     serialize_bundle(bundle)
@@ -167,7 +169,7 @@ def test_a_record_swapped_in_without_commit_is_written():
     assert '"study_id": "child:C1:S9"' in serialize_bundle(bundle)
 
 
-@pytest.mark.usefixtures("writers")
+@pytest.mark.usefixtures("paths")
 def test_a_record_repeated_in_a_list_is_written_at_each_place():
     bundle = toy_bundle()
     serialize_bundle(bundle)
@@ -176,20 +178,21 @@ def test_a_record_repeated_in_a_list_is_written_at_each_place():
 
 
 def test_a_class_gets_its_generated_writer_at_the_threshold(monkeypatch):
-    monkeypatch.setattr(writer, "_HOT", 3)
-    monkeypatch.setattr(writer, "_FAST", {})
-    monkeypatch.setattr(writer, "_seen", {})
-    monkeypatch.setattr(writer, "_texts", {})
+    set_paths(monkeypatch, "general")
+    monkeypatch.setattr(bundle_module, "_HOT", 3)
     bundle = toy_bundle()
     assert len(bundle.units) == 3
-    assert not writer._FAST
-    assert serialize_bundle(bundle) == oracle(bundle)
-    # Each section of three records or more crossed the threshold; its
-    # class's generated writer generated those of the classes nested in it.
-    hot = {records[0].__class__ for records in vars(bundle).values()
-           if isinstance(records, tuple) and len(records) >= 3}
+    hot = {codec.cls for codec in CODECS.values() if codec.fast is not None}
     assert EvidentialUnit in hot
-    assert set(writer._FAST) == hot | set().union(*map(_classes_below, hot))
+    assert not any(codec.write for codec in CODECS.values())
+    assert serialize_bundle(bundle) == oracle(bundle)
+    # Each section of a class the parse made hot got its generated writer,
+    # which generated those of the classes nested in it.
+    sections = {records[0].__class__ for records in vars(bundle).values()
+                if isinstance(records, tuple) and records} & hot
+    written = {codec.cls for codec in CODECS.values() if codec.write is not None}
+    assert written == sections | set().union(*map(_classes_below, sections))
+    assert written <= hot
     second = toy_bundle()
     assert serialize_bundle(second) == oracle(second)
 
@@ -204,7 +207,7 @@ def _check_step(snapshot, live) -> None:
     assert oracle(replayed) == text
 
 
-@pytest.mark.usefixtures("writers")
+@pytest.mark.usefixtures("paths")
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_kept_texts_match_a_cold_render_and_replay_after_every_step(seed):
