@@ -7,15 +7,20 @@ import json
 import random
 
 import pytest
+from conftest import set_paths
 from genbundles import TimeSource, inject_borrowings, random_bundle_dict
 from test_audit import random_ops_session
 from toy import over_long_integer_text, toy_text, variant
 
+from recap_engine import bundle as bundle_module
 from recap_engine.audit import find_declaration, replay
-from recap_engine.bundle import parse_bundle, serialize_bundle
+from recap_engine.bundle import CODECS, parse_bundle, serialize_bundle
 from recap_engine.contamination import scan_bundle, trace_downstream
 from recap_engine.reporting import build_study_log, build_tier_table, compliance_verdict
 from recap_engine.reporting import render_report
+
+
+_DEFAULT_HOT = bundle_module._HOT
 
 
 def _big_contaminated_text() -> str:
@@ -26,7 +31,9 @@ def _big_contaminated_text() -> str:
     return json.dumps(doc)
 
 
-def test_the_engine_leaves_no_cyclic_garbage(paths):
+def _garbage_left() -> int:
+    """What the cyclic collector finds after the engine has parsed, scanned,
+    reported, serialized and replayed, with the collector paused."""
     texts = [toy_text(), _big_contaminated_text()]
     rng, clock = random.Random(11), TimeSource()
     gc.collect()
@@ -56,7 +63,21 @@ def test_the_engine_leaves_no_cyclic_garbage(paths):
     finally:
         gc.enable()
     assert accepted and rejected
-    assert garbage == 0
+    return garbage
+
+
+def test_the_engine_leaves_no_cyclic_garbage(paths):
+    assert _garbage_left() == 0
+
+
+def test_the_engine_leaves_no_cyclic_garbage_as_classes_turn_hot(monkeypatch):
+    # Every class starts cold at the default threshold: the big text turns
+    # some hot mid-parse, so generating a decoder, walk or writer must
+    # leave no cycle behind either.
+    set_paths(monkeypatch, "general")
+    monkeypatch.setattr(bundle_module, "_HOT", _DEFAULT_HOT)
+    assert _garbage_left() == 0
+    assert any(codec.fast is not None for codec in CODECS.values())
 
 
 _TEXTS = {

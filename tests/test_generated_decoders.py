@@ -24,6 +24,7 @@ from conftest import set_paths
 from genbundles import TimeSource, inject_faults, parse_dict, random_bundle_dict
 from test_audit import random_ops_session
 from test_decode_differential import _add_sections, _mutate
+from test_serialize import oracle
 from toy import toy_dict
 
 from recap_engine import bundle
@@ -162,3 +163,21 @@ def test_a_class_has_a_generated_walk_or_writer_only_once_its_decoder_is(seed):
         mp.setattr(test_audit, "parse_dict", parse)
         random_ops_session(random.Random(seed), TimeSource(), step=step)
         assert any(codec.write is not None for codec in CODECS.values())
+
+
+def test_bundles_written_as_classes_turn_hot_match_the_oracle(monkeypatch):
+    # Classes turn hot one by one as the bundles are parsed and written, so
+    # records of hot classes are decoded and written by generated code next
+    # to records of classes still cold, and a holder may turn hot before or
+    # after what it holds.
+    set_paths(monkeypatch, "general")
+    monkeypatch.setattr(bundle, "_HOT", 3)
+    rng = random.Random(4040)
+    for k in range(10):
+        doc = random_bundle_dict(rng, n_parents=2, n_children=4)
+        inject_faults(rng, doc, k)
+        live = parse_dict(doc)
+        assert serialize_bundle(live) == oracle(live), k
+    hot = [codec for codec in CODECS.values() if codec.fast is not None]
+    assert hot and len(hot) < len(CODECS)
+    assert any(codec.write is not None for codec in hot)
