@@ -43,12 +43,14 @@ def _emit_diagnostics(diags: list[Diagnostic]) -> None:
         print(line, file=sys.stderr)
 
 
-def _out(text: str, end: str = "\n") -> None:
-    """Print to stdout, flushed. Once a reader has closed it, stdout is
-    pointed at os.devnull, so later writes and the interpreter's final
-    flush go nowhere and the command returns its own exit code."""
+def _out(text: str = "", end: str = "\n", flush: bool = False) -> None:
+    """Print to stdout. Once a reader has closed it, stdout is pointed at
+    os.devnull, so later writes and the interpreter's final flush go
+    nowhere and the command returns its own exit code. :func:`main`
+    flushes once after the command, so the closed pipe is met there at the
+    latest."""
     try:
-        print(text, end=end, flush=True)
+        print(text, end=end, flush=flush)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -331,6 +333,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # last resort: one line and the usage exit code, never a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        _out(end="", flush=True)
 
 
 if __name__ == "__main__":  # pragma: no cover

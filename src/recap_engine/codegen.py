@@ -230,10 +230,7 @@ def _text(spec: Spec, v: str, depth: int, consts: dict, strings: dict) -> str:
 
     at = _string(strings, "i", depth)
     if spec.kind == RECORD:  # its writer checks its class
-        nested = CODECS[spec.of]
-        if nested.write is None:
-            nested.write = generate_writer(nested)
-        return f"{_const(consts, nested.write)}({v}, {at})"
+        return f"{_const(consts, CODECS[spec.of].writer())}({v}, {at})"
     general = f"{_const(consts, writer._dumper(bundle.value_encoder(spec)))}({v}, {at})"
     if spec.kind == LIST:  # joined inline; the brackets join round the items
         x = f"x{depth + 1}"
@@ -284,8 +281,8 @@ def generate_citer(codec: Any) -> Callable[[Any, Any, list], None]:
     """The citation walk of ``codec``'s class: ``(record, where, out)``
     appends to ``out`` what ``bundle._cite`` would for ``record`` under its
     plan (``bundle.PLANS``), in straight-line code, one block a step. A
-    nested list's records go through their class's own walk, generated if
-    need be."""
+    nested list's records go through their class's own walk
+    (``_Codec.walk``): a hot class's nested classes are hot with it."""
     consts: dict[str, Any] = {"extract": extract_references}
     steps = bundle.PLANS[codec.cls][1]
     lines = []
@@ -303,10 +300,7 @@ def generate_citer(codec: Any) -> Callable[[Any, Any, list], None]:
             lines += [f"for i, t in enumerate({v}):", f"    if {_CITES.format('t')}:",
                       f"        out += [(r, {expect}, where, {at}, i) for r in extract(t)]"]
         else:  # DECLS or ITEMS
-            nested = CODECS[of]
-            if nested.cite is None:
-                nested.cite = generate_citer(nested)
-            cite = _const(consts, nested.cite)
+            cite = _const(consts, CODECS[of].walk())
             lines += [f"if {v}:", f"    for i, x in enumerate({v}): {cite}(x, (where, {at}, i), out)"]
     names = [name for _, name, _, _ in steps]
     if len(names) == 1:  # itemgetter of one key gives the value itself

@@ -45,12 +45,21 @@ def set_paths(monkeypatch, mode: str) -> None:
                 codec.fast = codegen.generate(codec)
 
 
-@pytest.fixture(scope="module", params=["generated", "general"])
-def paths(request):
-    """Runs a test once with every record class hot and once with every
-    one cold (:func:`set_paths`). Module-scoped, so a hypothesis test keeps
-    one path for all its examples; the codecs, not their methods, hold the
-    state, so the module's other tests run on a path the product runs."""
-    with pytest.MonkeyPatch.context() as mp:
-        set_paths(mp, request.param)
-        yield request.param
+def paths_fixture(scope: str):
+    """A ``paths`` fixture of ``scope``: it runs a test once with every
+    record class hot and once with every one cold (:func:`set_paths`). A
+    module whose hypothesis tests need one path for all their examples
+    declares a module-scoped one, ``paths = paths_fixture("module")``; the
+    codecs, not their methods, hold the state, so the module's other tests
+    run on a path the product runs."""
+
+    @pytest.fixture(scope=scope, params=["generated", "general"], name="paths")
+    def paths(request):
+        with pytest.MonkeyPatch.context() as mp:
+            set_paths(mp, request.param)
+            yield request.param
+
+    return paths
+
+
+paths = paths_fixture("function")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import set_paths
+from conftest import paths_fixture, set_paths
 from genbundles import TimeSource, inject_borrowings, inject_faults, parse_dict
 from genbundles import random_bundle_dict
 from test_audit import random_ops_session
@@ -24,6 +24,9 @@ from recap_engine import codegen
 from recap_engine.bundle import CODECS, citations, clone, decode, encode, parse_bundle
 from recap_engine.bundle import serialize_bundle, write_errors
 from recap_engine.diagnostics import Severity
+
+# One path for all of a hypothesis test's examples.
+paths = paths_fixture("module")
 
 GHOST = "child:C9:zz_undeclared"
 

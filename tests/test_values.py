@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import set_paths
+from conftest import paths_fixture, set_paths
 from genbundles import TimeSource
 from test_audit import _session_bundles, random_ops_session
 from toy import toy_bundle
@@ -29,6 +29,10 @@ from recap_engine.bundle import CODECS, encode, parse_bundle, serialize_bundle
 from recap_engine.identifiers import Identifier
 from recap_engine.model import JSON, LIST, MAP, RECORD, EvidentialUnit, ProjectBundle
 from recap_engine.records import FrozenDict, FrozenList, FrozenRecordError
+
+
+# One path for all of a hypothesis test's examples.
+paths = paths_fixture("module")
 
 
 def oracle(bundle) -> str:
