@@ -31,7 +31,15 @@ _RESET = "\033[0m"
 
 
 def _use_color() -> bool:
-    return sys.stderr.isatty() and not os.environ.get("RECAP_NO_COLOR")
+    return sys.stderr is not None and sys.stderr.isatty() and not os.environ.get("RECAP_NO_COLOR")
+
+
+def _err(text: object) -> None:
+    """Print a line to stderr. A process started with fd 2 closed has no
+    ``sys.stderr``: its messages go nowhere, and its stdout and exit code
+    stay what they would be."""
+    if sys.stderr is not None:
+        print(text, file=sys.stderr)
 
 
 def _emit_diagnostics(diags: list[Diagnostic]) -> None:
@@ -40,7 +48,7 @@ def _emit_diagnostics(diags: list[Diagnostic]) -> None:
         line = diag.render()
         if color:
             line = f"{_COLORS[diag.severity]}{line}{_RESET}"
-        print(line, file=sys.stderr)
+        _err(line)
 
 
 def _out(text: str = "", end: str = "\n", flush: bool = False) -> None:
@@ -66,7 +74,7 @@ def _read_text(path: str, what: str) -> str | None:
     try:
         return decode_utf8(Path(path).read_bytes())
     except OSError as exc:
-        print(f"cannot read {what}: {exc}", file=sys.stderr)
+        _err(f"cannot read {what}: {exc}")
     except OperationRejected as exc:
         _emit_diagnostics(exc.diagnostics)
     return None
@@ -91,10 +99,7 @@ def _pick_project(bundle: ProjectBundle, name: str | None) -> ProjectDecl | None
     if name is None:
         if len(bundle.projects) == 1:
             return bundle.projects[0]
-        print(
-            f"--project required: bundle has {len(bundle.projects)} projects",
-            file=sys.stderr,
-        )
+        _err(f"--project required: bundle has {len(bundle.projects)} projects")
         return None
     return _named(bundle.projects, name, "project", lambda project: project.id)
 
@@ -107,9 +112,9 @@ def _named(decls: list, name: str, what: str, ident):
         return found[0]
     if found:
         ids = ", ".join(ident(d).render() for d in found)
-        print(f"{what} name {name!r} is ambiguous: {ids}", file=sys.stderr)
+        _err(f"{what} name {name!r} is ambiguous: {ids}")
     else:
-        print(f"no {what} named {name!r}", file=sys.stderr)
+        _err(f"no {what} named {name!r}")
     return None
 
 
@@ -223,7 +228,7 @@ def _cmd_report(args) -> int:
         else:
             blocks = [b for b in bundle.reviewer_blocks if b.project_ref == project.id]
             if not blocks:
-                print("no reviewer block for project", file=sys.stderr)
+                _err("no reviewer block for project")
                 return EXIT_VIOLATIONS
             artifact = blocks[0]
         _out(render_report(artifact, fmt), end="")
@@ -244,7 +249,7 @@ def _cmd_version(args) -> int:
 def _cmd_explain(args) -> int:
     text = explain_code(args.code)
     if text is None:
-        print(f"unknown code {args.code!r}", file=sys.stderr)
+        _err(f"unknown code {args.code!r}")
         return EXIT_USAGE
     _out(text)
     return EXIT_OK
@@ -325,17 +330,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except LockUnavailable as exc:
-        print(exc, file=sys.stderr)
+        _err(exc)
         return EXIT_USAGE
     except OperationRejected as exc:
         _emit_diagnostics(exc.diagnostics)
         return EXIT_VIOLATIONS
     except Exception as exc:  # last resort: one line and the usage exit code, never a traceback
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _err(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_USAGE
     finally:
         _out(end="", flush=True)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -10,12 +10,11 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-import sys
 from pathlib import Path
 
 from .bundle import decode, decode_field, lone_surrogate, serialize_bundle
 from .cli import EXIT_OK, EXIT_USAGE, LockUnavailable, _emit_diagnostics, _load
-from .cli import _load_project, _out, _read_text
+from .cli import _err, _load_project, _out, _read_text
 from .model import ChangelogEntry, LayerDecl, ProjectBundle
 from .operations import bump_version, freeze_route
 from .routing import committed_route
@@ -44,7 +43,7 @@ def bump(args) -> int:
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an over-long integer
-        print(f"cannot read changelog: {exc}", file=sys.stderr)
+        _err(f"cannot read changelog: {exc}")
         return EXIT_USAGE
     surrogate = lone_surrogate(text)
     if surrogate is not None:
@@ -58,7 +57,7 @@ def bump(args) -> int:
             LayerDecl, "laws", laws, ns="gp", at="new_laws"
         )
     except ValueError as exc:
-        print(f"bad changelog: {exc}", file=sys.stderr)
+        _err(f"bad changelog: {exc}")
         return EXIT_USAGE
     # Read under the lock: a write that lands before it is then not overwritten.
     with _BundleLock(args.bundle):

@@ -455,6 +455,70 @@ def test_module_entry_point_runs_as_subprocess(toy_file):
     assert proc.stdout.strip() == "compliant"
 
 
+@pytest.fixture
+def faulty_file(tmp_path):
+    """A genbundles bundle with three injected faults: a non-compliant
+    verdict, findings on stderr and scan events."""
+    rng = random.Random(5)
+    doc = random_bundle_dict(rng, n_parents=2)
+    inject_faults(rng, doc, 3)
+    path = tmp_path / "faulty.bundle"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _run_module(argv: list[str], stderr_closed: bool = False) -> subprocess.CompletedProcess:
+    """``python -m recap_engine ARGV`` in a fresh interpreter, its output as
+    bytes; with ``stderr_closed``, the interpreter starts with fd 2 closed."""
+    src = str(Path(recap_engine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    command = [sys.executable, "-m", "recap_engine", *argv]
+    if stderr_closed:
+        command = ["/bin/sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+    return subprocess.run(command, capture_output=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120, check=False)
+
+
+_ON_A_BUNDLE = [
+    ["validate"],
+    ["validate", "--format", "structured"],
+    ["scan"],
+    ["report", "study-log", "--project", "child:C1:PRJ"],
+    ["tier"],
+    ["route", "check", "--project", "child:C1:PRJ"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, bundle",
+    [*((argv, bundle) for argv in _ON_A_BUNDLE for bundle in ("toy", "faulty")),
+     (["explain", "E_SECOND_ROUTE"], None), (["explain", "E_NOT_A_CODE"], None)],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_the_module_entry_gives_what_main_gives(argv, bundle, toy_file, faulty_file, capsys):
+    if bundle is not None:
+        argv = [argv[0], str(toy_file if bundle == "toy" else faulty_file), *argv[1:]]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    done = _run_module(argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+
+
+def test_a_closed_stderr_keeps_each_commands_exit_code_and_stdout(toy_file, faulty_file, capsys):
+    toy, faulty = str(toy_file), str(faulty_file)
+    for argv, code in [
+        (["validate", toy], 0),
+        (["validate", faulty], 1),
+        (["validate", faulty, "--format", "structured"], 1),
+        (["scan", faulty], 1),
+        (["report", toy, "study-log"], 0),
+    ]:
+        assert main(argv) == code
+        out = capsys.readouterr().out  # stdout with stderr open
+        done = _run_module(argv, stderr_closed=True)
+        assert (done.returncode, done.stdout) == (code, out.encode()), argv
+
+
 def _imported(argv: list[str]) -> set[str]:
     """Every module a CLI run in a fresh interpreter imports after start-up
     (``site`` and what it loads are the environment's)."""

@@ -1,10 +1,15 @@
 """The engine and Python's cyclic collector: ``parse_bundle`` pauses the
 collector and leaves it as it found it, and no engine path leaves
-reference cycles behind, so what a caller drops is freed by refcount."""
+reference cycles behind, so what a caller drops is freed by refcount. The
+process entry runs a command with the collector off and freezes it before
+exit; ``cli.main`` leaves it as it found it."""
 
 import gc
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import set_paths
@@ -15,6 +20,7 @@ from toy import over_long_integer_text, toy_text, variant
 from recap_engine import bundle as bundle_module
 from recap_engine.audit import find_declaration, replay
 from recap_engine.bundle import CODECS, parse_bundle, serialize_bundle
+from recap_engine.cli import main
 from recap_engine.contamination import scan_bundle, trace_downstream
 from recap_engine.reporting import build_study_log, build_tier_table, compliance_verdict
 from recap_engine.reporting import render_report
@@ -142,3 +148,60 @@ def test_an_interrupted_parse_reenables_the_collector(monkeypatch):
     finally:
         gc.enable()
 
+
+def _in_a_fresh_process(code: str) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parent.parent
+    env = {"PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=False)
+
+
+def test_the_process_entry_runs_a_command_with_no_collection(tmp_path):
+    # Past bundle._HOT, so the command also compiles generated decoders
+    # and walks: allocation enough to set off collections were the
+    # collector on.
+    path = tmp_path / "large.bundle"
+    doc = random_bundle_dict(random.Random(5), n_children=4, n_units=75)
+    assert len(doc["units"]) > _DEFAULT_HOT
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    done = _in_a_fresh_process("\n".join([
+        "import gc, sys",
+        "from recap_engine.__main__ import run",
+        "made = []",
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and made.append(info))",
+        f"sys.argv = ['recap-engine', 'validate', {str(path)!r}]",
+        "try:",
+        "    run()",
+        "except SystemExit as exc:",
+        "    code = exc.code",
+        # The exit collection walks only what was made after the freeze.
+        "left = len(gc.get_objects())",
+        "print(code, len(made), gc.isenabled(), gc.get_freeze_count() > 100 * left)",
+    ]))
+    assert done.returncode == 0, done.stderr[-500:]
+    lines = done.stdout.splitlines()
+    assert lines[0] == "non_compliant"  # no project of the bundle has its memos
+    assert lines[-1] == "1 0 False True"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(toy_file, capsys, enabled):
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["validate", str(toy_file)]) == 0
+        assert main(["scan", str(toy_file)]) == 0
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr().out == "compliant\n0 contamination event(s)\n"
+
+
+def test_importing_the_entry_runs_no_command():
+    done = _in_a_fresh_process("\n".join([
+        "import gc, sys",
+        "import recap_engine.__main__",
+        "print(gc.isenabled(), gc.get_freeze_count(), 'recap_engine.cli' in sys.modules)",
+    ]))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True 0 False\n", "")
