@@ -15,7 +15,7 @@ record holds it: lists as tuples, maps and free JSON read-only.
 
 A class decodes, walks and writes its records on one of two paths. A cold
 class takes the general ones: :meth:`_Decoder.record`, which reports,
-:func:`_cite`, and ``writer._json_text`` of its encoding. A class turns hot
+:func:`_cite`, and ``writer.json_text`` of its encoding. A class turns hot
 at its :data:`_HOT`-th general decode, or with a hot class that holds it:
 its :class:`_Codec` then gets a decoder generated from its specs
 (``codegen.py``), which builds a well-typed record in straight-line code
@@ -921,18 +921,9 @@ def parse_bundle(text: str) -> ParseResult:
 
 def _parse(text: str) -> ParseResult:
     """:func:`parse_bundle`'s work; its JSON tree is freed on return."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return ParseResult(None, [error("E_SYNTAX", f"line {exc.lineno}", exc.msg)])
-    except RecursionError:
-        return ParseResult(None, [error("E_SYNTAX", "line 1", "document nests too deeply")])
-    except ValueError:  # an integer literal longer than int() converts
-        message = f"integer literal longer than {sys.get_int_max_str_digits()} digits"
-        return ParseResult(None, [error("E_SYNTAX", "line 1", message)])
-    surrogate = lone_surrogate(text)
-    if surrogate is not None:
-        return ParseResult(None, [surrogate])
+    raw, unread = read_json(text)
+    if unread:
+        return ParseResult(None, unread)
     if not isinstance(raw, dict):
         return ParseResult(None, [error("E_SYNTAX", "line 1", "bundle must be a JSON object")])
 
@@ -988,19 +979,29 @@ def _parse(text: str) -> ParseResult:
     return ParseResult(bundle, diags)
 
 
-def lone_surrogate(text: str) -> Diagnostic | None:
-    """E_SYNTAX at the first escape in a well-formed JSON text that stands
-    for a lone surrogate (``"\\ud800"``): ``json.loads`` accepts one, but
-    no bundle holding it can be written back as UTF-8. Only an escape
-    stands for one, so a text without a backslash pays for one search."""
-    if "\\" not in text or "\\u" not in text:
-        return None
-    for match in _ESCAPE_RE.finditer(text):
-        if match.group(1):
-            line = text.count("\n", 0, match.start()) + 1
-            message = f"\\{match.group(1)} is a lone surrogate, which UTF-8 cannot encode"
-            return error("E_SYNTAX", f"line {line}", message)
-    return None
+def read_json(text: str) -> tuple[Any, list[Diagnostic]]:
+    """The value of the JSON ``text`` and no diagnostics, or None and the
+    located E_SYNTAX that says why it cannot be read. Every JSON document a
+    user gives the engine, a bundle or a changelog, is read here."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return None, [error("E_SYNTAX", f"line {exc.lineno}", exc.msg)]
+    except RecursionError:
+        return None, [error("E_SYNTAX", "line 1", "document nests too deeply")]
+    except ValueError:  # an integer literal longer than int() converts
+        message = f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+        return None, [error("E_SYNTAX", "line 1", message)]
+    # json.loads accepts an escape for a lone surrogate ("\ud800"), which
+    # UTF-8 cannot write back. Only an escape stands for one, so a text
+    # without one pays for one search.
+    if "\\u" in text:
+        for match in _ESCAPE_RE.finditer(text):
+            if match.group(1):
+                line = text.count("\n", 0, match.start()) + 1
+                message = f"\\{match.group(1)} is a lone surrogate, which UTF-8 cannot encode"
+                return None, [error("E_SYNTAX", f"line {line}", message)]
+    return raw, []
 
 
 def decode_utf8(data: bytes) -> str:

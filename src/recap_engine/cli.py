@@ -191,8 +191,6 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    import json
-
     from .bundle import encode
     from .contamination import scan_bundle
 
@@ -201,7 +199,9 @@ def _cmd_scan(args) -> int:
         return EXIT_USAGE
     events = scan_bundle(bundle)
     if args.format == "structured":
-        _out(json.dumps({"events": [encode(e) for e in events]}, indent=2))
+        from .writer import json_text
+
+        _out(json_text({"events": [encode(e) for e in events]}))
         return EXIT_VIOLATIONS if events else EXIT_OK
     for event in events:
         via = f" via {event.site.token}" if event.site.token else ""

@@ -2,17 +2,17 @@
 
 Each reads the bundle under an advisory ``flock`` on a lock file beside it
 and replaces the file atomically. ``cli`` imports this module only when a
-write command runs, so no read command compiles it.
+write command runs, so no read command compiles it. A changelog is read
+as a bundle is (:func:`~.bundle.read_json`), and fails with the same lines.
 """
 
 from __future__ import annotations
 
 import fcntl
-import json
 import os
 from pathlib import Path
 
-from .bundle import decode, decode_field, lone_surrogate, serialize_bundle
+from .bundle import decode, decode_field, read_json, serialize_bundle
 from .cli import EXIT_OK, EXIT_USAGE, LockUnavailable, _emit_diagnostics, _load
 from .cli import _err, _load_project, _out, _read_text
 from .model import ChangelogEntry, LayerDecl, ProjectBundle
@@ -40,14 +40,9 @@ def bump(args) -> int:
     text = _read_text(args.changelog, "changelog")
     if text is None:
         return EXIT_USAGE
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an over-long integer
-        _err(f"cannot read changelog: {exc}")
-        return EXIT_USAGE
-    surrogate = lone_surrogate(text)
-    if surrogate is not None:
-        _emit_diagnostics([surrogate])
+    raw, unread = read_json(text)
+    if unread:
+        _emit_diagnostics(unread)
         return EXIT_USAGE
     try:
         # The file's own keys locate its errors: to_version, new_laws[0].

@@ -43,7 +43,7 @@ class Identifier(tuple):
     other three, so two ids are equal, and order, as their
     ``(namespace, owner, local_name)``. An id is never equal to a plain
     tuple, does not order against one, and is never JSON-encoded as an
-    array (``writer._json_text`` refuses it as ``json.dumps`` refuses any
+    array (``writer.json_text`` refuses it as ``json.dumps`` refuses any
     other object). Frozen: assigning a field raises
     :class:`~.records.FrozenRecordError`.
     """

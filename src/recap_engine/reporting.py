@@ -3,7 +3,8 @@
 Reports are projections of declared content, never generators: every
 narrative string in a report already exists in the bundle. The study log
 covers every unit including excluded ones; the tier table covers only the
-units that participate in inference.
+units that participate in inference. Structured output is printed by
+:func:`~.writer.json_text`, loaded only then.
 """
 
 from __future__ import annotations
@@ -429,7 +430,11 @@ def render_report(artifact, fmt: str) -> str:
         raise OperationRejected(
             [error("E_FORMAT_UNSUPPORTED", "format", f"unknown format {fmt!r}")]
         )
-    return _render(artifact, fmt)
+    if fmt != "structured":
+        return _render(artifact, fmt)
+    from .writer import json_text
+
+    return json_text(_render(artifact, fmt))
 
 
 def _unrenderable(artifact, fmt: str) -> str:
@@ -438,16 +443,14 @@ def _unrenderable(artifact, fmt: str) -> str:
     )
 
 
-#: The renderer of an artifact, by its type.
+#: The renderer of an artifact, by its type: its text, or its JSON object.
 _render = singledispatch(_unrenderable)
 
 
-def _render_table(table: type, rows: list, fmt: str) -> str:
+def _render_table(table: type, rows: list, fmt: str) -> str | dict:
     name, row, headings = _TABLES[table]
     if fmt == "structured":
-        return json.dumps(
-            {"artifact": name, "rows": [r.__dict__ for r in rows]}, indent=2, ensure_ascii=False
-        )
+        return {"artifact": name, "rows": [r.__dict__ for r in rows]}
     cells = list(map(attrgetter(*(f.name for f in fields(row))), rows))
     return (_markdown_table if fmt == "markdown" else _csv_table)(headings, cells)
 
@@ -457,7 +460,7 @@ _render.register(TierTable, partial(_render_table, TierTable))
 
 
 @_render.register(list)
-def _render_list(artifact: list, fmt: str) -> str:
+def _render_list(artifact: list, fmt: str) -> str | dict:
     """An untyped list renders as the table whose rows it holds, if any."""
     for table, (_, row, _) in _TABLES.items():
         if artifact and all(isinstance(r, row) for r in artifact):
@@ -466,14 +469,14 @@ def _render_list(artifact: list, fmt: str) -> str:
 
 
 @_render.register(ReviewerBlock)
-def _render_reviewer_block(artifact: ReviewerBlock, fmt: str) -> str:
+def _render_reviewer_block(artifact: ReviewerBlock, fmt: str) -> str | dict:
     if fmt == "csv":
         raise OperationRejected(
             [error("E_FORMAT_UNSUPPORTED", "format", "reviewer block is not tabular")]
         )
     record = {"artifact": "reviewer_block", **encode(artifact)}
     if fmt == "structured":
-        return json.dumps(record, indent=2, ensure_ascii=False)
+        return record
     lines = [f"# Reviewer Block: {record['project_ref']}", ""]
     lines.append("## Methodological findings")
     lines.extend(f"- {f}" for f in record["methodological_findings"])
@@ -492,7 +495,7 @@ def _render_reviewer_block(artifact: ReviewerBlock, fmt: str) -> str:
 
 
 @_render.register(ComplianceReport)
-def _render_compliance_report(artifact: ComplianceReport, fmt: str) -> str:
+def _render_compliance_report(artifact: ComplianceReport, fmt: str) -> str | dict:
     if fmt == "csv":
         raise OperationRejected(
             [error("E_FORMAT_UNSUPPORTED", "format", "compliance report is not tabular")]
@@ -503,7 +506,7 @@ def _render_compliance_report(artifact: ComplianceReport, fmt: str) -> str:
         "findings": [d.to_dict() for d in artifact.findings],
     }
     if fmt == "structured":
-        return json.dumps(record, indent=2, ensure_ascii=False)
+        return record
     lines = [f"verdict: {artifact.verdict}"]
     lines.extend(d.render() for d in artifact.findings)
     return "\n".join(lines) + "\n"

@@ -1,13 +1,13 @@
-"""The write side of the record schema: the indented writer behind
-:func:`~.bundle.serialize_bundle`.
+"""The engine's JSON text writer: :func:`json_text`, for every structured
+output, and :func:`write_bundle`, behind :func:`~.bundle.serialize_bundle`.
 
-The writer renders exactly what ``json.dumps(encode(record), indent=2,
-ensure_ascii=False)`` renders; ``json.dumps`` with an indent would use the
-pure-Python encoder. ``bundle.py`` imports this module on first use, so
-commands that never write a bundle do not load it.
+Both render exactly what ``json.dumps(value, indent=2, ensure_ascii=False)``
+renders; ``json.dumps`` with an indent would use the pure-Python encoder,
+which leaves reference cycles behind. Modules import this one on first use,
+so commands that neither write nor print structured output do not load it.
 
 A record takes its class's path, as in the decoder. A cold class's
-records are encoded and the JSON rendered (:func:`_json_text`). A hot
+records are encoded and the JSON rendered (:func:`json_text`). A hot
 class, one whose decoder is generated, gets a writer generated from its
 specs (``codegen.py``) the first time one of its records is written
 (``bundle._Codec.writer``); it fills one ``%`` template per indent from
@@ -58,9 +58,9 @@ _OBJECTS = frozenset({dict, FrozenDict})
 _ARRAYS = frozenset({list, tuple, FrozenList})
 
 
-def _json_text(value: Any, nl: str) -> str:
+def json_text(value: Any, nl: str = "\n") -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` re-indented to
-    ``nl``, for free JSON (event payloads, maps) and encoded records. A
+    ``nl``, for structured output, free JSON and encoded records. A
     value of any class but dict, list, tuple (or their frozen forms), str,
     int, float, bool and None, or a dict key of any class but those
     scalars, goes to json.dumps itself (:func:`_dumped`); encoded JSON
@@ -79,13 +79,13 @@ def _json_text(value: Any, nl: str) -> str:
                 if text is None:
                     return _dumped(value, nl)
                 key = text(key)
-            parts.append(_quote(key) + ": " + _json_text(item, inner))
+            parts.append(_quote(key) + ": " + json_text(item, inner))
         return _enclose(parts, "{}", inner, nl)
     if cls in _ARRAYS:
         if not value:
             return "[]"
         inner = nl + "  "
-        return _enclose([_json_text(item, inner) for item in value], "[]", inner, nl)
+        return _enclose([json_text(item, inner) for item in value], "[]", inner, nl)
     text = _SCALARS.get(cls)
     return _dumped(value, nl) if text is None else text(value)
 
@@ -121,8 +121,8 @@ def _refuse_ids(value: Any, walking: set) -> None:
 def _dumper(enc: Callable | None) -> Callable[[Any, str], str]:
     """The general path: encode, then render the JSON."""
     if enc is None:
-        return _json_text
-    return lambda value, nl: _json_text(enc(value), nl)
+        return json_text
+    return lambda value, nl: json_text(enc(value), nl)
 
 
 def _enclose(parts: list[str], brackets: str, inner: str, nl: str) -> str:
@@ -173,7 +173,7 @@ def write_bundle(bundle: Any) -> str:
     global _texts, _written
     values = bundle.__dict__
     if bundle.__class__ is not ProjectBundle or len(values) != len(_LAYOUT):
-        return _json_text(CODECS[ProjectBundle].encode(bundle), "\n") + "\n"
+        return json_text(CODECS[ProjectBundle].encode(bundle), "\n") + "\n"
     old, texts = _texts, {}
     pieces = ["{"]
     for lead, name, section, write in _LAYOUT:
@@ -191,7 +191,7 @@ def write_bundle(bundle: Any) -> str:
             key = id(record)
             entry = old.get(key)
             if entry is None:
-                text = _json_text(encode(record), _ITEM) if fast is None else fast(record, _ITEM)
+                text = json_text(encode(record), _ITEM) if fast is None else fast(record, _ITEM)
                 entry = (record, text)
             texts[key] = entry
             pieces.append(entry[1])

@@ -595,6 +595,47 @@ def _run_with_stdout_closed(argv: list[str]) -> tuple[int, str]:
     return proc.returncode, proc.stderr
 
 
+def _faulty_dict() -> dict:
+    rng = random.Random(5)
+    doc = random_bundle_dict(rng, n_parents=2)
+    inject_faults(rng, doc, 3)
+    return doc
+
+
+def _non_ascii_notes_dict() -> dict:
+    doc = toy_dict()
+    for unit in doc["units"]:
+        unit["notes"] = "naïve Schätzung – 数据 ✓"
+    return doc
+
+
+_STRUCTURED_BUNDLES = {"toy": toy_dict, "faulty": _faulty_dict, "non-ASCII": _non_ascii_notes_dict}
+
+
+@pytest.mark.parametrize("name", list(_STRUCTURED_BUNDLES))
+def test_every_structured_output_is_the_indented_json_of_its_object(tmp_path, capsys, name):
+    doc = _STRUCTURED_BUNDLES[name]()
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    runs = [["validate", str(path)], ["scan", str(path)]]
+    for project in doc["projects"]:
+        for artifact in ("study-log", "tier-table", "reviewer-block"):
+            runs.append(["report", str(path), artifact, "--project", project["id"]])
+    printed = []
+    for argv in runs:
+        code, out, err = run_cli(*argv, "--format", "structured", capsys=capsys)
+        if err == "no reviewer block for project\n":  # not every project has one
+            continue
+        assert code in (0, 1), (argv, err)
+        # validate and scan end their output with a newline; a report does not.
+        end = "" if argv[0] == "report" else "\n"
+        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + end
+        printed.append(out)
+    assert len(printed) >= 4
+    if name == "non-ASCII":
+        assert any("naïve Schätzung – 数据 ✓" in out for out in printed)
+
+
 def test_a_closed_stdout_keeps_each_commands_exit_code(tmp_path, toy_file):
     rng = random.Random(5)
     doc = random_bundle_dict(rng, n_parents=2)
@@ -653,8 +694,9 @@ def test_version_bump_rejects_a_changelog_with_an_over_long_integer(tmp_path, ca
     code, out, err = run_cli(
         "version", str(bundle_path), "bump", "--changelog", str(changelog), capsys=capsys
     )
-    assert code == 2
-    assert "cannot read changelog" in err and "internal error" not in out + err
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err.splitlines() == [f"E_SYNTAX line 1 integer literal longer than {limit} digits"]
     assert bundle_path.read_bytes() == original
 
 
@@ -850,6 +892,34 @@ def test_a_lone_surrogate_escape_is_a_syntax_error_not_a_crash(tmp_path, capsys,
         f"E_SYNTAX line {line} \\ud800 is a lone surrogate, which UTF-8 cannot encode"
     ]
     assert path.read_text() == text
+
+
+_UNREADABLE_JSON = {
+    "malformed": '{\n  "from_version": "v1.0",\n  "to_version": \n}',
+    "nested too deeply": "[" * 200000,
+    "over-long integer": '{"zz": ' + "1" * 5000 + "}",
+    "lone surrogate": '{\n  "from_version": "v1.0",\n  "notes": "\\udc00 alone"\n}',
+}
+
+
+@pytest.mark.parametrize("name", list(_UNREADABLE_JSON))
+def test_a_changelog_that_is_not_json_gets_the_line_a_bundle_gets(tmp_path, capsys, name):
+    text = _UNREADABLE_JSON[name]
+    as_bundle = tmp_path / "unreadable.bundle"
+    as_bundle.write_text(text)
+    code, out, expected = run_cli("validate", str(as_bundle), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert len(expected.splitlines()) == 1 and expected.startswith("E_SYNTAX line ")
+    bundle_path = tmp_path / "toy.bundle"
+    bundle_path.write_text(toy_text())
+    original = bundle_path.read_bytes()
+    changelog = tmp_path / "change.json"
+    changelog.write_text(text)
+    code, out, err = run_cli(
+        "version", str(bundle_path), "bump", "--changelog", str(changelog), capsys=capsys
+    )
+    assert (code, out, err) == (2, "", expected)
+    assert bundle_path.read_bytes() == original
 
 
 def test_version_bump_names_the_changelog_key_of_a_bad_entry_field(tmp_path, capsys):

@@ -19,11 +19,12 @@ from toy import over_long_integer_text, toy_text, variant
 
 from recap_engine import bundle as bundle_module
 from recap_engine.audit import find_declaration, replay
-from recap_engine.bundle import CODECS, parse_bundle, serialize_bundle
+from recap_engine.bundle import CODECS, encode, parse_bundle, serialize_bundle
 from recap_engine.cli import main
 from recap_engine.contamination import scan_bundle, trace_downstream
 from recap_engine.reporting import build_study_log, build_tier_table, compliance_verdict
 from recap_engine.reporting import render_report
+from recap_engine.writer import json_text
 
 
 _DEFAULT_HOT = bundle_module._HOT
@@ -47,14 +48,17 @@ def _garbage_left() -> int:
     try:
         for text in texts:
             bundle = parse_bundle(text).bundle
-            compliance_verdict(bundle)
-            for event in scan_bundle(bundle):
+            verdict = compliance_verdict(bundle)
+            events = scan_bundle(bundle)
+            for event in events:
                 trace_downstream(event, bundle)
+            json_text({"events": [encode(e) for e in events]})  # scan --format structured
+            for fmt in ("markdown", "structured"):
+                render_report(verdict, fmt)
+                for block in bundle.reviewer_blocks:
+                    render_report(block, fmt)
             for project in bundle.projects:
-                # Structured renders are left out: they use the stdlib's
-                # indenting JSON encoder, which leaves a closure cycle on
-                # every call.
-                for fmt in ("markdown", "csv"):
+                for fmt in ("markdown", "csv", "structured"):
                     render_report(build_study_log(bundle, project), fmt)
                     render_report(build_tier_table(bundle, project), fmt)
             serialize_bundle(bundle)
