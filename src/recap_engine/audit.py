@@ -23,6 +23,7 @@ from typing import Any, Callable
 # replacement there (a test counting walks) sees every call.
 from . import bundle as bundle_module
 from .bundle import CODECS, PLANS, _declared, _resolve_references, _unresolved_layer
+from .bundle import correspondence_errors
 from .bundle import decode_payload, unknown_layer, unowned, wrong_field
 from .diagnostics import Diagnostic, OperationRejected, error, reject
 from .identifiers import Identifier, parse_identifier
@@ -37,6 +38,7 @@ from .model import (
     DeclarationQuarantined,
     FlowRecorded,
     Law,
+    LayerDecl,
     ProjectBundle,
     ResolutionEffect,
     Retier,
@@ -336,8 +338,10 @@ def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic
     layer of ``after`` (a payload is history, so a bare name is not
     resolved) and for a reference it puts in (:func:`~.bundle.citations`), less
     those a record it takes out cited alike, that does not resolve in
-    ``after``; for E_UNKNOWN_LAYER at an id it declares that names no
-    layer of ``after`` (:func:`~.bundle.unowned`); for E_DUP_ID at an id it
+    ``after``; for a correspondence of an abstraction it puts in that names
+    no abstraction of its layer (:func:`~.bundle.correspondence_errors`);
+    for E_UNKNOWN_LAYER at an id it declares that names no layer of
+    ``after`` (:func:`~.bundle.unowned`); for E_DUP_ID at an id it
     declares, less as a multiset those it stops declaring, that ``before``
     or an earlier one of them declares; and for E_UNDOCUMENTED at an id it
     stops declaring that ``after`` still cites (:func:`_citations`). A
@@ -362,6 +366,9 @@ def write_errors(before: ProjectBundle, after: ProjectBundle) -> list[Diagnostic
             values = new[i].__dict__
             diags += [_unresolved_layer(values[f], f"{key}[{i}].{f}") for f in codec.layer_refs
                       if values[f] is not None and values[f] not in layers]
+            if codec.cls is LayerDecl:
+                held = old[i].abstractions if i in paired else ()
+                correspondence_errors(new[i], i, _difference(held, new[i].abstractions)[0], diags)
             if i in paired:
                 previous = old[i].__dict__
                 if all(values[step[1]] is previous[step[1]] for step in PLANS[codec.cls][1]):
@@ -468,35 +475,38 @@ def clone(bundle: ProjectBundle) -> ProjectBundle:
 
 def validate_event(bundle: ProjectBundle, event: AuditEvent) -> list[Diagnostic]:
     """Why ``event`` cannot be appended to the log, if anything: its
-    sequence, its timestamp, its kind or its payload."""
+    sequence, its actor, its affected ids, its timestamp, its kind or its
+    payload."""
     return _check(bundle, event)[0]
 
 
 def _check(bundle: ProjectBundle, event: AuditEvent) -> tuple[list[Diagnostic], Any]:
     """:func:`validate_event`'s diagnostics, and the decoded payload."""
     diags: list[Diagnostic] = []
+    at = f"events[{len(bundle.events)}]"
     expected = bundle.next_sequence()
     if event.sequence != expected:
         diags.append(
-            error(
-                "E_SEQUENCE_GAP",
-                f"events[{len(bundle.events)}]",
-                f"sequence {event.sequence}, expected {expected}",
-            )
+            error("E_SEQUENCE_GAP", at, f"sequence {event.sequence}, expected {expected}")
         )
+    # The parse refuses a non-string actor or affected id, but reads a null
+    # actor back as "", so a null one is refused here too.
+    if not isinstance(event.actor, str):
+        message = f"expected string, got {type(event.actor).__name__}"
+        diags.append(error("E_SYNTAX", f"{at}.actor", message))
+    if not isinstance(event.affected, (list, tuple)):
+        message = f"expected list, got {type(event.affected).__name__}"
+        diags.append(error("E_SYNTAX", f"{at}.affected", message))
+    else:
+        diags += [error("E_SYNTAX", f"{at}.affected[{i}]", "expected string")
+                  for i, ident in enumerate(event.affected) if not isinstance(ident, str)]
     bad_timestamp = event_timestamp_error(event.timestamp)
     if bad_timestamp:
-        diags.append(error("E_SYNTAX", f"events[{len(bundle.events)}].timestamp", bad_timestamp))
+        diags.append(error("E_SYNTAX", f"{at}.timestamp", bad_timestamp))
     elif bundle.events and event_time_key(event.timestamp) < event_time_key(
         bundle.events[-1].timestamp
     ):
-        diags.append(
-            error(
-                "E_SEQUENCE_GAP",
-                f"events[{len(bundle.events)}]",
-                "event timestamp precedes the log head",
-            )
-        )
+        diags.append(error("E_SEQUENCE_GAP", at, "event timestamp precedes the log head"))
     try:
         return diags, decode_payload(event.kind, event.payload)
     except ValueError as exc:

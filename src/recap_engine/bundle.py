@@ -42,7 +42,7 @@ from functools import partial
 from itertools import chain
 from operator import attrgetter, methodcaller
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from . import forwarder
 from .diagnostics import Diagnostic, OperationRejected, Severity, error, warning
@@ -838,20 +838,8 @@ def _validate_structure(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
                     "a child layer answers to a parent layer",
                 )
             )
-    # abstraction correspondence stays within the declaring parent
     for i, layer in enumerate(bundle.layers):
-        local = {ab.id.local_name: ab for ab in layer.abstractions}
-        for j, ab in enumerate(layer.abstractions):
-            for key, value in ab.correspondence.items():
-                path = f"layers[{i}].abstractions[{j}].correspondence"
-                if key not in local:
-                    diags.append(
-                        error("E_UNRESOLVED_REF", path, f"correspondence key {key!r} not declared here")
-                    )
-                if value not in local:
-                    diags.append(
-                        error("E_UNRESOLVED_REF", path, f"correspondence value {value!r} not declared here")
-                    )
+        correspondence_errors(layer, i, range(len(layer.abstractions)), diags)
     # event ordering: strictly increasing sequence, timestamp-sorted with
     # sequence as tiebreaker
     last_seq = 0
@@ -872,6 +860,28 @@ def _validate_structure(bundle: ProjectBundle, diags: list[Diagnostic]) -> None:
                 error("E_SYNTAX", f"events[{i}]", "events are not ordered by timestamp")
             )
         last_key = key
+
+
+def correspondence_errors(
+    layer: LayerDecl, i: int, positions: Iterable[int], diags: list[Diagnostic]
+) -> None:
+    """E_UNRESOLVED_REF at each key and value of the correspondence of an
+    abstraction of ``layer``, the ``i``-th layer, at ``positions`` that
+    names no abstraction the layer declares: a correspondence stays within
+    the declaring layer. The parse checks every abstraction; the write
+    check (:func:`~.audit.write_errors`), those a write puts in."""
+    local = {ab.id.local_name for ab in layer.abstractions}
+    for j in positions:
+        path = f"layers[{i}].abstractions[{j}].correspondence"
+        for key, value in layer.abstractions[j].correspondence.items():
+            if key not in local:
+                diags.append(
+                    error("E_UNRESOLVED_REF", path, f"correspondence key {key!r} not declared here")
+                )
+            if value not in local:
+                diags.append(
+                    error("E_UNRESOLVED_REF", path, f"correspondence value {value!r} not declared here")
+                )
 
 
 def _resolve_references(

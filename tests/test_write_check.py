@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from genbundles import edit, inject_borrowings, random_bundle_dict
 from toy import PRJ, toy_bundle, toy_dict
 
-from recap_engine.audit import commit
+from recap_engine.audit import append_event, commit
 from recap_engine.bundle import encode, parse_bundle, serialize_bundle
 from recap_engine.cli import main
 from recap_engine.contamination import record_flow, resolve_contamination, scan_bundle
@@ -128,6 +128,75 @@ def test_removing_an_abstraction_a_correspondence_names_is_rejected_unchanged(to
     assert rejected(
         toy, lambda: commit(toy, "contamination_resolved", payload, actor="t", timestamp=STAMP)
     ) == [("E_UNDOCUMENTED", "parent:P:A")]
+
+
+ABSTRACTION = {"id": "zz_new", "kind": "construct", "definition": "d",
+               "correspondence": {"nope": "nada"}}
+
+
+def _resolution_adding(record: dict) -> dict:
+    event = ContaminationEvent(
+        id="CONT-0001", rule_violated="R2_downward_rewrite", direction="downward",
+        nature="structural", site=ContaminationSite(container="parent:P:A"),
+        risks_introduced="r", corrective_action="insight_extracted", resolved=True,
+    )
+    return {"contamination": encode(event), "action": "insight_extracted",
+            "effects": [{"op": "add_abstraction", "layer": "parent:P:P", "record": record}]}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("declaration_added", {"decl_kind": "abstraction", "layer": "parent:P:P",
+                           "record": ABSTRACTION}),
+    ("contamination_resolved", _resolution_adding(ABSTRACTION)),
+])
+def test_an_abstraction_corresponding_outside_its_layer_is_rejected_as_the_parse_would(
+    toy, toy_doc, kind, payload
+):
+    toy_doc["layers"][1]["abstractions"].append(ABSTRACTION)
+    parsed = parse_bundle(json.dumps(toy_doc)).errors()
+    assert [d.code for d in parsed] == ["E_UNRESOLVED_REF"] * 2
+    before, events = serialize_bundle(toy), toy.events
+    with pytest.raises(OperationRejected) as err:
+        commit(toy, kind, payload, actor="t", timestamp=STAMP)
+    assert serialize_bundle(toy) == before and toy.events is events
+    assert [d.render() for d in err.value.diagnostics] == [d.render() for d in parsed]
+
+
+def test_an_abstraction_corresponding_within_its_layer_is_committed(toy):
+    record = {"id": "zz_new", "kind": "construct", "definition": "d",
+              "correspondence": {"zz_new": "A"}}
+    payload = {"decl_kind": "abstraction", "layer": "parent:P:P", "record": record}
+    commit(toy, "declaration_added", payload, actor="t", timestamp=STAMP)
+    assert parse_bundle(serialize_bundle(toy)).bundle is not None
+
+
+@pytest.mark.parametrize("change, expected", [
+    ({"affected": [7]}, "E_SYNTAX events[1].affected[0] expected string"),
+    ({"actor": None}, "E_SYNTAX events[1].actor expected string, got NoneType"),
+])
+def test_a_commit_whose_event_would_not_read_back_is_rejected_unchanged(toy, change, expected):
+    payload = {"decl_kind": "abstraction", "layer": "parent:P:P",
+               "record": {"id": "zz_new", "kind": "construct", "definition": "d"}}
+    before, events = serialize_bundle(toy), toy.events
+    with pytest.raises(OperationRejected) as err:
+        commit(toy, "declaration_added", payload,
+               **{"actor": "t", "timestamp": STAMP, **change})
+    assert serialize_bundle(toy) == before and toy.events is events
+    assert [d.render() for d in err.value.diagnostics] == [expected]
+
+
+@pytest.mark.parametrize("change, expected", [
+    ({"affected": ("S1", 7)}, "E_SYNTAX events[1].affected[1] expected string"),
+    ({"affected": None}, "E_SYNTAX events[1].affected expected list, got NoneType"),
+    ({"actor": None}, "E_SYNTAX events[1].actor expected string, got NoneType"),
+])
+def test_append_event_refuses_what_the_parse_would_not_read_back(toy, change, expected):
+    event = replace(toy.events[0], sequence=2, timestamp=STAMP, **change)
+    events = toy.events
+    with pytest.raises(OperationRejected) as err:
+        append_event(toy, event)
+    assert toy.events is events
+    assert [d.render() for d in err.value.diagnostics] == [expected]
 
 
 CONTRACT = {"id": "child:C1:K", "info_type": "content", "origin_layer": "child:C2:C2",
