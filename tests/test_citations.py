@@ -120,30 +120,37 @@ def test_the_walk_yields_references_in_field_order_nested_in_place_texts_last(pa
 # ---------------------------------------------------------------------------
 
 
-def _walks(record, where) -> list[list[tuple]]:
-    """What ``record`` cites: by :func:`citations` with the walks generated,
-    by the generated walk of its own class called directly, and by the
-    general walk alone."""
+def _walks(records: list[tuple]) -> tuple[list[list[tuple]], ...]:
+    """What each of ``records``, ``(record, where)`` pairs, cites: by
+    :func:`citations` with the walks generated, by the generated walk of its
+    own class called directly, and by the general walk alone. Each path is
+    set once for all the records."""
     with pytest.MonkeyPatch.context() as mp:
         set_paths(mp, "generated")
-        own: list[tuple] = []
-        codegen.generate_citer(CODECS[record.__class__])(record, where, own)
-        walks = [citations(record, where), own]
+        generated = [citations(record, where) for record, where in records]
+        own, citers = [], {}
+        for record, where in records:
+            codec = CODECS[record.__class__]
+            if codec not in citers:
+                citers[codec] = codegen.generate_citer(codec)
+            own.append([])
+            citers[codec](record, where, own[-1])
     with pytest.MonkeyPatch.context() as mp:
         set_paths(mp, "general")
-        walks.append(citations(record, where))
-    return walks
+        general = [citations(record, where) for record, where in records]
+    return generated, own, general
 
 
 def _assert_one_list(bundle) -> None:
-    generated, own, general = _walks(bundle, None)
+    records = [(bundle, None)] + [
+        (record, (None, section, i))
+        for section in ("layers", "projects", "units", "routes", "reviewer_blocks")
+        for i, record in enumerate(getattr(bundle, section))
+    ]
+    generated, own, general = _walks(records)
     assert generated == own == general
     # The same tuples: each expected-kinds tuple is the plan's own object.
-    assert all(a[1] is b[1] is c[1] for a, b, c in zip(generated, own, general))
-    for section in ("layers", "projects", "units", "routes", "reviewer_blocks"):
-        for i, record in enumerate(getattr(bundle, section)):
-            generated, own, general = _walks(record, (None, section, i))
-            assert generated == own == general
+    assert all(a[1] is b[1] is c[1] for a, b, c in zip(generated[0], own[0], general[0]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
