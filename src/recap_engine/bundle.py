@@ -1004,8 +1004,8 @@ def read_json(text: str) -> tuple[Any, list[Diagnostic]]:
         return None, [error("E_SYNTAX", "line 1", message)]
     # json.loads accepts an escape for a lone surrogate ("\ud800"), which
     # UTF-8 cannot write back. Only an escape stands for one, so a text
-    # without one pays for one search.
-    if "\\u" in text:
+    # without a backslash pays for one search of a single character.
+    if "\\" in text and "\\u" in text:
         for match in _ESCAPE_RE.finditer(text):
             if match.group(1):
                 line = text.count("\n", 0, match.start()) + 1
